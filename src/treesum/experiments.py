@@ -10,6 +10,7 @@ which makes 2178 configurations for the full sweep.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -182,38 +183,36 @@ def run_grid_search(
 
     topics = list(corpus)
 
-    def point_summaries(trees, hp) -> dict[str, str]:
+    def point_summaries(trees, hp, pool) -> dict[str, str]:
         def one(topic):
             return select_summary(
                 trees[topic.topic_id], topic, embedded, hp, budget, scoring_mode="final"
             ).text
 
-        if workers <= 1:
-            texts = [one(t) for t in topics]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                texts = list(pool.map(one, topics))
+        texts = [one(t) for t in topics] if pool is None else list(pool.map(one, topics))
         return {t.topic_id: text for t, text in zip(topics, texts)}
 
     results = []
-    for point in grid:
-        hp = replace(
-            base,
-            delta=point.delta,
-            alpha=point.alpha,
-            beta=point.beta,
-            gamma=point.gamma,
-            k_first=point.k,
-        )
-        summaries = point_summaries(trees_by_k[point.k], hp)
-        report: RougeReport = evaluate_corpus(
-            summaries,
-            corpus,
-            budget,
-            metrics=[objective_metric],
-            report_kind=report_kind,
-        )
-        results.append(GridResult(point=point, objective=report.headline(objective_metric)))
+    # One pool for the whole search, not one per grid point.
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for point in grid:
+            hp = replace(
+                base,
+                delta=point.delta,
+                alpha=point.alpha,
+                beta=point.beta,
+                gamma=point.gamma,
+                k_first=point.k,
+            )
+            summaries = point_summaries(trees_by_k[point.k], hp, pool)
+            report: RougeReport = evaluate_corpus(
+                summaries,
+                corpus,
+                budget,
+                metrics=[objective_metric],
+                report_kind=report_kind,
+            )
+            results.append(GridResult(point=point, objective=report.headline(objective_metric)))
     best = min(
         results,
         key=lambda r: (

@@ -119,29 +119,37 @@ def _refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: i
     ``n_j/(n_j+1) * d(i, c_j)^2 - n_s/(n_s-1) * d(i, c_s)^2``. Applying the
     best strictly-improving move per sweep is deterministic, terminates
     (the objective decreases each time) and never empties a cluster.
+
+    Each sweep computes the whole (n, k) matrix of move deltas at once.
+    The move applied is the minimum of that matrix in row-major (point,
+    cluster) order, taking the first on exact ties, and only when it is
+    strictly below ``-1e-12``; otherwise the labels are final. Moves to the
+    point's own cluster, moves out of a singleton cluster and NaN deltas are
+    never candidates. This is the same move a scalar loop over points, then
+    clusters, keeping the first strictly smaller delta, would pick.
+
+    Squared distances use the difference form ``sum((x - c) ** 2)``, not
+    the expansion ``|x|^2 - 2 x.c + |c|^2``: the expansion rounds
+    differently and can flip a near-tie, so the chosen move (and the final
+    labels) would depend on the formula rather than on the data.
     """
     labels = labels.copy()
+    rows = np.arange(len(points))
     for _ in range(max_sweeps):
         counts = np.bincount(labels, minlength=k).astype(float)
         centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
-        best_move = None
-        best_delta = -1e-12
-        for i in range(len(points)):
-            s = int(labels[i])
-            if counts[s] <= 1:
-                continue
-            loss_off = counts[s] / (counts[s] - 1.0) * float(np.sum((points[i] - centroids[s]) ** 2))
-            for j in range(k):
-                if j == s:
-                    continue
-                gain_on = counts[j] / (counts[j] + 1.0) * float(np.sum((points[i] - centroids[j]) ** 2))
-                delta = gain_on - loss_off
-                if delta < best_delta:
-                    best_delta = delta
-                    best_move = (i, j)
-        if best_move is None:
+        dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        own = counts[labels]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss_off = own / (own - 1.0) * dists[rows, labels]
+            delta = (counts / (counts + 1.0))[None, :] * dists - loss_off[:, None]
+        delta[np.isnan(delta)] = np.inf
+        delta[rows, labels] = np.inf
+        delta[own <= 1] = np.inf
+        flat = int(delta.argmin())
+        if not delta.flat[flat] < -1e-12:
             return labels
-        labels[best_move[0]] = best_move[1]
+        labels[flat // k] = flat % k
     return labels
 
 

@@ -68,6 +68,40 @@ def brute_force_min_inertia(points: np.ndarray, k: int) -> float:
     return best
 
 
+def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: int = 200) -> np.ndarray:
+    """Reference single-point refinement: one scalar delta per (point, cluster).
+
+    The original loop form of ``treesum.tree._refine_labels``. Each sweep
+    walks points, then clusters, in order and keeps the first move whose
+    delta is strictly below the best seen so far (starting at -1e-12), then
+    applies that one move. The vectorized version must return exactly the
+    same labels.
+    """
+    labels = labels.copy()
+    for _ in range(max_sweeps):
+        counts = np.bincount(labels, minlength=k).astype(float)
+        centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+        best_move = None
+        best_delta = -1e-12
+        for i in range(len(points)):
+            s = int(labels[i])
+            if counts[s] <= 1:
+                continue
+            loss_off = counts[s] / (counts[s] - 1.0) * float(np.sum((points[i] - centroids[s]) ** 2))
+            for j in range(k):
+                if j == s:
+                    continue
+                gain_on = counts[j] / (counts[j] + 1.0) * float(np.sum((points[i] - centroids[j]) ** 2))
+                delta = gain_on - loss_off
+                if delta < best_delta:
+                    best_delta = delta
+                    best_move = (i, j)
+        if best_move is None:
+            return labels
+        labels[best_move[0]] = best_move[1]
+    return labels
+
+
 def random_synthetic_topic(rng: np.random.Generator, topic_id: str) -> tuple[Topic, dict]:
     """A topic with random cluster structure plus hand-assigned vectors.
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import brute_force_min_inertia
+from helpers import brute_force_min_inertia, scalar_refine_labels
 from treesum.tree import (
     ClassTree,
+    _lloyd,
+    _refine_labels,
     build_class_tree,
     default_max_nodes,
     derive_seed,
@@ -60,6 +62,64 @@ def test_kmeans_never_returns_empty_cluster():
         if result is not None:
             counts = np.bincount(result.labels, minlength=k)
             assert counts.min() >= 1
+
+
+def _refine_cases(rng):
+    """Seeded (points, k) inputs for the refinement oracle, ties included."""
+    for kind in ("gaussian", "integer", "decimal1"):
+        for dim in (1, 3, 8, 9, 128, 384):
+            for k in (2, 3, 4, 5):
+                n = int(rng.integers(k + 1, 41))
+                if kind == "gaussian":
+                    points = rng.normal(size=(n, dim)) * rng.uniform(0.5, 3.0)
+                elif kind == "integer":
+                    points = rng.integers(0, 3, size=(n, dim)).astype(float)
+                else:
+                    points = np.round(rng.normal(size=(n, dim)), 1)
+                yield points, k
+    # A NaN coordinate: every delta it touches is NaN and never a move.
+    points = rng.normal(size=(12, 3))
+    points[4, 1] = np.nan
+    yield points, 3
+    # Sentence scale: one topic's 300 sentence vectors split three ways.
+    yield rng.normal(size=(300, 128)), 3
+
+
+def _start_labels(rng, points, k):
+    """Lloyd's own result, a noisier start, and one with a singleton cluster."""
+    n = len(points)
+    lloyd = None
+    if np.isfinite(points).all():
+        lloyd = _lloyd(points, k, np.random.default_rng([int(rng.integers(1 << 30))]), 100)
+    if lloyd is not None:
+        yield lloyd
+    if n > 40:
+        # Sentence scale: a few points off Lloyd's optimum keep the scalar
+        # oracle's sweeps (n * k calls each) short.
+        labels = lloyd.copy()
+        labels[rng.choice(n, 10, replace=False)] = rng.integers(0, k, size=10)
+        yield labels
+        return
+    labels = rng.integers(0, k, size=n)
+    labels[rng.permutation(n)[:k]] = np.arange(k)
+    yield labels
+    # Merge cluster 0 into cluster 1, then move one of those points back.
+    singleton = labels.copy()
+    singleton[singleton == 0] = 1
+    singleton[int(rng.choice(np.flatnonzero(singleton == 1)))] = 0
+    yield singleton
+
+
+def test_refine_labels_matches_scalar_oracle():
+    rng = np.random.default_rng(1979)
+    cases = 0
+    for points, k in _refine_cases(rng):
+        for labels in _start_labels(rng, points, k):
+            expected = scalar_refine_labels(points, labels, k)
+            got = _refine_labels(points, labels, k)
+            assert np.array_equal(got, expected), (points.shape, k)
+            cases += 1
+    assert cases > 200
 
 
 def test_kmeans_validates_arguments():
