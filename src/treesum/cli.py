@@ -40,6 +40,7 @@ from .experiments import (
 )
 from .pipeline import resolve_max_nodes, summarize_corpus
 from .rouge import EvaluationError, evaluate_corpus
+from .selection import Summary
 from .tree import build_class_tree, derive_seed, tree_to_dict
 from .variants import VariantSpec
 
@@ -126,15 +127,28 @@ def _generate_summaries(config: RunConfig, corpus: Corpus, embedded: EmbeddedCor
     return summarize_corpus(corpus, embedded, spec, cap, workers=config.workers)
 
 
-def _dump_trees(config: RunConfig, corpus: Corpus, embedded: EmbeddedCorpus, out_dir: Path) -> None:
+def _dump_trees(
+    config: RunConfig,
+    corpus: Corpus,
+    embedded: EmbeddedCorpus,
+    summaries: dict[str, Summary],
+    out_dir: Path,
+) -> None:
+    """Write each topic's document class tree to ``trees.json``.
+
+    The tree methods hand back the tree they selected from; for the
+    baselines, which select without one, the tree is built here.
+    """
     cap = resolve_max_nodes(corpus, config.budget(), config.max_nodes)
     hp = config.hyperparams()
     dumps = {}
     for topic in corpus:
-        seed = derive_seed(config.seed, f"topic:{topic.topic_id}")
-        tree = build_class_tree(
-            list(embedded.doc_vectors_for(topic).items()), hp.k_first, hp.k_rest, cap, seed
-        )
+        tree = summaries[topic.topic_id].tree
+        if tree is None:
+            seed = derive_seed(config.seed, f"topic:{topic.topic_id}")
+            tree = build_class_tree(
+                list(embedded.doc_vectors_for(topic).items()), hp.k_first, hp.k_rest, cap, seed
+            )
         dumps[topic.topic_id] = tree_to_dict(tree)
     (out_dir / "trees.json").write_text(json.dumps(dumps, indent=2), encoding="utf-8")
 
@@ -170,7 +184,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             (out_dir / f"{topic_id}.txt").write_text(summary.text + "\n", encoding="utf-8")
 
     if args.dump_trees:
-        _dump_trees(config, corpus, embedded, out_dir)
+        _dump_trees(config, corpus, embedded, summaries, out_dir)
     print(f"wrote {len(summaries)} summaries to {out_dir}")
     return 0
 

@@ -31,7 +31,7 @@ from typing import Protocol, Sequence
 import numpy as np
 import requests
 
-from .corpus import Corpus, Topic
+from .corpus import Corpus, CorpusError, Topic
 
 Vector = np.ndarray
 
@@ -81,25 +81,43 @@ class EmbeddedCorpus:
         return out
 
 
+Prescaled = tuple[Vector, float]
+
+
+def prescale(vec: Vector) -> Prescaled | None:
+    """``vec`` divided by its largest absolute component, and that result's norm.
+
+    The rescaling keeps squaring from underflowing or overflowing for extreme
+    magnitudes. None stands for the zero vector, whose cosine with anything is
+    0.0. Computing this once per vector lets repeated similarities skip it.
+    """
+    vec = np.asarray(vec, dtype=float)
+    scale = float(np.max(np.abs(vec)))
+    if scale == 0.0:
+        return None
+    scaled = vec / scale
+    return scaled, float(np.linalg.norm(scaled))
+
+
+def prescaled_cosine(a: Prescaled | None, b: Prescaled | None) -> float:
+    """Cosine of two vectors given in ``prescale`` form; 0.0 for a zero vector."""
+    if a is None or b is None:
+        return 0.0
+    return float(np.dot(a[0], b[0]) / (a[1] * b[1]))
+
+
 def cosine_similarity(a: Vector, b: Vector) -> float:
     """Cosine of the angle between two vectors; 0.0 when either norm is 0.
 
-    Both vectors are rescaled by their largest absolute component first, so
-    squaring cannot underflow or overflow for extreme magnitudes. Raises
-    ValueError on dimension mismatch so shape bugs surface instead of
-    broadcasting silently.
+    Both vectors are rescaled by their largest absolute component first (see
+    ``prescale``). Raises ValueError on dimension mismatch so shape bugs
+    surface instead of broadcasting silently.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    scale_a = float(np.max(np.abs(a)))
-    scale_b = float(np.max(np.abs(b)))
-    if scale_a == 0.0 or scale_b == 0.0:
-        return 0.0
-    a = a / scale_a
-    b = b / scale_b
-    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+    return prescaled_cosine(prescale(a), prescale(b))
 
 
 def _as_vector(values, context: str) -> Vector:
@@ -279,7 +297,8 @@ def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
     """Embed every sentence and derive document vectors as sentence means.
 
     All vectors in a run must share one dimension; a provider returning mixed
-    dimensions raises ProviderError.
+    dimensions raises ProviderError. A corpus without sentences raises
+    CorpusError.
     """
     sentence_vectors: dict[str, Vector] = {}
     document_vectors: dict[str, Vector] = {}
@@ -315,7 +334,8 @@ def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
             )
             document_vectors[document_key(topic.topic_id, doc.doc_index)] = stacked.mean(axis=0)
 
-    assert dim is not None, "corpus has no sentences"
+    if dim is None:
+        raise CorpusError("corpus has no sentences")
     return EmbeddedCorpus(
         corpus=corpus,
         sentence_vectors=sentence_vectors,

@@ -10,16 +10,15 @@ which makes 2178 configurations for the full sweep.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .corpus import Corpus
 from .embedding import EmbeddedCorpus
 from .pipeline import resolve_max_nodes, summarize_corpus
-from .rouge import RougeReport, RougeScore, evaluate_corpus
+from .rouge import RougeReport, RougeScore, TokenMemo, evaluate_corpus
 from .scoring import Hyperparams
-from .selection import Budget, select_summary
+from .selection import Budget, ScoreContext, SimilarityMemo, select_summary
 from .tree import build_class_tree, derive_seed
 from .variants import METHODS, VariantSpec
 
@@ -45,6 +44,7 @@ def run_ablation(
 ) -> list[AblationRow]:
     """Evaluate every method on the same inputs; one row per method."""
     cap = resolve_max_nodes(corpus, budget, max_nodes)
+    memo = TokenMemo()
     rows = []
     for method in methods:
         spec = VariantSpec(kind=method, hp=hp, budget=budget, seed=seed)
@@ -55,6 +55,7 @@ def run_ablation(
             budget,
             metrics=metrics,
             report_kind=report_kind,
+            memo=memo,
         )
         rows.append(AblationRow(method=method, seed=seed, scores=dict(report.mean)))
     return rows
@@ -158,61 +159,67 @@ def run_grid_search(
 
     The objective is the corpus-mean value of one metric (recall or f1 per
     ``report_kind``) for the full pipeline. Ties go to the lexicographically
-    smallest (delta, alpha, beta, gamma, k). Class trees depend only on the
-    cluster count, not on the scoring weights, so they are built once per k
-    and shared across all weight combinations; results are identical to
-    running each configuration standalone.
+    smallest (delta, alpha, beta, gamma, k). Topics are independent, so the
+    search runs topic by topic (``workers`` topics at a time): a topic's
+    class tree is built once per cluster count, its delta- and weight-free
+    score terms once per tree, its sentence-pair similarities once for all
+    trees, and then only the greedy selection runs per grid point. ROUGE
+    then scores each grid point, stemming every reference once for the
+    whole search. Results are identical to running each configuration
+    standalone.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
     base = base_hp or Hyperparams()
     cap = resolve_max_nodes(corpus, budget, max_nodes)
+    hps = [
+        replace(
+            base,
+            delta=point.delta,
+            alpha=point.alpha,
+            beta=point.beta,
+            gamma=point.gamma,
+            k_first=point.k,
+        )
+        for point in grid
+    ]
 
-    trees_by_k: dict[int, dict[str, object]] = {}
-    for k in sorted({point.k for point in grid}):
-        trees_by_k[k] = {
-            topic.topic_id: build_class_tree(
-                list(embedded.doc_vectors_for(topic).items()),
-                k,
-                base.k_rest,
-                cap,
-                derive_seed(seed, f"topic:{topic.topic_id}"),
-            )
-            for topic in corpus
-        }
+    def topic_texts(topic) -> list[str]:
+        """The topic's summary text at every grid point; its memo dies with it."""
+        memo = SimilarityMemo(list(embedded.sentence_vectors_for(topic).values()))
+        items = list(embedded.doc_vectors_for(topic).items())
+        topic_seed = derive_seed(seed, f"topic:{topic.topic_id}")
+        texts = [""] * len(grid)
+        for k in sorted({point.k for point in grid}):
+            tree = build_class_tree(items, k, base.k_rest, cap, topic_seed)
+            context = ScoreContext.for_tree(tree, topic, embedded, memo)
+            for i, (point, hp) in enumerate(zip(grid, hps)):
+                if point.k == k:
+                    texts[i] = select_summary(
+                        tree, topic, embedded, hp, budget, scoring_mode="final", context=context
+                    ).text
+        return texts
 
     topics = list(corpus)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_topic = list(pool.map(topic_texts, topics))
+    else:
+        per_topic = [topic_texts(topic) for topic in topics]
 
-    def point_summaries(trees, hp, pool) -> dict[str, str]:
-        def one(topic):
-            return select_summary(
-                trees[topic.topic_id], topic, embedded, hp, budget, scoring_mode="final"
-            ).text
-
-        texts = [one(t) for t in topics] if pool is None else list(pool.map(one, topics))
-        return {t.topic_id: text for t, text in zip(topics, texts)}
-
+    rouge_memo = TokenMemo()
     results = []
-    # One pool for the whole search, not one per grid point.
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for point in grid:
-            hp = replace(
-                base,
-                delta=point.delta,
-                alpha=point.alpha,
-                beta=point.beta,
-                gamma=point.gamma,
-                k_first=point.k,
-            )
-            summaries = point_summaries(trees_by_k[point.k], hp, pool)
-            report: RougeReport = evaluate_corpus(
-                summaries,
-                corpus,
-                budget,
-                metrics=[objective_metric],
-                report_kind=report_kind,
-            )
-            results.append(GridResult(point=point, objective=report.headline(objective_metric)))
+    for i, point in enumerate(grid):
+        summaries = {topic.topic_id: texts[i] for topic, texts in zip(topics, per_topic)}
+        report: RougeReport = evaluate_corpus(
+            summaries,
+            corpus,
+            budget,
+            metrics=[objective_metric],
+            report_kind=report_kind,
+            memo=rouge_memo,
+        )
+        results.append(GridResult(point=point, objective=report.headline(objective_metric)))
     best = min(
         results,
         key=lambda r: (

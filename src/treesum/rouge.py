@@ -55,10 +55,56 @@ def _average(scores: Sequence[RougeScore]) -> RougeScore:
 
 def tokenize(text: str, stem: bool = False) -> list[str]:
     """Lowercase alphanumeric tokens, optionally Porter-stemmed."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    if stem:
-        tokens = [porter_stem(t) for t in tokens]
-    return tokens
+    return TokenMemo(stem).tokens(text)
+
+
+class TokenMemo:
+    """Tokenization memo for one evaluation run.
+
+    Stems each distinct token once and keeps the tokens of each reference
+    text, so references are tokenized and stemmed once however many
+    candidates are scored against them. Only token lists are kept (their
+    strings are shared with the stem table); n-gram counts are rebuilt per
+    use, which keeps the memo small. Scope one to a run (an
+    ``evaluate_corpus`` call or a whole grid search), not to the process.
+    """
+
+    def __init__(self, stem: bool = True):
+        self.stem = stem
+        self._stems: dict[str, str] = {}
+        self._reference_tokens: dict[str, list[str]] = {}
+        self._reference_sentences: dict[str, list[list[str]]] = {}
+
+    def tokens(self, text: str) -> list[str]:
+        """Lowercase alphanumeric tokens, Porter-stemmed if ``self.stem``."""
+        tokens = _TOKEN_RE.findall(text.lower())
+        if not self.stem:
+            return tokens
+        stems = self._stems
+        out = []
+        for token in tokens:
+            stemmed = stems.get(token)
+            if stemmed is None:
+                stemmed = stems[token] = porter_stem(token)
+            out.append(stemmed)
+        return out
+
+    def sentence_tokens(self, text: str) -> list[list[str]]:
+        """Tokens of each non-empty sentence of ``text``."""
+        sentences = [self.tokens(s.text) for s in segment_sentences(text)]
+        return [s for s in sentences if s]
+
+    def reference_tokens(self, text: str) -> list[str]:
+        """``tokens(text)``, computed once per reference text."""
+        if text not in self._reference_tokens:
+            self._reference_tokens[text] = self.tokens(text)
+        return self._reference_tokens[text]
+
+    def reference_sentences(self, text: str) -> list[list[str]]:
+        """``sentence_tokens(text)``, computed once per reference text."""
+        if text not in self._reference_sentences:
+            self._reference_sentences[text] = self.sentence_tokens(text)
+        return self._reference_sentences[text]
 
 
 def truncate(text: str, budget: Budget) -> str:
@@ -90,15 +136,25 @@ def _clipped_overlap(cand: Counter, ref: Counter) -> int:
     return sum(min(count, ref[gram]) for gram, count in cand.items() if gram in ref)
 
 
-def rouge_n(candidate: str, references: Sequence[str], n: int, stem: bool = True) -> RougeScore:
-    """Clipped n-gram overlap, averaged across references."""
+def rouge_n(
+    candidate: str,
+    references: Sequence[str],
+    n: int,
+    stem: bool = True,
+    memo: TokenMemo | None = None,
+) -> RougeScore:
+    """Clipped n-gram overlap, averaged across references.
+
+    A given ``memo`` decides stemming in place of ``stem``.
+    """
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    cand_counts = _ngrams(tokenize(candidate, stem), n)
+    memo = memo if memo is not None else TokenMemo(stem)
+    cand_counts = _ngrams(memo.tokens(candidate), n)
     cand_total = sum(cand_counts.values())
     per_ref = []
     for reference in references:
-        ref_counts = _ngrams(tokenize(reference, stem), n)
+        ref_counts = _ngrams(memo.reference_tokens(reference), n)
         overlap = _clipped_overlap(cand_counts, ref_counts)
         per_ref.append(_prf(overlap, sum(ref_counts.values()), cand_total))
     return _average(per_ref)
@@ -130,24 +186,26 @@ def _lcs_match_positions(ref_tokens: Sequence[str], cand_tokens: Sequence[str]) 
     return positions
 
 
-def _sentence_tokens(text: str, stem: bool) -> list[list[str]]:
-    sentences = [tokenize(s.text, stem) for s in segment_sentences(text)]
-    return [s for s in sentences if s]
-
-
-def rouge_l(candidate: str, references: Sequence[str], stem: bool = True) -> RougeScore:
+def rouge_l(
+    candidate: str,
+    references: Sequence[str],
+    stem: bool = True,
+    memo: TokenMemo | None = None,
+) -> RougeScore:
     """Summary-level longest-common-subsequence score.
 
     For each reference sentence, the match positions of its LCS with every
     candidate sentence are unioned; the union sizes are summed over reference
     sentences. Recall divides by the reference token count, precision by the
-    candidate token count; per-reference scores are averaged.
+    candidate token count; per-reference scores are averaged. A given
+    ``memo`` decides stemming in place of ``stem``.
     """
-    cand_sents = _sentence_tokens(candidate, stem)
+    memo = memo if memo is not None else TokenMemo(stem)
+    cand_sents = memo.sentence_tokens(candidate)
     cand_total = sum(len(s) for s in cand_sents)
     per_ref = []
     for reference in references:
-        ref_sents = _sentence_tokens(reference, stem)
+        ref_sents = memo.reference_sentences(reference)
         ref_total = sum(len(s) for s in ref_sents)
         hits = 0
         for ref_sent in ref_sents:
@@ -174,33 +232,48 @@ def _su4_counts(sentences: Sequence[Sequence[str]]) -> Counter:
     return counts
 
 
-def rouge_su4(candidate: str, references: Sequence[str], stem: bool = True) -> RougeScore:
-    """Skip-bigram(4) + unigram overlap, averaged across references."""
-    cand_counts = _su4_counts(_sentence_tokens(candidate, stem))
+def rouge_su4(
+    candidate: str,
+    references: Sequence[str],
+    stem: bool = True,
+    memo: TokenMemo | None = None,
+) -> RougeScore:
+    """Skip-bigram(4) + unigram overlap, averaged across references.
+
+    A given ``memo`` decides stemming in place of ``stem``.
+    """
+    memo = memo if memo is not None else TokenMemo(stem)
+    cand_counts = _su4_counts(memo.sentence_tokens(candidate))
     cand_total = sum(cand_counts.values())
     per_ref = []
     for reference in references:
-        ref_counts = _su4_counts(_sentence_tokens(reference, stem))
+        ref_counts = _su4_counts(memo.reference_sentences(reference))
         overlap = _clipped_overlap(cand_counts, ref_counts)
         per_ref.append(_prf(overlap, sum(ref_counts.values()), cand_total))
     return _average(per_ref)
 
 
 _METRIC_FNS = {
-    "r1": lambda cand, refs, stem: rouge_n(cand, refs, 1, stem),
-    "r2": lambda cand, refs, stem: rouge_n(cand, refs, 2, stem),
-    "rl": rouge_l,
-    "rsu4": rouge_su4,
+    "r1": lambda cand, refs, memo: rouge_n(cand, refs, 1, memo=memo),
+    "r2": lambda cand, refs, memo: rouge_n(cand, refs, 2, memo=memo),
+    "rl": lambda cand, refs, memo: rouge_l(cand, refs, memo=memo),
+    "rsu4": lambda cand, refs, memo: rouge_su4(cand, refs, memo=memo),
 }
 
 
 def score_all(
-    candidate: str, references: Sequence[str], metrics: Sequence[str], stem: bool = True
+    candidate: str,
+    references: Sequence[str],
+    metrics: Sequence[str],
+    stem: bool = True,
+    memo: TokenMemo | None = None,
 ) -> dict[str, RougeScore]:
+    """Every requested metric; a given ``memo`` decides stemming in place of ``stem``."""
     unknown = set(metrics) - set(METRIC_IDS)
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
-    return {m: _METRIC_FNS[m](candidate, references, stem) for m in metrics}
+    memo = memo if memo is not None else TokenMemo(stem)
+    return {m: _METRIC_FNS[m](candidate, references, memo) for m in metrics}
 
 
 @dataclass
@@ -258,13 +331,16 @@ def evaluate_corpus(
     metrics: Sequence[str] = METRIC_IDS,
     report_kind: str = "recall",
     stem: bool = True,
+    memo: TokenMemo | None = None,
 ) -> RougeReport:
     """Score one summary per topic against the topic's references.
 
     Summaries are truncated to the budget first. Every topic needs at least
     one reference and one summary; the corpus mean is the arithmetic mean
-    over topics.
+    over topics. Callers scoring many summary sets against the same corpus
+    pass one ``memo`` (which then decides stemming in place of ``stem``).
     """
+    memo = memo if memo is not None else TokenMemo(stem)
     if report_kind not in ("recall", "f1"):
         raise ValueError(f"unknown report kind {report_kind!r}")
     per_topic: dict[str, dict[str, RougeScore]] = {}
@@ -274,7 +350,7 @@ def evaluate_corpus(
         if topic.topic_id not in summaries:
             raise EvaluationError(f"no summary provided for topic {topic.topic_id!r}")
         candidate = truncate(summaries[topic.topic_id], budget)
-        per_topic[topic.topic_id] = score_all(candidate, list(topic.references), metrics, stem)
+        per_topic[topic.topic_id] = score_all(candidate, list(topic.references), metrics, memo=memo)
     if not per_topic:
         raise EvaluationError("corpus has no topics")
     mean = {

@@ -77,8 +77,28 @@ def node_centroids(member_keys: Iterable[str], universe: Mapping[str, Vector]) -
     return NodeCentroids(inside=inside, outside=outside)
 
 
+def clamp01(value: float) -> float:
+    return min(1.0, max(0.0, value))
+
+
 def _clamped_sim(a: Vector, b: Vector) -> float:
-    return min(1.0, max(0.0, cosine_similarity(a, b)))
+    return clamp01(cosine_similarity(a, b))
+
+
+def outside_term(outside_sim: float | None) -> float:
+    """Dissimilarity factor ``1 - sim(s, outside)``; 1.0 for a node without a
+    complement (``outside_sim`` None)."""
+    return 1.0 if outside_sim is None else 1.0 - outside_sim
+
+
+def blend_cs(inside_sim, outside, delta: float):
+    """``delta * inside_sim + (1 - delta) * outside``, clamped to [0, 1].
+
+    Takes clamped similarities and ``outside_term`` values, as floats or
+    elementwise as arrays; both give the same bits.
+    """
+    value = delta * inside_sim + (1.0 - delta) * outside
+    return np.minimum(1.0, np.maximum(0.0, value))
 
 
 def score_cs(sentence_vec: Vector, centroids: NodeCentroids, delta: float) -> float:
@@ -89,13 +109,15 @@ def score_cs(sentence_vec: Vector, centroids: NodeCentroids, delta: float) -> fl
     adds the same constant to every sentence and leaves the ranking purely
     about commonality.
     """
-    inside_term = _clamped_sim(sentence_vec, centroids.inside)
-    if centroids.outside is None:
-        outside_term = 1.0
-    else:
-        outside_term = 1.0 - _clamped_sim(sentence_vec, centroids.outside)
-    value = delta * inside_term + (1.0 - delta) * outside_term
-    return min(1.0, max(0.0, value))
+    inside_sim = _clamped_sim(sentence_vec, centroids.inside)
+    outside_sim = None if centroids.outside is None else _clamped_sim(sentence_vec, centroids.outside)
+    return float(blend_cs(inside_sim, outside_term(outside_sim), delta))
+
+
+def non_redundancy(worst_sim):
+    """``1 - worst_sim``, the highest clamped similarity to what is selected;
+    floats or arrays."""
+    return 1.0 - worst_sim
 
 
 def score_nr(sentence_vec: Vector, selected: Sequence[Vector]) -> float:
@@ -105,8 +127,7 @@ def score_nr(sentence_vec: Vector, selected: Sequence[Vector]) -> float:
     """
     if not selected:
         return 1.0
-    worst = max(_clamped_sim(sentence_vec, prev) for prev in selected)
-    return 1.0 - worst
+    return non_redundancy(max(_clamped_sim(sentence_vec, prev) for prev in selected))
 
 
 def score_position(position_1based: int, doc_sentence_count: int) -> float:
@@ -120,6 +141,6 @@ def score_position(position_1based: int, doc_sentence_count: int) -> float:
     return max(0.5, math.exp(-position_1based / doc_sentence_count ** (1.0 / 3.0)))
 
 
-def score_final(cs: float, nr: float, pos: float, hp: Hyperparams) -> float:
-    """Convex combination ``alpha*cs + beta*nr + gamma*pos``."""
+def score_final(cs, nr, pos, hp: Hyperparams):
+    """Convex combination ``alpha*cs + beta*nr + gamma*pos``; floats or arrays."""
     return hp.alpha * cs + hp.beta * nr + hp.gamma * pos

@@ -6,17 +6,33 @@ the top until the length budget is met or every sentence is used. The
 sentence that crosses the budget is kept: evaluation-time truncation deals
 with the overshoot. The final summary orders sentences by their node's
 traversal position, then by the order they were picked.
+
+The score terms that depend on neither delta nor the weights (similarities
+to node centroids, sentence-to-sentence similarities and position scores)
+live in a ``ScoreContext``, so repeated selections from one tree, as in a
+hyperparameter search, compute them once.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .corpus import Topic
-from .embedding import EmbeddedCorpus, Vector, document_key, sentence_key
-from .scoring import Hyperparams, node_centroids, score_cs, score_final, score_nr, score_position
+from .embedding import EmbeddedCorpus, Vector, document_key, prescale, prescaled_cosine, sentence_key
+from .scoring import (
+    Hyperparams,
+    NodeCentroids,
+    blend_cs,
+    clamp01,
+    node_centroids,
+    non_redundancy,
+    outside_term,
+    score_final,
+    score_position,
+)
 from .tree import ClassTree
 
 
@@ -67,7 +83,6 @@ class SelectionState:
     """Evolving state of one selection run."""
 
     selected: list[SelectedSentence] = field(default_factory=list)
-    selected_vectors: list[Vector] = field(default_factory=list)
     consumed: int = 0
     iteration: int = 1
 
@@ -90,6 +105,8 @@ class SummarySentence:
 @dataclass(frozen=True)
 class Summary:
     sentences: tuple[SummarySentence, ...]
+    # The class tree the sentences were selected from, for the tree methods.
+    tree: ClassTree | None = field(default=None, compare=False, repr=False)
 
     @property
     def text(self) -> str:
@@ -116,66 +133,143 @@ def sentence_refs(topic: Topic) -> list[SentenceRef]:
     return refs
 
 
-_KEY_RE = re.compile(r"/d(\d+)/s(\d+)$")
+class SimilarityMemo:
+    """Pre-scaled sentence vectors of one topic and their pair similarities.
 
-
-def break_ties(candidates: Sequence[tuple[str, float]]) -> str:
-    """Pick the winning sentence key from (key, score) candidates.
-
-    Highest score wins; exact ties fall back to the lower document index,
-    then the lower sentence index, parsed from the key's ``/d<i>/s<k>``
-    suffix.
+    Sentences are addressed by their index in ``sentence_refs`` order. Rows
+    of clamped sentence-to-sentence similarities are computed the first time
+    a sentence is selected and kept for the memo's lifetime, so selections
+    that share a memo (grid points, cluster counts) compute each pair once.
     """
-    if not candidates:
-        raise ValueError("no candidates")
 
-    def rank(item: tuple[str, float]):
-        key, score = item
-        match = _KEY_RE.search(key)
-        if match is None:
-            raise ValueError(f"malformed sentence key {key!r}")
-        return (-score, int(match.group(1)), int(match.group(2)))
+    def __init__(self, vectors: Sequence[Vector]):
+        self.scaled = [prescale(v) for v in vectors]
+        self._rows: dict[int, np.ndarray] = {}
 
-    return min(candidates, key=rank)[0]
+    def row(self, j: int) -> np.ndarray:
+        """Clamped similarity of every sentence to sentence ``j``."""
+        row = self._rows.get(j)
+        if row is None:
+            pj = self.scaled[j]
+            row = np.array([clamp01(prescaled_cosine(pi, pj)) for pi in self.scaled])
+            self._rows[j] = row
+        return row
+
+    def node_terms(self, members: np.ndarray, centroids: NodeCentroids) -> tuple[np.ndarray, np.ndarray]:
+        """Clamped inside similarity and outside term of each member sentence.
+
+        Both arrays cover every sentence of the topic, NaN off the node, so
+        they can be indexed by sentence index.
+        """
+        inside = np.full(len(self.scaled), np.nan)
+        outside = np.full(len(self.scaled), np.nan)
+        has_outside = centroids.outside is not None
+        p_in = prescale(centroids.inside)
+        p_out = prescale(centroids.outside) if has_outside else None
+        for i in members:
+            p = self.scaled[i]
+            inside[i] = clamp01(prescaled_cosine(p, p_in))
+            outside[i] = outside_term(clamp01(prescaled_cosine(p, p_out)) if has_outside else None)
+        return inside, outside
 
 
-ScoreFn = Callable[[int, SentenceRef, Sequence[Vector]], float]
+def _sentences_by_key(topic_id: str, refs: Sequence[SentenceRef]) -> dict[str, list[int]]:
+    """Indices into ``refs`` under each document key and each sentence key."""
+    out: dict[str, list[int]] = {}
+    for i, ref in enumerate(refs):
+        out.setdefault(document_key(topic_id, ref.doc_index), []).append(i)
+        out[ref.key] = [i]
+    return out
+
+
+def _member_indices(by_key: dict[str, list[int]], member_keys: Sequence[str]) -> np.ndarray:
+    """Sorted sentence indices covered by a node's document or sentence keys."""
+    return np.array(sorted(i for key in member_keys for i in by_key[key]), dtype=np.intp)
+
+
+class ScoreContext:
+    """The delta- and weight-free score terms of one topic's selection groups.
+
+    ``nodes`` lists (node_id, member keys) in visiting order; keys name
+    documents or sentences of ``topic``, and ``universe`` maps every key of
+    that unit to its vector, for the node centroids. The context holds each
+    node's member sentences with their clamped inside similarity and outside
+    term, every sentence's position score and a ``SimilarityMemo``.
+    Selection under any delta and weights reuses them; ``memo`` may be shared
+    by contexts of the same topic.
+    """
+
+    def __init__(
+        self,
+        topic: Topic,
+        embedded: EmbeddedCorpus,
+        nodes: Sequence[tuple[int, Sequence[str]]],
+        universe: Mapping[str, Vector],
+        memo: SimilarityMemo | None = None,
+    ):
+        self.refs = sentence_refs(topic)
+        if memo is None:
+            memo = SimilarityMemo(list(embedded.sentence_vectors_for(topic).values()))
+        self.memo = memo
+        self.position = np.array(
+            [score_position(r.position_1based, r.doc_sentence_count) for r in self.refs]
+        )
+        by_key = _sentences_by_key(topic.topic_id, self.refs)
+        self.groups: list[tuple[int, np.ndarray]] = []
+        self.terms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for node_id, member_keys in nodes:
+            members = _member_indices(by_key, member_keys)
+            self.groups.append((node_id, members))
+            self.terms[node_id] = memo.node_terms(members, node_centroids(member_keys, universe))
+
+    @classmethod
+    def for_tree(
+        cls,
+        tree: ClassTree,
+        topic: Topic,
+        embedded: EmbeddedCorpus,
+        memo: SimilarityMemo | None = None,
+    ) -> "ScoreContext":
+        """Context of a document class tree, nodes in traversal order."""
+        nodes = [(i, tree.node(i).member_keys) for i in tree.traversal_order]
+        return cls(topic, embedded, nodes, embedded.doc_vectors_for(topic), memo)
+
+
+ScoreFn = Callable[[int, np.ndarray, Sequence[int]], np.ndarray]
 
 
 def run_selection(
-    groups: Sequence[tuple[int, Sequence[SentenceRef]]],
+    refs: Sequence[SentenceRef],
+    groups: Sequence[tuple[int, np.ndarray]],
     score_fn: ScoreFn,
-    vectors: Mapping[str, Vector],
     budget: Budget,
 ) -> SelectionState:
     """Round-robin selection engine shared by the tree pipeline and variants.
 
-    ``groups`` lists (node_id, member sentences) in visiting order. Each pass
-    takes the best-scoring unselected sentence from every group in turn;
-    groups whose sentences are all taken are skipped. Selection stops the
-    moment the budget is consumed (keeping the crossing sentence) or when a
-    full pass selects nothing.
+    ``groups`` lists (node_id, member indices into ``refs``) in visiting
+    order; ``refs`` is in (doc_index, sent_index) order and members are
+    sorted. ``score_fn(node_id, candidates, picked)`` scores the unselected
+    candidates of a group given the indices picked so far. Each pass takes
+    the best-scoring candidate from every group in turn, exact ties going to
+    the lowest (doc_index, sent_index); groups whose sentences are all taken
+    are skipped. Selection stops the moment the budget is consumed (keeping
+    the crossing sentence) or when a full pass selects nothing.
     """
     state = SelectionState()
-    taken: set[str] = set()
+    taken = np.zeros(len(refs), dtype=bool)
+    picked: list[int] = []
     while True:
         picked_in_pass = False
         for node_id, members in groups:
-            candidates = [m for m in members if m.key not in taken]
-            if not candidates:
+            candidates = members[~taken[members]]
+            if candidates.size == 0:
                 continue
-            best = None
-            best_rank = None
-            for ref in candidates:
-                score = score_fn(node_id, ref, state.selected_vectors)
-                rank = (-score, ref.doc_index, ref.sent_index)
-                if best_rank is None or rank < best_rank:
-                    best, best_rank = ref, rank
-            assert best is not None
-            taken.add(best.key)
-            state.selected.append(SelectedSentence(ref=best, node_id=node_id, iteration=state.iteration))
-            state.selected_vectors.append(vectors[best.key])
-            state.consumed += budget.size_of(best)
+            best = int(candidates[int(np.argmax(score_fn(node_id, candidates, picked)))])
+            taken[best] = True
+            picked.append(best)
+            ref = refs[best]
+            state.selected.append(SelectedSentence(ref=ref, node_id=node_id, iteration=state.iteration))
+            state.consumed += budget.size_of(ref)
             picked_in_pass = True
             if state.consumed >= budget.limit:
                 return state
@@ -211,6 +305,44 @@ def order_summary(state: SelectionState, traversal_order: Sequence[int]) -> Summ
     return Summary(sentences=sentences)
 
 
+def select_from_context(
+    ctx: ScoreContext, hp: Hyperparams, budget: Budget, scoring_mode: str
+) -> SelectionState:
+    """Run selection over a context's groups under one delta and weights.
+
+    ``scoring_mode`` is ``"cs_only"`` to rank by the commonality-specificity
+    score alone or ``"final"`` for the full three-way combination. The
+    non-redundancy score follows the selection: a running maximum of each
+    sentence's similarity to everything selected so far.
+    """
+    if scoring_mode not in ("cs_only", "final"):
+        raise ValueError(f"unknown scoring mode {scoring_mode!r}")
+    cs = {node_id: blend_cs(*terms, hp.delta) for node_id, terms in ctx.terms.items()}
+
+    if scoring_mode == "cs_only":
+        def score_fn(node_id: int, candidates: np.ndarray, picked: Sequence[int]) -> np.ndarray:
+            return cs[node_id][candidates]
+    else:
+        # Highest clamped similarity to the picks so far. Similarities are
+        # >= 0, so 0 stands for "nothing picked" and gives nr = 1.
+        worst = np.zeros(len(ctx.refs))
+        folded = 0
+
+        def score_fn(node_id: int, candidates: np.ndarray, picked: Sequence[int]) -> np.ndarray:
+            nonlocal worst, folded
+            for j in picked[folded:]:
+                worst = np.maximum(worst, ctx.memo.row(j))
+            folded = len(picked)
+            return score_final(
+                cs[node_id][candidates],
+                non_redundancy(worst[candidates]),
+                ctx.position[candidates],
+                hp,
+            )
+
+    return run_selection(ctx.refs, ctx.groups, score_fn, budget)
+
+
 def select_summary(
     tree: ClassTree,
     topic: Topic,
@@ -218,60 +350,16 @@ def select_summary(
     hp: Hyperparams,
     budget: Budget,
     scoring_mode: str = "final",
+    context: ScoreContext | None = None,
 ) -> Summary:
     """Select a summary for one topic from its document class tree.
 
-    ``scoring_mode`` is ``"cs_only"`` to rank by the commonality-specificity
-    score alone or ``"final"`` for the full three-way combination. The
-    commonality and position scores are cached per (node, sentence); the
-    non-redundancy score is recomputed at every step because it depends on
-    what is already selected.
+    ``scoring_mode`` is as in ``select_from_context``. ``context`` carries the
+    score terms of ``tree`` over ``topic``; callers selecting repeatedly from
+    one tree pass it to compute them once.
     """
-    if scoring_mode not in ("cs_only", "final"):
-        raise ValueError(f"unknown scoring mode {scoring_mode!r}")
     if tree.node_count < 1:
         raise ValueError("empty tree")
-
-    refs = sentence_refs(topic)
-    refs_by_doc_key: dict[str, list[SentenceRef]] = {}
-    for ref in refs:
-        refs_by_doc_key.setdefault(document_key(topic.topic_id, ref.doc_index), []).append(ref)
-
-    doc_vectors = embedded.doc_vectors_for(topic)
-    sent_vectors = embedded.sentence_vectors_for(topic)
-
-    groups: list[tuple[int, Sequence[SentenceRef]]] = []
-    centroids_by_node = {}
-    for node_id in tree.traversal_order:
-        node = tree.node(node_id)
-        members: list[SentenceRef] = []
-        for doc_key in node.member_keys:
-            members.extend(refs_by_doc_key[doc_key])
-        members.sort(key=lambda r: (r.doc_index, r.sent_index))
-        groups.append((node_id, members))
-        centroids_by_node[node_id] = node_centroids(node.member_keys, doc_vectors)
-
-    cs_cache: dict[tuple[int, str], float] = {}
-    pos_cache: dict[str, float] = {}
-
-    def cached_cs(node_id: int, ref: SentenceRef) -> float:
-        key = (node_id, ref.key)
-        if key not in cs_cache:
-            cs_cache[key] = score_cs(sent_vectors[ref.key], centroids_by_node[node_id], hp.delta)
-        return cs_cache[key]
-
-    def cached_pos(ref: SentenceRef) -> float:
-        if ref.key not in pos_cache:
-            pos_cache[ref.key] = score_position(ref.position_1based, ref.doc_sentence_count)
-        return pos_cache[ref.key]
-
-    if scoring_mode == "cs_only":
-        def score_fn(node_id: int, ref: SentenceRef, selected: Sequence[Vector]) -> float:
-            return cached_cs(node_id, ref)
-    else:
-        def score_fn(node_id: int, ref: SentenceRef, selected: Sequence[Vector]) -> float:
-            nr = score_nr(sent_vectors[ref.key], selected)
-            return score_final(cached_cs(node_id, ref), nr, cached_pos(ref), hp)
-
-    state = run_selection(groups, score_fn, sent_vectors, budget)
-    return order_summary(state, tree.traversal_order)
+    ctx = context if context is not None else ScoreContext.for_tree(tree, topic, embedded)
+    state = select_from_context(ctx, hp, budget, scoring_mode)
+    return replace(order_summary(state, tree.traversal_order), tree=tree)

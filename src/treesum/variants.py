@@ -19,14 +19,12 @@ budget semantics and the no-duplicate rule are identical everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .corpus import Topic
-from .embedding import EmbeddedCorpus, Vector, cosine_similarity, document_key
-from .scoring import Hyperparams, NodeCentroids, node_centroids, score_cs
-from .selection import Budget, SentenceRef, Summary, order_summary, run_selection, select_summary, sentence_refs
+from .embedding import EmbeddedCorpus, Vector
+from .scoring import Hyperparams
+from .selection import Budget, ScoreContext, Summary, order_summary, select_from_context, select_summary
 from .tree import build_class_tree, derive_seed, kmeans
 
 METHODS = ("ours_final", "ours_cs", "comp1", "comp2", "comp3", "comp4")
@@ -50,8 +48,21 @@ class VariantSpec:
             object.__setattr__(self, "hp", replace(self.hp, alpha=1.0, beta=0.0, gamma=0.0))
 
 
-def _clamped(value: float) -> float:
-    return min(1.0, max(0.0, value))
+def _select_cs(
+    topic: Topic,
+    embedded: EmbeddedCorpus,
+    nodes: Sequence[tuple[int, Sequence[str]]],
+    universe: Mapping[str, Vector],
+    delta: float,
+    budget: Budget,
+) -> Summary:
+    """Round-robin over ``nodes`` by commonality-specificity alone.
+
+    With ``delta`` 1 the score is the clamped similarity to the node centroid.
+    """
+    ctx = ScoreContext(topic, embedded, nodes, universe)
+    state = select_from_context(ctx, Hyperparams(delta=delta), budget, "cs_only")
+    return order_summary(state, [node_id for node_id, _ in nodes])
 
 
 def summarize_comp1(topic: Topic, embedded: EmbeddedCorpus, budget: Budget) -> Summary:
@@ -60,19 +71,7 @@ def summarize_comp1(topic: Topic, embedded: EmbeddedCorpus, budget: Budget) -> S
     Sentences appear in the summary in score order.
     """
     doc_vectors = embedded.doc_vectors_for(topic)
-    sent_vectors = embedded.sentence_vectors_for(topic)
-    centroid = np.stack(list(doc_vectors.values())).mean(axis=0)
-    refs = sentence_refs(topic)
-
-    cache: dict[str, float] = {}
-
-    def score_fn(node_id: int, ref: SentenceRef, selected: Sequence[Vector]) -> float:
-        if ref.key not in cache:
-            cache[ref.key] = _clamped(cosine_similarity(sent_vectors[ref.key], centroid))
-        return cache[ref.key]
-
-    state = run_selection([(0, refs)], score_fn, sent_vectors, budget)
-    return order_summary(state, [0])
+    return _select_cs(topic, embedded, [(0, list(doc_vectors))], doc_vectors, 1.0, budget)
 
 
 def _flat_document_clusters(
@@ -96,57 +95,12 @@ def _flat_document_clusters(
     return [(i, group) for i, group in enumerate(ordered)]
 
 
-def _select_from_clusters(
-    topic: Topic,
-    embedded: EmbeddedCorpus,
-    clusters: Sequence[tuple[int, list[str]]],
-    budget: Budget,
-    delta: float | None,
-) -> Summary:
-    """Round-robin over flat document clusters.
-
-    ``delta`` None means score by similarity to the cluster centroid alone;
-    otherwise the full commonality-specificity blend is used.
-    """
-    doc_vectors = embedded.doc_vectors_for(topic)
-    sent_vectors = embedded.sentence_vectors_for(topic)
-    refs_by_doc_key: dict[str, list[SentenceRef]] = {}
-    for ref in sentence_refs(topic):
-        refs_by_doc_key.setdefault(document_key(topic.topic_id, ref.doc_index), []).append(ref)
-
-    groups = []
-    centroids: dict[int, NodeCentroids] = {}
-    for cluster_id, member_doc_keys in clusters:
-        members: list[SentenceRef] = []
-        for doc_key in member_doc_keys:
-            members.extend(refs_by_doc_key[doc_key])
-        members.sort(key=lambda r: (r.doc_index, r.sent_index))
-        groups.append((cluster_id, members))
-        centroids[cluster_id] = node_centroids(member_doc_keys, doc_vectors)
-
-    cache: dict[tuple[int, str], float] = {}
-
-    def score_fn(cluster_id: int, ref: SentenceRef, selected: Sequence[Vector]) -> float:
-        cache_key = (cluster_id, ref.key)
-        if cache_key not in cache:
-            if delta is None:
-                cache[cache_key] = _clamped(
-                    cosine_similarity(sent_vectors[ref.key], centroids[cluster_id].inside)
-                )
-            else:
-                cache[cache_key] = score_cs(sent_vectors[ref.key], centroids[cluster_id], delta)
-        return cache[cache_key]
-
-    state = run_selection(groups, score_fn, sent_vectors, budget)
-    return order_summary(state, [cluster_id for cluster_id, _ in groups])
-
-
 def summarize_comp2(
     topic: Topic, embedded: EmbeddedCorpus, hp: Hyperparams, budget: Budget, seed: int
 ) -> Summary:
     """Flat document clusters scored with the commonality-specificity blend."""
     clusters = _flat_document_clusters(topic, embedded, hp.k_first, seed)
-    return _select_from_clusters(topic, embedded, clusters, budget, hp.delta)
+    return _select_cs(topic, embedded, clusters, embedded.doc_vectors_for(topic), hp.delta, budget)
 
 
 def summarize_comp3(
@@ -154,7 +108,7 @@ def summarize_comp3(
 ) -> Summary:
     """Flat document clusters scored by in-cluster similarity only."""
     clusters = _flat_document_clusters(topic, embedded, hp.k_first, seed)
-    return _select_from_clusters(topic, embedded, clusters, budget, None)
+    return _select_cs(topic, embedded, clusters, embedded.doc_vectors_for(topic), 1.0, budget)
 
 
 def summarize_comp4(
@@ -171,31 +125,9 @@ def summarize_comp4(
     the complement centroid is the mean of the topic's other sentences.
     """
     sent_vectors = embedded.sentence_vectors_for(topic)
-    refs_by_key = {ref.key: ref for ref in sentence_refs(topic)}
-    items = [(key, vec) for key, vec in sent_vectors.items()]
-    tree = build_class_tree(items, hp.k_first, hp.k_rest, max_nodes, seed)
-
-    groups = []
-    centroids = {}
-    for node_id in tree.traversal_order:
-        node = tree.node(node_id)
-        members = sorted(
-            (refs_by_key[key] for key in node.member_keys),
-            key=lambda r: (r.doc_index, r.sent_index),
-        )
-        groups.append((node_id, members))
-        centroids[node_id] = node_centroids(node.member_keys, sent_vectors)
-
-    cache: dict[tuple[int, str], float] = {}
-
-    def score_fn(node_id: int, ref: SentenceRef, selected: Sequence[Vector]) -> float:
-        cache_key = (node_id, ref.key)
-        if cache_key not in cache:
-            cache[cache_key] = score_cs(sent_vectors[ref.key], centroids[node_id], hp.delta)
-        return cache[cache_key]
-
-    state = run_selection(groups, score_fn, sent_vectors, budget)
-    return order_summary(state, tree.traversal_order)
+    tree = build_class_tree(list(sent_vectors.items()), hp.k_first, hp.k_rest, max_nodes, seed)
+    nodes = [(i, tree.node(i).member_keys) for i in tree.traversal_order]
+    return _select_cs(topic, embedded, nodes, sent_vectors, hp.delta, budget)
 
 
 def summarize_topic(

@@ -135,3 +135,57 @@ def random_synthetic_topic(rng: np.random.Generator, topic_id: str) -> tuple[Top
                 size=base.shape
             )
     return topic, vectors
+
+
+def scalar_selection(tree, topic: Topic, embedded: EmbeddedCorpus, hp, budget, scoring_mode: str):
+    """Reference selection: every candidate scored one at a time.
+
+    The per-candidate form of ``treesum.selection.select_summary``: each
+    candidate of a node gets ``score_cs`` (and, in ``"final"`` mode,
+    ``score_nr`` against the vectors selected so far, ``score_position`` and
+    ``score_final``), and the lowest (-score, doc_index, sent_index) wins.
+    Returns (sentence key, node_id, iteration) per pick, in pick order.
+    """
+    from treesum.embedding import document_key
+    from treesum.scoring import node_centroids, score_cs, score_final, score_nr, score_position
+    from treesum.selection import sentence_refs
+
+    refs = sentence_refs(topic)
+    doc_vectors = embedded.doc_vectors_for(topic)
+    sent_vectors = embedded.sentence_vectors_for(topic)
+    groups = []
+    for node_id in tree.traversal_order:
+        node = tree.node(node_id)
+        docs = set(node.member_keys)
+        members = [r for r in refs if document_key(topic.topic_id, r.doc_index) in docs]
+        groups.append((node_id, members, node_centroids(node.member_keys, doc_vectors)))
+
+    picks, taken, selected = [], set(), []
+    consumed, iteration = 0, 1
+    while True:
+        picked_in_pass = False
+        for node_id, members, centroids in groups:
+            best, best_rank = None, None
+            for ref in members:
+                if ref.key in taken:
+                    continue
+                vec = sent_vectors[ref.key]
+                score = score_cs(vec, centroids, hp.delta)
+                if scoring_mode == "final":
+                    pos = score_position(ref.position_1based, ref.doc_sentence_count)
+                    score = score_final(score, score_nr(vec, selected), pos, hp)
+                rank = (-score, ref.doc_index, ref.sent_index)
+                if best_rank is None or rank < best_rank:
+                    best, best_rank = ref, rank
+            if best is None:
+                continue
+            taken.add(best.key)
+            selected.append(sent_vectors[best.key])
+            picks.append((best.key, node_id, iteration))
+            consumed += budget.size_of(best)
+            picked_in_pass = True
+            if consumed >= budget.limit:
+                return picks
+        if not picked_in_pass:
+            return picks
+        iteration += 1

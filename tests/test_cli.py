@@ -16,6 +16,7 @@ from treesum.config import (
     parse_config_text,
 )
 from treesum.experiments import full_grid, simplex_triples
+from treesum.tree import tree_to_dict
 
 
 def _write_corpus(root, n_topics=2, refs=True):
@@ -136,6 +137,51 @@ def test_summarize_dump_trees(tmp_path):
     dumps = json.loads((tmp_path / "out" / "trees.json").read_text())
     assert set(dumps) == {"topic0", "topic1"}
     assert dumps["topic0"]["node_count"] >= 1
+
+
+def test_dump_trees_writes_the_trees_selection_used(tmp_path, monkeypatch):
+    """``--dump-trees`` reuses the trees the summaries came from: one
+    ``build_class_tree`` call per topic, and the dump equals a fresh build."""
+    import treesum.cli
+    import treesum.variants
+    from treesum.tree import build_class_tree
+
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build_class_tree(*args, **kwargs)
+
+    monkeypatch.setattr(treesum.variants, "build_class_tree", counting_build)
+    monkeypatch.setattr(treesum.cli, "build_class_tree", counting_build)
+    corpus = _write_corpus(tmp_path / "corpus", n_topics=3)
+    for method in ("ours-final", "ours-cs"):
+        calls.clear()
+        out = tmp_path / method
+        code = main([
+            "summarize", "--input", str(corpus), "--method", method, "--budget-words", "15",
+            "--dump-trees", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(calls) == 3
+        dumps = json.loads((out / "trees.json").read_text())
+        rebuilt = {
+            f"topic{t}": tree_to_dict(build_class_tree(*calls[t])) for t in range(3)
+        }
+        assert dumps == rebuilt
+
+
+def test_empty_corpus_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    (tmp_path / "empty_dir").mkdir()
+    for argv in (
+        ["--input", str(empty), "--layout", "jsonl"],
+        ["--input", str(tmp_path / "empty_dir")],
+    ):
+        code = main(["summarize", *argv, "--budget-words", "15", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_file_provider_error_exits_3(tmp_path, capsys):
@@ -298,30 +344,79 @@ def test_evaluate_jsonl_summaries_file(tmp_path):
     assert (tmp_path / "out" / "report.csv").exists()
 
 
+def _write_varied_corpus(root, n_topics=2, n_docs=6, n_sents=5, seed=3):
+    """Topics whose documents share a few recurring sentences among random
+    filler, so trees differ between cluster counts and weights matter."""
+    import random
+
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(40)]
+    for t in range(n_topics):
+        shared = [" ".join(rng.choices(words, k=6)).capitalize() + "." for _ in range(4)]
+        docs = root / f"topic{t}" / "docs"
+        docs.mkdir(parents=True)
+        for d in range(n_docs):
+            sents = [
+                rng.choice(shared) if rng.random() < 0.4
+                else " ".join(rng.choices(words, k=rng.randint(4, 10))).capitalize() + "."
+                for _ in range(n_sents)
+            ]
+            (docs / f"d{d}.txt").write_text(" ".join(sents))
+        refs = root / f"topic{t}" / "refs"
+        refs.mkdir()
+        for r in range(2):
+            (refs / f"r{r}.txt").write_text(" ".join(rng.sample(shared, 3)))
+    return root
+
+
 def test_grid_search_matches_standalone_run(tmp_path):
+    """Every grid point's objective equals a standalone summarize + evaluate
+    run with the same settings, for several deltas, weight triples (beta 0
+    and (1, 0, 0) included), both cluster counts, word and byte budgets, one
+    or two workers, and an f1 objective on another metric."""
     from treesum.corpus import load_corpus
     from treesum.embedding import embed_corpus, provider_builtin_tfidf
-    from treesum.experiments import GridPoint, run_grid_search
+    from treesum.experiments import run_grid_search
     from treesum.pipeline import resolve_max_nodes, summarize_corpus
     from treesum.rouge import evaluate_corpus
     from treesum.scoring import Hyperparams
     from treesum.selection import Budget
     from treesum.variants import VariantSpec
 
-    corpus = load_corpus(_write_corpus(tmp_path / "corpus"), "topic-dirs")
+    corpus = load_corpus(_write_varied_corpus(tmp_path / "corpus"), "topic-dirs")
     embedded = embed_corpus(corpus, provider_builtin_tfidf(corpus, dim=64, seed=7))
-    budget = Budget("words", 20)
-    point = GridPoint(delta=0.7, alpha=0.6, beta=0.3, gamma=0.1, k=2)
-    best, results = run_grid_search(corpus, embedded, budget, [point], seed=7)
-
-    hp = Hyperparams(delta=0.7, alpha=0.6, beta=0.3, gamma=0.1, k_first=2)
-    spec = VariantSpec("ours_final", hp, budget, seed=7)
-    cap = resolve_max_nodes(corpus, budget, None)
-    summaries = summarize_corpus(corpus, embedded, spec, cap)
-    report = evaluate_corpus(
-        {tid: s.text for tid, s in summaries.items()}, corpus, budget, metrics=["r1"]
+    grid = full_grid(
+        deltas=[0.0, 0.5, 1.0],
+        weight_triples=[(1.0, 0.0, 0.0), (0.7, 0.0, 0.3), (0.6, 0.3, 0.1), (0.2, 0.6, 0.2)],
+        ks=[2, 3],
     )
-    assert best.objective == report.mean["r1"].recall
+    runs = [
+        (Budget("words", 20), "r1", "recall", 1),
+        (Budget("words", 20), "r1", "recall", 2),
+        (Budget("bytes", 120), "r1", "recall", 1),
+        (Budget("bytes", 120), "r2", "f1", 2),
+    ]
+    for budget, metric, kind, workers in runs:
+        best, results = run_grid_search(
+            corpus, embedded, budget, grid, seed=7,
+            objective_metric=metric, report_kind=kind, workers=workers,
+        )
+        assert [r.point for r in results] == grid
+        cap = resolve_max_nodes(corpus, budget, None)
+        for result in results:
+            p = result.point
+            hp = Hyperparams(delta=p.delta, alpha=p.alpha, beta=p.beta, gamma=p.gamma, k_first=p.k)
+            spec = VariantSpec("ours_final", hp, budget, seed=7)
+            summaries = summarize_corpus(corpus, embedded, spec, cap)
+            report = evaluate_corpus(
+                {tid: s.text for tid, s in summaries.items()},
+                corpus,
+                budget,
+                metrics=[metric],
+                report_kind=kind,
+            )
+            assert result.objective == report.headline(metric), (budget, workers, p)
+        assert best.objective == max(r.objective for r in results)
 
 
 def test_tune_small_grid_runs(tmp_path):

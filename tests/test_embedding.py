@@ -9,13 +9,16 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from helpers import DictProvider, embed_with_vectors, make_corpus, make_topic, skey
+from treesum.corpus import Corpus, CorpusError
 from treesum.embedding import (
     ProviderError,
     cosine_similarity,
     embed_corpus,
+    prescale,
+    prescaled_cosine,
     provider_builtin_tfidf,
     provider_file,
     provider_remote,
@@ -59,6 +62,79 @@ def test_cosine_symmetry_and_scale_invariance(a, b, c):
     assume(np.all(np.abs(scaled[va != 0]) >= np.finfo(float).tiny))
     assert cosine_similarity(va, vb) == pytest.approx(cosine_similarity(vb, va), abs=1e-9)
     assert cosine_similarity(scaled, vb) == pytest.approx(cosine_similarity(va, vb), abs=1e-9)
+
+
+def _reference_cosine(a, b) -> float:
+    """The cosine arithmetic written out in one piece, as an oracle for the
+    pre-scale and dot helpers."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
+    scale_a = float(np.max(np.abs(a)))
+    scale_b = float(np.max(np.abs(b)))
+    if scale_a == 0.0 or scale_b == 0.0:
+        return 0.0
+    a = a / scale_a
+    b = b / scale_b
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+# Zeros (whole zero vectors included), ordinary values, and magnitudes near
+# both ends of the float range, subnormals included.
+_any_component = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-50, max_value=50),
+    st.floats(min_value=1e300, max_value=1.7e308),
+    st.floats(min_value=-1.7e308, max_value=-1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.lists(_any_component, min_size=n, max_size=n),
+            st.lists(_any_component, min_size=n, max_size=n),
+        )
+    )
+)
+@example(([0.0, 0.0], [1.0, 2.0]))
+@example(([5e-324, 0.0], [1.7e308, -1.7e308]))
+@example(([1e-310, 3e-320], [2e-320, 1e-310]))
+def test_prescaled_cosine_matches_reference_bit_for_bit(pair):
+    a, b = (np.array(v) for v in pair)
+    expected = _reference_cosine(a, b)
+    assert _bits(prescaled_cosine(prescale(a), prescale(b))) == _bits(expected)
+    assert _bits(cosine_similarity(a, b)) == _bits(expected)
+
+
+@given(
+    st.lists(_any_component, min_size=1, max_size=5),
+    st.lists(_any_component, min_size=1, max_size=5),
+)
+def test_prescaled_cosine_dimension_mismatch_raises(a, b):
+    assume(len(a) != len(b))
+    with pytest.raises(ValueError):
+        cosine_similarity(np.array(a), np.array(b))
+    pa, pb = prescale(np.array(a)), prescale(np.array(b))
+    if pa is not None and pb is not None:
+        with pytest.raises(ValueError):
+            prescaled_cosine(pa, pb)
+
+
+def test_prescale_of_zero_vector_is_none():
+    assert prescale(np.zeros(4)) is None
+    assert prescaled_cosine(None, prescale(np.ones(4))) == 0.0
+
+
+def test_embed_corpus_without_sentences_raises_corpus_error():
+    with pytest.raises(CorpusError, match="no sentences"):
+        embed_corpus(Corpus(), DictProvider({}))
 
 
 def test_document_vector_is_mean_of_sentences():

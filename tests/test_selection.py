@@ -5,17 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import embed_with_vectors, make_corpus, make_topic, skey
+from helpers import (
+    embed_with_vectors,
+    make_corpus,
+    make_topic,
+    random_synthetic_topic,
+    scalar_selection,
+    skey,
+)
 from treesum.embedding import cosine_similarity
-from treesum.scoring import Hyperparams
+from treesum.scoring import Hyperparams, blend_cs, node_centroids, score_cs
 from treesum.selection import (
     Budget,
+    ScoreContext,
     SelectedSentence,
     SelectionState,
     SentenceRef,
-    break_ties,
+    SimilarityMemo,
     order_summary,
     run_selection,
+    select_from_context,
     select_summary,
     sentence_refs,
 )
@@ -35,25 +44,12 @@ def _ref(key: str, doc_index: int, sent_index: int) -> SentenceRef:
     )
 
 
-def test_break_ties_highest_score_wins():
-    assert break_ties([("t/d0/s0", 0.9), ("t/d1/s0", 0.7)]) == "t/d0/s0"
-
-
-def test_break_ties_prefers_lower_doc_index():
-    assert break_ties([("t/d2/s0", 0.5), ("t/d0/s3", 0.5)]) == "t/d0/s3"
-
-
-def test_break_ties_prefers_lower_sentence_index():
-    assert break_ties([("t/d1/s5", 0.5), ("t/d1/s2", 0.5)]) == "t/d1/s2"
-
-
 def test_order_summary_follows_traversal_positions():
     state = SelectionState(
         selected=[
             SelectedSentence(ref=_ref("t/d0/s0", 0, 0), node_id=3, iteration=1),
             SelectedSentence(ref=_ref("t/d1/s0", 1, 0), node_id=1, iteration=1),
         ],
-        selected_vectors=[],
         consumed=8,
         iteration=1,
     )
@@ -67,7 +63,6 @@ def test_order_summary_keeps_selection_order_within_node():
             SelectedSentence(ref=_ref("t/d0/s1", 0, 1), node_id=0, iteration=1),
             SelectedSentence(ref=_ref("t/d0/s0", 0, 0), node_id=0, iteration=2),
         ],
-        selected_vectors=[],
         consumed=8,
         iteration=2,
     )
@@ -79,7 +74,6 @@ def test_order_summary_keeps_selection_order_within_node():
 def test_order_summary_single_sentence():
     state = SelectionState(
         selected=[SelectedSentence(ref=_ref("t/d0/s0", 0, 0), node_id=0, iteration=1)],
-        selected_vectors=[],
         consumed=4,
         iteration=1,
     )
@@ -267,17 +261,16 @@ def test_engine_overshoot_bounded_by_crossing_sentence():
     topic, embedded = _fixture_embedded()
     tree = _fixture_tree(embedded, topic)
     refs = sentence_refs(topic)
-    sent_vectors = embedded.sentence_vectors_for(topic)
     groups = []
     for node_id in tree.traversal_order:
         node = tree.node(node_id)
-        members = [r for r in refs if f"fix/d{r.doc_index}" in node.member_keys]
-        groups.append((node_id, members))
+        members = [i for i, r in enumerate(refs) if f"fix/d{r.doc_index}" in node.member_keys]
+        groups.append((node_id, np.array(members)))
 
     total = sum(r.word_count for r in refs)
     for limit in range(1, total + 1):
         budget = Budget("words", limit)
-        state = run_selection(groups, lambda n, r, s: 1.0, sent_vectors, budget)
+        state = run_selection(refs, groups, lambda n, c, s: np.ones(len(c)), budget)
         if state.consumed >= limit:
             crossing_size = budget.size_of(state.selected[-1].ref)
             assert state.consumed - limit < crossing_size
@@ -329,3 +322,69 @@ def test_budget_validation():
         Budget("words", 0)
     with pytest.raises(ValueError):
         Budget("chars", 10)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _random_case(rng: np.random.Generator, case: int):
+    topic, vectors = random_synthetic_topic(rng, f"r{case}")
+    if case % 3 == 0:
+        # Small integer vectors: exact score ties and repeated vectors.
+        vectors = {k: np.round(v / 4.0) for k, v in vectors.items()}
+    embedded = embed_with_vectors(make_corpus(topic), vectors)
+    tree = build_class_tree(
+        list(embedded.doc_vectors_for(topic).items()),
+        k_first=int(rng.integers(2, 4)),
+        k_rest=2,
+        max_nodes=int(rng.integers(1, 8)),
+        seed=case,
+    )
+    return topic, embedded, tree
+
+
+def test_score_context_terms_match_scalar_scores():
+    """Every stored term gives, bit for bit, what the scalar score
+    functions compute from the vectors."""
+    rng = np.random.default_rng(11)
+    for case in range(30):
+        topic, embedded, tree = _random_case(rng, case)
+        ctx = ScoreContext.for_tree(tree, topic, embedded)
+        sent_vectors = list(embedded.sentence_vectors_for(topic).values())
+        doc_vectors = embedded.doc_vectors_for(topic)
+        for node_id, members in ctx.groups:
+            centroids = node_centroids(tree.node(node_id).member_keys, doc_vectors)
+            inside, outside = ctx.terms[node_id]
+            for delta in (0.0, 0.3, 0.9, 1.0):
+                blended = blend_cs(inside, outside, delta)[members]
+                expected = [score_cs(sent_vectors[i], centroids, delta) for i in members]
+                assert _bits(blended) == _bits(expected)
+        for j in range(len(sent_vectors)):
+            expected = [min(1.0, max(0.0, cosine_similarity(v, sent_vectors[j]))) for v in sent_vectors]
+            assert _bits(ctx.memo.row(j)) == _bits(expected)
+
+
+def test_selection_matches_scalar_oracle():
+    """Picks, nodes and passes equal the per-candidate scalar selection on
+    random topics, including integer vectors with exact ties, for both
+    scoring modes, beta = 0 and (1, 0, 0) weights, and both budget units.
+    One context serves every configuration of a tree."""
+    rng = np.random.default_rng(5)
+    hps = [
+        Hyperparams(),
+        Hyperparams(delta=0.0, alpha=0.5, beta=0.3, gamma=0.2),
+        Hyperparams(delta=1.0, alpha=0.7, beta=0.0, gamma=0.3),
+        Hyperparams(delta=0.5, alpha=1.0, beta=0.0, gamma=0.0),
+        Hyperparams(delta=0.2, alpha=0.1, beta=0.8, gamma=0.1),
+    ]
+    budgets = [Budget("words", 6), Budget("bytes", 90), Budget("words", 10_000)]
+    for case in range(25):
+        topic, embedded, tree = _random_case(rng, case)
+        ctx = ScoreContext.for_tree(tree, topic, embedded)
+        for hp in hps:
+            for budget in budgets:
+                for mode in ("final", "cs_only"):
+                    state = select_from_context(ctx, hp, budget, mode)
+                    got = [(s.ref.key, s.node_id, s.iteration) for s in state.selected]
+                    assert got == scalar_selection(tree, topic, embedded, hp, budget, mode)
