@@ -202,11 +202,20 @@ def _read_summaries(path: str) -> dict[str, str]:
     if source.is_file():
         summaries = {}
         with source.open(encoding="utf-8") as handle:
-            for line in handle:
+            for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
-                record = json.loads(line)
-                summaries[record["topic_id"]] = record["summary"]
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise EvaluationError(f"invalid JSON on line {line_no} of {source}: {exc}") from exc
+                fields = record if isinstance(record, dict) else {}
+                topic_id, summary = fields.get("topic_id"), fields.get("summary")
+                if not isinstance(topic_id, str) or not isinstance(summary, str):
+                    raise EvaluationError(
+                        f"record on line {line_no} of {source} needs string topic_id and summary"
+                    )
+                summaries[topic_id] = summary
         if not summaries:
             raise EvaluationError(f"no summary records found in {source}")
         return summaries

@@ -196,14 +196,28 @@ def _load_topic_dir(topic_dir: Path) -> Topic:
     return Topic(topic_id=topic_dir.name, documents=tuple(documents), references=tuple(references))
 
 
+def _check_topic_id(topic_id: object, line_no: int) -> None:
+    """Reject a JSONL topic id that is not safe as one file name under ``--out``.
+
+    Topic-dirs ids are directory names, which are single components already.
+    """
+    if not isinstance(topic_id, str) or not topic_id:
+        raise CorpusError(f"topic record on line {line_no} needs a non-empty string topic_id")
+    if topic_id in (".", "..") or any(c in topic_id for c in "/\\\0"):
+        raise CorpusError(
+            f"topic_id {topic_id!r} on line {line_no} is not a single safe path component"
+        )
+
+
 def _load_topic_record(record: dict, line_no: int) -> Topic:
     try:
         topic_id = record["topic_id"]
         raw_docs = record["documents"]
     except (KeyError, TypeError) as exc:
         raise CorpusError(f"malformed topic record on line {line_no}: {exc}") from exc
-    if not isinstance(topic_id, str) or not topic_id:
-        raise CorpusError(f"topic record on line {line_no} has an empty topic_id")
+    _check_topic_id(topic_id, line_no)
+    if not isinstance(raw_docs, list):
+        raise CorpusError(f"documents of topic {topic_id!r} must be a list")
     if not raw_docs:
         raise CorpusError(f"topic {topic_id!r} contains zero documents")
 
@@ -214,10 +228,18 @@ def _load_topic_record(record: dict, line_no: int) -> Topic:
             text = raw["text"]
         except (KeyError, TypeError) as exc:
             raise CorpusError(f"malformed document record in topic {topic_id!r}: {exc}") from exc
+        if not isinstance(doc_id, str) or not isinstance(text, str):
+            raise CorpusError(
+                f"document {doc_index} in topic {topic_id!r} needs string doc_id and text"
+            )
         documents.append(_build_document(doc_id, doc_index, text, f"topic {topic_id!r}"))
 
-    references = tuple(record.get("references") or ())
-    return Topic(topic_id=topic_id, documents=tuple(documents), references=references)
+    references = record.get("references")
+    if references is None:
+        references = []
+    if not isinstance(references, list) or not all(isinstance(r, str) for r in references):
+        raise CorpusError(f"references of topic {topic_id!r} must be a list of strings")
+    return Topic(topic_id=topic_id, documents=tuple(documents), references=tuple(references))
 
 
 def load_corpus(root_path: str | Path, layout: str = "topic-dirs") -> Corpus:

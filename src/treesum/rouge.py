@@ -160,26 +160,51 @@ def rouge_n(
     return _average(per_ref)
 
 
-def _lcs_match_positions(ref_tokens: Sequence[str], cand_tokens: Sequence[str]) -> set[int]:
-    """Reference-token positions on one LCS alignment path."""
-    m, n = len(ref_tokens), len(cand_tokens)
-    if m == 0 or n == 0:
-        return set()
-    table = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if ref_tokens[i - 1] == cand_tokens[j - 1]:
-                table[i][j] = table[i - 1][j - 1] + 1
-            else:
-                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+def _match_masks(tokens: Sequence[str]) -> dict[str, int]:
+    """Token -> bit mask of its positions in ``tokens`` (bit j for position j)."""
+    masks: dict[str, int] = {}
+    for j, token in enumerate(tokens):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    return masks
+
+
+def _lcs_match_positions(
+    ref_tokens: Sequence[str], cand_tokens: Sequence[str], cand_masks: Mapping[str, int]
+) -> set[int]:
+    """Reference-token positions on one LCS alignment path.
+
+    Bit-parallel LCS (Allison & Dix 1986, in Hyyrö's 2004 form): row ``i``
+    of the DP table is one integer ``v`` over the candidate positions, where
+    bit ``j - 1`` is clear exactly when ``table[i][j] == table[i][j - 1] + 1``,
+    so ``table[i][j] = j - popcount(v & ((1 << j) - 1))``. ``cand_masks`` is
+    ``_match_masks(cand_tokens)``. The traceback rebuilds the cells it needs
+    from the kept rows and follows the table rule: diagonal on equal tokens,
+    up only when ``table[i-1][j] > table[i][j-1]``, left on a tie.
+    """
+    full = (1 << len(cand_tokens)) - 1
+    v = full
+    rows = [v]
+    mask_of = cand_masks.get
+    for token in ref_tokens:
+        u = v & mask_of(token, 0)
+        if u:
+            v = ((v + u) | (v - u)) & full
+        rows.append(v)
     positions: set[int] = set()
-    i, j = m, n
-    while i > 0 and j > 0:
+    # Each diagonal step lowers the table value on the path by one, and a
+    # zero cell has no equal tokens left before it, so the walk stops there.
+    remaining = len(cand_tokens) - v.bit_count()
+    i, j = len(ref_tokens), len(cand_tokens)
+    while remaining:
         if ref_tokens[i - 1] == cand_tokens[j - 1]:
             positions.add(i - 1)
             i -= 1
             j -= 1
-        elif table[i - 1][j] > table[i][j - 1]:
+            remaining -= 1
+            continue
+        up = j - (rows[i - 1] & ((1 << j) - 1)).bit_count()
+        left = j - 1 - (rows[i] & ((1 << (j - 1)) - 1)).bit_count()
+        if up > left:
             i -= 1
         else:
             j -= 1
@@ -201,8 +226,8 @@ def rouge_l(
     ``memo`` decides stemming in place of ``stem``.
     """
     memo = memo if memo is not None else TokenMemo(stem)
-    cand_sents = memo.sentence_tokens(candidate)
-    cand_total = sum(len(s) for s in cand_sents)
+    cand_sents = [(s, _match_masks(s)) for s in memo.sentence_tokens(candidate)]
+    cand_total = sum(len(s) for s, _ in cand_sents)
     per_ref = []
     for reference in references:
         ref_sents = memo.reference_sentences(reference)
@@ -210,8 +235,8 @@ def rouge_l(
         hits = 0
         for ref_sent in ref_sents:
             union: set[int] = set()
-            for cand_sent in cand_sents:
-                union |= _lcs_match_positions(ref_sent, cand_sent)
+            for cand_sent, cand_masks in cand_sents:
+                union |= _lcs_match_positions(ref_sent, cand_sent, cand_masks)
             hits += len(union)
         per_ref.append(_prf(hits, ref_total, cand_total))
     return _average(per_ref)

@@ -153,6 +153,22 @@ def _refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: i
     return labels
 
 
+def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
+    """Whether ``points`` holds at least ``k`` distinct rows.
+
+    The verdict of ``np.unique(points, axis=0).shape[0] >= k`` (``-0.0``
+    equals ``0.0``; a row with a NaN equals no other row), reached by keeping
+    representatives that differ from every earlier one and stopping at ``k``.
+    """
+    reps: list[np.ndarray] = []
+    for row in points:
+        if all(np.any(row != rep) for rep in reps):
+            reps.append(row)
+            if len(reps) >= k:
+                return True
+    return False
+
+
 def kmeans(
     vectors: Sequence[Vector],
     k: int,
@@ -176,7 +192,7 @@ def kmeans(
     if len(vectors) == 0:
         raise ValueError("kmeans needs at least one vector")
     points = np.stack([np.asarray(v, dtype=float) for v in vectors])
-    if np.unique(points, axis=0).shape[0] < k:
+    if not _has_k_distinct_rows(points, k):
         return None
     seed = seed & _SEED_MASK
     for attempt in range(3):

@@ -102,6 +102,39 @@ def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_swe
     return labels
 
 
+def table_lcs_match_positions(ref_tokens: Sequence[str], cand_tokens: Sequence[str]) -> set[int]:
+    """Reference LCS match positions from the full DP table.
+
+    The original table form of ``treesum.rouge._lcs_match_positions``: fill
+    the (m+1) x (n+1) table, then walk back from the corner, taking the
+    diagonal on equal tokens, going up only when the cell above is strictly
+    larger than the cell to the left, and left otherwise. The bit-parallel
+    version must return exactly the same positions.
+    """
+    m, n = len(ref_tokens), len(cand_tokens)
+    if m == 0 or n == 0:
+        return set()
+    table = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            if ref_tokens[i - 1] == cand_tokens[j - 1]:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    positions: set[int] = set()
+    i, j = m, n
+    while i > 0 and j > 0:
+        if ref_tokens[i - 1] == cand_tokens[j - 1]:
+            positions.add(i - 1)
+            i -= 1
+            j -= 1
+        elif table[i - 1][j] > table[i][j - 1]:
+            i -= 1
+        else:
+            j -= 1
+    return positions
+
+
 def random_synthetic_topic(rng: np.random.Generator, topic_id: str) -> tuple[Topic, dict]:
     """A topic with random cluster structure plus hand-assigned vectors.
 

@@ -344,6 +344,48 @@ def test_evaluate_jsonl_summaries_file(tmp_path):
     assert (tmp_path / "out" / "report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"topic_id": "topic0", "summary": ', "invalid JSON on line 2"),
+        ('{"summary": "City news update."}', "needs string topic_id and summary"),
+        ('{"topic_id": "topic0"}', "needs string topic_id and summary"),
+        ('{"topic_id": 0, "summary": "City news update."}', "needs string topic_id and summary"),
+        ('{"topic_id": "topic0", "summary": ["City news."]}', "needs string topic_id and summary"),
+        ('["topic0", "City news update."]', "needs string topic_id and summary"),
+    ],
+)
+def test_evaluate_malformed_summaries_jsonl_exits_2(tmp_path, capsys, line, message):
+    corpus = _write_corpus(tmp_path / "corpus")
+    summaries = tmp_path / "summaries.jsonl"
+    good = json.dumps({"topic_id": "topic1", "summary": "Council approved new parks."})
+    summaries.write_text(good + "\n" + line + "\n")
+    code = main([
+        "evaluate", "--input", str(corpus), "--summaries", str(summaries),
+        "--budget-words", "50", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unsafe_topic_id_exits_2_and_writes_nothing_outside_out(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    record = {
+        "topic_id": "../escape",
+        "documents": [{"doc_id": "d0", "text": "Crews repaired the bridge. Parks opened."}],
+        "references": ["Crews repaired the bridge."],
+    }
+    corpus.write_text(json.dumps(record) + "\n")
+    before = set(tmp_path.rglob("*"))
+    code = main([
+        "summarize", "--input", str(corpus), "--layout", "jsonl", "--format", "files",
+        "--budget-words", "10", "--out", str(tmp_path / "out" / "run"),
+    ])
+    assert code == 2
+    assert "single safe path component" in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == before
+
+
 def _write_varied_corpus(root, n_topics=2, n_docs=6, n_sents=5, seed=3):
     """Topics whose documents share a few recurring sentences among random
     filler, so trees differ between cluster counts and weights matter."""

@@ -161,3 +161,44 @@ def test_load_jsonl_duplicate_topic_errors(tmp_path):
 def test_unknown_layout_errors(tmp_path):
     with pytest.raises(CorpusError, match="unknown corpus layout"):
         load_corpus(tmp_path, "zip")
+
+
+def _jsonl_with(tmp_path, **fields):
+    record = {"topic_id": "t", "documents": [{"doc_id": "d", "text": "One sentence."}]}
+    record.update(fields)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"references": "some text"}, "list of strings"),
+        ({"references": ["fine", 3]}, "list of strings"),
+        ({"references": ""}, "list of strings"),
+        ({"documents": [{"doc_id": "d", "text": 7}]}, "string doc_id and text"),
+        ({"documents": [{"doc_id": "d", "text": None}]}, "string doc_id and text"),
+        ({"documents": [{"doc_id": "d", "text": ["One sentence."]}]}, "string doc_id and text"),
+        ({"documents": [{"doc_id": 1, "text": "One sentence."}]}, "string doc_id and text"),
+        ({"documents": 5}, "must be a list"),
+        ({"topic_id": 12}, "non-empty string topic_id"),
+        ({"topic_id": ""}, "non-empty string topic_id"),
+    ],
+)
+def test_load_jsonl_rejects_wrong_field_types(tmp_path, fields, message):
+    with pytest.raises(CorpusError, match=message):
+        load_corpus(_jsonl_with(tmp_path, **fields), "jsonl")
+
+
+@pytest.mark.parametrize("topic_id", ["../escape", "a/b", "/abs", "a\\b", "a\0b", ".", ".."])
+def test_load_jsonl_rejects_unsafe_topic_ids(tmp_path, topic_id):
+    with pytest.raises(CorpusError, match="single safe path component"):
+        load_corpus(_jsonl_with(tmp_path, topic_id=topic_id), "jsonl")
+
+
+@pytest.mark.parametrize("fields", [{}, {"references": None}, {"topic_id": "d30.a-b_1"}])
+def test_load_jsonl_accepts_missing_references_and_dotted_ids(tmp_path, fields):
+    corpus = load_corpus(_jsonl_with(tmp_path, **fields), "jsonl")
+    assert corpus.topics[0].references == ()
+    assert corpus.topics[0].topic_id == fields.get("topic_id", "t")

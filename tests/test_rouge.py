@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import make_corpus, make_topic
+from helpers import make_corpus, make_topic, table_lcs_match_positions
+from treesum import rouge
 from treesum.rouge import (
     EvaluationError,
     evaluate_corpus,
@@ -169,6 +171,44 @@ def test_rouge_l_matches_brute_force_on_single_sentences(cand_tokens, ref_tokens
     score = rouge_l(candidate, [reference], stem=False)
     assert score.recall == pytest.approx(lcs / len(ref_tokens))
     assert score.precision == pytest.approx(lcs / len(cand_tokens))
+
+
+def _random_tokens(rng: random.Random, alphabet: str, max_len: int) -> list[str]:
+    # 63 to 65 tokens put the candidate masks on both sides of a machine word.
+    lengths = [0, 1, rng.randint(0, max_len)] + [n for n in (63, 64, 65) if n <= max_len]
+    return [rng.choice(alphabet) for _ in range(rng.choice(lengths))]
+
+
+def test_lcs_match_positions_match_table_oracle():
+    rng = random.Random(4)
+    for case in range(400):
+        alphabet = "abcd"[: rng.randint(1, 4)]
+        max_len = 150 if case % 4 == 0 else 20
+        ref = _random_tokens(rng, alphabet, max_len)
+        cand = _random_tokens(rng, alphabet, max_len)
+        got = rouge._lcs_match_positions(ref, cand, rouge._match_masks(cand))
+        assert got == table_lcs_match_positions(ref, cand), (ref, cand)
+
+
+def _random_summary(rng: random.Random, alphabet: str) -> str:
+    sentences = [_random_tokens(rng, alphabet, 70) for _ in range(rng.randint(1, 4))]
+    return " ".join(" ".join(tokens) + "." for tokens in sentences)
+
+
+def test_rouge_l_matches_table_oracle_on_multi_sentence_summaries(monkeypatch):
+    rng = random.Random(11)
+    cases = []
+    for _ in range(120):
+        alphabet = "abcd"[: rng.randint(1, 4)]
+        references = [_random_summary(rng, alphabet) for _ in range(rng.randint(1, 3))]
+        cases.append((_random_summary(rng, alphabet), references))
+    got = [rouge_l(candidate, references, stem=False) for candidate, references in cases]
+    monkeypatch.setattr(
+        rouge, "_lcs_match_positions", lambda ref, cand, masks: table_lcs_match_positions(ref, cand)
+    )
+    expected = [rouge_l(candidate, references, stem=False) for candidate, references in cases]
+    # RougeScore equality compares recall, precision and F1 exactly.
+    assert got == expected
 
 
 # --- ROUGE-SU4 ---------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from helpers import brute_force_min_inertia, scalar_refine_labels
 from treesum.tree import (
     ClassTree,
+    _has_k_distinct_rows,
     _lloyd,
     _refine_labels,
     build_class_tree,
@@ -120,6 +121,22 @@ def test_refine_labels_matches_scalar_oracle():
             assert np.array_equal(got, expected), (points.shape, k)
             cases += 1
     assert cases > 200
+
+
+def test_distinct_row_check_matches_np_unique():
+    rng = np.random.default_rng(2004)
+    specials = np.array([0.0, -0.0, 1.0, np.nan])
+    for _ in range(2000):
+        n, dim = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        pool = rng.choice(specials, size=(int(rng.integers(1, 4)), dim))
+        points = pool[rng.integers(0, len(pool), size=n)]
+        # Re-draw some coordinates so that rows are near-duplicates, with
+        # signed zeros and NaNs in the same places as other rows.
+        mask = rng.random((n, dim)) < 0.2
+        points[mask] = rng.choice(specials, size=int(mask.sum()))
+        distinct = np.unique(points, axis=0).shape[0]
+        for k in range(1, n + 2):
+            assert _has_k_distinct_rows(points, k) == (distinct >= k), (points, k)
 
 
 def test_kmeans_validates_arguments():
