@@ -28,7 +28,7 @@ from .config import (
     load_config_file,
     write_config,
 )
-from .corpus import Corpus, CorpusError, load_corpus
+from .corpus import Corpus, CorpusError, is_unicode_text, load_corpus
 from .embedding import EmbeddedCorpus, ProviderError, embed_corpus
 from .experiments import (
     ablation_csv,
@@ -189,33 +189,53 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_summary_file(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8").strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EvaluationError(f"cannot read summary file {path}: {exc}") from exc
+
+
 def _read_summaries(path: str) -> dict[str, str]:
     source = Path(path)
     if source.is_dir():
-        summaries = {
-            p.stem: p.read_text(encoding="utf-8").strip()
-            for p in sorted(source.glob("*.txt"))
-        }
+        summaries = {p.stem: _read_summary_file(p) for p in sorted(source.glob("*.txt"))}
         if not summaries:
             raise EvaluationError(f"no *.txt summaries found under {source}")
         return summaries
     if source.is_file():
         summaries = {}
-        with source.open(encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise EvaluationError(f"invalid JSON on line {line_no} of {source}: {exc}") from exc
-                fields = record if isinstance(record, dict) else {}
-                topic_id, summary = fields.get("topic_id"), fields.get("summary")
-                if not isinstance(topic_id, str) or not isinstance(summary, str):
-                    raise EvaluationError(
-                        f"record on line {line_no} of {source} needs string topic_id and summary"
-                    )
-                summaries[topic_id] = summary
+        first_line: dict[str, int] = {}
+        try:
+            with source.open(encoding="utf-8") as handle:
+                for line_no, line in enumerate(handle, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except (json.JSONDecodeError, RecursionError) as exc:
+                        raise EvaluationError(
+                            f"invalid JSON on line {line_no} of {source}: {exc}"
+                        ) from exc
+                    fields = record if isinstance(record, dict) else {}
+                    topic_id, summary = fields.get("topic_id"), fields.get("summary")
+                    if not isinstance(topic_id, str) or not isinstance(summary, str):
+                        raise EvaluationError(
+                            f"record on line {line_no} of {source} needs string topic_id and summary"
+                        )
+                    if not (is_unicode_text(topic_id) and is_unicode_text(summary)):
+                        raise EvaluationError(
+                            f"record on line {line_no} of {source} holds a lone surrogate escape"
+                        )
+                    if topic_id in first_line:
+                        raise EvaluationError(
+                            f"topic_id {topic_id!r} appears on lines {first_line[topic_id]} "
+                            f"and {line_no} of {source}"
+                        )
+                    first_line[topic_id] = line_no
+                    summaries[topic_id] = summary
+        except UnicodeDecodeError as exc:
+            raise EvaluationError(f"summaries file {source} is not valid UTF-8: {exc}") from exc
         if not summaries:
             raise EvaluationError(f"no summary records found in {source}")
         return summaries

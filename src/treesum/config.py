@@ -176,6 +176,8 @@ def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -
         raise ConfigError(f"report must be 'recall' or 'f1', got {config.report!r}")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if config.max_nodes is not None and config.max_nodes < 1:
+        raise ConfigError("max-nodes must be >= 1")
     return config
 
 
@@ -183,7 +185,11 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
-    return parse_config_text(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    return parse_config_text(text, source=str(p))
 
 
 def write_config(config: RunConfig, out_dir: str | Path) -> Path:

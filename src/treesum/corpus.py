@@ -180,7 +180,7 @@ def _load_topic_dir(topic_dir: Path) -> Topic:
     for doc_index, path in enumerate(doc_files):
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CorpusError(f"cannot read document file {path}: {exc}") from exc
         documents.append(_build_document(path.stem, doc_index, text, f"topic {topic_dir.name!r}"))
 
@@ -190,10 +190,23 @@ def _load_topic_dir(topic_dir: Path) -> Topic:
         for path in sorted(p for p in refs_dir.iterdir() if p.suffix == ".txt" and p.is_file()):
             try:
                 references.append(path.read_text(encoding="utf-8").strip())
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise CorpusError(f"cannot read reference file {path}: {exc}") from exc
 
     return Topic(topic_id=topic_dir.name, documents=tuple(documents), references=tuple(references))
+
+
+def is_unicode_text(text: str) -> bool:
+    """Whether ``text`` is encodable as UTF-8.
+
+    JSON's ``\\u`` escapes can spell a lone UTF-16 surrogate, which is no
+    Unicode character: measuring or writing such text would fail later.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _check_topic_id(topic_id: object, line_no: int) -> None:
@@ -203,7 +216,8 @@ def _check_topic_id(topic_id: object, line_no: int) -> None:
     """
     if not isinstance(topic_id, str) or not topic_id:
         raise CorpusError(f"topic record on line {line_no} needs a non-empty string topic_id")
-    if topic_id in (".", "..") or any(c in topic_id for c in "/\\\0"):
+    unsafe = topic_id in (".", "..") or any(c in topic_id for c in "/\\\0")
+    if unsafe or not is_unicode_text(topic_id):
         raise CorpusError(
             f"topic_id {topic_id!r} on line {line_no} is not a single safe path component"
         )
@@ -232,6 +246,10 @@ def _load_topic_record(record: dict, line_no: int) -> Topic:
             raise CorpusError(
                 f"document {doc_index} in topic {topic_id!r} needs string doc_id and text"
             )
+        if not (is_unicode_text(doc_id) and is_unicode_text(text)):
+            raise CorpusError(
+                f"document {doc_index} in topic {topic_id!r} holds a lone surrogate escape"
+            )
         documents.append(_build_document(doc_id, doc_index, text, f"topic {topic_id!r}"))
 
     references = record.get("references")
@@ -239,6 +257,8 @@ def _load_topic_record(record: dict, line_no: int) -> Topic:
         references = []
     if not isinstance(references, list) or not all(isinstance(r, str) for r in references):
         raise CorpusError(f"references of topic {topic_id!r} must be a list of strings")
+    if not all(is_unicode_text(r) for r in references):
+        raise CorpusError(f"references of topic {topic_id!r} hold a lone surrogate escape")
     return Topic(topic_id=topic_id, documents=tuple(documents), references=tuple(references))
 
 
@@ -261,15 +281,18 @@ def load_corpus(root_path: str | Path, layout: str = "topic-dirs") -> Corpus:
         if not root.is_file():
             raise CorpusError(f"corpus file {root} does not exist")
         topics_list = []
-        with root.open(encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"invalid JSON on line {line_no} of {root}: {exc}") from exc
-                topics_list.append(_load_topic_record(record, line_no))
+        try:
+            with root.open(encoding="utf-8") as handle:
+                for line_no, line in enumerate(handle, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except (json.JSONDecodeError, RecursionError) as exc:
+                        raise CorpusError(f"invalid JSON on line {line_no} of {root}: {exc}") from exc
+                    topics_list.append(_load_topic_record(record, line_no))
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"corpus file {root} is not valid UTF-8: {exc}") from exc
         if not topics_list:
             raise CorpusError(f"no topics found in {root}")
         topics = tuple(topics_list)

@@ -140,21 +140,26 @@ class FileProvider:
         self._vectors: dict[str, Vector] = {}
         if not self._path.is_file():
             raise ProviderError(f"embedding file {self._path} does not exist")
-        with self._path.open(encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = record["key"]
-                    values = record["vector"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ProviderError(
-                        f"malformed record on line {line_no} of {self._path}: {exc}"
-                    ) from exc
-                if key in self._vectors:
-                    raise ProviderError(f"duplicate key {key!r} in {self._path}")
-                self._vectors[key] = _as_vector(values, f"key {key!r}")
+        try:
+            with self._path.open(encoding="utf-8") as handle:
+                for line_no, line in enumerate(handle, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                        key = record["key"]
+                        values = record["vector"]
+                    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+                        raise ProviderError(
+                            f"malformed record on line {line_no} of {self._path}: {exc}"
+                        ) from exc
+                    if not isinstance(key, str):
+                        raise ProviderError(f"key on line {line_no} of {self._path} is not a string")
+                    if key in self._vectors:
+                        raise ProviderError(f"duplicate key {key!r} in {self._path}")
+                    self._vectors[key] = _as_vector(values, f"key {key!r}")
+        except UnicodeDecodeError as exc:
+            raise ProviderError(f"embedding file {self._path} is not valid UTF-8: {exc}") from exc
 
     def embed(self, keys: Sequence[str], texts: Sequence[str]) -> list[Vector]:
         out = []
@@ -195,6 +200,7 @@ class BuiltinTfidfProvider:
         self.dim = dim
         seed_bytes = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
         self._vectors: dict[str, Vector] = {}
+        buckets: dict[str, int] = {}  # each distinct token hashed once
         for topic in corpus:
             df: Counter[str] = Counter()
             for doc in topic.documents:
@@ -205,7 +211,10 @@ class BuiltinTfidfProvider:
                 for sent in doc.sentences:
                     vec = np.zeros(dim)
                     for tok, tf in Counter(_TOKEN_RE.findall(sent.text.lower())).items():
-                        vec[_hash_bucket(tok, dim, seed_bytes)] += tf * idf[tok]
+                        bucket = buckets.get(tok)
+                        if bucket is None:
+                            bucket = buckets[tok] = _hash_bucket(tok, dim, seed_bytes)
+                        vec[bucket] += tf * idf[tok]
                     norm = float(np.linalg.norm(vec))
                     if norm == 0.0:
                         vec = np.zeros(dim)

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, Topic
 from .embedding import EmbeddedCorpus
-from .pipeline import resolve_max_nodes, summarize_corpus
+from .pipeline import resolve_max_nodes
 from .rouge import RougeReport, RougeScore, TokenMemo, evaluate_corpus
 from .scoring import Hyperparams
-from .selection import Budget, ScoreContext, SimilarityMemo, select_summary
-from .tree import build_class_tree, derive_seed
-from .variants import METHODS, VariantSpec
+from .selection import Budget
+from .variants import METHODS, TopicWork, VariantSpec, summarize_topic
 
 
 @dataclass(frozen=True)
@@ -28,6 +27,47 @@ class AblationRow:
     method: str
     seed: int
     scores: dict[str, RougeScore]
+
+
+def _topic_summaries(
+    corpus: Corpus,
+    embedded: EmbeddedCorpus,
+    specs: Sequence[VariantSpec],
+    max_nodes: int,
+    workers: int,
+) -> list[list[str]]:
+    """Each topic's summary text under every spec, in corpus order.
+
+    Topics run one at a time (``workers`` at a time) and every spec of a
+    topic runs on one ``TopicWork``, so the trees, clusters and score terms
+    that specs share are computed once and dropped with the topic.
+    """
+
+    def topic_texts(topic: Topic) -> list[str]:
+        work = TopicWork(topic, embedded)
+        return [summarize_topic(topic, embedded, spec, max_nodes, work=work).text for spec in specs]
+
+    topics = list(corpus)
+    if workers <= 1:
+        return [topic_texts(topic) for topic in topics]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(topic_texts, topics))
+
+
+def _reports(
+    corpus: Corpus,
+    per_topic: Sequence[Sequence[str]],
+    budget: Budget,
+    metrics: Sequence[str],
+    report_kind: str,
+) -> Iterator[RougeReport]:
+    """The ROUGE report of each spec's summaries, every reference stemmed once."""
+    memo = TokenMemo()
+    for texts in zip(*per_topic):
+        summaries = {topic.topic_id: text for topic, text in zip(corpus, texts)}
+        yield evaluate_corpus(
+            summaries, corpus, budget, metrics=metrics, report_kind=report_kind, memo=memo
+        )
 
 
 def run_ablation(
@@ -42,23 +82,22 @@ def run_ablation(
     workers: int = 1,
     methods: Sequence[str] = METHODS,
 ) -> list[AblationRow]:
-    """Evaluate every method on the same inputs; one row per method."""
+    """Evaluate every method on the same inputs; one row per method.
+
+    All methods of a topic share one ``TopicWork``: ours-final and ours-cs
+    select from one document tree, comp2 and comp3 from one flat clustering.
+    ROUGE then scores each method, stemming every reference once for the
+    whole run. Results are identical to summarizing and evaluating each
+    method on its own.
+    """
     cap = resolve_max_nodes(corpus, budget, max_nodes)
-    memo = TokenMemo()
-    rows = []
-    for method in methods:
-        spec = VariantSpec(kind=method, hp=hp, budget=budget, seed=seed)
-        summaries = summarize_corpus(corpus, embedded, spec, cap, workers=workers)
-        report = evaluate_corpus(
-            {tid: s.text for tid, s in summaries.items()},
-            corpus,
-            budget,
-            metrics=metrics,
-            report_kind=report_kind,
-            memo=memo,
-        )
-        rows.append(AblationRow(method=method, seed=seed, scores=dict(report.mean)))
-    return rows
+    specs = [VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in methods]
+    per_topic = _topic_summaries(corpus, embedded, specs, cap, workers)
+    reports = _reports(corpus, per_topic, budget, metrics, report_kind)
+    return [
+        AblationRow(method=method, seed=seed, scores=dict(report.mean))
+        for method, report in zip(methods, reports)
+    ]
 
 
 def ablation_csv(rows: Sequence[AblationRow], metrics: Sequence[str]) -> str:
@@ -172,54 +211,29 @@ def run_grid_search(
         raise ValueError("empty hyperparameter grid")
     base = base_hp or Hyperparams()
     cap = resolve_max_nodes(corpus, budget, max_nodes)
-    hps = [
-        replace(
-            base,
-            delta=point.delta,
-            alpha=point.alpha,
-            beta=point.beta,
-            gamma=point.gamma,
-            k_first=point.k,
+    specs = [
+        VariantSpec(
+            kind="ours_final",
+            hp=replace(
+                base,
+                delta=point.delta,
+                alpha=point.alpha,
+                beta=point.beta,
+                gamma=point.gamma,
+                k_first=point.k,
+            ),
+            budget=budget,
+            seed=seed,
         )
         for point in grid
     ]
 
-    def topic_texts(topic) -> list[str]:
-        """The topic's summary text at every grid point; its memo dies with it."""
-        memo = SimilarityMemo(list(embedded.sentence_vectors_for(topic).values()))
-        items = list(embedded.doc_vectors_for(topic).items())
-        topic_seed = derive_seed(seed, f"topic:{topic.topic_id}")
-        texts = [""] * len(grid)
-        for k in sorted({point.k for point in grid}):
-            tree = build_class_tree(items, k, base.k_rest, cap, topic_seed)
-            context = ScoreContext.for_tree(tree, topic, embedded, memo)
-            for i, (point, hp) in enumerate(zip(grid, hps)):
-                if point.k == k:
-                    texts[i] = select_summary(
-                        tree, topic, embedded, hp, budget, scoring_mode="final", context=context
-                    ).text
-        return texts
-
-    topics = list(corpus)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_topic = list(pool.map(topic_texts, topics))
-    else:
-        per_topic = [topic_texts(topic) for topic in topics]
-
-    rouge_memo = TokenMemo()
-    results = []
-    for i, point in enumerate(grid):
-        summaries = {topic.topic_id: texts[i] for topic, texts in zip(topics, per_topic)}
-        report: RougeReport = evaluate_corpus(
-            summaries,
-            corpus,
-            budget,
-            metrics=[objective_metric],
-            report_kind=report_kind,
-            memo=rouge_memo,
-        )
-        results.append(GridResult(point=point, objective=report.headline(objective_metric)))
+    per_topic = _topic_summaries(corpus, embedded, specs, cap, workers)
+    reports = _reports(corpus, per_topic, budget, [objective_metric], report_kind)
+    results = [
+        GridResult(point=point, objective=report.headline(objective_metric))
+        for point, report in zip(grid, reports)
+    ]
     best = min(
         results,
         key=lambda r: (

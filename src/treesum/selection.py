@@ -195,8 +195,9 @@ class ScoreContext:
     that unit to its vector, for the node centroids. The context holds each
     node's member sentences with their clamped inside similarity and outside
     term, every sentence's position score and a ``SimilarityMemo``.
-    Selection under any delta and weights reuses them; ``memo`` may be shared
-    by contexts of the same topic.
+    Selection under any delta and weights reuses them; ``memo`` and ``refs``
+    (the topic's ``sentence_refs``) may be shared by contexts of the same
+    topic.
     """
 
     def __init__(
@@ -206,8 +207,9 @@ class ScoreContext:
         nodes: Sequence[tuple[int, Sequence[str]]],
         universe: Mapping[str, Vector],
         memo: SimilarityMemo | None = None,
+        refs: Sequence[SentenceRef] | None = None,
     ):
-        self.refs = sentence_refs(topic)
+        self.refs = refs if refs is not None else sentence_refs(topic)
         if memo is None:
             memo = SimilarityMemo(list(embedded.sentence_vectors_for(topic).values()))
         self.memo = memo

@@ -82,12 +82,24 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance of every point to ``center``, as ``sum((x - c) ** 2)``.
+
+    Each entry reduces the same ``d`` contiguous values as the matching entry
+    of the broadcast (n, k, d) form, so a distance column built here is equal
+    to that form's column bit for bit.
+    """
+    return np.sum((points - center) ** 2, axis=1)
+
+
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int) -> np.ndarray | None:
     n = points.shape[0]
     centroids = _kmeans_pp_init(points, k, rng)
     labels = np.full(n, -1)
+    dists = np.empty((n, k))
     for _ in range(max_iters):
-        dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        for j in range(k):
+            dists[:, j] = _sq_dists(points, centroids[j])
         new_labels = dists.argmin(axis=1)
         counts = np.bincount(new_labels, minlength=k)
         # Repair empty clusters by donating the farthest point from a
@@ -128,6 +140,11 @@ def _refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: i
     never candidates. This is the same move a scalar loop over points, then
     clusters, keeping the first strictly smaller delta, would pick.
 
+    Counts, centroids and the (n, k) distance matrix are built once. A move
+    changes two clusters only, so after it just their counts, centroids and
+    distance columns are recomputed, with the same formulas: every value
+    equals what a rebuild from the new labels would give, bit for bit.
+
     Squared distances use the difference form ``sum((x - c) ** 2)``, not
     the expansion ``|x|^2 - 2 x.c + |c|^2``: the expansion rounds
     differently and can flip a near-tie, so the chosen move (and the final
@@ -135,10 +152,12 @@ def _refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: i
     """
     labels = labels.copy()
     rows = np.arange(len(points))
+    counts = np.bincount(labels, minlength=k).astype(float)
+    centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+    dists = np.empty((len(points), k))
+    for j in range(k):
+        dists[:, j] = _sq_dists(points, centroids[j])
     for _ in range(max_sweeps):
-        counts = np.bincount(labels, minlength=k).astype(float)
-        centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
-        dists = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
         own = counts[labels]
         with np.errstate(divide="ignore", invalid="ignore"):
             loss_off = own / (own - 1.0) * dists[rows, labels]
@@ -149,7 +168,16 @@ def _refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: i
         flat = int(delta.argmin())
         if not delta.flat[flat] < -1e-12:
             return labels
-        labels[flat // k] = flat % k
+        i, t = divmod(flat, k)
+        s = int(labels[i])
+        labels[i] = t
+        # Only clusters s and t changed: refresh their counts, centroids and
+        # distance columns; every other entry is what a rebuild would give.
+        counts[s] -= 1.0
+        counts[t] += 1.0
+        for j in (s, t):
+            centroids[j] = points[labels == j].mean(axis=0)
+            dists[:, j] = _sq_dists(points, centroids[j])
     return labels
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from treesum.cli import main
 from treesum.config import (
+    ConfigError,
     RunConfig,
     config_from_mapping,
     config_to_text,
@@ -82,6 +83,12 @@ def test_config_file_with_flag_override(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(Exception, match="unknown config key"):
         config_from_mapping({"velocity": "11"})
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_config_rejects_max_nodes_below_one(value):
+    with pytest.raises(ConfigError, match="max-nodes must be >= 1"):
+        config_from_mapping({"max-nodes": value})
 
 
 def test_summarize_is_deterministic(tmp_path):
@@ -348,11 +355,13 @@ def test_evaluate_jsonl_summaries_file(tmp_path):
     "line, message",
     [
         ('{"topic_id": "topic0", "summary": ', "invalid JSON on line 2"),
+        pytest.param("[" * 100000, "invalid JSON on line 2", id="deeply nested"),
         ('{"summary": "City news update."}', "needs string topic_id and summary"),
         ('{"topic_id": "topic0"}', "needs string topic_id and summary"),
         ('{"topic_id": 0, "summary": "City news update."}', "needs string topic_id and summary"),
         ('{"topic_id": "topic0", "summary": ["City news."]}', "needs string topic_id and summary"),
         ('["topic0", "City news update."]', "needs string topic_id and summary"),
+        ('{"topic_id": "topic0", "summary": "City \\ud800 news."}', "lone surrogate"),
     ],
 )
 def test_evaluate_malformed_summaries_jsonl_exits_2(tmp_path, capsys, line, message):
@@ -472,3 +481,134 @@ def test_tune_small_grid_runs(tmp_path):
     assert code == 0
     grid_lines = (out / "grid.csv").read_text().strip().splitlines()
     assert len(grid_lines) == 1 + 4
+
+
+@pytest.mark.parametrize("budget", [("words", 20), ("bytes", 120)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ablation_matches_standalone_runs(tmp_path, budget, workers):
+    """Every ablation row equals a standalone summarize + evaluate run of its
+    method, although the methods of a topic share trees and score terms."""
+    from treesum.corpus import load_corpus
+    from treesum.embedding import embed_corpus, provider_builtin_tfidf
+    from treesum.experiments import run_ablation
+    from treesum.pipeline import resolve_max_nodes, summarize_corpus
+    from treesum.rouge import evaluate_corpus
+    from treesum.scoring import Hyperparams
+    from treesum.selection import Budget
+    from treesum.variants import METHODS, VariantSpec
+
+    corpus = load_corpus(_write_varied_corpus(tmp_path / "corpus", n_topics=3), "topic-dirs")
+    embedded = embed_corpus(corpus, provider_builtin_tfidf(corpus, dim=64, seed=7))
+    budget = Budget(*budget)
+    hp = Hyperparams(delta=0.6, alpha=0.6, beta=0.3, gamma=0.1, k_first=3)
+    metrics = ["r1", "r2", "rl", "rsu4"]
+    rows = run_ablation(
+        corpus, embedded, hp, budget, seed=11, metrics=metrics, report_kind="f1", workers=workers
+    )
+    assert [row.method for row in rows] == list(METHODS)
+    cap = resolve_max_nodes(corpus, budget, None)
+    for row in rows:
+        summaries = summarize_corpus(corpus, embedded, VariantSpec(row.method, hp, budget, 11), cap)
+        report = evaluate_corpus(
+            {tid: s.text for tid, s in summaries.items()},
+            corpus,
+            budget,
+            metrics=metrics,
+            report_kind="f1",
+        )
+        assert row.scores == report.mean, row.method
+
+
+def test_ablate_builds_each_shared_clustering_once_per_topic(tmp_path, monkeypatch):
+    import treesum.variants as variants
+
+    built = {"document tree": 0, "sentence tree": 0, "flat clustering": 0}
+
+    def counting_tree(items, *args, **kwargs):
+        unit = "sentence tree" if "/s" in items[0][0] else "document tree"
+        built[unit] += 1
+        return build_class_tree(items, *args, **kwargs)
+
+    def counting_kmeans(*args, **kwargs):
+        built["flat clustering"] += 1
+        return kmeans(*args, **kwargs)
+
+    build_class_tree, kmeans = variants.build_class_tree, variants.kmeans
+    monkeypatch.setattr(variants, "build_class_tree", counting_tree)
+    monkeypatch.setattr(variants, "kmeans", counting_kmeans)
+    corpus = _write_varied_corpus(tmp_path / "corpus", n_topics=1)
+    code = main([
+        "ablate", "--input", str(corpus), "--budget-words", "20", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert built == {"document tree": 1, "sentence tree": 1, "flat clustering": 1}
+
+
+def _invalid_utf8_case(tmp_path, path):
+    """Write one input that holds the byte 0xE9 and return the argv reading it."""
+    corpus = _write_corpus(tmp_path / "corpus")
+    bad = b"Caf\xe9 news today. The bridge opened.\n"
+    flags = ["--budget-words", "20", "--out", str(tmp_path / "out")]
+    if path == "topic-dirs document":
+        (corpus / "topic0" / "docs" / "a.txt").write_bytes(bad)
+        return ["summarize", "--input", str(corpus), *flags], "a.txt"
+    if path == "topic-dirs reference":
+        (corpus / "topic1" / "refs" / "r0.txt").write_bytes(bad)
+        return ["summarize", "--input", str(corpus), *flags], "r0.txt"
+    if path == "corpus JSONL":
+        source = tmp_path / "corpus.jsonl"
+        source.write_bytes(b'{"topic_id": "t", "documents": [{"doc_id": "d", "text": "' + bad.strip() + b'"}]}\n')
+        return ["summarize", "--input", str(source), "--layout", "jsonl", *flags], "corpus.jsonl"
+    if path == "summaries JSONL":
+        source = tmp_path / "summaries.jsonl"
+        source.write_bytes(b'{"topic_id": "topic0", "summary": "' + bad.strip() + b'"}\n')
+        return ["evaluate", "--input", str(corpus), "--summaries", str(source), *flags], "summaries.jsonl"
+    if path == "summaries directory":
+        source = tmp_path / "summaries"
+        source.mkdir()
+        (source / "topic0.txt").write_bytes(bad)
+        return ["evaluate", "--input", str(corpus), "--summaries", str(source), *flags], "topic0.txt"
+    if path == "config file":
+        source = tmp_path / "run.cfg"
+        source.write_bytes(b"seed = \xe9\n")
+        return ["summarize", "--input", str(corpus), "--config", str(source), *flags], "run.cfg"
+    source = tmp_path / "vectors.jsonl"
+    source.write_bytes(b'{"key": "topic0/d0/s0", "vector": [1.0]} \xe9\n')
+    return ["summarize", "--input", str(corpus), "--embedder", f"file:{source}", *flags], "vectors.jsonl"
+
+
+@pytest.mark.parametrize(
+    "path, exit_code",
+    [
+        ("topic-dirs document", 2),
+        ("topic-dirs reference", 2),
+        ("corpus JSONL", 2),
+        ("summaries JSONL", 2),
+        ("summaries directory", 2),
+        ("config file", 2),
+        ("embedding file", 3),
+    ],
+)
+def test_invalid_utf8_input_exits_with_error_naming_the_file(tmp_path, capsys, path, exit_code):
+    argv, file_name = _invalid_utf8_case(tmp_path, path)
+    assert main(argv) == exit_code
+    err = capsys.readouterr().err
+    assert file_name in err and "0xe9" in err
+
+
+def test_evaluate_repeated_topic_id_exits_2(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path / "corpus")
+    summaries = tmp_path / "summaries.jsonl"
+    records = [
+        {"topic_id": "topic0", "summary": "City news update."},
+        {"topic_id": "topic1", "summary": "Council approved new parks."},
+        {"topic_id": "topic0", "summary": "Nothing."},
+    ]
+    summaries.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = main([
+        "evaluate", "--input", str(corpus), "--summaries", str(summaries),
+        "--budget-words", "50", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "'topic0' appears on lines 1 and 3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -158,6 +158,16 @@ def test_load_jsonl_duplicate_topic_errors(tmp_path):
         load_corpus(path, "jsonl")
 
 
+@pytest.mark.parametrize(
+    "line", [pytest.param('{"topic_id": ', id="cut short"), pytest.param("[" * 100000, id="deeply nested")]
+)
+def test_load_jsonl_rejects_unparseable_lines(tmp_path, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="invalid JSON on line 1"):
+        load_corpus(path, "jsonl")
+
+
 def test_unknown_layout_errors(tmp_path):
     with pytest.raises(CorpusError, match="unknown corpus layout"):
         load_corpus(tmp_path, "zip")
@@ -184,6 +194,9 @@ def _jsonl_with(tmp_path, **fields):
         ({"documents": 5}, "must be a list"),
         ({"topic_id": 12}, "non-empty string topic_id"),
         ({"topic_id": ""}, "non-empty string topic_id"),
+        ({"references": ["One \ud800 sentence."]}, "lone surrogate"),
+        ({"documents": [{"doc_id": "d", "text": "One \udc80 sentence."}]}, "lone surrogate"),
+        ({"documents": [{"doc_id": "d\ud800", "text": "One sentence."}]}, "lone surrogate"),
     ],
 )
 def test_load_jsonl_rejects_wrong_field_types(tmp_path, fields, message):
@@ -191,7 +204,7 @@ def test_load_jsonl_rejects_wrong_field_types(tmp_path, fields, message):
         load_corpus(_jsonl_with(tmp_path, **fields), "jsonl")
 
 
-@pytest.mark.parametrize("topic_id", ["../escape", "a/b", "/abs", "a\\b", "a\0b", ".", ".."])
+@pytest.mark.parametrize("topic_id", ["../escape", "a/b", "/abs", "a\\b", "a\0b", ".", "..", "t\ud800"])
 def test_load_jsonl_rejects_unsafe_topic_ids(tmp_path, topic_id):
     with pytest.raises(CorpusError, match="single safe path component"):
         load_corpus(_jsonl_with(tmp_path, topic_id=topic_id), "jsonl")

@@ -183,6 +183,20 @@ def test_file_provider_duplicate_key(tmp_path):
         provider_file(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param("[" * 100000, "malformed record on line 1", id="deeply nested"),
+        ('{"key": ["t1/d0/s0"], "vector": [0.1]}', "not a string"),
+    ],
+)
+def test_file_provider_rejects_unusable_records(tmp_path, line, message):
+    path = tmp_path / "vectors.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ProviderError, match=message):
+        provider_file(path)
+
+
 def test_file_provider_missing_key(tmp_path):
     path = tmp_path / "vectors.jsonl"
     path.write_text(json.dumps({"key": "t1/d0/s0", "vector": [0.1]}) + "\n")

@@ -11,6 +11,7 @@ from treesum.tree import (
     _has_k_distinct_rows,
     _lloyd,
     _refine_labels,
+    _sq_dists,
     build_class_tree,
     default_max_nodes,
     derive_seed,
@@ -121,6 +122,38 @@ def test_refine_labels_matches_scalar_oracle():
             assert np.array_equal(got, expected), (points.shape, k)
             cases += 1
     assert cases > 200
+    # Long move paths over sparse non-negative vectors, like hashed tf-idf
+    # sentences: each move refreshes two of k columns and leaves the rest.
+    for n, k in ((150, 2), (190, 3), (240, 4), (300, 5)):
+        points, labels = _sparse_long_path_case(rng, n, k)
+        expected = scalar_refine_labels(points, labels, k)
+        assert np.count_nonzero(expected != labels) >= 20
+        assert np.array_equal(_refine_labels(points, labels, k), expected), (n, k)
+    # A sweep cap cuts the path short in both.
+    expected = scalar_refine_labels(points, labels, k, max_sweeps=4)
+    assert np.count_nonzero(expected != labels) == 4
+    assert np.array_equal(_refine_labels(points, labels, k, max_sweeps=4), expected)
+
+
+def _sparse_long_path_case(rng, n, k):
+    """Sparse non-negative 128-dim points and Lloyd labels with 30 scrambled."""
+    points = np.zeros((n, 128))
+    for row in points:
+        cols = rng.choice(128, size=int(rng.integers(3, 12)), replace=False)
+        row[cols] = rng.random(len(cols))
+    labels = _lloyd(points, k, np.random.default_rng([n, k]), 100)
+    labels[rng.choice(n, 30, replace=False)] = rng.integers(0, k, size=30)
+    return points, labels
+
+
+def test_lloyd_distance_columns_equal_broadcast_form_bytewise():
+    rng = np.random.default_rng(2003)
+    for n, dim, k in ((7, 1, 2), (40, 3, 3), (120, 9, 4), (300, 128, 3), (10, 384, 2), (33, 200, 5)):
+        points = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
+        centroids = points[rng.choice(n, k, replace=False)] + rng.normal(size=(k, dim)) * 0.01
+        broadcast = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        columns = np.stack([_sq_dists(points, c) for c in centroids], axis=1)
+        assert columns.tobytes() == broadcast.tobytes(), (n, dim, k)
 
 
 def test_distinct_row_check_matches_np_unique():
