@@ -169,6 +169,8 @@ def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -
     config = replace(config, **updates)
     if config.method.replace("-", "_") not in METHODS:
         raise ConfigError(f"unknown method {config.method!r}")
+    if not config.metrics:
+        raise ConfigError("metrics must name at least one metric")
     unknown = set(config.metrics) - set(METRIC_IDS)
     if unknown:
         raise ConfigError(f"unknown metrics: {sorted(unknown)}")

@@ -18,6 +18,7 @@ Two on-disk layouts are supported:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,7 +87,9 @@ _ABBREVIATIONS = frozenset(
     }
 )
 
-_TERMINATORS = frozenset(".!?")
+# A terminator followed by whitespace or the end of input. ``\s`` matches
+# exactly the characters ``str.isspace`` accepts.
+_SENTENCE_END_RE = re.compile(r"[.!?](?!\S)")
 
 
 def count_words(text: str) -> int:
@@ -132,13 +135,9 @@ def segment_sentences(document_text: str) -> list[Sentence]:
     spans: list[str] = []
     start = 0
     n = len(document_text)
-    for i, ch in enumerate(document_text):
-        if ch not in _TERMINATORS:
-            continue
-        at_end = i + 1 >= n
-        if not at_end and not document_text[i + 1].isspace():
-            continue
-        if ch == "." and _is_abbreviation_dot(document_text, i):
+    for match in _SENTENCE_END_RE.finditer(document_text):
+        i = match.start()
+        if document_text[i] == "." and _is_abbreviation_dot(document_text, i):
             continue
         spans.append(document_text[start : i + 1])
         start = i + 1

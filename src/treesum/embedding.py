@@ -81,43 +81,50 @@ class EmbeddedCorpus:
         return out
 
 
-Prescaled = tuple[Vector, float]
-
-
-def prescale(vec: Vector) -> Prescaled | None:
-    """``vec`` divided by its largest absolute component, and that result's norm.
+def prescale_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each row divided by its largest absolute component, and the rows' norms.
 
     The rescaling keeps squaring from underflowing or overflowing for extreme
-    magnitudes. None stands for the zero vector, whose cosine with anything is
-    0.0. Computing this once per vector lets repeated similarities skip it.
+    magnitudes. A zero row stays zero with norm 0, and its cosine with
+    anything is 0.0. Computing this once per matrix lets repeated
+    similarities skip it. ``np.vecdot`` sums each row with the same BLAS
+    ``ddot`` as ``np.linalg.norm`` of that row on its own, so every norm is
+    bit-equal to the one-vector computation.
     """
-    vec = np.asarray(vec, dtype=float)
-    scale = float(np.max(np.abs(vec)))
-    if scale == 0.0:
-        return None
-    scaled = vec / scale
-    return scaled, float(np.linalg.norm(scaled))
+    scaled = np.array(rows, dtype=float)
+    if scaled.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got shape {scaled.shape}")
+    scale = np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
+    scale[scale == 0.0] = 1.0
+    scaled /= scale[:, None]
+    return scaled, np.sqrt(np.vecdot(scaled, scaled))
 
 
-def prescaled_cosine(a: Prescaled | None, b: Prescaled | None) -> float:
-    """Cosine of two vectors given in ``prescale`` form; 0.0 for a zero vector."""
-    if a is None or b is None:
-        return 0.0
-    return float(np.dot(a[0], b[0]) / (a[1] * b[1]))
+def cosine_rows(scaled: np.ndarray, norms: np.ndarray, b: Vector, nb: float) -> np.ndarray:
+    """Cosine of every ``prescale_rows`` row with one prescaled vector ``b`` of
+    norm ``nb``; 0.0 wherever either norm is 0.
+
+    One ``np.vecdot`` over all rows gives each row the same bits as a 1-D
+    ``np.dot`` with ``b`` (up to the sign of a zero). ``scaled @ b`` and
+    ``(scaled * b).sum(axis=1)`` sum in other orders and do not.
+    """
+    denom = norms * nb
+    return np.divide(np.vecdot(scaled, b), denom, out=np.zeros(denom.shape), where=denom != 0.0)
 
 
 def cosine_similarity(a: Vector, b: Vector) -> float:
     """Cosine of the angle between two vectors; 0.0 when either norm is 0.
 
-    Both vectors are rescaled by their largest absolute component first (see
-    ``prescale``). Raises ValueError on dimension mismatch so shape bugs
-    surface instead of broadcasting silently.
+    The one-row case of ``cosine_rows``. Raises ValueError on dimension
+    mismatch so shape bugs surface instead of broadcasting silently.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return prescaled_cosine(prescale(a), prescale(b))
+    sa, na = prescale_rows(a[None])
+    sb, nb = prescale_rows(b[None])
+    return float(cosine_rows(sa, na, sb[0], nb[0])[0])
 
 
 def _as_vector(values, context: str) -> Vector:

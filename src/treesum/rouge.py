@@ -361,7 +361,8 @@ def evaluate_corpus(
     """Score one summary per topic against the topic's references.
 
     Summaries are truncated to the budget first. Every topic needs at least
-    one reference and one summary; the corpus mean is the arithmetic mean
+    one reference and one summary, and every summary must name a topic of
+    the corpus; the corpus mean is the arithmetic mean
     over topics. Callers scoring many summary sets against the same corpus
     pass one ``memo`` (which then decides stemming in place of ``stem``).
     """
@@ -378,6 +379,9 @@ def evaluate_corpus(
         per_topic[topic.topic_id] = score_all(candidate, list(topic.references), metrics, memo=memo)
     if not per_topic:
         raise EvaluationError("corpus has no topics")
+    unknown = sorted(tid for tid in summaries if tid not in per_topic)
+    if unknown:
+        raise EvaluationError(f"summaries name topics not in the corpus: {unknown}")
     mean = {
         m: _average([scores[m] for scores in per_topic.values()]) for m in metrics
     }

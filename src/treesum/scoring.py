@@ -77,8 +77,9 @@ def node_centroids(member_keys: Iterable[str], universe: Mapping[str, Vector]) -
     return NodeCentroids(inside=inside, outside=outside)
 
 
-def clamp01(value: float) -> float:
-    return min(1.0, max(0.0, value))
+def clamp01(value):
+    """``value`` clamped to [0, 1]; floats or elementwise on arrays."""
+    return np.minimum(1.0, np.maximum(0.0, value))
 
 
 def _clamped_sim(a: Vector, b: Vector) -> float:
@@ -97,8 +98,7 @@ def blend_cs(inside_sim, outside, delta: float):
     Takes clamped similarities and ``outside_term`` values, as floats or
     elementwise as arrays; both give the same bits.
     """
-    value = delta * inside_sim + (1.0 - delta) * outside
-    return np.minimum(1.0, np.maximum(0.0, value))
+    return clamp01(delta * inside_sim + (1.0 - delta) * outside)
 
 
 def score_cs(sentence_vec: Vector, centroids: NodeCentroids, delta: float) -> float:

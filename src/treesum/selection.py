@@ -21,7 +21,14 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Topic
-from .embedding import EmbeddedCorpus, Vector, document_key, prescale, prescaled_cosine, sentence_key
+from .embedding import (
+    EmbeddedCorpus,
+    Vector,
+    cosine_rows,
+    document_key,
+    prescale_rows,
+    sentence_key,
+)
 from .scoring import (
     Hyperparams,
     NodeCentroids,
@@ -136,23 +143,25 @@ def sentence_refs(topic: Topic) -> list[SentenceRef]:
 class SimilarityMemo:
     """Pre-scaled sentence vectors of one topic and their pair similarities.
 
-    Sentences are addressed by their index in ``sentence_refs`` order. Rows
-    of clamped sentence-to-sentence similarities are computed the first time
-    a sentence is selected and kept for the memo's lifetime, so selections
-    that share a memo (grid points, cluster counts) compute each pair once.
+    Sentences are addressed by their index in ``sentence_refs`` order; the
+    memo holds them as one ``prescale_rows`` matrix. Rows of clamped
+    sentence-to-sentence similarities are computed the first time a sentence
+    is selected and kept for the memo's lifetime, so selections that share a
+    memo (grid points, cluster counts) compute each pair once.
     """
 
-    def __init__(self, vectors: Sequence[Vector]):
-        self.scaled = [prescale(v) for v in vectors]
+    def __init__(self, vectors: Sequence[Vector] | np.ndarray):
+        self.scaled, self.norms = prescale_rows(vectors)
         self._rows: dict[int, np.ndarray] = {}
+
+    def _clamped(self, b: Vector, nb: float) -> np.ndarray:
+        return clamp01(cosine_rows(self.scaled, self.norms, b, nb))
 
     def row(self, j: int) -> np.ndarray:
         """Clamped similarity of every sentence to sentence ``j``."""
         row = self._rows.get(j)
         if row is None:
-            pj = self.scaled[j]
-            row = np.array([clamp01(prescaled_cosine(pi, pj)) for pi in self.scaled])
-            self._rows[j] = row
+            row = self._rows[j] = self._clamped(self.scaled[j], self.norms[j])
         return row
 
     def node_terms(self, members: np.ndarray, centroids: NodeCentroids) -> tuple[np.ndarray, np.ndarray]:
@@ -161,16 +170,19 @@ class SimilarityMemo:
         Both arrays cover every sentence of the topic, NaN off the node, so
         they can be indexed by sentence index.
         """
-        inside = np.full(len(self.scaled), np.nan)
-        outside = np.full(len(self.scaled), np.nan)
-        has_outside = centroids.outside is not None
-        p_in = prescale(centroids.inside)
-        p_out = prescale(centroids.outside) if has_outside else None
-        for i in members:
-            p = self.scaled[i]
-            inside[i] = clamp01(prescaled_cosine(p, p_in))
-            outside[i] = outside_term(clamp01(prescaled_cosine(p, p_out)) if has_outside else None)
+        inside = np.full(len(self.norms), np.nan)
+        outside = np.full(len(self.norms), np.nan)
+        inside[members] = self._clamped(*_prescaled(centroids.inside))[members]
+        if centroids.outside is None:
+            outside[members] = outside_term(None)
+        else:
+            outside[members] = outside_term(self._clamped(*_prescaled(centroids.outside))[members])
         return inside, outside
+
+
+def _prescaled(vec: Vector) -> tuple[Vector, float]:
+    scaled, norms = prescale_rows(vec[None])
+    return scaled[0], norms[0]
 
 
 def _sentences_by_key(topic_id: str, refs: Sequence[SentenceRef]) -> dict[str, list[int]]:

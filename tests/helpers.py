@@ -7,7 +7,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from treesum.corpus import Corpus, CorpusError, Document, Topic, segment_sentences
+from treesum.corpus import (
+    Corpus,
+    CorpusError,
+    Document,
+    Sentence,
+    Topic,
+    _is_abbreviation_dot,
+    count_words,
+    segment_sentences,
+)
 from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key
 
 
@@ -43,6 +52,60 @@ def embed_with_vectors(corpus: Corpus, vectors: Mapping[str, Sequence[float]]) -
 
 def skey(topic_id: str, doc_index: int, sent_index: int) -> str:
     return sentence_key(topic_id, doc_index, sent_index)
+
+
+def reference_cosine(a, b) -> float:
+    """The cosine arithmetic written out in one piece with 1-D ``np.dot`` and
+    ``np.linalg.norm``: each vector divided by its largest absolute component,
+    0.0 for a zero vector. The oracle for ``embedding.cosine_rows``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
+    scale_a = float(np.max(np.abs(a)))
+    scale_b = float(np.max(np.abs(b)))
+    if scale_a == 0.0 or scale_b == 0.0:
+        return 0.0
+    a = a / scale_a
+    b = b / scale_b
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def loop_segment_sentences(document_text: str) -> list[Sentence]:
+    """The per-character form of ``treesum.corpus.segment_sentences``.
+
+    Walks the text and ends a sentence at ``.``, ``!`` or ``?`` followed by
+    ``str.isspace`` whitespace or the end of input, unless the period closes
+    an abbreviation. The regex form must give exactly the same sentences.
+    """
+    spans: list[str] = []
+    start = 0
+    n = len(document_text)
+    for i, ch in enumerate(document_text):
+        if ch not in ".!?":
+            continue
+        at_end = i + 1 >= n
+        if not at_end and not document_text[i + 1].isspace():
+            continue
+        if ch == "." and _is_abbreviation_dot(document_text, i):
+            continue
+        spans.append(document_text[start : i + 1])
+        start = i + 1
+    if start < n:
+        spans.append(document_text[start:])
+    sentences: list[Sentence] = []
+    for raw in spans:
+        text = " ".join(raw.split())
+        if text:
+            sentences.append(
+                Sentence(
+                    text=text,
+                    sent_index=len(sentences),
+                    word_count=count_words(text),
+                    byte_length=len(text.encode("utf-8")),
+                )
+            )
+    return sentences
 
 
 def brute_force_min_inertia(points: np.ndarray, k: int) -> float:

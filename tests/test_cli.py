@@ -85,6 +85,23 @@ def test_config_rejects_unknown_keys():
         config_from_mapping({"velocity": "11"})
 
 
+@pytest.mark.parametrize("value", [",", "", " , ,"])
+def test_config_rejects_empty_metric_list(value):
+    with pytest.raises(ConfigError, match="at least one metric"):
+        config_from_mapping({"metrics": value})
+
+
+def test_empty_metrics_flag_exits_2(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path / "corpus")
+    code = main([
+        "evaluate", "--input", str(corpus), "--budget-words", "10", "--metrics", ",",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "at least one metric" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_config_rejects_max_nodes_below_one(value):
     with pytest.raises(ConfigError, match="max-nodes must be >= 1"):
@@ -231,6 +248,21 @@ def test_evaluate_existing_summaries_dir(tmp_path):
         "--budget-words", "100", "--out", str(tmp_path / "out"),
     ])
     assert code == 0
+
+
+def test_evaluate_unknown_summary_topic_exits_2(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path / "corpus")
+    summaries = tmp_path / "summaries"
+    summaries.mkdir()
+    for topic_id in ("topic0", "topic1", "topic9"):
+        (summaries / f"{topic_id}.txt").write_text("City news update today.\n")
+    code = main([
+        "evaluate", "--input", str(corpus), "--summaries", str(summaries),
+        "--budget-words", "100", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "not in the corpus: ['topic9']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_without_references_exits_2(tmp_path, capsys):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import loop_segment_sentences
 from treesum.corpus import CorpusError, count_words, load_corpus, segment_sentences
 
 
@@ -66,6 +71,50 @@ def test_segmentation_is_deterministic_and_lossless(text):
     for s in first:
         assert s.text.strip()
         assert s.word_count >= 1
+
+
+def _benchmark_corpus_generator(monkeypatch):
+    """``perfbench/corpus_gen.py``, loaded without putting ``perfbench`` on the path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_gen.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_segmentation_matches_loop_on_benchmark_documents(tmp_path, monkeypatch):
+    """The regex scan splits every generated benchmark document, joined as
+    either loader sees it, exactly as the per-character loop does."""
+    gen = _benchmark_corpus_generator(monkeypatch)
+    vocab = gen.load_vocabulary(Path(__file__).resolve().parent / "data" / "porter_vocabulary.txt")
+    shape = gen.CorpusSpec(topics=4, docs=10, sentences=30, clusters=3, references=2,
+                           reference_words=110, layout="topic-dirs")
+    checked = 0
+    for seed in (1, 7):
+        corpus = gen.generate(shape, seed, vocab, tmp_path / f"s{seed}")
+        for topic in corpus.topics:
+            for text in [*(" ".join(d) for d in topic.documents),
+                         *("\n".join(d) + "\n" for d in topic.documents), *topic.references]:
+                assert segment_sentences(text) == loop_segment_sentences(text)
+                checked += 1
+    assert checked == 2 * 4 * (2 * 10 + 2)
+
+
+_PIECES = (
+    ".", "!", "?", "...", "\n", "\x1c", "\x85", " ", "\t", "\u2003", "\u00a0", "\u200b",
+    '"', "'", "(", "[", "\u201c", "\u2018", ")", "Mr", "mrs", "U.S", "e.g", "i.e", "St",
+    "etc", "A", "J", "b", "word", "Word", "3.5", "x", "\u00e9t\u00e9",
+)
+
+
+def test_segmentation_matches_loop_on_random_strings():
+    """Seeded random strings over terminators, the whitespace the regex and
+    ``str.isspace`` must agree on, quotes and abbreviations."""
+    rng = random.Random(20231)
+    for _ in range(5000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randrange(0, 40)))
+        assert segment_sentences(text) == loop_segment_sentences(text), repr(text)
 
 
 def test_count_words():

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -11,14 +15,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from helpers import DictProvider, embed_with_vectors, make_corpus, make_topic, skey
+from helpers import (
+    DictProvider,
+    embed_with_vectors,
+    make_corpus,
+    make_topic,
+    reference_cosine,
+    skey,
+)
 from treesum.corpus import Corpus, CorpusError
 from treesum.embedding import (
     ProviderError,
+    cosine_rows,
     cosine_similarity,
     embed_corpus,
-    prescale,
-    prescaled_cosine,
+    prescale_rows,
     provider_builtin_tfidf,
     provider_file,
     provider_remote,
@@ -64,24 +75,11 @@ def test_cosine_symmetry_and_scale_invariance(a, b, c):
     assert cosine_similarity(scaled, vb) == pytest.approx(cosine_similarity(va, vb), abs=1e-9)
 
 
-def _reference_cosine(a, b) -> float:
-    """The cosine arithmetic written out in one piece, as an oracle for the
-    pre-scale and dot helpers."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    scale_a = float(np.max(np.abs(a)))
-    scale_b = float(np.max(np.abs(b)))
-    if scale_a == 0.0 or scale_b == 0.0:
-        return 0.0
-    a = a / scale_a
-    b = b / scale_b
-    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
-def _bits(value: float) -> bytes:
-    return np.float64(value).tobytes()
+def _bits(value) -> bytes:
+    """Bytes of a float or array with -0.0 folded into +0.0: the sign of a
+    zero dot product is the one thing ``np.vecdot`` and 1-D ``np.dot`` may
+    disagree on."""
+    return (np.asarray(value, dtype=float) + 0.0).tobytes()
 
 
 # Zeros (whole zero vectors included), ordinary values, and magnitudes near
@@ -106,10 +104,14 @@ _any_component = st.one_of(
 @example(([0.0, 0.0], [1.0, 2.0]))
 @example(([5e-324, 0.0], [1.7e308, -1.7e308]))
 @example(([1e-310, 3e-320], [2e-320, 1e-310]))
-def test_prescaled_cosine_matches_reference_bit_for_bit(pair):
+def test_cosine_rows_matches_reference_bit_for_bit(pair):
     a, b = (np.array(v) for v in pair)
-    expected = _reference_cosine(a, b)
-    assert _bits(prescaled_cosine(prescale(a), prescale(b))) == _bits(expected)
+    expected = reference_cosine(a, b)
+    sa, na = prescale_rows(a[None])
+    sb, nb = prescale_rows(b[None])
+    got = cosine_rows(sa, na, sb[0], nb[0])[0]
+    assert got == expected and _bits(got) == _bits(expected)
+    assert cosine_similarity(a, b) == expected
     assert _bits(cosine_similarity(a, b)) == _bits(expected)
 
 
@@ -117,19 +119,63 @@ def test_prescaled_cosine_matches_reference_bit_for_bit(pair):
     st.lists(_any_component, min_size=1, max_size=5),
     st.lists(_any_component, min_size=1, max_size=5),
 )
-def test_prescaled_cosine_dimension_mismatch_raises(a, b):
+def test_cosine_rows_dimension_mismatch_raises(a, b):
     assume(len(a) != len(b))
     with pytest.raises(ValueError):
         cosine_similarity(np.array(a), np.array(b))
-    pa, pb = prescale(np.array(a)), prescale(np.array(b))
-    if pa is not None and pb is not None:
-        with pytest.raises(ValueError):
-            prescaled_cosine(pa, pb)
+    sa, na = prescale_rows(np.array([a, a]))
+    sb, nb = prescale_rows(np.array([b]))
+    with pytest.raises(ValueError):
+        cosine_rows(sa, na, sb[0], nb[0])
 
 
-def test_prescale_of_zero_vector_is_none():
-    assert prescale(np.zeros(4)) is None
-    assert prescaled_cosine(None, prescale(np.ones(4))) == 0.0
+def test_prescale_rows_keeps_zero_rows_with_norm_zero():
+    scaled, norms = prescale_rows(np.array([[0.0, 0.0, 0.0, 0.0], [2.0, -4.0, 0.0, 1.0]]))
+    assert scaled.tobytes() == np.array([[0.0, 0.0, 0.0, 0.0], [0.5, -1.0, 0.0, 0.25]]).tobytes()
+    assert norms[0] == 0.0 and norms[1] == np.linalg.norm(scaled[1])
+    assert _bits(cosine_rows(scaled, norms, scaled[1], norms[1])) == _bits([0.0, 1.0])
+    assert _bits(cosine_rows(scaled, norms, scaled[0], norms[0])) == _bits([0.0, 0.0])
+    with pytest.raises(ValueError, match="2-D"):
+        prescale_rows(np.ones(3))
+
+
+_VECDOT_VS_DOT = """
+import numpy as np
+rng = np.random.default_rng(3)
+for d in (1, 2, 3, 5, 17, 31, 128, 384, 400):
+    a = rng.standard_normal((300, d))
+    b = rng.standard_normal(d)
+    rows = np.vecdot(a, b)
+    assert rows.tobytes() == np.array([np.dot(r, b) for r in a]).tobytes(), d
+    norms = np.sqrt(np.vecdot(a, a))
+    assert norms.tobytes() == np.array([np.linalg.norm(r) for r in a]).tobytes(), d
+print("same")
+"""
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _numpy_uses_openblas(),
+    reason="OPENBLAS_CORETYPE selects OpenBLAS kernels on x86-64 only",
+)
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_vecdot_equals_dot_under_other_blas_kernels(coretype):
+    """The row form is exact because ``np.vecdot`` runs each row through the
+    same BLAS ``ddot`` as a 1-D ``np.dot``; that must hold for whichever
+    kernel OpenBLAS picks for the CPU, not just this machine's."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    result = subprocess.run(
+        [sys.executable, "-c", _VECDOT_VS_DOT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "same"
 
 
 def test_embed_corpus_without_sentences_raises_corpus_error():

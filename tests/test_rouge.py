@@ -294,6 +294,12 @@ def test_evaluate_corpus_requires_summary_for_every_topic():
         evaluate_corpus({}, corpus, Budget("words", 10))
 
 
+def test_evaluate_corpus_rejects_summary_for_unknown_topic():
+    corpus = make_corpus(make_topic("t", ["some text."], ["ref"]))
+    with pytest.raises(EvaluationError, match=r"not in the corpus: \['zzz'\]"):
+        evaluate_corpus({"t": "some text", "zzz": "typo"}, corpus, Budget("words", 10))
+
+
 def test_report_renderings_agree():
     corpus = make_corpus(make_topic("t", ["alpha beta gamma."], ["alpha beta delta."]))
     report = evaluate_corpus({"t": "alpha beta gamma"}, corpus, Budget("words", 10))

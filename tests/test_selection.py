@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import (
     embed_with_vectors,
     make_corpus,
     make_topic,
     random_synthetic_topic,
+    reference_cosine,
     scalar_selection,
     skey,
 )
 from treesum.embedding import cosine_similarity
-from treesum.scoring import Hyperparams, blend_cs, node_centroids, score_cs
+from treesum.scoring import Hyperparams, NodeCentroids, blend_cs, node_centroids, score_cs
 from treesum.selection import (
     Budget,
     ScoreContext,
@@ -363,6 +365,71 @@ def test_score_context_terms_match_scalar_scores():
         for j in range(len(sent_vectors)):
             expected = [min(1.0, max(0.0, cosine_similarity(v, sent_vectors[j]))) for v in sent_vectors]
             assert _bits(ctx.memo.row(j)) == _bits(expected)
+
+
+_ROW_KINDS = ("zero", "normal", "sparse", "huge", "tiny", "subnormal", "mixed", "repeat")
+
+
+def _extreme_row(rng: np.random.Generator, kind: str, d: int, earlier: list) -> np.ndarray:
+    """One vector of the given kind: ordinary, partly zero, near 1e+-300,
+    subnormal, all of those mixed per component, or a repeat."""
+    if kind == "repeat" and earlier:
+        return earlier[int(rng.integers(len(earlier)))].copy()
+    signs = rng.choice([-1.0, 1.0], size=d)
+    parts = {
+        "zero": np.zeros(d),
+        "normal": rng.standard_normal(d) * 10.0,
+        "sparse": rng.standard_normal(d) * (rng.random(d) < 0.3),
+        "huge": rng.uniform(1e300, 1.7e308, size=d) * signs,
+        "tiny": rng.uniform(-1e-300, 1e-300, size=d),
+        "subnormal": rng.integers(-3000, 3000, size=d) * 5e-324,
+    }
+    if kind in parts:
+        return parts[kind]
+    pick = rng.integers(len(parts), size=d)
+    return np.stack(list(parts.values()))[pick, np.arange(d)]
+
+
+def _clamped_reference(a, b) -> float:
+    return min(1.0, max(0.0, reference_cosine(a, b)))
+
+
+@given(
+    d=st.integers(min_value=1, max_value=400),
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=8),
+    centroid_kinds=st.tuples(st.sampled_from(_ROW_KINDS), st.sampled_from(_ROW_KINDS + ("none",))),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_similarity_memo_matches_scalar_reference(d, kinds, centroid_kinds, seed, data):
+    """Memo rows and node terms equal, value for value, the clamped scalar
+    cosine written out with 1-D ``np.dot`` and ``np.linalg.norm``, and byte
+    for byte once -0.0 is folded into +0.0."""
+    rng = np.random.default_rng(seed)
+    rows: list[np.ndarray] = []
+    for kind in kinds:
+        rows.append(_extreme_row(rng, kind, d, rows))
+    memo = SimilarityMemo(rows)
+    for j, b in enumerate(rows):
+        expected = [_clamped_reference(a, b) for a in rows]
+        got = memo.row(j)
+        assert got.tolist() == expected
+        assert (got + 0.0).tobytes() == (np.array(expected) + 0.0).tobytes()
+
+    inside = _extreme_row(rng, centroid_kinds[0], d, rows)
+    outside = None if centroid_kinds[1] == "none" else _extreme_row(rng, centroid_kinds[1], d, rows)
+    members = np.array(
+        sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))), dtype=np.intp
+    )
+    got_in, got_out = memo.node_terms(members, NodeCentroids(inside=inside, outside=outside))
+    expected_in = [_clamped_reference(rows[i], inside) for i in members]
+    expected_out = [
+        1.0 if outside is None else 1.0 - _clamped_reference(rows[i], outside) for i in members
+    ]
+    for got, expected in ((got_in, expected_in), (got_out, expected_out)):
+        assert got[members].tolist() == expected
+        assert (got[members] + 0.0).tobytes() == (np.array(expected) + 0.0).tobytes()
+        assert np.isnan(np.delete(got, members)).all()
 
 
 def test_selection_matches_scalar_oracle():
