@@ -129,7 +129,11 @@ def truncate(text: str, budget: Budget) -> str:
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """n-gram counts; a unigram is keyed by its token, a longer n-gram by
+    the tuple of its tokens."""
+    if n == 1:
+        return Counter(tokens)
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def _clipped_overlap(cand: Counter, ref: Counter) -> int:
@@ -246,14 +250,15 @@ def _su4_counts(sentences: Sequence[Sequence[str]]) -> Counter:
     """Skip-bigrams with at most 4 intervening tokens, plus unigrams.
 
     Skip-bigrams never cross sentence boundaries; with zero allowed
-    intervening tokens they would degenerate to ordinary bigrams.
+    intervening tokens they would degenerate to ordinary bigrams. A unigram
+    is keyed by its token (a ``str``) and a skip-bigram by its ``(left,
+    right)`` tuple, so the two kinds never share a key.
     """
     counts: Counter = Counter()
     for tokens in sentences:
-        for i, left in enumerate(tokens):
-            counts[("u", left)] += 1
-            for j in range(i + 1, min(i + 6, len(tokens))):
-                counts[("sb", left, tokens[j])] += 1
+        counts.update(tokens)
+        for gap in range(1, 6):
+            counts.update(zip(tokens, tokens[gap:]))
     return counts
 
 

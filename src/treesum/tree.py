@@ -82,29 +82,96 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Squared distance of every point to ``center``, as ``sum((x - c) ** 2)``.
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances of every point to every center, as
+    ``sum((x - c) ** 2)`` in the broadcast (n, k, d) form.
 
-    Each entry reduces the same ``d`` contiguous values as the matching entry
-    of the broadcast (n, k, d) form, so a distance column built here is equal
-    to that form's column bit for bit.
+    Each entry reduces the same ``d`` contiguous values as the 1-D form
+    ``np.sum((x - c) ** 2)``, so it equals that form bit for bit, whatever
+    the other rows and centers are.
     """
-    return np.sum((points - center) ** 2, axis=1)
+    return np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int) -> np.ndarray | None:
-    n = points.shape[0]
+def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    return np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+
+
+# Unit roundoff and the smallest subnormal of float64, and a safety factor.
+_UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL = 2.0**-1074
+_SAFETY = 8.0
+
+
+def _gram_error_bound(dim: int, max_sq_norm: float, center_sq_norms: np.ndarray) -> float:
+    """Bound on |Gram form - difference form| of any one squared distance.
+
+    ``max_sq_norm`` is the largest ``|x|^2`` over the points. The Gram form
+    ``|x|^2 - 2 x.c + |c|^2`` and the difference form ``sum((x - c) ** 2)``
+    each stay within ``gamma_{d+2} (|x| + |c|)^2`` of the true squared
+    distance, whatever the summation order and with or without FMA (Higham
+    2002, section 3.1), plus half a subnormal for each of at most ``4 d``
+    products that underflow. The bound is ``_SAFETY`` times ``(d + 4)``
+    units of each. It is ``inf`` when a norm overflows and NaN when one is
+    NaN; every comparison against it then sends the point to the
+    difference form.
+    """
+    reach = math.sqrt(max_sq_norm) + math.sqrt(float(center_sq_norms.max()))
+    return _SAFETY * (dim + 4) * (_UNIT_ROUNDOFF * reach * reach + _SUBNORMAL)
+
+
+def _gram_dists(
+    centers: np.ndarray, points: np.ndarray, sq_norms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) Gram-form squared distances ``|x|^2 - 2 x.c + |c|^2`` of every
+    point to every center, from one BLAS product, and the centers' ``|c|^2``.
+
+    ``sq_norms`` holds the points' ``|x|^2``.
+    """
+    center_sq = np.vecdot(centers, centers)
+    gram = (-2.0 * centers) @ points.T
+    gram += sq_norms
+    gram += center_sq[:, None]
+    return gram, center_sq
+
+
+def _lloyd(
+    points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lloyd iterations from k-means++ seeds.
+
+    Returns the labels and their centroids (the means of each cluster's
+    points), or None when an empty cluster cannot be repaired. Each point
+    goes to the centroid at the smallest difference-form distance
+    ``sum((x - c) ** 2)``, the first on exact ties. The Gram form only
+    screens: where a point's second-smallest Gram distance exceeds its
+    smallest by more than twice ``_gram_error_bound``, the difference form
+    has the same strict minimum, so that choice stands. Every other point (a
+    near-tie, a NaN, an overflowed bound) gets difference-form distances and
+    their ``argmin``. Difference-form distances of all points are built
+    only to repair an empty cluster, which takes the point farthest from
+    its centroid in a cluster that can spare one.
+    """
+    n, dim = points.shape
+    rows = np.arange(n)
+    sq_norms = np.vecdot(points, points)
+    max_sq_norm = float(sq_norms.max())
     centroids = _kmeans_pp_init(points, k, rng)
     labels = np.full(n, -1)
-    dists = np.empty((n, k))
     for _ in range(max_iters):
-        for j in range(k):
-            dists[:, j] = _sq_dists(points, centroids[j])
-        new_labels = dists.argmin(axis=1)
+        gram, center_sq = _gram_dists(centroids, points, sq_norms)
+        new_labels = gram.argmin(axis=0)
+        best = gram.min(axis=0)
+        gram[new_labels, rows] = np.inf
+        decided = gram.min(axis=0) - best > 2.0 * _gram_error_bound(dim, max_sq_norm, center_sq)
+        unsure = (~decided).nonzero()[0]
+        if unsure.size:
+            new_labels[unsure] = _sq_dists(points[unsure], centroids).argmin(axis=1)
         counts = np.bincount(new_labels, minlength=k)
-        # Repair empty clusters by donating the farthest point from a
-        # cluster that can spare one.
-        for j in np.flatnonzero(counts == 0):
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            dists = _sq_dists(points, centroids)
+        for j in empty:
             donors = np.flatnonzero(counts[new_labels] > 1)
             if donors.size == 0:
                 return None
@@ -116,69 +183,103 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+        centroids = _cluster_means(points, labels, k)
     if np.bincount(labels, minlength=k).min() == 0:
         return None
-    return labels
+    return labels, centroids
 
 
-def _refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: int = 200) -> np.ndarray:
+def _refine_labels(
+    points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, max_sweeps: int = 200
+) -> tuple[np.ndarray, np.ndarray]:
     """Single-point improvement sweeps after Lloyd converges.
+
+    ``centroids`` must be ``_cluster_means(points, labels, k)``; the final
+    labels are returned with their centroids, computed the same way.
 
     Lloyd stops at assignments that are centroid-stable but may still admit
     an objective-reducing move of one point; the exact change of moving
     point i from its cluster s to cluster j is
-    ``n_j/(n_j+1) * d(i, c_j)^2 - n_s/(n_s-1) * d(i, c_s)^2``. Applying the
-    best strictly-improving move per sweep is deterministic, terminates
-    (the objective decreases each time) and never empties a cluster.
+    ``n_j/(n_j+1) * d(i, c_j)^2 - n_s/(n_s-1) * d(i, c_s)^2`` (Hartigan &
+    Wong 1979). Applying the best strictly-improving move per sweep is
+    deterministic, terminates (the objective decreases each time) and never
+    empties a cluster.
 
-    Each sweep computes the whole (n, k) matrix of move deltas at once.
-    The move applied is the minimum of that matrix in row-major (point,
-    cluster) order, taking the first on exact ties, and only when it is
-    strictly below ``-1e-12``; otherwise the labels are final. Moves to the
-    point's own cluster, moves out of a singleton cluster and NaN deltas are
-    never candidates. This is the same move a scalar loop over points, then
-    clusters, keeping the first strictly smaller delta, would pick.
+    The move applied is the minimum of the (n, k) matrix of deltas built
+    from difference-form distances ``sum((x - c) ** 2)``, in row-major
+    (point, cluster) order, taking the first on exact ties, and only when it
+    is strictly below ``-1e-12``; otherwise the labels are final. Moves to
+    the point's own cluster, moves out of a singleton cluster and NaN deltas
+    are never candidates. This is the same move a scalar loop over points,
+    then clusters, keeping the first strictly smaller delta, would pick.
 
-    Counts, centroids and the (n, k) distance matrix are built once. A move
-    changes two clusters only, so after it just their counts, centroids and
-    distance columns are recomputed, with the same formulas: every value
-    equals what a rebuild from the new labels would give, bit for bit.
-
-    Squared distances use the difference form ``sum((x - c) ** 2)``, not
-    the expansion ``|x|^2 - 2 x.c + |c|^2``: the expansion rounds
-    differently and can flip a near-tie, so the chosen move (and the final
-    labels) would depend on the formula rather than on the data.
+    The Gram form ``|x|^2 - 2 x.c + |c|^2`` rounds differently and can flip
+    a near-tie, so it never decides a move; it only screens. Each sweep
+    takes every point's smallest delta from Gram distances; with ``E`` from
+    ``_gram_error_bound`` each is within ``B = 3.5 E`` of the exact one (the
+    gain factor is below 1, the loss factor at most 2). A point whose
+    smallest Gram delta exceeds ``min(g + 2B, B - 1e-12)``, with ``g`` the
+    smallest over all points, can hold neither the overall minimum nor a
+    delta below ``-1e-12``. Only the other points (NaN rows, and every row
+    when the bound overflows, included) get difference-form distances and
+    deltas, with the same operations in the same order. A move changes two
+    clusters only, so just their counts, centroids and Gram rows are rebuilt.
     """
     labels = labels.copy()
-    rows = np.arange(len(points))
+    centroids = centroids.copy()
+    k = len(centroids)
+    n, dim = points.shape
+    sq_norms = np.vecdot(points, points)
+    max_sq_norm = float(sq_norms.max())
     counts = np.bincount(labels, minlength=k).astype(float)
-    centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
-    dists = np.empty((len(points), k))
-    for j in range(k):
-        dists[:, j] = _sq_dists(points, centroids[j])
+    gram, center_sq = _gram_dists(centroids, points, sq_norms)
+    own_flat = labels * n + np.arange(n)  # flat index of each point's own entry
     for _ in range(max_sweeps):
+        gain = counts / (counts + 1.0)
         own = counts[labels]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            loss_off = own / (own - 1.0) * dists[rows, labels]
-            delta = (counts / (counts + 1.0))[None, :] * dists - loss_off[:, None]
-        delta[np.isnan(delta)] = np.inf
-        delta[rows, labels] = np.inf
-        delta[own <= 1] = np.inf
-        flat = int(delta.argmin())
-        if not delta.flat[flat] < -1e-12:
-            return labels
-        i, t = divmod(flat, k)
+        # n_s/(n_s - 1); singleton rows get a finite placeholder and are
+        # dropped below.
+        loss = (counts / np.maximum(counts - 1.0, 0.5))[labels]
+        # min_j fl(a_j - b) = fl(min_j a_j - b): subtraction is monotone.
+        gain_on = gram * gain[:, None]
+        gain_on.ravel()[own_flat] = np.inf
+        row_min = gain_on.min(axis=0) - loss * gram.take(own_flat)
+        if counts.min() <= 1.0:
+            row_min[own <= 1.0] = np.inf
+        bound = 3.5 * _gram_error_bound(dim, max_sq_norm, center_sq)
+        # A NaN minimum gives a NaN cap (Python's min keeps its first
+        # argument unless the second is smaller), and then every row stays.
+        cap = min(float(row_min.min()) + 2.0 * bound, bound - 1e-12)
+        near = (~(row_min > cap)).nonzero()[0]
+        if near.size == 0:
+            return labels, centroids
+        # The exact deltas of the rows left, in row-major order: the first
+        # strictly smallest below -1e-12 is the move (NaN never is).
+        best, move = -1e-12, None
+        gains = gain.tolist()
+        for i, dists in zip(near.tolist(), _sq_dists(points[near], centroids).tolist()):
+            s = int(labels[i])
+            if own[i] <= 1.0:
+                continue
+            loss_off = float(loss[i]) * dists[s]
+            for j in range(k):
+                if j != s:
+                    delta = gains[j] * dists[j] - loss_off
+                    if delta < best:
+                        best, move = delta, (i, j)
+        if move is None:
+            return labels, centroids
+        i, t = move
         s = int(labels[i])
         labels[i] = t
-        # Only clusters s and t changed: refresh their counts, centroids and
-        # distance columns; every other entry is what a rebuild would give.
+        own_flat[i] = t * n + i
         counts[s] -= 1.0
         counts[t] += 1.0
         for j in (s, t):
             centroids[j] = points[labels == j].mean(axis=0)
-            dists[:, j] = _sq_dists(points, centroids[j])
-    return labels
+        pair = [s, t]
+        gram[pair], center_sq[pair] = _gram_dists(centroids[pair], points, sq_norms)
+    return labels, centroids
 
 
 def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
@@ -217,26 +318,30 @@ def kmeans(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if restarts < 1 or max_iters < 1:
+        raise ValueError("restarts and max_iters must be >= 1")
     if len(vectors) == 0:
         raise ValueError("kmeans needs at least one vector")
     points = np.stack([np.asarray(v, dtype=float) for v in vectors])
     if not _has_k_distinct_rows(points, k):
         return None
     seed = seed & _SEED_MASK
-    for attempt in range(3):
-        best: KMeansResult | None = None
-        for restart in range(restarts):
-            rng = np.random.default_rng([seed, attempt, restart])
-            labels = _lloyd(points, k, rng, max_iters)
-            if labels is None:
-                continue
-            labels = _refine_labels(points, labels, k)
-            centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
-            inertia = float(np.sum((points - centroids[labels]) ** 2))
-            if best is None or inertia < best.inertia:
-                best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)
-        if best is not None:
-            return best
+    # Norms past 1e154 overflow the Gram screen; it then sends every point
+    # to the difference form, so those overflows are expected and silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for attempt in range(3):
+            best: KMeansResult | None = None
+            for restart in range(restarts):
+                rng = np.random.default_rng([seed, attempt, restart])
+                lloyd = _lloyd(points, k, rng, max_iters)
+                if lloyd is None:
+                    continue
+                labels, centroids = _refine_labels(points, *lloyd)
+                inertia = float(np.sum((points - centroids[labels]) ** 2))
+                if best is None or inertia < best.inertia:
+                    best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)
+            if best is not None:
+                return best
     return None
 
 

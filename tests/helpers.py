@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -18,6 +19,7 @@ from treesum.corpus import (
     segment_sentences,
 )
 from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key
+from treesum.tree import _kmeans_pp_init
 
 
 def make_document(doc_id: str, doc_index: int, text: str) -> Document:
@@ -131,6 +133,44 @@ def brute_force_min_inertia(points: np.ndarray, k: int) -> float:
     return best
 
 
+def difference_form_lloyd(
+    points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int
+) -> np.ndarray | None:
+    """Reference Lloyd iterations: every distance in the difference form.
+
+    The form of ``treesum.tree._lloyd`` before the Gram screen: each
+    iteration builds the whole (n, k) matrix of ``sum((x - c) ** 2)``
+    columns and takes its row ``argmin``; an empty cluster takes the point
+    farthest from its centroid in a cluster that can spare one. The
+    screened version must return exactly the same labels.
+    """
+    n = points.shape[0]
+    centroids = _kmeans_pp_init(points, k, rng)
+    labels = np.full(n, -1)
+    dists = np.empty((n, k))
+    for _ in range(max_iters):
+        for j in range(k):
+            dists[:, j] = np.sum((points - centroids[j]) ** 2, axis=1)
+        new_labels = dists.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            donors = np.flatnonzero(counts[new_labels] > 1)
+            if donors.size == 0:
+                return None
+            point_dists = dists[donors, new_labels[donors]]
+            donor = donors[int(point_dists.argmax())]
+            counts[new_labels[donor]] -= 1
+            new_labels[donor] = j
+            counts[j] += 1
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+    if np.bincount(labels, minlength=k).min() == 0:
+        return None
+    return labels
+
+
 def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: int = 200) -> np.ndarray:
     """Reference single-point refinement: one scalar delta per (point, cluster).
 
@@ -163,6 +203,24 @@ def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_swe
             return labels
         labels[best_move[0]] = best_move[1]
     return labels
+
+
+def slice_ngrams(tokens: Sequence[str], n: int) -> Counter:
+    """Reference n-gram counts, one tuple slice per position: the original
+    form of ``treesum.rouge._ngrams``."""
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def loop_su4_counts(sentences: Sequence[Sequence[str]]) -> Counter:
+    """Reference SU4 counts, one increment per unigram and skip-bigram: the
+    original loop form of ``treesum.rouge._su4_counts``."""
+    counts: Counter = Counter()
+    for tokens in sentences:
+        for i, left in enumerate(tokens):
+            counts[("u", left)] += 1
+            for j in range(i + 1, min(i + 6, len(tokens))):
+                counts[("sb", left, tokens[j])] += 1
+    return counts
 
 
 def table_lcs_match_positions(ref_tokens: Sequence[str], cand_tokens: Sequence[str]) -> set[int]:

@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import make_corpus, make_topic, table_lcs_match_positions
+from helpers import loop_su4_counts, make_corpus, make_topic, slice_ngrams, table_lcs_match_positions
 from treesum import rouge
 from treesum.rouge import (
     EvaluationError,
@@ -207,6 +207,41 @@ def test_rouge_l_matches_table_oracle_on_multi_sentence_summaries(monkeypatch):
         rouge, "_lcs_match_positions", lambda ref, cand, masks: table_lcs_match_positions(ref, cand)
     )
     expected = [rouge_l(candidate, references, stem=False) for candidate, references in cases]
+    # RougeScore equality compares recall, precision and F1 exactly.
+    assert got == expected
+
+
+def _counting_cases():
+    """Seeded (candidate, references) pairs over small vocabularies, so that
+    n-grams and skip-bigrams repeat within and across texts."""
+    rng = random.Random(29)
+    words = ["a", "b", "c", "d", "ab", "ba", "u", "sb"]
+    cases = []
+    for _ in range(150):
+        alphabet = words[: rng.randint(1, len(words))]
+
+        def summary():
+            sentences = [
+                [rng.choice(alphabet) for _ in range(rng.randint(0, 14))] for _ in range(rng.randint(1, 4))
+            ]
+            return " ".join(" ".join(tokens) + "." for tokens in sentences)
+
+        cases.append((summary(), [summary() for _ in range(rng.randint(1, 3))]))
+    return cases
+
+
+def test_rouge_n_and_su4_match_loop_counting(monkeypatch):
+    cases = _counting_cases()
+    metrics = {
+        "r1": lambda cand, refs: rouge_n(cand, refs, 1, stem=False),
+        "r2": lambda cand, refs: rouge_n(cand, refs, 2, stem=False),
+        "rsu4": lambda cand, refs: rouge_su4(cand, refs, stem=False),
+    }
+    got = {name: [fn(cand, refs) for cand, refs in cases] for name, fn in metrics.items()}
+    assert any(score.recall not in (0.0, 1.0) for score in got["rsu4"])
+    monkeypatch.setattr(rouge, "_ngrams", slice_ngrams)
+    monkeypatch.setattr(rouge, "_su4_counts", loop_su4_counts)
+    expected = {name: [fn(cand, refs) for cand, refs in cases] for name, fn in metrics.items()}
     # RougeScore equality compares recall, precision and F1 exactly.
     assert got == expected
 

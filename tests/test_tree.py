@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from helpers import brute_force_min_inertia, scalar_refine_labels
+import treesum
+from helpers import brute_force_min_inertia, difference_form_lloyd, scalar_refine_labels
 from treesum.tree import (
     ClassTree,
+    _cluster_means,
     _has_k_distinct_rows,
     _lloyd,
     _refine_labels,
@@ -83,6 +92,22 @@ def _refine_cases(rng):
     points = rng.normal(size=(12, 3))
     points[4, 1] = np.nan
     yield points, 3
+    # Duplicate rows: equal deltas, so the first in row order must win.
+    for dim in (2, 8):
+        pool = rng.normal(size=(6, dim))
+        yield pool[rng.integers(0, 6, size=30)], 3
+    # Deltas of about 1e-12, on both sides of the move threshold.
+    for dim in (3, 16):
+        yield rng.normal(size=(30, dim)) * 3e-7, 3
+    # Huge rows: 1e150 keeps the bound finite; around 1e154 it overflows
+    # (|x|^2 is inf) and every row goes to the difference form.
+    yield rng.normal(size=(20, 8)) * 1e150, 3
+    yield 1e154 * (1.0 + 1e-4 * rng.normal(size=(20, 8))), 3
+    # Subnormal rows: squares underflow, alone and beside normal rows.
+    yield rng.normal(size=(16, 4)) * 1e-310, 2
+    mixed = rng.normal(size=(20, 4))
+    mixed[::3] *= 1e-310
+    yield mixed, 3
     # Sentence scale: one topic's 300 sentence vectors split three ways.
     yield rng.normal(size=(300, 128)), 3
 
@@ -92,7 +117,7 @@ def _start_labels(rng, points, k):
     n = len(points)
     lloyd = None
     if np.isfinite(points).all():
-        lloyd = _lloyd(points, k, np.random.default_rng([int(rng.integers(1 << 30))]), 100)
+        lloyd = difference_form_lloyd(points, k, np.random.default_rng([int(rng.integers(1 << 30))]), 100)
     if lloyd is not None:
         yield lloyd
     if n > 40:
@@ -112,13 +137,58 @@ def _start_labels(rng, points, k):
     yield singleton
 
 
+def _refine(points, labels, k, **kwargs):
+    """``_refine_labels`` from the labels' own centroids; checks that the
+    centroids it returns are those of its labels, byte for byte."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, centroids = _refine_labels(points, labels, _cluster_means(points, labels, k), **kwargs)
+    assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
+    return got
+
+
+def _gram_form_dists(points, centroids):
+    """The Gram form alone, with no exact check: |x|^2 - 2 x.c + |c|^2."""
+    return np.vecdot(points, points)[:, None] - 2.0 * (points @ centroids.T) + np.vecdot(centroids, centroids)
+
+
+def _gram_alone_refine(points, labels, k, max_sweeps=200):
+    """The refinement rule with Gram-form distances deciding every move."""
+    labels = labels.copy()
+    rows = np.arange(len(points))
+    for _ in range(max_sweeps):
+        counts = np.bincount(labels, minlength=k).astype(float)
+        dists = _gram_form_dists(points, _cluster_means(points, labels, k))
+        own = counts[labels]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = (counts / (counts + 1.0)) * dists - (own / (own - 1.0) * dists[rows, labels])[:, None]
+        delta[np.isnan(delta)] = np.inf
+        delta[rows, labels] = np.inf
+        delta[own <= 1] = np.inf
+        flat = int(delta.argmin())
+        if not delta.flat[flat] < -1e-12:
+            return labels
+        labels[flat // k] = flat % k
+    return labels
+
+
+def _near_tie_case(rng):
+    """Near-duplicate points far from the origin: their exact deltas differ
+    by about 1e-7, far less than the Gram form's rounding (about 1e-3)."""
+    k, dim = 3, 8
+    centers = rng.normal(size=(k, dim))
+    points = 1e6 + centers[rng.integers(0, k, size=24)] + 1e-7 * rng.normal(size=(24, dim))
+    labels = rng.integers(0, k, size=24)
+    labels[:k] = np.arange(k)
+    return points, labels, k
+
+
 def test_refine_labels_matches_scalar_oracle():
     rng = np.random.default_rng(1979)
     cases = 0
     for points, k in _refine_cases(rng):
         for labels in _start_labels(rng, points, k):
             expected = scalar_refine_labels(points, labels, k)
-            got = _refine_labels(points, labels, k)
+            got = _refine(points, labels, k)
             assert np.array_equal(got, expected), (points.shape, k)
             cases += 1
     assert cases > 200
@@ -128,11 +198,24 @@ def test_refine_labels_matches_scalar_oracle():
         points, labels = _sparse_long_path_case(rng, n, k)
         expected = scalar_refine_labels(points, labels, k)
         assert np.count_nonzero(expected != labels) >= 20
-        assert np.array_equal(_refine_labels(points, labels, k), expected), (n, k)
+        assert np.array_equal(_refine(points, labels, k), expected), (n, k)
     # A sweep cap cuts the path short in both.
     expected = scalar_refine_labels(points, labels, k, max_sweeps=4)
     assert np.count_nonzero(expected != labels) == 4
-    assert np.array_equal(_refine_labels(points, labels, k, max_sweeps=4), expected)
+    assert np.array_equal(_refine(points, labels, k, max_sweeps=4), expected)
+
+
+def test_refine_labels_exact_check_decides_near_ties():
+    """The Gram form alone picks other moves here; the refinement must not."""
+    rng = np.random.default_rng(1107)
+    gram_differs = 0
+    for _ in range(40):
+        points, labels, k = _near_tie_case(rng)
+        for sweeps in (1, 200):
+            expected = scalar_refine_labels(points, labels, k, max_sweeps=sweeps)
+            assert np.array_equal(_refine(points, labels, k, max_sweeps=sweeps), expected)
+            gram_differs += not np.array_equal(_gram_alone_refine(points, labels, k, sweeps), expected)
+    assert gram_differs >= 5
 
 
 def _sparse_long_path_case(rng, n, k):
@@ -141,9 +224,46 @@ def _sparse_long_path_case(rng, n, k):
     for row in points:
         cols = rng.choice(128, size=int(rng.integers(3, 12)), replace=False)
         row[cols] = rng.random(len(cols))
-    labels = _lloyd(points, k, np.random.default_rng([n, k]), 100)
+    labels = difference_form_lloyd(points, k, np.random.default_rng([n, k]), 100)
     labels[rng.choice(n, 30, replace=False)] = rng.integers(0, k, size=30)
     return points, labels
+
+
+def _lloyd_cases(rng):
+    """Seeded (points, k) inputs for the Lloyd oracle."""
+    for dim in (1, 3, 8, 128, 384):
+        for k in (2, 3, 5):
+            yield rng.normal(size=(int(rng.integers(k, 60)), dim)), k
+    yield rng.integers(0, 2, size=(40, 6)).astype(float), 4
+    pool = rng.normal(size=(5, 4))
+    yield pool[rng.integers(0, 5, size=30)], 3
+    yield rng.normal(size=(20, 8)) * 1e150, 3
+    yield 1e154 * (1.0 + 1e-4 * rng.normal(size=(20, 8))), 3
+    yield rng.normal(size=(16, 4)) * 1e-310, 2
+    for _ in range(20):
+        # Points a little off a large offset: the Gram form's rounding is
+        # about the size of the gaps between distances.
+        centers = rng.normal(size=(3, 8))
+        yield 1e6 + 0.03 * (centers[rng.integers(0, 3, size=30)] + 0.3 * rng.normal(size=(30, 8))), 3
+
+
+def test_lloyd_matches_difference_form_oracle():
+    rng = np.random.default_rng(1979)
+    gram_differs = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points, k in _lloyd_cases(rng):
+            seed = int(rng.integers(1 << 30))
+            expected = difference_form_lloyd(points, k, np.random.default_rng(seed), 100)
+            got = _lloyd(points, k, np.random.default_rng(seed), 100)
+            if expected is None:
+                assert got is None
+                continue
+            labels, centroids = got
+            assert np.array_equal(labels, expected), (points.shape, k)
+            assert centroids.tobytes() == _cluster_means(points, labels, k).tobytes()
+            exact = _sq_dists(points, centroids).argmin(axis=1)
+            gram_differs += not np.array_equal(_gram_form_dists(points, centroids).argmin(axis=1), exact)
+    assert gram_differs >= 3
 
 
 def test_lloyd_distance_columns_equal_broadcast_form_bytewise():
@@ -151,9 +271,13 @@ def test_lloyd_distance_columns_equal_broadcast_form_bytewise():
     for n, dim, k in ((7, 1, 2), (40, 3, 3), (120, 9, 4), (300, 128, 3), (10, 384, 2), (33, 200, 5)):
         points = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0)
         centroids = points[rng.choice(n, k, replace=False)] + rng.normal(size=(k, dim)) * 0.01
-        broadcast = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        columns = np.stack([_sq_dists(points, c) for c in centroids], axis=1)
+        broadcast = _sq_dists(points, centroids)
+        columns = np.stack([np.sum((points - c) ** 2, axis=1) for c in centroids], axis=1)
         assert columns.tobytes() == broadcast.tobytes(), (n, dim, k)
+        scalar = np.array([[np.sum((x - c) ** 2) for c in centroids] for x in points])
+        assert scalar.tobytes() == broadcast.tobytes(), (n, dim, k)
+        rows = np.sort(rng.choice(n, min(n, 3), replace=False))
+        assert _sq_dists(points[rows], centroids).tobytes() == broadcast[rows].tobytes()
 
 
 def test_distinct_row_check_matches_np_unique():
@@ -177,6 +301,76 @@ def test_kmeans_validates_arguments():
         kmeans([np.zeros(2)], k=1, seed=0)
     with pytest.raises(ValueError):
         kmeans([], k=2, seed=0)
+
+
+@pytest.mark.parametrize("restarts, max_iters", [(0, 100), (-1, 100), (3, 0), (3, -2)])
+def test_kmeans_rejects_fewer_than_one_restart_or_iteration(restarts, max_iters):
+    points = [np.array([0.0, 0.0]), np.array([5.0, 5.0]), np.array([5.0, 6.0])]
+    with pytest.raises(ValueError, match="restarts and max_iters"):
+        kmeans(points, k=2, seed=0, restarts=restarts, max_iters=max_iters)
+    assert kmeans(points, k=2, seed=0, restarts=1, max_iters=1) is not None
+
+
+# Seeded k-means inputs: a sparse non-negative 300x128 case like one topic's
+# hashed tf-idf sentences, near ties far from the origin, duplicate rows and
+# small 384-dim inputs. Prints one digest of labels, centroid bytes and
+# inertia per case.
+_KMEANS_DIGESTS = """
+import hashlib
+import numpy as np
+from treesum.tree import kmeans
+
+def cases():
+    rng = np.random.default_rng(77)
+    sparse = np.zeros((300, 128))
+    for row in sparse:
+        cols = rng.choice(128, size=int(rng.integers(3, 12)), replace=False)
+        row[cols] = rng.random(len(cols))
+    yield sparse, 3
+    centers = rng.normal(size=(3, 8))
+    yield 1e6 + 0.03 * (centers[rng.integers(0, 3, size=30)] + 0.3 * rng.normal(size=(30, 8))), 3
+    yield rng.normal(size=(5, 4))[rng.integers(0, 5, size=30)], 3
+    for n in (5, 7, 10):
+        yield np.round(rng.normal(size=(n, 384)), 4), 2
+
+for points, k in cases():
+    result = kmeans(list(points), k, seed=5)
+    digest = hashlib.sha256()
+    digest.update(result.labels.astype(np.int64).tobytes())
+    digest.update(result.centroids.tobytes())
+    digest.update(np.float64(result.inertia).tobytes())
+    print(digest.hexdigest())
+"""
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _numpy_uses_openblas(),
+    reason="OPENBLAS_CORETYPE selects OpenBLAS kernels on x86-64 only",
+)
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_kmeans_does_not_depend_on_blas_kernel(coretype):
+    """BLAS enters k-means only through the Gram screen, whose bound holds
+    for any summation order, so another kernel gives the same bytes."""
+    src = os.path.dirname(os.path.dirname(treesum.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _KMEANS_DIGESTS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_KMEANS_DIGESTS, {})
+    assert len(here.getvalue().split()) == 6
+    assert result.stdout == here.getvalue()
 
 
 def _assert_partition_property(tree: ClassTree):
