@@ -112,21 +112,36 @@ def _gram_error_bound(dim: int, max_sq_norm: float, center_sq_norms: np.ndarray)
     distance, whatever the summation order and with or without FMA (Higham
     2002, section 3.1), plus half a subnormal for each of at most ``4 d``
     products that underflow. The bound is ``_SAFETY`` times ``(d + 4)``
-    units of each. It is ``inf`` when a norm overflows and NaN when one is
-    NaN; every comparison against it then sends the point to the
-    difference form.
+    units of each.
+
+    No Gram term exceeds ``(1 + gamma_{d+2}) (|x| + |c|)^2``, so
+    ``4 (|x| + |c|)^2`` overflows before any of them can. The bound is taken
+    from that product, and so it is ``inf`` whenever a Gram distance might
+    be ``-inf`` or ``inf``, and NaN when a norm is NaN; every comparison
+    against it then sends the point to the difference form.
     """
     reach = math.sqrt(max_sq_norm) + math.sqrt(float(center_sq_norms.max()))
-    return _SAFETY * (dim + 4) * (_UNIT_ROUNDOFF * reach * reach + _SUBNORMAL)
+    headroom = 4.0 * reach * reach
+    return _SAFETY * (dim + 4) * (_UNIT_ROUNDOFF / 4.0 * headroom + _SUBNORMAL)
 
 
+@np.errstate(over="ignore")
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    """The points' ``|x|^2`` for the Gram screen; past ``1e308`` they are
+    ``inf``, silently, and so is ``_gram_error_bound``."""
+    return np.vecdot(points, points)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _gram_dists(
     centers: np.ndarray, points: np.ndarray, sq_norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(k, n) Gram-form squared distances ``|x|^2 - 2 x.c + |c|^2`` of every
     point to every center, from one BLAS product, and the centers' ``|c|^2``.
 
-    ``sq_norms`` holds the points' ``|x|^2``.
+    ``sq_norms`` holds the points' ``|x|^2``. Entries past ``1e308``
+    overflow silently: ``_gram_error_bound`` is then ``inf`` and no entry
+    decides anything.
     """
     center_sq = np.vecdot(centers, centers)
     gram = (-2.0 * centers) @ points.T
@@ -154,7 +169,7 @@ def _lloyd(
     """
     n, dim = points.shape
     rows = np.arange(n)
-    sq_norms = np.vecdot(points, points)
+    sq_norms = _sq_norms(points)
     max_sq_norm = float(sq_norms.max())
     centroids = _kmeans_pp_init(points, k, rng)
     labels = np.full(n, -1)
@@ -163,7 +178,9 @@ def _lloyd(
         new_labels = gram.argmin(axis=0)
         best = gram.min(axis=0)
         gram[new_labels, rows] = np.inf
-        decided = gram.min(axis=0) - best > 2.0 * _gram_error_bound(dim, max_sq_norm, center_sq)
+        with np.errstate(invalid="ignore"):  # inf - inf: undecided
+            gap = gram.min(axis=0) - best
+        decided = gap > 2.0 * _gram_error_bound(dim, max_sq_norm, center_sq)
         unsure = (~decided).nonzero()[0]
         if unsure.size:
             new_labels[unsure] = _sq_dists(points[unsure], centroids).argmin(axis=1)
@@ -229,7 +246,7 @@ def _refine_labels(
     centroids = centroids.copy()
     k = len(centroids)
     n, dim = points.shape
-    sq_norms = np.vecdot(points, points)
+    sq_norms = _sq_norms(points)
     max_sq_norm = float(sq_norms.max())
     counts = np.bincount(labels, minlength=k).astype(float)
     gram, center_sq = _gram_dists(centroids, points, sq_norms)
@@ -243,7 +260,8 @@ def _refine_labels(
         # min_j fl(a_j - b) = fl(min_j a_j - b): subtraction is monotone.
         gain_on = gram * gain[:, None]
         gain_on.ravel()[own_flat] = np.inf
-        row_min = gain_on.min(axis=0) - loss * gram.take(own_flat)
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN row stays
+            row_min = gain_on.min(axis=0) - loss * gram.take(own_flat)
         if counts.min() <= 1.0:
             row_min[own <= 1.0] = np.inf
         bound = 3.5 * _gram_error_bound(dim, max_sq_norm, center_sq)
@@ -326,22 +344,19 @@ def kmeans(
     if not _has_k_distinct_rows(points, k):
         return None
     seed = seed & _SEED_MASK
-    # Norms past 1e154 overflow the Gram screen; it then sends every point
-    # to the difference form, so those overflows are expected and silent.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for attempt in range(3):
-            best: KMeansResult | None = None
-            for restart in range(restarts):
-                rng = np.random.default_rng([seed, attempt, restart])
-                lloyd = _lloyd(points, k, rng, max_iters)
-                if lloyd is None:
-                    continue
-                labels, centroids = _refine_labels(points, *lloyd)
-                inertia = float(np.sum((points - centroids[labels]) ** 2))
-                if best is None or inertia < best.inertia:
-                    best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)
-            if best is not None:
-                return best
+    for attempt in range(3):
+        best: KMeansResult | None = None
+        for restart in range(restarts):
+            rng = np.random.default_rng([seed, attempt, restart])
+            lloyd = _lloyd(points, k, rng, max_iters)
+            if lloyd is None:
+                continue
+            labels, centroids = _refine_labels(points, *lloyd)
+            inertia = float(np.sum((points - centroids[labels]) ** 2))
+            if best is None or inertia < best.inertia:
+                best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)
+        if best is not None:
+            return best
     return None
 
 

@@ -17,10 +17,13 @@ from helpers import brute_force_min_inertia, difference_form_lloyd, scalar_refin
 from treesum.tree import (
     ClassTree,
     _cluster_means,
+    _gram_dists,
+    _gram_error_bound,
     _has_k_distinct_rows,
     _lloyd,
     _refine_labels,
     _sq_dists,
+    _sq_norms,
     build_class_tree,
     default_max_nodes,
     derive_seed,
@@ -75,6 +78,16 @@ def test_kmeans_never_returns_empty_cluster():
             assert counts.min() >= 1
 
 
+def _overflow_band_points(rng, dim):
+    """5-8 points of norm 0.85e154 to 1.3e154 in 1-3 dims: every |x|^2 is
+    finite, but ``2 x.c`` overflows for the larger centroids, so some Gram
+    distances are -inf while others stay finite. Their spread keeps the
+    k-means++ weights finite."""
+    n = int(rng.integers(5, 9))
+    scale = rng.choice([0.85, 1.0, 1.3], size=(n, 1))
+    return 1e154 / np.sqrt(dim) * scale * (1.0 + 1e-3 * rng.normal(size=(n, dim)))
+
+
 def _refine_cases(rng):
     """Seeded (points, k) inputs for the refinement oracle, ties included."""
     for kind in ("gaussian", "integer", "decimal1"):
@@ -103,6 +116,10 @@ def _refine_cases(rng):
     # (|x|^2 is inf) and every row goes to the difference form.
     yield rng.normal(size=(20, 8)) * 1e150, 3
     yield 1e154 * (1.0 + 1e-4 * rng.normal(size=(20, 8))), 3
+    # |x|^2 finite, some Gram terms not: the bound must overflow too.
+    for dim in (1, 2, 3):
+        for k in (2, 3):
+            yield _overflow_band_points(rng, dim), k
     # Subnormal rows: squares underflow, alone and beside normal rows.
     yield rng.normal(size=(16, 4)) * 1e-310, 2
     mixed = rng.normal(size=(20, 4))
@@ -140,12 +157,12 @@ def _start_labels(rng, points, k):
 def _refine(points, labels, k, **kwargs):
     """``_refine_labels`` from the labels' own centroids; checks that the
     centroids it returns are those of its labels, byte for byte."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        got, centroids = _refine_labels(points, labels, _cluster_means(points, labels, k), **kwargs)
+    got, centroids = _refine_labels(points, labels, _cluster_means(points, labels, k), **kwargs)
     assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
     return got
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gram_form_dists(points, centroids):
     """The Gram form alone, with no exact check: |x|^2 - 2 x.c + |c|^2."""
     return np.vecdot(points, points)[:, None] - 2.0 * (points @ centroids.T) + np.vecdot(centroids, centroids)
@@ -218,6 +235,54 @@ def test_refine_labels_exact_check_decides_near_ties():
     assert gram_differs >= 5
 
 
+def _overflow_band_refine_case(rng, dim):
+    """Labels under which the Gram screen of the first sweep sees -inf.
+
+    Along one direction, a point at 1.2e154 sits in the cluster near 0 and a
+    point at 0 in the cluster near 1.3e154. The first point's Gram distance
+    to the far centroid overflows to -inf; the second point's row is finite
+    and holds the better move, which the first sweep must apply.
+    """
+    t = np.array([0.0, 0.02, 0.04, 1.2, 1.3, 1.3, 1.31, 1.29, 0.0])
+    labels = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1])
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)
+    points = 1e154 * (t[:, None] * direction + 1e-3 * rng.normal(size=(len(t), dim)))
+    order = rng.permutation(len(t))
+    return points[order], labels[order], 2
+
+
+def test_refine_labels_decides_where_gram_form_overflows():
+    rng = np.random.default_rng(154)
+    for dim in (1, 2, 3):
+        for _ in range(5):
+            points, labels, k = _overflow_band_refine_case(rng, dim)
+            sq_norms = _sq_norms(points)
+            gram, _ = _gram_dists(_cluster_means(points, labels, k), points, sq_norms)
+            assert np.isfinite(sq_norms).all() and np.isneginf(gram).any()
+            for sweeps in (1, 200):
+                expected = scalar_refine_labels(points, labels, k, max_sweeps=sweeps)
+                assert np.array_equal(_refine(points, labels, k, max_sweeps=sweeps), expected), (dim, sweeps)
+
+
+def test_gram_error_bound_overflows_with_the_gram_form():
+    """Wherever a Gram distance is not finite, the bound is not either, so
+    no overflowed entry can decide a label or drop a row."""
+    rng = np.random.default_rng(308)
+    overflowed = 0
+    for _ in range(2000):
+        dim = int(rng.integers(1, 6))
+        scale = 10.0 ** rng.uniform(153.5, 154.3) / np.sqrt(dim)
+        points = rng.uniform(-1.0, 1.0, size=(6, dim)) * scale
+        centers = rng.uniform(-1.0, 1.0, size=(3, dim)) * scale
+        sq_norms = _sq_norms(points)
+        gram, center_sq = _gram_dists(centers, points, sq_norms)
+        if not np.isfinite(gram).all():
+            overflowed += 1
+            assert not np.isfinite(_gram_error_bound(dim, float(sq_norms.max()), center_sq))
+    assert overflowed > 200
+
+
 def _sparse_long_path_case(rng, n, k):
     """Sparse non-negative 128-dim points and Lloyd labels with 30 scrambled."""
     points = np.zeros((n, 128))
@@ -239,6 +304,9 @@ def _lloyd_cases(rng):
     yield pool[rng.integers(0, 5, size=30)], 3
     yield rng.normal(size=(20, 8)) * 1e150, 3
     yield 1e154 * (1.0 + 1e-4 * rng.normal(size=(20, 8))), 3
+    for dim in (1, 2, 3):
+        for _ in range(4):
+            yield _overflow_band_points(rng, dim), int(rng.integers(2, 4))
     yield rng.normal(size=(16, 4)) * 1e-310, 2
     for _ in range(20):
         # Points a little off a large offset: the Gram form's rounding is
@@ -250,19 +318,18 @@ def _lloyd_cases(rng):
 def test_lloyd_matches_difference_form_oracle():
     rng = np.random.default_rng(1979)
     gram_differs = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for points, k in _lloyd_cases(rng):
-            seed = int(rng.integers(1 << 30))
-            expected = difference_form_lloyd(points, k, np.random.default_rng(seed), 100)
-            got = _lloyd(points, k, np.random.default_rng(seed), 100)
-            if expected is None:
-                assert got is None
-                continue
-            labels, centroids = got
-            assert np.array_equal(labels, expected), (points.shape, k)
-            assert centroids.tobytes() == _cluster_means(points, labels, k).tobytes()
-            exact = _sq_dists(points, centroids).argmin(axis=1)
-            gram_differs += not np.array_equal(_gram_form_dists(points, centroids).argmin(axis=1), exact)
+    for points, k in _lloyd_cases(rng):
+        seed = int(rng.integers(1 << 30))
+        expected = difference_form_lloyd(points, k, np.random.default_rng(seed), 100)
+        got = _lloyd(points, k, np.random.default_rng(seed), 100)
+        if expected is None:
+            assert got is None
+            continue
+        labels, centroids = got
+        assert np.array_equal(labels, expected), (points.shape, k)
+        assert centroids.tobytes() == _cluster_means(points, labels, k).tobytes()
+        exact = _sq_dists(points, centroids).argmin(axis=1)
+        gram_differs += not np.array_equal(_gram_form_dists(points, centroids).argmin(axis=1), exact)
     assert gram_differs >= 3
 
 
