@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    CONFIG_KEYS,
     ConfigError,
     RunConfig,
     config_from_mapping,
@@ -29,7 +30,7 @@ from .config import (
     write_config,
 )
 from .corpus import Corpus, CorpusError, is_unicode_text, load_corpus
-from .embedding import EmbeddedCorpus, ProviderError, embed_corpus
+from .embedding import EmbeddedCorpus, ProviderError, document_key, embed_corpus
 from .experiments import (
     ablation_csv,
     ablation_table,
@@ -71,34 +72,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int)
 
 
-_FLAG_TO_KEY = {
-    "input": "input",
-    "layout": "layout",
-    "method": "method",
-    "budget_words": "budget-words",
-    "budget_bytes": "budget-bytes",
-    "embedder": "embedder",
-    "seed": "seed",
-    "k_first": "k-first",
-    "k_rest": "k-rest",
-    "delta": "delta",
-    "alpha": "alpha",
-    "beta": "beta",
-    "gamma": "gamma",
-    "max_nodes": "max-nodes",
-    "metrics": "metrics",
-    "report": "report",
-    "out": "out",
-    "workers": "workers",
-}
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, str] = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             values[key] = str(value)
     config = config_from_mapping(values)
@@ -146,10 +125,10 @@ def _dump_trees(
         tree = summaries[topic.topic_id].tree
         if tree is None:
             seed = derive_seed(config.seed, f"topic:{topic.topic_id}")
-            tree = build_class_tree(
-                list(embedded.doc_vectors_for(topic).items()), hp.k_first, hp.k_rest, cap, seed
-            )
-        dumps[topic.topic_id] = tree_to_dict(tree)
+            documents = embedded.topic_vectors(topic).documents
+            tree = build_class_tree(documents, hp.k_first, hp.k_rest, cap, seed)
+        names = [document_key(topic.topic_id, doc.doc_index) for doc in topic.documents]
+        dumps[topic.topic_id] = tree_to_dict(tree, names)
     (out_dir / "trees.json").write_text(json.dumps(dumps, indent=2), encoding="utf-8")
 
 

@@ -7,8 +7,10 @@ config into the output directory so results can be reproduced exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from .corpus import Corpus
 from .embedding import provider_builtin_tfidf, provider_file, provider_remote
@@ -85,50 +87,35 @@ class RunConfig:
         raise ConfigError(f"unknown embedder kind {kind!r}")
 
 
-# File keys mirror the CLI flag names; the budget is stored under whichever
-# of budget-words / budget-bytes matches its unit.
-_SIMPLE_KEYS = {
-    "input": ("input", str),
-    "layout": ("layout", str),
-    "method": ("method", str),
-    "embedder": ("embedder", str),
-    "seed": ("seed", int),
-    "k-first": ("k_first", int),
-    "k-rest": ("k_rest", int),
-    "delta": ("delta", float),
-    "alpha": ("alpha", float),
-    "beta": ("beta", float),
-    "gamma": ("gamma", float),
-    "max-nodes": ("max_nodes", int),
-    "report": ("report", str),
-    "out": ("out", str),
-    "workers": ("workers", int),
+def _parser(hint) -> Callable[[str], object]:
+    """How a field annotated ``hint`` reads its text value: ``int | None``
+    as an int, ``tuple[str, ...]`` as a comma list."""
+    if typing.get_origin(hint) is tuple:
+        return lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip())
+    return typing.get_args(hint)[0] if typing.get_origin(hint) else hint
+
+
+# File keys are the field names with "-" for "_", the CLI flag names. The
+# budget's unit and limit are one key: budget-words or budget-bytes.
+_BUDGET_KEYS = ("budget-words", "budget-bytes")
+_PARSERS = {
+    name.replace("_", "-"): (name, _parser(hint))
+    for name, hint in typing.get_type_hints(RunConfig).items()
+    if not name.startswith("budget_")
 }
+CONFIG_KEYS = _BUDGET_KEYS + tuple(_PARSERS)
 
 
 def config_to_text(config: RunConfig) -> str:
-    lines = [
-        f"input = {config.input}",
-        f"layout = {config.layout}",
-        f"method = {config.method}",
-        f"budget-{config.budget_unit} = {config.budget_limit}",
-        f"embedder = {config.embedder}",
-        f"seed = {config.seed}",
-        f"k-first = {config.k_first}",
-        f"k-rest = {config.k_rest}",
-        f"delta = {config.delta}",
-        f"alpha = {config.alpha}",
-        f"beta = {config.beta}",
-        f"gamma = {config.gamma}",
-    ]
-    if config.max_nodes is not None:
-        lines.append(f"max-nodes = {config.max_nodes}")
-    lines += [
-        f"metrics = {','.join(config.metrics)}",
-        f"report = {config.report}",
-        f"out = {config.out}",
-        f"workers = {config.workers}",
-    ]
+    """One ``key = value`` line per field; ``max-nodes`` only when set."""
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "budget_unit":
+            lines.append(f"budget-{value} = {config.budget_limit}")
+        elif f.name != "budget_limit" and value is not None:
+            text = ",".join(value) if isinstance(value, tuple) else value
+            lines.append(f"{f.name.replace('_', '-')} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -151,17 +138,12 @@ def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -
     updates: dict = {}
     for key, raw in values.items():
         try:
-            if key in _SIMPLE_KEYS:
-                attr, cast = _SIMPLE_KEYS[key]
-                updates[attr] = cast(raw)
-            elif key == "budget-words":
-                updates["budget_unit"] = "words"
+            if key in _BUDGET_KEYS:
+                updates["budget_unit"] = key.removeprefix("budget-")
                 updates["budget_limit"] = int(raw)
-            elif key == "budget-bytes":
-                updates["budget_unit"] = "bytes"
-                updates["budget_limit"] = int(raw)
-            elif key == "metrics":
-                updates["metrics"] = tuple(m.strip() for m in raw.split(",") if m.strip())
+            elif key in _PARSERS:
+                name, parse = _PARSERS[key]
+                updates[name] = parse(raw)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         except ValueError as exc:

@@ -19,17 +19,19 @@ read prebuilt maps, and the remote client keeps no per-call state.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import re
 import time
+import urllib.error
+import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .corpus import Corpus, CorpusError, Topic
 
@@ -53,32 +55,54 @@ class EmbeddingProvider(Protocol):
         """Vectors for the given sentences, in request order."""
 
 
+@dataclass(frozen=True)
+class TopicVectors:
+    """One topic's embeddings as integer-indexed arrays.
+
+    Row ``i`` of ``sentences`` is the topic's ``i``-th sentence in
+    (doc_index, sent_index) order and ``doc_of_sentence[i]`` the index of its
+    document; row ``d`` of ``documents`` is the mean of document ``d``'s
+    sentence rows.
+    """
+
+    sentences: np.ndarray
+    documents: np.ndarray
+    doc_of_sentence: np.ndarray
+
+
 @dataclass
 class EmbeddedCorpus:
-    """A corpus together with one vector per sentence and per document."""
+    """A corpus together with one vector per sentence.
+
+    ``vectors`` maps each topic id to its sentences' vectors in
+    (doc_index, sent_index) order, the arrays the provider returned.
+    """
 
     corpus: Corpus
-    sentence_vectors: dict[str, Vector]
-    document_vectors: dict[str, Vector]
+    vectors: dict[str, list[Vector]]
     dim: int
 
-    def doc_vectors_for(self, topic: Topic) -> dict[str, Vector]:
-        """Ordered document-key -> vector map for one topic."""
-        return {
-            document_key(topic.topic_id, d.doc_index): self.document_vectors[
-                document_key(topic.topic_id, d.doc_index)
-            ]
-            for d in topic.documents
-        }
+    def topic_vectors(self, topic: Topic) -> TopicVectors:
+        """The topic's ``TopicVectors``, built anew on each call.
+
+        Stacking copies the topic's vectors, so a caller builds the record
+        when it starts on a topic and drops it with the topic: only the
+        topics in progress ever hold a second copy.
+        """
+        sentences = np.stack(self.vectors[topic.topic_id])
+        counts = [len(doc.sentences) for doc in topic.documents]
+        ends = np.cumsum(counts)
+        documents = np.stack([sentences[end - n : end].mean(axis=0) for n, end in zip(counts, ends)])
+        return TopicVectors(sentences, documents, np.repeat(np.arange(len(counts)), counts))
 
     def sentence_vectors_for(self, topic: Topic) -> dict[str, Vector]:
         """Ordered sentence-key -> vector map for one topic."""
-        out: dict[str, Vector] = {}
-        for doc in topic.documents:
-            for sent in doc.sentences:
-                key = sentence_key(topic.topic_id, doc.doc_index, sent.sent_index)
-                out[key] = self.sentence_vectors[key]
-        return out
+        keys = (
+            sentence_key(topic.topic_id, doc.doc_index, sent.sent_index)
+            for doc in topic.documents
+            for sent in doc.sentences
+        )
+        return dict(zip(keys, self.vectors[topic.topic_id]))
 
 
 def prescale_rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +266,21 @@ def provider_builtin_tfidf(corpus: Corpus, dim: int, seed: int) -> BuiltinTfidfP
     return BuiltinTfidfProvider(corpus, dim, seed)
 
 
+def _response_vectors(payload: bytes, expected: int) -> list[Vector]:
+    """The ``vectors`` of an embedding-service response body, checked."""
+    try:
+        vectors = json.loads(payload)["vectors"]
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ProviderError(f"malformed embedding response: {exc}") from exc
+    if not isinstance(vectors, list):
+        raise ProviderError("malformed embedding response: 'vectors' is not a list")
+    if len(vectors) != expected:
+        raise ProviderError(
+            f"embedding service returned {len(vectors)} vectors for {expected} texts"
+        )
+    return [_as_vector(v, f"response vector {i}") for i, v in enumerate(vectors)]
+
+
 class RemoteProvider:
     """Client for an HTTP embedding service.
 
@@ -260,40 +299,47 @@ class RemoteProvider:
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        # urllib would also open file: and ftp: URLs.
+        if not endpoint_url.lower().startswith(("http://", "https://")):
+            raise ProviderError(f"embedding endpoint {endpoint_url!r} is not an http(s) URL")
         self._url = endpoint_url.rstrip("/") + "/embed"
         self._batch_size = batch_size
         self._max_attempts = max_attempts
         self._timeout = timeout
         self._backoff = backoff
 
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """Status and body of one POST; an error status is returned, not raised."""
+        request = urllib.request.Request(
+            self._url, data=body, headers={"Content-Type": "application/json"}
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=self._timeout) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read()
+
     def _post_batch(self, batch: list[str]) -> list[Vector]:
+        body = json.dumps({"texts": batch}).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self._max_attempts):
             if attempt:
                 time.sleep(self._backoff * attempt)
             try:
-                response = requests.post(self._url, json={"texts": batch}, timeout=self._timeout)
-            except requests.RequestException as exc:
+                status, payload = self._post(body)
+            # Connection failures and timeouts (OSError, which URLError is),
+            # broken responses, and a malformed URL (ValueError).
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_error = exc
                 continue
-            if response.status_code >= 500:
-                last_error = ProviderError(
-                    f"embedding service returned {response.status_code}"
-                )
+            if status >= 500:
+                last_error = ProviderError(f"embedding service returned {status}")
                 continue
-            if response.status_code != 200:
-                raise ProviderError(
-                    f"embedding service returned {response.status_code}: {response.text[:200]}"
-                )
-            try:
-                vectors = response.json()["vectors"]
-            except (ValueError, KeyError) as exc:
-                raise ProviderError(f"malformed embedding response: {exc}") from exc
-            if len(vectors) != len(batch):
-                raise ProviderError(
-                    f"embedding service returned {len(vectors)} vectors for {len(batch)} texts"
-                )
-            return [_as_vector(v, f"response vector {i}") for i, v in enumerate(vectors)]
+            if status != 200:
+                text = payload.decode("utf-8", errors="replace")
+                raise ProviderError(f"embedding service returned {status}: {text[:200]}")
+            return _response_vectors(payload, len(batch))
         raise ProviderError(
             f"embedding service unreachable after {self._max_attempts} attempts: {last_error}"
         )
@@ -310,14 +356,13 @@ def provider_remote(endpoint_url: str, batch_size: int = 32, **kwargs) -> Remote
 
 
 def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
-    """Embed every sentence and derive document vectors as sentence means.
+    """Embed every sentence of every topic.
 
     All vectors in a run must share one dimension; a provider returning mixed
     dimensions raises ProviderError. A corpus without sentences raises
     CorpusError.
     """
-    sentence_vectors: dict[str, Vector] = {}
-    document_vectors: dict[str, Vector] = {}
+    vectors: dict[str, list[Vector]] = {}
     dim: int | None = None
 
     for topic in corpus:
@@ -327,12 +372,13 @@ def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
             for sent in doc.sentences:
                 keys.append(sentence_key(topic.topic_id, doc.doc_index, sent.sent_index))
                 texts.append(sent.text)
-        vectors = provider.embed(keys, texts)
-        if len(vectors) != len(keys):
+        returned = provider.embed(keys, texts)
+        if len(returned) != len(keys):
             raise ProviderError(
-                f"provider returned {len(vectors)} vectors for {len(keys)} sentences"
+                f"provider returned {len(returned)} vectors for {len(keys)} sentences"
             )
-        for key, vec in zip(keys, vectors):
+        rows = vectors[topic.topic_id] = []
+        for key, vec in zip(keys, returned):
             vec = _as_vector(vec, f"key {key!r}")
             if dim is None:
                 dim = int(vec.shape[0])
@@ -340,21 +386,8 @@ def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
                 raise ProviderError(
                     f"dimension mismatch: key {key!r} has dim {vec.shape[0]}, expected {dim}"
                 )
-            sentence_vectors[key] = vec
-        for doc in topic.documents:
-            stacked = np.stack(
-                [
-                    sentence_vectors[sentence_key(topic.topic_id, doc.doc_index, s.sent_index)]
-                    for s in doc.sentences
-                ]
-            )
-            document_vectors[document_key(topic.topic_id, doc.doc_index)] = stacked.mean(axis=0)
+            rows.append(vec)
 
     if dim is None:
         raise CorpusError("corpus has no sentences")
-    return EmbeddedCorpus(
-        corpus=corpus,
-        sentence_vectors=sentence_vectors,
-        document_vectors=document_vectors,
-        dim=dim,
-    )
+    return EmbeddedCorpus(corpus=corpus, vectors=vectors, dim=dim)

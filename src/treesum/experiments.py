@@ -9,17 +9,17 @@ which makes 2178 configurations for the full sweep.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterator, Sequence
 
-from .corpus import Corpus, Topic
+from .corpus import Corpus
 from .embedding import EmbeddedCorpus
-from .pipeline import resolve_max_nodes
+from .pipeline import map_topics, resolve_max_nodes
 from .rouge import RougeReport, RougeScore, TokenMemo, evaluate_corpus
 from .scoring import Hyperparams
 from .selection import Budget
-from .variants import METHODS, TopicWork, VariantSpec, summarize_topic
+from .variants import METHODS, VariantSpec
 
 
 @dataclass(frozen=True)
@@ -27,31 +27,6 @@ class AblationRow:
     method: str
     seed: int
     scores: dict[str, RougeScore]
-
-
-def _topic_summaries(
-    corpus: Corpus,
-    embedded: EmbeddedCorpus,
-    specs: Sequence[VariantSpec],
-    max_nodes: int,
-    workers: int,
-) -> list[list[str]]:
-    """Each topic's summary text under every spec, in corpus order.
-
-    Topics run one at a time (``workers`` at a time) and every spec of a
-    topic runs on one ``TopicWork``, so the trees, clusters and score terms
-    that specs share are computed once and dropped with the topic.
-    """
-
-    def topic_texts(topic: Topic) -> list[str]:
-        work = TopicWork(topic, embedded)
-        return [summarize_topic(topic, embedded, spec, max_nodes, work=work).text for spec in specs]
-
-    topics = list(corpus)
-    if workers <= 1:
-        return [topic_texts(topic) for topic in topics]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(topic_texts, topics))
 
 
 def _reports(
@@ -92,7 +67,7 @@ def run_ablation(
     """
     cap = resolve_max_nodes(corpus, budget, max_nodes)
     specs = [VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in methods]
-    per_topic = _topic_summaries(corpus, embedded, specs, cap, workers)
+    per_topic = map_topics(corpus, embedded, specs, cap, workers, keep=attrgetter("text"))
     reports = _reports(corpus, per_topic, budget, metrics, report_kind)
     return [
         AblationRow(method=method, seed=seed, scores=dict(report.mean))
@@ -228,7 +203,7 @@ def run_grid_search(
         for point in grid
     ]
 
-    per_topic = _topic_summaries(corpus, embedded, specs, cap, workers)
+    per_topic = map_topics(corpus, embedded, specs, cap, workers, keep=attrgetter("text"))
     reports = _reports(corpus, per_topic, budget, [objective_metric], report_kind)
     results = [
         GridResult(point=point, objective=report.headline(objective_metric))

@@ -8,12 +8,15 @@ how many workers run.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence, TypeVar
 
-from .corpus import Corpus
+from .corpus import Corpus, Topic
 from .embedding import EmbeddedCorpus
 from .selection import Budget, Summary
 from .tree import default_max_nodes
-from .variants import VariantSpec, summarize_topic
+from .variants import TopicWork, VariantSpec, summarize_topic
+
+T = TypeVar("T")
 
 
 def corpus_length_stats(corpus: Corpus) -> tuple[float, float]:
@@ -56,6 +59,33 @@ def resolve_max_nodes(corpus: Corpus, budget: Budget, max_nodes: int | None) -> 
     return default_max_nodes(target_words, avg_sentence_words)
 
 
+def map_topics(
+    corpus: Corpus,
+    embedded: EmbeddedCorpus,
+    specs: Sequence[VariantSpec],
+    max_nodes: int,
+    workers: int,
+    keep: Callable[[Summary], T],
+) -> list[list[T]]:
+    """``keep`` of each topic's summary under every spec: one list per topic,
+    in corpus order.
+
+    Topics run one at a time (``workers`` at a time), and all specs of a
+    topic run on one ``TopicWork``, so what they share is computed once and
+    dropped with the topic; only what ``keep`` returns outlives it.
+    """
+
+    def run(topic: Topic) -> list[T]:
+        work = TopicWork(topic, embedded)
+        return [keep(summarize_topic(topic, embedded, spec, max_nodes, work=work)) for spec in specs]
+
+    topics = list(corpus)
+    if workers <= 1:
+        return [run(topic) for topic in topics]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, topics))
+
+
 def summarize_corpus(
     corpus: Corpus,
     embedded: EmbeddedCorpus,
@@ -64,12 +94,5 @@ def summarize_corpus(
     workers: int = 1,
 ) -> dict[str, Summary]:
     """One summary per topic, keyed by topic_id, in corpus order."""
-    topics = list(corpus)
-    if workers <= 1:
-        results = [summarize_topic(t, embedded, spec, max_nodes) for t in topics]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda t: summarize_topic(t, embedded, spec, max_nodes), topics)
-            )
-    return {topic.topic_id: summary for topic, summary in zip(topics, results)}
+    per_topic = map_topics(corpus, embedded, [spec], max_nodes, workers, keep=lambda s: s)
+    return {topic.topic_id: summaries[0] for topic, summaries in zip(corpus, per_topic)}

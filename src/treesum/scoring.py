@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,20 +61,18 @@ class NodeCentroids:
     outside: Vector | None
 
 
-def node_centroids(member_keys: Iterable[str], universe: Mapping[str, Vector]) -> NodeCentroids:
-    """Centroids for a node given the full key -> vector universe.
+def node_centroids(vectors: np.ndarray, members: np.ndarray) -> NodeCentroids:
+    """Centroids of a node's rows of ``vectors`` and of the other rows.
 
-    ``outside`` is None exactly when the node covers the whole universe
-    (e.g. the root node).
+    ``members`` holds the node's row indices, ascending. ``outside`` is None
+    exactly when the node holds every row (e.g. the root node).
     """
-    members = set(member_keys)
-    inside_vecs = [universe[key] for key in universe if key in members]
-    outside_vecs = [universe[key] for key in universe if key not in members]
-    if not inside_vecs:
+    if len(members) == 0:
         raise ValueError("node has no members")
-    inside = np.stack(inside_vecs).mean(axis=0)
-    outside = np.stack(outside_vecs).mean(axis=0) if outside_vecs else None
-    return NodeCentroids(inside=inside, outside=outside)
+    rest = np.ones(len(vectors), dtype=bool)
+    rest[members] = False
+    outside = vectors[rest].mean(axis=0) if rest.any() else None
+    return NodeCentroids(inside=vectors[members].mean(axis=0), outside=outside)
 
 
 def clamp01(value):

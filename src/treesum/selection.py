@@ -16,19 +16,12 @@ hyperparameter search, compute them once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import Topic
-from .embedding import (
-    EmbeddedCorpus,
-    Vector,
-    cosine_rows,
-    document_key,
-    prescale_rows,
-    sentence_key,
-)
+from .embedding import EmbeddedCorpus, Vector, cosine_rows, prescale_rows
 from .scoring import (
     Hyperparams,
     NodeCentroids,
@@ -64,7 +57,6 @@ class Budget:
 class SentenceRef:
     """Everything selection needs to know about one sentence."""
 
-    key: str
     doc_id: str
     doc_index: int
     sent_index: int
@@ -102,7 +94,6 @@ class SummarySentence:
     doc_index: int
     sent_index: int
     iteration: int
-    key: str
 
     @property
     def position_1based(self) -> int:
@@ -127,7 +118,6 @@ def sentence_refs(topic: Topic) -> list[SentenceRef]:
         for sent in doc.sentences:
             refs.append(
                 SentenceRef(
-                    key=sentence_key(topic.topic_id, doc.doc_index, sent.sent_index),
                     doc_id=doc.doc_id,
                     doc_index=doc.doc_index,
                     sent_index=sent.sent_index,
@@ -185,56 +175,39 @@ def _prescaled(vec: Vector) -> tuple[Vector, float]:
     return scaled[0], norms[0]
 
 
-def _sentences_by_key(topic_id: str, refs: Sequence[SentenceRef]) -> dict[str, list[int]]:
-    """Indices into ``refs`` under each document key and each sentence key."""
-    out: dict[str, list[int]] = {}
-    for i, ref in enumerate(refs):
-        out.setdefault(document_key(topic_id, ref.doc_index), []).append(i)
-        out[ref.key] = [i]
-    return out
-
-
-def _member_indices(by_key: dict[str, list[int]], member_keys: Sequence[str]) -> np.ndarray:
-    """Sorted sentence indices covered by a node's document or sentence keys."""
-    return np.array(sorted(i for key in member_keys for i in by_key[key]), dtype=np.intp)
-
-
 class ScoreContext:
     """The delta- and weight-free score terms of one topic's selection groups.
 
-    ``nodes`` lists (node_id, member keys) in visiting order; keys name
-    documents or sentences of ``topic``, and ``universe`` maps every key of
-    that unit to its vector, for the node centroids. The context holds each
-    node's member sentences with their clamped inside similarity and outside
-    term, every sentence's position score and a ``SimilarityMemo``.
-    Selection under any delta and weights reuses them; ``memo`` and ``refs``
-    (the topic's ``sentence_refs``) may be shared by contexts of the same
-    topic.
+    ``nodes`` lists (node_id, item indices) in visiting order. Items are rows
+    of ``universe``, the matrix of the clustered unit (the topic's documents
+    or its sentences), and ``owner[i]`` is the row that sentence ``i``
+    belongs to. The context holds each node's member sentences with their
+    clamped inside similarity and outside term, every sentence's position
+    score, ``refs`` (the topic's ``sentence_refs``) and ``memo``; selection
+    under any delta and weights reuses them, and contexts of one topic may
+    share ``refs`` and ``memo``.
     """
 
     def __init__(
         self,
-        topic: Topic,
-        embedded: EmbeddedCorpus,
-        nodes: Sequence[tuple[int, Sequence[str]]],
-        universe: Mapping[str, Vector],
-        memo: SimilarityMemo | None = None,
-        refs: Sequence[SentenceRef] | None = None,
+        refs: Sequence[SentenceRef],
+        memo: SimilarityMemo,
+        nodes: Sequence[tuple[int, Sequence[int]]],
+        universe: np.ndarray,
+        owner: np.ndarray,
     ):
-        self.refs = refs if refs is not None else sentence_refs(topic)
-        if memo is None:
-            memo = SimilarityMemo(list(embedded.sentence_vectors_for(topic).values()))
+        self.refs = refs
         self.memo = memo
         self.position = np.array(
             [score_position(r.position_1based, r.doc_sentence_count) for r in self.refs]
         )
-        by_key = _sentences_by_key(topic.topic_id, self.refs)
         self.groups: list[tuple[int, np.ndarray]] = []
         self.terms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for node_id, member_keys in nodes:
-            members = _member_indices(by_key, member_keys)
+        for node_id, items in nodes:
+            items = np.array(items, dtype=np.intp)
+            members = np.flatnonzero(np.isin(owner, items))
             self.groups.append((node_id, members))
-            self.terms[node_id] = memo.node_terms(members, node_centroids(member_keys, universe))
+            self.terms[node_id] = memo.node_terms(members, node_centroids(universe, items))
 
     @classmethod
     def for_tree(
@@ -245,8 +218,11 @@ class ScoreContext:
         memo: SimilarityMemo | None = None,
     ) -> "ScoreContext":
         """Context of a document class tree, nodes in traversal order."""
-        nodes = [(i, tree.node(i).member_keys) for i in tree.traversal_order]
-        return cls(topic, embedded, nodes, embedded.doc_vectors_for(topic), memo)
+        vectors = embedded.topic_vectors(topic)
+        if memo is None:
+            memo = SimilarityMemo(vectors.sentences)
+        nodes = [(i, tree.node(i).members) for i in tree.traversal_order]
+        return cls(sentence_refs(topic), memo, nodes, vectors.documents, vectors.doc_of_sentence)
 
 
 ScoreFn = Callable[[int, np.ndarray, Sequence[int]], np.ndarray]
@@ -312,7 +288,6 @@ def order_summary(state: SelectionState, traversal_order: Sequence[int]) -> Summ
             doc_index=sel.ref.doc_index,
             sent_index=sel.ref.sent_index,
             iteration=sel.iteration,
-            key=sel.ref.key,
         )
         for _, sel in ordered
     )

@@ -1,4 +1,4 @@
-"""Class-tree construction by top-down k-means over keyed vectors.
+"""Class-tree construction by top-down k-means over one topic's vectors.
 
 The root node holds every item (normally the documents of one topic; the
 sentence-clustering variant feeds sentences instead). Each layer splits the
@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,13 +46,12 @@ class KMeansResult:
 class ClassTreeNode:
     node_id: int
     layer: int  # 1 = root
-    member_keys: tuple[str, ...]  # ordered by item index
-    min_member_index: int
+    members: tuple[int, ...]  # item (row) indices, ascending
     children: list["ClassTreeNode"] = field(default_factory=list)
 
     @property
     def size(self) -> int:
-        return len(self.member_keys)
+        return len(self.members)
 
 
 @dataclass
@@ -67,16 +66,30 @@ class ClassTree:
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds: each next center drawn with probability proportional
+    to the squared distance to the nearest center so far.
+
+    Where those distances sum past the float range, the weights are taken
+    on the points scaled by a power of two that brings every component
+    within 1, which changes them by that exact factor alone (bar the
+    underflow of components far smaller than the largest).
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
     closest = np.sum((points - centers[0]) ** 2, axis=1)
     for j in range(1, k):
-        total = closest.sum()
+        weights = closest
+        with np.errstate(over="ignore"):  # checked below
+            total = weights.sum()
+        if not np.isfinite(total):
+            shift = -math.frexp(float(np.abs(points).max()))[1]
+            weights = _sq_dists(np.ldexp(points, shift), np.ldexp(centers[:j], shift)).min(axis=1)
+            total = weights.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=closest / total))
+            idx = int(rng.choice(n, p=weights / total))
         centers[j] = points[idx]
         closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
     return centers
@@ -360,12 +373,20 @@ def kmeans(
     return None
 
 
-def _ordered_children(groups: list[tuple[str, ...]], index_of: Mapping[str, int]) -> list[tuple[str, ...]]:
-    return sorted(groups, key=lambda g: (-len(g), min(index_of[k] for k in g)))
+def label_groups(members: Sequence[int], labels: Sequence[int]) -> list[tuple[int, ...]]:
+    """The ``members`` of each k-means cluster, ``labels`` giving each
+    member's cluster: largest cluster first, ties by smallest member.
+
+    ``members`` must be ascending, and then so is every group.
+    """
+    groups: dict[int, list[int]] = {}
+    for member, label in zip(members, labels):
+        groups.setdefault(int(label), []).append(member)
+    return sorted((tuple(g) for g in groups.values()), key=lambda g: (-len(g), g[0]))
 
 
 def build_class_tree(
-    items: Sequence[tuple[str, Vector]],
+    vectors: np.ndarray,
     k_first: int,
     k_rest: int,
     max_nodes: int,
@@ -373,31 +394,26 @@ def build_class_tree(
     restarts: int = 3,
     max_iters: int = 100,
 ) -> ClassTree:
-    """Build the class tree for one topic's keyed vectors.
+    """Build the class tree over the rows of one topic's ``(n, d)`` matrix.
 
-    The root (layer 1) holds every item. Layer 2 is built with ``k_first``
+    The root (layer 1) holds every row. Layer 2 is built with ``k_first``
     clusters per node, deeper layers with ``k_rest``. Construction stops when
     a pass over the newest layer divides nothing, or as soon as the tree
     holds ``max_nodes`` nodes (checked before each split, so the total never
     exceeds ``max_nodes + max(k_first, k_rest) - 1``).
 
     Traversal order sorts nodes by layer ascending, then size descending,
-    ties by the smallest contained item index.
+    ties by the smallest contained row index.
     """
-    if not items:
-        raise ValueError("cannot build a tree over zero items")
+    points = np.asarray(vectors, dtype=float)
+    if points.ndim != 2 or len(points) == 0:
+        raise ValueError(f"cannot build a tree over an array of shape {points.shape}")
     if k_first < 2 or k_rest < 2:
         raise ValueError("cluster counts must be >= 2")
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
 
-    keys = [key for key, _ in items]
-    index_of = {key: i for i, key in enumerate(keys)}
-    if len(index_of) != len(keys):
-        raise ValueError("duplicate item keys")
-    vectors = {key: np.asarray(vec, dtype=float) for key, vec in items}
-
-    root = ClassTreeNode(node_id=0, layer=1, member_keys=tuple(keys), min_member_index=0)
+    root = ClassTreeNode(node_id=0, layer=1, members=tuple(range(len(points))))
     nodes: dict[int, ClassTreeNode] = {0: root}
     node_count = 1
     next_id = 1
@@ -408,15 +424,14 @@ def build_class_tree(
     while current_layer and not stopped:
         k = k_first if layer_no == 1 else k_rest
         next_layer: list[ClassTreeNode] = []
-        for node in sorted(current_layer, key=lambda n: (-n.size, n.min_member_index)):
+        for node in sorted(current_layer, key=lambda n: (-n.size, n.members[0])):
             if node_count >= max_nodes:
                 stopped = True
                 break
             if node.size < 2:
                 continue
-            member_vectors = [vectors[key] for key in node.member_keys]
             result = kmeans(
-                member_vectors,
+                points[list(node.members)],
                 k,
                 seed=derive_seed(seed, f"node:{node.node_id}"),
                 restarts=restarts,
@@ -424,17 +439,8 @@ def build_class_tree(
             )
             if result is None:
                 continue
-            groups: dict[int, list[str]] = {}
-            for key, label in zip(node.member_keys, result.labels):
-                groups.setdefault(int(label), []).append(key)
-            ordered = _ordered_children([tuple(g) for g in groups.values()], index_of)
-            for group in ordered:
-                child = ClassTreeNode(
-                    node_id=next_id,
-                    layer=layer_no + 1,
-                    member_keys=group,
-                    min_member_index=min(index_of[key] for key in group),
-                )
+            for group in label_groups(node.members, result.labels):
+                child = ClassTreeNode(node_id=next_id, layer=layer_no + 1, members=group)
                 node.children.append(child)
                 nodes[next_id] = child
                 next_layer.append(child)
@@ -445,7 +451,7 @@ def build_class_tree(
         current_layer = next_layer
         layer_no += 1
 
-    order = sorted(nodes.values(), key=lambda n: (n.layer, -n.size, n.min_member_index))
+    order = sorted(nodes.values(), key=lambda n: (n.layer, -n.size, n.members[0]))
     return ClassTree(
         root=root,
         node_count=node_count,
@@ -470,8 +476,9 @@ def default_max_nodes(avg_target_summary_words: float, avg_source_sentence_words
     return max(1, math.ceil(estimate_sentence_budget(avg_target_summary_words, avg_source_sentence_words)))
 
 
-def tree_to_dict(tree: ClassTree) -> dict:
-    """JSON-friendly rendering of a tree for debugging dumps."""
+def tree_to_dict(tree: ClassTree, names: Sequence[str]) -> dict:
+    """JSON-friendly rendering of a tree for debugging dumps; ``names[i]``
+    stands for item ``i`` in the members lists."""
     position = {node_id: pos for pos, node_id in enumerate(tree.traversal_order)}
     return {
         "node_count": tree.node_count,
@@ -480,7 +487,7 @@ def tree_to_dict(tree: ClassTree) -> dict:
                 "node_id": node.node_id,
                 "layer": node.layer,
                 "size": node.size,
-                "members": list(node.member_keys),
+                "members": [names[i] for i in node.members],
                 "children": [c.node_id for c in node.children],
                 "traversal_position": position[node.node_id],
             }

@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .corpus import Topic
-from .embedding import EmbeddedCorpus, Vector
+from .embedding import EmbeddedCorpus, TopicVectors
 from .scoring import Hyperparams
 from .selection import (
     Budget,
@@ -35,12 +37,12 @@ from .selection import (
     select_summary,
     sentence_refs,
 )
-from .tree import ClassTree, build_class_tree, derive_seed, kmeans
+from .tree import ClassTree, build_class_tree, derive_seed, kmeans, label_groups
 
 METHODS = ("ours_final", "ours_cs", "comp1", "comp2", "comp3", "comp4")
 
-# (node_id, member keys) per node, in visiting order.
-NodeList = list[tuple[int, Sequence[str]]]
+# (node_id, item indices) per node, in visiting order.
+NodeList = list[tuple[int, Sequence[int]]]
 
 
 @dataclass(frozen=True)
@@ -64,12 +66,13 @@ class VariantSpec:
 class TopicWork:
     """What the methods run on one topic share, each piece computed on first use.
 
-    Holds the topic's ``sentence_refs`` and ``SimilarityMemo``, its class
-    trees and flat document clusters, and one ``ScoreContext`` per node set,
-    each keyed by everything it depends on. Methods that agree on those inputs
-    get the same object: ours-final and ours-cs share the document tree and
-    its context, comp2 and comp3 the flat clusters and theirs, and every
-    context shares the memo. One thread at a time may use an instance.
+    Holds the topic's ``TopicVectors``, ``sentence_refs`` and
+    ``SimilarityMemo``, its class trees and flat document clusters, and one
+    ``ScoreContext`` per node set, each keyed by everything it depends on.
+    Methods that agree on those inputs get the same object: ours-final and
+    ours-cs share the document tree and its context, comp2 and comp3 the flat
+    clusters and theirs, and every context shares the memo. One thread at a
+    time may use an instance.
     """
 
     def __init__(self, topic: Topic, embedded: EmbeddedCorpus):
@@ -83,36 +86,35 @@ class TopicWork:
         return self._results[key]
 
     @property
+    def vectors(self) -> TopicVectors:
+        return self._once(("vectors",), lambda: self.embedded.topic_vectors(self.topic))
+
+    @property
     def refs(self) -> list[SentenceRef]:
         return self._once(("refs",), lambda: sentence_refs(self.topic))
 
     @property
     def memo(self) -> SimilarityMemo:
-        return self._once(
-            ("memo",), lambda: SimilarityMemo(list(self.vectors("sentences").values()))
-        )
+        return self._once(("memo",), lambda: SimilarityMemo(self.vectors.sentences))
 
-    def vectors(self, unit: str) -> dict[str, Vector]:
-        """Ordered key -> vector map of the topic's documents or sentences."""
+    def _unit(self, unit: str) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix of the topic's documents or sentences, and the row of it
+        that each sentence belongs to."""
         if unit == "documents":
-            return self.embedded.doc_vectors_for(self.topic)
-        return self.embedded.sentence_vectors_for(self.topic)
+            return self.vectors.documents, self.vectors.doc_of_sentence
+        return self.vectors.sentences, np.arange(len(self.vectors.sentences))
 
     def tree(self, unit: str, k_first: int, k_rest: int, max_nodes: int, seed: int) -> ClassTree:
         """The class tree over the topic's documents or sentences."""
-
-        def build() -> ClassTree:
-            items = list(self.vectors(unit).items())
-            return build_class_tree(items, k_first, k_rest, max_nodes, seed)
-
-        return self._once(("tree", unit, k_first, k_rest, max_nodes, seed), build)
+        return self._once(
+            ("tree", unit, k_first, k_rest, max_nodes, seed),
+            lambda: build_class_tree(self._unit(unit)[0], k_first, k_rest, max_nodes, seed),
+        )
 
     def _context(self, key: tuple, nodes: Callable[[], NodeList], unit: str) -> ScoreContext:
-        def build() -> ScoreContext:
-            universe = self.vectors(unit)
-            return ScoreContext(self.topic, self.embedded, nodes(), universe, self.memo, self.refs)
-
-        return self._once(key, build)
+        return self._once(
+            key, lambda: ScoreContext(self.refs, self.memo, nodes(), *self._unit(unit))
+        )
 
     def tree_context(
         self, unit: str, k_first: int, k_rest: int, max_nodes: int, seed: int
@@ -121,7 +123,7 @@ class TopicWork:
 
         def nodes() -> NodeList:
             tree = self.tree(unit, k_first, k_rest, max_nodes, seed)
-            return [(i, tree.node(i).member_keys) for i in tree.traversal_order]
+            return [(i, tree.node(i).members) for i in tree.traversal_order]
 
         return self._context(("tree_context", unit, k_first, k_rest, max_nodes, seed), nodes, unit)
 
@@ -129,14 +131,14 @@ class TopicWork:
         """Context of one round of k-means over the documents (comp2, comp3)."""
         return self._context(
             ("flat_context", k, seed),
-            lambda: _flat_document_clusters(self.topic, self.embedded, k, seed),
+            lambda: _flat_clusters(self.vectors.documents, k, seed),
             "documents",
         )
 
     def root_context(self) -> ScoreContext:
         """Context of a single node holding every document (comp1)."""
         return self._context(
-            ("root_context",), lambda: [(0, list(self.vectors("documents")))], "documents"
+            ("root_context",), lambda: [(0, range(len(self.vectors.documents)))], "documents"
         )
 
 
@@ -163,23 +165,17 @@ def summarize_comp1(
     return _select_cs(_work(topic, embedded, work).root_context(), 1.0, budget)
 
 
-def _flat_document_clusters(topic: Topic, embedded: EmbeddedCorpus, k: int, seed: int) -> NodeList:
-    """One round of k-means over the topic's documents.
+def _flat_clusters(vectors: np.ndarray, k: int, seed: int) -> NodeList:
+    """One round of k-means over the rows of ``vectors``.
 
-    Falls back to a single cluster when the documents cannot be divided.
-    Clusters come back largest first, ties by lowest document index.
+    Falls back to a single cluster when the rows cannot be divided.
+    Clusters come back largest first, ties by lowest row index.
     """
-    doc_vectors = embedded.doc_vectors_for(topic)
-    keys = list(doc_vectors)
-    result = kmeans([doc_vectors[key] for key in keys], k, seed=seed) if len(keys) >= 2 else None
+    items = range(len(vectors))
+    result = kmeans(vectors, k, seed=seed) if len(items) >= 2 else None
     if result is None:
-        return [(0, keys)]
-    groups: dict[int, list[str]] = {}
-    for key, label in zip(keys, result.labels):
-        groups.setdefault(int(label), []).append(key)
-    index_of = {key: i for i, key in enumerate(keys)}
-    ordered = sorted(groups.values(), key=lambda g: (-len(g), min(index_of[k_] for k_ in g)))
-    return [(i, group) for i, group in enumerate(ordered)]
+        return [(0, items)]
+    return list(enumerate(label_groups(items, result.labels)))
 
 
 def summarize_comp2(

@@ -56,6 +56,11 @@ def skey(topic_id: str, doc_index: int, sent_index: int) -> str:
     return sentence_key(topic_id, doc_index, sent_index)
 
 
+def summary_keys(topic_id: str, summary) -> list[str]:
+    """The sentence key of each summary sentence, in summary order."""
+    return [skey(topic_id, s.doc_index, s.sent_index) for s in summary.sentences]
+
+
 def reference_cosine(a, b) -> float:
     """The cosine arithmetic written out in one piece with 1-D ``np.dot`` and
     ``np.linalg.norm``: each vector divided by its largest absolute component,
@@ -294,25 +299,40 @@ def random_synthetic_topic(rng: np.random.Generator, topic_id: str) -> tuple[Top
 def scalar_selection(tree, topic: Topic, embedded: EmbeddedCorpus, hp, budget, scoring_mode: str):
     """Reference selection: every candidate scored one at a time.
 
-    The per-candidate form of ``treesum.selection.select_summary``: each
-    candidate of a node gets ``score_cs`` (and, in ``"final"`` mode,
-    ``score_nr`` against the vectors selected so far, ``score_position`` and
-    ``score_final``), and the lowest (-score, doc_index, sent_index) wins.
-    Returns (sentence key, node_id, iteration) per pick, in pick order.
+    The per-candidate form of ``treesum.selection.select_summary``, over
+    its own key -> vector maps: document vectors are the means of their
+    sentence vectors, a node's centroids the means of its documents' and of
+    the other documents' vectors. Each candidate of a node gets
+    ``score_cs`` (and, in ``"final"`` mode, ``score_nr`` against the vectors
+    selected so far, ``score_position`` and ``score_final``), and the lowest
+    (-score, doc_index, sent_index) wins. Returns (sentence key, node_id,
+    iteration) per pick, in pick order.
     """
     from treesum.embedding import document_key
-    from treesum.scoring import node_centroids, score_cs, score_final, score_nr, score_position
+    from treesum.scoring import NodeCentroids, score_cs, score_final, score_nr, score_position
     from treesum.selection import sentence_refs
 
+    tid = topic.topic_id
     refs = sentence_refs(topic)
-    doc_vectors = embedded.doc_vectors_for(topic)
     sent_vectors = embedded.sentence_vectors_for(topic)
+    doc_vectors = {
+        document_key(tid, d.doc_index): np.stack(
+            [sent_vectors[skey(tid, d.doc_index, s.sent_index)] for s in d.sentences]
+        ).mean(axis=0)
+        for d in topic.documents
+    }
+    doc_keys = list(doc_vectors)
     groups = []
     for node_id in tree.traversal_order:
-        node = tree.node(node_id)
-        docs = set(node.member_keys)
-        members = [r for r in refs if document_key(topic.topic_id, r.doc_index) in docs]
-        groups.append((node_id, members, node_centroids(node.member_keys, doc_vectors)))
+        docs = {doc_keys[i] for i in tree.node(node_id).members}
+        members = [r for r in refs if document_key(tid, r.doc_index) in docs]
+        inside = [vec for key, vec in doc_vectors.items() if key in docs]
+        outside = [vec for key, vec in doc_vectors.items() if key not in docs]
+        centroids = NodeCentroids(
+            inside=np.stack(inside).mean(axis=0),
+            outside=np.stack(outside).mean(axis=0) if outside else None,
+        )
+        groups.append((node_id, members, centroids))
 
     picks, taken, selected = [], set(), []
     consumed, iteration = 0, 1
@@ -321,21 +341,22 @@ def scalar_selection(tree, topic: Topic, embedded: EmbeddedCorpus, hp, budget, s
         for node_id, members, centroids in groups:
             best, best_rank = None, None
             for ref in members:
-                if ref.key in taken:
+                key = skey(tid, ref.doc_index, ref.sent_index)
+                if key in taken:
                     continue
-                vec = sent_vectors[ref.key]
+                vec = sent_vectors[key]
                 score = score_cs(vec, centroids, hp.delta)
                 if scoring_mode == "final":
                     pos = score_position(ref.position_1based, ref.doc_sentence_count)
                     score = score_final(score, score_nr(vec, selected), pos, hp)
                 rank = (-score, ref.doc_index, ref.sent_index)
                 if best_rank is None or rank < best_rank:
-                    best, best_rank = ref, rank
+                    best, best_key, best_rank = ref, key, rank
             if best is None:
                 continue
-            taken.add(best.key)
-            selected.append(sent_vectors[best.key])
-            picks.append((best.key, node_id, iteration))
+            taken.add(best_key)
+            selected.append(sent_vectors[best_key])
+            picks.append((best_key, node_id, iteration))
             consumed += budget.size_of(best)
             picked_in_pass = True
             if consumed >= budget.limit:

@@ -22,6 +22,7 @@ from helpers import (
     make_corpus,
     make_topic,
     random_synthetic_topic,
+    summary_keys,
 )
 from test_selection import _fixture_embedded, _fixture_tree, _three_cluster_embedded
 from treesum.embedding import embed_corpus, provider_builtin_tfidf
@@ -179,11 +180,11 @@ def test_kmeans_oracle():
 def _check_tree_invariants(tree, max_nodes, k_max):
     for node in tree.nodes.values():
         if node.children:
-            members = [set(c.member_keys) for c in node.children]
+            members = [set(c.members) for c in node.children]
             union = set().union(*members)
-            if union != set(node.member_keys):
+            if union != set(node.members):
                 return "children do not cover parent"
-            if sum(len(m) for m in members) != len(node.member_keys):
+            if sum(len(m) for m in members) != len(node.members):
                 return "children overlap"
             if any(c.layer != node.layer + 1 for c in node.children):
                 return "layer monotonicity broken"
@@ -203,18 +204,19 @@ def test_tree_invariants_random_topics():
     for trial in range(200):
         topic, vectors = random_synthetic_topic(rng, f"t{trial}")
         embedded = embed_with_vectors(make_corpus(topic), vectors)
-        items = list(embedded.doc_vectors_for(topic).items())
+        documents = embedded.topic_vectors(topic).documents
         k_first = int(rng.integers(2, 5))
         k_rest = int(rng.integers(2, 4))
         max_nodes = int(rng.integers(1, 14))
         seed = int(rng.integers(0, 10_000))
-        tree = build_class_tree(items, k_first, k_rest, max_nodes, seed)
+        tree = build_class_tree(documents, k_first, k_rest, max_nodes, seed)
         problem = _check_tree_invariants(tree, max_nodes, max(k_first, k_rest))
         if problem:
             failures.append((trial, problem))
             continue
-        again = build_class_tree(items, k_first, k_rest, max_nodes, seed)
-        if tree_to_dict(tree) != tree_to_dict(again):
+        again = build_class_tree(documents, k_first, k_rest, max_nodes, seed)
+        names = [f"d{i}" for i in range(len(documents))]
+        if tree_to_dict(tree, names) != tree_to_dict(again, names):
             failures.append((trial, "not deterministic"))
     _verdict("tree-invariants", not failures, f"200 random topics, failures: {failures[:3]}")
 
@@ -227,7 +229,7 @@ def test_selection_protocol_fixture():
     summary = select_summary(
         tree, topic, embedded, Hyperparams(), Budget("words", 12), scoring_mode="cs_only"
     )
-    keys = [s.key for s in summary.sentences]
+    keys = summary_keys("fix", summary)
     ok = (
         keys == ["fix/d0/s1", "fix/d1/s1", "fix/d4/s0"]
         and [s.node_id for s in summary.sentences] == list(tree.traversal_order)
@@ -244,13 +246,11 @@ def test_selection_protocol_fixture():
     # Three separated clusters: root pick plus one per cluster node, nodes
     # of equal size visited in lowest-document-index order.
     topic3, embedded3 = _three_cluster_embedded()
-    tree3 = build_class_tree(
-        list(embedded3.doc_vectors_for(topic3).items()), 3, 2, 4, seed=9
-    )
+    tree3 = build_class_tree(embedded3.topic_vectors(topic3).documents, 3, 2, 4, seed=9)
     summary3 = select_summary(
         tree3, topic3, embedded3, Hyperparams(), Budget("words", 16), scoring_mode="cs_only"
     )
-    keys3 = [s.key for s in summary3.sentences]
+    keys3 = summary_keys("tri", summary3)
     ok = ok and keys3 == ["tri/d0/s1", "tri/d1/s1", "tri/d2/s0", "tri/d4/s0"]
     ok = ok and [s.node_id for s in summary3.sentences] == list(tree3.traversal_order)
     _verdict("selection-protocol", ok, f"golden keys {keys} / {keys3}")

@@ -65,6 +65,36 @@ def test_config_round_trip():
     assert parsed == config
 
 
+def test_every_flag_reaches_the_config_and_its_echo():
+    from treesum.cli import _build_config, build_parser
+
+    args = build_parser().parse_args([
+        "ablate", "--input", "corpus", "--layout", "jsonl", "--method", "comp2",
+        "--budget-bytes", "665", "--embedder", "builtin:64", "--seed", "9", "--k-first", "4",
+        "--k-rest", "3", "--delta", "0.7", "--alpha", "0.6", "--beta", "0.2", "--gamma", "0.2",
+        "--max-nodes", "6", "--metrics", "r1,rl", "--report", "f1", "--out", "results",
+        "--workers", "2",
+    ])
+    config = _build_config(args)
+    assert config == RunConfig(
+        input="corpus", layout="jsonl", method="comp2", budget_unit="bytes", budget_limit=665,
+        embedder="builtin:64", seed=9, k_first=4, k_rest=3, delta=0.7, alpha=0.6, beta=0.2,
+        gamma=0.2, max_nodes=6, metrics=("r1", "rl"), report="f1", out="results", workers=2,
+    )
+    assert config_to_text(config) == (
+        "input = corpus\nlayout = jsonl\nmethod = comp2\nbudget-bytes = 665\n"
+        "embedder = builtin:64\nseed = 9\nk-first = 4\nk-rest = 3\ndelta = 0.7\nalpha = 0.6\n"
+        "beta = 0.2\ngamma = 0.2\nmax-nodes = 6\nmetrics = r1,rl\nreport = f1\nout = results\n"
+        "workers = 2\n"
+    )
+    assert config_to_text(RunConfig()) == (
+        "input = \nlayout = topic-dirs\nmethod = ours_final\nbudget-words = 100\n"
+        "embedder = builtin:128\nseed = 0\nk-first = 3\nk-rest = 2\ndelta = 0.9\nalpha = 0.8\n"
+        "beta = 0.1\ngamma = 0.1\nmetrics = r1,r2,rl,rsu4\nreport = recall\nout = out\n"
+        "workers = 1\n"
+    )
+
+
 def test_config_file_with_flag_override(tmp_path):
     corpus = _write_corpus(tmp_path / "corpus")
     config_file = tmp_path / "run.cfg"
@@ -190,9 +220,11 @@ def test_dump_trees_writes_the_trees_selection_used(tmp_path, monkeypatch):
         assert len(calls) == 3
         dumps = json.loads((out / "trees.json").read_text())
         rebuilt = {
-            f"topic{t}": tree_to_dict(build_class_tree(*calls[t])) for t in range(3)
+            f"topic{t}": tree_to_dict(build_class_tree(*calls[t]), [f"topic{t}/d{d}" for d in range(3)])
+            for t in range(3)
         }
         assert dumps == rebuilt
+        assert dumps["topic0"]["nodes"][0]["members"] == ["topic0/d0", "topic0/d1", "topic0/d2"]
 
 
 def test_empty_corpus_exits_2(tmp_path, capsys):
@@ -218,6 +250,27 @@ def test_file_provider_error_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "missing embedding" in capsys.readouterr().err
+
+
+def test_file_vectors_whose_squared_distances_overflow_summarize(tmp_path):
+    """One topic of 20 one-sentence documents with 1-D vectors from 0.1e154
+    to 1.3e154: k-means++ must seed from squared distances whose sum
+    overflows."""
+    import numpy as np
+
+    values = np.random.default_rng(20).uniform(0.1e154, 1.3e154, size=20)
+    documents = [{"doc_id": f"d{i}", "text": f"Report number {i} is here."} for i in range(20)]
+    (tmp_path / "corpus.jsonl").write_text(json.dumps({"topic_id": "t", "documents": documents}))
+    (tmp_path / "vectors.jsonl").write_text(
+        "".join(json.dumps({"key": f"t/d{i}/s0", "vector": [v]}) + "\n" for i, v in enumerate(values))
+    )
+    code = main([
+        "summarize", "--input", str(tmp_path / "corpus.jsonl"), "--layout", "jsonl",
+        "--embedder", f"file:{tmp_path / 'vectors.jsonl'}", "--budget-words", "20",
+        "--dump-trees", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert json.loads((tmp_path / "out" / "trees.json").read_text())["t"]["node_count"] > 1
 
 
 def test_evaluate_generates_and_reports(tmp_path):
@@ -556,10 +609,10 @@ def test_ablate_builds_each_shared_clustering_once_per_topic(tmp_path, monkeypat
 
     built = {"document tree": 0, "sentence tree": 0, "flat clustering": 0}
 
-    def counting_tree(items, *args, **kwargs):
-        unit = "sentence tree" if "/s" in items[0][0] else "document tree"
-        built[unit] += 1
-        return build_class_tree(items, *args, **kwargs)
+    def counting_tree(vectors, *args, **kwargs):
+        # The corpus has 6 documents of 5 sentences.
+        built["document tree" if len(vectors) == 6 else "sentence tree"] += 1
+        return build_class_tree(vectors, *args, **kwargs)
 
     def counting_kmeans(*args, **kwargs):
         built["flat clustering"] += 1

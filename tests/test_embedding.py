@@ -193,9 +193,10 @@ def test_document_vector_is_mean_of_sentences():
             skey("t", 1, 0): [3.0, 4.0],
         },
     )
-    np.testing.assert_allclose(embedded.document_vectors["t/d0"], [0.5, 0.5])
+    documents = embedded.topic_vectors(topic).documents
+    np.testing.assert_allclose(documents[0], [0.5, 0.5])
     # A single-sentence document's vector equals its sentence vector.
-    np.testing.assert_allclose(embedded.document_vectors["t/d1"], [3.0, 4.0])
+    np.testing.assert_allclose(documents[1], [3.0, 4.0])
 
 
 def test_document_mean_invariant_tight():
@@ -204,7 +205,47 @@ def test_document_mean_invariant_tight():
     vectors = {skey("t", 0, i): rng.normal(size=8) for i in range(3)}
     embedded = embed_with_vectors(make_corpus(topic), vectors)
     mean = np.stack([vectors[skey("t", 0, i)] for i in range(3)]).mean(axis=0)
-    assert np.max(np.abs(embedded.document_vectors["t/d0"] - mean)) <= 1e-9
+    assert np.max(np.abs(embedded.topic_vectors(topic).documents[0] - mean)) <= 1e-9
+
+
+def _random_topic_vectors(seed):
+    """A topic of documents with 1-7 sentences each and its 16-dim vectors."""
+    rng = np.random.default_rng(seed)
+    texts = [
+        " ".join(f"Sentence {s} of document {d}." for s in range(int(rng.integers(1, 8))))
+        for d in range(int(rng.integers(1, 9)))
+    ]
+    topic = make_topic("t", texts)
+    vectors = {
+        skey("t", doc.doc_index, sent.sent_index): rng.normal(size=16) * 10.0 ** rng.integers(-3, 4)
+        for doc in topic.documents
+        for sent in doc.sentences
+    }
+    return topic, vectors
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_topic_vectors_rows_follow_doc_and_sentence_order(seed):
+    topic, vectors = _random_topic_vectors(seed)
+    record = embed_with_vectors(make_corpus(topic), vectors).topic_vectors(topic)
+    order = [(doc.doc_index, sent.sent_index) for doc in topic.documents for sent in doc.sentences]
+    assert order == sorted(order)
+    assert record.sentences.tobytes() == np.stack([vectors[skey("t", *ds)] for ds in order]).tobytes()
+    assert record.doc_of_sentence.tolist() == [d for d, _ in order]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_topic_document_matrix_equals_per_document_means_bitwise(seed):
+    """Each document row is ``np.stack`` of the document's sentence vectors
+    averaged over axis 0, the arithmetic of the per-document means."""
+    topic, vectors = _random_topic_vectors(seed)
+    record = embed_with_vectors(make_corpus(topic), vectors).topic_vectors(topic)
+    means = [
+        np.stack([vectors[skey("t", doc.doc_index, s.sent_index)] for s in doc.sentences]).mean(axis=0)
+        for doc in topic.documents
+    ]
+    assert record.documents.shape == (len(topic.documents), 16)
+    assert record.documents.tobytes() == np.stack(means).tobytes()
 
 
 def test_dimension_mismatch_across_sentences_errors():
@@ -370,5 +411,83 @@ def test_remote_provider_rejects_non_finite(embed_server):
         provider = provider_remote(f"http://127.0.0.1:{server.server_port}")
         with pytest.raises(ProviderError, match="non-finite"):
             provider.embed(["k"], ["text"])
+    finally:
+        server.shutdown()
+
+
+def _serve_body(status, body):
+    """A server answering every POST with ``status`` and ``body``; returns
+    (server, base URL)."""
+
+    class BodyHandler(_EmbedHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server = HTTPServer(("127.0.0.1", 0), BodyHandler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, f"http://127.0.0.1:{server.server_port}"
+
+
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"[1,2]",
+        b'{"vectors": 5}',
+        _DEEP,
+        b'{"vectors": ' + _DEEP + b"}",
+        b'{"vectors": [' + b"[" * 500 + b"1.0" + b"]" * 500 + b"]}",
+        b"not json",
+        b'{"vectors": [{"x": 1}]}',
+        b"\xff\xfe\x00",
+    ],
+    ids=["list", "vectors-number", "deep", "deep-vectors", "deep-vector", "text", "dict-vector", "binary"],
+)
+def test_remote_malformed_response_is_a_provider_error(tmp_path, body):
+    from treesum.cli import main
+
+    server, url = _serve_body(200, body)
+    try:
+        with pytest.raises(ProviderError):
+            provider_remote(url, max_attempts=1).embed(["k"], ["text"])
+        (tmp_path / "corpus.jsonl").write_text(
+            json.dumps({"topic_id": "t", "documents": [{"doc_id": "d", "text": "One sentence here."}]})
+        )
+        code = main([
+            "summarize", "--input", str(tmp_path / "corpus.jsonl"), "--layout", "jsonl",
+            "--embedder", f"remote:{url}", "--budget-words", "10", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+    finally:
+        server.shutdown()
+
+
+@pytest.mark.parametrize("url", ["localhost:8000", "file:///tmp", "ftp://127.0.0.1:1"])
+def test_remote_endpoint_must_be_http(url):
+    with pytest.raises(ProviderError, match="not an http"):
+        provider_remote(url)
+
+
+def test_remote_client_error_reports_the_start_of_the_body():
+    server, url = _serve_body(400, b"bad request: " + b"x" * 500)
+    try:
+        with pytest.raises(ProviderError) as info:
+            provider_remote(url).embed(["k"], ["text"])
+        assert str(info.value) == "embedding service returned 400: bad request: " + "x" * 187
+    finally:
+        server.shutdown()
+
+
+def test_remote_server_error_is_retried_then_reported():
+    server, url = _serve_body(502, b"upstream down")
+    try:
+        with pytest.raises(ProviderError, match="after 2 attempts: embedding service returned 502"):
+            provider_remote(url, max_attempts=2, backoff=0.0).embed(["k"], ["text"])
     finally:
         server.shutdown()

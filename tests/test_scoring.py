@@ -41,27 +41,40 @@ def test_hyperparams_defaults_and_validation():
 
 
 def test_node_centroids_full_universe_has_no_outside():
-    universe = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-    cents = node_centroids(["a", "b"], universe)
+    universe = np.array([[1.0, 0.0], [0.0, 1.0]])
+    cents = node_centroids(universe, np.array([0, 1]))
     np.testing.assert_allclose(cents.inside, [0.5, 0.5])
     assert cents.outside is None
 
 
 def test_node_centroids_with_complement():
-    universe = {
-        "a": np.array([1.0, 0.0]),
-        "b": np.array([0.0, 1.0]),
-        "c": np.array([1.0, 1.0]),
-    }
-    cents = node_centroids(["a", "b"], universe)
+    universe = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    cents = node_centroids(universe, np.array([0, 1]))
     np.testing.assert_allclose(cents.inside, [0.5, 0.5])
     np.testing.assert_allclose(cents.outside, [1.0, 1.0])
 
 
 def test_node_centroids_singleton():
-    universe = {"a": np.array([2.0, 3.0]), "b": np.array([0.0, 1.0])}
-    cents = node_centroids(["a"], universe)
+    universe = np.array([[2.0, 3.0], [0.0, 1.0]])
+    cents = node_centroids(universe, np.array([0]))
     np.testing.assert_allclose(cents.inside, [2.0, 3.0])
+
+
+def test_node_centroids_without_members_raises():
+    with pytest.raises(ValueError, match="no members"):
+        node_centroids(np.ones((3, 2)), np.array([], dtype=np.intp))
+
+
+def test_node_centroids_equal_means_of_member_and_other_rows_bitwise():
+    rng = np.random.default_rng(64)
+    for _ in range(50):
+        universe = rng.normal(size=(int(rng.integers(2, 12)), 5)) * 10.0 ** rng.integers(-3, 4)
+        n = len(universe)
+        members = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        others = [i for i in range(n) if i not in set(members.tolist())]
+        cents = node_centroids(universe, members)
+        assert cents.inside.tobytes() == np.stack([universe[i] for i in members]).mean(axis=0).tobytes()
+        assert cents.outside.tobytes() == np.stack([universe[i] for i in others]).mean(axis=0).tobytes()
 
 
 def test_score_cs_delta_one_parallel():

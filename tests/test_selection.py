@@ -14,6 +14,7 @@ from helpers import (
     reference_cosine,
     scalar_selection,
     skey,
+    summary_keys,
 )
 from treesum.embedding import cosine_similarity
 from treesum.scoring import Hyperparams, NodeCentroids, blend_cs, node_centroids, score_cs
@@ -35,7 +36,6 @@ from treesum.tree import build_class_tree
 
 def _ref(key: str, doc_index: int, sent_index: int) -> SentenceRef:
     return SentenceRef(
-        key=key,
         doc_id=f"doc{doc_index}",
         doc_index=doc_index,
         sent_index=sent_index,
@@ -56,7 +56,7 @@ def test_order_summary_follows_traversal_positions():
         iteration=1,
     )
     summary = order_summary(state, traversal_order=[1, 3])
-    assert [s.key for s in summary.sentences] == ["t/d1/s0", "t/d0/s0"]
+    assert summary_keys("t", summary) == ["t/d1/s0", "t/d0/s0"]
 
 
 def test_order_summary_keeps_selection_order_within_node():
@@ -69,7 +69,7 @@ def test_order_summary_keeps_selection_order_within_node():
         iteration=2,
     )
     summary = order_summary(state, traversal_order=[0])
-    assert [s.key for s in summary.sentences] == ["t/d0/s1", "t/d0/s0"]
+    assert summary_keys("t", summary) == ["t/d0/s1", "t/d0/s0"]
     assert [s.iteration for s in summary.sentences] == [1, 2]
 
 
@@ -120,8 +120,8 @@ def _fixture_embedded():
 
 
 def _fixture_tree(embedded, topic, max_nodes=3):
-    items = list(embedded.doc_vectors_for(topic).items())
-    return build_class_tree(items, k_first=2, k_rest=2, max_nodes=max_nodes, seed=5)
+    documents = embedded.topic_vectors(topic).documents
+    return build_class_tree(documents, k_first=2, k_rest=2, max_nodes=max_nodes, seed=5)
 
 
 def test_fixture_tree_structure():
@@ -130,8 +130,8 @@ def test_fixture_tree_structure():
     assert tree.node_count == 3
     layer2 = [tree.node(i) for i in tree.traversal_order[1:]]
     assert [n.size for n in layer2] == [3, 2]
-    assert set(layer2[0].member_keys) == {"fix/d0", "fix/d1", "fix/d2"}
-    assert set(layer2[1].member_keys) == {"fix/d3", "fix/d4"}
+    assert layer2[0].members == (0, 1, 2)
+    assert layer2[1].members == (3, 4)
 
 
 def test_golden_traversal_trace():
@@ -149,7 +149,7 @@ def test_golden_traversal_trace():
     summary = select_summary(
         tree, topic, embedded, Hyperparams(), Budget("words", 12), scoring_mode="cs_only"
     )
-    assert [s.key for s in summary.sentences] == ["fix/d0/s1", "fix/d1/s1", "fix/d4/s0"]
+    assert summary_keys("fix", summary) == ["fix/d0/s1", "fix/d1/s1", "fix/d4/s0"]
     assert [s.node_id for s in summary.sentences] == list(tree.traversal_order)
     assert summary.text == (
         "Alpha four five six. Bravo four five six. Echo one two three."
@@ -196,13 +196,13 @@ def test_golden_trace_three_clusters():
     visiting equal-size nodes in lowest-document-index order.
     """
     topic, embedded = _three_cluster_embedded()
-    items = list(embedded.doc_vectors_for(topic).items())
-    tree = build_class_tree(items, k_first=3, k_rest=2, max_nodes=4, seed=9)
+    documents = embedded.topic_vectors(topic).documents
+    tree = build_class_tree(documents, k_first=3, k_rest=2, max_nodes=4, seed=9)
     assert tree.node_count == 4
     summary = select_summary(
         tree, topic, embedded, Hyperparams(), Budget("words", 16), scoring_mode="cs_only"
     )
-    assert [s.key for s in summary.sentences] == [
+    assert summary_keys("tri", summary) == [
         "tri/d0/s1", "tri/d1/s1", "tri/d2/s0", "tri/d4/s0",
     ]
     assert [s.node_id for s in summary.sentences] == list(tree.traversal_order)
@@ -225,7 +225,7 @@ def test_exhaustion_selects_every_sentence_once():
     summary = select_summary(
         tree, topic, embedded, Hyperparams(), Budget("words", 10_000), scoring_mode="final"
     )
-    keys = [s.key for s in summary.sentences]
+    keys = summary_keys("fix", summary)
     assert sorted(keys) == sorted(FIXTURE_VECTORS)
     assert len(set(keys)) == len(keys)
 
@@ -247,13 +247,14 @@ def test_budget_crossing_sentence_is_kept():
 def test_byte_budget_semantics():
     topic, embedded = _fixture_embedded()
     tree = _fixture_tree(embedded, topic)
-    refs = {r.key: r for r in sentence_refs(topic)}
+    refs = {(r.doc_index, r.sent_index): r for r in sentence_refs(topic)}
     summary = select_summary(
         tree, topic, embedded, Hyperparams(), Budget("bytes", 30), scoring_mode="cs_only"
     )
-    consumed = sum(refs[s.key].byte_length for s in summary.sentences)
+    consumed = sum(refs[s.doc_index, s.sent_index].byte_length for s in summary.sentences)
     assert consumed >= 30
-    assert consumed - 30 < refs[summary.sentences[-1].key].byte_length
+    last = summary.sentences[-1]
+    assert consumed - 30 < refs[last.doc_index, last.sent_index].byte_length
 
 
 def test_engine_overshoot_bounded_by_crossing_sentence():
@@ -266,7 +267,7 @@ def test_engine_overshoot_bounded_by_crossing_sentence():
     groups = []
     for node_id in tree.traversal_order:
         node = tree.node(node_id)
-        members = [i for i, r in enumerate(refs) if f"fix/d{r.doc_index}" in node.member_keys]
+        members = [i for i, r in enumerate(refs) if r.doc_index in node.members]
         groups.append((node_id, np.array(members)))
 
     total = sum(r.word_count for r in refs)
@@ -287,7 +288,7 @@ def test_selection_is_deterministic():
     first = select_summary(tree, topic, embedded, Hyperparams(), Budget("words", 16), "final")
     second = select_summary(tree, topic, embedded, Hyperparams(), Budget("words", 16), "final")
     assert first.text == second.text
-    assert [s.key for s in first.sentences] == [s.key for s in second.sentences]
+    assert summary_keys("fix", first) == summary_keys("fix", second)
 
 
 def test_single_document_topic_matches_brute_force():
@@ -298,7 +299,7 @@ def test_single_document_topic_matches_brute_force():
         skey("solo", 0, 2): (0.7, 0.7),
     }
     embedded = embed_with_vectors(make_corpus(topic), vectors)
-    tree = build_class_tree(list(embedded.doc_vectors_for(topic).items()), 3, 2, 5, seed=0)
+    tree = build_class_tree(embedded.topic_vectors(topic).documents, 3, 2, 5, seed=0)
     assert tree.node_count == 1
 
     summary = select_summary(
@@ -337,7 +338,7 @@ def _random_case(rng: np.random.Generator, case: int):
         vectors = {k: np.round(v / 4.0) for k, v in vectors.items()}
     embedded = embed_with_vectors(make_corpus(topic), vectors)
     tree = build_class_tree(
-        list(embedded.doc_vectors_for(topic).items()),
+        embedded.topic_vectors(topic).documents,
         k_first=int(rng.integers(2, 4)),
         k_rest=2,
         max_nodes=int(rng.integers(1, 8)),
@@ -354,9 +355,9 @@ def test_score_context_terms_match_scalar_scores():
         topic, embedded, tree = _random_case(rng, case)
         ctx = ScoreContext.for_tree(tree, topic, embedded)
         sent_vectors = list(embedded.sentence_vectors_for(topic).values())
-        doc_vectors = embedded.doc_vectors_for(topic)
+        documents = embedded.topic_vectors(topic).documents
         for node_id, members in ctx.groups:
-            centroids = node_centroids(tree.node(node_id).member_keys, doc_vectors)
+            centroids = node_centroids(documents, np.array(tree.node(node_id).members))
             inside, outside = ctx.terms[node_id]
             for delta in (0.0, 0.3, 0.9, 1.0):
                 blended = blend_cs(inside, outside, delta)[members]
@@ -453,5 +454,8 @@ def test_selection_matches_scalar_oracle():
             for budget in budgets:
                 for mode in ("final", "cs_only"):
                     state = select_from_context(ctx, hp, budget, mode)
-                    got = [(s.ref.key, s.node_id, s.iteration) for s in state.selected]
+                    got = [
+                        (skey(topic.topic_id, s.ref.doc_index, s.ref.sent_index), s.node_id, s.iteration)
+                        for s in state.selected
+                    ]
                     assert got == scalar_selection(tree, topic, embedded, hp, budget, mode)

@@ -13,13 +13,22 @@ import numpy as np
 import pytest
 
 import treesum
-from helpers import brute_force_min_inertia, difference_form_lloyd, scalar_refine_labels
+from helpers import (
+    brute_force_min_inertia,
+    difference_form_lloyd,
+    embed_with_vectors,
+    make_corpus,
+    random_synthetic_topic,
+    scalar_refine_labels,
+)
+from treesum.embedding import document_key, sentence_key
 from treesum.tree import (
     ClassTree,
     _cluster_means,
     _gram_dists,
     _gram_error_bound,
     _has_k_distinct_rows,
+    _kmeans_pp_init,
     _lloyd,
     _refine_labels,
     _sq_dists,
@@ -363,6 +372,34 @@ def test_distinct_row_check_matches_np_unique():
             assert _has_k_distinct_rows(points, k) == (distinct >= k), (points, k)
 
 
+def _overflowing_sum_points(rng):
+    """20 1-D points from 0.1e154 to 1.3e154: every squared distance is
+    finite, their sum is not."""
+    return rng.uniform(0.1e154, 1.3e154, size=(20, 1))
+
+
+def test_kmeans_pp_seeds_where_squared_distances_sum_past_the_float_range():
+    """The seeds drawn are those drawn for the same points scaled by 2^-512,
+    whose weights are the same up to that exact factor and sum finitely."""
+    rng = np.random.default_rng(154)
+    for trial in range(20):
+        points = _overflowing_sum_points(rng)
+        k = int(rng.integers(2, 5))
+        got = _kmeans_pp_init(points, k, np.random.default_rng(trial))
+        scaled = _kmeans_pp_init(np.ldexp(points, -512), k, np.random.default_rng(trial))
+        assert got.tobytes() == np.ldexp(scaled, 512).tobytes()
+
+
+def test_kmeans_splits_points_whose_squared_distances_sum_past_the_float_range():
+    rng = np.random.default_rng(1300)
+    for trial in range(10):
+        points = _overflowing_sum_points(rng)
+        for k in (2, 3):
+            result = kmeans(points, k, seed=trial)
+            assert result is not None
+            assert sorted(set(result.labels.tolist())) == list(range(k))
+
+
 def test_kmeans_validates_arguments():
     with pytest.raises(ValueError):
         kmeans([np.zeros(2)], k=1, seed=0)
@@ -444,22 +481,22 @@ def _assert_partition_property(tree: ClassTree):
     for node in tree.nodes.values():
         if not node.children:
             continue
-        child_members = [set(c.member_keys) for c in node.children]
+        child_members = [set(c.members) for c in node.children]
         union = set().union(*child_members)
-        assert union == set(node.member_keys)
+        assert union == set(node.members)
         total = sum(len(m) for m in child_members)
-        assert total == len(node.member_keys)  # disjointness
+        assert total == len(node.members)  # disjointness
         for child in node.children:
             assert child.layer == node.layer + 1
             assert child.size >= 1
 
 
-def _items(vectors):
-    return [(f"k{i}", np.asarray(v, dtype=float)) for i, v in enumerate(vectors)]
+def _matrix(vectors):
+    return np.array(vectors, dtype=float)
 
 
 def test_single_item_tree_is_root_only():
-    tree = build_class_tree(_items([(1.0, 2.0)]), k_first=3, k_rest=2, max_nodes=10, seed=0)
+    tree = build_class_tree(_matrix([(1.0, 2.0)]), k_first=3, k_rest=2, max_nodes=10, seed=0)
     assert tree.node_count == 1
     assert tree.root.layer == 1
     assert tree.traversal_order == (0,)
@@ -473,7 +510,7 @@ def test_three_separated_pairs_build_ten_nodes():
         (50.0, 0.0), (50.0, 0.3),
         (0.0, 50.0), (0.3, 50.0),
     ]
-    tree = build_class_tree(_items(vectors), k_first=3, k_rest=2, max_nodes=100, seed=1)
+    tree = build_class_tree(_matrix(vectors), k_first=3, k_rest=2, max_nodes=100, seed=1)
     assert tree.node_count == 10
     layer2 = [n for n in tree.nodes.values() if n.layer == 2]
     layer3 = [n for n in tree.nodes.values() if n.layer == 3]
@@ -484,14 +521,14 @@ def test_three_separated_pairs_build_ten_nodes():
 
 def test_max_nodes_one_keeps_root_only():
     vectors = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]
-    tree = build_class_tree(_items(vectors), k_first=3, k_rest=2, max_nodes=1, seed=0)
+    tree = build_class_tree(_matrix(vectors), k_first=3, k_rest=2, max_nodes=1, seed=0)
     assert tree.node_count == 1
 
 
 def test_traversal_order_sorts_by_layer_then_size():
     # 5 points: one cluster of 3 and one of 2, well separated.
     vectors = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (30.0, 30.0), (30.1, 30.0)]
-    tree = build_class_tree(_items(vectors), k_first=2, k_rest=2, max_nodes=3, seed=2)
+    tree = build_class_tree(_matrix(vectors), k_first=2, k_rest=2, max_nodes=3, seed=2)
     order = [tree.node(i) for i in tree.traversal_order]
     assert order[0].node_id == 0  # root first
     assert [n.layer for n in order] == sorted(n.layer for n in order)
@@ -502,9 +539,56 @@ def test_traversal_order_sorts_by_layer_then_size():
 def test_tree_determinism():
     rng = np.random.default_rng(21)
     vectors = [tuple(rng.normal(size=2)) for _ in range(9)]
-    a = build_class_tree(_items(vectors), 3, 2, 20, seed=77)
-    b = build_class_tree(_items(vectors), 3, 2, 20, seed=77)
-    assert tree_to_dict(a) == tree_to_dict(b)
+    a = build_class_tree(_matrix(vectors), 3, 2, 20, seed=77)
+    b = build_class_tree(_matrix(vectors), 3, 2, 20, seed=77)
+    names = [f"k{i}" for i in range(len(vectors))]
+    assert tree_to_dict(a, names) == tree_to_dict(b, names)
+
+
+def test_tree_to_dict_renders_the_members_of_document_and_sentence_trees():
+    """A document tree and a sentence tree of one synthetic topic, with the
+    node ids, layers, member keys and children of an earlier release that
+    built its trees over key -> vector maps."""
+    topic, vectors = random_synthetic_topic(np.random.default_rng(9), "t9")
+    record = embed_with_vectors(make_corpus(topic), vectors).topic_vectors(topic)
+    doc_names = [document_key("t9", d.doc_index) for d in topic.documents]
+    sent_names = [
+        sentence_key("t9", d.doc_index, s.sent_index) for d in topic.documents for s in d.sentences
+    ]
+    doc_tree = tree_to_dict(build_class_tree(record.documents, 2, 2, 20, seed=5), doc_names)
+    sent_tree = tree_to_dict(build_class_tree(record.sentences, 3, 2, 6, seed=5), sent_names)
+
+    def compact(dump):
+        for position, node in enumerate(dump["nodes"]):
+            assert (node["size"], node["traversal_position"]) == (len(node["members"]), position)
+        return dump["node_count"], [
+            (n["node_id"], n["layer"], n["members"], n["children"]) for n in dump["nodes"]
+        ]
+
+    d = [f"t9/d{i}" for i in range(6)]
+    assert compact(doc_tree) == (11, [
+        (0, 1, d, [1, 2]),
+        (1, 2, d[0:3], [3, 4]),
+        (2, 2, d[3:6], [5, 6]),
+        (3, 3, [d[0], d[2]], [7, 8]),
+        (5, 3, [d[4], d[5]], [9, 10]),
+        (4, 3, [d[1]], []),
+        (6, 3, [d[3]], []),
+        (7, 4, [d[0]], []),
+        (8, 4, [d[2]], []),
+        (9, 4, [d[4]], []),
+        (10, 4, [d[5]], []),
+    ])
+    s = {f"{i}.{j}": f"t9/d{i}/s{j}" for i in range(6) for j in range(4)}
+    d3, d5 = [s[f"3.{j}"] for j in range(4)], [s[f"5.{j}"] for j in range(4)]
+    assert compact(sent_tree) == (6, [
+        (0, 1, [s["0.0"], s["1.0"], s["1.1"], s["2.0"], s["2.1"], *d3, s["4.0"], *d5], [1, 2, 3]),
+        (1, 2, [*d3, s["4.0"], *d5], [4, 5]),
+        (2, 2, [s["0.0"], s["2.0"], s["2.1"]], []),
+        (3, 2, [s["1.0"], s["1.1"]], []),
+        (4, 3, [s["4.0"], *d5], []),
+        (5, 3, d3, []),
+    ])
 
 
 def test_condition2_bound_random_trees():
@@ -515,7 +599,7 @@ def test_condition2_bound_random_trees():
         k_first = int(rng.integers(2, 5))
         k_rest = 2
         max_nodes = int(rng.integers(1, 12))
-        tree = build_class_tree(_items(vectors), k_first, k_rest, max_nodes, seed=trial)
+        tree = build_class_tree(_matrix(vectors), k_first, k_rest, max_nodes, seed=trial)
         assert tree.node_count <= max_nodes + max(k_first, k_rest) - 1
         _assert_partition_property(tree)
 

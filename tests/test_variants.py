@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import embed_with_vectors, make_corpus, make_topic, random_synthetic_topic, skey
+from helpers import (
+    embed_with_vectors,
+    make_corpus,
+    make_topic,
+    random_synthetic_topic,
+    skey,
+    summary_keys,
+)
 from test_selection import FIXTURE_VECTORS, _fixture_embedded
 from treesum.scoring import Hyperparams
 from treesum.selection import Budget, sentence_refs
@@ -36,7 +43,7 @@ def test_comp1_identical_vectors_tiebreak():
         {skey("t", 0, 0): same, skey("t", 0, 1): same, skey("t", 1, 0): same},
     )
     summary = summarize_comp1(topic, embedded, Budget("words", 4))
-    assert summary.sentences[0].key == "t/d0/s0"
+    assert summary_keys("t", summary)[0] == "t/d0/s0"
 
 
 def test_comp1_centroid_direction_sentence_first():
@@ -44,13 +51,13 @@ def test_comp1_centroid_direction_sentence_first():
     summary = summarize_comp1(topic, embedded, Budget("words", 4))
     # (0.70, 0.40) is the fixture sentence most aligned with the global
     # document centroid (0.566, 0.434).
-    assert summary.sentences[0].key == "fix/d0/s1"
+    assert summary_keys("fix", summary)[0] == "fix/d0/s1"
 
 
 def test_comp1_budget_larger_than_topic_takes_everything():
     topic, embedded = _fixture_embedded()
     summary = summarize_comp1(topic, embedded, Budget("words", 9999))
-    assert sorted(s.key for s in summary.sentences) == sorted(FIXTURE_VECTORS)
+    assert sorted(summary_keys("fix", summary)) == sorted(FIXTURE_VECTORS)
 
 
 def test_comp1_orders_by_score_descending():
@@ -58,7 +65,7 @@ def test_comp1_orders_by_score_descending():
     summary = summarize_comp1(topic, embedded, Budget("words", 16))
     # Computed against the global centroid, the four best-aligned sentences
     # in score order.
-    assert [s.key for s in summary.sentences] == [
+    assert summary_keys("fix", summary) == [
         "fix/d0/s1", "fix/d2/s0", "fix/d2/s1", "fix/d0/s0",
     ]
 
@@ -78,7 +85,7 @@ def test_comp2_identical_documents_single_cluster():
     vectors = {skey("t", d, 0): same for d in range(3)}
     embedded = embed_with_vectors(make_corpus(topic), vectors)
     summary = summarize_comp2(topic, embedded, Hyperparams(), Budget("words", 4), seed=0)
-    assert summary.sentences[0].key == "t/d0/s0"
+    assert summary_keys("t", summary)[0] == "t/d0/s0"
     assert len(summary.sentences) == 1
 
 
@@ -125,9 +132,9 @@ def test_single_document_comp2_comp3_reduce_to_comp1():
     }
     embedded = embed_with_vectors(make_corpus(topic), vectors)
     budget = Budget("words", 8)
-    base = [s.key for s in summarize_comp1(topic, embedded, budget).sentences]
+    base = summary_keys("t", summarize_comp1(topic, embedded, budget))
     for fn in (summarize_comp2, summarize_comp3):
-        got = [s.key for s in fn(topic, embedded, Hyperparams(), budget, seed=1).sentences]
+        got = summary_keys("t", fn(topic, embedded, Hyperparams(), budget, seed=1))
         assert got == base
 
 
@@ -142,7 +149,7 @@ def test_comp4_sentence_clusters_trace():
     topic, embedded = _fixture_embedded()
     hp = Hyperparams(k_first=2)
     summary = summarize_comp4(topic, embedded, hp, Budget("words", 12), seed=5, max_nodes=3)
-    keys = [s.key for s in summary.sentences]
+    keys = summary_keys("fix", summary)
     # Root of the sentence tree picks the sentence nearest the global
     # sentence centroid; the two sentence-cluster nodes then contribute one
     # sentence each, big cluster first.
@@ -167,11 +174,11 @@ def test_all_methods_share_budget_and_duplicate_semantics(method):
     for trial in range(4):
         topic, vectors = random_synthetic_topic(rng, f"t{trial}")
         embedded = embed_with_vectors(make_corpus(topic), vectors)
-        sizes = {r.key: r.word_count for r in sentence_refs(topic)}
+        sizes = {skey(topic.topic_id, r.doc_index, r.sent_index): r.word_count for r in sentence_refs(topic)}
         limit = max(1, int(rng.integers(1, sum(sizes.values()) + 8)))
         spec = VariantSpec(method, Hyperparams(k_first=2), Budget("words", limit), seed=trial)
         summary = summarize_topic(topic, embedded, spec, max_nodes=4)
-        keys = [s.key for s in summary.sentences]
+        keys = summary_keys(topic.topic_id, summary)
         assert len(set(keys)) == len(keys)  # no duplicates
         consumed = sum(sizes[k] for k in keys)
         if len(keys) == len(sizes):
