@@ -21,13 +21,6 @@ from .scoring import Hyperparams, score_cs, score_final, score_nr, score_positio
 from .selection import Budget, Summary, select_summary
 from .stem import porter_stem
 from .tree import ClassTree, build_class_tree, estimate_sentence_budget, kmeans
-from .variants import (
-    VariantSpec,
-    summarize_comp1,
-    summarize_comp2,
-    summarize_comp3,
-    summarize_comp4,
-    summarize_topic,
-)
+from .variants import METHOD_TABLE, VariantSpec, summarize_topic
 
 __version__ = "0.1.0"

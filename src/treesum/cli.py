@@ -30,8 +30,9 @@ from .config import (
     write_config,
 )
 from .corpus import Corpus, CorpusError, is_unicode_text, load_corpus
-from .embedding import EmbeddedCorpus, ProviderError, document_key, embed_corpus
+from .embedding import EmbeddedCorpus, ProviderError, document_key, embed_corpus, sentence_key
 from .experiments import (
+    GridPoint,
     ablation_csv,
     ablation_table,
     full_grid,
@@ -41,19 +42,17 @@ from .experiments import (
 )
 from .pipeline import resolve_max_nodes, summarize_corpus
 from .rouge import EvaluationError, evaluate_corpus
+from .scoring import Hyperparams
 from .selection import Summary
-from .tree import build_class_tree, derive_seed, tree_to_dict
-from .variants import VariantSpec
+from .tree import tree_to_dict
+from .variants import METHOD_TABLE, VariantSpec
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file; flags override it")
     parser.add_argument("--input", help="corpus root directory or JSONL file")
     parser.add_argument("--layout", choices=["topic-dirs", "jsonl"])
-    parser.add_argument(
-        "--method",
-        choices=["ours-final", "ours-cs", "comp1", "comp2", "comp3", "comp4"],
-    )
+    parser.add_argument("--method", choices=[name.replace("_", "-") for name in METHOD_TABLE])
     budget = parser.add_mutually_exclusive_group()
     budget.add_argument("--budget-words", type=int, metavar="N")
     budget.add_argument("--budget-bytes", type=int, metavar="N")
@@ -106,29 +105,19 @@ def _generate_summaries(config: RunConfig, corpus: Corpus, embedded: EmbeddedCor
     return summarize_corpus(corpus, embedded, spec, cap, workers=config.workers)
 
 
-def _dump_trees(
-    config: RunConfig,
-    corpus: Corpus,
-    embedded: EmbeddedCorpus,
-    summaries: dict[str, Summary],
-    out_dir: Path,
-) -> None:
-    """Write each topic's document class tree to ``trees.json``.
-
-    The tree methods hand back the tree they selected from; for the
-    baselines, which select without one, the tree is built here.
-    """
-    cap = resolve_max_nodes(corpus, config.budget(), config.max_nodes)
-    hp = config.hyperparams()
+def _dump_trees(config: RunConfig, corpus: Corpus, summaries: dict[str, Summary], out_dir: Path) -> None:
+    """Write to ``trees.json`` the class tree each topic's summary was selected
+    from, members named by document key (or sentence key for comp4's
+    sentence tree); ``null`` for the methods that select without a tree."""
+    by_sentence = METHOD_TABLE[config.method.replace("-", "_")].unit == "sentences"
     dumps = {}
     for topic in corpus:
-        tree = summaries[topic.topic_id].tree
-        if tree is None:
-            seed = derive_seed(config.seed, f"topic:{topic.topic_id}")
-            documents = embedded.topic_vectors(topic).documents
-            tree = build_class_tree(documents, hp.k_first, hp.k_rest, cap, seed)
-        names = [document_key(topic.topic_id, doc.doc_index) for doc in topic.documents]
-        dumps[topic.topic_id] = tree_to_dict(tree, names)
+        tid, tree = topic.topic_id, summaries[topic.topic_id].tree
+        if by_sentence:
+            names = [sentence_key(tid, d.doc_index, s.sent_index) for d in topic.documents for s in d.sentences]
+        else:
+            names = [document_key(tid, d.doc_index) for d in topic.documents]
+        dumps[tid] = None if tree is None else tree_to_dict(tree, names)
     (out_dir / "trees.json").write_text(json.dumps(dumps, indent=2), encoding="utf-8")
 
 
@@ -163,7 +152,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             (out_dir / f"{topic_id}.txt").write_text(summary.text + "\n", encoding="utf-8")
 
     if args.dump_trees:
-        _dump_trees(config, corpus, embedded, summaries, out_dir)
+        _dump_trees(config, corpus, summaries, out_dir)
     print(f"wrote {len(summaries)} summaries to {out_dir}")
     return 0
 
@@ -268,32 +257,32 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid_args(args: argparse.Namespace):
-    deltas = None
-    if args.deltas:
-        deltas = [float(v) for v in args.deltas.split(",") if v.strip()]
-    ks = None
-    if args.ks:
-        ks = [int(v) for v in args.ks.split(",") if v.strip()]
-    triples = None
-    if args.weights:
-        triples = []
-        for chunk in args.weights.split(";"):
-            parts = [float(v) for v in chunk.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"--weights triple must have 3 values, got {chunk!r}")
-            triples.append((parts[0], parts[1], parts[2]))
-    return deltas, triples, ks
+def _parse_grid(args: argparse.Namespace, base: Hyperparams) -> list[GridPoint]:
+    """The ``tune`` grid the flags restrict, every point checked as hyperparameters."""
+    try:
+        deltas = [float(v) for v in args.deltas.split(",") if v.strip()] if args.deltas else None
+        ks = [int(v) for v in args.ks.split(",") if v.strip()] if args.ks else None
+        triples = None
+        if args.weights:
+            triples = []
+            for chunk in args.weights.split(";"):
+                triple = tuple(float(v) for v in chunk.split(","))
+                if len(triple) != 3:
+                    raise ConfigError(f"--weights triple must have 3 values, got {chunk!r}")
+                triples.append(triple)
+        grid = full_grid(deltas=deltas, weight_triples=triples, ks=ks)
+        for point in grid:
+            point.hyperparams(base)
+    except ValueError as exc:
+        raise ConfigError(f"bad tune grid: {exc}") from exc
+    return grid
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    base_hp = config.hyperparams()
+    grid = _parse_grid(args, base_hp)
     corpus, embedded = _load_and_embed(config)
-    deltas, triples, ks = _parse_grid_args(args)
-    try:
-        grid = full_grid(deltas=deltas, weight_triples=triples, ks=ks)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     best, results = run_grid_search(
         corpus,
         embedded,
@@ -302,7 +291,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         seed=config.seed,
         objective_metric=args.objective,
         report_kind=config.report,
-        base_hp=config.hyperparams(),
+        base_hp=base_hp,
         max_nodes=config.max_nodes,
         workers=config.workers,
     )

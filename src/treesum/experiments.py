@@ -110,6 +110,12 @@ class GridPoint:
     gamma: float
     k: int
 
+    def hyperparams(self, base: Hyperparams) -> Hyperparams:
+        """``base`` with this point's delta, weights and first-layer cluster count."""
+        return replace(
+            base, delta=self.delta, alpha=self.alpha, beta=self.beta, gamma=self.gamma, k_first=self.k
+        )
+
 
 @dataclass(frozen=True)
 class GridResult:
@@ -186,22 +192,7 @@ def run_grid_search(
         raise ValueError("empty hyperparameter grid")
     base = base_hp or Hyperparams()
     cap = resolve_max_nodes(corpus, budget, max_nodes)
-    specs = [
-        VariantSpec(
-            kind="ours_final",
-            hp=replace(
-                base,
-                delta=point.delta,
-                alpha=point.alpha,
-                beta=point.beta,
-                gamma=point.gamma,
-                k_first=point.k,
-            ),
-            budget=budget,
-            seed=seed,
-        )
-        for point in grid
-    ]
+    specs = [VariantSpec("ours_final", point.hyperparams(base), budget, seed) for point in grid]
 
     per_topic = map_topics(corpus, embedded, specs, cap, workers, keep=attrgetter("text"))
     reports = _reports(corpus, per_topic, budget, [objective_metric], report_kind)

@@ -333,7 +333,7 @@ def select_from_context(
 
 
 def select_summary(
-    tree: ClassTree,
+    tree: ClassTree | None,
     topic: Topic,
     embedded: EmbeddedCorpus,
     hp: Hyperparams,
@@ -341,14 +341,18 @@ def select_summary(
     scoring_mode: str = "final",
     context: ScoreContext | None = None,
 ) -> Summary:
-    """Select a summary for one topic from its document class tree.
+    """Select a summary for one topic and attach ``tree`` to it.
 
     ``scoring_mode`` is as in ``select_from_context``. ``context`` carries the
-    score terms of ``tree`` over ``topic``; callers selecting repeatedly from
-    one tree pass it to compute them once.
+    score terms of the groups selected from; without one, they are the nodes
+    of ``tree``, a document class tree, in traversal order. Callers selecting
+    repeatedly from one grouping pass the context to compute it once, and
+    methods that select without a tree pass ``tree=None`` and their context.
+    Picks are ordered by the context's group order.
     """
-    if tree.node_count < 1:
-        raise ValueError("empty tree")
-    ctx = context if context is not None else ScoreContext.for_tree(tree, topic, embedded)
-    state = select_from_context(ctx, hp, budget, scoring_mode)
-    return replace(order_summary(state, tree.traversal_order), tree=tree)
+    if context is None:
+        if tree is None or tree.node_count < 1:
+            raise ValueError("selection needs a non-empty tree or a context")
+        context = ScoreContext.for_tree(tree, topic, embedded)
+    state = select_from_context(context, hp, budget, scoring_mode)
+    return replace(order_summary(state, [node_id for node_id, _ in context.groups]), tree=tree)

@@ -194,9 +194,10 @@ def test_summarize_dump_trees(tmp_path):
 
 
 def test_dump_trees_writes_the_trees_selection_used(tmp_path, monkeypatch):
-    """``--dump-trees`` reuses the trees the summaries came from: one
-    ``build_class_tree`` call per topic, and the dump equals a fresh build."""
-    import treesum.cli
+    """``--dump-trees`` writes the tree each summary was selected from, built
+    once per topic: the document tree for ours-final and ours-cs, comp4's
+    sentence tree with members named by sentence key, and null for the
+    methods that select without a tree."""
     import treesum.variants
     from treesum.tree import build_class_tree
 
@@ -207,9 +208,8 @@ def test_dump_trees_writes_the_trees_selection_used(tmp_path, monkeypatch):
         return build_class_tree(*args, **kwargs)
 
     monkeypatch.setattr(treesum.variants, "build_class_tree", counting_build)
-    monkeypatch.setattr(treesum.cli, "build_class_tree", counting_build)
     corpus = _write_corpus(tmp_path / "corpus", n_topics=3)
-    for method in ("ours-final", "ours-cs"):
+    for method in ("ours-final", "ours-cs", "comp4", "comp1"):
         calls.clear()
         out = tmp_path / method
         code = main([
@@ -217,14 +217,20 @@ def test_dump_trees_writes_the_trees_selection_used(tmp_path, monkeypatch):
             "--dump-trees", "--out", str(out),
         ])
         assert code == 0
-        assert len(calls) == 3
         dumps = json.loads((out / "trees.json").read_text())
-        rebuilt = {
-            f"topic{t}": tree_to_dict(build_class_tree(*calls[t]), [f"topic{t}/d{d}" for d in range(3)])
-            for t in range(3)
-        }
+        if method == "comp1":
+            assert calls == []
+            assert dumps == {f"topic{t}": None for t in range(3)}
+            continue
+        if method == "comp4":
+            names = [[f"topic{t}/d{d}/s{s}" for d in range(3) for s in range(3)] for t in range(3)]
+        else:
+            names = [[f"topic{t}/d{d}" for d in range(3)] for t in range(3)]
+        assert len(calls) == 3
+        assert [len(args[0]) for args in calls] == [len(n) for n in names]
+        rebuilt = {f"topic{t}": tree_to_dict(build_class_tree(*calls[t]), names[t]) for t in range(3)}
         assert dumps == rebuilt
-        assert dumps["topic0"]["nodes"][0]["members"] == ["topic0/d0", "topic0/d1", "topic0/d2"]
+        assert dumps["topic0"]["nodes"][0]["members"] == names[0]
 
 
 def test_empty_corpus_exits_2(tmp_path, capsys):
@@ -553,6 +559,35 @@ def test_grid_search_matches_standalone_run(tmp_path):
             )
             assert result.objective == report.headline(metric), (budget, workers, p)
         assert best.objective == max(r.objective for r in results)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--deltas", "abc"),
+        ("--deltas", "2"),
+        ("--deltas", "nan"),
+        ("--ks", "1"),
+        ("--ks", "x"),
+        ("--weights", "a,b,c"),
+        ("--weights", "0.5,0.5,0.5"),
+        ("--weights", "1,0,0;"),
+    ],
+)
+def test_tune_bad_grid_value_exits_2_before_embedding(tmp_path, capsys, monkeypatch, flag, value):
+    import treesum.cli
+
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("the corpus was embedded before the grid was checked")
+
+    monkeypatch.setattr(treesum.cli, "embed_corpus", no_embedding)
+    corpus = _write_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    code = main(["tune", "--input", str(corpus), "--budget-words", "20", flag, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_tune_small_grid_runs(tmp_path):

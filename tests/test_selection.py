@@ -320,6 +320,15 @@ def test_select_summary_rejects_unknown_mode():
         select_summary(tree, topic, embedded, Hyperparams(), Budget("words", 10), "fancy")
 
 
+def test_select_summary_without_tree_needs_a_context():
+    topic, embedded = _fixture_embedded()
+    with pytest.raises(ValueError, match="tree or a context"):
+        select_summary(None, topic, embedded, Hyperparams(), Budget("words", 10))
+    ctx = ScoreContext.for_tree(_fixture_tree(embedded, topic), topic, embedded)
+    summary = select_summary(None, topic, embedded, Hyperparams(), Budget("words", 10), context=ctx)
+    assert summary.tree is None and summary.sentences
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         Budget("words", 0)

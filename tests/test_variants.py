@@ -1,4 +1,4 @@
-"""Comparison baselines: behavior, determinism, shared budget semantics."""
+"""The six methods: behavior, determinism, shared budget semantics."""
 
 from __future__ import annotations
 
@@ -16,23 +16,56 @@ from helpers import (
 from test_selection import FIXTURE_VECTORS, _fixture_embedded
 from treesum.scoring import Hyperparams
 from treesum.selection import Budget, sentence_refs
-from treesum.variants import (
-    METHODS,
-    VariantSpec,
-    summarize_comp1,
-    summarize_comp2,
-    summarize_comp3,
-    summarize_comp4,
-    summarize_topic,
-)
+from treesum.variants import METHOD_TABLE, METHODS, VariantSpec, summarize_topic
+
+
+def _summarize(method, topic, embedded, words, hp=Hyperparams(), seed=0, max_nodes=4):
+    spec = VariantSpec(method, hp, Budget("words", words), seed)
+    return summarize_topic(topic, embedded, spec, max_nodes=max_nodes)
 
 
 def test_variant_spec_normalizes_and_validates():
-    spec = VariantSpec(kind="ours-cs", hp=Hyperparams(), budget=Budget("words", 10), seed=1)
+    hp = Hyperparams()
+    spec = VariantSpec(kind="ours-cs", hp=hp, budget=Budget("words", 10), seed=1)
     assert spec.kind == "ours_cs"
-    assert (spec.hp.alpha, spec.hp.beta, spec.hp.gamma) == (1.0, 0.0, 0.0)
+    assert spec.hp == hp
     with pytest.raises(ValueError, match="unknown method"):
         VariantSpec(kind="comp9", hp=Hyperparams(), budget=Budget("words", 10), seed=1)
+
+
+def test_methods_follow_the_table():
+    assert METHODS == tuple(METHOD_TABLE)
+    assert set(METHODS) == {"ours_final", "ours_cs", "comp1", "comp2", "comp3", "comp4"}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_ours_cs_does_not_depend_on_the_weights(seed):
+    """ours-cs ranks by commonality-specificity alone, so alpha, beta and
+    gamma change nothing, and it equals ours-final at weights (1, 0, 0)."""
+    rng = np.random.default_rng(seed)
+    topic, vectors = random_synthetic_topic(rng, "t")
+    embedded = embed_with_vectors(make_corpus(topic), vectors)
+    triples = [(0.8, 0.1, 0.1), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.2, 0.5, 0.3)]
+    summaries = [
+        _summarize("ours_cs", topic, embedded, 30, Hyperparams(delta=0.6, alpha=a, beta=b, gamma=g), seed)
+        for a, b, g in triples
+    ]
+    assert all(s == summaries[0] for s in summaries)
+    final = _summarize("ours_final", topic, embedded, 30, Hyperparams(delta=0.6, alpha=1, beta=0, gamma=0), seed)
+    assert final == summaries[0]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_summary_carries_the_tree_it_was_selected_from(method):
+    topic, embedded = _fixture_embedded()
+    summary = _summarize(method, topic, embedded, 12, Hyperparams(k_first=2), seed=5, max_nodes=3)
+    entry = METHOD_TABLE[method]
+    if entry.grouping != "tree":
+        assert summary.tree is None
+        return
+    units = len(topic.documents) if entry.unit == "documents" else len(FIXTURE_VECTORS)
+    assert list(summary.tree.node(0).members) == list(range(units))
+    assert {s.node_id for s in summary.sentences} <= set(summary.tree.traversal_order)
 
 
 def test_comp1_identical_vectors_tiebreak():
@@ -42,13 +75,13 @@ def test_comp1_identical_vectors_tiebreak():
         make_corpus(topic),
         {skey("t", 0, 0): same, skey("t", 0, 1): same, skey("t", 1, 0): same},
     )
-    summary = summarize_comp1(topic, embedded, Budget("words", 4))
+    summary = _summarize("comp1", topic, embedded, 4)
     assert summary_keys("t", summary)[0] == "t/d0/s0"
 
 
 def test_comp1_centroid_direction_sentence_first():
     topic, embedded = _fixture_embedded()
-    summary = summarize_comp1(topic, embedded, Budget("words", 4))
+    summary = _summarize("comp1", topic, embedded, 4)
     # (0.70, 0.40) is the fixture sentence most aligned with the global
     # document centroid (0.566, 0.434).
     assert summary_keys("fix", summary)[0] == "fix/d0/s1"
@@ -56,13 +89,13 @@ def test_comp1_centroid_direction_sentence_first():
 
 def test_comp1_budget_larger_than_topic_takes_everything():
     topic, embedded = _fixture_embedded()
-    summary = summarize_comp1(topic, embedded, Budget("words", 9999))
+    summary = _summarize("comp1", topic, embedded, 9999)
     assert sorted(summary_keys("fix", summary)) == sorted(FIXTURE_VECTORS)
 
 
 def test_comp1_orders_by_score_descending():
     topic, embedded = _fixture_embedded()
-    summary = summarize_comp1(topic, embedded, Budget("words", 16))
+    summary = _summarize("comp1", topic, embedded, 16)
     # Computed against the global centroid, the four best-aligned sentences
     # in score order.
     assert summary_keys("fix", summary) == [
@@ -70,12 +103,19 @@ def test_comp1_orders_by_score_descending():
     ]
 
 
+@pytest.mark.parametrize("method", ["comp1", "comp3"])
+def test_comp1_comp3_ignore_the_configured_delta(method):
+    topic, embedded = _fixture_embedded()
+    outs = {
+        _summarize(method, topic, embedded, 12, Hyperparams(delta=delta, k_first=2), seed=3).text
+        for delta in (0.0, 0.5, 1.0)
+    }
+    assert len(outs) == 1
+
+
 def test_comp1_ignores_seed():
     topic, embedded = _fixture_embedded()
-    outs = set()
-    for seed in (0, 7, 123):
-        spec = VariantSpec("comp1", Hyperparams(), Budget("words", 12), seed)
-        outs.add(summarize_topic(topic, embedded, spec, max_nodes=3).text)
+    outs = {_summarize("comp1", topic, embedded, 12, seed=seed, max_nodes=3).text for seed in (0, 7, 123)}
     assert len(outs) == 1
 
 
@@ -84,43 +124,41 @@ def test_comp2_identical_documents_single_cluster():
     same = (0.6, 0.8)
     vectors = {skey("t", d, 0): same for d in range(3)}
     embedded = embed_with_vectors(make_corpus(topic), vectors)
-    summary = summarize_comp2(topic, embedded, Hyperparams(), Budget("words", 4), seed=0)
+    summary = _summarize("comp2", topic, embedded, 4)
     assert summary_keys("t", summary)[0] == "t/d0/s0"
     assert len(summary.sentences) == 1
 
 
-def test_comp2_two_clusters_one_sentence_each():
+def _assert_one_sentence_per_flat_cluster(method):
     topic, embedded = _fixture_embedded()
-    hp = Hyperparams(k_first=2)
-    summary = summarize_comp2(topic, embedded, hp, Budget("words", 8), seed=3)
+    summary = _summarize(method, topic, embedded, 8, Hyperparams(k_first=2), seed=3)
     assert len(summary.sentences) == 2
     docs = [s.doc_index for s in summary.sentences]
     assert docs[0] in (0, 1, 2) and docs[1] in (3, 4)  # big cluster first
 
 
-def test_comp2_deterministic():
+def _assert_deterministic(method):
     topic, embedded = _fixture_embedded()
     hp = Hyperparams(k_first=2)
-    a = summarize_comp2(topic, embedded, hp, Budget("words", 12), seed=9)
-    b = summarize_comp2(topic, embedded, hp, Budget("words", 12), seed=9)
+    a = _summarize(method, topic, embedded, 16, hp, seed=9, max_nodes=3)
+    b = _summarize(method, topic, embedded, 16, hp, seed=9, max_nodes=3)
     assert a.text == b.text
+
+
+def test_comp2_two_clusters_one_sentence_each():
+    _assert_one_sentence_per_flat_cluster("comp2")
+
+
+def test_comp2_deterministic():
+    _assert_deterministic("comp2")
 
 
 def test_comp3_two_clusters_one_sentence_each():
-    topic, embedded = _fixture_embedded()
-    hp = Hyperparams(k_first=2)
-    summary = summarize_comp3(topic, embedded, hp, Budget("words", 8), seed=3)
-    assert len(summary.sentences) == 2
-    docs = [s.doc_index for s in summary.sentences]
-    assert docs[0] in (0, 1, 2) and docs[1] in (3, 4)
+    _assert_one_sentence_per_flat_cluster("comp3")
 
 
 def test_comp3_deterministic():
-    topic, embedded = _fixture_embedded()
-    hp = Hyperparams(k_first=2)
-    a = summarize_comp3(topic, embedded, hp, Budget("words", 12), seed=9)
-    b = summarize_comp3(topic, embedded, hp, Budget("words", 12), seed=9)
-    assert a.text == b.text
+    _assert_deterministic("comp3")
 
 
 def test_single_document_comp2_comp3_reduce_to_comp1():
@@ -131,24 +169,21 @@ def test_single_document_comp2_comp3_reduce_to_comp1():
         skey("t", 0, 2): (0.9, 0.4),
     }
     embedded = embed_with_vectors(make_corpus(topic), vectors)
-    budget = Budget("words", 8)
-    base = summary_keys("t", summarize_comp1(topic, embedded, budget))
-    for fn in (summarize_comp2, summarize_comp3):
-        got = summary_keys("t", fn(topic, embedded, Hyperparams(), budget, seed=1))
-        assert got == base
+    base = summary_keys("t", _summarize("comp1", topic, embedded, 8))
+    for method in ("comp2", "comp3"):
+        assert summary_keys("t", _summarize(method, topic, embedded, 8, seed=1)) == base
 
 
 def test_comp4_single_sentence_topic():
     topic = make_topic("t", ["Only sentence lives here."])
     embedded = embed_with_vectors(make_corpus(topic), {skey("t", 0, 0): (1.0, 0.0)})
-    summary = summarize_comp4(topic, embedded, Hyperparams(), Budget("words", 4), seed=0, max_nodes=4)
+    summary = _summarize("comp4", topic, embedded, 4)
     assert summary.text == "Only sentence lives here."
 
 
 def test_comp4_sentence_clusters_trace():
     topic, embedded = _fixture_embedded()
-    hp = Hyperparams(k_first=2)
-    summary = summarize_comp4(topic, embedded, hp, Budget("words", 12), seed=5, max_nodes=3)
+    summary = _summarize("comp4", topic, embedded, 12, Hyperparams(k_first=2), seed=5, max_nodes=3)
     keys = summary_keys("fix", summary)
     # Root of the sentence tree picks the sentence nearest the global
     # sentence centroid; the two sentence-cluster nodes then contribute one
@@ -161,11 +196,7 @@ def test_comp4_sentence_clusters_trace():
 
 
 def test_comp4_deterministic():
-    topic, embedded = _fixture_embedded()
-    hp = Hyperparams(k_first=2)
-    a = summarize_comp4(topic, embedded, hp, Budget("words", 16), seed=2, max_nodes=3)
-    b = summarize_comp4(topic, embedded, hp, Budget("words", 16), seed=2, max_nodes=3)
-    assert a.text == b.text
+    _assert_deterministic("comp4")
 
 
 @pytest.mark.parametrize("method", METHODS)
