@@ -26,10 +26,10 @@ from .config import (
     ConfigError,
     RunConfig,
     config_from_mapping,
+    config_to_text,
     load_config_file,
-    write_config,
 )
-from .corpus import Corpus, CorpusError, is_unicode_text, load_corpus
+from .corpus import Corpus, CorpusError, is_unicode_text, jsonl_records, load_corpus, read_text, text_files
 from .embedding import EmbeddedCorpus, ProviderError, document_key, embed_corpus, sentence_key
 from .experiments import (
     GridPoint,
@@ -105,10 +105,33 @@ def _generate_summaries(config: RunConfig, corpus: Corpus, embedded: EmbeddedCor
     return summarize_corpus(corpus, embedded, spec, cap, workers=config.workers)
 
 
-def _dump_trees(config: RunConfig, corpus: Corpus, summaries: dict[str, Summary], out_dir: Path) -> None:
-    """Write to ``trees.json`` the class tree each topic's summary was selected
-    from, members named by document key (or sentence key for comp4's
-    sentence tree); ``null`` for the methods that select without a tree."""
+def _write_outputs(config: RunConfig, files: dict[str, str]) -> Path:
+    """Write ``config.txt`` and then each ``{name: text}`` of ``files`` under ``--out``.
+
+    A ``config.txt`` among ``files`` (the summary of a topic named
+    ``config``) would overwrite the config echo, so it is refused before
+    anything is written. An ``--out`` that cannot hold the files is a
+    ``ConfigError`` naming the path.
+    """
+    out_dir = Path(config.out)
+    if "config.txt" in files:
+        raise ConfigError(
+            f"the summary of topic 'config' would overwrite {out_dir / 'config.txt'}; "
+            "use --format jsonl"
+        )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in {"config.txt": config_to_text(config), **files}.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the outputs under {out_dir}: {exc}") from exc
+    return out_dir
+
+
+def _trees_json(config: RunConfig, corpus: Corpus, summaries: dict[str, Summary]) -> str:
+    """The class tree each topic's summary was selected from, members named
+    by document key (or sentence key for comp4's sentence tree); ``null`` for
+    the methods that select without a tree."""
     by_sentence = METHOD_TABLE[config.method.replace("-", "_")].unit == "sentences"
     dumps = {}
     for topic in corpus:
@@ -118,7 +141,7 @@ def _dump_trees(config: RunConfig, corpus: Corpus, summaries: dict[str, Summary]
         else:
             names = [document_key(tid, d.doc_index) for d in topic.documents]
         dumps[tid] = None if tree is None else tree_to_dict(tree, names)
-    (out_dir / "trees.json").write_text(json.dumps(dumps, indent=2), encoding="utf-8")
+    return json.dumps(dumps, indent=2)
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
@@ -126,96 +149,66 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     corpus, embedded = _load_and_embed(config)
     summaries = _generate_summaries(config, corpus, embedded)
 
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(config, out_dir)
-
     if args.format == "jsonl":
-        with (out_dir / "summaries.jsonl").open("w", encoding="utf-8") as handle:
-            for topic_id, summary in summaries.items():
-                record = {
-                    "topic_id": topic_id,
-                    "summary": summary.text,
-                    "sentences": [
-                        {
-                            "text": s.text,
-                            "node_id": s.node_id,
-                            "doc_id": s.doc_id,
-                            "position": s.position_1based,
-                        }
-                        for s in summary.sentences
-                    ],
-                }
-                handle.write(json.dumps(record) + "\n")
+        records = (
+            {
+                "topic_id": topic_id,
+                "summary": summary.text,
+                "sentences": [
+                    {"text": s.text, "node_id": s.node_id, "doc_id": s.doc_id, "position": s.position_1based}
+                    for s in summary.sentences
+                ],
+            }
+            for topic_id, summary in summaries.items()
+        )
+        files = {"summaries.jsonl": "".join(json.dumps(record) + "\n" for record in records)}
     else:
-        for topic_id, summary in summaries.items():
-            (out_dir / f"{topic_id}.txt").write_text(summary.text + "\n", encoding="utf-8")
-
+        files = {f"{topic_id}.txt": summary.text + "\n" for topic_id, summary in summaries.items()}
     if args.dump_trees:
-        _dump_trees(config, corpus, summaries, out_dir)
+        files["trees.json"] = _trees_json(config, corpus, summaries)
+    out_dir = _write_outputs(config, files)
     print(f"wrote {len(summaries)} summaries to {out_dir}")
     return 0
 
 
-def _read_summary_file(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8").strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise EvaluationError(f"cannot read summary file {path}: {exc}") from exc
-
-
 def _read_summaries(path: str) -> dict[str, str]:
+    """Summaries by topic id, from a directory of ``<topic_id>.txt`` files
+    (skipping the ``config.txt`` a run echoes next to them) or from a
+    summaries JSONL file."""
     source = Path(path)
     if source.is_dir():
-        summaries = {p.stem: _read_summary_file(p) for p in sorted(source.glob("*.txt"))}
+        summaries = {
+            p.stem: read_text(p, EvaluationError).strip() for p in text_files(source) if p.name != "config.txt"
+        }
         if not summaries:
             raise EvaluationError(f"no *.txt summaries found under {source}")
         return summaries
-    if source.is_file():
-        summaries = {}
-        first_line: dict[str, int] = {}
-        try:
-            with source.open(encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except (json.JSONDecodeError, RecursionError) as exc:
-                        raise EvaluationError(
-                            f"invalid JSON on line {line_no} of {source}: {exc}"
-                        ) from exc
-                    fields = record if isinstance(record, dict) else {}
-                    topic_id, summary = fields.get("topic_id"), fields.get("summary")
-                    if not isinstance(topic_id, str) or not isinstance(summary, str):
-                        raise EvaluationError(
-                            f"record on line {line_no} of {source} needs string topic_id and summary"
-                        )
-                    if not (is_unicode_text(topic_id) and is_unicode_text(summary)):
-                        raise EvaluationError(
-                            f"record on line {line_no} of {source} holds a lone surrogate escape"
-                        )
-                    if topic_id in first_line:
-                        raise EvaluationError(
-                            f"topic_id {topic_id!r} appears on lines {first_line[topic_id]} "
-                            f"and {line_no} of {source}"
-                        )
-                    first_line[topic_id] = line_no
-                    summaries[topic_id] = summary
-        except UnicodeDecodeError as exc:
-            raise EvaluationError(f"summaries file {source} is not valid UTF-8: {exc}") from exc
-        if not summaries:
-            raise EvaluationError(f"no summary records found in {source}")
-        return summaries
-    raise EvaluationError(f"summaries path {source} does not exist")
+    if not source.is_file():
+        raise EvaluationError(f"summaries path {source} does not exist")
+    summaries = {}
+    first_line: dict[str, int] = {}
+    for line_no, record in jsonl_records(source, EvaluationError):
+        fields = record if isinstance(record, dict) else {}
+        topic_id, summary = fields.get("topic_id"), fields.get("summary")
+        if not isinstance(topic_id, str) or not isinstance(summary, str):
+            raise EvaluationError(f"record on line {line_no} of {source} needs string topic_id and summary")
+        if not (is_unicode_text(topic_id) and is_unicode_text(summary)):
+            raise EvaluationError(f"record on line {line_no} of {source} holds a lone surrogate escape")
+        if topic_id in first_line:
+            raise EvaluationError(
+                f"topic_id {topic_id!r} appears on lines {first_line[topic_id]} and {line_no} of {source}"
+            )
+        first_line[topic_id] = line_no
+        summaries[topic_id] = summary
+    if not summaries:
+        raise EvaluationError(f"no summary records found in {source}")
+    return summaries
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    corpus, embedded = (None, None)
     if args.summaries:
-        corpus = load_corpus(config.input, config.layout)
-        summaries = _read_summaries(args.summaries)
+        corpus, summaries = load_corpus(config.input, config.layout), _read_summaries(args.summaries)
     else:
         corpus, embedded = _load_and_embed(config)
         summaries = {tid: s.text for tid, s in _generate_summaries(config, corpus, embedded).items()}
@@ -223,12 +216,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate_corpus(
         summaries, corpus, config.budget(), metrics=config.metrics, report_kind=config.report
     )
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(config, out_dir)
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     table = report.to_text_table()
-    (out_dir / "report.txt").write_text(table, encoding="utf-8")
+    _write_outputs(config, {"report.csv": report.to_csv(), "report.txt": table})
     print(table, end="")
     return 0
 
@@ -247,12 +236,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         max_nodes=config.max_nodes,
         workers=config.workers,
     )
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(config, out_dir)
-    (out_dir / "ablation.csv").write_text(ablation_csv(rows, config.metrics), encoding="utf-8")
     table = ablation_table(rows, config.metrics, config.report)
-    (out_dir / "ablation.txt").write_text(table, encoding="utf-8")
+    _write_outputs(config, {"ablation.csv": ablation_csv(rows, config.metrics), "ablation.txt": table})
     print(table, end="")
     return 0
 
@@ -295,18 +280,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
         max_nodes=config.max_nodes,
         workers=config.workers,
     )
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config(config, out_dir)
-    (out_dir / "grid.csv").write_text(
-        grid_csv(results, args.objective, config.report), encoding="utf-8"
-    )
     p = best.point
     best_text = (
         f"delta = {p.delta}\nalpha = {p.alpha}\nbeta = {p.beta}\ngamma = {p.gamma}\n"
         f"k-first = {p.k}\nobjective = {best.objective:.6f}\n"
     )
-    (out_dir / "best.txt").write_text(best_text, encoding="utf-8")
+    _write_outputs(
+        config, {"grid.csv": grid_csv(results, args.objective, config.report), "best.txt": best_text}
+    )
     print(
         f"best: delta={p.delta} alpha={p.alpha} beta={p.beta} gamma={p.gamma} "
         f"k={p.k} ({args.objective} {config.report} {best.objective:.4f}; "

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .corpus import Corpus
+from .corpus import Corpus, read_text
 from .embedding import provider_builtin_tfidf, provider_file, provider_remote
 from .rouge import METRIC_IDS
 from .scoring import Hyperparams
@@ -158,6 +158,8 @@ def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -
         raise ConfigError(f"unknown metrics: {sorted(unknown)}")
     if config.report not in ("recall", "f1"):
         raise ConfigError(f"report must be 'recall' or 'f1', got {config.report!r}")
+    if not config.out:
+        raise ConfigError("out must name a directory")
     if config.workers < 1:
         raise ConfigError("workers must be >= 1")
     if config.max_nodes is not None and config.max_nodes < 1:
@@ -169,17 +171,4 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
-    return parse_config_text(text, source=str(p))
-
-
-def write_config(config: RunConfig, out_dir: str | Path) -> Path:
-    """Echo the effective config into the run's output directory."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "config.txt"
-    path.write_text(config_to_text(config), encoding="utf-8")
-    return path
+    return parse_config_text(read_text(p, ConfigError), source=str(p))

@@ -21,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 
 class CorpusError(Exception):
@@ -167,31 +168,59 @@ def _build_document(doc_id: str, doc_index: int, text: str, origin: str) -> Docu
     return Document(doc_id=doc_id, doc_index=doc_index, sentences=tuple(sentences))
 
 
+def read_text(path: Path, error: type[Exception]) -> str:
+    """The UTF-8 text of one file; an unreadable file or bad UTF-8 raises
+    ``error`` naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
+def text_files(directory: Path) -> list[Path]:
+    """The ``*.txt`` regular files in ``directory``, sorted by name."""
+    return sorted(p for p in directory.iterdir() if p.suffix == ".txt" and p.is_file())
+
+
+def jsonl_records(path: Path, error: type[Exception]) -> Iterator[tuple[int, object]]:
+    """``(line_no, value)`` for each non-blank line of a JSONL file, read as
+    it streams.
+
+    A line that does not parse raises ``error`` naming the file and line.
+    That includes an integer literal past Python's int-string digit limit,
+    which ``json.loads`` reports as a plain ``ValueError``, and nesting too
+    deep to parse. Bad UTF-8 or an unreadable file raises ``error`` naming
+    the file.
+    """
+    try:
+        with path.open(encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    value = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise error(f"invalid JSON on line {line_no} of {path}: {exc}") from exc
+                yield line_no, value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+
+
 def _load_topic_dir(topic_dir: Path) -> Topic:
     docs_dir = topic_dir / "docs"
     if not docs_dir.is_dir():
         raise CorpusError(f"topic {topic_dir.name!r} has no docs/ directory")
-    doc_files = sorted(p for p in docs_dir.iterdir() if p.suffix == ".txt" and p.is_file())
+    doc_files = text_files(docs_dir)
     if not doc_files:
         raise CorpusError(f"topic {topic_dir.name!r} contains zero documents")
-
-    documents = []
-    for doc_index, path in enumerate(doc_files):
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CorpusError(f"cannot read document file {path}: {exc}") from exc
-        documents.append(_build_document(path.stem, doc_index, text, f"topic {topic_dir.name!r}"))
-
-    references = []
+    origin = f"topic {topic_dir.name!r}"
+    documents = [
+        _build_document(path.stem, doc_index, read_text(path, CorpusError), origin)
+        for doc_index, path in enumerate(doc_files)
+    ]
     refs_dir = topic_dir / "refs"
-    if refs_dir.is_dir():
-        for path in sorted(p for p in refs_dir.iterdir() if p.suffix == ".txt" and p.is_file()):
-            try:
-                references.append(path.read_text(encoding="utf-8").strip())
-            except (OSError, UnicodeDecodeError) as exc:
-                raise CorpusError(f"cannot read reference file {path}: {exc}") from exc
-
+    ref_files = text_files(refs_dir) if refs_dir.is_dir() else []
+    references = [read_text(path, CorpusError).strip() for path in ref_files]
     return Topic(topic_id=topic_dir.name, documents=tuple(documents), references=tuple(references))
 
 
@@ -279,22 +308,9 @@ def load_corpus(root_path: str | Path, layout: str = "topic-dirs") -> Corpus:
     elif layout == "jsonl":
         if not root.is_file():
             raise CorpusError(f"corpus file {root} does not exist")
-        topics_list = []
-        try:
-            with root.open(encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except (json.JSONDecodeError, RecursionError) as exc:
-                        raise CorpusError(f"invalid JSON on line {line_no} of {root}: {exc}") from exc
-                    topics_list.append(_load_topic_record(record, line_no))
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"corpus file {root} is not valid UTF-8: {exc}") from exc
-        if not topics_list:
+        topics = tuple(_load_topic_record(record, n) for n, record in jsonl_records(root, CorpusError))
+        if not topics:
             raise CorpusError(f"no topics found in {root}")
-        topics = tuple(topics_list)
     else:
         raise CorpusError(f"unknown corpus layout {layout!r}")
 

@@ -33,7 +33,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, Topic
+from .corpus import Corpus, CorpusError, Topic, jsonl_records
 
 Vector = np.ndarray
 
@@ -171,26 +171,17 @@ class FileProvider:
         self._vectors: dict[str, Vector] = {}
         if not self._path.is_file():
             raise ProviderError(f"embedding file {self._path} does not exist")
-        try:
-            with self._path.open(encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                        key = record["key"]
-                        values = record["vector"]
-                    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
-                        raise ProviderError(
-                            f"malformed record on line {line_no} of {self._path}: {exc}"
-                        ) from exc
-                    if not isinstance(key, str):
-                        raise ProviderError(f"key on line {line_no} of {self._path} is not a string")
-                    if key in self._vectors:
-                        raise ProviderError(f"duplicate key {key!r} in {self._path}")
-                    self._vectors[key] = _as_vector(values, f"key {key!r}")
-        except UnicodeDecodeError as exc:
-            raise ProviderError(f"embedding file {self._path} is not valid UTF-8: {exc}") from exc
+        for line_no, record in jsonl_records(self._path, ProviderError):
+            try:
+                key = record["key"]
+                values = record["vector"]
+            except (KeyError, TypeError) as exc:
+                raise ProviderError(f"malformed record on line {line_no} of {self._path}: {exc}") from exc
+            if not isinstance(key, str):
+                raise ProviderError(f"key on line {line_no} of {self._path} is not a string")
+            if key in self._vectors:
+                raise ProviderError(f"duplicate key {key!r} in {self._path}")
+            self._vectors[key] = _as_vector(values, f"key {key!r}")
 
     def embed(self, keys: Sequence[str], texts: Sequence[str]) -> list[Vector]:
         out = []

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from .corpus import Corpus
 from .embedding import EmbeddedCorpus
 from .pipeline import map_topics, resolve_max_nodes
-from .rouge import RougeReport, RougeScore, TokenMemo, evaluate_corpus
+from .rouge import RougeReport, RougeScore, TokenMemo, evaluate_corpus, text_table
 from .scoring import Hyperparams
 from .selection import Budget
 from .variants import METHODS, VariantSpec
@@ -87,19 +87,8 @@ def ablation_csv(rows: Sequence[AblationRow], metrics: Sequence[str]) -> str:
 
 
 def ablation_table(rows: Sequence[AblationRow], metrics: Sequence[str], report_kind: str) -> str:
-    header = ["method"] + [f"{m}-{report_kind}" for m in metrics]
-    body = []
-    for row in rows:
-        values = [
-            row.scores[m].recall if report_kind == "recall" else row.scores[m].f1
-            for m in metrics
-        ]
-        body.append([row.method] + [f"{v:.4f}" for v in values])
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    out = [fmt.format(*header)]
-    out.extend(fmt.format(*row) for row in body)
-    return "\n".join(out) + "\n"
+    body = [[row.method] + [f"{getattr(row.scores[m], report_kind):.4f}" for m in metrics] for row in rows]
+    return text_table(["method"] + [f"{m}-{report_kind}" for m in metrics], body)
 
 
 @dataclass(frozen=True)

@@ -316,8 +316,7 @@ class RougeReport:
     mean: dict[str, RougeScore]
 
     def headline(self, metric: str) -> float:
-        score = self.mean[metric]
-        return score.recall if self.report_kind == "recall" else score.f1
+        return getattr(self.mean[metric], self.report_kind)
 
     def to_csv(self) -> str:
         lines = ["topic_id,metric,recall,precision,f1"]
@@ -332,22 +331,18 @@ class RougeReport:
 
     def to_text_table(self) -> str:
         stat = self.report_kind
-        header = ["topic_id"] + [f"{m}-{stat}" for m in self.metrics]
-        rows = []
-        for topic_id, scores in self.per_topic.items():
-            values = [
-                scores[m].recall if stat == "recall" else scores[m].f1 for m in self.metrics
-            ]
-            rows.append([topic_id] + [f"{v:.4f}" for v in values])
-        mean_values = [
-            self.mean[m].recall if stat == "recall" else self.mean[m].f1 for m in self.metrics
+        rows = [
+            [label] + [f"{getattr(scores[m], stat):.4f}" for m in self.metrics]
+            for label, scores in [*self.per_topic.items(), ("MEAN", self.mean)]
         ]
-        rows.append(["MEAN"] + [f"{v:.4f}" for v in mean_values])
-        widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
-        fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-        out = [fmt.format(*header)]
-        out.extend(fmt.format(*row) for row in rows)
-        return "\n".join(out) + "\n"
+        return text_table(["topic_id"] + [f"{m}-{stat}" for m in self.metrics], rows)
+
+
+def text_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns as wide as their widest cell, two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
+    return "".join(fmt.format(*row) + "\n" for row in [header, *rows])
 
 
 class EvaluationError(Exception):

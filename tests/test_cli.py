@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import treesum
 from treesum.cli import main
 from treesum.config import (
     ConfigError,
@@ -732,3 +735,126 @@ def test_evaluate_repeated_topic_id_exits_2(tmp_path, capsys):
     assert code == 2
     assert "'topic0' appears on lines 1 and 3" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _run_cli(argv):
+    """Run the command line in a fresh interpreter: (exit code, stderr)."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(treesum.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "treesum.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return result.returncode, result.stderr
+
+
+# One digit past the cap Python puts on int-string conversion: json.loads
+# raises a plain ValueError for it, not a JSONDecodeError.
+_TOO_MANY_DIGITS = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "path, exit_code",
+    [("corpus JSONL", 2), ("embedding file", 3), ("summaries JSONL", 2)],
+)
+def test_integer_past_the_digit_limit_exits_cleanly(tmp_path, path, exit_code):
+    corpus = _write_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    flags = ["--budget-words", "20", "--out", str(out)]
+    if path == "corpus JSONL":
+        source = tmp_path / "corpus.jsonl"
+        good = {"topic_id": "t", "documents": [{"doc_id": "d", "text": "Crews repaired the bridge."}]}
+        source.write_text(json.dumps(good) + '\n{"topic_id": ' + _TOO_MANY_DIGITS + "}\n")
+        argv = ["summarize", "--input", str(source), "--layout", "jsonl", *flags]
+    elif path == "embedding file":
+        source = tmp_path / "vectors.jsonl"
+        good = {"key": "topic0/d0/s0", "vector": [1.0]}
+        source.write_text(json.dumps(good) + '\n{"key": "topic0/d0/s1", "vector": [' + _TOO_MANY_DIGITS + "]}\n")
+        argv = ["summarize", "--input", str(corpus), "--embedder", f"file:{source}", *flags]
+    else:
+        source = tmp_path / "summaries.jsonl"
+        good = {"topic_id": "topic0", "summary": "City news update."}
+        source.write_text(json.dumps(good) + '\n{"topic_id": "topic1", "summary": ' + _TOO_MANY_DIGITS + "}\n")
+        argv = ["evaluate", "--input", str(corpus), "--summaries", str(source), *flags]
+    code, err = _run_cli(argv)
+    assert code == exit_code, err
+    assert "Traceback" not in err
+    assert f"line 2 of {source}" in err
+    assert not out.exists()
+
+
+def _unwritable_out(tmp_path, case):
+    """An ``--out`` that cannot hold the outputs, and the path the error names."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    if case == "out is a file":
+        return blocker, blocker
+    if case == "out under a file":
+        return blocker / "run", blocker / "run"
+    out = tmp_path / "out"
+    (out / "topic0.txt").mkdir(parents=True)
+    return out, out / "topic0.txt"
+
+
+@pytest.mark.parametrize("case", ["out is a file", "out under a file", "output name is a directory"])
+def test_out_that_cannot_hold_the_outputs_exits_2(tmp_path, capsys, case):
+    corpus = _write_corpus(tmp_path / "corpus")
+    out, named = _unwritable_out(tmp_path, case)
+    code = main(["summarize", "--input", str(corpus), "--budget-words", "20", "--out", str(out)])
+    assert code == 2
+    assert str(named) in capsys.readouterr().err
+    assert (tmp_path / "blocker").read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+def test_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, source):
+    corpus = _write_corpus(tmp_path / "corpus")
+    run_dir = tmp_path / "cwd"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    argv = ["summarize", "--input", str(corpus), "--budget-words", "20"]
+    if source == "flag":
+        argv += ["--out", ""]
+    else:
+        (tmp_path / "run.cfg").write_text("out =\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    assert "out must name a directory" in capsys.readouterr().err
+    assert list(run_dir.iterdir()) == []
+
+
+def test_summaries_directory_scores_like_the_jsonl_summaries(tmp_path):
+    """``summarize --out D`` then ``evaluate --summaries D``: the config echo
+    in D is no summary, and the report equals the one from the JSONL form."""
+    corpus = _write_corpus(tmp_path / "corpus")
+    common = ["--input", str(corpus), "--budget-words", "20"]
+    for fmt in ("files", "jsonl"):
+        assert main(["summarize", *common, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    assert (tmp_path / "files" / "config.txt").exists()
+    sources = {"files": tmp_path / "files", "jsonl": tmp_path / "jsonl" / "summaries.jsonl"}
+    for fmt, source in sources.items():
+        out = tmp_path / f"eval_{fmt}"
+        assert main(["evaluate", *common, "--summaries", str(source), "--out", str(out)]) == 0
+    report = (tmp_path / "eval_files" / "report.csv").read_text()
+    assert report == (tmp_path / "eval_jsonl" / "report.csv").read_text()
+    assert report.count("\ntopic") == 2 * 4
+
+
+def test_topic_named_config_never_overwrites_the_config_echo(tmp_path, capsys):
+    source = tmp_path / "corpus.jsonl"
+    record = {
+        "topic_id": "config",
+        "documents": [{"doc_id": "d0", "text": "Crews repaired the bridge. Parks opened downtown."}],
+        "references": ["Crews repaired the bridge."],
+    }
+    source.write_text(json.dumps(record) + "\n")
+    argv = ["summarize", "--input", str(source), "--layout", "jsonl", "--budget-words", "10"]
+    assert main([*argv, "--format", "files", "--out", str(tmp_path / "files")]) == 2
+    assert "config.txt" in capsys.readouterr().err
+    assert not (tmp_path / "files").exists()
+    # The JSONL form holds the topic in summaries.jsonl, next to an intact echo.
+    assert main([*argv, "--format", "jsonl", "--out", str(tmp_path / "jsonl")]) == 0
+    echo = tmp_path / "jsonl" / "config.txt"
+    rerun = tmp_path / "rerun"
+    assert main(["summarize", "--config", str(echo), "--format", "jsonl", "--out", str(rerun)]) == 0
+    assert (rerun / "summaries.jsonl").read_bytes() == (tmp_path / "jsonl" / "summaries.jsonl").read_bytes()

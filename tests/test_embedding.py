@@ -273,7 +273,7 @@ def test_file_provider_duplicate_key(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [
-        pytest.param("[" * 100000, "malformed record on line 1", id="deeply nested"),
+        pytest.param("[" * 100000, "invalid JSON on line 1", id="deeply nested"),
         ('{"key": ["t1/d0/s0"], "vector": [0.1]}', "not a string"),
     ],
 )

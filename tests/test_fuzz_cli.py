@@ -54,7 +54,8 @@ def _jsonl(draw, records) -> bytes:
     """One JSON value per line; maybe a broken line, maybe bad bytes."""
     lines = [json.dumps(r) for r in records]
     if _rarely(draw):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(['{"topic_id": ', "[1,", "nan"])))
+        broken = st.sampled_from(['{"topic_id": ', "[1,", "nan", "1" * 4301])
+        lines.insert(draw(st.integers(0, len(lines))), draw(broken))
     return _corrupt(draw, "\n".join(lines).encode("utf-8") + b"\n")
 
 

@@ -41,6 +41,8 @@ from treesum.tree import (
     tree_to_dict,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_kmeans_separated_pairs():
     points = [np.array(p) for p in [(0.0, 0.0), (0.0, 0.1), (10.0, 10.0), (10.0, 10.1)]]
