@@ -7,10 +7,15 @@ sentence that crosses the budget is kept: evaluation-time truncation deals
 with the overshoot. The final summary orders sentences by their node's
 traversal position, then by the order they were picked.
 
-The score terms that depend on neither delta nor the weights (similarities
-to node centroids, sentence-to-sentence similarities and position scores)
-live in a ``ScoreContext``, so repeated selections from one tree, as in a
-hyperparameter search, compute them once.
+Selection addresses a sentence by its index into the topic's own
+``(Document, Sentence)`` pairs in (doc_index, sent_index) order; a pick is
+the triple (sentence index, node_id, pass), and only the final summary
+copies sentence fields into ``SummarySentence`` records. The score terms
+that depend on neither delta nor the weights (similarities to node
+centroids, sentence-to-sentence similarities and position scores) live in a
+``ScoreContext``, which ``variants.TopicWork.context`` builds once per
+grouping, so repeated selections from one tree, as in a hyperparameter
+search, compute them once.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Topic
-from .embedding import EmbeddedCorpus, Vector, cosine_rows, prescale_rows
+from .corpus import Document, Sentence, Topic
+from .embedding import Vector, cosine_rows, prescale_rows
 from .scoring import (
     Hyperparams,
     NodeCentroids,
@@ -49,39 +54,16 @@ class Budget:
         if self.limit < 1:
             raise ValueError("budget limit must be >= 1")
 
-    def size_of(self, ref: "SentenceRef") -> int:
-        return ref.word_count if self.unit == "words" else ref.byte_length
-
-
-@dataclass(frozen=True)
-class SentenceRef:
-    """Everything selection needs to know about one sentence."""
-
-    doc_id: str
-    doc_index: int
-    sent_index: int
-    text: str
-    word_count: int
-    byte_length: int
-    doc_sentence_count: int
-
-    @property
-    def position_1based(self) -> int:
-        return self.sent_index + 1
-
-
-@dataclass(frozen=True)
-class SelectedSentence:
-    ref: SentenceRef
-    node_id: int
-    iteration: int
+    def size_of(self, sent: Sentence) -> int:
+        return sent.word_count if self.unit == "words" else sent.byte_length
 
 
 @dataclass
 class SelectionState:
-    """Evolving state of one selection run."""
+    """Evolving state of one selection run: each pick as (sentence index,
+    node_id, pass), in pick order."""
 
-    selected: list[SelectedSentence] = field(default_factory=list)
+    selected: list[tuple[int, int, int]] = field(default_factory=list)
     consumed: int = 0
     iteration: int = 1
 
@@ -111,30 +93,11 @@ class Summary:
         return " ".join(s.text for s in self.sentences)
 
 
-def sentence_refs(topic: Topic) -> list[SentenceRef]:
-    """All sentences of a topic ordered by (doc_index, sent_index)."""
-    refs = []
-    for doc in topic.documents:
-        for sent in doc.sentences:
-            refs.append(
-                SentenceRef(
-                    doc_id=doc.doc_id,
-                    doc_index=doc.doc_index,
-                    sent_index=sent.sent_index,
-                    text=sent.text,
-                    word_count=sent.word_count,
-                    byte_length=sent.byte_length,
-                    doc_sentence_count=len(doc.sentences),
-                )
-            )
-    return refs
-
-
 class SimilarityMemo:
     """Pre-scaled sentence vectors of one topic and their pair similarities.
 
-    Sentences are addressed by their index in ``sentence_refs`` order; the
-    memo holds them as one ``prescale_rows`` matrix. Rows of clamped
+    Sentences are addressed by their index in (doc_index, sent_index) order;
+    the memo holds them as one ``prescale_rows`` matrix. Rows of clamped
     sentence-to-sentence similarities are computed the first time a sentence
     is selected and kept for the memo's lifetime, so selections that share a
     memo (grid points, cluster counts) compute each pair once.
@@ -181,25 +144,26 @@ class ScoreContext:
     ``nodes`` lists (node_id, item indices) in visiting order. Items are rows
     of ``universe``, the matrix of the clustered unit (the topic's documents
     or its sentences), and ``owner[i]`` is the row that sentence ``i``
-    belongs to. The context holds each node's member sentences with their
-    clamped inside similarity and outside term, every sentence's position
-    score, ``refs`` (the topic's ``sentence_refs``) and ``memo``; selection
-    under any delta and weights reuses them, and contexts of one topic may
-    share ``refs`` and ``memo``.
+    belongs to. The context holds ``sentences``, the topic's
+    ``(Document, Sentence)`` pairs in (doc_index, sent_index) order, each
+    node's member sentences with their clamped inside similarity and outside
+    term, every sentence's position score and ``memo``; selection under any
+    delta and weights reuses them, and contexts of one topic may share
+    ``memo``.
     """
 
     def __init__(
         self,
-        refs: Sequence[SentenceRef],
+        topic: Topic,
         memo: SimilarityMemo,
         nodes: Sequence[tuple[int, Sequence[int]]],
         universe: np.ndarray,
         owner: np.ndarray,
     ):
-        self.refs = refs
+        self.sentences = [(doc, sent) for doc in topic.documents for sent in doc.sentences]
         self.memo = memo
         self.position = np.array(
-            [score_position(r.position_1based, r.doc_sentence_count) for r in self.refs]
+            [score_position(sent.position_1based, len(doc.sentences)) for doc, sent in self.sentences]
         )
         self.groups: list[tuple[int, np.ndarray]] = []
         self.terms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -209,36 +173,21 @@ class ScoreContext:
             self.groups.append((node_id, members))
             self.terms[node_id] = memo.node_terms(members, node_centroids(universe, items))
 
-    @classmethod
-    def for_tree(
-        cls,
-        tree: ClassTree,
-        topic: Topic,
-        embedded: EmbeddedCorpus,
-        memo: SimilarityMemo | None = None,
-    ) -> "ScoreContext":
-        """Context of a document class tree, nodes in traversal order."""
-        vectors = embedded.topic_vectors(topic)
-        if memo is None:
-            memo = SimilarityMemo(vectors.sentences)
-        nodes = [(i, tree.node(i).members) for i in tree.traversal_order]
-        return cls(sentence_refs(topic), memo, nodes, vectors.documents, vectors.doc_of_sentence)
-
 
 ScoreFn = Callable[[int, np.ndarray, Sequence[int]], np.ndarray]
 
 
 def run_selection(
-    refs: Sequence[SentenceRef],
+    sentences: Sequence[tuple[Document, Sentence]],
     groups: Sequence[tuple[int, np.ndarray]],
     score_fn: ScoreFn,
     budget: Budget,
 ) -> SelectionState:
     """Round-robin selection engine shared by the tree pipeline and variants.
 
-    ``groups`` lists (node_id, member indices into ``refs``) in visiting
-    order; ``refs`` is in (doc_index, sent_index) order and members are
-    sorted. ``score_fn(node_id, candidates, picked)`` scores the unselected
+    ``groups`` lists (node_id, member indices into ``sentences``) in
+    visiting order; ``sentences`` is in (doc_index, sent_index) order and
+    members are sorted. ``score_fn(node_id, candidates, picked)`` scores the unselected
     candidates of a group given the indices picked so far. Each pass takes
     the best-scoring candidate from every group in turn, exact ties going to
     the lowest (doc_index, sent_index); groups whose sentences are all taken
@@ -246,7 +195,7 @@ def run_selection(
     the crossing sentence) or when a full pass selects nothing.
     """
     state = SelectionState()
-    taken = np.zeros(len(refs), dtype=bool)
+    taken = np.zeros(len(sentences), dtype=bool)
     picked: list[int] = []
     while True:
         picked_in_pass = False
@@ -257,9 +206,8 @@ def run_selection(
             best = int(candidates[int(np.argmax(score_fn(node_id, candidates, picked)))])
             taken[best] = True
             picked.append(best)
-            ref = refs[best]
-            state.selected.append(SelectedSentence(ref=ref, node_id=node_id, iteration=state.iteration))
-            state.consumed += budget.size_of(ref)
+            state.selected.append((best, node_id, state.iteration))
+            state.consumed += budget.size_of(sentences[best][1])
             picked_in_pass = True
             if state.consumed >= budget.limit:
                 return state
@@ -268,30 +216,32 @@ def run_selection(
         state.iteration += 1
 
 
-def order_summary(state: SelectionState, traversal_order: Sequence[int]) -> Summary:
+def order_summary(
+    state: SelectionState, traversal_order: Sequence[int], sentences: Sequence[tuple[Document, Sentence]]
+) -> Summary:
     """Arrange selected sentences into the final summary order.
 
     Primary key: the originating node's position in the traversal order.
     Secondary key: the order in which sentences were selected, which keeps a
-    node's first-pass sentence ahead of its later ones.
+    node's first-pass sentence ahead of its later ones. Picks index
+    ``sentences``, the pairs selection ran on.
     """
     position = {node_id: pos for pos, node_id in enumerate(traversal_order)}
-    ordered = sorted(
-        enumerate(state.selected),
-        key=lambda item: (position[item[1].node_id], item[0]),
-    )
-    sentences = tuple(
-        SummarySentence(
-            text=sel.ref.text,
-            node_id=sel.node_id,
-            doc_id=sel.ref.doc_id,
-            doc_index=sel.ref.doc_index,
-            sent_index=sel.ref.sent_index,
-            iteration=sel.iteration,
+    ordered = sorted(enumerate(state.selected), key=lambda item: (position[item[1][1]], item[0]))
+    summary = []
+    for _, (index, node_id, iteration) in ordered:
+        doc, sent = sentences[index]
+        summary.append(
+            SummarySentence(
+                text=sent.text,
+                node_id=node_id,
+                doc_id=doc.doc_id,
+                doc_index=doc.doc_index,
+                sent_index=sent.sent_index,
+                iteration=iteration,
+            )
         )
-        for _, sel in ordered
-    )
-    return Summary(sentences=sentences)
+    return Summary(sentences=tuple(summary))
 
 
 def select_from_context(
@@ -314,7 +264,7 @@ def select_from_context(
     else:
         # Highest clamped similarity to the picks so far. Similarities are
         # >= 0, so 0 stands for "nothing picked" and gives nr = 1.
-        worst = np.zeros(len(ctx.refs))
+        worst = np.zeros(len(ctx.sentences))
         folded = 0
 
         def score_fn(node_id: int, candidates: np.ndarray, picked: Sequence[int]) -> np.ndarray:
@@ -329,30 +279,22 @@ def select_from_context(
                 hp,
             )
 
-    return run_selection(ctx.refs, ctx.groups, score_fn, budget)
+    return run_selection(ctx.sentences, ctx.groups, score_fn, budget)
 
 
 def select_summary(
-    tree: ClassTree | None,
-    topic: Topic,
-    embedded: EmbeddedCorpus,
+    context: ScoreContext,
     hp: Hyperparams,
     budget: Budget,
-    scoring_mode: str = "final",
-    context: ScoreContext | None = None,
+    scoring_mode: str,
+    tree: ClassTree | None = None,
 ) -> Summary:
-    """Select a summary for one topic and attach ``tree`` to it.
+    """Select a summary from ``context``'s groups and attach ``tree``, the
+    class tree they came from (None for the methods without one).
 
-    ``scoring_mode`` is as in ``select_from_context``. ``context`` carries the
-    score terms of the groups selected from; without one, they are the nodes
-    of ``tree``, a document class tree, in traversal order. Callers selecting
-    repeatedly from one grouping pass the context to compute it once, and
-    methods that select without a tree pass ``tree=None`` and their context.
-    Picks are ordered by the context's group order.
+    ``scoring_mode`` is as in ``select_from_context``. Picks are ordered by
+    the context's group order.
     """
-    if context is None:
-        if tree is None or tree.node_count < 1:
-            raise ValueError("selection needs a non-empty tree or a context")
-        context = ScoreContext.for_tree(tree, topic, embedded)
     state = select_from_context(context, hp, budget, scoring_mode)
-    return replace(order_summary(state, [node_id for node_id, _ in context.groups]), tree=tree)
+    order = [node_id for node_id, _ in context.groups]
+    return replace(order_summary(state, order, context.sentences), tree=tree)

@@ -330,7 +330,7 @@ def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
 
 
 def kmeans(
-    vectors: Sequence[Vector],
+    vectors: Sequence[Vector] | np.ndarray,
     k: int,
     seed: int,
     restarts: int = 3,
@@ -338,7 +338,8 @@ def kmeans(
 ) -> KMeansResult | None:
     """k-means with k-means++ seeding; best inertia over restarts.
 
-    Each restart runs Lloyd iterations to convergence and then a
+    ``vectors`` is an ``(n, d)`` matrix or the sequence of its rows. Each
+    restart runs Lloyd iterations to convergence and then a
     deterministic single-point refinement pass, which escapes the
     centroid-stable local optima plain Lloyd gets stuck in on small inputs.
 
@@ -351,9 +352,9 @@ def kmeans(
         raise ValueError("k must be >= 2")
     if restarts < 1 or max_iters < 1:
         raise ValueError("restarts and max_iters must be >= 1")
-    if len(vectors) == 0:
-        raise ValueError("kmeans needs at least one vector")
-    points = np.stack([np.asarray(v, dtype=float) for v in vectors])
+    points = np.ascontiguousarray(vectors, dtype=float)
+    if points.ndim != 2 or len(points) == 0:
+        raise ValueError(f"kmeans needs a non-empty (n, d) matrix, not shape {points.shape}")
     if not _has_k_distinct_rows(points, k):
         return None
     seed = seed & _SEED_MASK
@@ -391,8 +392,6 @@ def build_class_tree(
     k_rest: int,
     max_nodes: int,
     seed: int,
-    restarts: int = 3,
-    max_iters: int = 100,
 ) -> ClassTree:
     """Build the class tree over the rows of one topic's ``(n, d)`` matrix.
 
@@ -430,13 +429,7 @@ def build_class_tree(
                 break
             if node.size < 2:
                 continue
-            result = kmeans(
-                points[list(node.members)],
-                k,
-                seed=derive_seed(seed, f"node:{node.node_id}"),
-                restarts=restarts,
-                max_iters=max_iters,
-            )
+            result = kmeans(points[list(node.members)], k, seed=derive_seed(seed, f"node:{node.node_id}"))
             if result is None:
                 continue
             for group in label_groups(node.members, result.labels):

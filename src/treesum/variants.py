@@ -28,15 +28,7 @@ import numpy as np
 from .corpus import Topic
 from .embedding import EmbeddedCorpus, TopicVectors
 from .scoring import Hyperparams
-from .selection import (
-    Budget,
-    ScoreContext,
-    SentenceRef,
-    SimilarityMemo,
-    Summary,
-    select_summary,
-    sentence_refs,
-)
+from .selection import Budget, ScoreContext, SimilarityMemo, Summary, select_summary
 from .tree import ClassTree, build_class_tree, derive_seed, kmeans, label_groups
 
 
@@ -92,12 +84,13 @@ class VariantSpec:
 class TopicWork:
     """What the methods run on one topic share, each piece computed on first use.
 
-    Holds the topic's ``TopicVectors``, ``sentence_refs`` and
-    ``SimilarityMemo``, its class trees and one ``ScoreContext`` per grouping,
-    each keyed by everything it depends on. Methods that agree on those
-    inputs get the same object: ours-final and ours-cs share the document
-    tree and its context, comp2 and comp3 the flat clusters and theirs, and
-    every context shares the memo. One thread at a time may use an instance.
+    Holds the topic's ``TopicVectors`` and ``SimilarityMemo``, its class trees
+    and one ``ScoreContext`` per grouping, each keyed by everything it depends
+    on. ``context`` is the only way a selection gets its context. Methods
+    that agree on those inputs get the same object: ours-final and ours-cs
+    share the document tree and its context, comp2 and comp3 the flat
+    clusters and theirs, and every context shares the memo. One thread at a
+    time may use an instance.
     """
 
     def __init__(self, topic: Topic, embedded: EmbeddedCorpus):
@@ -113,10 +106,6 @@ class TopicWork:
     @property
     def vectors(self) -> TopicVectors:
         return self._once(("vectors",), lambda: self.embedded.topic_vectors(self.topic))
-
-    @property
-    def refs(self) -> list[SentenceRef]:
-        return self._once(("refs",), lambda: sentence_refs(self.topic))
 
     @property
     def memo(self) -> SimilarityMemo:
@@ -156,7 +145,7 @@ class TopicWork:
         args = (grouping, unit, k_first, k_rest, max_nodes, seed)
         return self._once(
             ("context", *args),
-            lambda: ScoreContext(self.refs, self.memo, self._nodes(*args), *self._unit(unit)),
+            lambda: ScoreContext(self.topic, self.memo, self._nodes(*args), *self._unit(unit)),
         )
 
 
@@ -194,4 +183,4 @@ def summarize_topic(
     args = (method.unit, hp.k_first, hp.k_rest, max_nodes, seed)
     tree = work.tree(*args) if method.grouping == "tree" else None
     context = work.context(method.grouping, *args)
-    return select_summary(tree, topic, embedded, hp, spec.budget, method.scoring, context=context)
+    return select_summary(context, hp, spec.budget, method.scoring, tree=tree)

@@ -20,6 +20,7 @@ from treesum.corpus import (
 )
 from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key
 from treesum.tree import _kmeans_pp_init
+from treesum.variants import TopicWork
 
 
 def make_document(doc_id: str, doc_index: int, text: str) -> Document:
@@ -50,6 +51,15 @@ class DictProvider:
 
 def embed_with_vectors(corpus: Corpus, vectors: Mapping[str, Sequence[float]]) -> EmbeddedCorpus:
     return embed_corpus(corpus, DictProvider(vectors))
+
+
+def tree_and_context(topic: Topic, embedded: EmbeddedCorpus, k_first: int, k_rest: int, max_nodes: int, seed: int):
+    """The class tree over a topic's documents and its selection context,
+    both from ``TopicWork`` as the CLI builds them; the arguments are
+    ``build_class_tree``'s."""
+    work = TopicWork(topic, embedded)
+    args = ("documents", k_first, k_rest, max_nodes, seed)
+    return work.tree(*args), work.context("tree", *args)
 
 
 def skey(topic_id: str, doc_index: int, sent_index: int) -> str:
@@ -310,10 +320,8 @@ def scalar_selection(tree, topic: Topic, embedded: EmbeddedCorpus, hp, budget, s
     """
     from treesum.embedding import document_key
     from treesum.scoring import NodeCentroids, score_cs, score_final, score_nr, score_position
-    from treesum.selection import sentence_refs
 
     tid = topic.topic_id
-    refs = sentence_refs(topic)
     sent_vectors = embedded.sentence_vectors_for(topic)
     doc_vectors = {
         document_key(tid, d.doc_index): np.stack(
@@ -325,7 +333,12 @@ def scalar_selection(tree, topic: Topic, embedded: EmbeddedCorpus, hp, budget, s
     groups = []
     for node_id in tree.traversal_order:
         docs = {doc_keys[i] for i in tree.node(node_id).members}
-        members = [r for r in refs if document_key(tid, r.doc_index) in docs]
+        members = [
+            (doc, sent)
+            for doc in topic.documents
+            if document_key(tid, doc.doc_index) in docs
+            for sent in doc.sentences
+        ]
         inside = [vec for key, vec in doc_vectors.items() if key in docs]
         outside = [vec for key, vec in doc_vectors.items() if key not in docs]
         centroids = NodeCentroids(
@@ -340,18 +353,18 @@ def scalar_selection(tree, topic: Topic, embedded: EmbeddedCorpus, hp, budget, s
         picked_in_pass = False
         for node_id, members, centroids in groups:
             best, best_rank = None, None
-            for ref in members:
-                key = skey(tid, ref.doc_index, ref.sent_index)
+            for doc, sent in members:
+                key = skey(tid, doc.doc_index, sent.sent_index)
                 if key in taken:
                     continue
                 vec = sent_vectors[key]
                 score = score_cs(vec, centroids, hp.delta)
                 if scoring_mode == "final":
-                    pos = score_position(ref.position_1based, ref.doc_sentence_count)
+                    pos = score_position(sent.position_1based, len(doc.sentences))
                     score = score_final(score, score_nr(vec, selected), pos, hp)
-                rank = (-score, ref.doc_index, ref.sent_index)
+                rank = (-score, doc.doc_index, sent.sent_index)
                 if best_rank is None or rank < best_rank:
-                    best, best_key, best_rank = ref, key, rank
+                    best, best_key, best_rank = sent, key, rank
             if best is None:
                 continue
             taken.add(best_key)

@@ -23,6 +23,7 @@ from helpers import (
     make_topic,
     random_synthetic_topic,
     summary_keys,
+    tree_and_context,
 )
 from test_selection import _fixture_embedded, _fixture_tree, _three_cluster_embedded
 from treesum.embedding import embed_corpus, provider_builtin_tfidf
@@ -225,10 +226,8 @@ def test_tree_invariants_random_topics():
 
 def test_selection_protocol_fixture():
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
-    summary = select_summary(
-        tree, topic, embedded, Hyperparams(), Budget("words", 12), scoring_mode="cs_only"
-    )
+    tree, ctx = _fixture_tree(embedded, topic)
+    summary = select_summary(ctx, Hyperparams(), Budget("words", 12), scoring_mode="cs_only")
     keys = summary_keys("fix", summary)
     ok = (
         keys == ["fix/d0/s1", "fix/d1/s1", "fix/d4/s0"]
@@ -237,19 +236,15 @@ def test_selection_protocol_fixture():
     )
     # Budget semantics: the third sentence crosses the 12-word budget when
     # the limit is 10; it is kept and the overshoot is below one sentence.
-    crossing = select_summary(
-        tree, topic, embedded, Hyperparams(), Budget("words", 10), scoring_mode="cs_only"
-    )
+    crossing = select_summary(ctx, Hyperparams(), Budget("words", 10), scoring_mode="cs_only")
     consumed = sum(s.text.count(" ") + 1 for s in crossing.sentences)
     ok = ok and len(crossing.sentences) == 3 and consumed >= 10 and consumed - 10 < 4
 
     # Three separated clusters: root pick plus one per cluster node, nodes
     # of equal size visited in lowest-document-index order.
     topic3, embedded3 = _three_cluster_embedded()
-    tree3 = build_class_tree(embedded3.topic_vectors(topic3).documents, 3, 2, 4, seed=9)
-    summary3 = select_summary(
-        tree3, topic3, embedded3, Hyperparams(), Budget("words", 16), scoring_mode="cs_only"
-    )
+    tree3, ctx3 = tree_and_context(topic3, embedded3, 3, 2, 4, seed=9)
+    summary3 = select_summary(ctx3, Hyperparams(), Budget("words", 16), scoring_mode="cs_only")
     keys3 = summary_keys("tri", summary3)
     ok = ok and keys3 == ["tri/d0/s1", "tri/d1/s1", "tri/d2/s0", "tri/d4/s0"]
     ok = ok and [s.node_id for s in summary3.sentences] == list(tree3.traversal_order)

@@ -358,13 +358,19 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         pass
 
 
+def _stop(server: HTTPServer) -> None:
+    """Stop a test server's loop and close its listening socket."""
+    server.shutdown()
+    server.server_close()
+
+
 @pytest.fixture
 def embed_server():
     server = HTTPServer(("127.0.0.1", 0), _EmbedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
+    _stop(server)
 
 
 def test_remote_provider_orders_vectors(embed_server):
@@ -395,7 +401,7 @@ def test_remote_provider_unreachable_after_retries():
         provider.embed(["k"], ["text"])
 
 
-def test_remote_provider_rejects_non_finite(embed_server):
+def test_remote_provider_rejects_non_finite():
     class NaNHandler(_EmbedHandler):
         def do_POST(self):
             payload = json.dumps({"vectors": [[math.inf, 0.0]]}).encode()
@@ -412,7 +418,7 @@ def test_remote_provider_rejects_non_finite(embed_server):
         with pytest.raises(ProviderError, match="non-finite"):
             provider.embed(["k"], ["text"])
     finally:
-        server.shutdown()
+        _stop(server)
 
 
 def _serve_body(status, body):
@@ -465,7 +471,7 @@ def test_remote_malformed_response_is_a_provider_error(tmp_path, body):
         ])
         assert code == 3
     finally:
-        server.shutdown()
+        _stop(server)
 
 
 @pytest.mark.parametrize("url", ["localhost:8000", "file:///tmp", "ftp://127.0.0.1:1"])
@@ -481,7 +487,7 @@ def test_remote_client_error_reports_the_start_of_the_body():
             provider_remote(url).embed(["k"], ["text"])
         assert str(info.value) == "embedding service returned 400: bad request: " + "x" * 187
     finally:
-        server.shutdown()
+        _stop(server)
 
 
 def test_remote_server_error_is_retried_then_reported():
@@ -490,4 +496,4 @@ def test_remote_server_error_is_retried_then_reported():
         with pytest.raises(ProviderError, match="after 2 attempts: embedding service returned 502"):
             provider_remote(url, max_attempts=2, backoff=0.0).embed(["k"], ["text"])
     finally:
-        server.shutdown()
+        _stop(server)

@@ -15,72 +15,43 @@ from helpers import (
     scalar_selection,
     skey,
     summary_keys,
+    tree_and_context,
 )
 from treesum.embedding import cosine_similarity
 from treesum.scoring import Hyperparams, NodeCentroids, blend_cs, node_centroids, score_cs
 from treesum.selection import (
     Budget,
-    ScoreContext,
-    SelectedSentence,
     SelectionState,
-    SentenceRef,
     SimilarityMemo,
     order_summary,
     run_selection,
     select_from_context,
     select_summary,
-    sentence_refs,
 )
-from treesum.tree import build_class_tree
 
-
-def _ref(key: str, doc_index: int, sent_index: int) -> SentenceRef:
-    return SentenceRef(
-        doc_id=f"doc{doc_index}",
-        doc_index=doc_index,
-        sent_index=sent_index,
-        text=f"text {key}",
-        word_count=4,
-        byte_length=len(f"text {key}".encode()),
-        doc_sentence_count=5,
-    )
+# Sentence pairs of a two-document topic; index 0 is t/d0/s0, 1 is t/d0/s1,
+# 2 is t/d1/s0.
+_ORDER_TOPIC = make_topic("t", ["Text t d0 s0. Text t d0 s1.", "Text t d1 s0."])
+_ORDER_SENTENCES = [(doc, sent) for doc in _ORDER_TOPIC.documents for sent in doc.sentences]
 
 
 def test_order_summary_follows_traversal_positions():
-    state = SelectionState(
-        selected=[
-            SelectedSentence(ref=_ref("t/d0/s0", 0, 0), node_id=3, iteration=1),
-            SelectedSentence(ref=_ref("t/d1/s0", 1, 0), node_id=1, iteration=1),
-        ],
-        consumed=8,
-        iteration=1,
-    )
-    summary = order_summary(state, traversal_order=[1, 3])
+    state = SelectionState(selected=[(0, 3, 1), (2, 1, 1)], consumed=8, iteration=1)
+    summary = order_summary(state, traversal_order=[1, 3], sentences=_ORDER_SENTENCES)
     assert summary_keys("t", summary) == ["t/d1/s0", "t/d0/s0"]
 
 
 def test_order_summary_keeps_selection_order_within_node():
-    state = SelectionState(
-        selected=[
-            SelectedSentence(ref=_ref("t/d0/s1", 0, 1), node_id=0, iteration=1),
-            SelectedSentence(ref=_ref("t/d0/s0", 0, 0), node_id=0, iteration=2),
-        ],
-        consumed=8,
-        iteration=2,
-    )
-    summary = order_summary(state, traversal_order=[0])
+    state = SelectionState(selected=[(1, 0, 1), (0, 0, 2)], consumed=8, iteration=2)
+    summary = order_summary(state, traversal_order=[0], sentences=_ORDER_SENTENCES)
     assert summary_keys("t", summary) == ["t/d0/s1", "t/d0/s0"]
     assert [s.iteration for s in summary.sentences] == [1, 2]
 
 
 def test_order_summary_single_sentence():
-    state = SelectionState(
-        selected=[SelectedSentence(ref=_ref("t/d0/s0", 0, 0), node_id=0, iteration=1)],
-        consumed=4,
-        iteration=1,
-    )
-    summary = order_summary(state, traversal_order=[0])
-    assert summary.text == "text t/d0/s0"
+    state = SelectionState(selected=[(0, 0, 1)], consumed=4, iteration=1)
+    summary = order_summary(state, traversal_order=[0], sentences=_ORDER_SENTENCES)
+    assert summary.text == "Text t d0 s0."
 
 
 # --- end-to-end fixtures -------------------------------------------------
@@ -120,13 +91,13 @@ def _fixture_embedded():
 
 
 def _fixture_tree(embedded, topic, max_nodes=3):
-    documents = embedded.topic_vectors(topic).documents
-    return build_class_tree(documents, k_first=2, k_rest=2, max_nodes=max_nodes, seed=5)
+    """The fixture's document tree and its context."""
+    return tree_and_context(topic, embedded, k_first=2, k_rest=2, max_nodes=max_nodes, seed=5)
 
 
 def test_fixture_tree_structure():
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
+    tree, _ = _fixture_tree(embedded, topic)
     assert tree.node_count == 3
     layer2 = [tree.node(i) for i in tree.traversal_order[1:]]
     assert [n.size for n in layer2] == [3, 2]
@@ -145,10 +116,8 @@ def test_golden_traversal_trace():
     picks (0.00, 0.90). Winning margins exceed 4e-5.
     """
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
-    summary = select_summary(
-        tree, topic, embedded, Hyperparams(), Budget("words", 12), scoring_mode="cs_only"
-    )
+    tree, ctx = _fixture_tree(embedded, topic)
+    summary = select_summary(ctx, Hyperparams(), Budget("words", 12), scoring_mode="cs_only")
     assert summary_keys("fix", summary) == ["fix/d0/s1", "fix/d1/s1", "fix/d4/s0"]
     assert [s.node_id for s in summary.sentences] == list(tree.traversal_order)
     assert summary.text == (
@@ -196,12 +165,9 @@ def test_golden_trace_three_clusters():
     visiting equal-size nodes in lowest-document-index order.
     """
     topic, embedded = _three_cluster_embedded()
-    documents = embedded.topic_vectors(topic).documents
-    tree = build_class_tree(documents, k_first=3, k_rest=2, max_nodes=4, seed=9)
+    tree, ctx = tree_and_context(topic, embedded, k_first=3, k_rest=2, max_nodes=4, seed=9)
     assert tree.node_count == 4
-    summary = select_summary(
-        tree, topic, embedded, Hyperparams(), Budget("words", 16), scoring_mode="cs_only"
-    )
+    summary = select_summary(ctx, Hyperparams(), Budget("words", 16), scoring_mode="cs_only")
     assert summary_keys("tri", summary) == [
         "tri/d0/s1", "tri/d1/s1", "tri/d2/s0", "tri/d4/s0",
     ]
@@ -211,20 +177,16 @@ def test_golden_trace_three_clusters():
 
 def test_iteration_one_follows_traversal_order():
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
-    summary = select_summary(
-        tree, topic, embedded, Hyperparams(), Budget("words", 12), scoring_mode="final"
-    )
+    tree, ctx = _fixture_tree(embedded, topic)
+    summary = select_summary(ctx, Hyperparams(), Budget("words", 12), scoring_mode="final")
     assert [s.node_id for s in summary.sentences] == list(tree.traversal_order)
     assert [s.iteration for s in summary.sentences] == [1, 1, 1]
 
 
 def test_exhaustion_selects_every_sentence_once():
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
-    summary = select_summary(
-        tree, topic, embedded, Hyperparams(), Budget("words", 10_000), scoring_mode="final"
-    )
+    _, ctx = _fixture_tree(embedded, topic)
+    summary = select_summary(ctx, Hyperparams(), Budget("words", 10_000), scoring_mode="final")
     keys = summary_keys("fix", summary)
     assert sorted(keys) == sorted(FIXTURE_VECTORS)
     assert len(set(keys)) == len(keys)
@@ -232,12 +194,10 @@ def test_exhaustion_selects_every_sentence_once():
 
 def test_budget_crossing_sentence_is_kept():
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
+    _, ctx = _fixture_tree(embedded, topic)
     # 10 words: two 4-word sentences leave us below the limit, the third
     # crosses it and is kept.
-    summary = select_summary(
-        tree, topic, embedded, Hyperparams(), Budget("words", 10), scoring_mode="final"
-    )
+    summary = select_summary(ctx, Hyperparams(), Budget("words", 10), scoring_mode="final")
     consumed = sum(s.text.count(" ") + 1 for s in summary.sentences)
     assert len(summary.sentences) == 3
     assert consumed >= 10
@@ -246,15 +206,13 @@ def test_budget_crossing_sentence_is_kept():
 
 def test_byte_budget_semantics():
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
-    refs = {(r.doc_index, r.sent_index): r for r in sentence_refs(topic)}
-    summary = select_summary(
-        tree, topic, embedded, Hyperparams(), Budget("bytes", 30), scoring_mode="cs_only"
-    )
-    consumed = sum(refs[s.doc_index, s.sent_index].byte_length for s in summary.sentences)
+    _, ctx = _fixture_tree(embedded, topic)
+    sents = {(d.doc_index, s.sent_index): s for d in topic.documents for s in d.sentences}
+    summary = select_summary(ctx, Hyperparams(), Budget("bytes", 30), scoring_mode="cs_only")
+    consumed = sum(sents[s.doc_index, s.sent_index].byte_length for s in summary.sentences)
     assert consumed >= 30
     last = summary.sentences[-1]
-    assert consumed - 30 < refs[last.doc_index, last.sent_index].byte_length
+    assert consumed - 30 < sents[last.doc_index, last.sent_index].byte_length
 
 
 def test_engine_overshoot_bounded_by_crossing_sentence():
@@ -262,31 +220,31 @@ def test_engine_overshoot_bounded_by_crossing_sentence():
     visible: the final selected sentence is the one that crossed the limit,
     and the overshoot is smaller than that sentence."""
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
-    refs = sentence_refs(topic)
+    tree, _ = _fixture_tree(embedded, topic)
+    sentences = [(doc, sent) for doc in topic.documents for sent in doc.sentences]
     groups = []
     for node_id in tree.traversal_order:
         node = tree.node(node_id)
-        members = [i for i, r in enumerate(refs) if r.doc_index in node.members]
+        members = [i for i, (doc, _) in enumerate(sentences) if doc.doc_index in node.members]
         groups.append((node_id, np.array(members)))
 
-    total = sum(r.word_count for r in refs)
+    total = sum(sent.word_count for _, sent in sentences)
     for limit in range(1, total + 1):
         budget = Budget("words", limit)
-        state = run_selection(refs, groups, lambda n, c, s: np.ones(len(c)), budget)
+        state = run_selection(sentences, groups, lambda n, c, s: np.ones(len(c)), budget)
         if state.consumed >= limit:
-            crossing_size = budget.size_of(state.selected[-1].ref)
+            crossing_size = budget.size_of(sentences[state.selected[-1][0]][1])
             assert state.consumed - limit < crossing_size
         else:
             # Budget larger than the topic: everything was selected.
-            assert len(state.selected) == len(refs)
+            assert len(state.selected) == len(sentences)
 
 
 def test_selection_is_deterministic():
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
-    first = select_summary(tree, topic, embedded, Hyperparams(), Budget("words", 16), "final")
-    second = select_summary(tree, topic, embedded, Hyperparams(), Budget("words", 16), "final")
+    _, ctx = _fixture_tree(embedded, topic)
+    first = select_summary(ctx, Hyperparams(), Budget("words", 16), "final")
+    second = select_summary(ctx, Hyperparams(), Budget("words", 16), "final")
     assert first.text == second.text
     assert summary_keys("fix", first) == summary_keys("fix", second)
 
@@ -299,12 +257,10 @@ def test_single_document_topic_matches_brute_force():
         skey("solo", 0, 2): (0.7, 0.7),
     }
     embedded = embed_with_vectors(make_corpus(topic), vectors)
-    tree = build_class_tree(embedded.topic_vectors(topic).documents, 3, 2, 5, seed=0)
+    tree, ctx = tree_and_context(topic, embedded, 3, 2, 5, seed=0)
     assert tree.node_count == 1
 
-    summary = select_summary(
-        tree, topic, embedded, Hyperparams(delta=0.9), Budget("words", 4), scoring_mode="cs_only"
-    )
+    summary = select_summary(ctx, Hyperparams(delta=0.9), Budget("words", 4), scoring_mode="cs_only")
     # Independent argmax: cosine to the document vector decides at the root.
     doc_vec = np.mean([vectors[skey("solo", 0, i)] for i in range(3)], axis=0)
     sims = [cosine_similarity(np.array(vectors[skey("solo", 0, i)]), doc_vec) for i in range(3)]
@@ -315,18 +271,9 @@ def test_single_document_topic_matches_brute_force():
 
 def test_select_summary_rejects_unknown_mode():
     topic, embedded = _fixture_embedded()
-    tree = _fixture_tree(embedded, topic)
+    _, ctx = _fixture_tree(embedded, topic)
     with pytest.raises(ValueError):
-        select_summary(tree, topic, embedded, Hyperparams(), Budget("words", 10), "fancy")
-
-
-def test_select_summary_without_tree_needs_a_context():
-    topic, embedded = _fixture_embedded()
-    with pytest.raises(ValueError, match="tree or a context"):
-        select_summary(None, topic, embedded, Hyperparams(), Budget("words", 10))
-    ctx = ScoreContext.for_tree(_fixture_tree(embedded, topic), topic, embedded)
-    summary = select_summary(None, topic, embedded, Hyperparams(), Budget("words", 10), context=ctx)
-    assert summary.tree is None and summary.sentences
+        select_summary(ctx, Hyperparams(), Budget("words", 10), "fancy")
 
 
 def test_budget_validation():
@@ -346,14 +293,15 @@ def _random_case(rng: np.random.Generator, case: int):
         # Small integer vectors: exact score ties and repeated vectors.
         vectors = {k: np.round(v / 4.0) for k, v in vectors.items()}
     embedded = embed_with_vectors(make_corpus(topic), vectors)
-    tree = build_class_tree(
-        embedded.topic_vectors(topic).documents,
+    tree, ctx = tree_and_context(
+        topic,
+        embedded,
         k_first=int(rng.integers(2, 4)),
         k_rest=2,
         max_nodes=int(rng.integers(1, 8)),
         seed=case,
     )
-    return topic, embedded, tree
+    return topic, embedded, tree, ctx
 
 
 def test_score_context_terms_match_scalar_scores():
@@ -361,8 +309,7 @@ def test_score_context_terms_match_scalar_scores():
     functions compute from the vectors."""
     rng = np.random.default_rng(11)
     for case in range(30):
-        topic, embedded, tree = _random_case(rng, case)
-        ctx = ScoreContext.for_tree(tree, topic, embedded)
+        topic, embedded, tree, ctx = _random_case(rng, case)
         sent_vectors = list(embedded.sentence_vectors_for(topic).values())
         documents = embedded.topic_vectors(topic).documents
         for node_id, members in ctx.groups:
@@ -457,14 +404,13 @@ def test_selection_matches_scalar_oracle():
     ]
     budgets = [Budget("words", 6), Budget("bytes", 90), Budget("words", 10_000)]
     for case in range(25):
-        topic, embedded, tree = _random_case(rng, case)
-        ctx = ScoreContext.for_tree(tree, topic, embedded)
+        topic, embedded, tree, ctx = _random_case(rng, case)
         for hp in hps:
             for budget in budgets:
                 for mode in ("final", "cs_only"):
                     state = select_from_context(ctx, hp, budget, mode)
-                    got = [
-                        (skey(topic.topic_id, s.ref.doc_index, s.ref.sent_index), s.node_id, s.iteration)
-                        for s in state.selected
-                    ]
+                    got = []
+                    for i, node_id, it in state.selected:
+                        doc, sent = ctx.sentences[i]
+                        got.append((skey(topic.topic_id, doc.doc_index, sent.sent_index), node_id, it))
                     assert got == scalar_selection(tree, topic, embedded, hp, budget, mode)

@@ -409,6 +409,18 @@ def test_kmeans_validates_arguments():
         kmeans([], k=2, seed=0)
 
 
+def test_kmeans_takes_a_matrix_or_its_rows():
+    points = np.random.default_rng(3).normal(size=(12, 3))
+    expected = kmeans(points, 3, seed=4)
+    for same in (list(points), points.tolist(), np.asfortranarray(points)):
+        got = kmeans(same, 3, seed=4)
+        assert got.labels.tolist() == expected.labels.tolist()
+        assert got.inertia == expected.inertia
+    for bad in ([np.zeros(2), np.zeros(3)], np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            kmeans(bad, k=2, seed=0)
+
+
 @pytest.mark.parametrize("restarts, max_iters", [(0, 100), (-1, 100), (3, 0), (3, -2)])
 def test_kmeans_rejects_fewer_than_one_restart_or_iteration(restarts, max_iters):
     points = [np.array([0.0, 0.0]), np.array([5.0, 5.0]), np.array([5.0, 6.0])]

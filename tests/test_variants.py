@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from helpers import (
     summary_keys,
 )
 from test_selection import FIXTURE_VECTORS, _fixture_embedded
+from treesum.corpus import Topic
 from treesum.scoring import Hyperparams
-from treesum.selection import Budget, sentence_refs
+from treesum.selection import Budget
 from treesum.variants import METHOD_TABLE, METHODS, VariantSpec, summarize_topic
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -207,7 +210,11 @@ def test_all_methods_share_budget_and_duplicate_semantics(method):
     for trial in range(4):
         topic, vectors = random_synthetic_topic(rng, f"t{trial}")
         embedded = embed_with_vectors(make_corpus(topic), vectors)
-        sizes = {skey(topic.topic_id, r.doc_index, r.sent_index): r.word_count for r in sentence_refs(topic)}
+        sizes = {
+            skey(topic.topic_id, doc.doc_index, sent.sent_index): sent.word_count
+            for doc in topic.documents
+            for sent in doc.sentences
+        }
         limit = max(1, int(rng.integers(1, sum(sizes.values()) + 8)))
         spec = VariantSpec(method, Hyperparams(k_first=2), Budget("words", limit), seed=trial)
         summary = summarize_topic(topic, embedded, spec, max_nodes=4)
@@ -222,3 +229,26 @@ def test_all_methods_share_budget_and_duplicate_semantics(method):
             # identity is checked at the engine level), so the overshoot is
             # below the largest selected sentence.
             assert consumed - limit < max(sizes[k] for k in keys)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_summary_records_match_the_corpus_sentences(method):
+    """Every summary sentence carries the text, document id, indices and
+    position of the corpus sentence it names."""
+    rng = np.random.default_rng(41)
+    for trial in range(6):
+        topic, vectors = random_synthetic_topic(rng, f"t{trial}")
+        # Document ids that do not follow from the document index.
+        n = len(topic.documents)
+        topic = Topic(topic.topic_id, tuple(replace(d, doc_id=f"src{n - d.doc_index}") for d in topic.documents))
+        embedded = embed_with_vectors(make_corpus(topic), vectors)
+        pairs = {(d.doc_index, s.sent_index): (d, s) for d in topic.documents for s in d.sentences}
+        for budget in (Budget("words", int(rng.integers(1, 40))), Budget("bytes", int(rng.integers(1, 300)))):
+            spec = VariantSpec(method, Hyperparams(k_first=2), budget, seed=trial)
+            summary = summarize_topic(topic, embedded, spec, max_nodes=4)
+            assert summary.sentences
+            for got in summary.sentences:
+                doc, sent = pairs[got.doc_index, got.sent_index]
+                assert (got.text, got.doc_id, got.doc_index, got.sent_index, got.position_1based) == (
+                    sent.text, doc.doc_id, doc.doc_index, sent.sent_index, sent.position_1based,
+                )
