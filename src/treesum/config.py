@@ -2,7 +2,9 @@
 
 A config can come from command-line flags, from a flat ``key = value`` text
 file, or both (flags override the file). Every run echoes its effective
-config into the output directory so results can be reproduced exactly.
+config into the output directory; the flags that only one command takes
+(``--format``, ``--dump-trees``, ``--summaries``, ``tune``'s grid and
+objective) are not part of it.
 """
 
 from __future__ import annotations

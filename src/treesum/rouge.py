@@ -14,6 +14,8 @@ of scope; all values are point estimates.
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -319,15 +321,14 @@ class RougeReport:
         return getattr(self.mean[metric], self.report_kind)
 
     def to_csv(self) -> str:
-        lines = ["topic_id,metric,recall,precision,f1"]
-        for topic_id, scores in self.per_topic.items():
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["topic_id", "metric", "recall", "precision", "f1"])
+        for label, scores in [*self.per_topic.items(), ("MEAN", self.mean)]:
             for metric in self.metrics:
                 s = scores[metric]
-                lines.append(f"{topic_id},{metric},{s.recall:.6f},{s.precision:.6f},{s.f1:.6f}")
-        for metric in self.metrics:
-            s = self.mean[metric]
-            lines.append(f"MEAN,{metric},{s.recall:.6f},{s.precision:.6f},{s.f1:.6f}")
-        return "\n".join(lines) + "\n"
+                writer.writerow([label, metric, f"{s.recall:.6f}", f"{s.precision:.6f}", f"{s.f1:.6f}"])
+        return out.getvalue()
 
     def to_text_table(self) -> str:
         stat = self.report_kind

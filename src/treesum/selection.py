@@ -15,13 +15,15 @@ that depend on neither delta nor the weights (similarities to node
 centroids, sentence-to-sentence similarities and position scores) live in a
 ``ScoreContext``, which ``variants.TopicWork.context`` builds once per
 grouping, so repeated selections from one tree, as in a hyperparameter
-search, compute them once.
+search, compute them once. ``run_selection`` is the one selection loop: it
+reads those terms from the context and blends them under the delta and
+weights of the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,19 +120,12 @@ class SimilarityMemo:
         return row
 
     def node_terms(self, members: np.ndarray, centroids: NodeCentroids) -> tuple[np.ndarray, np.ndarray]:
-        """Clamped inside similarity and outside term of each member sentence.
-
-        Both arrays cover every sentence of the topic, NaN off the node, so
-        they can be indexed by sentence index.
-        """
-        inside = np.full(len(self.norms), np.nan)
-        outside = np.full(len(self.norms), np.nan)
-        inside[members] = self._clamped(*_prescaled(centroids.inside))[members]
+        """Clamped inside similarity and outside term of each sentence in
+        ``members``, in the order of ``members``."""
+        inside = self._clamped(*_prescaled(centroids.inside))[members]
         if centroids.outside is None:
-            outside[members] = outside_term(None)
-        else:
-            outside[members] = outside_term(self._clamped(*_prescaled(centroids.outside))[members])
-        return inside, outside
+            return inside, np.full(len(members), outside_term(None))
+        return inside, outside_term(self._clamped(*_prescaled(centroids.outside))[members])
 
 
 def _prescaled(vec: Vector) -> tuple[Vector, float]:
@@ -144,12 +139,14 @@ class ScoreContext:
     ``nodes`` lists (node_id, item indices) in visiting order. Items are rows
     of ``universe``, the matrix of the clustered unit (the topic's documents
     or its sentences), and ``owner[i]`` is the row that sentence ``i``
-    belongs to. The context holds ``sentences``, the topic's
-    ``(Document, Sentence)`` pairs in (doc_index, sent_index) order, each
-    node's member sentences with their clamped inside similarity and outside
-    term, every sentence's position score and ``memo``; selection under any
-    delta and weights reuses them, and contexts of one topic may share
-    ``memo``.
+    belongs to. ``sentences`` holds the topic's ``(Document, Sentence)``
+    pairs in (doc_index, sent_index) order; ``groups`` holds, per node in
+    visiting order, (node_id, members, inside, outside): the sorted indices
+    of its member sentences and, for each member, its clamped inside
+    similarity and outside term. ``position`` holds every sentence's position
+    score and ``tree`` the class tree the nodes came from (None for the
+    groupings without one). Selection under any delta and weights reuses
+    them, and contexts of one topic may share ``memo``.
     """
 
     def __init__(
@@ -159,58 +156,60 @@ class ScoreContext:
         nodes: Sequence[tuple[int, Sequence[int]]],
         universe: np.ndarray,
         owner: np.ndarray,
+        tree: ClassTree | None,
     ):
         self.sentences = [(doc, sent) for doc in topic.documents for sent in doc.sentences]
         self.memo = memo
+        self.tree = tree
         self.position = np.array(
             [score_position(sent.position_1based, len(doc.sentences)) for doc, sent in self.sentences]
         )
-        self.groups: list[tuple[int, np.ndarray]] = []
-        self.terms: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         for node_id, items in nodes:
             items = np.array(items, dtype=np.intp)
             members = np.flatnonzero(np.isin(owner, items))
-            self.groups.append((node_id, members))
-            self.terms[node_id] = memo.node_terms(members, node_centroids(universe, items))
+            self.groups.append((node_id, members, *memo.node_terms(members, node_centroids(universe, items))))
 
 
-ScoreFn = Callable[[int, np.ndarray, Sequence[int]], np.ndarray]
+def run_selection(ctx: ScoreContext, hp: Hyperparams, budget: Budget, scoring_mode: str) -> SelectionState:
+    """Round-robin selection over ``ctx``'s groups under one delta and weights.
 
-
-def run_selection(
-    sentences: Sequence[tuple[Document, Sentence]],
-    groups: Sequence[tuple[int, np.ndarray]],
-    score_fn: ScoreFn,
-    budget: Budget,
-) -> SelectionState:
-    """Round-robin selection engine shared by the tree pipeline and variants.
-
-    ``groups`` lists (node_id, member indices into ``sentences``) in
-    visiting order; ``sentences`` is in (doc_index, sent_index) order and
-    members are sorted. ``score_fn(node_id, candidates, picked)`` scores the unselected
-    candidates of a group given the indices picked so far. Each pass takes
-    the best-scoring candidate from every group in turn, exact ties going to
-    the lowest (doc_index, sent_index); groups whose sentences are all taken
-    are skipped. Selection stops the moment the budget is consumed (keeping
-    the crossing sentence) or when a full pass selects nothing.
+    ``scoring_mode`` is ``"cs_only"`` to rank by the commonality-specificity
+    score alone or ``"final"`` for the full three-way combination, whose
+    non-redundancy term is one minus each sentence's highest similarity to
+    everything selected so far. Each pass takes the best-scoring unselected
+    member from every group in turn, exact ties going to the lowest
+    (doc_index, sent_index); groups whose sentences are all taken are
+    skipped. Selection stops the moment the budget is consumed (keeping the
+    crossing sentence) or when a full pass selects nothing.
     """
+    if scoring_mode not in ("cs_only", "final"):
+        raise ValueError(f"unknown scoring mode {scoring_mode!r}")
+    groups = [(node_id, members, blend_cs(inside, out, hp.delta)) for node_id, members, inside, out in ctx.groups]
     state = SelectionState()
-    taken = np.zeros(len(sentences), dtype=bool)
-    picked: list[int] = []
+    taken = np.zeros(len(ctx.sentences), dtype=bool)
+    # Highest clamped similarity to the picks so far. Similarities are >= 0,
+    # so 0 stands for "nothing picked" and gives nr = 1.
+    worst = np.zeros(len(ctx.sentences))
     while True:
         picked_in_pass = False
-        for node_id, members in groups:
-            candidates = members[~taken[members]]
-            if candidates.size == 0:
+        for node_id, members, cs in groups:
+            free = ~taken[members]
+            if not free.any():
                 continue
-            best = int(candidates[int(np.argmax(score_fn(node_id, candidates, picked)))])
+            candidates = members[free]
+            scores = cs[free]
+            if scoring_mode == "final":
+                scores = score_final(scores, non_redundancy(worst[candidates]), ctx.position[candidates], hp)
+            best = int(candidates[int(np.argmax(scores))])
             taken[best] = True
-            picked.append(best)
             state.selected.append((best, node_id, state.iteration))
-            state.consumed += budget.size_of(sentences[best][1])
+            state.consumed += budget.size_of(ctx.sentences[best][1])
             picked_in_pass = True
             if state.consumed >= budget.limit:
                 return state
+            if scoring_mode == "final":
+                worst = np.maximum(worst, ctx.memo.row(best))
         if not picked_in_pass:
             return state
         state.iteration += 1
@@ -244,57 +243,10 @@ def order_summary(
     return Summary(sentences=tuple(summary))
 
 
-def select_from_context(
-    ctx: ScoreContext, hp: Hyperparams, budget: Budget, scoring_mode: str
-) -> SelectionState:
-    """Run selection over a context's groups under one delta and weights.
-
-    ``scoring_mode`` is ``"cs_only"`` to rank by the commonality-specificity
-    score alone or ``"final"`` for the full three-way combination. The
-    non-redundancy score follows the selection: a running maximum of each
-    sentence's similarity to everything selected so far.
-    """
-    if scoring_mode not in ("cs_only", "final"):
-        raise ValueError(f"unknown scoring mode {scoring_mode!r}")
-    cs = {node_id: blend_cs(*terms, hp.delta) for node_id, terms in ctx.terms.items()}
-
-    if scoring_mode == "cs_only":
-        def score_fn(node_id: int, candidates: np.ndarray, picked: Sequence[int]) -> np.ndarray:
-            return cs[node_id][candidates]
-    else:
-        # Highest clamped similarity to the picks so far. Similarities are
-        # >= 0, so 0 stands for "nothing picked" and gives nr = 1.
-        worst = np.zeros(len(ctx.sentences))
-        folded = 0
-
-        def score_fn(node_id: int, candidates: np.ndarray, picked: Sequence[int]) -> np.ndarray:
-            nonlocal worst, folded
-            for j in picked[folded:]:
-                worst = np.maximum(worst, ctx.memo.row(j))
-            folded = len(picked)
-            return score_final(
-                cs[node_id][candidates],
-                non_redundancy(worst[candidates]),
-                ctx.position[candidates],
-                hp,
-            )
-
-    return run_selection(ctx.sentences, ctx.groups, score_fn, budget)
-
-
-def select_summary(
-    context: ScoreContext,
-    hp: Hyperparams,
-    budget: Budget,
-    scoring_mode: str,
-    tree: ClassTree | None = None,
-) -> Summary:
-    """Select a summary from ``context``'s groups and attach ``tree``, the
-    class tree they came from (None for the methods without one).
-
-    ``scoring_mode`` is as in ``select_from_context``. Picks are ordered by
-    the context's group order.
-    """
-    state = select_from_context(context, hp, budget, scoring_mode)
-    order = [node_id for node_id, _ in context.groups]
-    return replace(order_summary(state, order, context.sentences), tree=tree)
+def select_summary(context: ScoreContext, hp: Hyperparams, budget: Budget, scoring_mode: str) -> Summary:
+    """Select a summary from ``context``'s groups, as ``run_selection`` does,
+    and attach the context's class tree. Picks are ordered by the context's
+    group order."""
+    state = run_selection(context, hp, budget, scoring_mode)
+    order = [node_id for node_id, *_ in context.groups]
+    return replace(order_summary(state, order, context.sentences), tree=context.tree)

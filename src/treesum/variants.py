@@ -29,7 +29,7 @@ from .corpus import Topic
 from .embedding import EmbeddedCorpus, TopicVectors
 from .scoring import Hyperparams
 from .selection import Budget, ScoreContext, SimilarityMemo, Summary, select_summary
-from .tree import ClassTree, build_class_tree, derive_seed, kmeans, label_groups
+from .tree import build_class_tree, derive_seed, kmeans, label_groups
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class Method:
     ``grouping`` is ``"root"`` (one node holding the whole topic), ``"flat"``
     (one round of k-means into ``k_first`` clusters) or ``"tree"`` (the
     class tree); ``unit`` is the clustered unit, ``"documents"`` or
-    ``"sentences"``; ``scoring`` is a ``select_from_context`` mode. ``delta``,
-    when set, replaces the configured delta: 1.0 scores by similarity to the
-    node centroid alone.
+    ``"sentences"``; ``scoring`` is a ``run_selection`` mode, ``"final"`` or
+    ``"cs_only"``. ``delta``, when set, replaces the configured delta: 1.0
+    scores by similarity to the node centroid alone.
     """
 
     grouping: str
@@ -60,9 +60,6 @@ METHOD_TABLE = {
 }
 
 METHODS = tuple(METHOD_TABLE)
-
-# (node_id, item indices) per node, in visiting order.
-NodeList = list[tuple[int, Sequence[int]]]
 
 
 @dataclass(frozen=True)
@@ -84,13 +81,13 @@ class VariantSpec:
 class TopicWork:
     """What the methods run on one topic share, each piece computed on first use.
 
-    Holds the topic's ``TopicVectors`` and ``SimilarityMemo``, its class trees
-    and one ``ScoreContext`` per grouping, each keyed by everything it depends
-    on. ``context`` is the only way a selection gets its context. Methods
-    that agree on those inputs get the same object: ours-final and ours-cs
-    share the document tree and its context, comp2 and comp3 the flat
-    clusters and theirs, and every context shares the memo. One thread at a
-    time may use an instance.
+    Holds the topic's ``TopicVectors`` and ``SimilarityMemo`` and one
+    ``ScoreContext`` per grouping, keyed by everything it depends on; a tree
+    grouping's context carries its class tree. ``context`` is the only way a
+    selection gets its context. Methods that agree on those inputs get the
+    same object: ours-final and ours-cs share the document tree's context,
+    comp2 and comp3 the flat clusters', and every context shares the memo.
+    One thread at a time may use an instance.
     """
 
     def __init__(self, topic: Topic, embedded: EmbeddedCorpus):
@@ -111,46 +108,34 @@ class TopicWork:
     def memo(self) -> SimilarityMemo:
         return self._once(("memo",), lambda: SimilarityMemo(self.vectors.sentences))
 
-    def _unit(self, unit: str) -> tuple[np.ndarray, np.ndarray]:
-        """The matrix of the topic's documents or sentences, and the row of it
-        that each sentence belongs to."""
-        if unit == "documents":
-            return self.vectors.documents, self.vectors.doc_of_sentence
-        return self.vectors.sentences, np.arange(len(self.vectors.sentences))
-
-    def tree(self, unit: str, k_first: int, k_rest: int, max_nodes: int, seed: int) -> ClassTree:
-        """The class tree over the topic's documents or sentences."""
-        return self._once(
-            ("tree", unit, k_first, k_rest, max_nodes, seed),
-            lambda: build_class_tree(self._unit(unit)[0], k_first, k_rest, max_nodes, seed),
-        )
-
-    def _nodes(
-        self, grouping: str, unit: str, k_first: int, k_rest: int, max_nodes: int, seed: int
-    ) -> NodeList:
-        universe = self._unit(unit)[0]
-        if grouping == "root":
-            return [(0, range(len(universe)))]
-        if grouping == "flat":
-            return _flat_clusters(universe, k_first, seed)
-        tree = self.tree(unit, k_first, k_rest, max_nodes, seed)
-        return [(i, tree.node(i).members) for i in tree.traversal_order]
-
     def context(
         self, grouping: str, unit: str, k_first: int, k_rest: int, max_nodes: int, seed: int
     ) -> ScoreContext:
         """Context of the topic's ``unit`` grouped by ``grouping`` (see
-        ``Method``); a tree's nodes come in traversal order, as in ``tree``
-        with the same arguments."""
-        args = (grouping, unit, k_first, k_rest, max_nodes, seed)
-        return self._once(
-            ("context", *args),
-            lambda: ScoreContext(self.topic, self.memo, self._nodes(*args), *self._unit(unit)),
-        )
+        ``Method``). A tree grouping's nodes come in traversal order from the
+        class tree that ``build_class_tree`` makes with the same arguments."""
+
+        def build() -> ScoreContext:
+            if unit == "documents":
+                universe, owner = self.vectors.documents, self.vectors.doc_of_sentence
+            else:
+                universe, owner = self.vectors.sentences, np.arange(len(self.vectors.sentences))
+            tree = None
+            if grouping == "root":
+                nodes = [(0, range(len(universe)))]
+            elif grouping == "flat":
+                nodes = _flat_clusters(universe, k_first, seed)
+            else:
+                tree = build_class_tree(universe, k_first, k_rest, max_nodes, seed)
+                nodes = [(i, tree.node(i).members) for i in tree.traversal_order]
+            return ScoreContext(self.topic, self.memo, nodes, universe, owner, tree)
+
+        return self._once(("context", grouping, unit, k_first, k_rest, max_nodes, seed), build)
 
 
-def _flat_clusters(vectors: np.ndarray, k: int, seed: int) -> NodeList:
-    """One round of k-means over the rows of ``vectors``.
+def _flat_clusters(vectors: np.ndarray, k: int, seed: int) -> list[tuple[int, Sequence[int]]]:
+    """One round of k-means over the rows of ``vectors``, as (cluster index,
+    row indices) per cluster.
 
     Falls back to a single cluster when the rows cannot be divided.
     Clusters come back largest first, ties by lowest row index.
@@ -180,7 +165,5 @@ def summarize_topic(
     method = METHOD_TABLE[spec.kind]
     hp = spec.hp if method.delta is None else replace(spec.hp, delta=method.delta)
     seed = derive_seed(spec.seed, f"topic:{topic.topic_id}")
-    args = (method.unit, hp.k_first, hp.k_rest, max_nodes, seed)
-    tree = work.tree(*args) if method.grouping == "tree" else None
-    context = work.context(method.grouping, *args)
-    return select_summary(context, hp, spec.budget, method.scoring, tree=tree)
+    context = work.context(method.grouping, method.unit, hp.k_first, hp.k_rest, max_nodes, seed)
+    return select_summary(context, hp, spec.budget, method.scoring)

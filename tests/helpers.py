@@ -57,9 +57,8 @@ def tree_and_context(topic: Topic, embedded: EmbeddedCorpus, k_first: int, k_res
     """The class tree over a topic's documents and its selection context,
     both from ``TopicWork`` as the CLI builds them; the arguments are
     ``build_class_tree``'s."""
-    work = TopicWork(topic, embedded)
-    args = ("documents", k_first, k_rest, max_nodes, seed)
-    return work.tree(*args), work.context("tree", *args)
+    ctx = TopicWork(topic, embedded).context("tree", "documents", k_first, k_rest, max_nodes, seed)
+    return ctx.tree, ctx
 
 
 def skey(topic_id: str, doc_index: int, sent_index: int) -> str:

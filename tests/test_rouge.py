@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from functools import lru_cache
 
@@ -345,6 +347,17 @@ def test_report_renderings_agree():
     for line in csv_lines[1:]:
         topic_id, metric, recall, _, _ = line.split(",")
         assert f"{float(recall):.4f}" in table
+
+
+def test_report_csv_keeps_topic_ids_with_commas_and_quotes():
+    ids = ["a,b \"x\"", "plain"]
+    corpus = make_corpus(*(make_topic(tid, ["alpha beta gamma."], ["alpha beta delta."]) for tid in ids))
+    report = evaluate_corpus({tid: "alpha beta gamma" for tid in ids}, corpus, Budget("words", 10), ["r1"])
+    rows = list(csv.reader(io.StringIO(report.to_csv())))
+    assert rows[0] == ["topic_id", "metric", "recall", "precision", "f1"]
+    assert all(len(row) == 5 for row in rows)
+    assert [row[0] for row in rows[1:]] == [*ids, "MEAN"]
+    assert "\nplain,r1," in report.to_csv()
 
 
 def test_score_all_rejects_unknown_metric():

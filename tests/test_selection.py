@@ -25,9 +25,10 @@ from treesum.selection import (
     SimilarityMemo,
     order_summary,
     run_selection,
-    select_from_context,
     select_summary,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # Sentence pairs of a two-document topic; index 0 is t/d0/s0, 1 is t/d0/s1,
 # 2 is t/d1/s0.
@@ -218,26 +219,22 @@ def test_byte_budget_semantics():
 def test_engine_overshoot_bounded_by_crossing_sentence():
     """Exact budget invariant at the engine level, where selection order is
     visible: the final selected sentence is the one that crossed the limit,
-    and the overshoot is smaller than that sentence."""
+    and the overshoot is smaller than that sentence. Every limit up to the
+    topic's size, in both scoring modes and both budget units."""
     topic, embedded = _fixture_embedded()
-    tree, _ = _fixture_tree(embedded, topic)
-    sentences = [(doc, sent) for doc in topic.documents for sent in doc.sentences]
-    groups = []
-    for node_id in tree.traversal_order:
-        node = tree.node(node_id)
-        members = [i for i, (doc, _) in enumerate(sentences) if doc.doc_index in node.members]
-        groups.append((node_id, np.array(members)))
-
-    total = sum(sent.word_count for _, sent in sentences)
-    for limit in range(1, total + 1):
-        budget = Budget("words", limit)
-        state = run_selection(sentences, groups, lambda n, c, s: np.ones(len(c)), budget)
-        if state.consumed >= limit:
-            crossing_size = budget.size_of(sentences[state.selected[-1][0]][1])
-            assert state.consumed - limit < crossing_size
-        else:
-            # Budget larger than the topic: everything was selected.
-            assert len(state.selected) == len(sentences)
+    _, ctx = _fixture_tree(embedded, topic)
+    for unit in ("words", "bytes"):
+        total = sum(Budget(unit, 1).size_of(sent) for _, sent in ctx.sentences)
+        for limit in range(1, total + 1):
+            budget = Budget(unit, limit)
+            for mode in ("final", "cs_only"):
+                state = run_selection(ctx, Hyperparams(), budget, mode)
+                if state.consumed >= limit:
+                    crossing_size = budget.size_of(ctx.sentences[state.selected[-1][0]][1])
+                    assert state.consumed - limit < crossing_size
+                else:
+                    # Budget larger than the topic: everything was selected.
+                    assert len(state.selected) == len(ctx.sentences)
 
 
 def test_selection_is_deterministic():
@@ -312,11 +309,10 @@ def test_score_context_terms_match_scalar_scores():
         topic, embedded, tree, ctx = _random_case(rng, case)
         sent_vectors = list(embedded.sentence_vectors_for(topic).values())
         documents = embedded.topic_vectors(topic).documents
-        for node_id, members in ctx.groups:
+        for node_id, members, inside, outside in ctx.groups:
             centroids = node_centroids(documents, np.array(tree.node(node_id).members))
-            inside, outside = ctx.terms[node_id]
             for delta in (0.0, 0.3, 0.9, 1.0):
-                blended = blend_cs(inside, outside, delta)[members]
+                blended = blend_cs(inside, outside, delta)
                 expected = [score_cs(sent_vectors[i], centroids, delta) for i in members]
                 assert _bits(blended) == _bits(expected)
         for j in range(len(sent_vectors)):
@@ -384,9 +380,8 @@ def test_similarity_memo_matches_scalar_reference(d, kinds, centroid_kinds, seed
         1.0 if outside is None else 1.0 - _clamped_reference(rows[i], outside) for i in members
     ]
     for got, expected in ((got_in, expected_in), (got_out, expected_out)):
-        assert got[members].tolist() == expected
-        assert (got[members] + 0.0).tobytes() == (np.array(expected) + 0.0).tobytes()
-        assert np.isnan(np.delete(got, members)).all()
+        assert got.tolist() == expected
+        assert (got + 0.0).tobytes() == (np.array(expected) + 0.0).tobytes()
 
 
 def test_selection_matches_scalar_oracle():
@@ -408,7 +403,7 @@ def test_selection_matches_scalar_oracle():
         for hp in hps:
             for budget in budgets:
                 for mode in ("final", "cs_only"):
-                    state = select_from_context(ctx, hp, budget, mode)
+                    state = run_selection(ctx, hp, budget, mode)
                     got = []
                     for i, node_id, it in state.selected:
                         doc, sent = ctx.sentences[i]
