@@ -141,8 +141,10 @@ def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -
     for key, raw in values.items():
         try:
             if key in _BUDGET_KEYS:
+                limit = int(raw)
+                float(limit)  # the default node cap divides the limit as a float
                 updates["budget_unit"] = key.removeprefix("budget-")
-                updates["budget_limit"] = int(raw)
+                updates["budget_limit"] = limit
             elif key in _PARSERS:
                 name, parse = _PARSERS[key]
                 updates[name] = parse(raw)
@@ -150,6 +152,8 @@ def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -
                 raise ConfigError(f"unknown config key {key!r}")
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+        except OverflowError as exc:
+            raise ConfigError(f"bad value for {key!r}: past the float range") from exc
     config = replace(config, **updates)
     if config.method.replace("-", "_") not in METHODS:
         raise ConfigError(f"unknown method {config.method!r}")

@@ -28,6 +28,7 @@ import urllib.error
 import urllib.request
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -156,9 +157,11 @@ def _as_vector(values, context: str) -> Vector:
         vec = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProviderError(f"{context}: vector is not numeric") from exc
+    except OverflowError as exc:
+        raise ProviderError(f"{context}: vector has a component past the float range") from exc
     if vec.ndim != 1 or vec.size == 0:
         raise ProviderError(f"{context}: vector must be a non-empty flat list")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ProviderError(f"{context}: vector has non-finite components")
     return vec
 
@@ -199,11 +202,6 @@ def provider_file(path: str | Path) -> FileProvider:
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-def _hash_bucket(token: str, dim: int, seed_bytes: bytes) -> int:
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=seed_bytes).digest()
-    return int.from_bytes(digest, "little") % dim
-
-
 class BuiltinTfidfProvider:
     """Deterministic hashed tf-idf sentence embedder.
 
@@ -214,6 +212,15 @@ class BuiltinTfidfProvider:
     with no tokens falls back to the unit basis vector e1. All vectors are
     precomputed at construction, so results are bitwise reproducible for a
     given (corpus, dim, seed).
+
+    Each topic is built as one matrix with a row per sentence, from one
+    tokenization of each sentence. The ``(row, bucket)`` weights are
+    collected in each sentence's token order and summed by one unbuffered
+    ``np.add.at``, which adds them into the zero matrix in that order: the
+    same sums as adding each weight into a zero vector one at a time.
+    ``np.vecdot`` takes each row's squared norm with the same BLAS ``ddot``
+    as ``np.linalg.norm`` of that row on its own, and every row is divided by
+    its norm once, so the vectors are bit-equal to a per-sentence build.
     """
 
     def __init__(self, corpus: Corpus, dim: int, seed: int):
@@ -221,30 +228,44 @@ class BuiltinTfidfProvider:
             raise ValueError("builtin embedder needs dim >= 2")
         self.dim = dim
         seed_bytes = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        self._vectors: dict[str, Vector] = {}
+        keyed = hashlib.blake2b(digest_size=8, key=seed_bytes)
         buckets: dict[str, int] = {}  # each distinct token hashed once
+        self._vectors: dict[str, Vector] = {}
         for topic in corpus:
+            docs = [
+                [Counter(_TOKEN_RE.findall(s.text.lower())) for s in doc.sentences]
+                for doc in topic.documents
+            ]
             df: Counter[str] = Counter()
-            for doc in topic.documents:
-                df.update({tok for s in doc.sentences for tok in _TOKEN_RE.findall(s.text.lower())})
-            n_docs = len(topic.documents)
-            idf = {tok: math.log((1 + n_docs) / (1 + count)) + 1.0 for tok, count in df.items()}
-            for doc in topic.documents:
-                for sent in doc.sentences:
-                    vec = np.zeros(dim)
-                    for tok, tf in Counter(_TOKEN_RE.findall(sent.text.lower())).items():
-                        bucket = buckets.get(tok)
-                        if bucket is None:
-                            bucket = buckets[tok] = _hash_bucket(tok, dim, seed_bytes)
-                        vec[bucket] += tf * idf[tok]
-                    norm = float(np.linalg.norm(vec))
-                    if norm == 0.0:
-                        vec = np.zeros(dim)
-                        vec[0] = 1.0
-                    else:
-                        vec = vec / norm
-                    key = sentence_key(topic.topic_id, doc.doc_index, sent.sent_index)
-                    self._vectors[key] = vec
+            for doc_counts in docs:
+                df.update(set().union(*doc_counts))
+            for tok in df.keys() - buckets.keys():
+                h = keyed.copy()  # the digest of a fresh keyed blake2b
+                h.update(tok.encode("utf-8"))
+                buckets[tok] = int.from_bytes(h.digest(), "little") % dim
+            n_docs = len(docs)
+            # idf depends on a token only through its df, which is 1..n_docs
+            idf_of_df = [math.log((1 + n_docs) / (1 + count)) + 1.0 for count in range(n_docs + 1)]
+            counts = [c for doc_counts in docs for c in doc_counts]
+            tokens = [tok for c in counts for tok in c]  # each sentence's tokens in Counter order
+            rows = len(counts)
+            flat = np.repeat(np.arange(rows) * dim, [len(c) for c in counts])
+            flat += np.array([buckets[tok] for tok in tokens], dtype=np.intp)
+            tf = np.fromiter(chain.from_iterable(c.values() for c in counts), float, len(tokens))
+            weights = tf * np.array([idf_of_df[df[tok]] for tok in tokens])
+            matrix = np.zeros((rows, dim))
+            np.add.at(matrix.reshape(-1), flat, weights)
+            norms = np.sqrt(np.vecdot(matrix, matrix))
+            empty = norms == 0.0
+            matrix[empty, 0] = 1.0
+            norms[empty] = 1.0
+            matrix /= norms[:, None]
+            keys = (
+                sentence_key(topic.topic_id, doc.doc_index, sent.sent_index)
+                for doc in topic.documents
+                for sent in doc.sentences
+            )
+            self._vectors.update(zip(keys, matrix))
 
     def embed(self, keys: Sequence[str], texts: Sequence[str]) -> list[Vector]:
         try:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
+import re
 from collections import Counter
 from itertools import product
 from typing import Mapping, Sequence
@@ -85,6 +88,40 @@ def reference_cosine(a, b) -> float:
     a = a / scale_a
     b = b / scale_b
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def loop_tfidf_vectors(corpus: Corpus, dim: int, seed: int) -> dict[str, np.ndarray]:
+    """Reference builtin embedder, one sentence vector at a time.
+
+    The per-sentence form of ``treesum.embedding.BuiltinTfidfProvider``:
+    each token is hashed by a fresh keyed blake2b, each ``tf * idf`` weight
+    is added into the sentence's zero vector in ``Counter`` order, and the
+    vector is divided by its 1-D ``np.linalg.norm`` (e1 when that is 0).
+    The provider must give exactly the same bits for every sentence key.
+    """
+    token_re = re.compile(r"[a-z0-9]+")
+    seed_bytes = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    vectors: dict[str, np.ndarray] = {}
+    for topic in corpus:
+        df: Counter[str] = Counter()
+        for doc in topic.documents:
+            df.update({tok for s in doc.sentences for tok in token_re.findall(s.text.lower())})
+        n_docs = len(topic.documents)
+        idf = {tok: math.log((1 + n_docs) / (1 + count)) + 1.0 for tok, count in df.items()}
+        for doc in topic.documents:
+            for sent in doc.sentences:
+                vec = np.zeros(dim)
+                for tok, tf in Counter(token_re.findall(sent.text.lower())).items():
+                    digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8, key=seed_bytes).digest()
+                    vec[int.from_bytes(digest, "little") % dim] += tf * idf[tok]
+                norm = float(np.linalg.norm(vec))
+                if norm == 0.0:
+                    vec = np.zeros(dim)
+                    vec[0] = 1.0
+                else:
+                    vec = vec / norm
+                vectors[skey(topic.topic_id, doc.doc_index, sent.sent_index)] = vec
+    return vectors
 
 
 def loop_segment_sentences(document_text: str) -> list[Sentence]:

@@ -783,6 +783,79 @@ def test_integer_past_the_digit_limit_exits_cleanly(tmp_path, path, exit_code):
     assert not out.exists()
 
 
+def test_vector_component_past_the_float_range_exits_3(tmp_path):
+    """An integer of 401 digits parses as JSON but not as a float."""
+    corpus = _write_corpus(tmp_path / "corpus")
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text('{"key": "topic0/d0/s0", "vector": [1' + "0" * 400 + ", 1.0]}\n")
+    out = tmp_path / "out"
+    code, err = _run_cli([
+        "summarize", "--input", str(corpus), "--embedder", f"file:{vectors}",
+        "--budget-words", "20", "--out", str(out),
+    ])
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert "'topic0/d0/s0'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+@pytest.mark.parametrize("unit", ["words", "bytes"])
+def test_budget_past_the_float_range_exits_2(tmp_path, capsys, unit, source):
+    corpus = _write_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    limit = "1" + "0" * 400
+    argv = ["summarize", "--input", str(corpus), "--out", str(out)]
+    if source == "flag":
+        argv += [f"--budget-{unit}", limit]
+    else:
+        (tmp_path / "run.cfg").write_text(f"budget-{unit} = {limit}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    assert f"'budget-{unit}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _outputs_without_out_line(out):
+    """Every file under ``out`` by relative path; ``config.txt`` loses its
+    ``out =`` line, the one line a rerun into another directory changes."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path == out / "config.txt":
+            data = b"".join(
+                line for line in data.splitlines(keepends=True) if not line.startswith(b"out =")
+            )
+        files[path.relative_to(out).as_posix()] = data
+    return files
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("summarize", ["--method", "comp3", "--budget-bytes", "150", "--seed", "4",
+                       "--embedder", "builtin:32", "--k-first", "2"]),
+        ("evaluate", ["--method", "comp1", "--budget-words", "25", "--delta", "0.7",
+                      "--metrics", "r1,rl", "--report", "f1", "--seed", "2"]),
+        ("ablate", ["--budget-bytes", "140", "--seed", "9", "--embedder", "builtin:48",
+                    "--alpha", "0.6", "--beta", "0.2", "--gamma", "0.2", "--max-nodes", "4"]),
+    ],
+    ids=["summarize", "evaluate", "ablate"],
+)
+def test_rerun_from_the_echoed_config_gives_identical_outputs(tmp_path, command, flags):
+    """``<command> --config <out>/config.txt --out <other>`` writes the same
+    files with the same bytes. ``tune`` is left out: its echo omits
+    ``--deltas``, ``--ks``, ``--weights`` and ``--objective``, so a rerun from
+    it searches another grid."""
+    corpus = _write_varied_corpus(tmp_path / "corpus")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, "--input", str(corpus), *flags, "--out", str(first)]) == 0
+    assert main([command, "--config", str(first / "config.txt"), "--out", str(second)]) == 0
+    outputs = _outputs_without_out_line(first)
+    assert "config.txt" in outputs and len(outputs) > 1
+    assert _outputs_without_out_line(second) == outputs
+
+
 def _unwritable_out(tmp_path, case):
     """An ``--out`` that cannot hold the outputs, and the path the error names."""
     blocker = tmp_path / "blocker"

@@ -14,6 +14,8 @@ from hypothesis import given, strategies as st
 from helpers import loop_segment_sentences
 from treesum.corpus import CorpusError, count_words, load_corpus, segment_sentences
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_two_terminated_clauses():
     sentences = segment_sentences("A cat sat. It slept.")

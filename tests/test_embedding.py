@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, strategies as st
 from helpers import (
     DictProvider,
     embed_with_vectors,
+    loop_tfidf_vectors,
     make_corpus,
     make_topic,
     reference_cosine,
@@ -34,6 +35,8 @@ from treesum.embedding import (
     provider_file,
     provider_remote,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_cosine_identity_and_orthogonality():
@@ -330,6 +333,51 @@ def test_builtin_vectors_have_unit_norm():
             assert float(np.linalg.norm(vec)) == pytest.approx(1.0, abs=1e-9)
 
 
+def _oracle_corpora():
+    """A hand-made corpus whose topics share tokens, with repeated and
+    digit-only tokens, token-less sentences and a topic with no token at
+    all; then random corpora over a small vocabulary with the same traits."""
+    corpora = [
+        make_corpus(
+            make_topic("a", [
+                "City council votes on the 2024 budget. Vote vote VOTE! ???",
+                "The 17 council members vote 17 times; 007 and 2024 again.",
+                "Budget news: city vote.",
+            ]),
+            make_topic("b", ["City news today. The council met.", "Crews repaired the bridge bridge 007."]),
+            make_topic("c", ["!!! ???", "..."]),
+        )
+    ]
+    words = ["city", "council", "vote", "budget", "bridge", "news", "2024", "17", "007", "x9", "--"]
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        topics = []
+        for t in range(int(rng.integers(1, 4))):
+            docs = [
+                " ".join(
+                    " ".join(rng.choice(words, size=int(rng.integers(1, 9)))) + "."
+                    for _ in range(int(rng.integers(1, 6)))
+                )
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            topics.append(make_topic(f"r{t}", docs))
+        corpora.append(make_corpus(*topics))
+    return corpora
+
+
+@pytest.mark.parametrize("seed", [0, 5, -1])
+@pytest.mark.parametrize("dim", [2, 3, 7, 128])
+def test_builtin_matches_per_sentence_oracle_bit_for_bit(dim, seed):
+    """The per-topic matrix build gives every sentence the same bits as the
+    one-vector-at-a-time loop. Dims 2 and 3 put several tokens of one
+    sentence into one bucket, so the order of the sums is checked too."""
+    for corpus in _oracle_corpora():
+        expected = loop_tfidf_vectors(corpus, dim, seed)
+        keys = list(expected)
+        got = provider_builtin_tfidf(corpus, dim, seed).embed(keys, [""] * len(keys))
+        assert [v.tobytes() for v in got] == [expected[k].tobytes() for k in keys]
+
+
 class _EmbedHandler(BaseHTTPRequestHandler):
     behavior = "ok"  # ok | short | flaky
     failures_left = 0
@@ -452,8 +500,12 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
         b"not json",
         b'{"vectors": [{"x": 1}]}',
         b"\xff\xfe\x00",
+        b'{"vectors": [[1' + b"0" * 400 + b", 1.0]]}",
     ],
-    ids=["list", "vectors-number", "deep", "deep-vectors", "deep-vector", "text", "dict-vector", "binary"],
+    ids=[
+        "list", "vectors-number", "deep", "deep-vectors", "deep-vector", "text", "dict-vector",
+        "binary", "past-float-range",
+    ],
 )
 def test_remote_malformed_response_is_a_provider_error(tmp_path, body):
     from treesum.cli import main
