@@ -30,7 +30,14 @@ from .config import (
     load_config_file,
 )
 from .corpus import Corpus, CorpusError, is_unicode_text, jsonl_records, load_corpus, read_text, text_files
-from .embedding import EmbeddedCorpus, ProviderError, document_key, embed_corpus, sentence_key
+from .embedding import (
+    MAX_BUILTIN_DIM,
+    EmbeddedCorpus,
+    ProviderError,
+    document_key,
+    embed_corpus,
+    sentence_key,
+)
 from .experiments import (
     GridPoint,
     ablation_csv,
@@ -56,7 +63,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     budget = parser.add_mutually_exclusive_group()
     budget.add_argument("--budget-words", type=int, metavar="N")
     budget.add_argument("--budget-bytes", type=int, metavar="N")
-    parser.add_argument("--embedder", help="file:PATH, builtin:DIM or remote:URL")
+    parser.add_argument("--embedder", help=f"file:PATH, builtin:DIM (DIM 2 to {MAX_BUILTIN_DIM}) or remote:URL")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--k-first", type=int)
     parser.add_argument("--k-rest", type=int)
@@ -242,15 +249,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(args: argparse.Namespace, base: Hyperparams) -> list[GridPoint]:
-    """The ``tune`` grid the flags restrict, every point checked as hyperparameters."""
+def _parse_grid(config: RunConfig, base: Hyperparams) -> list[GridPoint]:
+    """The ``tune`` grid the config restricts, every point checked as hyperparameters."""
     try:
-        deltas = [float(v) for v in args.deltas.split(",") if v.strip()] if args.deltas else None
-        ks = [int(v) for v in args.ks.split(",") if v.strip()] if args.ks else None
+        deltas = [float(v) for v in config.deltas.split(",") if v.strip()] if config.deltas else None
+        ks = [int(v) for v in config.ks.split(",") if v.strip()] if config.ks else None
         triples = None
-        if args.weights:
+        if config.weights:
             triples = []
-            for chunk in args.weights.split(";"):
+            for chunk in config.weights.split(";"):
                 triple = tuple(float(v) for v in chunk.split(","))
                 if len(triple) != 3:
                     raise ConfigError(f"--weights triple must have 3 values, got {chunk!r}")
@@ -266,7 +273,8 @@ def _parse_grid(args: argparse.Namespace, base: Hyperparams) -> list[GridPoint]:
 def cmd_tune(args: argparse.Namespace) -> int:
     config = _build_config(args)
     base_hp = config.hyperparams()
-    grid = _parse_grid(args, base_hp)
+    grid = _parse_grid(config, base_hp)
+    objective = config.objective or "r1"
     corpus, embedded = _load_and_embed(config)
     best, results = run_grid_search(
         corpus,
@@ -274,7 +282,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         config.budget(),
         grid,
         seed=config.seed,
-        objective_metric=args.objective,
+        objective_metric=objective,
         report_kind=config.report,
         base_hp=base_hp,
         max_nodes=config.max_nodes,
@@ -286,11 +294,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
         f"k-first = {p.k}\nobjective = {best.objective:.6f}\n"
     )
     _write_outputs(
-        config, {"grid.csv": grid_csv(results, args.objective, config.report), "best.txt": best_text}
+        config, {"grid.csv": grid_csv(results, objective, config.report), "best.txt": best_text}
     )
     print(
         f"best: delta={p.delta} alpha={p.alpha} beta={p.beta} gamma={p.gamma} "
-        f"k={p.k} ({args.objective} {config.report} {best.objective:.4f}; "
+        f"k={p.k} ({objective} {config.report} {best.objective:.4f}; "
         f"{len(results)} configurations)"
     )
     return 0
@@ -320,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser("tune", help="grid-search scoring hyperparameters")
     _add_common_flags(p_tune)
-    p_tune.add_argument("--objective", default="r1", choices=["r1", "r2", "rl", "rsu4"])
+    p_tune.add_argument("--objective", choices=["r1", "r2", "rl", "rsu4"], help="default r1")
     p_tune.add_argument("--deltas", help="comma list restricting the delta axis")
     p_tune.add_argument("--ks", help="comma list restricting the cluster-count axis")
     p_tune.add_argument("--weights", help="semicolon-separated alpha,beta,gamma triples")

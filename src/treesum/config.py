@@ -2,9 +2,10 @@
 
 A config can come from command-line flags, from a flat ``key = value`` text
 file, or both (flags override the file). Every run echoes its effective
-config into the output directory; the flags that only one command takes
-(``--format``, ``--dump-trees``, ``--summaries``, ``tune``'s grid and
-objective) are not part of it.
+config into the output directory. ``tune``'s grid and objective flags are
+fields too, unset (and not echoed) for the other commands; the flags that
+only ``summarize`` or ``evaluate`` takes (``--format``, ``--dump-trees``,
+``--summaries``) are not part of it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .corpus import Corpus, read_text
-from .embedding import provider_builtin_tfidf, provider_file, provider_remote
+from .embedding import MAX_BUILTIN_DIM, provider_builtin_tfidf, provider_file, provider_remote
 from .rouge import METRIC_IDS
 from .scoring import Hyperparams
 from .selection import Budget
@@ -46,6 +47,11 @@ class RunConfig:
     report: str = "recall"
     out: str = "out"
     workers: int = 1
+    # tune only: the grid restrictions and the objective metric
+    deltas: str | None = None
+    ks: str | None = None
+    weights: str | None = None
+    objective: str | None = None
 
     def hyperparams(self) -> Hyperparams:
         try:
@@ -67,26 +73,32 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def make_provider(self, corpus: Corpus):
-        """Build the embedding provider described by the ``embedder`` spec.
-
-        Specs: ``file:<path>``, ``builtin:<dim>`` or ``remote:<url>``.
-        """
-        kind, _, arg = self.embedder.partition(":")
-        if not arg:
-            raise ConfigError(f"malformed embedder spec {self.embedder!r}")
+        """Build the embedding provider described by the ``embedder`` spec."""
+        kind, arg = _parse_embedder(self.embedder)
         if kind == "file":
             return provider_file(arg)
         if kind == "builtin":
-            try:
-                dim = int(arg)
-            except ValueError as exc:
-                raise ConfigError(f"builtin embedder dim must be an integer: {arg!r}") from exc
-            if dim < 2:
-                raise ConfigError("builtin embedder dim must be >= 2")
-            return provider_builtin_tfidf(corpus, dim, self.seed)
-        if kind == "remote":
-            return provider_remote(arg)
+            return provider_builtin_tfidf(corpus, arg, self.seed)
+        return provider_remote(arg)
+
+
+def _parse_embedder(spec: str) -> tuple[str, str | int]:
+    """``(kind, arg)`` of an embedder spec: ``file:<path>``, ``remote:<url>``
+    or ``builtin:<dim>`` with ``dim`` an int from 2 to ``MAX_BUILTIN_DIM``."""
+    kind, _, arg = spec.partition(":")
+    if not arg:
+        raise ConfigError(f"malformed embedder spec {spec!r}")
+    if kind in ("file", "remote"):
+        return kind, arg
+    if kind != "builtin":
         raise ConfigError(f"unknown embedder kind {kind!r}")
+    try:
+        dim = int(arg)
+    except ValueError as exc:
+        raise ConfigError(f"builtin embedder dim must be an integer: {arg!r}") from exc
+    if not 2 <= dim <= MAX_BUILTIN_DIM:
+        raise ConfigError(f"embedder {spec!r}: builtin dim must be from 2 to {MAX_BUILTIN_DIM}")
+    return kind, dim
 
 
 def _parser(hint) -> Callable[[str], object]:
@@ -170,6 +182,9 @@ def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -
         raise ConfigError("workers must be >= 1")
     if config.max_nodes is not None and config.max_nodes < 1:
         raise ConfigError("max-nodes must be >= 1")
+    if config.objective is not None and config.objective not in METRIC_IDS:
+        raise ConfigError(f"objective must be one of {', '.join(METRIC_IDS)}, got {config.objective!r}")
+    _parse_embedder(config.embedder)
     return config
 
 

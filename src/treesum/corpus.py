@@ -93,28 +93,15 @@ _ABBREVIATIONS = frozenset(
 _SENTENCE_END_RE = re.compile(r"[.!?](?!\S)")
 
 
-def count_words(text: str) -> int:
-    """Number of maximal whitespace-delimited tokens in ``text``."""
-    return len(text.split())
+def _is_abbreviation(token: str) -> bool:
+    """True when a period after ``token`` closes an abbreviation.
 
-
-def _token_before(text: str, idx: int) -> str:
-    """The run of non-whitespace characters immediately before ``text[idx]``."""
-    j = idx
-    while j > 0 and not text[j - 1].isspace():
-        j -= 1
-    return text[j:idx]
-
-
-def _is_abbreviation_dot(text: str, idx: int) -> bool:
-    """True when the period at ``idx`` belongs to an abbreviation.
-
+    ``token`` is the run of non-whitespace characters before the period.
     Covers a stoplist of common titles and dotted initialisms, plus the
     single-capital-letter rule for personal initials. Periods inside decimal
     numbers never reach this check: a digit follows them, so the
     terminator-then-whitespace condition already fails.
     """
-    token = _token_before(text, idx)
     # Drop opening punctuation such as quotes or parentheses.
     token = token.lstrip("\"'([{“‘")
     if not token:
@@ -122,6 +109,13 @@ def _is_abbreviation_dot(text: str, idx: int) -> bool:
     if len(token) == 1 and token.isalpha() and token.isupper():
         return True
     return token.lower() in _ABBREVIATIONS
+
+
+def _sentence(words: list[str], sent_index: int) -> Sentence:
+    text = " ".join(words)
+    return Sentence(
+        text=text, sent_index=sent_index, word_count=len(words), byte_length=len(text.encode("utf-8"))
+    )
 
 
 def segment_sentences(document_text: str) -> list[Sentence]:
@@ -132,32 +126,31 @@ def segment_sentences(document_text: str) -> list[Sentence]:
     inside each sentence is collapsed to single spaces; whitespace-only input
     yields an empty list. Sentence indices are assigned in order, so positions
     run 1..n with no gaps.
+
+    The text is split into words once, one piece per terminator. Each piece
+    runs from just after the previous terminator to this one, so it starts
+    at whitespace (or at 0) and ends with the terminator: its last word is
+    the run of non-whitespace characters before the terminator plus the
+    terminator itself, which is what the abbreviation check reads, and the
+    words of a sentence's pieces are the words of its span. So joining them
+    gives the span's whitespace-collapsed text, and their number its word
+    count.
     """
-    spans: list[str] = []
+    sentences: list[Sentence] = []
+    words: list[str] = []
     start = 0
-    n = len(document_text)
     for match in _SENTENCE_END_RE.finditer(document_text):
         i = match.start()
-        if document_text[i] == "." and _is_abbreviation_dot(document_text, i):
-            continue
-        spans.append(document_text[start : i + 1])
+        piece = document_text[start : i + 1].split()
+        words += piece
         start = i + 1
-    if start < n:
-        spans.append(document_text[start:])
-
-    sentences: list[Sentence] = []
-    for raw in spans:
-        text = " ".join(raw.split())
-        if not text:
+        if document_text[i] == "." and _is_abbreviation(piece[-1][:-1]):
             continue
-        sentences.append(
-            Sentence(
-                text=text,
-                sent_index=len(sentences),
-                word_count=count_words(text),
-                byte_length=len(text.encode("utf-8")),
-            )
-        )
+        sentences.append(_sentence(words, len(sentences)))
+        words = []
+    words += document_text[start:].split()
+    if words:
+        sentences.append(_sentence(words, len(sentences)))
     return sentences
 
 

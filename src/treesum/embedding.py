@@ -19,14 +19,9 @@ read prebuilt maps, and the remote client keeps no per-call state.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import math
-import re
 import time
-import urllib.error
-import urllib.request
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -199,7 +194,31 @@ def provider_file(path: str | Path) -> FileProvider:
     return FileProvider(path)
 
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Tokens are the maximal runs of [a-z0-9] in the lowercased text. Those are
+# ASCII, so encoding with "?" for every other character and mapping every
+# byte outside [a-z0-9] to a space leaves exactly the tokens to ``split``;
+# each comes out as its own UTF-8 bytes, the input of its hash.
+_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
+
+# The largest ``builtin:<dim>``, 128 times the largest dim in use. The
+# vectors take 8 * dim bytes per sentence, 512 KiB at this ceiling.
+MAX_BUILTIN_DIM = 65536
+
+
+def _distinct_pairs(major: np.ndarray, minor: np.ndarray, n_minor: int):
+    """The distinct ``(major, minor)`` pairs, in order of first occurrence,
+    as ``(major, minor, count)`` arrays.
+
+    A stable sort of the pair codes puts each pair's first occurrence at the
+    start of its run, and the run lengths are the counts.
+    """
+    codes = major * n_minor + minor
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    count = np.zeros(len(codes), np.intp)  # nonzero only at first occurrences
+    count[order[starts]] = np.diff(starts, append=len(codes))
+    first = np.flatnonzero(count)
+    return major[first], minor[first], count[first]
 
 
 class BuiltinTfidfProvider:
@@ -213,48 +232,58 @@ class BuiltinTfidfProvider:
     precomputed at construction, so results are bitwise reproducible for a
     given (corpus, dim, seed).
 
-    Each topic is built as one matrix with a row per sentence, from one
-    tokenization of each sentence. The ``(row, bucket)`` weights are
-    collected in each sentence's token order and summed by one unbuffered
-    ``np.add.at``, which adds them into the zero matrix in that order: the
-    same sums as adding each weight into a zero vector one at a time.
-    ``np.vecdot`` takes each row's squared norm with the same BLAS ``ddot``
-    as ``np.linalg.norm`` of that row on its own, and every row is divided by
-    its norm once, so the vectors are bit-equal to a per-sentence build.
+    Each topic fills its block of one corpus matrix, a row per sentence.
+    The topic's tokens get integer ids (a token new to the corpus is hashed
+    then), and the distinct (sentence, token) pairs come out of a stable
+    sort in order of first occurrence, which is each sentence's ``Counter``
+    order, with their counts as tf. df counts the distinct (document, token)
+    pairs. The ``(row, bucket)`` weights ``tf * idf`` are summed in that
+    order by one unbuffered ``np.add.at``, which adds them into the zero
+    block in input order: the same sums as adding each weight into a zero
+    vector one at a time. ``np.vecdot`` takes each row's squared
+    norm with the same BLAS ``ddot`` as ``np.linalg.norm`` of that row on its
+    own, and every row is divided by its norm once, so the vectors are
+    bit-equal to a per-sentence build.
     """
 
     def __init__(self, corpus: Corpus, dim: int, seed: int):
-        if dim < 2:
-            raise ValueError("builtin embedder needs dim >= 2")
+        if not 2 <= dim <= MAX_BUILTIN_DIM:
+            raise ValueError(f"builtin embedder needs 2 <= dim <= {MAX_BUILTIN_DIM}")
         self.dim = dim
-        seed_bytes = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        keyed = hashlib.blake2b(digest_size=8, key=seed_bytes)
-        buckets: dict[str, int] = {}  # each distinct token hashed once
+        keyed = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+        buckets: dict[bytes, int] = {}  # each distinct token of the corpus hashed once
         self._vectors: dict[str, Vector] = {}
+        # One matrix for the whole corpus, allocated before any per-topic
+        # temporary, so the heap those free is not pinned under a topic's rows.
+        all_rows = np.zeros((sum(len(doc.sentences) for topic in corpus for doc in topic.documents), dim))
+        first_row = 0
         for topic in corpus:
-            docs = [
-                [Counter(_TOKEN_RE.findall(s.text.lower())) for s in doc.sentences]
+            sent_tokens = [
+                s.text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).split()
                 for doc in topic.documents
+                for s in doc.sentences
             ]
-            df: Counter[str] = Counter()
-            for doc_counts in docs:
-                df.update(set().union(*doc_counts))
-            for tok in df.keys() - buckets.keys():
+            tokens = list(chain.from_iterable(sent_tokens))
+            distinct = dict.fromkeys(tokens)  # the topic's tokens, in order of first occurrence
+            for tok in distinct.keys() - buckets.keys():
                 h = keyed.copy()  # the digest of a fresh keyed blake2b
-                h.update(tok.encode("utf-8"))
+                h.update(tok)
                 buckets[tok] = int.from_bytes(h.digest(), "little") % dim
-            n_docs = len(docs)
+            bucket_of = np.fromiter(map(buckets.__getitem__, distinct), np.intp, len(distinct))
+            index = dict(zip(distinct, range(len(distinct))))
+            ids = np.fromiter(map(index.__getitem__, tokens), np.intp, len(tokens))
+            n_ids = len(index)
+            rows = len(sent_tokens)
+            row_of = np.repeat(np.arange(rows), [len(t) for t in sent_tokens])
+            pair_row, pair_id, tf = _distinct_pairs(row_of, ids, n_ids)
+            n_docs = len(topic.documents)
+            doc_of_row = np.repeat(np.arange(n_docs), [len(doc.sentences) for doc in topic.documents])
+            df = np.bincount(_distinct_pairs(doc_of_row[pair_row], pair_id, n_ids)[1], minlength=n_ids)
             # idf depends on a token only through its df, which is 1..n_docs
-            idf_of_df = [math.log((1 + n_docs) / (1 + count)) + 1.0 for count in range(n_docs + 1)]
-            counts = [c for doc_counts in docs for c in doc_counts]
-            tokens = [tok for c in counts for tok in c]  # each sentence's tokens in Counter order
-            rows = len(counts)
-            flat = np.repeat(np.arange(rows) * dim, [len(c) for c in counts])
-            flat += np.array([buckets[tok] for tok in tokens], dtype=np.intp)
-            tf = np.fromiter(chain.from_iterable(c.values() for c in counts), float, len(tokens))
-            weights = tf * np.array([idf_of_df[df[tok]] for tok in tokens])
-            matrix = np.zeros((rows, dim))
-            np.add.at(matrix.reshape(-1), flat, weights)
+            idf_of_df = np.array([math.log((1 + n_docs) / (1 + count)) + 1.0 for count in range(n_docs + 1)])
+            matrix = all_rows[first_row : first_row + rows]
+            first_row += rows
+            np.add.at(matrix.reshape(-1), pair_row * dim + bucket_of[pair_id], tf * idf_of_df[df[pair_id]])
             norms = np.sqrt(np.vecdot(matrix, matrix))
             empty = norms == 0.0
             matrix[empty, 0] = 1.0
@@ -298,7 +327,9 @@ class RemoteProvider:
 
     Sends sentence texts in batches and expects vectors back in request
     order. Connection failures, timeouts and 5xx responses are retried a
-    bounded number of times with a short backoff.
+    bounded number of times with a short backoff. The HTTP modules (and the
+    ``ssl`` and ``email`` packages they pull in) are imported on the first
+    request, so runs with the other providers never load them.
     """
 
     def __init__(
@@ -322,6 +353,9 @@ class RemoteProvider:
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """Status and body of one POST; an error status is returned, not raised."""
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             self._url, data=body, headers={"Content-Type": "application/json"}
         )
@@ -333,6 +367,8 @@ class RemoteProvider:
                 return exc.code, exc.read()
 
     def _post_batch(self, batch: list[str]) -> list[Vector]:
+        import http.client
+
         body = json.dumps({"texts": batch}).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self._max_attempts):
@@ -367,39 +403,60 @@ def provider_remote(endpoint_url: str, batch_size: int = 32, **kwargs) -> Remote
     return RemoteProvider(endpoint_url, batch_size=batch_size, **kwargs)
 
 
+def _topic_rows(keys: list[str], returned: Sequence, dim: int | None) -> tuple[list[Vector], int | None]:
+    """One topic's returned vectors as float arrays, checked, and the corpus
+    dimension (``dim``, or the first vector's when ``dim`` is None).
+
+    One stacked array checks the whole topic: its shape, its one dimension
+    and ``np.isfinite``. A topic passes exactly when every vector passes
+    ``_as_vector`` with that dimension, so only a topic that fails goes one
+    vector at a time, to name the key of the first bad vector. The rows kept
+    are the provider's own arrays (``np.asarray`` copies only a vector that
+    is not float already), not the stacked copy.
+    """
+    try:
+        stacked = np.array(returned, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        stacked = None
+    if (
+        stacked is not None
+        and stacked.ndim == 2
+        and stacked.shape[1] > 0
+        and dim in (None, stacked.shape[1])
+        and np.isfinite(stacked).all()
+    ):
+        return [np.asarray(vec, dtype=float) for vec in returned], stacked.shape[1]
+    rows = []
+    for key, vec in zip(keys, returned):
+        vec = _as_vector(vec, f"key {key!r}")
+        if dim is None:
+            dim = int(vec.shape[0])
+        elif vec.shape[0] != dim:
+            raise ProviderError(f"dimension mismatch: key {key!r} has dim {vec.shape[0]}, expected {dim}")
+        rows.append(vec)
+    return rows, dim
+
+
 def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
     """Embed every sentence of every topic.
 
     All vectors in a run must share one dimension; a provider returning mixed
-    dimensions raises ProviderError. A corpus without sentences raises
-    CorpusError.
+    dimensions, or a vector that is empty, not flat, not numeric or not
+    finite, raises ProviderError naming its key. A corpus without sentences
+    raises CorpusError. Each topic is checked as one array (see
+    ``_topic_rows``).
     """
     vectors: dict[str, list[Vector]] = {}
     dim: int | None = None
-
     for topic in corpus:
-        keys: list[str] = []
-        texts: list[str] = []
-        for doc in topic.documents:
-            for sent in doc.sentences:
-                keys.append(sentence_key(topic.topic_id, doc.doc_index, sent.sent_index))
-                texts.append(sent.text)
-        returned = provider.embed(keys, texts)
+        sentences = [(doc.doc_index, sent) for doc in topic.documents for sent in doc.sentences]
+        keys = [sentence_key(topic.topic_id, doc_index, sent.sent_index) for doc_index, sent in sentences]
+        returned = provider.embed(keys, [sent.text for _, sent in sentences])
         if len(returned) != len(keys):
             raise ProviderError(
                 f"provider returned {len(returned)} vectors for {len(keys)} sentences"
             )
-        rows = vectors[topic.topic_id] = []
-        for key, vec in zip(keys, returned):
-            vec = _as_vector(vec, f"key {key!r}")
-            if dim is None:
-                dim = int(vec.shape[0])
-            elif vec.shape[0] != dim:
-                raise ProviderError(
-                    f"dimension mismatch: key {key!r} has dim {vec.shape[0]}, expected {dim}"
-                )
-            rows.append(vec)
-
+        vectors[topic.topic_id], dim = _topic_rows(keys, returned, dim)
     if dim is None:
         raise CorpusError("corpus has no sentences")
     return EmbeddedCorpus(corpus=corpus, vectors=vectors, dim=dim)

@@ -17,8 +17,7 @@ from treesum.corpus import (
     Document,
     Sentence,
     Topic,
-    _is_abbreviation_dot,
-    count_words,
+    _is_abbreviation,
     segment_sentences,
 )
 from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key
@@ -43,10 +42,14 @@ def make_corpus(*topics: Topic) -> Corpus:
 
 
 class DictProvider:
-    """Embedding provider backed by an explicit key -> vector mapping."""
+    """Embedding provider backed by an explicit key -> vector mapping.
 
-    def __init__(self, vectors: Mapping[str, Sequence[float]]):
-        self._vectors = {k: np.asarray(v, dtype=float) for k, v in vectors.items()}
+    Vectors are returned as given, so a test can hand ``embed_corpus``
+    arrays, plain lists or malformed values.
+    """
+
+    def __init__(self, vectors: Mapping[str, object]):
+        self._vectors = dict(vectors)
 
     def embed(self, keys, texts):
         return [self._vectors[k] for k in keys]
@@ -124,12 +127,27 @@ def loop_tfidf_vectors(corpus: Corpus, dim: int, seed: int) -> dict[str, np.ndar
     return vectors
 
 
+def count_words(text: str) -> int:
+    """Number of maximal whitespace-delimited tokens in ``text``."""
+    return len(text.split())
+
+
+def _token_before(text: str, idx: int) -> str:
+    """The run of non-whitespace characters immediately before ``text[idx]``."""
+    j = idx
+    while j > 0 and not text[j - 1].isspace():
+        j -= 1
+    return text[j:idx]
+
+
 def loop_segment_sentences(document_text: str) -> list[Sentence]:
     """The per-character form of ``treesum.corpus.segment_sentences``.
 
     Walks the text and ends a sentence at ``.``, ``!`` or ``?`` followed by
     ``str.isspace`` whitespace or the end of input, unless the period closes
-    an abbreviation. The regex form must give exactly the same sentences.
+    an abbreviation, read by walking back from the period. Each span is
+    split twice: once for its collapsed text, once for its word count. The
+    regex-and-one-split form must give exactly the same sentences.
     """
     spans: list[str] = []
     start = 0
@@ -140,7 +158,7 @@ def loop_segment_sentences(document_text: str) -> list[Sentence]:
         at_end = i + 1 >= n
         if not at_end and not document_text[i + 1].isspace():
             continue
-        if ch == "." and _is_abbreviation_dot(document_text, i):
+        if ch == "." and _is_abbreviation(_token_before(document_text, i)):
             continue
         spans.append(document_text[start : i + 1])
         start = i + 1

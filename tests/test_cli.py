@@ -22,6 +22,8 @@ from treesum.config import (
 from treesum.experiments import full_grid, simplex_triples
 from treesum.tree import tree_to_dict
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _write_corpus(root, n_topics=2, refs=True):
     for t in range(n_topics):
@@ -737,14 +739,17 @@ def test_evaluate_repeated_topic_id_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def _run_cli(argv):
-    """Run the command line in a fresh interpreter: (exit code, stderr)."""
+def _fresh_interpreter(args):
+    """Run ``python <args>`` with this checkout's ``treesum`` importable."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(treesum.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "treesum.cli", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_cli(argv):
+    """Run the command line in a fresh interpreter: (exit code, stderr)."""
+    result = _fresh_interpreter(["-m", "treesum.cli", *argv])
     return result.returncode, result.stderr
 
 
@@ -799,6 +804,46 @@ def test_vector_component_past_the_float_range_exits_3(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["builtin:" + "1" + "0" * 30, "builtin:100000000000"])
+def test_oversized_builtin_dim_exits_2_before_reading_the_corpus(tmp_path, spec):
+    """A dim past a C long, and one whose topic matrix could not be
+    allocated: both are refused with the config, before any input is read."""
+    out = tmp_path / "out"
+    code, err = _run_cli([
+        "summarize", "--input", str(tmp_path / "no-corpus"), "--embedder", spec,
+        "--budget-words", "20", "--out", str(out),
+    ])
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert repr(spec) in err
+    assert not out.exists()
+
+
+def test_builtin_and_file_runs_leave_the_http_stack_and_numpy_ma_unloaded(tmp_path):
+    """Only the remote provider needs the HTTP modules, and nothing on the
+    set-up path needs ``numpy.ma``."""
+    corpus = _write_corpus(tmp_path / "corpus")
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text("".join(
+        json.dumps({"key": f"topic{t}/d{d}/s{s}", "vector": [1.0 + t, float(d), float(s)]}) + "\n"
+        for t in range(2) for d in range(3) for s in range(3)
+    ))
+    script = (
+        "import sys\n"
+        "from treesum.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print([m for m in ('urllib.request', 'http.client', 'numpy.ma') if m in sys.modules])\n"
+        "sys.exit(code)\n"
+    )
+    for embedder in ("builtin:16", f"file:{vectors}"):
+        result = _fresh_interpreter([
+            "-c", script, "summarize", "--input", str(corpus), "--embedder", embedder,
+            "--budget-words", "20", "--out", str(tmp_path / "out"),
+        ])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]", embedder
+
+
 @pytest.mark.parametrize("source", ["flag", "config file"])
 @pytest.mark.parametrize("unit", ["words", "bytes"])
 def test_budget_past_the_float_range_exits_2(tmp_path, capsys, unit, source):
@@ -839,14 +884,14 @@ def _outputs_without_out_line(out):
                       "--metrics", "r1,rl", "--report", "f1", "--seed", "2"]),
         ("ablate", ["--budget-bytes", "140", "--seed", "9", "--embedder", "builtin:48",
                     "--alpha", "0.6", "--beta", "0.2", "--gamma", "0.2", "--max-nodes", "4"]),
+        ("tune", ["--budget-words", "30", "--seed", "5", "--deltas", "0.7,0.9", "--ks", "2",
+                  "--weights", "0.8,0.1,0.1;0.5,0.3,0.2", "--objective", "r2"]),
     ],
-    ids=["summarize", "evaluate", "ablate"],
+    ids=["summarize", "evaluate", "ablate", "tune"],
 )
 def test_rerun_from_the_echoed_config_gives_identical_outputs(tmp_path, command, flags):
     """``<command> --config <out>/config.txt --out <other>`` writes the same
-    files with the same bytes. ``tune`` is left out: its echo omits
-    ``--deltas``, ``--ks``, ``--weights`` and ``--objective``, so a rerun from
-    it searches another grid."""
+    files with the same bytes."""
     corpus = _write_varied_corpus(tmp_path / "corpus")
     first, second = tmp_path / "first", tmp_path / "second"
     assert main([command, "--input", str(corpus), *flags, "--out", str(first)]) == 0

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import loop_segment_sentences
-from treesum.corpus import CorpusError, count_words, load_corpus, segment_sentences
+from helpers import count_words, loop_segment_sentences
+from treesum.corpus import CorpusError, load_corpus, segment_sentences
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -123,6 +123,7 @@ def test_count_words():
     assert count_words("a b  c") == 3
     assert count_words("") == 0
     assert count_words("U.S. officials said") == 3
+    assert [s.word_count for s in segment_sentences("U.S. officials  said. Mr. Lee left")] == [3, 3]
 
 
 def _write_topic_dir(root, topic_id, docs, refs=()):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -258,6 +259,64 @@ def test_dimension_mismatch_across_sentences_errors():
         embed_corpus(make_corpus(topic), provider)
 
 
+def _two_topic_corpus():
+    return make_corpus(
+        make_topic("a", ["First point here. Second point here."]),
+        make_topic("b", ["Third point here. Fourth point here.", "Fifth point here."]),
+    )
+
+
+@pytest.mark.parametrize(
+    "bad_key, bad_vector",
+    [
+        (skey("b", 0, 1), [1.0, float("nan")]),
+        (skey("b", 0, 1), [float("inf"), 1.0]),
+        (skey("b", 0, 1), []),
+        (skey("b", 0, 1), [[1.0, 0.5]]),
+        (skey("b", 0, 1), ["x", 1.0]),
+        (skey("b", 0, 1), [10**400, 1.0]),
+        (skey("b", 0, 0), None),
+    ],
+    ids=["nan", "inf", "empty", "2-d", "non-numeric", "past-float-range", "dim-of-an-earlier-topic"],
+)
+def test_embed_corpus_names_the_key_of_a_malformed_vector(bad_key, bad_vector):
+    """Each topic is checked as one array; a fault anywhere in a later topic
+    is still reported with the key of its vector."""
+    corpus = _two_topic_corpus()
+    vectors = {
+        skey(topic.topic_id, doc.doc_index, sent.sent_index): [1.0, 2.0]
+        for topic in corpus
+        for doc in topic.documents
+        for sent in doc.sentences
+    }
+    if bad_vector is None:  # every vector of topic b is 3-D, topic a's are 2-D
+        vectors.update({key: [1.0, 2.0, 3.0] for key in vectors if key.startswith("b/")})
+    else:
+        vectors[bad_key] = bad_vector
+    with pytest.raises(ProviderError, match=re.escape(f"key {bad_key!r}")):
+        embed_corpus(corpus, DictProvider(vectors))
+
+
+def test_embed_corpus_keeps_the_providers_own_arrays():
+    """The stacked check array is not kept: each stored row is the array the
+    provider returned, and a list comes back as a float array."""
+    corpus = _two_topic_corpus()
+    given = {
+        skey(topic.topic_id, doc.doc_index, sent.sent_index): np.array([1.0, float(sent.sent_index)])
+        for topic in corpus
+        for doc in topic.documents
+        for sent in doc.sentences
+    }
+    given[skey("b", 1, 0)] = [3, 4]
+    embedded = embed_corpus(corpus, DictProvider(given))
+    for topic in corpus:
+        for key, vec in embedded.sentence_vectors_for(topic).items():
+            if key == skey("b", 1, 0):
+                assert vec.dtype == float and vec.tolist() == [3.0, 4.0]
+            else:
+                assert vec is given[key]
+
+
 def test_file_provider_roundtrip(tmp_path):
     path = tmp_path / "vectors.jsonl"
     path.write_text(json.dumps({"key": "t1/d0/s0", "vector": [0.1, 0.2]}) + "\n")
@@ -376,6 +435,23 @@ def test_builtin_matches_per_sentence_oracle_bit_for_bit(dim, seed):
         keys = list(expected)
         got = provider_builtin_tfidf(corpus, dim, seed).embed(keys, [""] * len(keys))
         assert [v.tobytes() for v in got] == [expected[k].tobytes() for k in keys]
+
+
+@pytest.mark.parametrize("dim", [3, 128])
+def test_builtin_tokenizes_non_ascii_text_like_the_oracle(dim):
+    """Tokens are the ``[a-z0-9]+`` runs of the lowercased text: characters
+    that lowercase to ASCII (KELVIN SIGN, dotted capital I) join tokens, and
+    other letters, digits and ligatures split them."""
+    corpus = make_corpus(
+        make_topic("u", [
+            "The \u212aelvin scale in \u0130stanbul. Na\u00efve caf\u00e9 x\u00b2y 3\u00bd \u216b.",
+            "\uff21\uff42\uff43 \ufb01le \u03a3\u0391\u03a3 ok. \u00c9t\u00c9 ete ETE k.",
+        ]),
+    )
+    expected = loop_tfidf_vectors(corpus, dim, 3)
+    keys = list(expected)
+    got = provider_builtin_tfidf(corpus, dim, 3).embed(keys, [""] * len(keys))
+    assert [v.tobytes() for v in got] == [expected[k].tobytes() for k in keys]
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from treesum.stem import porter_stem
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 DATA = Path(__file__).parent / "data"
 
