@@ -106,8 +106,13 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
 
 
+def _cluster_mean(points: np.ndarray, labels: np.ndarray, j: int) -> np.ndarray:
+    """The mean of cluster ``j``'s points, the one exact form of it."""
+    return points[labels == j].mean(axis=0)
+
+
 def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    return np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+    return np.stack([_cluster_mean(points, labels, j) for j in range(k)])
 
 
 # Unit roundoff and the smallest subnormal of float64, and a safety factor.
@@ -219,6 +224,78 @@ def _lloyd(
     return labels, centroids
 
 
+def _mean_error(count: float, reach: float, dim: int) -> float:
+    """Bound on |c - mu| for the mean ``c`` that ``_cluster_mean`` computes of
+    ``count`` or fewer points of norm at most ``reach`` and their real mean
+    ``mu``.
+
+    The sum of m points, in any order, is within ``gamma_{m-1} sum |x_i|``
+    of the exact sum componentwise, and the division by m adds ``u |c|``:
+    ``gamma_{m+1} R`` in norm, plus half a subnormal per component where the
+    division underflows. The bound is ``_SAFETY`` times ``(m + 1) u R`` and
+    ``d`` subnormals.
+    """
+    return _SAFETY * ((count + 1.0) * _UNIT_ROUNDOFF * reach + dim * _SUBNORMAL)
+
+
+def _shift_mean(
+    centroid: np.ndarray, x: np.ndarray, count: float, drift: float, reach: float, added: bool
+) -> float:
+    """Move ``centroid``, a mean of ``count`` points, in place to the mean with
+    the point ``x`` added (``added``) or taken out; return its new drift bound.
+
+    ``drift`` bounds |centroid - mu| for the real mean ``mu`` of the points
+    before the update and ``reach`` the norm of every point; the returned
+    bound holds for the points after it. The update is
+    ``c += (x - c) / (m + 1)`` or ``c -= (x - c) / (m - 1)``. In real
+    arithmetic it scales ``c - mu`` by ``m / (m + 1) <= 1`` or
+    ``m / (m - 1) <= 2`` (a removal leaves at least one point). Its three
+    roundings add at most ``3 u (R + T)`` to an addition and ``5 u (R + T)``
+    to a removal, since ``|x - c| <= 2 R + T`` and the new mean is within
+    ``R + 2 T`` of 0, plus half a subnormal per component where the division
+    underflows. ``_SAFETY`` times ``5 u (R + T)`` and ``d`` subnormals is
+    added, which also covers the rounding of the bound itself.
+
+    Overflow is left to the caller's ``np.errstate``; a centroid that
+    overflows is not finite, its ``|c|^2`` is ``inf`` or NaN, and
+    ``_refine_labels`` decides nothing from it.
+    """
+    new_count = count + 1.0 if added else count - 1.0
+    step = (x - centroid) / new_count
+    if added:
+        centroid += step
+    else:
+        centroid -= step
+    rounding = 5.0 * _UNIT_ROUNDOFF * (reach + drift) + len(x) * _SUBNORMAL
+    return count / new_count * drift + _SAFETY * rounding
+
+
+def _moved_gram_bound(
+    dim: int, max_sq_norm: float, center_sq_norms: np.ndarray, reach: float, widest: float
+) -> float:
+    """Bound on |Gram form to ``c~`` - difference form to ``c``| of any one
+    squared distance, where each centroid ``c~`` lies within ``widest`` of a
+    mean ``c`` of the points.
+
+    ``max_sq_norm`` and ``center_sq_norms`` are the points' largest
+    ``|x|^2`` and the ``|c~|^2``, as for ``_gram_error_bound``, whose ``E``
+    bounds the gap for ``c~ = c``; ``reach`` is at least every ``|x|``. Each
+    form stays within ``E`` of the true squared distance to its own centroid
+    once ``E``'s centroid norm ``C`` grows by ``widest`` (``D``), which adds
+    less than ``D (2 R + 2 C + D)``; and
+    ``||x - c~|^2 - |x - c|^2| <= D (2 R + 2 |c~| + D)``. With
+    ``C, |c~| <= R + D`` (a mean is no longer than ``R``), the bound is
+    ``E + 2 D (4 R + 3 D)``; for ``D = 0`` it is ``E`` itself.
+    """
+    bound = _gram_error_bound(dim, max_sq_norm, center_sq_norms)
+    if widest:
+        bound += 2.0 * widest * (4.0 * reach + 3.0 * widest)
+    return bound
+
+
+# Overflow and inf - inf only make bounds and deltas inf or NaN, which decide
+# nothing.
+@np.errstate(over="ignore", invalid="ignore")
 def _refine_labels(
     points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, max_sweeps: int = 200
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -235,25 +312,48 @@ def _refine_labels(
     deterministic, terminates (the objective decreases each time) and never
     empties a cluster.
 
-    The move applied is the minimum of the (n, k) matrix of deltas built
-    from difference-form distances ``sum((x - c) ** 2)``, in row-major
-    (point, cluster) order, taking the first on exact ties, and only when it
-    is strictly below ``-1e-12``; otherwise the labels are final. Moves to
-    the point's own cluster, moves out of a singleton cluster and NaN deltas
-    are never candidates. This is the same move a scalar loop over points,
-    then clusters, keeping the first strictly smaller delta, would pick.
+    Every move applied is the one the exact rule picks: the minimum of the
+    (n, k) matrix of deltas built from difference-form distances
+    ``sum((x - c) ** 2)`` to the exact means ``c_j`` (``_cluster_mean``), in
+    row-major (point, cluster) order, taking the first on exact ties, and
+    only when it is strictly below ``-1e-12``; otherwise the labels are
+    final. Moves to the point's own cluster, moves out of a singleton
+    cluster and NaN deltas are never candidates. This is the same move a
+    scalar loop over points, then clusters, keeping the first strictly
+    smaller delta, would pick.
 
-    The Gram form ``|x|^2 - 2 x.c + |c|^2`` rounds differently and can flip
-    a near-tie, so it never decides a move; it only screens. Each sweep
-    takes every point's smallest delta from Gram distances; with ``E`` from
-    ``_gram_error_bound`` each is within ``B = 3.5 E`` of the exact one (the
-    gain factor is below 1, the loss factor at most 2). A point whose
-    smallest Gram delta exceeds ``min(g + 2B, B - 1e-12)``, with ``g`` the
-    smallest over all points, can hold neither the overall minimum nor a
-    delta below ``-1e-12``. Only the other points (NaN rows, and every row
-    when the bound overflows, included) get difference-form distances and
-    deltas, with the same operations in the same order. A move changes two
-    clusters only, so just their counts, centroids and Gram rows are rebuilt.
+    Most moves are decided without the exact means. A move updates its two
+    centroids incrementally (``_shift_mean``), and each centroid ``c~_j``
+    carries a bound ``T_j`` on its distance to the real mean ``mu_j`` of its
+    points. The exact mean is within ``_mean_error`` of ``mu_j``, so
+    ``Delta_j = T_j + _mean_error`` bounds ``|c~_j - c_j|`` (0 while
+    ``c~_j`` is exact). These bounds take ``R``, at least every ``|x|``, as
+    ``sqrt(d)`` times the largest ``|x_i|``, which does not underflow where
+    ``|x|^2`` would.
+
+    Each sweep takes every point's smallest delta from Gram distances
+    ``|x|^2 - 2 x.c~ + |c~|^2``. With ``E`` from ``_moved_gram_bound`` for
+    ``D = max_j Delta_j``, each Gram distance to ``c~_j`` is within ``E`` of
+    the difference form to ``c_j``, and each delta within ``B = 3.5 E`` of
+    the exact one (the gain factor is below 1, the loss factor at most 2).
+
+    A point whose smallest Gram delta exceeds ``min(g + 2B, B - 1e-12)``,
+    with ``g`` the smallest over all points, can hold neither the overall
+    minimum nor a delta below ``-1e-12``; when no point is left, the labels
+    are final. When exactly one point is left, ``B`` is finite (so are ``R``
+    and every Gram distance), the point's cluster has more than one member,
+    its smallest delta plus ``B`` is below ``-1e-12``, and its next smallest
+    delta exceeds it by more than ``2B`` (always for ``k = 2``, where it is
+    the own cluster's ``inf``), the exact rule makes that move too, and it
+    is applied. Otherwise, if any centroid has moved since its
+    last exact mean, those means are computed exactly and the sweep is
+    redone without counting against ``max_sweeps``. With every centroid
+    exact, the points left (NaN rows, and every row when the bound
+    overflows, included) get difference-form distances and deltas, with the
+    same operations in the same order, and the exact rule picks the move. A
+    move changes two clusters only, so just their counts, centroids and Gram
+    rows are rebuilt. Before returning, the moved centroids become exact
+    means again.
     """
     labels = labels.copy()
     centroids = centroids.copy()
@@ -261,55 +361,87 @@ def _refine_labels(
     n, dim = points.shape
     sq_norms = _sq_norms(points)
     max_sq_norm = float(sq_norms.max())
+    # R, at least every |x|, and it does not underflow with |x|^2.
+    reach = math.sqrt(dim) * max(float(points.max()), -float(points.min()))
+    exact_error = _mean_error(n, reach, dim)
     counts = np.bincount(labels, minlength=k).astype(float)
+    # Every centroid's bound T_j, and the clusters whose centroid has moved
+    # since its last exact mean.
+    drift = [exact_error] * k
+    moved: set[int] = set()
     gram, center_sq = _gram_dists(centroids, points, sq_norms)
     own_flat = labels * n + np.arange(n)  # flat index of each point's own entry
-    for _ in range(max_sweeps):
+    sweeps = 0
+    while sweeps < max_sweeps:
         gain = counts / (counts + 1.0)
-        own = counts[labels]
         # n_s/(n_s - 1); singleton rows get a finite placeholder and are
         # dropped below.
         loss = (counts / np.maximum(counts - 1.0, 0.5))[labels]
         # min_j fl(a_j - b) = fl(min_j a_j - b): subtraction is monotone.
         gain_on = gram * gain[:, None]
         gain_on.ravel()[own_flat] = np.inf
-        with np.errstate(invalid="ignore"):  # inf - inf: a NaN row stays
-            row_min = gain_on.min(axis=0) - loss * gram.take(own_flat)
+        row_min = gain_on.min(axis=0) - loss * gram.take(own_flat)
         if counts.min() <= 1.0:
-            row_min[own <= 1.0] = np.inf
-        bound = 3.5 * _gram_error_bound(dim, max_sq_norm, center_sq)
+            row_min[counts[labels] <= 1.0] = np.inf
+        widest = max(drift[j] for j in moved) + exact_error if moved else 0.0
+        bound = 3.5 * _moved_gram_bound(dim, max_sq_norm, center_sq, reach, widest)
         # A NaN minimum gives a NaN cap (Python's min keeps its first
         # argument unless the second is smaller), and then every row stays.
         cap = min(float(row_min.min()) + 2.0 * bound, bound - 1e-12)
         near = (~(row_min > cap)).nonzero()[0]
         if near.size == 0:
-            return labels, centroids
-        # The exact deltas of the rows left, in row-major order: the first
-        # strictly smallest below -1e-12 is the move (NaN never is).
-        best, move = -1e-12, None
-        gains = gain.tolist()
-        for i, dists in zip(near.tolist(), _sq_dists(points[near], centroids).tolist()):
+            break
+        move = None
+        if near.size == 1 and math.isfinite(bound) and counts[labels[near[0]]] > 1.0:
+            # The row's deltas as row_min computed them; all finite but
+            # the own cluster's inf.
+            i = int(near[0])
             s = int(labels[i])
-            if own[i] <= 1.0:
-                continue
-            loss_off = float(loss[i]) * dists[s]
-            for j in range(k):
-                if j != s:
-                    delta = gains[j] * dists[j] - loss_off
-                    if delta < best:
-                        best, move = delta, (i, j)
+            loss_off = float(loss[i]) * float(gram[s, i])
+            deltas = [g - loss_off for g in gain_on[:, i].tolist()]
+            best = min(deltas)
+            if best + bound < -1e-12 and sorted(deltas)[1] - best > 2.0 * bound:
+                move = i, deltas.index(best)
+        if move is None and moved:
+            stale = sorted(moved)
+            for j in stale:
+                centroids[j] = _cluster_mean(points, labels, j)
+                drift[j] = exact_error
+            gram[stale], center_sq[stale] = _gram_dists(centroids[stale], points, sq_norms)
+            moved.clear()
+            continue
         if move is None:
-            return labels, centroids
+            # The exact deltas of the rows left, in row-major order: the
+            # first strictly smallest below -1e-12 is the move (NaN never is).
+            best = -1e-12
+            gains = gain.tolist()
+            for i, dists in zip(near.tolist(), _sq_dists(points[near], centroids).tolist()):
+                s = int(labels[i])
+                if counts[s] <= 1.0:
+                    continue
+                loss_off = float(loss[i]) * dists[s]
+                for j in range(k):
+                    if j != s:
+                        delta = gains[j] * dists[j] - loss_off
+                        if delta < best:
+                            best, move = delta, (i, j)
+            if move is None:
+                break
         i, t = move
         s = int(labels[i])
         labels[i] = t
         own_flat[i] = t * n + i
+        x = points[i]
+        drift[t] = _shift_mean(centroids[t], x, float(counts[t]), drift[t], reach, added=True)
+        drift[s] = _shift_mean(centroids[s], x, float(counts[s]), drift[s], reach, added=False)
         counts[s] -= 1.0
         counts[t] += 1.0
-        for j in (s, t):
-            centroids[j] = points[labels == j].mean(axis=0)
+        moved.update((s, t))
         pair = [s, t]
         gram[pair], center_sq[pair] = _gram_dists(centroids[pair], points, sq_norms)
+        sweeps += 1
+    for j in moved:
+        centroids[j] = _cluster_mean(points, labels, j)
     return labels, centroids
 
 

@@ -6,7 +6,6 @@ import hashlib
 import math
 import re
 from collections import Counter
-from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -179,18 +178,38 @@ def loop_segment_sentences(document_text: str) -> list[Sentence]:
     return sentences
 
 
+def restricted_growth_labelings(n: int, k: int):
+    """Every partition of ``n >= 1`` points into exactly ``k`` blocks, once
+    each, as a label tuple in restricted-growth form: point 0 is in block 0,
+    and each next point joins a block already opened or opens the next one.
+    There are S(n, k) of them (a Stirling number of the second kind), not
+    the ``k ** n`` of all labelings."""
+    labels = [0] * n
+
+    def extend(i: int, opened: int):
+        if n - i < k - opened:  # too few points left to open every block
+            return
+        if i == n:
+            yield tuple(labels)
+            return
+        for j in range(min(opened + 1, k)):
+            labels[i] = j
+            yield from extend(i + 1, max(opened, j + 1))
+
+    yield from extend(1, 1)
+
+
 def brute_force_min_inertia(points: np.ndarray, k: int) -> float:
     """Exact minimum within-cluster sum of squares over all k-partitions.
 
-    Enumerates every surjective label assignment; only feasible for small
-    inputs (n <= 8 or so). Independent of the k-means implementation.
+    Enumerates every partition once (``restricted_growth_labelings``); only
+    feasible for small inputs (n <= 8 or so). Independent of the k-means
+    implementation.
     """
     points = np.asarray(points, dtype=float)
     n = len(points)
     best = float("inf")
-    for labels in product(range(k), repeat=n):
-        if len(set(labels)) != k:
-            continue
+    for labels in restricted_growth_labelings(n, k):
         labels_arr = np.asarray(labels)
         total = 0.0
         for j in range(k):
@@ -272,6 +291,35 @@ def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_swe
             return labels
         labels[best_move[0]] = best_move[1]
     return labels
+
+
+def reference_kmeans(
+    points: np.ndarray, k: int, seed: int, restarts: int = 3, max_iters: int = 100
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Reference ``treesum.tree.kmeans`` from the reference Lloyd and
+    refinement: up to three attempts of ``restarts`` restarts, each seeded
+    with ``default_rng([seed, attempt, restart])``, keeping the first
+    smallest inertia; the centroids are the means of the final labels.
+    Returns (labels, centroids, inertia), or None when no restart of any
+    attempt gives k non-empty clusters.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    seed &= 0xFFFFFFFFFFFFFFFF
+    for attempt in range(3):
+        best = None
+        for restart in range(restarts):
+            rng = np.random.default_rng([seed, attempt, restart])
+            labels = difference_form_lloyd(points, k, rng, max_iters)
+            if labels is None:
+                continue
+            labels = scalar_refine_labels(points, labels, k)
+            centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+            inertia = float(np.sum((points - centroids[labels]) ** 2))
+            if best is None or inertia < best[2]:
+                best = (labels, centroids, inertia)
+        if best is not None:
+            return best
+    return None
 
 
 def slice_ngrams(tokens: Sequence[str], n: int) -> Counter:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,18 +21,24 @@ from helpers import (
     embed_with_vectors,
     make_corpus,
     random_synthetic_topic,
+    reference_kmeans,
+    restricted_growth_labelings,
     scalar_refine_labels,
 )
 from treesum.embedding import document_key, sentence_key
 from treesum.tree import (
     ClassTree,
+    _cluster_mean,
     _cluster_means,
     _gram_dists,
     _gram_error_bound,
     _has_k_distinct_rows,
     _kmeans_pp_init,
     _lloyd,
+    _mean_error,
+    _moved_gram_bound,
     _refine_labels,
+    _shift_mean,
     _sq_dists,
     _sq_norms,
     build_class_tree,
@@ -224,13 +232,167 @@ def test_refine_labels_matches_scalar_oracle():
     # sentences: each move refreshes two of k columns and leaves the rest.
     for n, k in ((150, 2), (190, 3), (240, 4), (300, 5)):
         points, labels = _sparse_long_path_case(rng, n, k)
-        expected = scalar_refine_labels(points, labels, k)
-        assert np.count_nonzero(expected != labels) >= 20
-        assert np.array_equal(_refine(points, labels, k), expected), (n, k)
-    # A sweep cap cuts the path short in both.
-    expected = scalar_refine_labels(points, labels, k, max_sweeps=4)
-    assert np.count_nonzero(expected != labels) == 4
-    assert np.array_equal(_refine(points, labels, k, max_sweeps=4), expected)
+        path = _scalar_path(points, labels, k)
+        assert np.count_nonzero(path[-1] != labels) >= 20
+        assert np.array_equal(_refine(points, labels, k), path[-1]), (n, k)
+    # Every sweep cap cuts the last path short in both.
+    for cap in range(1, len(path)):
+        assert np.array_equal(_refine(points, labels, k, max_sweeps=cap), path[cap]), cap
+
+
+def _scalar_path(points, labels, k):
+    """The labels before and after each sweep of ``scalar_refine_labels`` up
+    to its last move: ``path[c]`` is its result with ``max_sweeps=c``."""
+    path = [labels]
+    while True:
+        step = scalar_refine_labels(points, path[-1], k, max_sweeps=1)
+        if np.array_equal(step, path[-1]):
+            return path
+        path.append(step)
+
+
+def _counted_refine(monkeypatch, points, labels, k, **kwargs):
+    """``_refine_labels`` from the labels' own centroids: its labels and,
+    for each exact mean it takes, the labels that mean is taken under.
+
+    The final means are taken under the final labels, so every entry under
+    other labels belongs to a fallback sweep, which takes at most ``k``.
+    """
+    start = _cluster_means(points, labels, k)
+    seen = []
+
+    def counted(points, labels, j):
+        seen.append(labels.tobytes())
+        return _cluster_mean(points, labels, j)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(treesum.tree, "_cluster_mean", counted)
+        got, centroids = _refine_labels(points, labels, start, **kwargs)
+    assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
+    return got, seen
+
+
+def test_refine_labels_takes_exact_means_only_on_fallbacks_and_at_the_end(monkeypatch):
+    rng = np.random.default_rng(1979)
+    for n, k in ((150, 2), (300, 5)):
+        points, labels = _sparse_long_path_case(rng, n, k)
+        path = _scalar_path(points, labels, k)
+        moves = len(path) - 1
+        assert moves >= 20
+        got, seen = _counted_refine(monkeypatch, points, labels, k)
+        assert np.array_equal(got, path[-1]), (n, k)
+        fallbacks = {state for state in seen if state != got.tobytes()}
+        assert len(seen) <= k * (1 + len(fallbacks)), (n, k)
+        assert 4 * len(seen) <= moves, (n, k, len(seen), moves)
+    # Near-ties leave several rows to the exact deltas: the moved centroids
+    # become exact means first, and the labels still follow the oracle at
+    # every sweep cap, also a cap that falls right after a fallback.
+    rng = np.random.default_rng(1107)
+    fell_back = capped_after_fallback = 0
+    for _ in range(10):
+        points, labels, k = _near_tie_case(rng)
+        path = _scalar_path(points, labels, k)
+        got, seen = _counted_refine(monkeypatch, points, labels, k)
+        assert np.array_equal(got, path[-1])
+        fell_back += any(state != got.tobytes() for state in seen)
+        for cap in range(1, len(path)):
+            got, seen = _counted_refine(monkeypatch, points, labels, k, max_sweeps=cap)
+            assert np.array_equal(got, path[cap]), cap
+            capped_after_fallback += path[cap - 1].tobytes() in seen
+    assert fell_back >= 1 and capped_after_fallback >= 1
+
+
+def test_shift_mean_bound_covers_the_drift():
+    """After every incremental update, the bound ``_shift_mean`` returns
+    holds the centroid within reach of the real mean of its points (in exact
+    rational arithmetic) and, with ``_mean_error`` added, of the mean that
+    ``_cluster_mean`` computes. Each sequence starts from one point, so
+    the bound holds from the updates' own terms alone; at 1e-310 the points
+    are subnormal and the divisions round to whole subnormals."""
+    rng = np.random.default_rng(1979)
+
+    def sq_gap(centroid, mean):
+        return sum((Fraction(c) - m) ** 2 for c, m in zip(centroid.tolist(), mean))
+
+    for case in range(200):
+        scale = (1.0, 1e-300, 1e150, 1e-310)[case % 4]
+        n, dim = int(rng.integers(3, 10)), int(rng.integers(1, 5))
+        points = rng.normal(size=(n, dim)) * scale
+        zeros = rng.random((n, dim)) < 0.2
+        points[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        reach = max(math.hypot(*row) for row in points.tolist())
+        # A cluster of one point, whose mean is that point exactly.
+        labels = np.ones(n, dtype=int)
+        labels[int(rng.integers(n))] = 0
+        centroid = _cluster_mean(points, labels, 0)
+        drift = 0.0
+        for _ in range(12):
+            inside, outside = np.flatnonzero(labels == 0), np.flatnonzero(labels != 0)
+            added = outside.size > 0 and (inside.size < 2 or rng.random() < 0.5)
+            i = int(rng.choice(outside if added else inside))
+            drift = _shift_mean(centroid, points[i], float(inside.size), drift, reach, added)
+            labels[i] = 0 if added else 1
+            members = points[labels == 0].tolist()
+            mean = [sum(map(Fraction, column)) / len(members) for column in zip(*members)]
+            assert sq_gap(centroid, mean) <= Fraction(drift) ** 2, (case, scale)
+            exact = _cluster_mean(points, labels, 0).tolist()
+            allowed = drift + _mean_error(len(members), reach, dim)
+            assert sq_gap(centroid, map(Fraction, exact)) <= Fraction(allowed) ** 2, (case, scale)
+
+
+def test_moved_gram_bound_covers_distances_to_the_exact_means():
+    """Gram distances to centroids moved up to D off the means stay within
+    the bound of the difference form to the means, at every scale of D."""
+    rng = np.random.default_rng(2002)
+    for case in range(300):
+        k = int(rng.integers(2, 6))
+        n, dim = int(rng.integers(k, 30)), int(rng.integers(1, 130))
+        points = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])
+        labels = np.arange(n) % k
+        means = _cluster_means(points, labels, k)
+        widest = float(np.abs(points).max()) * 10.0 ** rng.uniform(-16, 0)
+        shifts = rng.normal(size=(k, dim))
+        shifts *= widest * rng.uniform(0, 1, size=(k, 1)) / np.linalg.norm(shifts, axis=1, keepdims=True)
+        sq_norms = _sq_norms(points)
+        gram, center_sq = _gram_dists(means + shifts, points, sq_norms)
+        reach = math.sqrt(dim) * float(np.abs(points).max())
+        bound = _moved_gram_bound(dim, float(sq_norms.max()), center_sq, reach, widest)
+        assert np.abs(gram.T - _sq_dists(points, means)).max() <= bound, case
+
+
+def _tied_targets_case(rng):
+    """One point far out in cluster 0, nearly as far from clusters 1 and 2.
+
+    Clusters 1 and 2 mirror each other across the plane the point lies
+    near, so far from the origin its exact deltas to them differ by about
+    1e-7, far less than the Gram form's rounding. Every other point is at
+    home, so the screen leaves the point's row alone.
+    """
+    dim = 8
+    near_one = 0.01 * rng.normal(size=(6, dim))
+    near_one[:, 0] += 1.0
+    mirror = near_one * np.where(np.arange(dim) == 0, -1.0, 1.0)
+    near_zero = 0.01 * rng.normal(size=(6, dim))
+    near_zero[:, 1] -= 4.0
+    lone = np.zeros((1, dim))
+    lone[0, 1], lone[0, 0] = 3.0, 1e-7 * rng.normal()
+    points = 1e6 + np.vstack([near_zero, near_one, mirror, lone])
+    labels = np.repeat([0, 1, 2, 0], [6, 6, 6, 1])
+    order = rng.permutation(19)
+    return points[order], labels[order], 3
+
+
+def test_refine_labels_exact_check_decides_tied_targets():
+    """One row left, two targets within the bound: the exact rule chooses."""
+    rng = np.random.default_rng(1908)
+    gram_differs = 0
+    for _ in range(30):
+        points, labels, k = _tied_targets_case(rng)
+        for sweeps in (200, 1):
+            expected = scalar_refine_labels(points, labels, k, max_sweeps=sweeps)
+            assert np.array_equal(_refine(points, labels, k, max_sweeps=sweeps), expected)
+        gram_differs += not np.array_equal(_gram_alone_refine(points, labels, k, 1), expected)
+    assert gram_differs >= 3
 
 
 def test_refine_labels_exact_check_decides_near_ties():
@@ -294,12 +456,18 @@ def test_gram_error_bound_overflows_with_the_gram_form():
     assert overflowed > 200
 
 
-def _sparse_long_path_case(rng, n, k):
-    """Sparse non-negative 128-dim points and Lloyd labels with 30 scrambled."""
+def _sparse_points(rng, n):
+    """n sparse non-negative 128-dim points, like hashed tf-idf sentences."""
     points = np.zeros((n, 128))
     for row in points:
         cols = rng.choice(128, size=int(rng.integers(3, 12)), replace=False)
         row[cols] = rng.random(len(cols))
+    return points
+
+
+def _sparse_long_path_case(rng, n, k):
+    """Sparse non-negative 128-dim points and Lloyd labels with 30 scrambled."""
+    points = _sparse_points(rng, n)
     labels = difference_form_lloyd(points, k, np.random.default_rng([n, k]), 100)
     labels[rng.choice(n, 30, replace=False)] = rng.integers(0, k, size=30)
     return points, labels
@@ -400,6 +568,40 @@ def test_kmeans_splits_points_whose_squared_distances_sum_past_the_float_range()
             result = kmeans(points, k, seed=trial)
             assert result is not None
             assert sorted(set(result.labels.tolist())) == list(range(k))
+
+
+def test_kmeans_matches_reference_at_sentence_tree_shape():
+    """A topic's sentence vectors split two or three ways, byte for byte
+    against the reference Lloyd and refinement with the same restarts."""
+    rng = np.random.default_rng(665)
+    for n, k, seeds in ((150, 2, 2), (150, 3, 2), (300, 2, 1), (300, 3, 1)):
+        points = _sparse_points(rng, n)
+        for _ in range(seeds):
+            seed = int(rng.integers(1 << 62))
+            got = kmeans(points, k, seed)
+            labels, centroids, inertia = reference_kmeans(points, k, seed)
+            assert got.labels.tobytes() == labels.tobytes(), (n, k, seed)
+            assert got.centroids.tobytes() == centroids.tobytes(), (n, k, seed)
+            assert got.inertia == inertia, (n, k, seed)
+
+
+def test_restricted_growth_labelings_enumerate_each_partition_once():
+    def stirling(n, k):
+        if n == k:
+            return 1
+        if k == 0 or k > n:
+            return 0
+        return k * stirling(n - 1, k) + stirling(n - 1, k - 1)
+
+    for n in range(1, 9):
+        for k in range(1, 5):
+            partitions = [
+                frozenset(frozenset(i for i, label in enumerate(labels) if label == j) for j in range(k))
+                for labels in restricted_growth_labelings(n, k)
+            ]
+            assert len(partitions) == stirling(n, k), (n, k)
+            assert len(set(partitions)) == len(partitions)
+            assert all(len(blocks) == k and all(blocks) for blocks in partitions)
 
 
 def test_kmeans_validates_arguments():
