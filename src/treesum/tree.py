@@ -121,10 +121,11 @@ _SUBNORMAL = 2.0**-1074
 _SAFETY = 8.0
 
 
-def _gram_error_bound(dim: int, max_sq_norm: float, center_sq_norms: np.ndarray) -> float:
+def _gram_error_bound(dim: int, max_sq_norm: float, max_center_sq: float) -> float:
     """Bound on |Gram form - difference form| of any one squared distance.
 
-    ``max_sq_norm`` is the largest ``|x|^2`` over the points. The Gram form
+    ``max_sq_norm`` is the largest ``|x|^2`` over the points and
+    ``max_center_sq`` the largest ``|c|^2`` over the centers. The Gram form
     ``|x|^2 - 2 x.c + |c|^2`` and the difference form ``sum((x - c) ** 2)``
     each stay within ``gamma_{d+2} (|x| + |c|)^2`` of the true squared
     distance, whatever the summation order and with or without FMA (Higham
@@ -138,7 +139,7 @@ def _gram_error_bound(dim: int, max_sq_norm: float, center_sq_norms: np.ndarray)
     be ``-inf`` or ``inf``, and NaN when a norm is NaN; every comparison
     against it then sends the point to the difference form.
     """
-    reach = math.sqrt(max_sq_norm) + math.sqrt(float(center_sq_norms.max()))
+    reach = math.sqrt(max_sq_norm) + math.sqrt(max_center_sq)
     headroom = 4.0 * reach * reach
     return _SAFETY * (dim + 4) * (_UNIT_ROUNDOFF / 4.0 * headroom + _SUBNORMAL)
 
@@ -198,7 +199,7 @@ def _lloyd(
         gram[new_labels, rows] = np.inf
         with np.errstate(invalid="ignore"):  # inf - inf: undecided
             gap = gram.min(axis=0) - best
-        decided = gap > 2.0 * _gram_error_bound(dim, max_sq_norm, center_sq)
+        decided = gap > 2.0 * _gram_error_bound(dim, max_sq_norm, float(center_sq.max()))
         unsure = (~decided).nonzero()[0]
         if unsure.size:
             new_labels[unsure] = _sq_dists(points[unsure], centroids).argmin(axis=1)
@@ -238,71 +239,95 @@ def _mean_error(count: float, reach: float, dim: int) -> float:
     return _SAFETY * ((count + 1.0) * _UNIT_ROUNDOFF * reach + dim * _SUBNORMAL)
 
 
-def _shift_mean(
-    centroid: np.ndarray, x: np.ndarray, count: float, drift: float, reach: float, added: bool
+def _reach(max_sq_norm: float, dim: int) -> float:
+    """``R``, at least every ``|x|``, from the largest computed ``|x|^2``.
+
+    A computed ``|x|^2`` is within ``gamma_d |x|^2`` of the real one, plus
+    half a subnormal for each of ``d`` products that underflow, so ``d``
+    subnormals and ``_SAFETY d u`` cover it where the squares underflow too.
+    ``inf`` or NaN where ``|x|^2`` is.
+    """
+    return math.sqrt((max_sq_norm + dim * _SUBNORMAL) * (1.0 + _SAFETY * dim * _UNIT_ROUNDOFF))
+
+
+def _exact_row_error(
+    dim: int, max_sq_norm: float, center_sq: float, reach: float, mean_error: float
 ) -> float:
-    """Move ``centroid``, a mean of ``count`` points, in place to the mean with
-    the point ``x`` added (``added``) or taken out; return its new drift bound.
+    """Bound on the gap between the real squared distance ``|x - mu|^2`` of
+    a point to the real mean ``mu`` of a cluster and either form of the
+    squared distance to its exact mean ``c`` (``_cluster_mean``), where
+    ``|c|^2 <= center_sq``, ``|c - mu| <= mean_error`` (``e``) and ``reach``
+    (``R``) is at least every ``|x|``.
 
-    ``drift`` bounds |centroid - mu| for the real mean ``mu`` of the points
-    before the update and ``reach`` the norm of every point; the returned
-    bound holds for the points after it. The update is
-    ``c += (x - c) / (m + 1)`` or ``c -= (x - c) / (m - 1)``. In real
-    arithmetic it scales ``c - mu`` by ``m / (m + 1) <= 1`` or
-    ``m / (m - 1) <= 2`` (a removal leaves at least one point). Its three
-    roundings add at most ``3 u (R + T)`` to an addition and ``5 u (R + T)``
-    to a removal, since ``|x - c| <= 2 R + T`` and the new mean is within
-    ``R + 2 T`` of 0, plus half a subnormal per component where the division
-    underflows. ``_SAFETY`` times ``5 u (R + T)`` and ``d`` subnormals is
-    added, which also covers the rounding of the bound itself.
+    Both forms are within ``_gram_error_bound`` of ``|x - c|^2``, and
+    ``|x - c|^2 - |x - mu|^2 = (c - mu).(c + mu - 2 x)``, at most
+    ``e (4 R + e)`` since ``|mu| <= R``; ``e (4 R + 3 e)`` is added.
+    """
+    return _gram_error_bound(dim, max_sq_norm, center_sq) + mean_error * (4.0 * reach + 3.0 * mean_error)
 
-    Overflow is left to the caller's ``np.errstate``; a centroid that
-    overflows is not finite, its ``|c|^2`` is ``inf`` or NaN, and
-    ``_refine_labels`` decides nothing from it.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pairwise_gram(points: np.ndarray) -> np.ndarray:
+    """(n, n) Gram-form squared distances between the points: the entries
+    ``_gram_dists`` gives with the points as centers, each within
+    ``_gram_error_bound(d, M, M)`` of the real squared distance, for ``M``
+    the largest ``|x|^2`` (or not finite where that bound is not). The BLAS
+    products take four rows at a time, which keeps the BLAS work buffer,
+    and so the peak memory, small."""
+    sq_norms = _sq_norms(points)
+    n = len(points)
+    pairwise = np.empty((n, n))
+    for start in range(0, n, 4):
+        np.matmul(-2.0 * points[start : start + 4], points.T, out=pairwise[start : start + 4])
+    pairwise += sq_norms
+    pairwise += sq_norms[:, None]
+    return pairwise
+
+
+def _move_row(
+    row: np.ndarray, pairwise_row: np.ndarray, i: int, count: float, bound: float, pair_error: float,
+    reach: float, added: bool,
+) -> float:
+    """Update ``row``, the squared distances of every point to the mean of a
+    cluster of ``count`` points, in place for point ``i`` added to the
+    cluster (``added``) or taken out of it; return the row's new bound.
+
+    ``pairwise_row`` holds the squared distances of every point to point
+    ``i``, each within ``pair_error`` of the real ones; ``bound`` bounds the
+    row's gap to the real squared distances to the real mean, and the
+    returned bound does so after the update. ``reach`` is at least every
+    ``|x|``. See ``_refine_labels`` for the identities and the bound.
     """
     new_count = count + 1.0 if added else count - 1.0
-    step = (x - centroid) / new_count
+    own = float(row[i]) * (count / (new_count * new_count))
+    row *= count
     if added:
-        centroid += step
+        row += pairwise_row
+        row /= new_count
+        row -= own
     else:
-        centroid -= step
-    rounding = 5.0 * _UNIT_ROUNDOFF * (reach + drift) + len(x) * _SUBNORMAL
-    return count / new_count * drift + _SAFETY * rounding
-
-
-def _moved_gram_bound(
-    dim: int, max_sq_norm: float, center_sq_norms: np.ndarray, reach: float, widest: float
-) -> float:
-    """Bound on |Gram form to ``c~`` - difference form to ``c``| of any one
-    squared distance, where each centroid ``c~`` lies within ``widest`` of a
-    mean ``c`` of the points.
-
-    ``max_sq_norm`` and ``center_sq_norms`` are the points' largest
-    ``|x|^2`` and the ``|c~|^2``, as for ``_gram_error_bound``, whose ``E``
-    bounds the gap for ``c~ = c``; ``reach`` is at least every ``|x|``. Each
-    form stays within ``E`` of the true squared distance to its own centroid
-    once ``E``'s centroid norm ``C`` grows by ``widest`` (``D``), which adds
-    less than ``D (2 R + 2 C + D)``; and
-    ``||x - c~|^2 - |x - c|^2| <= D (2 R + 2 |c~| + D)``. With
-    ``C, |c~| <= R + D`` (a mean is no longer than ``R``), the bound is
-    ``E + 2 D (4 R + 3 D)``; for ``D = 0`` it is ``E`` itself.
-    """
-    bound = _gram_error_bound(dim, max_sq_norm, center_sq_norms)
-    if widest:
-        bound += 2.0 * widest * (4.0 * reach + 3.0 * widest)
-    return bound
+        row -= pairwise_row
+        row /= new_count
+        row += own
+    # Every term from 4 R^2 first: where that overflows, so does the bound.
+    span = 4.0 * reach * reach + (bound + pair_error)
+    headroom = 4.0 * ((count + 1.0) * span)
+    rounding = 2.0 * _UNIT_ROUNDOFF * headroom / new_count + 4.0 * _SUBNORMAL
+    growth = count / new_count * (1.0 + 1.0 / new_count)
+    return growth * bound + pair_error / new_count + _SAFETY * rounding
 
 
 # Overflow and inf - inf only make bounds and deltas inf or NaN, which decide
 # nothing.
 @np.errstate(over="ignore", invalid="ignore")
 def _refine_labels(
-    points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, max_sweeps: int = 200
+    points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, pairwise: np.ndarray, max_sweeps: int = 200
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-point improvement sweeps after Lloyd converges.
 
-    ``centroids`` must be ``_cluster_means(points, labels, k)``; the final
-    labels are returned with their centroids, computed the same way.
+    ``centroids`` must be ``_cluster_means(points, labels, k)`` and
+    ``pairwise`` ``_pairwise_gram(points)``; the final labels are returned
+    with their centroids, computed the same way.
 
     Lloyd stops at assignments that are centroid-stable but may still admit
     an objective-reducing move of one point; the exact change of moving
@@ -322,38 +347,47 @@ def _refine_labels(
     scalar loop over points, then clusters, keeping the first strictly
     smaller delta, would pick.
 
-    Most moves are decided without the exact means. A move updates its two
-    centroids incrementally (``_shift_mean``), and each centroid ``c~_j``
-    carries a bound ``T_j`` on its distance to the real mean ``mu_j`` of its
-    points. The exact mean is within ``_mean_error`` of ``mu_j``, so
-    ``Delta_j = T_j + _mean_error`` bounds ``|c~_j - c_j|`` (0 while
-    ``c~_j`` is exact). These bounds take ``R``, at least every ``|x|``, as
-    ``sqrt(d)`` times the largest ``|x_i|``, which does not underflow where
-    ``|x|^2`` would.
+    Most moves are decided without any mean. Row ``G_j`` holds every
+    point's squared distance to cluster j's mean. A move of point i changes
+    two rows, and each follows in real arithmetic from the row itself and
+    ``P_i``, the squared distances to point i (``pairwise``): with ``m``
+    points before the move, adding i gives
+    ``G <- (m G + P_i)/(m+1) - G[i] m/(m+1)^2`` and taking it out gives
+    ``G <- (m G - P_i)/(m-1) + G[i] m/(m-1)^2`` (``_move_row``). Both come
+    from ``mu' - x_p = (m (mu - x_p) +- (x_i - x_p))/m'`` with
+    ``2 (mu - x_p).(x_i - x_p) = G[p] + P_i[p] - G[i]``.
 
-    Each sweep takes every point's smallest delta from Gram distances
-    ``|x|^2 - 2 x.c~ + |c~|^2``. With ``E`` from ``_moved_gram_bound`` for
-    ``D = max_j Delta_j``, each Gram distance to ``c~_j`` is within ``E`` of
-    the difference form to ``c_j``, and each delta within ``B = 3.5 E`` of
-    the exact one (the gain factor is below 1, the loss factor at most 2).
+    Each row carries a bound ``eps_j`` on its gap to the real squared
+    distances to the real mean ``mu_j``, with ``R`` at least every ``|x|``
+    (``_reach``). A row built from an exact mean starts at
+    ``_exact_row_error``. An update scales the row's error by
+    ``m/m' + m/m'^2`` (the ``G[i]`` term carries the same row's error),
+    which is below 1 for an addition and at most 4 for a removal; adds
+    ``pairwise``'s entry bound over ``m'``; and adds ``_SAFETY`` times its
+    own rounding: no operand exceeds ``4 R^2 + eps`` and no intermediate
+    ``(m + 1)`` times that, plus four subnormals. With ``d`` the
+    ``_exact_row_error`` of a center of norm ``R + e``, each ``G_j`` is
+    within ``eps_j + d`` of the difference form to ``c_j``, and each delta
+    within ``B = 3.5 (max_j eps_j + d)`` of the exact one (the gain factor
+    is below 1, the loss factor at most 2). Every bound term is taken from
+    ``4 R^2`` first, so it is ``inf`` wherever a row might overflow.
 
     A point whose smallest Gram delta exceeds ``min(g + 2B, B - 1e-12)``,
     with ``g`` the smallest over all points, can hold neither the overall
     minimum nor a delta below ``-1e-12``; when no point is left, the labels
     are final. When exactly one point is left, ``B`` is finite (so are ``R``
-    and every Gram distance), the point's cluster has more than one member,
-    its smallest delta plus ``B`` is below ``-1e-12``, and its next smallest
+    and every row), the point's cluster has more than one member, its
+    smallest delta plus ``B`` is below ``-1e-12``, and its next smallest
     delta exceeds it by more than ``2B`` (always for ``k = 2``, where it is
     the own cluster's ``inf``), the exact rule makes that move too, and it
-    is applied. Otherwise, if any centroid has moved since its
-    last exact mean, those means are computed exactly and the sweep is
-    redone without counting against ``max_sweeps``. With every centroid
-    exact, the points left (NaN rows, and every row when the bound
-    overflows, included) get difference-form distances and deltas, with the
-    same operations in the same order, and the exact rule picks the move. A
-    move changes two clusters only, so just their counts, centroids and Gram
-    rows are rebuilt. Before returning, the moved centroids become exact
-    means again.
+    is applied. Otherwise, if any cluster has changed since its last exact
+    mean, those means are computed exactly, their rows rebuilt from one
+    BLAS product and their bounds reset, and the sweep is redone without
+    counting against ``max_sweeps``. With every centroid exact, the points
+    left (NaN rows, and every row when the bound overflows, included) get
+    difference-form distances and deltas, with the same operations in the
+    same order, and the exact rule picks the move. Before returning, the
+    changed clusters get their exact means.
     """
     labels = labels.copy()
     centroids = centroids.copy()
@@ -361,15 +395,18 @@ def _refine_labels(
     n, dim = points.shape
     sq_norms = _sq_norms(points)
     max_sq_norm = float(sq_norms.max())
-    # R, at least every |x|, and it does not underflow with |x|^2.
-    reach = math.sqrt(dim) * max(float(points.max()), -float(points.min()))
+    reach = _reach(max_sq_norm, dim)
     exact_error = _mean_error(n, reach, dim)
+    pair_error = _gram_error_bound(dim, max_sq_norm, max_sq_norm)
+    # d: the real squared distance to mu vs the difference form to the
+    # exact mean, whose norm is at most R + e.
+    center_reach = reach + exact_error
+    exact_gap = _exact_row_error(dim, max_sq_norm, center_reach * center_reach, reach, exact_error)
     counts = np.bincount(labels, minlength=k).astype(float)
-    # Every centroid's bound T_j, and the clusters whose centroid has moved
-    # since its last exact mean.
-    drift = [exact_error] * k
-    moved: set[int] = set()
     gram, center_sq = _gram_dists(centroids, points, sq_norms)
+    bounds = [_exact_row_error(dim, max_sq_norm, sq, reach, exact_error) for sq in center_sq.tolist()]
+    # The clusters changed since their last exact mean.
+    moved: set[int] = set()
     own_flat = labels * n + np.arange(n)  # flat index of each point's own entry
     sweeps = 0
     while sweeps < max_sweeps:
@@ -383,8 +420,7 @@ def _refine_labels(
         row_min = gain_on.min(axis=0) - loss * gram.take(own_flat)
         if counts.min() <= 1.0:
             row_min[counts[labels] <= 1.0] = np.inf
-        widest = max(drift[j] for j in moved) + exact_error if moved else 0.0
-        bound = 3.5 * _moved_gram_bound(dim, max_sq_norm, center_sq, reach, widest)
+        bound = 3.5 * (max(bounds) + exact_gap)
         # A NaN minimum gives a NaN cap (Python's min keeps its first
         # argument unless the second is smaller), and then every row stays.
         cap = min(float(row_min.min()) + 2.0 * bound, bound - 1e-12)
@@ -406,8 +442,9 @@ def _refine_labels(
             stale = sorted(moved)
             for j in stale:
                 centroids[j] = _cluster_mean(points, labels, j)
-                drift[j] = exact_error
-            gram[stale], center_sq[stale] = _gram_dists(centroids[stale], points, sq_norms)
+            gram[stale], center_sq = _gram_dists(centroids[stale], points, sq_norms)
+            for j, sq in zip(stale, center_sq.tolist()):
+                bounds[j] = _exact_row_error(dim, max_sq_norm, sq, reach, exact_error)
             moved.clear()
             continue
         if move is None:
@@ -431,14 +468,12 @@ def _refine_labels(
         s = int(labels[i])
         labels[i] = t
         own_flat[i] = t * n + i
-        x = points[i]
-        drift[t] = _shift_mean(centroids[t], x, float(counts[t]), drift[t], reach, added=True)
-        drift[s] = _shift_mean(centroids[s], x, float(counts[s]), drift[s], reach, added=False)
+        for j, added in ((t, True), (s, False)):
+            count = float(counts[j])
+            bounds[j] = _move_row(gram[j], pairwise[i], i, count, bounds[j], pair_error, reach, added)
         counts[s] -= 1.0
         counts[t] += 1.0
         moved.update((s, t))
-        pair = [s, t]
-        gram[pair], center_sq[pair] = _gram_dists(centroids[pair], points, sq_norms)
         sweeps += 1
     for j in moved:
         centroids[j] = _cluster_mean(points, labels, j)
@@ -474,6 +509,9 @@ def kmeans(
     restart runs Lloyd iterations to convergence and then a
     deterministic single-point refinement pass, which escapes the
     centroid-stable local optima plain Lloyd gets stuck in on small inputs.
+    The refinement reads the ``(n, n)`` squared distances between the
+    points, built once per call and shared by every restart, so memory is
+    ``O(n^2)`` per call (0.72 MB at n = 300).
 
     Returns None when the input cannot be divided into k non-empty clusters:
     fewer distinct vectors than k, or an empty cluster that survives three
@@ -490,6 +528,7 @@ def kmeans(
     if not _has_k_distinct_rows(points, k):
         return None
     seed = seed & _SEED_MASK
+    pairwise = _pairwise_gram(points)
     for attempt in range(3):
         best: KMeansResult | None = None
         for restart in range(restarts):
@@ -497,7 +536,7 @@ def kmeans(
             lloyd = _lloyd(points, k, rng, max_iters)
             if lloyd is None:
                 continue
-            labels, centroids = _refine_labels(points, *lloyd)
+            labels, centroids = _refine_labels(points, *lloyd, pairwise)
             inertia = float(np.sum((points - centroids[labels]) ** 2))
             if best is None or inertia < best.inertia:
                 best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)

@@ -259,6 +259,14 @@ def difference_form_lloyd(
     return labels
 
 
+def broadcast_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances of every point to every centroid in the
+    broadcast (n, k, d) form. Each entry reduces the same ``d`` contiguous
+    values as the scalar ``np.sum((points[i] - centroids[j]) ** 2)``, and
+    equals it bit for bit."""
+    return np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+
+
 def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: int = 200) -> np.ndarray:
     """Reference single-point refinement: one scalar delta per (point, cluster).
 
@@ -266,23 +274,26 @@ def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_swe
     walks points, then clusters, in order and keeps the first move whose
     delta is strictly below the best seen so far (starting at -1e-12), then
     applies that one move. The vectorized version must return exactly the
-    same labels.
+    same labels. Each sweep takes its distances from one
+    ``broadcast_sq_dists`` call, whose entries are the scalar
+    ``np.sum((points[i] - centroids[j]) ** 2)``.
     """
     labels = labels.copy()
     for _ in range(max_sweeps):
         counts = np.bincount(labels, minlength=k).astype(float)
         centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+        dists = broadcast_sq_dists(points, centroids).tolist()
         best_move = None
         best_delta = -1e-12
         for i in range(len(points)):
             s = int(labels[i])
             if counts[s] <= 1:
                 continue
-            loss_off = counts[s] / (counts[s] - 1.0) * float(np.sum((points[i] - centroids[s]) ** 2))
+            loss_off = counts[s] / (counts[s] - 1.0) * dists[i][s]
             for j in range(k):
                 if j == s:
                     continue
-                gain_on = counts[j] / (counts[j] + 1.0) * float(np.sum((points[i] - centroids[j]) ** 2))
+                gain_on = counts[j] / (counts[j] + 1.0) * dists[i][j]
                 delta = gain_on - loss_off
                 if delta < best_delta:
                     best_delta = delta

@@ -16,6 +16,7 @@ import pytest
 
 import treesum
 from helpers import (
+    broadcast_sq_dists,
     brute_force_min_inertia,
     difference_form_lloyd,
     embed_with_vectors,
@@ -30,15 +31,17 @@ from treesum.tree import (
     ClassTree,
     _cluster_mean,
     _cluster_means,
+    _exact_row_error,
     _gram_dists,
     _gram_error_bound,
     _has_k_distinct_rows,
     _kmeans_pp_init,
     _lloyd,
     _mean_error,
-    _moved_gram_bound,
+    _move_row,
+    _pairwise_gram,
+    _reach,
     _refine_labels,
-    _shift_mean,
     _sq_dists,
     _sq_norms,
     build_class_tree,
@@ -176,7 +179,8 @@ def _start_labels(rng, points, k):
 def _refine(points, labels, k, **kwargs):
     """``_refine_labels`` from the labels' own centroids; checks that the
     centroids it returns are those of its labels, byte for byte."""
-    got, centroids = _refine_labels(points, labels, _cluster_means(points, labels, k), **kwargs)
+    start = _cluster_means(points, labels, k)
+    got, centroids = _refine_labels(points, labels, start, _pairwise_gram(points), **kwargs)
     assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
     return got
 
@@ -240,6 +244,20 @@ def test_refine_labels_matches_scalar_oracle():
         assert np.array_equal(_refine(points, labels, k, max_sweeps=cap), path[cap]), cap
 
 
+def test_oracle_sweep_distances_equal_the_scalar_form_bytewise():
+    """``scalar_refine_labels`` takes each sweep's distances from one
+    broadcast call; every entry is the scalar ``np.sum((x - c) ** 2)``."""
+    rng = np.random.default_rng(1979)
+    cases = 0
+    for points, k in _refine_cases(rng):
+        for labels in _start_labels(rng, points, k):
+            centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
+            scalar = np.array([[np.sum((x - c) ** 2) for c in centroids] for x in points])
+            assert broadcast_sq_dists(points, centroids).tobytes() == scalar.tobytes(), (points.shape, k)
+            cases += 1
+    assert cases > 200
+
+
 def _scalar_path(points, labels, k):
     """The labels before and after each sweep of ``scalar_refine_labels`` up
     to its last move: ``path[c]`` is its result with ``max_sweeps=c``."""
@@ -252,24 +270,32 @@ def _scalar_path(points, labels, k):
 
 
 def _counted_refine(monkeypatch, points, labels, k, **kwargs):
-    """``_refine_labels`` from the labels' own centroids: its labels and,
-    for each exact mean it takes, the labels that mean is taken under.
+    """``_refine_labels`` from the labels' own centroids: its labels, for
+    each exact mean it takes the labels that mean is taken under, and the
+    number of BLAS products (``_gram_dists`` calls) it makes.
 
     The final means are taken under the final labels, so every entry under
     other labels belongs to a fallback sweep, which takes at most ``k``.
     """
     start = _cluster_means(points, labels, k)
+    pairwise = _pairwise_gram(points)
     seen = []
+    products = []
 
     def counted(points, labels, j):
         seen.append(labels.tobytes())
         return _cluster_mean(points, labels, j)
 
+    def counted_product(*args):
+        products.append(1)
+        return _gram_dists(*args)
+
     with monkeypatch.context() as patch:
         patch.setattr(treesum.tree, "_cluster_mean", counted)
-        got, centroids = _refine_labels(points, labels, start, **kwargs)
+        patch.setattr(treesum.tree, "_gram_dists", counted_product)
+        got, centroids = _refine_labels(points, labels, start, pairwise, **kwargs)
     assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
-    return got, seen
+    return got, seen, len(products)
 
 
 def test_refine_labels_takes_exact_means_only_on_fallbacks_and_at_the_end(monkeypatch):
@@ -279,7 +305,7 @@ def test_refine_labels_takes_exact_means_only_on_fallbacks_and_at_the_end(monkey
         path = _scalar_path(points, labels, k)
         moves = len(path) - 1
         assert moves >= 20
-        got, seen = _counted_refine(monkeypatch, points, labels, k)
+        got, seen, _ = _counted_refine(monkeypatch, points, labels, k)
         assert np.array_equal(got, path[-1]), (n, k)
         fallbacks = {state for state in seen if state != got.tobytes()}
         assert len(seen) <= k * (1 + len(fallbacks)), (n, k)
@@ -292,72 +318,128 @@ def test_refine_labels_takes_exact_means_only_on_fallbacks_and_at_the_end(monkey
     for _ in range(10):
         points, labels, k = _near_tie_case(rng)
         path = _scalar_path(points, labels, k)
-        got, seen = _counted_refine(monkeypatch, points, labels, k)
+        got, seen, _ = _counted_refine(monkeypatch, points, labels, k)
         assert np.array_equal(got, path[-1])
         fell_back += any(state != got.tobytes() for state in seen)
         for cap in range(1, len(path)):
-            got, seen = _counted_refine(monkeypatch, points, labels, k, max_sweeps=cap)
+            got, seen, _ = _counted_refine(monkeypatch, points, labels, k, max_sweeps=cap)
             assert np.array_equal(got, path[cap]), cap
             capped_after_fallback += path[cap - 1].tobytes() in seen
     assert fell_back >= 1 and capped_after_fallback >= 1
 
 
-def test_shift_mean_bound_covers_the_drift():
-    """After every incremental update, the bound ``_shift_mean`` returns
-    holds the centroid within reach of the real mean of its points (in exact
-    rational arithmetic) and, with ``_mean_error`` added, of the mean that
-    ``_cluster_mean`` computes. Each sequence starts from one point, so
-    the bound holds from the updates' own terms alone; at 1e-310 the points
-    are subnormal and the divisions round to whole subnormals."""
+def test_refine_labels_makes_blas_products_only_to_start_and_on_fallbacks(monkeypatch):
+    """A move updates its two rows from ``pairwise`` alone: one BLAS
+    product builds the rows at the start and one more each fallback."""
     rng = np.random.default_rng(1979)
+    for n, k in ((150, 2), (300, 5)):
+        points, labels = _sparse_long_path_case(rng, n, k)
+        path = _scalar_path(points, labels, k)
+        got, seen, products = _counted_refine(monkeypatch, points, labels, k)
+        assert np.array_equal(got, path[-1]), (n, k)
+        fallbacks = {state for state in seen if state != got.tobytes()}
+        assert len(path) - 1 >= 20
+        assert products <= 1 + len(fallbacks), (n, k, products, len(path) - 1)
+    # Every sweep cap along the longer path (74 moves).
+    assert len(path) - 1 >= 70
+    for cap in range(1, len(path)):
+        got, seen, products = _counted_refine(monkeypatch, points, labels, k, max_sweeps=cap)
+        assert np.array_equal(got, path[cap]), cap
+        assert products <= 1 + len({state for state in seen if state != got.tobytes()}), cap
 
-    def sq_gap(centroid, mean):
-        return sum((Fraction(c) - m) ** 2 for c, m in zip(centroid.tolist(), mean))
 
+def _fraction_sq_dists(points, center):
+    """Exact rational squared distances of every point to ``center``."""
+    return [sum((Fraction(x) - c) ** 2 for x, c in zip(row, center)) for row in points.tolist()]
+
+
+def _max_gap(values, reals):
+    """The largest |value - real| over a float array and rationals."""
+    return max(abs(Fraction(v) - r) for v, r in zip(values.tolist(), reals))
+
+
+def _float_above(value):
+    """The smallest float at least the rational ``value``."""
+    low = float(value)
+    return low if Fraction(low) >= value else float(np.nextafter(low, np.inf))
+
+
+def _move_row_updates():
+    """Yield each state of 200 seeded add/remove sequences after a
+    ``_move_row`` update of cluster 0's row: ``(case, scale, tight, points,
+    labels, row, bound, screen_gap)``.
+
+    Half the sequences run as the refinement does: ``_pairwise_gram`` with
+    ``_gram_error_bound``, and a row built from an exact mean with
+    ``_exact_row_error``. The other half start from correctly rounded
+    distances, a row with an offset of up to 1e-6 of its values, and each
+    bound the exact gap, so the update's own terms carry the bound. At
+    1e-310 the points are subnormal; at 1e-161 their squared distances are,
+    and the divisions round to whole subnormals. A removal first multiplies
+    an offset of one sign by ``m/m' + m/m'^2``. ``screen_gap`` is the
+    screen's ``d`` from ``_exact_row_error``."""
+    rng = np.random.default_rng(1979)
     for case in range(200):
-        scale = (1.0, 1e-300, 1e150, 1e-310)[case % 4]
+        scale = (1.0, 1e-300, 1e150, 1e-310, 1e-161)[case % 5]
+        tight = case % 10 >= 5
         n, dim = int(rng.integers(3, 10)), int(rng.integers(1, 5))
         points = rng.normal(size=(n, dim)) * scale
         zeros = rng.random((n, dim)) < 0.2
         points[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
-        reach = max(math.hypot(*row) for row in points.tolist())
-        # A cluster of one point, whose mean is that point exactly.
+        sq_norms = _sq_norms(points)
+        max_sq_norm = float(sq_norms.max())
+        reach = _reach(max_sq_norm, dim)
+        mean_error = _mean_error(n, reach, dim)
+        center_reach = reach + mean_error
+        screen_gap = _exact_row_error(dim, max_sq_norm, center_reach * center_reach, reach, mean_error)
         labels = np.ones(n, dtype=int)
-        labels[int(rng.integers(n))] = 0
-        centroid = _cluster_mean(points, labels, 0)
-        drift = 0.0
+        labels[rng.permutation(n)[: int(rng.integers(1, n))]] = 0
+        if tight:
+            real_pairs = [_fraction_sq_dists(points, list(map(Fraction, x))) for x in points.tolist()]
+            pairwise = np.array([[float(v) for v in row] for row in real_pairs])
+            pair_error = _float_above(max(map(_max_gap, pairwise, real_pairs)))
+            real = _real_row(points, labels)
+            offset = 1e-6 * float(max(real)) * rng.choice([1.0, -1.0, rng.uniform(-1.0, 1.0)])
+            row = np.array([float(v) + offset for v in real])
+            bound = _float_above(_max_gap(row, real))
+        else:
+            pairwise = _pairwise_gram(points)
+            pair_error = _gram_error_bound(dim, max_sq_norm, max_sq_norm)
+            gram, center_sq = _gram_dists(_cluster_mean(points, labels, 0)[None], points, sq_norms)
+            row = gram[0]
+            bound = _exact_row_error(dim, max_sq_norm, float(center_sq[0]), reach, mean_error)
         for _ in range(12):
             inside, outside = np.flatnonzero(labels == 0), np.flatnonzero(labels != 0)
             added = outside.size > 0 and (inside.size < 2 or rng.random() < 0.5)
             i = int(rng.choice(outside if added else inside))
-            drift = _shift_mean(centroid, points[i], float(inside.size), drift, reach, added)
+            bound = _move_row(row, pairwise[i], i, float(inside.size), bound, pair_error, reach, added)
             labels[i] = 0 if added else 1
-            members = points[labels == 0].tolist()
-            mean = [sum(map(Fraction, column)) / len(members) for column in zip(*members)]
-            assert sq_gap(centroid, mean) <= Fraction(drift) ** 2, (case, scale)
-            exact = _cluster_mean(points, labels, 0).tolist()
-            allowed = drift + _mean_error(len(members), reach, dim)
-            assert sq_gap(centroid, map(Fraction, exact)) <= Fraction(allowed) ** 2, (case, scale)
+            yield case, scale, tight, points, labels.copy(), row.copy(), bound, screen_gap
 
 
-def test_moved_gram_bound_covers_distances_to_the_exact_means():
-    """Gram distances to centroids moved up to D off the means stay within
-    the bound of the difference form to the means, at every scale of D."""
-    rng = np.random.default_rng(2002)
-    for case in range(300):
-        k = int(rng.integers(2, 6))
-        n, dim = int(rng.integers(k, 30)), int(rng.integers(1, 130))
-        points = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3) + rng.choice([0.0, 1e3])
-        labels = np.arange(n) % k
-        means = _cluster_means(points, labels, k)
-        widest = float(np.abs(points).max()) * 10.0 ** rng.uniform(-16, 0)
-        shifts = rng.normal(size=(k, dim))
-        shifts *= widest * rng.uniform(0, 1, size=(k, 1)) / np.linalg.norm(shifts, axis=1, keepdims=True)
-        sq_norms = _sq_norms(points)
-        gram, center_sq = _gram_dists(means + shifts, points, sq_norms)
-        reach = math.sqrt(dim) * float(np.abs(points).max())
-        bound = _moved_gram_bound(dim, float(sq_norms.max()), center_sq, reach, widest)
-        assert np.abs(gram.T - _sq_dists(points, means)).max() <= bound, case
+def _real_row(points, labels):
+    """Exact rational squared distances of every point to cluster 0's real mean."""
+    members = points[labels == 0].tolist()
+    mean = [sum(map(Fraction, column)) / len(members) for column in zip(*members)]
+    return _fraction_sq_dists(points, mean)
+
+
+def test_move_row_bound_covers_the_real_distances():
+    """After every in-place update, the bound ``_move_row`` returns covers
+    the row's gap to the real squared distances to the real mean of the
+    cluster, in exact rational arithmetic."""
+    for case, scale, tight, points, labels, row, bound, _ in _move_row_updates():
+        assert math.isfinite(bound), (case, scale)
+        assert _max_gap(row, _real_row(points, labels)) <= Fraction(bound), (case, scale, tight)
+
+
+def test_move_row_bound_with_the_screen_gap_covers_distances_to_the_exact_means():
+    """After every in-place update, the bound ``_move_row`` returns, with
+    the screen's gap ``_exact_row_error`` added, covers the row's gap to the
+    difference form to the mean that ``_cluster_mean`` computes."""
+    for case, scale, tight, points, labels, row, bound, screen_gap in _move_row_updates():
+        exact = _sq_dists(points, _cluster_mean(points, labels, 0)[None])[:, 0].tolist()
+        assert _max_gap(row, map(Fraction, exact)) <= Fraction(bound) + Fraction(screen_gap), (case, scale, tight)
 
 
 def _tied_targets_case(rng):
@@ -438,6 +520,25 @@ def test_refine_labels_decides_where_gram_form_overflows():
                 assert np.array_equal(_refine(points, labels, k, max_sweeps=sweeps), expected), (dim, sweeps)
 
 
+def test_refine_labels_decides_where_the_reach_squares_past_the_float_range():
+    """The largest ``|x|^2`` is finite, and so is ``R``, rounded up from it,
+    but ``(R + e)^2``, the squared norm an exact mean may have, is not:
+    every bound is inf and the exact rule decides."""
+    top = 1.340780792994259e154
+    rng = np.random.default_rng(1340)
+    for k in (2, 3):
+        points = top * (1.0 - 1e-3 * rng.random((12, 1)))
+        points[0, 0] = top
+        max_sq_norm = float(_sq_norms(points).max())
+        reach = _reach(max_sq_norm, 1)
+        center_reach = reach + _mean_error(12, reach, 1)
+        assert math.isfinite(max_sq_norm) and math.isfinite(reach) and math.isinf(center_reach * center_reach)
+        labels = np.arange(12) % k
+        rng.shuffle(labels)
+        expected = scalar_refine_labels(points, labels, k)
+        assert np.array_equal(_refine(points, labels, k), expected), k
+
+
 def test_gram_error_bound_overflows_with_the_gram_form():
     """Wherever a Gram distance is not finite, the bound is not either, so
     no overflowed entry can decide a label or drop a row."""
@@ -452,7 +553,7 @@ def test_gram_error_bound_overflows_with_the_gram_form():
         gram, center_sq = _gram_dists(centers, points, sq_norms)
         if not np.isfinite(gram).all():
             overflowed += 1
-            assert not np.isfinite(_gram_error_bound(dim, float(sq_norms.max()), center_sq))
+            assert not np.isfinite(_gram_error_bound(dim, float(sq_norms.max()), float(center_sq.max())))
     assert overflowed > 200
 
 
