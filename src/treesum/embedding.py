@@ -51,21 +51,6 @@ class EmbeddingProvider(Protocol):
         """Vectors for the given sentences, in request order."""
 
 
-@dataclass(frozen=True)
-class TopicVectors:
-    """One topic's embeddings as integer-indexed arrays.
-
-    Row ``i`` of ``sentences`` is the topic's ``i``-th sentence in
-    (doc_index, sent_index) order and ``doc_of_sentence[i]`` the index of its
-    document; row ``d`` of ``documents`` is the mean of document ``d``'s
-    sentence rows.
-    """
-
-    sentences: np.ndarray
-    documents: np.ndarray
-    doc_of_sentence: np.ndarray
-
-
 @dataclass
 class EmbeddedCorpus:
     """A corpus together with one vector per sentence.
@@ -77,19 +62,6 @@ class EmbeddedCorpus:
     corpus: Corpus
     vectors: dict[str, list[Vector]]
     dim: int
-
-    def topic_vectors(self, topic: Topic) -> TopicVectors:
-        """The topic's ``TopicVectors``, built anew on each call.
-
-        Stacking copies the topic's vectors, so a caller builds the record
-        when it starts on a topic and drops it with the topic: only the
-        topics in progress ever hold a second copy.
-        """
-        sentences = np.stack(self.vectors[topic.topic_id])
-        counts = [len(doc.sentences) for doc in topic.documents]
-        ends = np.cumsum(counts)
-        documents = np.stack([sentences[end - n : end].mean(axis=0) for n, end in zip(counts, ends)])
-        return TopicVectors(sentences, documents, np.repeat(np.arange(len(counts)), counts))
 
     def sentence_vectors_for(self, topic: Topic) -> dict[str, Vector]:
         """Ordered sentence-key -> vector map for one topic."""

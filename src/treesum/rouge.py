@@ -297,14 +297,14 @@ def score_all(
     candidate: str,
     references: Sequence[str],
     metrics: Sequence[str],
-    stem: bool = True,
     memo: TokenMemo | None = None,
 ) -> dict[str, RougeScore]:
-    """Every requested metric; a given ``memo`` decides stemming in place of ``stem``."""
+    """Every requested metric, Porter-stemmed unless a given ``memo`` says
+    otherwise."""
     unknown = set(metrics) - set(METRIC_IDS)
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
-    memo = memo if memo is not None else TokenMemo(stem)
+    memo = memo if memo is not None else TokenMemo()
     return {m: _METRIC_FNS[m](candidate, references, memo) for m in metrics}
 
 
@@ -356,7 +356,6 @@ def evaluate_corpus(
     budget: Budget,
     metrics: Sequence[str] = METRIC_IDS,
     report_kind: str = "recall",
-    stem: bool = True,
     memo: TokenMemo | None = None,
 ) -> RougeReport:
     """Score one summary per topic against the topic's references.
@@ -364,10 +363,11 @@ def evaluate_corpus(
     Summaries are truncated to the budget first. Every topic needs at least
     one reference and one summary, and every summary must name a topic of
     the corpus; the corpus mean is the arithmetic mean
-    over topics. Callers scoring many summary sets against the same corpus
-    pass one ``memo`` (which then decides stemming in place of ``stem``).
+    over topics. Tokens are Porter-stemmed. Callers scoring many summary
+    sets against the same corpus pass one ``memo``, which then decides
+    stemming.
     """
-    memo = memo if memo is not None else TokenMemo(stem)
+    memo = memo if memo is not None else TokenMemo()
     if report_kind not in ("recall", "f1"):
         raise ValueError(f"unknown report kind {report_kind!r}")
     per_topic: dict[str, dict[str, RougeScore]] = {}

@@ -15,9 +15,11 @@ that depend on neither delta nor the weights (similarities to node
 centroids, sentence-to-sentence similarities and position scores) live in a
 ``ScoreContext``, which ``variants.TopicWork.context`` builds once per
 grouping, so repeated selections from one tree, as in a hyperparameter
-search, compute them once. ``run_selection`` is the one selection loop: it
-reads those terms from the context and blends them under the delta and
-weights of the run.
+search, compute them once. ``run_selection`` is the one selection loop and
+``score_final`` its one scoring rule: it reads those terms from the context
+and blends them under the delta and weights of the run. The methods that
+rank by commonality-specificity alone ("cs-only") run it with the weights
+pinned to (alpha, beta, gamma) = (1, 0, 0).
 """
 
 from __future__ import annotations
@@ -171,20 +173,20 @@ class ScoreContext:
             self.groups.append((node_id, members, *memo.node_terms(members, node_centroids(universe, items))))
 
 
-def run_selection(ctx: ScoreContext, hp: Hyperparams, budget: Budget, scoring_mode: str) -> SelectionState:
+def run_selection(ctx: ScoreContext, hp: Hyperparams, budget: Budget) -> SelectionState:
     """Round-robin selection over ``ctx``'s groups under one delta and weights.
 
-    ``scoring_mode`` is ``"cs_only"`` to rank by the commonality-specificity
-    score alone or ``"final"`` for the full three-way combination, whose
-    non-redundancy term is one minus each sentence's highest similarity to
-    everything selected so far. Each pass takes the best-scoring unselected
-    member from every group in turn, exact ties going to the lowest
-    (doc_index, sent_index); groups whose sentences are all taken are
-    skipped. Selection stops the moment the budget is consumed (keeping the
-    crossing sentence) or when a full pass selects nothing.
+    Every sentence is ranked by ``score_final``, the paper's
+    ``alpha*cs + beta*nr + gamma*pos``, whose non-redundancy term is one
+    minus the sentence's highest similarity to everything selected so far.
+    Ranking by commonality-specificity alone is this score with the weights
+    pinned to (1, 0, 0): ``nr`` and ``pos`` are finite and ``cs >= 0``, so
+    ``1.0*cs + 0.0*nr + 0.0*pos`` is ``cs`` bit for bit. Each pass takes the
+    best-scoring unselected member from every group in turn, exact ties
+    going to the lowest (doc_index, sent_index); groups whose sentences are
+    all taken are skipped. Selection stops the moment the budget is consumed
+    (keeping the crossing sentence) or when a full pass selects nothing.
     """
-    if scoring_mode not in ("cs_only", "final"):
-        raise ValueError(f"unknown scoring mode {scoring_mode!r}")
     groups = [(node_id, members, blend_cs(inside, out, hp.delta)) for node_id, members, inside, out in ctx.groups]
     state = SelectionState()
     taken = np.zeros(len(ctx.sentences), dtype=bool)
@@ -198,9 +200,7 @@ def run_selection(ctx: ScoreContext, hp: Hyperparams, budget: Budget, scoring_mo
             if not free.any():
                 continue
             candidates = members[free]
-            scores = cs[free]
-            if scoring_mode == "final":
-                scores = score_final(scores, non_redundancy(worst[candidates]), ctx.position[candidates], hp)
+            scores = score_final(cs[free], non_redundancy(worst[candidates]), ctx.position[candidates], hp)
             best = int(candidates[int(np.argmax(scores))])
             taken[best] = True
             state.selected.append((best, node_id, state.iteration))
@@ -208,8 +208,7 @@ def run_selection(ctx: ScoreContext, hp: Hyperparams, budget: Budget, scoring_mo
             picked_in_pass = True
             if state.consumed >= budget.limit:
                 return state
-            if scoring_mode == "final":
-                worst = np.maximum(worst, ctx.memo.row(best))
+            worst = np.maximum(worst, ctx.memo.row(best))
         if not picked_in_pass:
             return state
         state.iteration += 1
@@ -243,10 +242,10 @@ def order_summary(
     return Summary(sentences=tuple(summary))
 
 
-def select_summary(context: ScoreContext, hp: Hyperparams, budget: Budget, scoring_mode: str) -> Summary:
+def select_summary(context: ScoreContext, hp: Hyperparams, budget: Budget) -> Summary:
     """Select a summary from ``context``'s groups, as ``run_selection`` does,
     and attach the context's class tree. Picks are ordered by the context's
     group order."""
-    state = run_selection(context, hp, budget, scoring_mode)
+    state = run_selection(context, hp, budget)
     order = [node_id for node_id, *_ in context.groups]
     return replace(order_summary(state, order, context.sentences), tree=context.tree)

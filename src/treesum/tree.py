@@ -171,20 +171,20 @@ def _gram_dists(
 
 def _lloyd(
     points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lloyd iterations from k-means++ seeds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations from k-means++ seeds over ``n >= k`` points.
 
-    Returns the labels and their centroids (the means of each cluster's
-    points), or None when an empty cluster cannot be repaired. Each point
-    goes to the centroid at the smallest difference-form distance
-    ``sum((x - c) ** 2)``, the first on exact ties. The Gram form only
-    screens: where a point's second-smallest Gram distance exceeds its
-    smallest by more than twice ``_gram_error_bound``, the difference form
-    has the same strict minimum, so that choice stands. Every other point (a
-    near-tie, a NaN, an overflowed bound) gets difference-form distances and
-    their ``argmin``. Difference-form distances of all points are built
+    Returns the labels of ``k`` non-empty clusters and their centroids (the
+    means of each cluster's points). Each point goes to the centroid at the
+    smallest difference-form distance ``sum((x - c) ** 2)``, the first on
+    exact ties. The Gram form only screens: where a point's second-smallest
+    Gram distance exceeds its smallest by more than twice
+    ``_gram_error_bound``, the difference form has the same strict minimum,
+    so that choice stands. Every other point (a near-tie, a NaN, an
+    overflowed bound) gets difference-form distances and their ``argmin``. Difference-form distances of all points are built
     only to repair an empty cluster, which takes the point farthest from
-    its centroid in a cluster that can spare one.
+    its centroid in a cluster that can spare one. One always can: while a
+    cluster is empty, ``n >= k`` points lie in at most ``k - 1`` clusters.
     """
     n, dim = points.shape
     rows = np.arange(n)
@@ -209,8 +209,6 @@ def _lloyd(
             dists = _sq_dists(points, centroids)
         for j in empty:
             donors = np.flatnonzero(counts[new_labels] > 1)
-            if donors.size == 0:
-                return None
             point_dists = dists[donors, new_labels[donors]]
             donor = donors[int(point_dists.argmax())]
             counts[new_labels[donor]] -= 1
@@ -220,8 +218,6 @@ def _lloyd(
             break
         labels = new_labels
         centroids = _cluster_means(points, labels, k)
-    if np.bincount(labels, minlength=k).min() == 0:
-        return None
     return labels, centroids
 
 
@@ -513,10 +509,10 @@ def kmeans(
     points, built once per call and shared by every restart, so memory is
     ``O(n^2)`` per call (0.72 MB at n = 300).
 
-    Returns None when the input cannot be divided into k non-empty clusters:
-    fewer distinct vectors than k, or an empty cluster that survives three
-    re-seeded attempts. That is a signal, not a failure. The result is fully
-    determined by (vectors, k, seed, restarts, max_iters).
+    Returns None exactly when the input holds fewer than k distinct
+    vectors, so it cannot be divided into k non-empty clusters. That is a
+    signal, not a failure. The result is fully determined by (vectors, k,
+    seed, restarts, max_iters).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -529,20 +525,14 @@ def kmeans(
         return None
     seed = seed & _SEED_MASK
     pairwise = _pairwise_gram(points)
-    for attempt in range(3):
-        best: KMeansResult | None = None
-        for restart in range(restarts):
-            rng = np.random.default_rng([seed, attempt, restart])
-            lloyd = _lloyd(points, k, rng, max_iters)
-            if lloyd is None:
-                continue
-            labels, centroids = _refine_labels(points, *lloyd, pairwise)
-            inertia = float(np.sum((points - centroids[labels]) ** 2))
-            if best is None or inertia < best.inertia:
-                best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)
-        if best is not None:
-            return best
-    return None
+    best: KMeansResult | None = None
+    for restart in range(restarts):
+        rng = np.random.default_rng([seed, 0, restart])
+        labels, centroids = _refine_labels(points, *_lloyd(points, k, rng, max_iters), pairwise)
+        inertia = float(np.sum((points - centroids[labels]) ** 2))
+        if best is None or inertia < best.inertia:
+            best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)
+    return best
 
 
 def label_groups(members: Sequence[int], labels: Sequence[int]) -> list[tuple[int, ...]]:

@@ -6,6 +6,7 @@ import hashlib
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,8 +21,9 @@ from treesum.corpus import (
     segment_sentences,
 )
 from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key
+from treesum.scoring import Hyperparams
 from treesum.tree import _kmeans_pp_init
-from treesum.variants import TopicWork
+from treesum.variants import CS_ONLY, TopicWork
 
 
 def make_document(doc_id: str, doc_index: int, text: str) -> Document:
@@ -64,6 +66,12 @@ def tree_and_context(topic: Topic, embedded: EmbeddedCorpus, k_first: int, k_res
     ``build_class_tree``'s."""
     ctx = TopicWork(topic, embedded).context("tree", "documents", k_first, k_rest, max_nodes, seed)
     return ctx.tree, ctx
+
+
+def cs_only(hp: Hyperparams) -> Hyperparams:
+    """``hp`` with the weights the cs-only methods pin, (alpha, beta, gamma)
+    = (1, 0, 0)."""
+    return replace(hp, **CS_ONLY)
 
 
 def skey(topic_id: str, doc_index: int, sent_index: int) -> str:

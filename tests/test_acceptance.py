@@ -18,6 +18,7 @@ import pytest
 
 from helpers import (
     brute_force_min_inertia,
+    cs_only,
     embed_with_vectors,
     make_corpus,
     make_topic,
@@ -34,7 +35,7 @@ from treesum.scoring import Hyperparams, NodeCentroids, score_cs, score_final, s
 from treesum.selection import Budget, select_summary
 from treesum.stem import porter_stem
 from treesum.tree import build_class_tree, kmeans, tree_to_dict
-from treesum.variants import VariantSpec
+from treesum.variants import TopicWork, VariantSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -205,7 +206,7 @@ def test_tree_invariants_random_topics():
     for trial in range(200):
         topic, vectors = random_synthetic_topic(rng, f"t{trial}")
         embedded = embed_with_vectors(make_corpus(topic), vectors)
-        documents = embedded.topic_vectors(topic).documents
+        documents = TopicWork(topic, embedded).documents
         k_first = int(rng.integers(2, 5))
         k_rest = int(rng.integers(2, 4))
         max_nodes = int(rng.integers(1, 14))
@@ -227,7 +228,7 @@ def test_tree_invariants_random_topics():
 def test_selection_protocol_fixture():
     topic, embedded = _fixture_embedded()
     tree, ctx = _fixture_tree(embedded, topic)
-    summary = select_summary(ctx, Hyperparams(), Budget("words", 12), scoring_mode="cs_only")
+    summary = select_summary(ctx, cs_only(Hyperparams()), Budget("words", 12))
     keys = summary_keys("fix", summary)
     ok = (
         keys == ["fix/d0/s1", "fix/d1/s1", "fix/d4/s0"]
@@ -236,7 +237,7 @@ def test_selection_protocol_fixture():
     )
     # Budget semantics: the third sentence crosses the 12-word budget when
     # the limit is 10; it is kept and the overshoot is below one sentence.
-    crossing = select_summary(ctx, Hyperparams(), Budget("words", 10), scoring_mode="cs_only")
+    crossing = select_summary(ctx, cs_only(Hyperparams()), Budget("words", 10))
     consumed = sum(s.text.count(" ") + 1 for s in crossing.sentences)
     ok = ok and len(crossing.sentences) == 3 and consumed >= 10 and consumed - 10 < 4
 
@@ -244,7 +245,7 @@ def test_selection_protocol_fixture():
     # of equal size visited in lowest-document-index order.
     topic3, embedded3 = _three_cluster_embedded()
     tree3, ctx3 = tree_and_context(topic3, embedded3, 3, 2, 4, seed=9)
-    summary3 = select_summary(ctx3, Hyperparams(), Budget("words", 16), scoring_mode="cs_only")
+    summary3 = select_summary(ctx3, cs_only(Hyperparams()), Budget("words", 16))
     keys3 = summary_keys("tri", summary3)
     ok = ok and keys3 == ["tri/d0/s1", "tri/d1/s1", "tri/d2/s0", "tri/d4/s0"]
     ok = ok and [s.node_id for s in summary3.sentences] == list(tree3.traversal_order)

@@ -22,8 +22,6 @@ from treesum.config import (
 from treesum.experiments import full_grid, simplex_triples
 from treesum.tree import tree_to_dict
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _write_corpus(root, n_topics=2, refs=True):
     for t in range(n_topics):

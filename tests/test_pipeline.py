@@ -14,8 +14,6 @@ from treesum.selection import Budget
 from treesum.tree import tree_to_dict
 from treesum.variants import METHODS, VariantSpec
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 BUDGET = Budget("words", 60)
 
 

@@ -24,8 +24,6 @@ from treesum.rouge import (
 )
 from treesum.selection import Budget
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_truncate_words():
     assert truncate("a b c", Budget("words", 2)) == "a b"

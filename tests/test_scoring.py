@@ -17,8 +17,6 @@ from treesum.scoring import (
     score_position,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def unit_at_cosine(reference: np.ndarray, target_cos: float) -> np.ndarray:
     """A unit vector whose cosine with ``reference`` is exactly ``target_cos``."""

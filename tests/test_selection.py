@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    cs_only,
     embed_with_vectors,
     make_corpus,
     make_topic,
@@ -27,8 +28,7 @@ from treesum.selection import (
     run_selection,
     select_summary,
 )
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+from treesum.variants import TopicWork
 
 # Sentence pairs of a two-document topic; index 0 is t/d0/s0, 1 is t/d0/s1,
 # 2 is t/d1/s0.
@@ -118,7 +118,7 @@ def test_golden_traversal_trace():
     """
     topic, embedded = _fixture_embedded()
     tree, ctx = _fixture_tree(embedded, topic)
-    summary = select_summary(ctx, Hyperparams(), Budget("words", 12), scoring_mode="cs_only")
+    summary = select_summary(ctx, cs_only(Hyperparams()), Budget("words", 12))
     assert summary_keys("fix", summary) == ["fix/d0/s1", "fix/d1/s1", "fix/d4/s0"]
     assert [s.node_id for s in summary.sentences] == list(tree.traversal_order)
     assert summary.text == (
@@ -168,7 +168,7 @@ def test_golden_trace_three_clusters():
     topic, embedded = _three_cluster_embedded()
     tree, ctx = tree_and_context(topic, embedded, k_first=3, k_rest=2, max_nodes=4, seed=9)
     assert tree.node_count == 4
-    summary = select_summary(ctx, Hyperparams(), Budget("words", 16), scoring_mode="cs_only")
+    summary = select_summary(ctx, cs_only(Hyperparams()), Budget("words", 16))
     assert summary_keys("tri", summary) == [
         "tri/d0/s1", "tri/d1/s1", "tri/d2/s0", "tri/d4/s0",
     ]
@@ -179,7 +179,7 @@ def test_golden_trace_three_clusters():
 def test_iteration_one_follows_traversal_order():
     topic, embedded = _fixture_embedded()
     tree, ctx = _fixture_tree(embedded, topic)
-    summary = select_summary(ctx, Hyperparams(), Budget("words", 12), scoring_mode="final")
+    summary = select_summary(ctx, Hyperparams(), Budget("words", 12))
     assert [s.node_id for s in summary.sentences] == list(tree.traversal_order)
     assert [s.iteration for s in summary.sentences] == [1, 1, 1]
 
@@ -187,7 +187,7 @@ def test_iteration_one_follows_traversal_order():
 def test_exhaustion_selects_every_sentence_once():
     topic, embedded = _fixture_embedded()
     _, ctx = _fixture_tree(embedded, topic)
-    summary = select_summary(ctx, Hyperparams(), Budget("words", 10_000), scoring_mode="final")
+    summary = select_summary(ctx, Hyperparams(), Budget("words", 10_000))
     keys = summary_keys("fix", summary)
     assert sorted(keys) == sorted(FIXTURE_VECTORS)
     assert len(set(keys)) == len(keys)
@@ -198,7 +198,7 @@ def test_budget_crossing_sentence_is_kept():
     _, ctx = _fixture_tree(embedded, topic)
     # 10 words: two 4-word sentences leave us below the limit, the third
     # crosses it and is kept.
-    summary = select_summary(ctx, Hyperparams(), Budget("words", 10), scoring_mode="final")
+    summary = select_summary(ctx, Hyperparams(), Budget("words", 10))
     consumed = sum(s.text.count(" ") + 1 for s in summary.sentences)
     assert len(summary.sentences) == 3
     assert consumed >= 10
@@ -209,7 +209,7 @@ def test_byte_budget_semantics():
     topic, embedded = _fixture_embedded()
     _, ctx = _fixture_tree(embedded, topic)
     sents = {(d.doc_index, s.sent_index): s for d in topic.documents for s in d.sentences}
-    summary = select_summary(ctx, Hyperparams(), Budget("bytes", 30), scoring_mode="cs_only")
+    summary = select_summary(ctx, cs_only(Hyperparams()), Budget("bytes", 30))
     consumed = sum(sents[s.doc_index, s.sent_index].byte_length for s in summary.sentences)
     assert consumed >= 30
     last = summary.sentences[-1]
@@ -220,15 +220,16 @@ def test_engine_overshoot_bounded_by_crossing_sentence():
     """Exact budget invariant at the engine level, where selection order is
     visible: the final selected sentence is the one that crossed the limit,
     and the overshoot is smaller than that sentence. Every limit up to the
-    topic's size, in both scoring modes and both budget units."""
+    topic's size, under the configured and the cs-only weights and in both
+    budget units."""
     topic, embedded = _fixture_embedded()
     _, ctx = _fixture_tree(embedded, topic)
     for unit in ("words", "bytes"):
         total = sum(Budget(unit, 1).size_of(sent) for _, sent in ctx.sentences)
         for limit in range(1, total + 1):
             budget = Budget(unit, limit)
-            for mode in ("final", "cs_only"):
-                state = run_selection(ctx, Hyperparams(), budget, mode)
+            for hp in (Hyperparams(), cs_only(Hyperparams())):
+                state = run_selection(ctx, hp, budget)
                 if state.consumed >= limit:
                     crossing_size = budget.size_of(ctx.sentences[state.selected[-1][0]][1])
                     assert state.consumed - limit < crossing_size
@@ -240,8 +241,8 @@ def test_engine_overshoot_bounded_by_crossing_sentence():
 def test_selection_is_deterministic():
     topic, embedded = _fixture_embedded()
     _, ctx = _fixture_tree(embedded, topic)
-    first = select_summary(ctx, Hyperparams(), Budget("words", 16), "final")
-    second = select_summary(ctx, Hyperparams(), Budget("words", 16), "final")
+    first = select_summary(ctx, Hyperparams(), Budget("words", 16))
+    second = select_summary(ctx, Hyperparams(), Budget("words", 16))
     assert first.text == second.text
     assert summary_keys("fix", first) == summary_keys("fix", second)
 
@@ -257,20 +258,13 @@ def test_single_document_topic_matches_brute_force():
     tree, ctx = tree_and_context(topic, embedded, 3, 2, 5, seed=0)
     assert tree.node_count == 1
 
-    summary = select_summary(ctx, Hyperparams(delta=0.9), Budget("words", 4), scoring_mode="cs_only")
+    summary = select_summary(ctx, cs_only(Hyperparams(delta=0.9)), Budget("words", 4))
     # Independent argmax: cosine to the document vector decides at the root.
     doc_vec = np.mean([vectors[skey("solo", 0, i)] for i in range(3)], axis=0)
     sims = [cosine_similarity(np.array(vectors[skey("solo", 0, i)]), doc_vec) for i in range(3)]
     expected = int(np.argmax(sims))
     assert summary.sentences[0].sent_index == expected
     assert len(summary.sentences) == 1
-
-
-def test_select_summary_rejects_unknown_mode():
-    topic, embedded = _fixture_embedded()
-    _, ctx = _fixture_tree(embedded, topic)
-    with pytest.raises(ValueError):
-        select_summary(ctx, Hyperparams(), Budget("words", 10), "fancy")
 
 
 def test_budget_validation():
@@ -308,7 +302,7 @@ def test_score_context_terms_match_scalar_scores():
     for case in range(30):
         topic, embedded, tree, ctx = _random_case(rng, case)
         sent_vectors = list(embedded.sentence_vectors_for(topic).values())
-        documents = embedded.topic_vectors(topic).documents
+        documents = TopicWork(topic, embedded).documents
         for node_id, members, inside, outside in ctx.groups:
             centroids = node_centroids(documents, np.array(tree.node(node_id).members))
             for delta in (0.0, 0.3, 0.9, 1.0):
@@ -386,9 +380,11 @@ def test_similarity_memo_matches_scalar_reference(d, kinds, centroid_kinds, seed
 
 def test_selection_matches_scalar_oracle():
     """Picks, nodes and passes equal the per-candidate scalar selection on
-    random topics, including integer vectors with exact ties, for both
-    scoring modes, beta = 0 and (1, 0, 0) weights, and both budget units.
-    One context serves every configuration of a tree."""
+    random topics, including integer vectors with exact ties, under each
+    configuration's own weights and with the weights pinned to cs-only
+    (against the oracle's ``"cs_only"`` mode), for beta = 0 and (1, 0, 0)
+    weights and both budget units. One context serves every configuration
+    of a tree."""
     rng = np.random.default_rng(5)
     hps = [
         Hyperparams(),
@@ -402,8 +398,8 @@ def test_selection_matches_scalar_oracle():
         topic, embedded, tree, ctx = _random_case(rng, case)
         for hp in hps:
             for budget in budgets:
-                for mode in ("final", "cs_only"):
-                    state = run_selection(ctx, hp, budget, mode)
+                for mode, pinned in (("final", hp), ("cs_only", cs_only(hp))):
+                    state = run_selection(ctx, pinned, budget)
                     got = []
                     for i, node_id, it in state.selected:
                         doc, sent = ctx.sentences[i]

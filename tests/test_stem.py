@@ -4,11 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
 from treesum.stem import porter_stem
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 DATA = Path(__file__).parent / "data"
 

