@@ -36,7 +36,7 @@ from .embedding import (
     ProviderError,
     document_key,
     embed_corpus,
-    sentence_key,
+    topic_keys,
 )
 from .experiments import (
     GridPoint,
@@ -144,7 +144,7 @@ def _trees_json(config: RunConfig, corpus: Corpus, summaries: dict[str, Summary]
     for topic in corpus:
         tid, tree = topic.topic_id, summaries[topic.topic_id].tree
         if by_sentence:
-            names = [sentence_key(tid, d.doc_index, s.sent_index) for d in topic.documents for s in d.sentences]
+            names = topic_keys(topic)
         else:
             names = [document_key(tid, d.doc_index) for d in topic.documents]
         dumps[tid] = None if tree is None else tree_to_dict(tree, names)

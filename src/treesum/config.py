@@ -76,7 +76,7 @@ class RunConfig:
         """Build the embedding provider described by the ``embedder`` spec."""
         kind, arg = _parse_embedder(self.embedder)
         if kind == "file":
-            return provider_file(arg)
+            return provider_file(arg, corpus)
         if kind == "builtin":
             return provider_builtin_tfidf(corpus, arg, self.seed)
         return provider_remote(arg)

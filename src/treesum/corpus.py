@@ -46,10 +46,6 @@ class Document:
     doc_index: int
     sentences: tuple[Sentence, ...]
 
-    @property
-    def text(self) -> str:
-        return " ".join(s.text for s in self.sentences)
-
 
 @dataclass(frozen=True)
 class Topic:
@@ -67,12 +63,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.topics)
-
-    def topic(self, topic_id: str) -> Topic:
-        for t in self.topics:
-            if t.topic_id == topic_id:
-                return t
-        raise KeyError(topic_id)
 
 
 # Tokens that end with a period without ending a sentence. Stored lowercase,

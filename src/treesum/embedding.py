@@ -1,11 +1,14 @@
 """Sentence and document embeddings through interchangeable providers.
 
 Every sentence gets a fixed-length vector; each document vector is the
-componentwise mean of its sentences' vectors. Three providers are available:
+componentwise mean of its sentences' vectors. A provider's ``embed(topic)``
+gives the topic's vectors as one ``(n, d)`` matrix, a row per sentence in
+(doc_index, sent_index) order. Three providers are available:
 
 * ``provider_file``: precomputed vectors from a JSONL file, one record per
   line shaped ``{"key": "<topic_id>/d<doc_index>/s<sent_index>",
-  "vector": [floats]}``.
+  "vector": [floats]}``. Only this format (and ``trees.json``) names
+  sentences by key.
 * ``provider_builtin_tfidf``: a deterministic hashed tf-idf embedder that
   keeps the whole pipeline self-contained (tests, CI, demos).
 * ``provider_remote``: a client for a sidecar embedding service speaking
@@ -13,7 +16,7 @@ componentwise mean of its sentences' vectors. Three providers are available:
   ``{"vectors": [[float]]}``.
 
 All providers are safe for concurrent ``embed`` calls: the first two only
-read prebuilt maps, and the remote client keeps no per-call state.
+read prebuilt matrices, and the remote client keeps no per-call state.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -46,31 +49,33 @@ def document_key(topic_id: str, doc_index: int) -> str:
     return f"{topic_id}/d{doc_index}"
 
 
+def topic_keys(topic: Topic) -> list[str]:
+    """The sentence key of each of ``topic``'s sentences, in (doc_index,
+    sent_index) order."""
+    tid = topic.topic_id
+    return [sentence_key(tid, doc.doc_index, s.sent_index) for doc in topic.documents for s in doc.sentences]
+
+
 class EmbeddingProvider(Protocol):
-    def embed(self, keys: Sequence[str], texts: Sequence[str]) -> list[Vector]:
-        """Vectors for the given sentences, in request order."""
+    def embed(self, topic: Topic) -> np.ndarray | list[Vector]:
+        """The topic's ``(n, d)`` sentence matrix (or its rows), in (doc_index, sent_index) order."""
 
 
 @dataclass
 class EmbeddedCorpus:
     """A corpus together with one vector per sentence.
 
-    ``vectors`` maps each topic id to its sentences' vectors in
-    (doc_index, sent_index) order, the arrays the provider returned.
+    ``vectors`` maps each topic id to its ``(n, d)`` sentence matrix in
+    (doc_index, sent_index) order, the provider's own array if it can be.
     """
 
     corpus: Corpus
-    vectors: dict[str, list[Vector]]
+    vectors: dict[str, np.ndarray]
     dim: int
 
     def sentence_vectors_for(self, topic: Topic) -> dict[str, Vector]:
         """Ordered sentence-key -> vector map for one topic."""
-        keys = (
-            sentence_key(topic.topic_id, doc.doc_index, sent.sent_index)
-            for doc in topic.documents
-            for sent in doc.sentences
-        )
-        return dict(zip(keys, self.vectors[topic.topic_id]))
+        return dict(zip(topic_keys(topic), self.vectors[topic.topic_id]))
 
 
 def prescale_rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -134,13 +139,21 @@ def _as_vector(values, context: str) -> Vector:
 
 
 class FileProvider:
-    """Looks up precomputed vectors by sentence key."""
+    """Precomputed sentence vectors, one matrix per topic of ``corpus``.
 
-    def __init__(self, path: str | Path):
+    Every record is checked as it is read. One whose key names a sentence of
+    the corpus is written into that sentence's row of its topic's matrix;
+    the others are dropped. A topic's first record fixes its dimension. A
+    row that no record reached holds NaN, which no checked record does.
+    """
+
+    def __init__(self, path: str | Path, corpus: Corpus):
         self._path = Path(path)
-        self._vectors: dict[str, Vector] = {}
         if not self._path.is_file():
             raise ProviderError(f"embedding file {self._path} does not exist")
+        place = {key: (topic, row) for topic in corpus for row, key in enumerate(topic_keys(topic))}
+        self._matrices: dict[str, np.ndarray] = {}
+        seen: set[str] = set()
         for line_no, record in jsonl_records(self._path, ProviderError):
             try:
                 key = record["key"]
@@ -149,21 +162,31 @@ class FileProvider:
                 raise ProviderError(f"malformed record on line {line_no} of {self._path}: {exc}") from exc
             if not isinstance(key, str):
                 raise ProviderError(f"key on line {line_no} of {self._path} is not a string")
-            if key in self._vectors:
+            if key in seen:
                 raise ProviderError(f"duplicate key {key!r} in {self._path}")
-            self._vectors[key] = _as_vector(values, f"key {key!r}")
+            seen.add(key)
+            vec = _as_vector(values, f"key {key!r}")
+            if key not in place:
+                continue
+            topic, row = place[key]
+            matrix = self._matrices.get(topic.topic_id)
+            if matrix is None:
+                rows = sum(len(doc.sentences) for doc in topic.documents)
+                matrix = self._matrices[topic.topic_id] = np.full((rows, len(vec)), np.nan)
+            elif len(vec) != matrix.shape[1]:
+                raise ProviderError(f"dimension mismatch: key {key!r} has dim {len(vec)}, expected {matrix.shape[1]}")
+            matrix[row] = vec
 
-    def embed(self, keys: Sequence[str], texts: Sequence[str]) -> list[Vector]:
-        out = []
-        for key in keys:
-            if key not in self._vectors:
-                raise ProviderError(f"missing embedding for key {key!r}")
-            out.append(self._vectors[key])
-        return out
+    def embed(self, topic: Topic) -> np.ndarray:
+        matrix = self._matrices.get(topic.topic_id)
+        missing = [0] if matrix is None else np.flatnonzero(np.isnan(matrix[:, 0]))
+        if len(missing):
+            raise ProviderError(f"missing embedding for key {topic_keys(topic)[missing[0]]!r}")
+        return matrix
 
 
-def provider_file(path: str | Path) -> FileProvider:
-    return FileProvider(path)
+def provider_file(path: str | Path, corpus: Corpus) -> FileProvider:
+    return FileProvider(path, corpus)
 
 
 # Tokens are the maximal runs of [a-z0-9] in the lowercased text. Those are
@@ -204,7 +227,8 @@ class BuiltinTfidfProvider:
     precomputed at construction, so results are bitwise reproducible for a
     given (corpus, dim, seed).
 
-    Each topic fills its block of one corpus matrix, a row per sentence.
+    Each topic fills its block of one corpus matrix, a row per sentence,
+    and ``embed`` returns that block.
     The topic's tokens get integer ids (a token new to the corpus is hashed
     then), and the distinct (sentence, token) pairs come out of a stable
     sort in order of first occurrence, which is each sentence's ``Counter``
@@ -221,10 +245,9 @@ class BuiltinTfidfProvider:
     def __init__(self, corpus: Corpus, dim: int, seed: int):
         if not 2 <= dim <= MAX_BUILTIN_DIM:
             raise ValueError(f"builtin embedder needs 2 <= dim <= {MAX_BUILTIN_DIM}")
-        self.dim = dim
         keyed = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
         buckets: dict[bytes, int] = {}  # each distinct token of the corpus hashed once
-        self._vectors: dict[str, Vector] = {}
+        self._blocks: dict[str, np.ndarray] = {}
         # One matrix for the whole corpus, allocated before any per-topic
         # temporary, so the heap those free is not pinned under a topic's rows.
         all_rows = np.zeros((sum(len(doc.sentences) for topic in corpus for doc in topic.documents), dim))
@@ -261,18 +284,10 @@ class BuiltinTfidfProvider:
             matrix[empty, 0] = 1.0
             norms[empty] = 1.0
             matrix /= norms[:, None]
-            keys = (
-                sentence_key(topic.topic_id, doc.doc_index, sent.sent_index)
-                for doc in topic.documents
-                for sent in doc.sentences
-            )
-            self._vectors.update(zip(keys, matrix))
+            self._blocks[topic.topic_id] = matrix
 
-    def embed(self, keys: Sequence[str], texts: Sequence[str]) -> list[Vector]:
-        try:
-            return [self._vectors[key] for key in keys]
-        except KeyError as exc:
-            raise ProviderError(f"unknown sentence key {exc.args[0]!r}") from exc
+    def embed(self, topic: Topic) -> np.ndarray:
+        return self._blocks[topic.topic_id]
 
 
 def provider_builtin_tfidf(corpus: Corpus, dim: int, seed: int) -> BuiltinTfidfProvider:
@@ -364,49 +379,39 @@ class RemoteProvider:
             f"embedding service unreachable after {self._max_attempts} attempts: {last_error}"
         )
 
-    def embed(self, keys: Sequence[str], texts: Sequence[str]) -> list[Vector]:
-        out: list[Vector] = []
-        for start in range(0, len(texts), self._batch_size):
-            out.extend(self._post_batch(list(texts[start : start + self._batch_size])))
-        return out
+    def embed(self, topic: Topic) -> list[Vector]:
+        texts = [sent.text for doc in topic.documents for sent in doc.sentences]
+        starts = range(0, len(texts), self._batch_size)
+        return [vec for start in starts for vec in self._post_batch(texts[start : start + self._batch_size])]
 
 
 def provider_remote(endpoint_url: str, batch_size: int = 32, **kwargs) -> RemoteProvider:
     return RemoteProvider(endpoint_url, batch_size=batch_size, **kwargs)
 
 
-def _topic_rows(keys: list[str], returned: Sequence, dim: int | None) -> tuple[list[Vector], int | None]:
-    """One topic's returned vectors as float arrays, checked, and the corpus
-    dimension (``dim``, or the first vector's when ``dim`` is None).
+def _topic_matrix(topic: Topic, returned, dim: int | None) -> tuple[np.ndarray, int]:
+    """One topic's returned vectors as a checked float ``(n, d)`` matrix, and
+    the corpus dimension (``dim``, or the topic's when ``dim`` is None).
 
-    One stacked array checks the whole topic: its shape, its one dimension
-    and ``np.isfinite``. A topic passes exactly when every vector passes
-    ``_as_vector`` with that dimension, so only a topic that fails goes one
-    vector at a time, to name the key of the first bad vector. The rows kept
-    are the provider's own arrays (``np.asarray`` copies only a vector that
-    is not float already), not the stacked copy.
+    The matrix checks the whole topic at once: its shape, its one dimension
+    and ``np.isfinite``. A float matrix in C order is kept as it is, not
+    copied. A topic passes exactly when every vector passes ``_as_vector``
+    with that dimension, so only a topic that fails goes one vector at a
+    time, to name the key of the first bad vector.
     """
     try:
-        stacked = np.array(returned, dtype=float)
+        matrix = np.ascontiguousarray(returned, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        stacked = None
-    if (
-        stacked is not None
-        and stacked.ndim == 2
-        and stacked.shape[1] > 0
-        and dim in (None, stacked.shape[1])
-        and np.isfinite(stacked).all()
-    ):
-        return [np.asarray(vec, dtype=float) for vec in returned], stacked.shape[1]
-    rows = []
-    for key, vec in zip(keys, returned):
+        matrix = np.empty(0)  # fails the check below
+    if matrix.ndim == 2 and matrix.shape[1] > 0 and dim in (None, matrix.shape[1]) and np.isfinite(matrix).all():
+        return matrix, matrix.shape[1]
+    for key, vec in zip(topic_keys(topic), returned):
         vec = _as_vector(vec, f"key {key!r}")
         if dim is None:
             dim = int(vec.shape[0])
         elif vec.shape[0] != dim:
             raise ProviderError(f"dimension mismatch: key {key!r} has dim {vec.shape[0]}, expected {dim}")
-        rows.append(vec)
-    return rows, dim
+    raise ProviderError(f"the vectors of topic {topic.topic_id!r} do not form one matrix")
 
 
 def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
@@ -415,20 +420,17 @@ def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
     All vectors in a run must share one dimension; a provider returning mixed
     dimensions, or a vector that is empty, not flat, not numeric or not
     finite, raises ProviderError naming its key. A corpus without sentences
-    raises CorpusError. Each topic is checked as one array (see
-    ``_topic_rows``).
+    raises CorpusError. Each topic is checked as one matrix (see
+    ``_topic_matrix``).
     """
-    vectors: dict[str, list[Vector]] = {}
+    vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     for topic in corpus:
-        sentences = [(doc.doc_index, sent) for doc in topic.documents for sent in doc.sentences]
-        keys = [sentence_key(topic.topic_id, doc_index, sent.sent_index) for doc_index, sent in sentences]
-        returned = provider.embed(keys, [sent.text for _, sent in sentences])
-        if len(returned) != len(keys):
-            raise ProviderError(
-                f"provider returned {len(returned)} vectors for {len(keys)} sentences"
-            )
-        vectors[topic.topic_id], dim = _topic_rows(keys, returned, dim)
+        returned = provider.embed(topic)
+        count = sum(len(doc.sentences) for doc in topic.documents)
+        if len(returned) != count:
+            raise ProviderError(f"provider returned {len(returned)} vectors for {count} sentences")
+        vectors[topic.topic_id], dim = _topic_matrix(topic, returned, dim)
     if dim is None:
         raise CorpusError("corpus has no sentences")
     return EmbeddedCorpus(corpus=corpus, vectors=vectors, dim=dim)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document, Sentence, Topic
+from .corpus import Document, Sentence
 from .embedding import Vector, cosine_rows, prescale_rows
 from .scoring import (
     Hyperparams,
@@ -40,7 +40,6 @@ from .scoring import (
     non_redundancy,
     outside_term,
     score_final,
-    score_position,
 )
 from .tree import ClassTree
 
@@ -107,7 +106,7 @@ class SimilarityMemo:
     memo (grid points, cluster counts) compute each pair once.
     """
 
-    def __init__(self, vectors: Sequence[Vector] | np.ndarray):
+    def __init__(self, vectors: np.ndarray):
         self.scaled, self.norms = prescale_rows(vectors)
         self._rows: dict[int, np.ndarray] = {}
 
@@ -148,24 +147,23 @@ class ScoreContext:
     similarity and outside term. ``position`` holds every sentence's position
     score and ``tree`` the class tree the nodes came from (None for the
     groupings without one). Selection under any delta and weights reuses
-    them, and contexts of one topic may share ``memo``.
+    them; contexts of one topic share ``sentences``, ``position`` and ``memo``.
     """
 
     def __init__(
         self,
-        topic: Topic,
+        sentences: Sequence[tuple[Document, Sentence]],
+        position: np.ndarray,
         memo: SimilarityMemo,
         nodes: Sequence[tuple[int, Sequence[int]]],
         universe: np.ndarray,
         owner: np.ndarray,
         tree: ClassTree | None,
     ):
-        self.sentences = [(doc, sent) for doc in topic.documents for sent in doc.sentences]
+        self.sentences = sentences
+        self.position = position
         self.memo = memo
         self.tree = tree
-        self.position = np.array(
-            [score_position(sent.position_1based, len(doc.sentences)) for doc, sent in self.sentences]
-        )
         self.groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         for node_id, items in nodes:
             items = np.array(items, dtype=np.intp)

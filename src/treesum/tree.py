@@ -512,7 +512,8 @@ def kmeans(
     Returns None exactly when the input holds fewer than k distinct
     vectors, so it cannot be divided into k non-empty clusters. That is a
     signal, not a failure. The result is fully determined by (vectors, k,
-    seed, restarts, max_iters).
+    seed, restarts, max_iters). Bad arguments raise ValueError, and so does
+    a NaN or infinite component, which k-means++ seeding cannot weigh.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -521,6 +522,8 @@ def kmeans(
     points = np.ascontiguousarray(vectors, dtype=float)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError(f"kmeans needs a non-empty (n, d) matrix, not shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("kmeans needs finite vectors")
     if not _has_k_distinct_rows(points, k):
         return None
     seed = seed & _SEED_MASK

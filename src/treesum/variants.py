@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Topic
-from .embedding import EmbeddedCorpus
-from .scoring import Hyperparams
+from .embedding import EmbeddedCorpus, ProviderError
+from .scoring import Hyperparams, score_position
 from .selection import Budget, ScoreContext, SimilarityMemo, Summary, select_summary
 from .tree import build_class_tree, derive_seed, kmeans, label_groups
 
@@ -86,26 +86,33 @@ class VariantSpec:
 class TopicWork:
     """What the methods run on one topic share.
 
-    ``sentences`` holds the topic's vectors as rows in (doc_index,
-    sent_index) order, ``doc_of_sentence[i]`` the index of sentence ``i``'s
-    document, and row ``d`` of ``documents`` the mean of document ``d``'s
-    sentence rows; ``memo`` is the topic's ``SimilarityMemo``. One
+    ``sentences`` is the topic's matrix in ``embedded`` itself, rows in
+    (doc_index, sent_index) order; ``pairs`` and ``position`` hold each
+    row's ``(Document, Sentence)`` pair and position score. Row ``d`` of
+    ``documents`` is the mean of document ``d``'s rows (one past the float
+    range raises ProviderError), ``doc_of_sentence[i]`` the index of
+    sentence ``i``'s document and ``memo`` the topic's ``SimilarityMemo``,
+    whose prescaled matrix is the one copy of the topic's vectors. One
     ``ScoreContext`` per grouping is built on first use, keyed by everything
     it depends on; a tree grouping's context carries its class tree.
     ``context`` is the only way a selection gets its context. Methods that
     agree on those inputs get the same object: ours-final and ours-cs share
     the document tree's context, comp2 and comp3 the flat clusters', and
-    every context shares the memo. Stacking copies the topic's vectors, so a
-    caller builds one when it starts on a topic and drops it with the topic.
-    One thread at a time may use an instance.
+    every context shares the memo. A caller builds one when it starts on a
+    topic and drops it with the topic; one thread at a time may use it.
     """
 
     def __init__(self, topic: Topic, embedded: EmbeddedCorpus):
-        self.topic = topic
-        self.sentences = np.stack(embedded.vectors[topic.topic_id])
+        self.sentences = embedded.vectors[topic.topic_id]
+        self.pairs = [(doc, sent) for doc in topic.documents for sent in doc.sentences]
+        self.position = np.array([score_position(s.position_1based, len(d.sentences)) for d, s in self.pairs])
         counts = [len(doc.sentences) for doc in topic.documents]
-        ends = np.cumsum(counts)
-        self.documents = np.stack([self.sentences[end - n : end].mean(axis=0) for n, end in zip(counts, ends)])
+        with np.errstate(over="ignore"):  # a mean past the float range is reported below
+            means = [rows.mean(axis=0) for rows in np.split(self.sentences, np.cumsum(counts)[:-1])]
+        self.documents = np.stack(means)
+        if not np.isfinite(self.documents).all():
+            doc = next(doc for doc, mean in zip(topic.documents, means) if not np.isfinite(mean).all())
+            raise ProviderError(f"topic {topic.topic_id!r}: the mean of document {doc.doc_id!r} is not finite")
         self.doc_of_sentence = np.repeat(np.arange(len(counts)), counts)
         self.memo = SimilarityMemo(self.sentences)
         self._contexts: dict[tuple, ScoreContext] = {}
@@ -131,7 +138,7 @@ class TopicWork:
         else:
             tree = build_class_tree(universe, k_first, k_rest, max_nodes, seed)
             nodes = [(i, tree.node(i).members) for i in tree.traversal_order]
-        self._contexts[key] = ScoreContext(self.topic, self.memo, nodes, universe, owner, tree)
+        self._contexts[key] = ScoreContext(self.pairs, self.position, self.memo, nodes, universe, owner, tree)
         return self._contexts[key]
 
 

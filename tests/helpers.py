@@ -20,7 +20,7 @@ from treesum.corpus import (
     _is_abbreviation,
     segment_sentences,
 )
-from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key
+from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key, topic_keys
 from treesum.scoring import Hyperparams
 from treesum.tree import _kmeans_pp_init
 from treesum.variants import CS_ONLY, TopicWork
@@ -52,8 +52,8 @@ class DictProvider:
     def __init__(self, vectors: Mapping[str, object]):
         self._vectors = dict(vectors)
 
-    def embed(self, keys, texts):
-        return [self._vectors[k] for k in keys]
+    def embed(self, topic):
+        return [self._vectors[k] for k in topic_keys(topic)]
 
 
 def embed_with_vectors(corpus: Corpus, vectors: Mapping[str, Sequence[float]]) -> EmbeddedCorpus:

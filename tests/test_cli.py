@@ -802,6 +802,35 @@ def test_vector_component_past_the_float_range_exits_3(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["summarize", "--method", m] for m in ("ours-final", "ours-cs", "comp1", "comp2", "comp3", "comp4")]
+    + [["ablate"], ["tune"]],
+    ids=lambda command: command[-1],
+)
+def test_document_mean_past_the_float_range_exits_3(tmp_path, command):
+    """Every vector is finite, but two sentences of 1.5e308 sum past the
+    float range, so documents 0 and 1 have no finite mean."""
+    corpus = tmp_path / "corpus.jsonl"
+    texts = [f"Report {d} opens here. Report {d} ends here." for d in range(6)]
+    record = {"topic_id": "t", "documents": [{"doc_id": f"doc{d}", "text": t} for d, t in enumerate(texts)]}
+    corpus.write_text(json.dumps(record) + "\n")
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text("".join(
+        json.dumps({"key": f"t/d{d}/s{s}", "vector": [1.5e308 if d < 2 else float(d), 1.0, float(s)]}) + "\n"
+        for d in range(6) for s in range(2)
+    ))
+    out = tmp_path / "out"
+    code, err = _run_cli([
+        *command, "--input", str(corpus), "--layout", "jsonl", "--embedder", f"file:{vectors}",
+        "--budget-words", "20", "--out", str(out),
+    ])
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert "topic 't': the mean of document 'doc0' is not finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["builtin:" + "1" + "0" * 30, "builtin:100000000000"])
 def test_oversized_builtin_dim_exits_2_before_reading_the_corpus(tmp_path, spec):
     """A dim past a C long, and one whose topic matrix could not be

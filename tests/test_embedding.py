@@ -25,7 +25,7 @@ from helpers import (
     reference_cosine,
     skey,
 )
-from treesum.corpus import Corpus, CorpusError
+from treesum.corpus import Corpus, CorpusError, Document, Sentence, Topic
 from treesum.embedding import (
     ProviderError,
     cosine_rows,
@@ -296,31 +296,34 @@ def test_embed_corpus_names_the_key_of_a_malformed_vector(bad_key, bad_vector):
         embed_corpus(corpus, DictProvider(vectors))
 
 
-def test_embed_corpus_keeps_the_providers_own_arrays():
-    """The stacked check array is not kept: each stored row is the array the
-    provider returned, and a list comes back as a float array."""
+def test_embed_corpus_keeps_a_float_matrix_without_a_copy():
+    """A provider's float ``(n, d)`` matrix is kept as it is; rows, lists and
+    integer vectors come back as one float matrix of the same values."""
     corpus = _two_topic_corpus()
-    given = {
-        skey(topic.topic_id, doc.doc_index, sent.sent_index): np.array([1.0, float(sent.sent_index)])
-        for topic in corpus
-        for doc in topic.documents
-        for sent in doc.sentences
-    }
-    given[skey("b", 1, 0)] = [3, 4]
-    embedded = embed_corpus(corpus, DictProvider(given))
-    for topic in corpus:
-        for key, vec in embedded.sentence_vectors_for(topic).items():
-            if key == skey("b", 1, 0):
-                assert vec.dtype == float and vec.tolist() == [3.0, 4.0]
-            else:
-                assert vec is given[key]
+    matrix = np.arange(4.0).reshape(2, 2)
+
+    class MatrixProvider:
+        def embed(self, topic):
+            if topic.topic_id == "a":
+                return matrix
+            return [np.array([1.0, 0.0]), [3, 4], np.array([5, 6])]
+
+    embedded = embed_corpus(corpus, MatrixProvider())
+    assert embedded.vectors["a"] is matrix
+    assert embedded.vectors["b"].dtype == float
+    assert embedded.vectors["b"].tolist() == [[1.0, 0.0], [3.0, 4.0], [5.0, 6.0]]
+
+
+def _write_records(path, records):
+    path.write_text("".join(json.dumps({"key": key, "vector": list(vec)}) + "\n" for key, vec in records))
 
 
 def test_file_provider_roundtrip(tmp_path):
     path = tmp_path / "vectors.jsonl"
     path.write_text(json.dumps({"key": "t1/d0/s0", "vector": [0.1, 0.2]}) + "\n")
-    provider = provider_file(path)
-    np.testing.assert_allclose(provider.embed(["t1/d0/s0"], ["whatever"])[0], [0.1, 0.2])
+    topic = make_topic("t1", ["Whatever."])
+    provider = provider_file(path, make_corpus(topic))
+    np.testing.assert_allclose(provider.embed(topic)[0], [0.1, 0.2])
 
 
 def test_file_provider_duplicate_key(tmp_path):
@@ -328,7 +331,7 @@ def test_file_provider_duplicate_key(tmp_path):
     record = json.dumps({"key": "t1/d0/s0", "vector": [0.1]})
     path.write_text(record + "\n" + record + "\n")
     with pytest.raises(ProviderError, match="duplicate key"):
-        provider_file(path)
+        provider_file(path, make_corpus(make_topic("t1", ["Whatever."])))
 
 
 @pytest.mark.parametrize(
@@ -342,30 +345,121 @@ def test_file_provider_rejects_unusable_records(tmp_path, line, message):
     path = tmp_path / "vectors.jsonl"
     path.write_text(line + "\n")
     with pytest.raises(ProviderError, match=message):
-        provider_file(path)
+        provider_file(path, make_corpus(make_topic("t1", ["Whatever."])))
 
 
 def test_file_provider_missing_key(tmp_path):
     path = tmp_path / "vectors.jsonl"
     path.write_text(json.dumps({"key": "t1/d0/s0", "vector": [0.1]}) + "\n")
-    provider = provider_file(path)
+    topic = make_topic("t1", ["Whatever. Text."])
+    provider = provider_file(path, make_corpus(topic))
     with pytest.raises(ProviderError, match="t1/d0/s1"):
-        provider.embed(["t1/d0/s1"], ["text"])
+        provider.embed(topic)
+
+
+def _file_records(corpus, seed):
+    """(key, vector) of every sentence of ``corpus`` in corpus order, 5-dim."""
+    rng = np.random.default_rng(seed)
+    return [(key, rng.normal(size=5)) for topic in corpus for key in _keys(topic)]
+
+
+def _keys(topic):
+    return [skey(topic.topic_id, doc.doc_index, sent.sent_index) for doc in topic.documents for sent in doc.sentences]
+
+
+def test_file_provider_matrices_do_not_depend_on_record_order(tmp_path):
+    """Shuffled records, with records for keys outside the corpus among
+    them, fill the same matrices as records in corpus order."""
+    corpus = _two_topic_corpus()
+    records = _file_records(corpus, 3)
+    _write_records(tmp_path / "ordered.jsonl", records)
+    shuffled = records + [("a/d0/s9", [1.0] * 5), ("zz/d0/s0", [7.0, 8.0]), ("free text", [0.5])]
+    shuffled = [shuffled[i] for i in np.random.default_rng(4).permutation(len(shuffled))]
+    _write_records(tmp_path / "shuffled.jsonl", shuffled)
+    ordered = provider_file(tmp_path / "ordered.jsonl", corpus)
+    mixed = provider_file(tmp_path / "shuffled.jsonl", corpus)
+    for topic in corpus:
+        expected = np.array([vec for key, vec in records if key in _keys(topic)])
+        assert ordered.embed(topic).tobytes() == expected.tobytes()
+        assert mixed.embed(topic).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([("zz/d0/s0", [1.0, float("nan")])], "key 'zz/d0/s0': vector has non-finite"),
+        ([("zz/d0/s0", [])], "key 'zz/d0/s0': vector must be a non-empty flat list"),
+        ([("zz/d0/s0", [1.0]), ("zz/d0/s0", [1.0])], "duplicate key 'zz/d0/s0'"),
+        ([("a/d0/s1", [1.0] * 5)], "duplicate key 'a/d0/s1'"),
+    ],
+    ids=["outside-nan", "outside-empty", "outside-duplicate", "corpus-duplicate"],
+)
+def test_file_provider_checks_every_record(tmp_path, extra, message):
+    """A record for a key outside the corpus is checked before it is
+    dropped, and a repeated key is named wherever it points."""
+    corpus = _two_topic_corpus()
+    _write_records(tmp_path / "vectors.jsonl", _file_records(corpus, 5) + extra)
+    with pytest.raises(ProviderError, match=re.escape(message)):
+        provider_file(tmp_path / "vectors.jsonl", corpus)
+
+
+def test_file_provider_names_the_first_missing_key_in_corpus_order(tmp_path):
+    corpus = _two_topic_corpus()
+    records = [(key, vec) for key, vec in _file_records(corpus, 6) if key not in ("b/d1/s0", "b/d0/s1")]
+    _write_records(tmp_path / "vectors.jsonl", records[::-1])
+    provider = provider_file(tmp_path / "vectors.jsonl", corpus)
+    assert provider.embed(corpus.topics[0]).shape == (2, 5)
+    with pytest.raises(ProviderError, match=re.escape("missing embedding for key 'b/d0/s1'")):
+        provider.embed(corpus.topics[1])
+    # A topic without a record, here one outside the provider's corpus.
+    with pytest.raises(ProviderError, match=re.escape("missing embedding for key 'c/d0/s0'")):
+        provider.embed(make_topic("c", ["Not in the corpus."]))
+
+
+def test_file_provider_dimension_is_fixed_by_a_topics_first_record(tmp_path):
+    """A vector whose dimension differs from its topic's first vector in the
+    file is named with both dimensions; topics of different dimensions reach
+    ``embed_corpus``, which names the first key of the later one."""
+    corpus = _two_topic_corpus()
+    records = _file_records(corpus, 7)
+    records.insert(2, ("b/d1/s0", [1.0, 2.0]))
+    records = [r for i, r in enumerate(records) if r[0] != "b/d1/s0" or i == 2]
+    _write_records(tmp_path / "vectors.jsonl", records)
+    with pytest.raises(ProviderError, match=re.escape("dimension mismatch: key 'b/d0/s0' has dim 5, expected 2")):
+        provider_file(tmp_path / "vectors.jsonl", corpus)
+    records = [(key, vec[:3] if key.startswith("b/") else vec) for key, vec in _file_records(corpus, 7)]
+    _write_records(tmp_path / "vectors.jsonl", records)
+    provider = provider_file(tmp_path / "vectors.jsonl", corpus)
+    with pytest.raises(ProviderError, match=re.escape("dimension mismatch: key 'b/d0/s0' has dim 3, expected 5")):
+        embed_corpus(corpus, provider)
+
+
+@pytest.mark.parametrize("embedder", ["builtin", "file"])
+def test_topic_work_runs_on_the_embedded_matrix_itself(tmp_path, embedder):
+    corpus = _two_topic_corpus()
+    if embedder == "builtin":
+        provider = provider_builtin_tfidf(corpus, dim=8, seed=1)
+    else:
+        _write_records(tmp_path / "vectors.jsonl", _file_records(corpus, 8))
+        provider = provider_file(tmp_path / "vectors.jsonl", corpus)
+    embedded = embed_corpus(corpus, provider)
+    for topic in corpus:
+        assert embedded.vectors[topic.topic_id] is provider.embed(topic)
+        assert np.shares_memory(TopicWork(topic, embedded).sentences, embedded.vectors[topic.topic_id])
 
 
 def test_builtin_identical_sentences_identical_vectors():
     topic = make_topic("t", ["The same sentence here. The same sentence here."])
     provider = provider_builtin_tfidf(make_corpus(topic), dim=32, seed=1)
-    a, b = provider.embed([skey("t", 0, 0), skey("t", 0, 1)], ["x", "y"])
+    a, b = provider.embed(topic)
     np.testing.assert_array_equal(a, b)
     assert cosine_similarity(a, b) == pytest.approx(1.0)
 
 
 def test_builtin_is_bitwise_deterministic():
     corpus = make_corpus(make_topic("t", ["Words vary here. Other words there.", "Third doc text."]))
-    keys = [skey("t", 0, 0), skey("t", 0, 1), skey("t", 1, 0)]
-    first = provider_builtin_tfidf(corpus, dim=16, seed=42).embed(keys, [""] * 3)
-    second = provider_builtin_tfidf(corpus, dim=16, seed=42).embed(keys, [""] * 3)
+    first = provider_builtin_tfidf(corpus, dim=16, seed=42).embed(corpus.topics[0])
+    second = provider_builtin_tfidf(corpus, dim=16, seed=42).embed(corpus.topics[0])
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
 
@@ -374,7 +468,7 @@ def test_builtin_tokenless_sentence_falls_back_to_e1():
     topic = make_topic("t", ["Real words here. ???"])
     assert topic.documents[0].sentences[1].text == "???"
     provider = provider_builtin_tfidf(make_corpus(topic), dim=8, seed=0)
-    vec = provider.embed([skey("t", 0, 1)], ["???"])[0]
+    vec = provider.embed(topic)[1]
     expected = np.zeros(8)
     expected[0] = 1.0
     np.testing.assert_array_equal(vec, expected)
@@ -385,10 +479,8 @@ def test_builtin_vectors_have_unit_norm():
         make_topic("t", ["Shared words appear here. Unique tokens also appear.", "Shared words again."])
     )
     provider = provider_builtin_tfidf(corpus, dim=24, seed=3)
-    for doc in corpus.topics[0].documents:
-        for sent in doc.sentences:
-            vec = provider.embed([skey("t", doc.doc_index, sent.sent_index)], [sent.text])[0]
-            assert float(np.linalg.norm(vec)) == pytest.approx(1.0, abs=1e-9)
+    for vec in provider.embed(corpus.topics[0]):
+        assert float(np.linalg.norm(vec)) == pytest.approx(1.0, abs=1e-9)
 
 
 def _oracle_corpora():
@@ -432,7 +524,8 @@ def test_builtin_matches_per_sentence_oracle_bit_for_bit(dim, seed):
     for corpus in _oracle_corpora():
         expected = loop_tfidf_vectors(corpus, dim, seed)
         keys = list(expected)
-        got = provider_builtin_tfidf(corpus, dim, seed).embed(keys, [""] * len(keys))
+        provider = provider_builtin_tfidf(corpus, dim, seed)
+        got = [vec for topic in corpus for vec in provider.embed(topic)]
         assert [v.tobytes() for v in got] == [expected[k].tobytes() for k in keys]
 
 
@@ -449,7 +542,7 @@ def test_builtin_tokenizes_non_ascii_text_like_the_oracle(dim):
     )
     expected = loop_tfidf_vectors(corpus, dim, 3)
     keys = list(expected)
-    got = provider_builtin_tfidf(corpus, dim, 3).embed(keys, [""] * len(keys))
+    got = provider_builtin_tfidf(corpus, dim, 3).embed(corpus.topics[0])
     assert [v.tobytes() for v in got] == [expected[k].tobytes() for k in keys]
 
 
@@ -496,10 +589,16 @@ def embed_server():
     _stop(server)
 
 
+def _texts_topic(*texts):
+    """A one-document topic whose sentences are exactly ``texts``."""
+    sentences = tuple(Sentence(text, i, len(text.split()), len(text.encode())) for i, text in enumerate(texts))
+    return Topic("t", (Document("d", 0, sentences),))
+
+
 def test_remote_provider_orders_vectors(embed_server):
     _EmbedHandler.behavior = "ok"
     provider = provider_remote(embed_server, batch_size=2)
-    vectors = provider.embed(["k1", "k2", "k3"], ["a", "bb", "ccc"])
+    vectors = provider.embed(_texts_topic("a", "bb", "ccc"))
     assert [v[0] for v in vectors] == [1.0, 2.0, 3.0]
 
 
@@ -507,21 +606,21 @@ def test_remote_provider_count_mismatch(embed_server):
     _EmbedHandler.behavior = "short"
     provider = provider_remote(embed_server, batch_size=4)
     with pytest.raises(ProviderError, match="returned 1 vectors for 2 texts"):
-        provider.embed(["k1", "k2"], ["a", "bb"])
+        provider.embed(_texts_topic("a", "bb"))
 
 
 def test_remote_provider_retries_transient_failures(embed_server):
     _EmbedHandler.behavior = "flaky"
     _EmbedHandler.failures_left = 2
     provider = provider_remote(embed_server, batch_size=4, backoff=0.0)
-    vectors = provider.embed(["k1"], ["abcd"])
+    vectors = provider.embed(_texts_topic("abcd"))
     assert vectors[0][0] == 4.0
 
 
 def test_remote_provider_unreachable_after_retries():
     provider = provider_remote("http://127.0.0.1:1", batch_size=2, max_attempts=2, backoff=0.0, timeout=0.2)
     with pytest.raises(ProviderError, match="after 2 attempts"):
-        provider.embed(["k"], ["text"])
+        provider.embed(_texts_topic("text"))
 
 
 def test_remote_provider_rejects_non_finite():
@@ -539,7 +638,7 @@ def test_remote_provider_rejects_non_finite():
     try:
         provider = provider_remote(f"http://127.0.0.1:{server.server_port}")
         with pytest.raises(ProviderError, match="non-finite"):
-            provider.embed(["k"], ["text"])
+            provider.embed(_texts_topic("text"))
     finally:
         _stop(server)
 
@@ -588,7 +687,7 @@ def test_remote_malformed_response_is_a_provider_error(tmp_path, body):
     server, url = _serve_body(200, body)
     try:
         with pytest.raises(ProviderError):
-            provider_remote(url, max_attempts=1).embed(["k"], ["text"])
+            provider_remote(url, max_attempts=1).embed(_texts_topic("text"))
         (tmp_path / "corpus.jsonl").write_text(
             json.dumps({"topic_id": "t", "documents": [{"doc_id": "d", "text": "One sentence here."}]})
         )
@@ -611,7 +710,7 @@ def test_remote_client_error_reports_the_start_of_the_body():
     server, url = _serve_body(400, b"bad request: " + b"x" * 500)
     try:
         with pytest.raises(ProviderError) as info:
-            provider_remote(url).embed(["k"], ["text"])
+            provider_remote(url).embed(_texts_topic("text"))
         assert str(info.value) == "embedding service returned 400: bad request: " + "x" * 187
     finally:
         _stop(server)
@@ -621,6 +720,6 @@ def test_remote_server_error_is_retried_then_reported():
     server, url = _serve_body(502, b"upstream down")
     try:
         with pytest.raises(ProviderError, match="after 2 attempts: embedding service returned 502"):
-            provider_remote(url, max_attempts=2, backoff=0.0).embed(["k"], ["text"])
+            provider_remote(url, max_attempts=2, backoff=0.0).embed(_texts_topic("text"))
     finally:
         _stop(server)

@@ -751,6 +751,14 @@ def test_kmeans_validates_arguments():
         kmeans([], k=2, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_input(bad):
+    points = np.random.default_rng(5).normal(size=(10, 3))
+    points[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kmeans(points, k=3, seed=1)
+
+
 def test_kmeans_takes_a_matrix_or_its_rows():
     points = np.random.default_rng(3).normal(size=(12, 3))
     expected = kmeans(points, 3, seed=4)
