@@ -10,7 +10,6 @@ which makes 2178 configurations for the full sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .corpus import Corpus
@@ -19,7 +18,7 @@ from .pipeline import map_topics, resolve_max_nodes
 from .rouge import RougeReport, RougeScore, TokenMemo, evaluate_corpus, text_table
 from .scoring import Hyperparams
 from .selection import Budget
-from .variants import METHODS, VariantSpec
+from .variants import METHODS, VariantSpec, summarize_topic, summarize_topic_specs
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,12 @@ def run_ablation(
     """
     cap = resolve_max_nodes(corpus, budget, max_nodes)
     specs = [VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in methods]
-    per_topic = map_topics(corpus, embedded, specs, cap, workers, keep=attrgetter("text"))
+    per_topic = map_topics(
+        corpus,
+        embedded,
+        workers,
+        lambda topic, work: [summarize_topic(topic, embedded, spec, cap, work=work).text for spec in specs],
+    )
     reports = _reports(corpus, per_topic, budget, metrics, report_kind)
     return [
         AblationRow(method=method, seed=seed, scores=dict(report.mean))
@@ -172,10 +176,12 @@ def run_grid_search(
     search runs topic by topic (``workers`` topics at a time): a topic's
     class tree is built once per cluster count, its delta- and weight-free
     score terms once per tree, its sentence-pair similarities once for all
-    trees, and then only the greedy selection runs per grid point. ROUGE
-    then scores each grid point, stemming every reference once for the
-    whole search. Results are identical to running each configuration
-    standalone.
+    trees, and each tree's cs blend once per delta. One lockstep selection
+    per tree then runs every delta and weight triple of that cluster count
+    as one row. ROUGE then scores each grid point with one ``TokenMemo`` for
+    the whole search, which stems every reference once and scores each
+    distinct (topic, truncated summary) once. Results are identical to
+    running each configuration standalone.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
@@ -183,7 +189,12 @@ def run_grid_search(
     cap = resolve_max_nodes(corpus, budget, max_nodes)
     specs = [VariantSpec("ours_final", point.hyperparams(base), budget, seed) for point in grid]
 
-    per_topic = map_topics(corpus, embedded, specs, cap, workers, keep=attrgetter("text"))
+    per_topic = map_topics(
+        corpus,
+        embedded,
+        workers,
+        lambda topic, work: [summary.text for summary in summarize_topic_specs(topic, work, specs, cap)],
+    )
     reports = _reports(corpus, per_topic, budget, [objective_metric], report_kind)
     results = [
         GridResult(point=point, objective=report.headline(objective_metric))

@@ -62,28 +62,20 @@ def resolve_max_nodes(corpus: Corpus, budget: Budget, max_nodes: int | None) -> 
 def map_topics(
     corpus: Corpus,
     embedded: EmbeddedCorpus,
-    specs: Sequence[VariantSpec],
-    max_nodes: int,
     workers: int,
-    keep: Callable[[Summary], T],
-) -> list[list[T]]:
-    """``keep`` of each topic's summary under every spec: one list per topic,
-    in corpus order.
+    run: Callable[[Topic, TopicWork], T],
+) -> list[T]:
+    """``run(topic, work)`` of each topic, in corpus order.
 
-    Topics run one at a time (``workers`` at a time), and all specs of a
-    topic run on one ``TopicWork``, so what they share is computed once and
-    dropped with the topic; only what ``keep`` returns outlives it.
+    Topics run one at a time (``workers`` at a time), each on a fresh
+    ``TopicWork``, so what the runs on a topic share is computed once and
+    dropped with the topic; only what ``run`` returns outlives it.
     """
-
-    def run(topic: Topic) -> list[T]:
-        work = TopicWork(topic, embedded)
-        return [keep(summarize_topic(topic, embedded, spec, max_nodes, work=work)) for spec in specs]
-
     topics = list(corpus)
     if workers <= 1:
-        return [run(topic) for topic in topics]
+        return [run(topic, TopicWork(topic, embedded)) for topic in topics]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, topics))
+        return list(pool.map(lambda topic: run(topic, TopicWork(topic, embedded)), topics))
 
 
 def summarize_corpus(
@@ -94,5 +86,7 @@ def summarize_corpus(
     workers: int = 1,
 ) -> dict[str, Summary]:
     """One summary per topic, keyed by topic_id, in corpus order."""
-    per_topic = map_topics(corpus, embedded, [spec], max_nodes, workers, keep=lambda s: s)
-    return {topic.topic_id: summaries[0] for topic, summaries in zip(corpus, per_topic)}
+    per_topic = map_topics(
+        corpus, embedded, workers, lambda topic, work: summarize_topic(topic, embedded, spec, max_nodes, work=work)
+    )
+    return {topic.topic_id: summary for topic, summary in zip(corpus, per_topic)}

@@ -61,14 +61,18 @@ def tokenize(text: str, stem: bool = False) -> list[str]:
 
 
 class TokenMemo:
-    """Tokenization memo for one evaluation run.
+    """Tokenization and score memo for one evaluation run.
 
     Stems each distinct token once and keeps the tokens of each reference
     text, so references are tokenized and stemmed once however many
-    candidates are scored against them. Only token lists are kept (their
-    strings are shared with the stem table); n-gram counts are rebuilt per
-    use, which keeps the memo small. Scope one to a run (an
-    ``evaluate_corpus`` call or a whole grid search), not to the process.
+    candidates are scored against them. ``evaluate_corpus`` keeps each
+    topic's scores here, keyed by (truncated summary, references, metric
+    list), so a summary text that recurs (as across the points of a grid
+    search) is scored once; a different metric list is scored anew. Only
+    token lists and scores are kept (token strings are shared with the stem
+    table); n-gram counts are rebuilt per use, which keeps the memo small.
+    Scope one to a run (an ``evaluate_corpus`` call, an ablation or a whole
+    grid search), not to the process.
     """
 
     def __init__(self, stem: bool = True):
@@ -76,6 +80,7 @@ class TokenMemo:
         self._stems: dict[str, str] = {}
         self._reference_tokens: dict[str, list[str]] = {}
         self._reference_sentences: dict[str, list[list[str]]] = {}
+        self._scores: dict[tuple[str, tuple[str, ...], tuple[str, ...]], dict[str, RougeScore]] = {}
 
     def tokens(self, text: str) -> list[str]:
         """Lowercase alphanumeric tokens, Porter-stemmed if ``self.stem``."""
@@ -107,6 +112,15 @@ class TokenMemo:
         if text not in self._reference_sentences:
             self._reference_sentences[text] = self.sentence_tokens(text)
         return self._reference_sentences[text]
+
+    def scores(self, candidate: str, references: tuple[str, ...], metrics: tuple[str, ...]) -> dict[str, RougeScore]:
+        """``score_all`` of ``candidate`` under this memo, computed once per
+        (candidate, references, metrics); each call gets its own dict."""
+        key = (candidate, references, metrics)
+        scores = self._scores.get(key)
+        if scores is None:
+            scores = self._scores[key] = score_all(candidate, references, metrics, memo=self)
+        return dict(scores)
 
 
 def truncate(text: str, budget: Budget) -> str:
@@ -365,7 +379,8 @@ def evaluate_corpus(
     the corpus; the corpus mean is the arithmetic mean
     over topics. Tokens are Porter-stemmed. Callers scoring many summary
     sets against the same corpus pass one ``memo``, which then decides
-    stemming.
+    stemming and scores each distinct (truncated summary, references,
+    metrics) once.
     """
     memo = memo if memo is not None else TokenMemo()
     if report_kind not in ("recall", "f1"):
@@ -377,7 +392,7 @@ def evaluate_corpus(
         if topic.topic_id not in summaries:
             raise EvaluationError(f"no summary provided for topic {topic.topic_id!r}")
         candidate = truncate(summaries[topic.topic_id], budget)
-        per_topic[topic.topic_id] = score_all(candidate, list(topic.references), metrics, memo=memo)
+        per_topic[topic.topic_id] = memo.scores(candidate, tuple(topic.references), tuple(metrics))
     if not per_topic:
         raise EvaluationError("corpus has no topics")
     unknown = sorted(tid for tid in summaries if tid not in per_topic)

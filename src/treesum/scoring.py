@@ -65,14 +65,24 @@ def node_centroids(vectors: np.ndarray, members: np.ndarray) -> NodeCentroids:
     """Centroids of a node's rows of ``vectors`` and of the other rows.
 
     ``members`` holds the node's row indices, ascending. ``outside`` is None
-    exactly when the node holds every row (e.g. the root node).
+    exactly when the node holds every row (e.g. the root node). Where a mean
+    runs past the float range although every row is finite, both centroids
+    are the means of the rows scaled by a power of two that brings every
+    component within 1: that scales them by an exact factor, which cosine
+    similarity, their one use, ignores.
     """
     if len(members) == 0:
         raise ValueError("node has no members")
     rest = np.ones(len(vectors), dtype=bool)
     rest[members] = False
-    outside = vectors[rest].mean(axis=0) if rest.any() else None
-    return NodeCentroids(inside=vectors[members].mean(axis=0), outside=outside)
+    with np.errstate(over="ignore"):  # checked below
+        inside = vectors[members].mean(axis=0)
+        outside = vectors[rest].mean(axis=0) if rest.any() else None
+    if not (np.isfinite(inside).all() and (outside is None or np.isfinite(outside).all())):
+        scaled = np.ldexp(vectors, -math.frexp(float(np.abs(vectors).max()))[1])
+        inside = scaled[members].mean(axis=0)
+        outside = scaled[rest].mean(axis=0) if outside is not None else None
+    return NodeCentroids(inside=inside, outside=outside)
 
 
 def clamp01(value):

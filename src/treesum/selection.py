@@ -15,17 +15,21 @@ that depend on neither delta nor the weights (similarities to node
 centroids, sentence-to-sentence similarities and position scores) live in a
 ``ScoreContext``, which ``variants.TopicWork.context`` builds once per
 grouping, so repeated selections from one tree, as in a hyperparameter
-search, compute them once. ``run_selection`` is the one selection loop and
+search, compute them once. ``run_selections`` is the one selection loop and
 ``score_final`` its one scoring rule: it reads those terms from the context
-and blends them under the delta and weights of the run. The methods that
-rank by commonality-specificity alone ("cs-only") run it with the weights
-pinned to (alpha, beta, gamma) = (1, 0, 0).
+and blends them under the delta and weights of each run. It runs any number
+of hyperparameter sets over one context in lockstep, one row of its arrays
+per set, with the same picks as running each alone; ``run_selection`` is
+its one-row case, and a grid search runs every delta and weight triple of a
+class tree as one call. The methods that rank by commonality-specificity
+alone ("cs-only") run it with the weights pinned to (alpha, beta, gamma) =
+(1, 0, 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,6 +124,16 @@ class SimilarityMemo:
             row = self._rows[j] = self._clamped(self.scaled[j], self.norms[j])
         return row
 
+    def rows(self, js: Sequence[int]) -> np.ndarray:
+        """``row(j)`` of each of ``js``, stacked; one row, shaped like ``row``,
+        when all of ``js`` are one sentence."""
+        if len(js) == 1:
+            return self.row(js[0])
+        distinct = dict.fromkeys(js)
+        for i, j in enumerate(distinct):
+            distinct[j] = i
+        return np.stack([self.row(j) for j in distinct])[[distinct[j] for j in js]]
+
     def node_terms(self, members: np.ndarray, centroids: NodeCentroids) -> tuple[np.ndarray, np.ndarray]:
         """Clamped inside similarity and outside term of each sentence in
         ``members``, in the order of ``members``."""
@@ -169,10 +183,44 @@ class ScoreContext:
             items = np.array(items, dtype=np.intp)
             members = np.flatnonzero(np.isin(owner, items))
             self.groups.append((node_id, members, *memo.node_terms(members, node_centroids(universe, items))))
+        self.order = [node_id for node_id, *_ in self.groups]
+        self._visits: dict[tuple[float, ...], list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = {}
+
+    def visits(self, deltas: tuple[float, ...]) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per group in visiting order, (node_id, members, cs, positions):
+        the members' cs blends as a ``(len(deltas), members)`` matrix, one
+        row per delta, and their position scores as a ``(1, members)`` row.
+        Made once per tuple of deltas."""
+        visits = self._visits.get(deltas)
+        if visits is None:
+            visits = self._visits[deltas] = []
+            for node_id, members, inside, out in self.groups:
+                blends = [blend_cs(inside, out, delta) for delta in deltas]
+                cs = blends[0][None] if len(blends) == 1 else np.array(blends)
+                visits.append((node_id, members, cs, self.position[members][None]))
+        return visits
 
 
-def run_selection(ctx: ScoreContext, hp: Hyperparams, budget: Budget) -> SelectionState:
-    """Round-robin selection over ``ctx``'s groups under one delta and weights.
+class _Weights(NamedTuple):
+    """The weights of the live rows as ``(rows, 1)`` columns, which
+    ``score_final`` reads in place of a ``Hyperparams``."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+
+
+def _columns(hps: Sequence[Hyperparams]) -> _Weights:
+    """The weights of ``hps`` as ``(len(hps), 1)`` columns; plain floats for
+    one set, which give the same bits faster."""
+    if len(hps) == 1:
+        return _Weights(hps[0].alpha, hps[0].beta, hps[0].gamma)
+    return _Weights(*(np.array([[getattr(hp, name)] for hp in hps]) for name in _Weights._fields))
+
+
+def run_selections(ctx: ScoreContext, hps: Sequence[Hyperparams], budget: Budget) -> list[SelectionState]:
+    """Round-robin selection over ``ctx``'s groups under each of ``hps``, in
+    lockstep; one state per hyperparameter set, in the order of ``hps``.
 
     Every sentence is ranked by ``score_final``, the paper's
     ``alpha*cs + beta*nr + gamma*pos``, whose non-redundancy term is one
@@ -182,45 +230,126 @@ def run_selection(ctx: ScoreContext, hp: Hyperparams, budget: Budget) -> Selecti
     ``1.0*cs + 0.0*nr + 0.0*pos`` is ``cs`` bit for bit. Each pass takes the
     best-scoring unselected member from every group in turn, exact ties
     going to the lowest (doc_index, sent_index); groups whose sentences are
-    all taken are skipped. Selection stops the moment the budget is consumed
+    all taken are skipped. A run stops the moment its budget is consumed
     (keeping the crossing sentence) or when a full pass selects nothing.
+
+    Each hyperparameter set is one row of ``(rows, sentences)`` arrays, and
+    a group visit scores all live rows at once as a ``(rows, members)``
+    matrix: each row's cs blend (made once per distinct delta) and its
+    weights (``(rows, 1)`` columns) go through the same IEEE operations as
+    ``score_final`` on that row alone, taken members score ``-inf`` and each
+    row takes its first maximum. So every row picks what a run under its
+    hyperparameters alone picks.
     """
-    groups = [(node_id, members, blend_cs(inside, out, hp.delta)) for node_id, members, inside, out in ctx.groups]
-    state = SelectionState()
-    taken = np.zeros(len(ctx.sentences), dtype=bool)
-    # Highest clamped similarity to the picks so far. Similarities are >= 0,
-    # so 0 stands for "nothing picked" and gives nr = 1.
-    worst = np.zeros(len(ctx.sentences))
+    if not hps:
+        return []
+    states = [SelectionState() for _ in hps]
+    deltas: dict[float, int] = {}
+    blend_rows = [deltas.setdefault(hp.delta, len(deltas)) for hp in hps]
+    visits = ctx.visits(tuple(deltas))
+    # The live rows: each one's state, blend row (with several deltas),
+    # weights, what it has taken and its highest clamped similarity to its
+    # picks so far. Similarities are >= 0, so 0 stands for "nothing picked"
+    # and gives nr = 1.
+    owners: Sequence[int] = range(len(hps))
+    blend_row = np.array(blend_rows) if len(deltas) > 1 else None
+    columns = _columns(hps)
+    taken = np.zeros((len(hps), len(ctx.sentences)), dtype=bool)
+    worst = np.zeros(taken.shape)
+    sizes: dict[int, int] = {}
+    iteration = 1
     while True:
-        picked_in_pass = False
-        for node_id, members, cs in groups:
-            free = ~taken[members]
-            if not free.any():
-                continue
-            candidates = members[free]
-            scores = score_final(cs[free], non_redundancy(worst[candidates]), ctx.position[candidates], hp)
-            best = int(candidates[int(np.argmax(scores))])
-            taken[best] = True
-            state.selected.append((best, node_id, state.iteration))
-            state.consumed += budget.size_of(ctx.sentences[best][1])
-            picked_in_pass = True
-            if state.consumed >= budget.limit:
-                return state
-            worst = np.maximum(worst, ctx.memo.row(best))
-        if not picked_in_pass:
-            return state
-        state.iteration += 1
+        idle = [True] * len(owners)
+        for node_id, members, cs, pos in visits:
+            taken_here = taken.take(members, axis=1)
+            # Only a row with every member taken skips the group, and each
+            # such row holds len(members) of the taken entries.
+            rows = None
+            count = np.count_nonzero(taken_here)
+            if count >= len(members):
+                if count == taken_here.size:
+                    continue
+                rows = (~taken_here.all(axis=1)).nonzero()[0]
+            scores = score_final(
+                cs if blend_row is None else cs[blend_row],
+                non_redundancy(worst.take(members, axis=1)),
+                pos,
+                columns,
+            )
+            if count:
+                scores[taken_here] = -np.inf
+            best = scores.argmax(axis=1)
+            picks = members[best if rows is None else best[rows]].tolist()
+            going, going_best, stopped = [], [], []
+            for row, index in zip(range(len(owners)) if rows is None else rows.tolist(), picks):
+                taken[row, index] = True
+                idle[row] = False
+                state = states[owners[row]]
+                state.selected.append((index, node_id, iteration))
+                size = sizes.get(index)
+                if size is None:
+                    size = sizes[index] = budget.size_of(ctx.sentences[index][1])
+                state.consumed += size
+                if state.consumed >= budget.limit:
+                    state.iteration = iteration
+                    stopped.append(row)
+                else:
+                    going.append(row)
+                    going_best.append(index)
+            if len(going) == len(owners):
+                np.maximum(worst, ctx.memo.rows(going_best), out=worst)
+            elif going:
+                worst[going] = np.maximum(worst[going], ctx.memo.rows(going_best))
+            if stopped:
+                if len(stopped) == len(owners):
+                    return states
+                owners, idle, blend_row, taken, worst, *weights = _drop(
+                    stopped, owners, idle, blend_row, taken, worst, *columns
+                )
+                columns = _Weights(*weights)
+        if any(idle):
+            rows = [row for row, flag in enumerate(idle) if flag]
+            for row in rows:
+                states[owners[row]].iteration = iteration
+            if len(rows) == len(owners):
+                return states
+            owners, idle, blend_row, taken, worst, *weights = _drop(
+                rows, owners, idle, blend_row, taken, worst, *columns
+            )
+            columns = _Weights(*weights)
+        iteration += 1
+
+
+def _drop(rows: list[int], owners: Sequence[int], idle: list[bool], *arrays: np.ndarray | None) -> tuple:
+    """``owners``, ``idle`` and ``arrays`` without the given rows; None stays None."""
+    keep = np.ones(len(owners), dtype=bool)
+    keep[rows] = False
+    kept = keep.tolist()
+    return (
+        [owner for owner, k in zip(owners, kept) if k],
+        [flag for flag, k in zip(idle, kept) if k],
+        *(None if a is None else a[keep] for a in arrays),
+    )
+
+
+def run_selection(ctx: ScoreContext, hp: Hyperparams, budget: Budget) -> SelectionState:
+    """Round-robin selection over ``ctx``'s groups under one delta and
+    weights: ``run_selections`` with one row."""
+    return run_selections(ctx, [hp], budget)[0]
 
 
 def order_summary(
-    state: SelectionState, traversal_order: Sequence[int], sentences: Sequence[tuple[Document, Sentence]]
+    state: SelectionState,
+    traversal_order: Sequence[int],
+    sentences: Sequence[tuple[Document, Sentence]],
+    tree: ClassTree | None = None,
 ) -> Summary:
     """Arrange selected sentences into the final summary order.
 
     Primary key: the originating node's position in the traversal order.
     Secondary key: the order in which sentences were selected, which keeps a
     node's first-pass sentence ahead of its later ones. Picks index
-    ``sentences``, the pairs selection ran on.
+    ``sentences``, the pairs selection ran on; the summary carries ``tree``.
     """
     position = {node_id: pos for pos, node_id in enumerate(traversal_order)}
     ordered = sorted(enumerate(state.selected), key=lambda item: (position[item[1][1]], item[0]))
@@ -237,7 +366,7 @@ def order_summary(
                 iteration=iteration,
             )
         )
-    return Summary(sentences=tuple(summary))
+    return Summary(sentences=tuple(summary), tree=tree)
 
 
 def select_summary(context: ScoreContext, hp: Hyperparams, budget: Budget) -> Summary:
@@ -245,5 +374,18 @@ def select_summary(context: ScoreContext, hp: Hyperparams, budget: Budget) -> Su
     and attach the context's class tree. Picks are ordered by the context's
     group order."""
     state = run_selection(context, hp, budget)
-    order = [node_id for node_id, *_ in context.groups]
-    return replace(order_summary(state, order, context.sentences), tree=context.tree)
+    return order_summary(state, context.order, context.sentences, context.tree)
+
+
+def select_summaries(context: ScoreContext, hps: Sequence[Hyperparams], budget: Budget) -> list[Summary]:
+    """``select_summary`` under each of ``hps``, from one lockstep
+    ``run_selections``; runs that pick the same sentences in the same passes
+    share one ``Summary``."""
+    made: dict[tuple, Summary] = {}
+    summaries = []
+    for state in run_selections(context, hps, budget):
+        key = tuple(state.selected)
+        if key not in made:
+            made[key] = order_summary(state, context.order, context.sentences, context.tree)
+        summaries.append(made[key])
+    return summaries

@@ -30,7 +30,7 @@ import numpy as np
 from .corpus import Topic
 from .embedding import EmbeddedCorpus, ProviderError
 from .scoring import Hyperparams, score_position
-from .selection import Budget, ScoreContext, SimilarityMemo, Summary, select_summary
+from .selection import Budget, ScoreContext, SimilarityMemo, Summary, select_summaries, select_summary
 from .tree import build_class_tree, derive_seed, kmeans, label_groups
 
 
@@ -156,6 +156,18 @@ def _flat_clusters(vectors: np.ndarray, k: int, seed: int) -> list[tuple[int, Se
     return list(enumerate(label_groups(items, result.labels)))
 
 
+def _selection_input(
+    topic: Topic, work: TopicWork, spec: VariantSpec, max_nodes: int
+) -> tuple[ScoreContext, Hyperparams]:
+    """The context ``spec`` selects from on ``topic`` and the hyperparameters
+    it selects under, its method's pins applied. Seeds are derived per topic
+    from the spec's master seed."""
+    method = METHOD_TABLE[spec.kind]
+    hp = replace(spec.hp, **method.pinned) if method.pinned else spec.hp
+    seed = derive_seed(spec.seed, f"topic:{topic.topic_id}")
+    return work.context(method.grouping, method.unit, hp.k_first, hp.k_rest, max_nodes, seed), hp
+
+
 def summarize_topic(
     topic: Topic,
     embedded: EmbeddedCorpus,
@@ -171,8 +183,25 @@ def summarize_topic(
     the class tree it was selected from, None for the methods without one."""
     if work is None:
         work = TopicWork(topic, embedded)
-    method = METHOD_TABLE[spec.kind]
-    hp = replace(spec.hp, **method.pinned)
-    seed = derive_seed(spec.seed, f"topic:{topic.topic_id}")
-    context = work.context(method.grouping, method.unit, hp.k_first, hp.k_rest, max_nodes, seed)
+    context, hp = _selection_input(topic, work, spec, max_nodes)
     return select_summary(context, hp, spec.budget)
+
+
+def summarize_topic_specs(
+    topic: Topic, work: TopicWork, specs: Sequence[VariantSpec], max_nodes: int
+) -> list[Summary]:
+    """``summarize_topic`` under each of ``specs`` on ``work``'s topic, in
+    the order of ``specs``. The specs that select from one context under one
+    budget run as one lockstep ``select_summaries`` call, whatever their
+    deltas and weights; in a grid search, that is one call per cluster
+    count."""
+    batches: dict[tuple[int, Budget], tuple[ScoreContext, list[int], list[Hyperparams]]] = {}
+    for i, spec in enumerate(specs):
+        context, hp = _selection_input(topic, work, spec, max_nodes)
+        _, rows, hps = batches.setdefault((id(context), spec.budget), (context, [], []))
+        rows.append(i)
+        hps.append(hp)
+    summaries: dict[int, Summary] = {}
+    for (_, budget), (context, rows, hps) in batches.items():
+        summaries.update(zip(rows, select_summaries(context, hps, budget)))
+    return [summaries[i] for i in range(len(specs))]

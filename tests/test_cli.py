@@ -411,6 +411,26 @@ def test_results_independent_of_worker_count(tmp_path):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w3" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ablate", "--budget-bytes", "120"],
+        ["tune", "--budget-words", "20", "--deltas", "0.0,0.5,1.0", "--ks", "2,3",
+         "--weights", "1,0,0;0.6,0.3,0.1;0.2,0.6,0.2"],
+    ],
+)
+def test_ablate_and_tune_outputs_independent_of_worker_count(tmp_path, command):
+    corpus = _write_varied_corpus(tmp_path / "corpus", n_topics=3)
+    base = [*command, "--input", str(corpus), "--seed", "11", "--embedder", "builtin:64"]
+    assert main(base + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    assert main(base + ["--workers", "2", "--out", str(tmp_path / "w2")]) == 0
+    names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "w2").iterdir())
+    for name in names:
+        if name != "config.txt":
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+
+
 def test_echoed_config_round_trips_to_identical_run_config(tmp_path):
     corpus = _write_corpus(tmp_path / "corpus")
     out = tmp_path / "out"
@@ -562,6 +582,61 @@ def test_grid_search_matches_standalone_run(tmp_path):
             )
             assert result.objective == report.headline(metric), (budget, workers, p)
         assert best.objective == max(r.objective for r in results)
+
+
+def test_grid_search_selects_once_per_tree_and_scores_each_text_once(tmp_path, monkeypatch):
+    """Guard against per-point work in the search: one lockstep selection
+    per (topic, cluster count) holding every delta and weight triple, and
+    one ROUGE scoring per distinct (topic, truncated summary)."""
+    import treesum.rouge
+    import treesum.selection
+    from treesum.corpus import load_corpus
+    from treesum.embedding import embed_corpus, provider_builtin_tfidf
+    from treesum.experiments import run_grid_search
+    from treesum.pipeline import resolve_max_nodes, summarize_corpus
+    from treesum.scoring import Hyperparams
+    from treesum.selection import Budget
+    from treesum.variants import VariantSpec
+
+    corpus = load_corpus(_write_varied_corpus(tmp_path / "corpus", n_topics=3), "topic-dirs")
+    embedded = embed_corpus(corpus, provider_builtin_tfidf(corpus, dim=64, seed=7))
+    ks = [2, 3]
+    grid = full_grid(
+        deltas=[0.0, 0.5, 1.0],
+        weight_triples=[(1.0, 0.0, 0.0), (0.7, 0.0, 0.3), (0.6, 0.3, 0.1), (0.2, 0.6, 0.2)],
+        ks=ks,
+    )
+    budget = Budget("words", 20)
+
+    batches = []
+    run_selections = treesum.selection.run_selections
+
+    def counting_selections(ctx, hps, budget):
+        batches.append(len(hps))
+        return run_selections(ctx, hps, budget)
+
+    scored = []
+    score_all = treesum.rouge.score_all
+
+    def counting_score_all(candidate, references, metrics, memo=None):
+        scored.append((tuple(references), candidate))
+        return score_all(candidate, references, metrics, memo=memo)
+
+    monkeypatch.setattr(treesum.selection, "run_selections", counting_selections)
+    monkeypatch.setattr(treesum.rouge, "score_all", counting_score_all)
+    run_grid_search(corpus, embedded, budget, grid, seed=7)
+    monkeypatch.undo()
+
+    assert batches == [len(grid) // len(ks)] * (len(corpus.topics) * len(ks))
+    cap = resolve_max_nodes(corpus, budget, None)
+    distinct = set()
+    for p in grid:
+        hp = Hyperparams(delta=p.delta, alpha=p.alpha, beta=p.beta, gamma=p.gamma, k_first=p.k)
+        summaries = summarize_corpus(corpus, embedded, VariantSpec("ours_final", hp, budget, seed=7), cap)
+        for topic in corpus:
+            distinct.add((topic.references, treesum.rouge.truncate(summaries[topic.topic_id].text, budget)))
+    assert len(distinct) < len(grid) * len(corpus.topics)
+    assert sorted(scored) == sorted(distinct)
 
 
 @pytest.mark.parametrize(

@@ -369,3 +369,40 @@ def test_metrics_reject_empty_reference_list():
     for fn in (lambda: rouge_n("a", [], 1), lambda: rouge_l("a", []), lambda: rouge_su4("a", [])):
         with pytest.raises(ValueError, match="at least one reference"):
             fn()
+
+
+def test_score_memo_keeps_each_topics_references_apart():
+    """One summary text in two topics with different references: with one
+    memo, each topic gets the scores against its own references."""
+    text = "The bridge reopened after repairs. Crews worked overnight."
+    topics = [
+        make_topic("a", ["Doc a."], ["The bridge reopened after long repairs."]),
+        make_topic("b", ["Doc b."], ["Schools opened a science wing.", "Crews worked overnight on schools."]),
+    ]
+    budget = Budget("words", 6)
+    memo = rouge.TokenMemo()
+    report = evaluate_corpus({"a": text, "b": text}, make_corpus(*topics), budget, memo=memo)
+    for topic in topics:
+        expected = score_all(truncate(text, budget), list(topic.references), rouge.METRIC_IDS)
+        assert report.per_topic[topic.topic_id] == expected
+    assert report.per_topic["a"] != report.per_topic["b"]
+
+
+def test_score_memo_reused_with_another_metric_list_scores_that_list():
+    """A memo reused with another metric list, as a single-metric rerun on
+    one memo does, returns that list's scores and only those."""
+    corpus = make_corpus(
+        make_topic("a", ["Doc a."], ["The bridge reopened after long repairs."]),
+        make_topic("b", ["Doc b."], ["Schools opened a science wing."]),
+    )
+    summaries = {"a": "The bridge reopened. Repairs ran long.", "b": "A science wing opened at schools."}
+    budget = Budget("words", 20)
+    memo = rouge.TokenMemo()
+    first = evaluate_corpus(summaries, corpus, budget, metrics=["r1", "rl"], memo=memo)
+    for metrics in (["r2"], ["rl"], ["rsu4", "r1"], ["r1", "rl"]):
+        again = evaluate_corpus(summaries, corpus, budget, metrics=metrics, memo=memo)
+        fresh = evaluate_corpus(summaries, corpus, budget, metrics=metrics)
+        assert again.per_topic == fresh.per_topic
+        assert again.mean == fresh.mean
+        assert all(list(scores) == metrics for scores in again.per_topic.values())
+    assert first.per_topic == evaluate_corpus(summaries, corpus, budget, metrics=["r1", "rl"]).per_topic

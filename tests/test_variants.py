@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from helpers import (
 )
 from test_selection import FIXTURE_VECTORS, _fixture_embedded
 from treesum.corpus import Topic
-from treesum.scoring import Hyperparams
+from treesum.scoring import Hyperparams, node_centroids
 from treesum.selection import Budget
 from treesum.variants import METHOD_TABLE, METHODS, VariantSpec, summarize_topic
 
@@ -250,3 +251,35 @@ def test_summary_records_match_the_corpus_sentences(method):
                 assert (got.text, got.doc_id, got.doc_index, got.sent_index, got.position_1based) == (
                     sent.text, doc.doc_id, doc.doc_index, sent.sent_index, sent.position_1based,
                 )
+
+
+def test_node_centroid_past_the_float_range_keeps_the_picks():
+    """Every vector times 2**1021: the root's plain mean over ten documents
+    runs past the float range though each document mean is finite. comp1
+    still picks what it picks on the unscaled vectors, with no warning, and
+    the centroids are finite and point the same way."""
+    rng = np.random.default_rng(4)
+    docs = [" ".join(f"Doc {d} line {s}." for s in range(3)) for d in range(10)]
+    topic = make_topic("t", docs)
+    vectors = {}
+    for d in range(10):
+        for s in range(3):
+            vec = rng.random(4)
+            vec[0] = 1.0
+            vectors[skey("t", d, s)] = vec
+    scaled = {key: np.ldexp(vec, 1021) for key, vec in vectors.items()}
+    doc_means = np.stack([np.mean([scaled[skey("t", d, s)] for s in range(3)], axis=0) for d in range(10)])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(doc_means.mean(axis=0)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        centroids = node_centroids(doc_means, np.arange(4))
+        root = node_centroids(doc_means, np.arange(10))
+        picks = [
+            summary_keys("t", _summarize("comp1", topic, embed_with_vectors(make_corpus(topic), vecs), 12))
+            for vecs in (vectors, scaled)
+        ]
+    assert np.isfinite(centroids.inside).all() and np.isfinite(centroids.outside).all()
+    assert np.isfinite(root.inside).all() and root.outside is None
+    assert picks[0] == picks[1]
+    assert len(picks[0]) > 1
