@@ -107,8 +107,10 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _cluster_mean(points: np.ndarray, labels: np.ndarray, j: int) -> np.ndarray:
-    """The mean of cluster ``j``'s points, the one exact form of it."""
-    return points[labels == j].mean(axis=0)
+    """The mean of cluster ``j``'s points, the one exact form of it: the
+    reduction and division ``ndarray.mean`` makes, without its wrapper."""
+    rows = points[labels == j]
+    return np.add.reduce(rows, axis=0) / len(rows)
 
 
 def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -136,8 +138,9 @@ def _gram_error_bound(dim: int, max_sq_norm: float, max_center_sq: float) -> flo
     No Gram term exceeds ``(1 + gamma_{d+2}) (|x| + |c|)^2``, so
     ``4 (|x| + |c|)^2`` overflows before any of them can. The bound is taken
     from that product, and so it is ``inf`` whenever a Gram distance might
-    be ``-inf`` or ``inf``, and NaN when a norm is NaN; every comparison
-    against it then sends the point to the difference form.
+    be ``-inf``, ``inf`` or the NaN of ``inf - inf`` that overflowing terms
+    make of finite points; every comparison against it then sends the point
+    to the difference form.
     """
     reach = math.sqrt(max_sq_norm) + math.sqrt(max_center_sq)
     headroom = 4.0 * reach * reach
@@ -170,30 +173,39 @@ def _gram_dists(
 
 
 def _lloyd(
-    points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd iterations from k-means++ seeds over ``n >= k`` points.
+    points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int, sq_norms: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Lloyd iterations from k-means++ seeds over ``n >= k`` points, whose
+    ``|x|^2`` are ``sq_norms`` (taken here when not given).
 
-    Returns the labels of ``k`` non-empty clusters and their centroids (the
-    means of each cluster's points). Each point goes to the centroid at the
-    smallest difference-form distance ``sum((x - c) ** 2)``, the first on
-    exact ties. The Gram form only screens: where a point's second-smallest
-    Gram distance exceeds its smallest by more than twice
-    ``_gram_error_bound``, the difference form has the same strict minimum,
-    so that choice stands. Every other point (a near-tie, a NaN, an
-    overflowed bound) gets difference-form distances and their ``argmin``. Difference-form distances of all points are built
-    only to repair an empty cluster, which takes the point farthest from
-    its centroid in a cluster that can spare one. One always can: while a
-    cluster is empty, ``n >= k`` points lie in at most ``k - 1`` clusters.
+    Returns the labels of ``k`` non-empty clusters, their centroids (the
+    means of each cluster's points) and, when the labels repeated, the last
+    ``_gram_dists(centroids, points, sq_norms)``, taken against exactly
+    those centroids (None when ``max_iters`` ran out first).
+
+    Each point goes to the centroid at the smallest difference-form
+    distance ``sum((x - c) ** 2)``, the first on exact ties. The Gram form
+    only screens: where a point's second-smallest Gram distance exceeds its
+    smallest by more than twice ``_gram_error_bound``, the difference form
+    has the same strict minimum, so that choice stands. Every other point (a
+    near-tie, or one whose Gram distances overflow to ``inf`` or to the NaN
+    of ``inf - inf``, under a bound that is then ``inf``) gets
+    difference-form distances and their ``argmin``. Difference-form
+    distances of all points are built only to repair an empty cluster,
+    which takes the point farthest from its centroid in a cluster that can
+    spare one. One always can: while a cluster is empty, ``n >= k`` points
+    lie in at most ``k - 1`` clusters.
     """
     n, dim = points.shape
     rows = np.arange(n)
-    sq_norms = _sq_norms(points)
+    if sq_norms is None:
+        sq_norms = _sq_norms(points)
     max_sq_norm = float(sq_norms.max())
     centroids = _kmeans_pp_init(points, k, rng)
     labels = np.full(n, -1)
     for _ in range(max_iters):
-        gram, center_sq = _gram_dists(centroids, points, sq_norms)
+        last = _gram_dists(centroids, points, sq_norms)
+        gram, center_sq = last[0].copy(), last[1]  # ``last`` is returned without the infs below
         new_labels = gram.argmin(axis=0)
         best = gram.min(axis=0)
         gram[new_labels, rows] = np.inf
@@ -215,10 +227,10 @@ def _lloyd(
             new_labels[donor] = j
             counts[j] += 1
         if np.array_equal(new_labels, labels):
-            break
+            return labels, centroids, last
         labels = new_labels
         centroids = _cluster_means(points, labels, k)
-    return labels, centroids
+    return labels, centroids, None
 
 
 def _mean_error(count: float, reach: float, dim: int) -> float:
@@ -262,22 +274,41 @@ def _exact_row_error(
     return _gram_error_bound(dim, max_sq_norm, center_sq) + mean_error * (4.0 * reach + 3.0 * mean_error)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+class _PairwiseRows:
+    """The rows of the (n, n) Gram-form squared distances between the
+    points, whose ``|x|^2`` are ``sq_norms``: the entries ``_gram_dists``
+    gives with the points as centers, each within ``_gram_error_bound(d, M,
+    M)`` of the real squared distance, for ``M`` the largest ``|x|^2`` (or
+    not finite where that bound is not).
+
+    ``rows[i]`` builds the block of four rows holding row ``i`` the first
+    time one of them is read, from one BLAS product, and keeps it. Each
+    block is the same product of the same operands whenever it is built,
+    so a row has the same bits however many rows are read before it.
+    """
+
+    def __init__(self, points: np.ndarray, sq_norms: np.ndarray):
+        self._points = points
+        self._sq_norms = sq_norms
+        self._blocks: dict[int, np.ndarray] = {}
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        start = i - i % 4
+        block = self._blocks.get(start)
+        if block is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # see _gram_dists
+                block = (-2.0 * self._points[start : start + 4]) @ self._points.T
+                block += self._sq_norms
+                block += self._sq_norms[start : start + 4, None]
+            self._blocks[start] = block
+        return block[i - start]
+
+
 def _pairwise_gram(points: np.ndarray) -> np.ndarray:
-    """(n, n) Gram-form squared distances between the points: the entries
-    ``_gram_dists`` gives with the points as centers, each within
-    ``_gram_error_bound(d, M, M)`` of the real squared distance, for ``M``
-    the largest ``|x|^2`` (or not finite where that bound is not). The BLAS
-    products take four rows at a time, which keeps the BLAS work buffer,
-    and so the peak memory, small."""
-    sq_norms = _sq_norms(points)
-    n = len(points)
-    pairwise = np.empty((n, n))
-    for start in range(0, n, 4):
-        np.matmul(-2.0 * points[start : start + 4], points.T, out=pairwise[start : start + 4])
-    pairwise += sq_norms
-    pairwise += sq_norms[:, None]
-    return pairwise
+    """Every row of ``_PairwiseRows(points, _sq_norms(points))`` as one
+    (n, n) matrix."""
+    rows = _PairwiseRows(points, _sq_norms(points))
+    return np.stack([rows[i] for i in range(len(points))])
 
 
 def _move_row(
@@ -317,13 +348,23 @@ def _move_row(
 # nothing.
 @np.errstate(over="ignore", invalid="ignore")
 def _refine_labels(
-    points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, pairwise: np.ndarray, max_sweeps: int = 200
+    points: np.ndarray,
+    labels: np.ndarray,
+    centroids: np.ndarray,
+    pairwise: np.ndarray | _PairwiseRows,
+    max_sweeps: int = 200,
+    sq_norms: np.ndarray | None = None,
+    dists: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-point improvement sweeps after Lloyd converges.
 
     ``centroids`` must be ``_cluster_means(points, labels, k)`` and
-    ``pairwise`` ``_pairwise_gram(points)``; the final labels are returned
-    with their centroids, computed the same way.
+    ``pairwise`` ``_pairwise_gram(points)`` or its ``_PairwiseRows``, of
+    which only the rows of moved points are read; the final labels are
+    returned with their centroids, computed the same way. ``sq_norms``, the
+    points' ``|x|^2``, and ``dists``, ``_gram_dists(centroids, points,
+    sq_norms)``, are taken here when not given; ``dists`` is updated in
+    place.
 
     Lloyd stops at assignments that are centroid-stable but may still admit
     an objective-reducing move of one point; the exact change of moving
@@ -380,7 +421,8 @@ def _refine_labels(
     mean, those means are computed exactly, their rows rebuilt from one
     BLAS product and their bounds reset, and the sweep is redone without
     counting against ``max_sweeps``. With every centroid exact, the points
-    left (NaN rows, and every row when the bound overflows, included) get
+    left (rows made NaN by ``inf - inf`` where the Gram form overflows, and
+    every row when the bound overflows, included) get
     difference-form distances and deltas, with the same operations in the
     same order, and the exact rule picks the move. Before returning, the
     changed clusters get their exact means.
@@ -389,7 +431,8 @@ def _refine_labels(
     centroids = centroids.copy()
     k = len(centroids)
     n, dim = points.shape
-    sq_norms = _sq_norms(points)
+    if sq_norms is None:
+        sq_norms = _sq_norms(points)
     max_sq_norm = float(sq_norms.max())
     reach = _reach(max_sq_norm, dim)
     exact_error = _mean_error(n, reach, dim)
@@ -399,7 +442,7 @@ def _refine_labels(
     center_reach = reach + exact_error
     exact_gap = _exact_row_error(dim, max_sq_norm, center_reach * center_reach, reach, exact_error)
     counts = np.bincount(labels, minlength=k).astype(float)
-    gram, center_sq = _gram_dists(centroids, points, sq_norms)
+    gram, center_sq = _gram_dists(centroids, points, sq_norms) if dists is None else dists
     bounds = [_exact_row_error(dim, max_sq_norm, sq, reach, exact_error) for sq in center_sq.tolist()]
     # The clusters changed since their last exact mean.
     moved: set[int] = set()
@@ -480,8 +523,9 @@ def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
     """Whether ``points`` holds at least ``k`` distinct rows.
 
     The verdict of ``np.unique(points, axis=0).shape[0] >= k`` (``-0.0``
-    equals ``0.0``; a row with a NaN equals no other row), reached by keeping
-    representatives that differ from every earlier one and stopping at ``k``.
+    equals ``0.0``), reached by keeping representatives that differ from
+    every earlier one and stopping at ``k``. Its callers pass finite rows;
+    a row with a NaN would, as in ``np.unique``, equal no other row.
     """
     reps: list[np.ndarray] = []
     for row in points:
@@ -505,9 +549,13 @@ def kmeans(
     restart runs Lloyd iterations to convergence and then a
     deterministic single-point refinement pass, which escapes the
     centroid-stable local optima plain Lloyd gets stuck in on small inputs.
-    The refinement reads the ``(n, n)`` squared distances between the
-    points, built once per call and shared by every restart, so memory is
-    ``O(n^2)`` per call (0.72 MB at n = 300).
+    The refinement reads the squared distances between the points only
+    from the rows of points it moves, each built on first use, four rows
+    at a time (``_PairwiseRows``), and shared by every restart: memory is
+    ``4 n`` floats for each block of four points that ever moves, at most
+    ``O(n^2)`` per call. Lloyd and refinement share the points' ``|x|^2``,
+    and a refinement starts from the last Gram distances of the Lloyd run
+    it follows when they were taken against the centroids it starts from.
 
     Returns None exactly when the input holds fewer than k distinct
     vectors, so it cannot be divided into k non-empty clusters. That is a
@@ -527,11 +575,13 @@ def kmeans(
     if not _has_k_distinct_rows(points, k):
         return None
     seed = seed & _SEED_MASK
-    pairwise = _pairwise_gram(points)
+    sq_norms = _sq_norms(points)
+    pairwise = _PairwiseRows(points, sq_norms)
     best: KMeansResult | None = None
     for restart in range(restarts):
         rng = np.random.default_rng([seed, 0, restart])
-        labels, centroids = _refine_labels(points, *_lloyd(points, k, rng, max_iters), pairwise)
+        labels, centroids, dists = _lloyd(points, k, rng, max_iters, sq_norms)
+        labels, centroids = _refine_labels(points, labels, centroids, pairwise, sq_norms=sq_norms, dists=dists)
         inertia = float(np.sum((points - centroids[labels]) ** 2))
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)
@@ -565,6 +615,13 @@ def build_class_tree(
     holds ``max_nodes`` nodes (checked before each split, so the total never
     exceeds ``max_nodes + max(k_first, k_rest) - 1``).
 
+    A node is split by ``kmeans``, and its clusters become children in
+    ``label_groups`` order. A node of exactly ``k`` rows is split without
+    the call: ``kmeans`` gives ``k`` singletons when the rows are distinct,
+    which ``label_groups`` puts in member order whatever their labels, and
+    None otherwise. A NaN or infinite component raises ValueError, as
+    ``kmeans`` does, whenever the root is to be split.
+
     Traversal order sorts nodes by layer ascending, then size descending,
     ties by the smallest contained row index.
     """
@@ -575,6 +632,8 @@ def build_class_tree(
         raise ValueError("cluster counts must be >= 2")
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
+    if len(points) > 1 and max_nodes > 1 and not np.isfinite(points).all():
+        raise ValueError("kmeans needs finite vectors")
 
     root = ClassTreeNode(node_id=0, layer=1, members=tuple(range(len(points))))
     nodes: dict[int, ClassTreeNode] = {0: root}
@@ -593,10 +652,13 @@ def build_class_tree(
                 break
             if node.size < 2:
                 continue
-            result = kmeans(points[list(node.members)], k, seed=derive_seed(seed, f"node:{node.node_id}"))
-            if result is None:
-                continue
-            for group in label_groups(node.members, result.labels):
+            rows = points[list(node.members)]
+            if node.size == k:
+                groups = [(m,) for m in node.members] if _has_k_distinct_rows(rows, k) else []
+            else:
+                result = kmeans(rows, k, seed=derive_seed(seed, f"node:{node.node_id}"))
+                groups = [] if result is None else label_groups(node.members, result.labels)
+            for group in groups:
                 child = ClassTreeNode(node_id=next_id, layer=layer_no + 1, members=group)
                 node.children.append(child)
                 nodes[next_id] = child

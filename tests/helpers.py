@@ -22,7 +22,7 @@ from treesum.corpus import (
 )
 from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key, topic_keys
 from treesum.scoring import Hyperparams
-from treesum.tree import _kmeans_pp_init
+from treesum.tree import ClassTree, ClassTreeNode, _kmeans_pp_init, derive_seed, kmeans, label_groups
 from treesum.variants import CS_ONLY, TopicWork
 
 
@@ -339,6 +339,34 @@ def reference_kmeans(
         if best is not None:
             return best
     return None
+
+
+def kmeans_class_tree(points: np.ndarray, k_first: int, k_rest: int, max_nodes: int, seed: int) -> ClassTree:
+    """Reference ``treesum.tree.build_class_tree``: the same layers, split
+    order and ``max_nodes`` stop, with every node of two or more rows split
+    by a ``kmeans`` call, a node of exactly k rows included. Arguments are
+    not validated."""
+    root = ClassTreeNode(node_id=0, layer=1, members=tuple(range(len(points))))
+    nodes = {0: root}
+    layer, k = [root], k_first
+    while layer:
+        next_layer = []
+        for node in sorted(layer, key=lambda n: (-n.size, n.members[0])):
+            if len(nodes) >= max_nodes:
+                break
+            if node.size < 2:
+                continue
+            result = kmeans(points[list(node.members)], k, seed=derive_seed(seed, f"node:{node.node_id}"))
+            for group in [] if result is None else label_groups(node.members, result.labels):
+                child = ClassTreeNode(node_id=len(nodes), layer=node.layer + 1, members=group)
+                node.children.append(child)
+                nodes[child.node_id] = child
+                next_layer.append(child)
+        if len(nodes) >= max_nodes:
+            break
+        layer, k = next_layer, k_rest
+    order = sorted(nodes.values(), key=lambda n: (n.layer, -n.size, n.members[0]))
+    return ClassTree(root=root, node_count=len(nodes), traversal_order=tuple(n.node_id for n in order), nodes=nodes)
 
 
 def slice_ngrams(tokens: Sequence[str], n: int) -> Counter:

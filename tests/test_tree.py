@@ -20,6 +20,7 @@ from helpers import (
     brute_force_min_inertia,
     difference_form_lloyd,
     embed_with_vectors,
+    kmeans_class_tree,
     make_corpus,
     random_synthetic_topic,
     reference_kmeans,
@@ -39,6 +40,7 @@ from treesum.tree import (
     _lloyd,
     _mean_error,
     _move_row,
+    _PairwiseRows,
     _pairwise_gram,
     _reach,
     _refine_labels,
@@ -441,6 +443,26 @@ def test_move_row_bound_with_the_screen_gap_covers_distances_to_the_exact_means(
         assert _max_gap(row, map(Fraction, exact)) <= Fraction(bound) + Fraction(screen_gap), (case, scale, tight)
 
 
+def test_pairwise_rows_are_built_on_first_read_with_the_whole_matrix_bits():
+    """Rows read in any order equal the whole matrix built four rows per
+    BLAS product, and only the blocks of rows read are built."""
+    rng = np.random.default_rng(2206)
+    for n, dim in ((1, 3), (6, 2), (13, 384), (300, 128)):
+        points = rng.normal(size=(n, dim)) if dim != 128 else _sparse_points(rng, n)
+        sq_norms = _sq_norms(points)
+        whole = np.empty((n, n))
+        for start in range(0, n, 4):
+            np.matmul(-2.0 * points[start : start + 4], points.T, out=whole[start : start + 4])
+        whole += sq_norms
+        whole += sq_norms[:, None]
+        rows = _PairwiseRows(points, sq_norms)
+        read = rng.choice(n, size=max(1, n // 5), replace=False)
+        for i in read:
+            assert rows[int(i)].tobytes() == whole[i].tobytes(), (n, i)
+        assert len(rows._blocks) == len({int(i) // 4 for i in read})
+        assert _pairwise_gram(points).tobytes() == whole.tobytes()
+
+
 def _tied_targets_case(rng):
     """One point far out in cluster 0, nearly as far from clusters 1 and 2.
 
@@ -594,6 +616,14 @@ def _lloyd_cases(rng):
         yield 1e6 + 0.03 * (centers[rng.integers(0, 3, size=30)] + 0.3 * rng.normal(size=(30, 8))), 3
 
 
+def _assert_last_dists_match(points, centroids, dists):
+    """``_lloyd``'s last Gram distances, when it returns them, are the ones
+    taken against the centroids it returns, bit for bit."""
+    if dists is not None:
+        for got, expected in zip(dists, _gram_dists(centroids, points, _sq_norms(points))):
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_lloyd_matches_difference_form_oracle():
     rng = np.random.default_rng(1979)
     gram_differs = 0
@@ -604,9 +634,10 @@ def test_lloyd_matches_difference_form_oracle():
         if expected is None:
             assert got is None
             continue
-        labels, centroids = got
+        labels, centroids, dists = got
         assert np.array_equal(labels, expected), (points.shape, k)
         assert centroids.tobytes() == _cluster_means(points, labels, k).tobytes()
+        _assert_last_dists_match(points, centroids, dists)
         exact = _sq_dists(points, centroids).argmin(axis=1)
         gram_differs += not np.array_equal(_gram_form_dists(points, centroids).argmin(axis=1), exact)
     assert gram_differs >= 3
@@ -645,7 +676,8 @@ def test_lloyd_always_returns_k_non_empty_clusters(monkeypatch):
         with monkeypatch.context() as patch:
             if not own_seeds:
                 patch.setattr("treesum.tree._kmeans_pp_init", lambda *_: drawn.copy())
-            labels, centroids = _lloyd(points, k, stream, int(rng.integers(1, 20)))
+            labels, centroids, dists = _lloyd(points, k, stream, int(rng.integers(1, 20)))
+        _assert_last_dists_match(points, centroids, dists)
         assert labels.shape == (len(points),) and centroids.shape == (k, points.shape[1])
         assert np.bincount(labels, minlength=k).min() >= 1, (points, k)
         assert len(np.bincount(labels)) == k
@@ -966,6 +998,56 @@ def test_condition2_bound_random_trees():
         tree = build_class_tree(_matrix(vectors), k_first, k_rest, max_nodes, seed=trial)
         assert tree.node_count <= max_nodes + max(k_first, k_rest) - 1
         _assert_partition_property(tree)
+
+
+def _tree_cases(rng):
+    """Seeded (points, k_first, k_rest, max_nodes, seed): normal rows, and
+    integer rows with many duplicates, so that some nodes of exactly k rows
+    hold equal rows."""
+    for trial in range(90):
+        n = int(rng.integers(2, 25))
+        dim = int(rng.integers(1, 4))
+        if trial % 2:
+            points = rng.integers(0, 2, size=(n, dim)).astype(float)
+        else:
+            points = rng.normal(size=(n, dim))
+        k_first, k_rest = (int(k) for k in rng.integers(2, 4, size=2))
+        for max_nodes in (2, 5, 9, 1000):
+            yield points, k_first, k_rest, max_nodes, trial
+
+
+def _tree_nodes(tree: ClassTree):
+    return tree.node_count, tree.traversal_order, [
+        (node_id, node.layer, node.members, [c.node_id for c in node.children])
+        for node_id, node in sorted(tree.nodes.items())
+    ]
+
+
+def test_class_tree_equals_one_kmeans_call_per_node():
+    """Nodes of exactly k rows split without a ``kmeans`` call, node for
+    node as the call splits them: into singletons in member order, and not
+    at all where the rows are not distinct."""
+    rng = np.random.default_rng(2204)
+    k_member_splits = k_member_leaves = 0
+    for points, k_first, k_rest, max_nodes, seed in _tree_cases(rng):
+        expected = kmeans_class_tree(points, k_first, k_rest, max_nodes, seed)
+        got = build_class_tree(points, k_first, k_rest, max_nodes, seed)
+        assert _tree_nodes(got) == _tree_nodes(expected), (points, k_first, k_rest, max_nodes)
+        if max_nodes == 1000:  # every node was offered a split
+            for node in expected.nodes.values():
+                if node.size == (k_first if node.layer == 1 else k_rest):
+                    k_member_splits += bool(node.children)
+                    k_member_leaves += not node.children
+    assert k_member_splits >= 20 and k_member_leaves >= 20, (k_member_splits, k_member_leaves)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_class_tree_rejects_non_finite_rows_of_a_k_member_root(bad):
+    """A root of exactly k rows still raises the ValueError ``kmeans``
+    raises on a non-finite component."""
+    points = np.array([[0.5, 1.0], [2.0, bad]])
+    with pytest.raises(ValueError, match="finite"):
+        build_class_tree(points, k_first=2, k_rest=2, max_nodes=10, seed=0)
 
 
 def test_estimate_sentence_budget():
