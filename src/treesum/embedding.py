@@ -78,6 +78,18 @@ class EmbeddedCorpus:
         return dict(zip(topic_keys(topic), self.vectors[topic.topic_id]))
 
 
+def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``values`` times ``2**s`` and ``s``, the power of two that brings their
+    largest absolute component into [0.5, 1) (0 where every component is 0).
+
+    Scaling by a power of two is exact, bar components that underflow, so
+    anything that ignores a common scale gives the same bits on the result
+    whatever the scale of ``values``.
+    """
+    shift = -math.frexp(float(np.abs(values).max()))[1]
+    return np.ldexp(values, shift), shift
+
+
 def prescale_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """Each row divided by its largest absolute component, and the rows' norms.
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import Vector, cosine_similarity
+from .embedding import Vector, cosine_similarity, power_of_two_scaled
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def node_centroids(vectors: np.ndarray, members: np.ndarray) -> NodeCentroids:
         inside = vectors[members].mean(axis=0)
         outside = vectors[rest].mean(axis=0) if rest.any() else None
     if not (np.isfinite(inside).all() and (outside is None or np.isfinite(outside).all())):
-        scaled = np.ldexp(vectors, -math.frexp(float(np.abs(vectors).max()))[1])
+        scaled, _ = power_of_two_scaled(vectors)
         inside = scaled[members].mean(axis=0)
         outside = scaled[rest].mean(axis=0) if outside is not None else None
     return NodeCentroids(inside=inside, outside=outside)

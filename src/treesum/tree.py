@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .embedding import power_of_two_scaled
+
 Vector = np.ndarray
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
@@ -67,29 +69,17 @@ class ClassTree:
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeds: each next center drawn with probability proportional
-    to the squared distance to the nearest center so far.
-
-    Where those distances sum past the float range, the weights are taken
-    on the points scaled by a power of two that brings every component
-    within 1, which changes them by that exact factor alone (bar the
-    underflow of components far smaller than the largest).
-    """
+    to the squared distance to the nearest center so far."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
     closest = np.sum((points - centers[0]) ** 2, axis=1)
     for j in range(1, k):
-        weights = closest
-        with np.errstate(over="ignore"):  # checked below
-            total = weights.sum()
-        if not np.isfinite(total):
-            shift = -math.frexp(float(np.abs(points).max()))[1]
-            weights = _sq_dists(np.ldexp(points, shift), np.ldexp(centers[:j], shift)).min(axis=1)
-            total = weights.sum()
+        total = closest.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=weights / total))
+            idx = int(rng.choice(n, p=closest / total))
         centers[j] = points[idx]
         closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
     return centers
@@ -134,36 +124,22 @@ def _gram_error_bound(dim: int, max_sq_norm: float, max_center_sq: float) -> flo
     2002, section 3.1), plus half a subnormal for each of at most ``4 d``
     products that underflow. The bound is ``_SAFETY`` times ``(d + 4)``
     units of each.
-
-    No Gram term exceeds ``(1 + gamma_{d+2}) (|x| + |c|)^2``, so
-    ``4 (|x| + |c|)^2`` overflows before any of them can. The bound is taken
-    from that product, and so it is ``inf`` whenever a Gram distance might
-    be ``-inf``, ``inf`` or the NaN of ``inf - inf`` that overflowing terms
-    make of finite points; every comparison against it then sends the point
-    to the difference form.
     """
     reach = math.sqrt(max_sq_norm) + math.sqrt(max_center_sq)
-    headroom = 4.0 * reach * reach
-    return _SAFETY * (dim + 4) * (_UNIT_ROUNDOFF / 4.0 * headroom + _SUBNORMAL)
+    return _SAFETY * (dim + 4) * (_UNIT_ROUNDOFF * (reach * reach) + _SUBNORMAL)
 
 
-@np.errstate(over="ignore")
 def _sq_norms(points: np.ndarray) -> np.ndarray:
-    """The points' ``|x|^2`` for the Gram screen; past ``1e308`` they are
-    ``inf``, silently, and so is ``_gram_error_bound``."""
+    """The points' ``|x|^2`` for the Gram screen."""
     return np.vecdot(points, points)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _gram_dists(
     centers: np.ndarray, points: np.ndarray, sq_norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(k, n) Gram-form squared distances ``|x|^2 - 2 x.c + |c|^2`` of every
     point to every center, from one BLAS product, and the centers' ``|c|^2``.
-
-    ``sq_norms`` holds the points' ``|x|^2``. Entries past ``1e308``
-    overflow silently: ``_gram_error_bound`` is then ``inf`` and no entry
-    decides anything.
+    ``sq_norms`` holds the points' ``|x|^2``.
     """
     center_sq = np.vecdot(centers, centers)
     gram = (-2.0 * centers) @ points.T
@@ -173,10 +149,10 @@ def _gram_dists(
 
 
 def _lloyd(
-    points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int, sq_norms: np.ndarray | None = None
+    points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int, sq_norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Lloyd iterations from k-means++ seeds over ``n >= k`` points, whose
-    ``|x|^2`` are ``sq_norms`` (taken here when not given).
+    ``|x|^2`` are ``sq_norms``.
 
     Returns the labels of ``k`` non-empty clusters, their centroids (the
     means of each cluster's points) and, when the labels repeated, the last
@@ -188,18 +164,14 @@ def _lloyd(
     only screens: where a point's second-smallest Gram distance exceeds its
     smallest by more than twice ``_gram_error_bound``, the difference form
     has the same strict minimum, so that choice stands. Every other point (a
-    near-tie, or one whose Gram distances overflow to ``inf`` or to the NaN
-    of ``inf - inf``, under a bound that is then ``inf``) gets
-    difference-form distances and their ``argmin``. Difference-form
-    distances of all points are built only to repair an empty cluster,
-    which takes the point farthest from its centroid in a cluster that can
-    spare one. One always can: while a cluster is empty, ``n >= k`` points
+    near-tie) gets difference-form distances and their ``argmin``.
+    Difference-form distances of all points are built only to repair an
+    empty cluster, which takes the point farthest from its centroid in a
+    cluster that can spare one. One always can: while a cluster is empty, ``n >= k`` points
     lie in at most ``k - 1`` clusters.
     """
     n, dim = points.shape
     rows = np.arange(n)
-    if sq_norms is None:
-        sq_norms = _sq_norms(points)
     max_sq_norm = float(sq_norms.max())
     centroids = _kmeans_pp_init(points, k, rng)
     labels = np.full(n, -1)
@@ -209,8 +181,7 @@ def _lloyd(
         new_labels = gram.argmin(axis=0)
         best = gram.min(axis=0)
         gram[new_labels, rows] = np.inf
-        with np.errstate(invalid="ignore"):  # inf - inf: undecided
-            gap = gram.min(axis=0) - best
+        gap = gram.min(axis=0) - best
         decided = gap > 2.0 * _gram_error_bound(dim, max_sq_norm, float(center_sq.max()))
         unsure = (~decided).nonzero()[0]
         if unsure.size:
@@ -253,7 +224,6 @@ def _reach(max_sq_norm: float, dim: int) -> float:
     A computed ``|x|^2`` is within ``gamma_d |x|^2`` of the real one, plus
     half a subnormal for each of ``d`` products that underflow, so ``d``
     subnormals and ``_SAFETY d u`` cover it where the squares underflow too.
-    ``inf`` or NaN where ``|x|^2`` is.
     """
     return math.sqrt((max_sq_norm + dim * _SUBNORMAL) * (1.0 + _SAFETY * dim * _UNIT_ROUNDOFF))
 
@@ -278,8 +248,7 @@ class _PairwiseRows:
     """The rows of the (n, n) Gram-form squared distances between the
     points, whose ``|x|^2`` are ``sq_norms``: the entries ``_gram_dists``
     gives with the points as centers, each within ``_gram_error_bound(d, M,
-    M)`` of the real squared distance, for ``M`` the largest ``|x|^2`` (or
-    not finite where that bound is not).
+    M)`` of the real squared distance, for ``M`` the largest ``|x|^2``.
 
     ``rows[i]`` builds the block of four rows holding row ``i`` the first
     time one of them is read, from one BLAS product, and keeps it. Each
@@ -296,19 +265,11 @@ class _PairwiseRows:
         start = i - i % 4
         block = self._blocks.get(start)
         if block is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # see _gram_dists
-                block = (-2.0 * self._points[start : start + 4]) @ self._points.T
-                block += self._sq_norms
-                block += self._sq_norms[start : start + 4, None]
+            block = (-2.0 * self._points[start : start + 4]) @ self._points.T
+            block += self._sq_norms
+            block += self._sq_norms[start : start + 4, None]
             self._blocks[start] = block
         return block[i - start]
-
-
-def _pairwise_gram(points: np.ndarray) -> np.ndarray:
-    """Every row of ``_PairwiseRows(points, _sq_norms(points))`` as one
-    (n, n) matrix."""
-    rows = _PairwiseRows(points, _sq_norms(points))
-    return np.stack([rows[i] for i in range(len(points))])
 
 
 def _move_row(
@@ -336,7 +297,6 @@ def _move_row(
         row -= pairwise_row
         row /= new_count
         row += own
-    # Every term from 4 R^2 first: where that overflows, so does the bound.
     span = 4.0 * reach * reach + (bound + pair_error)
     headroom = 4.0 * ((count + 1.0) * span)
     rounding = 2.0 * _UNIT_ROUNDOFF * headroom / new_count + 4.0 * _SUBNORMAL
@@ -344,27 +304,23 @@ def _move_row(
     return growth * bound + pair_error / new_count + _SAFETY * rounding
 
 
-# Overflow and inf - inf only make bounds and deltas inf or NaN, which decide
-# nothing.
-@np.errstate(over="ignore", invalid="ignore")
 def _refine_labels(
     points: np.ndarray,
     labels: np.ndarray,
     centroids: np.ndarray,
-    pairwise: np.ndarray | _PairwiseRows,
+    pairwise: _PairwiseRows,
+    sq_norms: np.ndarray,
     max_sweeps: int = 200,
-    sq_norms: np.ndarray | None = None,
     dists: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-point improvement sweeps after Lloyd converges.
 
-    ``centroids`` must be ``_cluster_means(points, labels, k)`` and
-    ``pairwise`` ``_pairwise_gram(points)`` or its ``_PairwiseRows``, of
-    which only the rows of moved points are read; the final labels are
-    returned with their centroids, computed the same way. ``sq_norms``, the
-    points' ``|x|^2``, and ``dists``, ``_gram_dists(centroids, points,
-    sq_norms)``, are taken here when not given; ``dists`` is updated in
-    place.
+    ``centroids`` must be ``_cluster_means(points, labels, k)``,
+    ``sq_norms`` the points' ``|x|^2`` and ``pairwise`` their
+    ``_PairwiseRows``, of which only the rows of moved points are read; the
+    final labels are returned with their centroids, computed the same way.
+    ``dists``, ``_gram_dists(centroids, points, sq_norms)``, is taken here
+    when not given, and is updated in place.
 
     Lloyd stops at assignments that are centroid-stable but may still admit
     an objective-reducing move of one point; the exact change of moving
@@ -379,10 +335,10 @@ def _refine_labels(
     ``sum((x - c) ** 2)`` to the exact means ``c_j`` (``_cluster_mean``), in
     row-major (point, cluster) order, taking the first on exact ties, and
     only when it is strictly below ``-1e-12``; otherwise the labels are
-    final. Moves to the point's own cluster, moves out of a singleton
-    cluster and NaN deltas are never candidates. This is the same move a
-    scalar loop over points, then clusters, keeping the first strictly
-    smaller delta, would pick.
+    final. Moves to the point's own cluster and moves out of a singleton
+    cluster are never candidates. This is the same move a scalar loop over
+    points, then clusters, keeping the first strictly smaller delta, would
+    pick.
 
     Most moves are decided without any mean. Row ``G_j`` holds every
     point's squared distance to cluster j's mean. A move of point i changes
@@ -406,33 +362,27 @@ def _refine_labels(
     ``_exact_row_error`` of a center of norm ``R + e``, each ``G_j`` is
     within ``eps_j + d`` of the difference form to ``c_j``, and each delta
     within ``B = 3.5 (max_j eps_j + d)`` of the exact one (the gain factor
-    is below 1, the loss factor at most 2). Every bound term is taken from
-    ``4 R^2`` first, so it is ``inf`` wherever a row might overflow.
+    is below 1, the loss factor at most 2).
 
     A point whose smallest Gram delta exceeds ``min(g + 2B, B - 1e-12)``,
     with ``g`` the smallest over all points, can hold neither the overall
     minimum nor a delta below ``-1e-12``; when no point is left, the labels
-    are final. When exactly one point is left, ``B`` is finite (so are ``R``
-    and every row), the point's cluster has more than one member, its
-    smallest delta plus ``B`` is below ``-1e-12``, and its next smallest
-    delta exceeds it by more than ``2B`` (always for ``k = 2``, where it is
-    the own cluster's ``inf``), the exact rule makes that move too, and it
-    is applied. Otherwise, if any cluster has changed since its last exact
-    mean, those means are computed exactly, their rows rebuilt from one
-    BLAS product and their bounds reset, and the sweep is redone without
-    counting against ``max_sweeps``. With every centroid exact, the points
-    left (rows made NaN by ``inf - inf`` where the Gram form overflows, and
-    every row when the bound overflows, included) get
-    difference-form distances and deltas, with the same operations in the
-    same order, and the exact rule picks the move. Before returning, the
-    changed clusters get their exact means.
+    are final. When exactly one point is left, its cluster has more than one
+    member, its smallest delta plus ``B`` is below ``-1e-12``, and its next
+    smallest delta exceeds it by more than ``2B`` (always for ``k = 2``,
+    where it is the own cluster's ``inf``), the exact rule makes that move
+    too, and it is applied. Otherwise, if any cluster has changed since its
+    last exact mean, those means are computed exactly, their rows rebuilt
+    from one BLAS product and their bounds reset, and the sweep is redone
+    without counting against ``max_sweeps``. With every centroid exact, the points
+    left get difference-form distances and deltas, with the same operations
+    in the same order, and the exact rule picks the move. Before returning,
+    the changed clusters get their exact means.
     """
     labels = labels.copy()
     centroids = centroids.copy()
     k = len(centroids)
     n, dim = points.shape
-    if sq_norms is None:
-        sq_norms = _sq_norms(points)
     max_sq_norm = float(sq_norms.max())
     reach = _reach(max_sq_norm, dim)
     exact_error = _mean_error(n, reach, dim)
@@ -460,14 +410,12 @@ def _refine_labels(
         if counts.min() <= 1.0:
             row_min[counts[labels] <= 1.0] = np.inf
         bound = 3.5 * (max(bounds) + exact_gap)
-        # A NaN minimum gives a NaN cap (Python's min keeps its first
-        # argument unless the second is smaller), and then every row stays.
         cap = min(float(row_min.min()) + 2.0 * bound, bound - 1e-12)
         near = (~(row_min > cap)).nonzero()[0]
         if near.size == 0:
             break
         move = None
-        if near.size == 1 and math.isfinite(bound) and counts[labels[near[0]]] > 1.0:
+        if near.size == 1 and counts[labels[near[0]]] > 1.0:
             # The row's deltas as row_min computed them; all finite but
             # the own cluster's inf.
             i = int(near[0])
@@ -488,7 +436,7 @@ def _refine_labels(
             continue
         if move is None:
             # The exact deltas of the rows left, in row-major order: the
-            # first strictly smallest below -1e-12 is the move (NaN never is).
+            # first strictly smallest below -1e-12 is the move.
             best = -1e-12
             gains = gain.tolist()
             for i, dists in zip(near.tolist(), _sq_dists(points[near], centroids).tolist()):
@@ -557,6 +505,16 @@ def kmeans(
     and a refinement starts from the last Gram distances of the Lloyd run
     it follows when they were taken against the centroids it starts from.
 
+    All of it runs on the points scaled by the power of two that brings
+    their largest component into [0.5, 1) (``power_of_two_scaled``), so no
+    squared distance, bound or seeding weight can overflow, and the
+    refinement's move threshold of ``-1e-12`` is relative to that scale.
+    The centroids and the inertia are scaled back, the inertia to ``inf``
+    where it runs past the float range. Since scaling by a power of two is
+    exact, the labels, and the centroids up to that factor, do not depend
+    on a common power-of-two scale of the vectors, bar components that
+    underflow.
+
     Returns None exactly when the input holds fewer than k distinct
     vectors, so it cannot be divided into k non-empty clusters. That is a
     signal, not a failure. The result is fully determined by (vectors, k,
@@ -574,6 +532,7 @@ def kmeans(
         raise ValueError("kmeans needs finite vectors")
     if not _has_k_distinct_rows(points, k):
         return None
+    points, shift = power_of_two_scaled(points)
     seed = seed & _SEED_MASK
     sq_norms = _sq_norms(points)
     pairwise = _PairwiseRows(points, sq_norms)
@@ -581,10 +540,15 @@ def kmeans(
     for restart in range(restarts):
         rng = np.random.default_rng([seed, 0, restart])
         labels, centroids, dists = _lloyd(points, k, rng, max_iters, sq_norms)
-        labels, centroids = _refine_labels(points, labels, centroids, pairwise, sq_norms=sq_norms, dists=dists)
+        labels, centroids = _refine_labels(points, labels, centroids, pairwise, sq_norms, dists=dists)
         inertia = float(np.sum((points - centroids[labels]) ** 2))
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)
+    best.centroids = np.ldexp(best.centroids, -shift)
+    try:
+        best.inertia = math.ldexp(best.inertia, -2 * shift)
+    except OverflowError:
+        best.inertia = math.inf
     return best
 
 

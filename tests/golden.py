@@ -29,7 +29,6 @@ import hashlib
 import io
 import json
 import os
-import platform
 import random
 import subprocess
 import sys
@@ -37,6 +36,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from helpers import blas_kernels_selectable
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "data" / "golden_outputs.json"
@@ -221,20 +222,6 @@ def digests(dependent: bool) -> dict[str, str]:
         finally:
             os.chdir(cwd)
     return found
-
-
-def blas_kernels_selectable() -> bool:
-    """Whether ``OPENBLAS_CORETYPE`` picks numpy's BLAS kernel: OpenBLAS
-    built with ``DYNAMIC_ARCH`` on x86-64."""
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        return False
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError):
-        return False
-    return "openblas" in str(blas.get("name", "")).lower() and "DYNAMIC_ARCH" in str(
-        blas.get("openblas configuration", "")
-    )
 
 
 def kernel_digests(kernel: str = KERNEL) -> dict[str, str]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import platform
 import re
 from collections import Counter
 from dataclasses import replace
@@ -24,6 +25,20 @@ from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key, topic_
 from treesum.scoring import Hyperparams
 from treesum.tree import ClassTree, ClassTreeNode, _kmeans_pp_init, derive_seed, kmeans, label_groups
 from treesum.variants import CS_ONLY, TopicWork
+
+
+def blas_kernels_selectable() -> bool:
+    """Whether ``OPENBLAS_CORETYPE`` picks numpy's BLAS kernel: OpenBLAS
+    built with ``DYNAMIC_ARCH`` on x86-64."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower() and "DYNAMIC_ARCH" in str(
+        blas.get("openblas configuration", "")
+    )
 
 
 def make_document(doc_id: str, doc_index: int, text: str) -> Document:

@@ -282,6 +282,38 @@ def test_file_vectors_whose_squared_distances_overflow_summarize(tmp_path):
     assert json.loads((tmp_path / "out" / "trees.json").read_text())["t"]["node_count"] > 1
 
 
+def test_outputs_do_not_depend_on_a_power_of_two_scale_of_the_vectors(tmp_path):
+    """Every ``file:`` vector times 2**k: all six methods' summaries and
+    trees, and the ablation table, keep the bytes they have at k = 0. The
+    components lie on a grid of 2**-10 below 4, so each scale is exact."""
+    import numpy as np
+
+    corpus = _write_varied_corpus(tmp_path / "corpus")
+    rng = np.random.default_rng(1060)
+    keys = []
+    for topic in sorted(corpus.iterdir()):
+        for d, doc in enumerate(sorted((topic / "docs").iterdir())):
+            sentences = treesum.segment_sentences(doc.read_text())
+            keys += [f"{topic.name}/d{d}/s{s}" for s in range(len(sentences))]
+    base = np.round(np.clip(rng.normal(size=(len(keys), 16)), -3.9, 3.9) * 1024) / 1024
+    outputs = {}
+    for k in (0, -1060, -20, 1000, 1021):
+        vectors = tmp_path / f"vectors{k}.jsonl"
+        vectors.write_text(
+            "".join(json.dumps({"key": key, "vector": row}) + "\n" for key, row in zip(keys, np.ldexp(base, k).tolist()))
+        )
+        common = ["--input", str(corpus), "--embedder", f"file:{vectors}", "--budget-words", "40", "--seed", "3"]
+        runs = {"ablate": ["ablate", *common]}
+        for method in ("ours-final", "ours-cs", "comp1", "comp2", "comp3", "comp4"):
+            runs[method] = ["summarize", *common, "--method", method, "--format", "jsonl", "--dump-trees"]
+        for name, argv in runs.items():
+            out = tmp_path / f"out{k}" / name
+            assert main([*argv, "--out", str(out)]) == 0, (k, name)
+            outputs[k, name] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "config.txt"}
+    for (k, name), files in outputs.items():
+        assert files == outputs[0, name], (k, name)
+
+
 def test_evaluate_generates_and_reports(tmp_path):
     corpus = _write_corpus(tmp_path / "corpus")
     out = tmp_path / "out"

@@ -11,6 +11,7 @@ import json
 import pytest
 
 import golden
+from helpers import blas_kernels_selectable
 
 
 def _manifest():
@@ -28,7 +29,7 @@ def test_outputs_match_the_golden_manifest():
 
 
 @pytest.mark.skipif(
-    not golden.blas_kernels_selectable(),
+    not blas_kernels_selectable(),
     reason="comp4 and ablate outputs depend on the BLAS kernel, which only "
     "OpenBLAS with DYNAMIC_ARCH on x86-64 selects through OPENBLAS_CORETYPE",
 )

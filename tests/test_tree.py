@@ -6,7 +6,6 @@ import contextlib
 import io
 import math
 import os
-import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +15,7 @@ import pytest
 
 import treesum
 from helpers import (
+    blas_kernels_selectable,
     broadcast_sq_dists,
     brute_force_min_inertia,
     difference_form_lloyd,
@@ -36,12 +36,10 @@ from treesum.tree import (
     _gram_dists,
     _gram_error_bound,
     _has_k_distinct_rows,
-    _kmeans_pp_init,
     _lloyd,
     _mean_error,
     _move_row,
     _PairwiseRows,
-    _pairwise_gram,
     _reach,
     _refine_labels,
     _sq_dists,
@@ -101,16 +99,6 @@ def test_kmeans_never_returns_empty_cluster():
             assert counts.min() >= 1
 
 
-def _overflow_band_points(rng, dim):
-    """5-8 points of norm 0.85e154 to 1.3e154 in 1-3 dims: every |x|^2 is
-    finite, but ``2 x.c`` overflows for the larger centroids, so some Gram
-    distances are -inf while others stay finite. Their spread keeps the
-    k-means++ weights finite."""
-    n = int(rng.integers(5, 9))
-    scale = rng.choice([0.85, 1.0, 1.3], size=(n, 1))
-    return 1e154 / np.sqrt(dim) * scale * (1.0 + 1e-3 * rng.normal(size=(n, dim)))
-
-
 def _refine_cases(rng):
     """Seeded (points, k) inputs for the refinement oracle, ties included."""
     for kind in ("gaussian", "integer", "decimal1"):
@@ -124,10 +112,6 @@ def _refine_cases(rng):
                 else:
                     points = np.round(rng.normal(size=(n, dim)), 1)
                 yield points, k
-    # A NaN coordinate: every delta it touches is NaN and never a move.
-    points = rng.normal(size=(12, 3))
-    points[4, 1] = np.nan
-    yield points, 3
     # Duplicate rows: equal deltas, so the first in row order must win.
     for dim in (2, 8):
         pool = rng.normal(size=(6, dim))
@@ -135,14 +119,8 @@ def _refine_cases(rng):
     # Deltas of about 1e-12, on both sides of the move threshold.
     for dim in (3, 16):
         yield rng.normal(size=(30, dim)) * 3e-7, 3
-    # Huge rows: 1e150 keeps the bound finite; around 1e154 it overflows
-    # (|x|^2 is inf) and every row goes to the difference form.
+    # Huge rows.
     yield rng.normal(size=(20, 8)) * 1e150, 3
-    yield 1e154 * (1.0 + 1e-4 * rng.normal(size=(20, 8))), 3
-    # |x|^2 finite, some Gram terms not: the bound must overflow too.
-    for dim in (1, 2, 3):
-        for k in (2, 3):
-            yield _overflow_band_points(rng, dim), k
     # Subnormal rows: squares underflow, alone and beside normal rows.
     yield rng.normal(size=(16, 4)) * 1e-310, 2
     mixed = rng.normal(size=(20, 4))
@@ -155,9 +133,7 @@ def _refine_cases(rng):
 def _start_labels(rng, points, k):
     """Lloyd's own result, a noisier start, and one with a singleton cluster."""
     n = len(points)
-    lloyd = None
-    if np.isfinite(points).all():
-        lloyd = difference_form_lloyd(points, k, np.random.default_rng([int(rng.integers(1 << 30))]), 100)
+    lloyd = difference_form_lloyd(points, k, np.random.default_rng([int(rng.integers(1 << 30))]), 100)
     if lloyd is not None:
         yield lloyd
     if n > 40:
@@ -177,16 +153,21 @@ def _start_labels(rng, points, k):
     yield singleton
 
 
+def _refine_args(points):
+    """The points' ``_PairwiseRows`` and ``|x|^2``, as ``kmeans`` passes them."""
+    sq_norms = _sq_norms(points)
+    return _PairwiseRows(points, sq_norms), sq_norms
+
+
 def _refine(points, labels, k, **kwargs):
     """``_refine_labels`` from the labels' own centroids; checks that the
     centroids it returns are those of its labels, byte for byte."""
     start = _cluster_means(points, labels, k)
-    got, centroids = _refine_labels(points, labels, start, _pairwise_gram(points), **kwargs)
+    got, centroids = _refine_labels(points, labels, start, *_refine_args(points), **kwargs)
     assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
     return got
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _gram_form_dists(points, centroids):
     """The Gram form alone, with no exact check: |x|^2 - 2 x.c + |c|^2."""
     return np.vecdot(points, points)[:, None] - 2.0 * (points @ centroids.T) + np.vecdot(centroids, centroids)
@@ -279,7 +260,7 @@ def _counted_refine(monkeypatch, points, labels, k, **kwargs):
     other labels belongs to a fallback sweep, which takes at most ``k``.
     """
     start = _cluster_means(points, labels, k)
-    pairwise = _pairwise_gram(points)
+    args = _refine_args(points)
     seen = []
     products = []
 
@@ -294,7 +275,7 @@ def _counted_refine(monkeypatch, points, labels, k, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(treesum.tree, "_cluster_mean", counted)
         patch.setattr(treesum.tree, "_gram_dists", counted_product)
-        got, centroids = _refine_labels(points, labels, start, pairwise, **kwargs)
+        got, centroids = _refine_labels(points, labels, start, *args, **kwargs)
     assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
     return got, seen, len(products)
 
@@ -370,7 +351,7 @@ def _move_row_updates():
     ``_move_row`` update of cluster 0's row: ``(case, scale, tight, points,
     labels, row, bound, screen_gap)``.
 
-    Half the sequences run as the refinement does: ``_pairwise_gram`` with
+    Half the sequences run as the refinement does: ``_PairwiseRows`` with
     ``_gram_error_bound``, and a row built from an exact mean with
     ``_exact_row_error``. The other half start from correctly rounded
     distances, a row with an offset of up to 1e-6 of its values, and each
@@ -404,7 +385,7 @@ def _move_row_updates():
             row = np.array([float(v) + offset for v in real])
             bound = _float_above(_max_gap(row, real))
         else:
-            pairwise = _pairwise_gram(points)
+            pairwise = _PairwiseRows(points, sq_norms)
             pair_error = _gram_error_bound(dim, max_sq_norm, max_sq_norm)
             gram, center_sq = _gram_dists(_cluster_mean(points, labels, 0)[None], points, sq_norms)
             row = gram[0]
@@ -460,7 +441,7 @@ def test_pairwise_rows_are_built_on_first_read_with_the_whole_matrix_bits():
         for i in read:
             assert rows[int(i)].tobytes() == whole[i].tobytes(), (n, i)
         assert len(rows._blocks) == len({int(i) // 4 for i in read})
-        assert _pairwise_gram(points).tobytes() == whole.tobytes()
+        assert np.stack([rows[i] for i in range(n)]).tobytes() == whole.tobytes()
 
 
 def _tied_targets_case(rng):
@@ -511,73 +492,6 @@ def test_refine_labels_exact_check_decides_near_ties():
     assert gram_differs >= 5
 
 
-def _overflow_band_refine_case(rng, dim):
-    """Labels under which the Gram screen of the first sweep sees -inf.
-
-    Along one direction, a point at 1.2e154 sits in the cluster near 0 and a
-    point at 0 in the cluster near 1.3e154. The first point's Gram distance
-    to the far centroid overflows to -inf; the second point's row is finite
-    and holds the better move, which the first sweep must apply.
-    """
-    t = np.array([0.0, 0.02, 0.04, 1.2, 1.3, 1.3, 1.31, 1.29, 0.0])
-    labels = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1])
-    direction = rng.normal(size=dim)
-    direction /= np.linalg.norm(direction)
-    points = 1e154 * (t[:, None] * direction + 1e-3 * rng.normal(size=(len(t), dim)))
-    order = rng.permutation(len(t))
-    return points[order], labels[order], 2
-
-
-def test_refine_labels_decides_where_gram_form_overflows():
-    rng = np.random.default_rng(154)
-    for dim in (1, 2, 3):
-        for _ in range(5):
-            points, labels, k = _overflow_band_refine_case(rng, dim)
-            sq_norms = _sq_norms(points)
-            gram, _ = _gram_dists(_cluster_means(points, labels, k), points, sq_norms)
-            assert np.isfinite(sq_norms).all() and np.isneginf(gram).any()
-            for sweeps in (1, 200):
-                expected = scalar_refine_labels(points, labels, k, max_sweeps=sweeps)
-                assert np.array_equal(_refine(points, labels, k, max_sweeps=sweeps), expected), (dim, sweeps)
-
-
-def test_refine_labels_decides_where_the_reach_squares_past_the_float_range():
-    """The largest ``|x|^2`` is finite, and so is ``R``, rounded up from it,
-    but ``(R + e)^2``, the squared norm an exact mean may have, is not:
-    every bound is inf and the exact rule decides."""
-    top = 1.340780792994259e154
-    rng = np.random.default_rng(1340)
-    for k in (2, 3):
-        points = top * (1.0 - 1e-3 * rng.random((12, 1)))
-        points[0, 0] = top
-        max_sq_norm = float(_sq_norms(points).max())
-        reach = _reach(max_sq_norm, 1)
-        center_reach = reach + _mean_error(12, reach, 1)
-        assert math.isfinite(max_sq_norm) and math.isfinite(reach) and math.isinf(center_reach * center_reach)
-        labels = np.arange(12) % k
-        rng.shuffle(labels)
-        expected = scalar_refine_labels(points, labels, k)
-        assert np.array_equal(_refine(points, labels, k), expected), k
-
-
-def test_gram_error_bound_overflows_with_the_gram_form():
-    """Wherever a Gram distance is not finite, the bound is not either, so
-    no overflowed entry can decide a label or drop a row."""
-    rng = np.random.default_rng(308)
-    overflowed = 0
-    for _ in range(2000):
-        dim = int(rng.integers(1, 6))
-        scale = 10.0 ** rng.uniform(153.5, 154.3) / np.sqrt(dim)
-        points = rng.uniform(-1.0, 1.0, size=(6, dim)) * scale
-        centers = rng.uniform(-1.0, 1.0, size=(3, dim)) * scale
-        sq_norms = _sq_norms(points)
-        gram, center_sq = _gram_dists(centers, points, sq_norms)
-        if not np.isfinite(gram).all():
-            overflowed += 1
-            assert not np.isfinite(_gram_error_bound(dim, float(sq_norms.max()), float(center_sq.max())))
-    assert overflowed > 200
-
-
 def _sparse_points(rng, n):
     """n sparse non-negative 128-dim points, like hashed tf-idf sentences."""
     points = np.zeros((n, 128))
@@ -604,10 +518,6 @@ def _lloyd_cases(rng):
     pool = rng.normal(size=(5, 4))
     yield pool[rng.integers(0, 5, size=30)], 3
     yield rng.normal(size=(20, 8)) * 1e150, 3
-    yield 1e154 * (1.0 + 1e-4 * rng.normal(size=(20, 8))), 3
-    for dim in (1, 2, 3):
-        for _ in range(4):
-            yield _overflow_band_points(rng, dim), int(rng.integers(2, 4))
     yield rng.normal(size=(16, 4)) * 1e-310, 2
     for _ in range(20):
         # Points a little off a large offset: the Gram form's rounding is
@@ -630,7 +540,7 @@ def test_lloyd_matches_difference_form_oracle():
     for points, k in _lloyd_cases(rng):
         seed = int(rng.integers(1 << 30))
         expected = difference_form_lloyd(points, k, np.random.default_rng(seed), 100)
-        got = _lloyd(points, k, np.random.default_rng(seed), 100)
+        got = _lloyd(points, k, np.random.default_rng(seed), 100, _sq_norms(points))
         if expected is None:
             assert got is None
             continue
@@ -676,7 +586,7 @@ def test_lloyd_always_returns_k_non_empty_clusters(monkeypatch):
         with monkeypatch.context() as patch:
             if not own_seeds:
                 patch.setattr("treesum.tree._kmeans_pp_init", lambda *_: drawn.copy())
-            labels, centroids, dists = _lloyd(points, k, stream, int(rng.integers(1, 20)))
+            labels, centroids, dists = _lloyd(points, k, stream, int(rng.integers(1, 20)), _sq_norms(points))
         _assert_last_dists_match(points, centroids, dists)
         assert labels.shape == (len(points),) and centroids.shape == (k, points.shape[1])
         assert np.bincount(labels, minlength=k).min() >= 1, (points, k)
@@ -720,18 +630,6 @@ def _overflowing_sum_points(rng):
     return rng.uniform(0.1e154, 1.3e154, size=(20, 1))
 
 
-def test_kmeans_pp_seeds_where_squared_distances_sum_past_the_float_range():
-    """The seeds drawn are those drawn for the same points scaled by 2^-512,
-    whose weights are the same up to that exact factor and sum finitely."""
-    rng = np.random.default_rng(154)
-    for trial in range(20):
-        points = _overflowing_sum_points(rng)
-        k = int(rng.integers(2, 5))
-        got = _kmeans_pp_init(points, k, np.random.default_rng(trial))
-        scaled = _kmeans_pp_init(np.ldexp(points, -512), k, np.random.default_rng(trial))
-        assert got.tobytes() == np.ldexp(scaled, 512).tobytes()
-
-
 def test_kmeans_splits_points_whose_squared_distances_sum_past_the_float_range():
     rng = np.random.default_rng(1300)
     for trial in range(10):
@@ -740,6 +638,46 @@ def test_kmeans_splits_points_whose_squared_distances_sum_past_the_float_range()
             result = kmeans(points, k, seed=trial)
             assert result is not None
             assert sorted(set(result.labels.tolist())) == list(range(k))
+
+
+def _scaling_cases(rng):
+    """Seeded (name, points, k): normal points, the same times 1e-7, with
+    every third row subnormal, and points of norm about 1e154."""
+    for _ in range(12):
+        n, dim, k = int(rng.integers(4, 30)), int(rng.integers(1, 9)), int(rng.integers(2, 5))
+        points = rng.normal(size=(n, dim))
+        yield "normal", points, k
+        yield "1e-7", points * 1e-7, k
+        mixed = points.copy()
+        mixed[::3] *= 1e-310
+        yield "subnormal-mixed", mixed, k
+        band = 1e154 * rng.choice([0.85, 1.0, 1.3], size=(n, 1)) * (1.0 + 1e-3 * rng.normal(size=(n, dim)))
+        yield "1e154", band, k
+
+
+def test_kmeans_does_not_depend_on_a_power_of_two_scale():
+    """``kmeans(points * 2**j)`` gives ``kmeans(points)``'s labels and its
+    centroids times ``2**j``, byte for byte, wherever that scaling is exact
+    (no component leaves or enters the subnormal range or overflows)."""
+    rng = np.random.default_rng(2018)
+    checked = {}
+    for name, points, k in _scaling_cases(rng):
+        seed = int(rng.integers(1 << 30))
+        expected = kmeans(points, k, seed)
+        for j in (-1000, -20, 20, 1000):
+            with np.errstate(over="ignore"):
+                scaled = np.ldexp(points, j)
+            if not np.array_equal(np.ldexp(scaled, -j), points):
+                continue
+            got = kmeans(scaled, k, seed)
+            assert got.labels.tobytes() == expected.labels.tobytes(), (name, j)
+            assert got.centroids.tobytes() == np.ldexp(expected.centroids, j).tobytes(), (name, j)
+            checked[name, j] = checked.get((name, j), 0) + 1
+    assert sorted(checked) == sorted(
+        [(name, j) for name in ("normal", "1e-7") for j in (-1000, -20, 20, 1000) if (name, j) != ("1e-7", -1000)]
+        + [("subnormal-mixed", 20), ("subnormal-mixed", 1000), ("1e154", -1000), ("1e154", -20), ("1e154", 20)]
+    )
+    assert min(checked.values()) == 12
 
 
 def test_kmeans_matches_reference_at_sentence_tree_shape():
@@ -843,17 +781,9 @@ for points, k in cases():
 """
 
 
-def _numpy_uses_openblas() -> bool:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError):
-        return False
-    return "openblas" in str(blas.get("name", "")).lower()
-
-
 @pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64") or not _numpy_uses_openblas(),
-    reason="OPENBLAS_CORETYPE selects OpenBLAS kernels on x86-64 only",
+    not blas_kernels_selectable(),
+    reason="OPENBLAS_CORETYPE selects kernels of OpenBLAS with DYNAMIC_ARCH on x86-64 only",
 )
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
 def test_kmeans_does_not_depend_on_blas_kernel(coretype):
