@@ -174,6 +174,9 @@ def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -
     unknown = set(config.metrics) - set(METRIC_IDS)
     if unknown:
         raise ConfigError(f"unknown metrics: {sorted(unknown)}")
+    repeated = sorted({m for m in config.metrics if config.metrics.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"metrics name {', '.join(repeated)} more than once")
     if config.report not in ("recall", "f1"):
         raise ConfigError(f"report must be 'recall' or 'f1', got {config.report!r}")
     if not config.out:

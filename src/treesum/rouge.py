@@ -17,9 +17,12 @@ from __future__ import annotations
 import csv
 import io
 import re
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Corpus, segment_sentences
 from .selection import Budget
@@ -57,61 +60,73 @@ def _average(scores: Sequence[RougeScore]) -> RougeScore:
 
 def tokenize(text: str, stem: bool = False) -> list[str]:
     """Lowercase alphanumeric tokens, optionally Porter-stemmed."""
-    return TokenMemo(stem).tokens(text)
+    tokens = _TOKEN_RE.findall(text.lower())
+    return [porter_stem(token) for token in tokens] if stem else tokens
 
 
 class TokenMemo:
-    """Tokenization and score memo for one evaluation run.
+    """Token ids, reference count tables and scores for one evaluation run.
 
-    Stems each distinct token once and keeps the tokens of each reference
-    text, so references are tokenized and stemmed once however many
-    candidates are scored against them. ``evaluate_corpus`` keeps each
-    topic's scores here, keyed by (truncated summary, references, metric
-    list), so a summary text that recurs (as across the points of a grid
-    search) is scored once; a different metric list is scored anew. Only
-    token lists and scores are kept (token strings are shared with the stem
-    table); n-gram counts are rebuilt per use, which keeps the memo small.
+    Each distinct token is stemmed once and its stem gets a small integer
+    id, so tokens with one stem share an id. For each (references, metric)
+    scored more than once, the memo keeps a ``_CountTable`` of the
+    references' r1 or r2 n-grams or rsu4 skip-bigrams and unigrams, and for
+    ROUGE-L each reference's sentence ids, so references are tokenized and
+    stemmed once, and counted at most twice, however many candidates are
+    scored against them. ``evaluate_corpus`` keeps each topic's scores here,
+    keyed by (truncated summary, references, metric list), so a summary text
+    that recurs (as across the points of a grid search) is scored once; a
+    different metric list is scored anew. Candidates' counts are not kept.
     Scope one to a run (an ``evaluate_corpus`` call, an ablation or a whole
     grid search), not to the process.
     """
 
     def __init__(self, stem: bool = True):
         self.stem = stem
-        self._stems: dict[str, str] = {}
-        self._reference_tokens: dict[str, list[str]] = {}
-        self._reference_sentences: dict[str, list[list[str]]] = {}
+        self._ids: dict[str, int] = {}  # token -> id of its stem
+        self._stem_ids: dict[str, int] = {}
+        self._reference_sentences: dict[str, list[list[int]]] = {}
+        self._tables: dict[tuple[tuple[str, ...], str], _CountTable] = {}
+        self._asked: set[tuple[tuple[str, ...], str]] = set()
         self._scores: dict[tuple[str, tuple[str, ...], tuple[str, ...]], dict[str, RougeScore]] = {}
 
-    def tokens(self, text: str) -> list[str]:
-        """Lowercase alphanumeric tokens, Porter-stemmed if ``self.stem``."""
+    def ids(self, text: str) -> list[int]:
+        """The id of each token of ``text``; Porter-stemmed if ``self.stem``."""
         tokens = _TOKEN_RE.findall(text.lower())
-        if not self.stem:
-            return tokens
-        stems = self._stems
-        out = []
-        for token in tokens:
-            stemmed = stems.get(token)
-            if stemmed is None:
-                stemmed = stems[token] = porter_stem(token)
-            out.append(stemmed)
-        return out
+        ids = self._ids
+        try:
+            return [ids[token] for token in tokens]
+        except KeyError:
+            for token in tokens:
+                if token not in ids:
+                    stemmed = porter_stem(token) if self.stem else token
+                    ids[token] = self._stem_ids.setdefault(stemmed, len(self._stem_ids))
+            return [ids[token] for token in tokens]
 
-    def sentence_tokens(self, text: str) -> list[list[str]]:
-        """Tokens of each non-empty sentence of ``text``."""
-        sentences = [self.tokens(s.text) for s in segment_sentences(text)]
+    def sentence_ids(self, text: str) -> list[list[int]]:
+        """Token ids of each non-empty sentence of ``text``."""
+        sentences = [self.ids(s.text) for s in segment_sentences(text)]
         return [s for s in sentences if s]
 
-    def reference_tokens(self, text: str) -> list[str]:
-        """``tokens(text)``, computed once per reference text."""
-        if text not in self._reference_tokens:
-            self._reference_tokens[text] = self.tokens(text)
-        return self._reference_tokens[text]
-
-    def reference_sentences(self, text: str) -> list[list[str]]:
-        """``sentence_tokens(text)``, computed once per reference text."""
+    def reference_sentences(self, text: str) -> list[list[int]]:
+        """``sentence_ids(text)``, computed once per reference text."""
         if text not in self._reference_sentences:
-            self._reference_sentences[text] = self.sentence_tokens(text)
+            self._reference_sentences[text] = self.sentence_ids(text)
         return self._reference_sentences[text]
+
+    def table(self, references: tuple[str, ...], metric: str) -> _CountTable:
+        """The count table of ``references`` under ``metric`` (r1, r2 or
+        rsu4). It is kept from the second time it is asked for: a plain
+        ``evaluate`` asks once per topic, and keeping those tables raised the
+        resident set of a run of rounds by about 0.5 MB for no reuse."""
+        key = (references, metric)
+        table = self._tables.get(key)
+        if table is None:
+            table = _CountTable([_KEYS[metric](_Tokens(self, r)) for r in references])
+            if key in self._asked:
+                self._tables[key] = table
+            self._asked.add(key)
+        return table
 
     def scores(self, candidate: str, references: tuple[str, ...], metrics: tuple[str, ...]) -> dict[str, RougeScore]:
         """``score_all`` of ``candidate`` under this memo, computed once per
@@ -121,6 +136,23 @@ class TokenMemo:
         if scores is None:
             scores = self._scores[key] = score_all(candidate, references, metrics, memo=self)
         return dict(scores)
+
+
+class _Tokens:
+    """A text's token ids and sentence ids under a memo, each computed once,
+    on first use."""
+
+    def __init__(self, memo: TokenMemo, text: str):
+        self.memo = memo
+        self.text = text
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        return np.array(self.memo.ids(self.text), dtype=np.int64)
+
+    @cached_property
+    def sentences(self) -> list[list[int]]:
+        return self.memo.sentence_ids(self.text)
 
 
 def truncate(text: str, budget: Budget) -> str:
@@ -144,16 +176,90 @@ def truncate(text: str, budget: Budget) -> str:
     return " ".join(kept)
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    """n-gram counts; a unigram is keyed by its token, a longer n-gram by
-    the tuple of its tokens."""
-    if n == 1:
-        return Counter(tokens)
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+# Count keys are int64: a unigram's key is its token id, and a pair's key is
+# ((left + 1) << 32) | right, which is at least 2**32 and so never equals a
+# unigram key. Ids stay far below 2**31.
+def _pair_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    return ((left + 1) << 32) | right
 
 
-def _clipped_overlap(cand: Counter, ref: Counter) -> int:
-    return sum(min(count, ref[gram]) for gram, count in cand.items() if gram in ref)
+def _ngram_keys(ids: np.ndarray, n: int) -> np.ndarray:
+    """One key per n-gram of ``ids`` (n is 1 or 2)."""
+    return ids if n == 1 else _pair_keys(ids[:-1], ids[1:])
+
+
+def _su4_keys(sentences: Sequence[Sequence[int]]) -> np.ndarray:
+    """One key per unigram and per skip-bigram with at most 4 intervening
+    tokens; skip-bigrams never cross sentence boundaries."""
+    lengths = [len(s) for s in sentences]
+    flat = np.fromiter(chain.from_iterable(sentences), dtype=np.int64, count=sum(lengths))
+    # How many tokens follow each position within its own sentence.
+    after = np.repeat(np.cumsum(lengths, dtype=np.int64), lengths) - np.arange(flat.size) - 1
+    keys = [flat]
+    for gap in range(1, 6):
+        left = np.flatnonzero(after >= gap)
+        keys.append(_pair_keys(flat[left], flat[left + gap]))
+    return np.concatenate(keys)
+
+
+_KEYS = {
+    "r1": lambda tokens: _ngram_keys(tokens.ids, 1),
+    "r2": lambda tokens: _ngram_keys(tokens.ids, 2),
+    "rsu4": lambda tokens: _su4_keys(tokens.sentences),
+}
+
+
+def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and how often each occurs.
+
+    Sort-based rather than ``np.unique``, which costs more resident memory
+    and time for the same result. The stable sort, too, keeps the resident
+    set smaller than the default kind, whose vectorized code pages in about
+    0.35 MB more on x86-64.
+    """
+    keys = np.sort(keys, kind="stable")
+    # bounds: where each run of equal keys starts, then the end.
+    edges = np.empty(keys.size + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    return keys[bounds[:-1]], bounds[1:] - bounds[:-1]
+
+
+_SENTINEL = np.array([np.iinfo(np.int64).max])
+
+
+class _CountTable:
+    """Key counts of several references over the sorted union of their keys.
+
+    ``keys`` ends in a sentinel above every real key, with count 0, so every
+    ``searchsorted`` position of a real key is a valid column. ``counts[r]``
+    holds reference ``r``'s count of each key and ``totals[r]`` its number
+    of keys.
+    """
+
+    def __init__(self, per_reference: Sequence[np.ndarray]):
+        counted = [_key_counts(keys) for keys in per_reference]
+        self.keys = _key_counts(np.concatenate([_SENTINEL, *(k for k, _ in counted)]))[0]
+        self.counts = np.zeros((len(counted), self.keys.size), dtype=np.int64)
+        for row, (keys, counts) in zip(self.counts, counted):
+            row[np.searchsorted(self.keys, keys)] = counts
+        self.totals = [len(keys) for keys in per_reference]
+
+    def score(self, keys: np.ndarray) -> RougeScore:
+        """A candidate's clipped overlap with each reference, as recall,
+        precision and F1 averaged across references."""
+        distinct, counts = _key_counts(keys)
+        columns = np.searchsorted(self.keys, distinct)
+        hit = self.keys[columns] == distinct
+        overlaps = np.minimum(self.counts[:, columns[hit]], counts[hit]).sum(axis=1)
+        return _average([_prf(o, total, keys.size) for o, total in zip(overlaps.tolist(), self.totals)])
+
+
+def _count_score(metric: str, candidate: _Tokens, references: tuple[str, ...]) -> RougeScore:
+    """r1, r2 or rsu4 of ``candidate`` from its keys and the references'
+    count table."""
+    return candidate.memo.table(references, metric).score(_KEYS[metric](candidate))
 
 
 def rouge_n(
@@ -170,65 +276,94 @@ def rouge_n(
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
     memo = memo if memo is not None else TokenMemo(stem)
-    cand_counts = _ngrams(memo.tokens(candidate), n)
-    cand_total = sum(cand_counts.values())
-    per_ref = []
-    for reference in references:
-        ref_counts = _ngrams(memo.reference_tokens(reference), n)
-        overlap = _clipped_overlap(cand_counts, ref_counts)
-        per_ref.append(_prf(overlap, sum(ref_counts.values()), cand_total))
-    return _average(per_ref)
+    return _count_score(f"r{n}", _Tokens(memo, candidate), tuple(references))
 
 
-def _match_masks(tokens: Sequence[str]) -> dict[str, int]:
-    """Token -> bit mask of its positions in ``tokens`` (bit j for position j)."""
-    masks: dict[str, int] = {}
-    for j, token in enumerate(tokens):
-        masks[token] = masks.get(token, 0) | (1 << j)
-    return masks
+class _PackedSentences:
+    """Candidate sentences side by side in one integer, for bit-parallel LCS.
 
-
-def _lcs_match_positions(
-    ref_tokens: Sequence[str], cand_tokens: Sequence[str], cand_masks: Mapping[str, int]
-) -> set[int]:
-    """Reference-token positions on one LCS alignment path.
-
-    Bit-parallel LCS (Allison & Dix 1986, in Hyyrö's 2004 form): row ``i``
-    of the DP table is one integer ``v`` over the candidate positions, where
-    bit ``j - 1`` is clear exactly when ``table[i][j] == table[i][j - 1] + 1``,
-    so ``table[i][j] = j - popcount(v & ((1 << j) - 1))``. ``cand_masks`` is
-    ``_match_masks(cand_tokens)``. The traceback rebuilds the cells it needs
-    from the kept rows and follows the table rule: diagonal on equal tokens,
-    up only when ``table[i-1][j] > table[i][j-1]``, left on a tie.
+    Token ``j`` of sentence ``s`` is bit ``offsets[s] + j``, and one zero
+    guard bit follows each sentence. ``masks`` maps a token id to the bits
+    of its positions, and ``full`` has every token bit set.
     """
-    full = (1 << len(cand_tokens)) - 1
+
+    def __init__(self, sentences: list[list[int]]):
+        self.sentences = sentences
+        self.offsets = []
+        self.masks: dict[int, int] = {}
+        bit = 0
+        for sentence in sentences:
+            self.offsets.append(bit)
+            for token in sentence:
+                self.masks[token] = self.masks.get(token, 0) | (1 << bit)
+                bit += 1
+            bit += 1
+        self.full = sum(((1 << len(s)) - 1) << o for s, o in zip(sentences, self.offsets))
+
+
+def _lcs_union(ref_tokens: Sequence[int], packed: _PackedSentences) -> int:
+    """Reference positions on the LCS alignment of ``ref_tokens`` with any
+    candidate sentence, as a bit mask (bit ``i`` for position ``i``).
+
+    Bit-parallel LCS (Allison & Dix 1986, in Hyyrö's 2004 form), run once
+    over all candidate sentences: row ``i`` is one integer ``v`` where, within
+    sentence ``s``, bit ``offsets[s] + j - 1`` is clear exactly when
+    ``table[i][j] == table[i][j - 1] + 1`` in that sentence's DP table, so
+    ``table[i][j] = j - popcount`` of the sentence's bits below ``j``. Within a
+    sentence, ``u`` is a subset of ``v``, so ``v - u`` never borrows and a
+    carry of ``v + u`` out of the sentence's top bit stops at its guard bit,
+    which ``& full`` clears again: each sentence's bits are the row a
+    recurrence over that sentence alone computes.
+
+    Only sentences with a non-empty LCS are traced back, by the table rule:
+    diagonal on equal tokens, up only when ``table[i-1][j] > table[i][j-1]``,
+    left on a tie. On unequal tokens ``table[i][j]`` is the larger of those
+    two cells, so up is strictly larger exactly when ``table[i][j] ==
+    table[i][j-1] + 1``: when column ``j``'s bit of row ``i`` is clear. Each
+    step reads one bit of a kept row.
+    """
+    full = packed.full
     v = full
     rows = [v]
-    mask_of = cand_masks.get
+    mask_of = packed.masks.get
     for token in ref_tokens:
         u = v & mask_of(token, 0)
         if u:
             v = ((v + u) | (v - u)) & full
         rows.append(v)
-    positions: set[int] = set()
-    # Each diagonal step lowers the table value on the path by one, and a
-    # zero cell has no equal tokens left before it, so the walk stops there.
-    remaining = len(cand_tokens) - v.bit_count()
-    i, j = len(ref_tokens), len(cand_tokens)
-    while remaining:
-        if ref_tokens[i - 1] == cand_tokens[j - 1]:
-            positions.add(i - 1)
-            i -= 1
-            j -= 1
-            remaining -= 1
-            continue
-        up = j - (rows[i - 1] & ((1 << j) - 1)).bit_count()
-        left = j - 1 - (rows[i] & ((1 << (j - 1)) - 1)).bit_count()
-        if up > left:
-            i -= 1
-        else:
-            j -= 1
+    positions = 0
+    for cand_tokens, offset in zip(packed.sentences, packed.offsets):
+        i, j = len(ref_tokens), len(cand_tokens)
+        # The walk follows table values down from the LCS length: a diagonal
+        # step lowers it by one, and a zero cell has no equal tokens left
+        # before it, so the walk stops there.
+        remaining = j - ((v >> offset) & ((1 << j) - 1)).bit_count()
+        bit = (1 << (offset + j)) >> 1  # column j's bit
+        while remaining:
+            if ref_tokens[i - 1] == cand_tokens[j - 1]:
+                positions |= 1 << (i - 1)
+                i -= 1
+                j -= 1
+                bit >>= 1
+                remaining -= 1
+            elif rows[i] & bit:
+                j -= 1
+                bit >>= 1
+            else:
+                i -= 1
     return positions
+
+
+def _rouge_l(candidate: _Tokens, references: tuple[str, ...]) -> RougeScore:
+    packed = _PackedSentences(candidate.sentences)
+    cand_total = sum(len(s) for s in packed.sentences)
+    per_ref = []
+    for reference in references:
+        ref_sents = candidate.memo.reference_sentences(reference)
+        ref_total = sum(len(s) for s in ref_sents)
+        hits = sum(_lcs_union(ref_sent, packed).bit_count() for ref_sent in ref_sents)
+        per_ref.append(_prf(hits, ref_total, cand_total))
+    return _average(per_ref)
 
 
 def rouge_l(
@@ -242,40 +377,13 @@ def rouge_l(
     For each reference sentence, the match positions of its LCS with every
     candidate sentence are unioned; the union sizes are summed over reference
     sentences. Recall divides by the reference token count, precision by the
-    candidate token count; per-reference scores are averaged. A given
-    ``memo`` decides stemming in place of ``stem``.
+    candidate token count; per-reference scores are averaged. One
+    bit-parallel recurrence per reference sentence covers all candidate
+    sentences at once (see ``_lcs_union``). A given ``memo`` decides stemming
+    in place of ``stem``.
     """
     memo = memo if memo is not None else TokenMemo(stem)
-    cand_sents = [(s, _match_masks(s)) for s in memo.sentence_tokens(candidate)]
-    cand_total = sum(len(s) for s, _ in cand_sents)
-    per_ref = []
-    for reference in references:
-        ref_sents = memo.reference_sentences(reference)
-        ref_total = sum(len(s) for s in ref_sents)
-        hits = 0
-        for ref_sent in ref_sents:
-            union: set[int] = set()
-            for cand_sent, cand_masks in cand_sents:
-                union |= _lcs_match_positions(ref_sent, cand_sent, cand_masks)
-            hits += len(union)
-        per_ref.append(_prf(hits, ref_total, cand_total))
-    return _average(per_ref)
-
-
-def _su4_counts(sentences: Sequence[Sequence[str]]) -> Counter:
-    """Skip-bigrams with at most 4 intervening tokens, plus unigrams.
-
-    Skip-bigrams never cross sentence boundaries; with zero allowed
-    intervening tokens they would degenerate to ordinary bigrams. A unigram
-    is keyed by its token (a ``str``) and a skip-bigram by its ``(left,
-    right)`` tuple, so the two kinds never share a key.
-    """
-    counts: Counter = Counter()
-    for tokens in sentences:
-        counts.update(tokens)
-        for gap in range(1, 6):
-            counts.update(zip(tokens, tokens[gap:]))
-    return counts
+    return _rouge_l(_Tokens(memo, candidate), tuple(references))
 
 
 def rouge_su4(
@@ -286,24 +394,19 @@ def rouge_su4(
 ) -> RougeScore:
     """Skip-bigram(4) + unigram overlap, averaged across references.
 
-    A given ``memo`` decides stemming in place of ``stem``.
+    Skip-bigrams never cross sentence boundaries; with zero allowed
+    intervening tokens they would degenerate to ordinary bigrams. A given
+    ``memo`` decides stemming in place of ``stem``.
     """
     memo = memo if memo is not None else TokenMemo(stem)
-    cand_counts = _su4_counts(memo.sentence_tokens(candidate))
-    cand_total = sum(cand_counts.values())
-    per_ref = []
-    for reference in references:
-        ref_counts = _su4_counts(memo.reference_sentences(reference))
-        overlap = _clipped_overlap(cand_counts, ref_counts)
-        per_ref.append(_prf(overlap, sum(ref_counts.values()), cand_total))
-    return _average(per_ref)
+    return _count_score("rsu4", _Tokens(memo, candidate), tuple(references))
 
 
 _METRIC_FNS = {
-    "r1": lambda cand, refs, memo: rouge_n(cand, refs, 1, memo=memo),
-    "r2": lambda cand, refs, memo: rouge_n(cand, refs, 2, memo=memo),
-    "rl": lambda cand, refs, memo: rouge_l(cand, refs, memo=memo),
-    "rsu4": lambda cand, refs, memo: rouge_su4(cand, refs, memo=memo),
+    "r1": partial(_count_score, "r1"),
+    "r2": partial(_count_score, "r2"),
+    "rl": _rouge_l,
+    "rsu4": partial(_count_score, "rsu4"),
 }
 
 
@@ -314,12 +417,15 @@ def score_all(
     memo: TokenMemo | None = None,
 ) -> dict[str, RougeScore]:
     """Every requested metric, Porter-stemmed unless a given ``memo`` says
-    otherwise."""
+    otherwise. The candidate is tokenized and segmented at most once for all
+    of them."""
     unknown = set(metrics) - set(METRIC_IDS)
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")
     memo = memo if memo is not None else TokenMemo()
-    return {m: _METRIC_FNS[m](candidate, references, memo) for m in metrics}
+    tokens = _Tokens(memo, candidate)
+    references = tuple(references)
+    return {m: _METRIC_FNS[m](tokens, references) for m in metrics}
 
 
 @dataclass

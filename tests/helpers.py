@@ -22,6 +22,7 @@ from treesum.corpus import (
     segment_sentences,
 )
 from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key, topic_keys
+from treesum.rouge import RougeScore, _average, _prf
 from treesum.scoring import Hyperparams
 from treesum.tree import ClassTree, ClassTreeNode, _kmeans_pp_init, derive_seed, kmeans, label_groups
 from treesum.variants import CS_ONLY, TopicWork
@@ -384,32 +385,92 @@ def kmeans_class_tree(points: np.ndarray, k_first: int, k_rest: int, max_nodes: 
     return ClassTree(root=root, node_count=len(nodes), traversal_order=tuple(n.node_id for n in order), nodes=nodes)
 
 
-def slice_ngrams(tokens: Sequence[str], n: int) -> Counter:
-    """Reference n-gram counts, one tuple slice per position: the original
-    form of ``treesum.rouge._ngrams``."""
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+# --- ROUGE oracles: per-pair counting and per-pair LCS ------------------------
+#
+# The Counter forms of ROUGE-N and ROUGE-SU4 and a ROUGE-L that traces one
+# full DP table per (reference sentence, candidate sentence) pair. They share
+# only the recall/precision/F1 formulas with ``treesum.rouge``; tokens are
+# made here, stemmed by the character-loop stemmer below.
+
+def oracle_tokens(text: str, stem: bool) -> list[str]:
+    tokens = re.findall(r"[a-z0-9]+", text.lower())
+    return [loop_porter_stem(t) for t in tokens] if stem else tokens
 
 
-def loop_su4_counts(sentences: Sequence[Sequence[str]]) -> Counter:
-    """Reference SU4 counts, one increment per unigram and skip-bigram: the
-    original loop form of ``treesum.rouge._su4_counts``."""
+def oracle_sentences(text: str, stem: bool) -> list[list[str]]:
+    sentences = [oracle_tokens(s.text, stem) for s in segment_sentences(text)]
+    return [s for s in sentences if s]
+
+
+def _counter_ngrams(tokens: Sequence[str], n: int) -> Counter:
+    if n == 1:
+        return Counter(tokens)
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _counter_su4(sentences: Sequence[Sequence[str]]) -> Counter:
     counts: Counter = Counter()
     for tokens in sentences:
-        for i, left in enumerate(tokens):
-            counts[("u", left)] += 1
-            for j in range(i + 1, min(i + 6, len(tokens))):
-                counts[("sb", left, tokens[j])] += 1
+        counts.update(tokens)
+        for gap in range(1, 6):
+            counts.update(zip(tokens, tokens[gap:]))
     return counts
+
+
+def _clipped_overlap(cand: Counter, ref: Counter) -> int:
+    return sum(min(count, ref[gram]) for gram, count in cand.items() if gram in ref)
+
+
+def _counter_score(cand_counts: Counter, ref_counts: Sequence[Counter]) -> RougeScore:
+    cand_total = sum(cand_counts.values())
+    return _average([
+        _prf(_clipped_overlap(cand_counts, ref), sum(ref.values()), cand_total) for ref in ref_counts
+    ])
+
+
+def counter_rouge_n(candidate: str, references: Sequence[str], n: int, stem: bool = True) -> RougeScore:
+    """ROUGE-N from one ``Counter`` per text and a Python-level clipped sum."""
+    return _counter_score(
+        _counter_ngrams(oracle_tokens(candidate, stem), n),
+        [_counter_ngrams(oracle_tokens(ref, stem), n) for ref in references],
+    )
+
+
+def counter_rouge_su4(candidate: str, references: Sequence[str], stem: bool = True) -> RougeScore:
+    """ROUGE-SU4 from one ``Counter`` per text: a unigram keyed by its token,
+    a skip-bigram by its (left, right) tuple."""
+    return _counter_score(
+        _counter_su4(oracle_sentences(candidate, stem)),
+        [_counter_su4(oracle_sentences(ref, stem)) for ref in references],
+    )
+
+
+def table_rouge_l(candidate: str, references: Sequence[str], stem: bool = True) -> RougeScore:
+    """Summary-level union-LCS with one ``table_lcs_match_positions`` per
+    (reference sentence, candidate sentence) pair."""
+    cand_sents = oracle_sentences(candidate, stem)
+    cand_total = sum(len(s) for s in cand_sents)
+    per_ref = []
+    for reference in references:
+        ref_sents = oracle_sentences(reference, stem)
+        hits = 0
+        for ref_sent in ref_sents:
+            union: set[int] = set()
+            for cand_sent in cand_sents:
+                union |= table_lcs_match_positions(ref_sent, cand_sent)
+            hits += len(union)
+        per_ref.append(_prf(hits, sum(len(s) for s in ref_sents), cand_total))
+    return _average(per_ref)
 
 
 def table_lcs_match_positions(ref_tokens: Sequence[str], cand_tokens: Sequence[str]) -> set[int]:
     """Reference LCS match positions from the full DP table.
 
-    The original table form of ``treesum.rouge._lcs_match_positions``: fill
-    the (m+1) x (n+1) table, then walk back from the corner, taking the
-    diagonal on equal tokens, going up only when the cell above is strictly
-    larger than the cell to the left, and left otherwise. The bit-parallel
-    version must return exactly the same positions.
+    Fill the (m+1) x (n+1) table, then walk back from the corner, taking
+    the diagonal on equal tokens, going up only when the cell above is
+    strictly larger than the cell to the left, and left otherwise. The
+    bit-parallel ``treesum.rouge._lcs_union`` must return exactly the union
+    of these positions over candidate sentences.
     """
     m, n = len(ref_tokens), len(cand_tokens)
     if m == 0 or n == 0:
@@ -433,6 +494,173 @@ def table_lcs_match_positions(ref_tokens: Sequence[str], cand_tokens: Sequence[s
         else:
             j -= 1
     return positions
+
+
+# --- Porter stemmer oracle ------------------------------------------------
+
+_VOWELS = "aeiou"
+
+
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        # y is a consonant at the start of a word or after a vowel.
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    """Number of vowel-consonant sequences in [C](VC)^m[V]."""
+    i = 0
+    n = len(stem)
+    while i < n and _is_consonant(stem, i):
+        i += 1
+    m = 0
+    while i < n:
+        while i < n and not _is_consonant(stem, i):
+            i += 1
+        if i >= n:
+            break
+        m += 1
+        while i < n and _is_consonant(stem, i):
+            i += 1
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word: str) -> bool:
+    return len(word) >= 2 and word[-1] == word[-2] and _is_consonant(word, len(word) - 1)
+
+
+def _ends_cvc(word: str) -> bool:
+    n = len(word)
+    if n < 3:
+        return False
+    if not (_is_consonant(word, n - 3) and not _is_consonant(word, n - 2) and _is_consonant(word, n - 1)):
+        return False
+    return word[-1] not in "wxy"
+
+
+def _post_ed_ing(word: str) -> str:
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e"
+    if _ends_double_consonant(word) and word[-1] not in "lsz":
+        return word[:-1]
+    if _measure(word) == 1 and _ends_cvc(word):
+        return word + "e"
+    return word
+
+
+def _step1ab(word: str) -> str:
+    if word.endswith("sses"):
+        word = word[:-2]
+    elif word.endswith("ies"):
+        word = word[:-2]
+    elif word.endswith("s") and word[-2] != "s":
+        word = word[:-1]
+
+    if word.endswith("eed"):
+        if _measure(word[:-3]) > 0:
+            word = word[:-1]
+    elif word.endswith("ed") and _has_vowel(word[:-2]):
+        word = _post_ed_ing(word[:-2])
+    elif word.endswith("ing") and _has_vowel(word[:-3]):
+        word = _post_ed_ing(word[:-3])
+    return word
+
+
+def _step1c(word: str) -> str:
+    if word.endswith("y") and _has_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+# (suffix, replacement) pairs; within each step the first matching suffix
+# decides, applied only when the remaining stem's measure clears the bar.
+_STEP2_RULES = (
+    ("ational", "ate"), ("tional", "tion"),
+    ("enci", "ence"), ("anci", "ance"),
+    ("izer", "ize"),
+    ("bli", "ble"),
+    ("alli", "al"), ("entli", "ent"), ("eli", "e"), ("ousli", "ous"),
+    ("ization", "ize"), ("ation", "ate"), ("ator", "ate"),
+    ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"), ("ousness", "ous"),
+    ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
+    ("logi", "log"),
+)
+
+_STEP3_RULES = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"),
+    ("iciti", "ic"), ("ical", "ic"), ("ful", ""), ("ness", ""),
+)
+
+_STEP4_SUFFIXES = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant",
+    "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
+    "ous", "ive", "ize",
+)
+
+
+def _apply_rules(word: str, rules, min_measure: int) -> str:
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            if _measure(stem) > min_measure:
+                return stem + replacement
+            return word
+    return word
+
+
+def _step4(word: str) -> str:
+    for suffix in _STEP4_SUFFIXES:
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            if suffix == "ion" and not (stem and stem[-1] in "st"):
+                return word
+            if _measure(stem) > 1:
+                return stem
+            return word
+    return word
+
+
+def _step5a(word: str) -> str:
+    if word.endswith("e"):
+        stem = word[:-1]
+        m = _measure(stem)
+        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+            return stem
+    return word
+
+
+def _step5b(word: str) -> str:
+    if word.endswith("ll") and _measure(word) > 1:
+        return word[:-1]
+    return word
+
+
+def loop_porter_stem(token: str) -> str:
+    """Stem a single lowercase token; uppercase input is lowercased first.
+
+    The character-at-a-time form of ``treesum.stem.porter_stem``: one
+    ``_is_consonant`` call per character a condition reads, and each step's
+    suffixes tried in table order. The table-driven form must agree on every
+    token."""
+    word = token.lower()
+    if len(word) <= 2:
+        return word
+    word = _step1ab(word)
+    word = _step1c(word)
+    word = _apply_rules(word, _STEP2_RULES, 0)
+    word = _apply_rules(word, _STEP3_RULES, 0)
+    word = _step4(word)
+    word = _step5a(word)
+    word = _step5b(word)
+    return word
 
 
 def random_synthetic_topic(rng: np.random.Generator, topic_id: str) -> tuple[Topic, dict]:

@@ -135,6 +135,24 @@ def test_empty_metrics_flag_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, source",
+    [("evaluate", "flag"), ("evaluate", "config file"), ("ablate", "flag"), ("ablate", "config file")],
+)
+def test_repeated_metric_exits_2_and_writes_nothing(tmp_path, capsys, command, source):
+    """A metric named twice would write its rows twice; it is refused."""
+    corpus = _write_corpus(tmp_path / "corpus")
+    argv = [command, "--input", str(corpus), "--budget-words", "10", "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--metrics", "r1,rl,r1"]
+    else:
+        (tmp_path / "run.cfg").write_text("metrics = r1,r1\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    assert "metrics name r1 more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_config_rejects_max_nodes_below_one(value):
     with pytest.raises(ConfigError, match="max-nodes must be >= 1"):

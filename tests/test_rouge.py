@@ -10,7 +10,14 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import loop_su4_counts, make_corpus, make_topic, slice_ngrams, table_lcs_match_positions
+from helpers import (
+    counter_rouge_n,
+    counter_rouge_su4,
+    make_corpus,
+    make_topic,
+    table_lcs_match_positions,
+    table_rouge_l,
+)
 from treesum import rouge
 from treesum.rouge import (
     EvaluationError,
@@ -23,6 +30,7 @@ from treesum.rouge import (
     truncate,
 )
 from treesum.selection import Budget
+from treesum.stem import porter_stem
 
 
 def test_truncate_words():
@@ -181,15 +189,22 @@ def _random_tokens(rng: random.Random, alphabet: str, max_len: int) -> list[str]
     return [rng.choice(alphabet) for _ in range(rng.choice(lengths))]
 
 
+def _bits(mask: int) -> set[int]:
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 def test_lcs_match_positions_match_table_oracle():
+    """One packed recurrence per reference sentence gives, over all candidate
+    sentences, the union of the positions each per-pair DP table traces."""
     rng = random.Random(4)
     for case in range(400):
         alphabet = "abcd"[: rng.randint(1, 4)]
         max_len = 150 if case % 4 == 0 else 20
         ref = _random_tokens(rng, alphabet, max_len)
-        cand = _random_tokens(rng, alphabet, max_len)
-        got = rouge._lcs_match_positions(ref, cand, rouge._match_masks(cand))
-        assert got == table_lcs_match_positions(ref, cand), (ref, cand)
+        cands = [_random_tokens(rng, alphabet, max_len) for _ in range(rng.randint(1, 4))]
+        got = rouge._lcs_union(ref, rouge._PackedSentences(cands))
+        expected = set().union(*(table_lcs_match_positions(ref, cand) for cand in cands))
+        assert _bits(got) == expected, (ref, cands)
 
 
 def _random_summary(rng: random.Random, alphabet: str) -> str:
@@ -197,18 +212,37 @@ def _random_summary(rng: random.Random, alphabet: str) -> str:
     return " ".join(" ".join(tokens) + "." for tokens in sentences)
 
 
-def test_rouge_l_matches_table_oracle_on_multi_sentence_summaries(monkeypatch):
+# (candidate, references) cases for the packed ROUGE-L recurrence.
+_PACKED_LCS_CASES = [
+    # The first reference token matches the top token of the first candidate
+    # sentence, so v + u carries out of that sentence; without its guard bit
+    # the carry would flip the lowest bit of the next sentence.
+    ("x a. a x.", ["a x."]),
+    ("b a. a b. a.", ["a b a. b a b."]),
+    ("c b a. a a a. b.", ["a a b c a."]),
+    # One-token sentences.
+    ("a. b. a. c.", ["a b c. c a."]),
+    ("a.", ["a."]),
+    # Candidates with no sentence.
+    ("", ["a b."]),
+    ("... !", ["a b."]),
+    # A repeated reference.
+    ("a b. b a.", ["b a b.", "b a b."]),
+    # A reference with no token in common with the candidate.
+    ("a b. c d.", ["e f. g.", "a c."]),
+    ("a b. c d.", ["e f. g."]),
+]
+
+
+def test_rouge_l_matches_table_oracle_on_multi_sentence_summaries():
     rng = random.Random(11)
-    cases = []
+    cases = list(_PACKED_LCS_CASES)
     for _ in range(120):
         alphabet = "abcd"[: rng.randint(1, 4)]
         references = [_random_summary(rng, alphabet) for _ in range(rng.randint(1, 3))]
         cases.append((_random_summary(rng, alphabet), references))
     got = [rouge_l(candidate, references, stem=False) for candidate, references in cases]
-    monkeypatch.setattr(
-        rouge, "_lcs_match_positions", lambda ref, cand, masks: table_lcs_match_positions(ref, cand)
-    )
-    expected = [rouge_l(candidate, references, stem=False) for candidate, references in cases]
+    expected = [table_rouge_l(candidate, references, stem=False) for candidate, references in cases]
     # RougeScore equality compares recall, precision and F1 exactly.
     assert got == expected
 
@@ -232,20 +266,71 @@ def _counting_cases():
     return cases
 
 
-def test_rouge_n_and_su4_match_loop_counting(monkeypatch):
+def test_rouge_n_and_su4_match_loop_counting():
+    """Count tables against one ``Counter`` per text and a Python-level
+    clipped sum."""
     cases = _counting_cases()
-    metrics = {
-        "r1": lambda cand, refs: rouge_n(cand, refs, 1, stem=False),
-        "r2": lambda cand, refs: rouge_n(cand, refs, 2, stem=False),
-        "rsu4": lambda cand, refs: rouge_su4(cand, refs, stem=False),
+    got = {
+        "r1": [rouge_n(cand, refs, 1, stem=False) for cand, refs in cases],
+        "r2": [rouge_n(cand, refs, 2, stem=False) for cand, refs in cases],
+        "rsu4": [rouge_su4(cand, refs, stem=False) for cand, refs in cases],
     }
-    got = {name: [fn(cand, refs) for cand, refs in cases] for name, fn in metrics.items()}
+    expected = {
+        "r1": [counter_rouge_n(cand, refs, 1, stem=False) for cand, refs in cases],
+        "r2": [counter_rouge_n(cand, refs, 2, stem=False) for cand, refs in cases],
+        "rsu4": [counter_rouge_su4(cand, refs, stem=False) for cand, refs in cases],
+    }
     assert any(score.recall not in (0.0, 1.0) for score in got["rsu4"])
-    monkeypatch.setattr(rouge, "_ngrams", slice_ngrams)
-    monkeypatch.setattr(rouge, "_su4_counts", loop_su4_counts)
-    expected = {name: [fn(cand, refs) for cand, refs in cases] for name, fn in metrics.items()}
     # RougeScore equality compares recall, precision and F1 exactly.
     assert got == expected
+
+
+def test_stemmed_scores_match_the_oracles_on_words_and_numbers():
+    """Stemmed tokens share ids: every metric, on one memo, against the
+    oracles stemming with the character-loop stemmer. Three candidates per
+    reference pair, so the later ones score against kept count tables."""
+    rng = random.Random(5)
+    words = ["running", "runs", "ran", "cats", "cat", "1999", "2000s", "u", "s", "relational", "relate", "y2k"]
+
+    def text():
+        return " ".join(" ".join(rng.choice(words) for _ in range(rng.randint(1, 9))) + "." for _ in range(3))
+
+    memo = rouge.TokenMemo()
+    for _ in range(20):
+        references = [text(), text()]
+        for candidate in (text(), text(), text()):
+            scores = score_all(candidate, references, rouge.METRIC_IDS, memo=memo)
+            assert scores == {
+                "r1": counter_rouge_n(candidate, references, 1),
+                "r2": counter_rouge_n(candidate, references, 2),
+                "rl": table_rouge_l(candidate, references),
+                "rsu4": counter_rouge_su4(candidate, references),
+            }
+    assert len(memo._tables) == 20 * 3
+
+
+def test_memo_stems_each_distinct_token_once(monkeypatch):
+    """``stem.calls`` in the benchmark counts calls of the module-level
+    ``treesum.rouge.porter_stem``: one per distinct token of the run."""
+    calls = []
+
+    def counting_stem(token):
+        calls.append(token)
+        return porter_stem(token)
+
+    monkeypatch.setattr(rouge, "porter_stem", counting_stem)
+    corpus = make_corpus(
+        make_topic("a", ["Doc a."], ["The bridges reopened after long repairs.", "Repairs ran long."]),
+        make_topic("b", ["Doc b."], ["Schools opened a science wing in 1999."]),
+    )
+    memo = rouge.TokenMemo()
+    summaries = {"a": "The bridge reopened. Repairs ran long.", "b": "Schools opened. A wing opened in 1999."}
+    for metrics in (["r1"], ["r2", "rl"], list(rouge.METRIC_IDS)):
+        evaluate_corpus(summaries, corpus, Budget("words", 20), metrics=metrics, memo=memo)
+    evaluate_corpus({"a": "Bridges, bridges and schools.", "b": "New wings"}, corpus, Budget("words", 20), memo=memo)
+    texts = [*summaries.values(), "Bridges, bridges and schools.", "New wings"]
+    texts += [ref for topic in corpus for ref in topic.references]
+    assert sorted(calls) == sorted({token for text in texts for token in tokenize(text)})
 
 
 # --- ROUGE-SU4 ---------------------------------------------------------------
