@@ -10,14 +10,13 @@ from .corpus import Corpus, CorpusError, Document, Sentence, Topic, load_corpus,
 from .embedding import (
     EmbeddedCorpus,
     ProviderError,
-    cosine_similarity,
     embed_corpus,
     provider_builtin_tfidf,
     provider_file,
     provider_remote,
 )
 from .rouge import RougeReport, RougeScore, evaluate_corpus, rouge_l, rouge_n, rouge_su4, truncate
-from .scoring import Hyperparams, score_cs, score_final, score_nr, score_position
+from .scoring import Hyperparams, score_final, score_position
 from .selection import Budget, Summary, select_summary
 from .stem import porter_stem
 from .tree import ClassTree, build_class_tree, estimate_sentence_budget, kmeans

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    BUDGET_KEYS,
     CONFIG_KEYS,
     ConfigError,
     RunConfig,
@@ -79,14 +80,16 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, str] = {}
-    if args.config:
-        values.update(load_config_file(args.config))
+    values = load_config_file(args.config) if args.config else {}
+    flags = {}
     for key in CONFIG_KEYS:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
-            values[key] = str(value)
-    config = config_from_mapping(values)
+            flags[key] = str(value)
+    if any(key in flags for key in BUDGET_KEYS):
+        # A budget flag replaces the file's budget, whichever key names it.
+        values = {key: raw for key, raw in values.items() if key not in BUDGET_KEYS}
+    config = config_from_mapping({**values, **flags})
     if not config.input:
         raise ConfigError("no corpus given; pass --input or set it in the config file")
     return config

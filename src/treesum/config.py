@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .corpus import Corpus, read_text
+from .corpus import Corpus, is_unicode_text, read_text
 from .embedding import MAX_BUILTIN_DIM, provider_builtin_tfidf, provider_file, provider_remote
 from .rouge import METRIC_IDS
 from .scoring import Hyperparams
@@ -111,13 +111,13 @@ def _parser(hint) -> Callable[[str], object]:
 
 # File keys are the field names with "-" for "_", the CLI flag names. The
 # budget's unit and limit are one key: budget-words or budget-bytes.
-_BUDGET_KEYS = ("budget-words", "budget-bytes")
+BUDGET_KEYS = ("budget-words", "budget-bytes")
 _PARSERS = {
     name.replace("_", "-"): (name, _parser(hint))
     for name, hint in typing.get_type_hints(RunConfig).items()
     if not name.startswith("budget_")
 }
-CONFIG_KEYS = _BUDGET_KEYS + tuple(_PARSERS)
+CONFIG_KEYS = BUDGET_KEYS + tuple(_PARSERS)
 
 
 def config_to_text(config: RunConfig) -> str:
@@ -150,9 +150,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -> RunConfig:
     config = base or RunConfig()
     updates: dict = {}
+    if all(key in values for key in BUDGET_KEYS):
+        raise ConfigError("budget-words and budget-bytes cannot both be set")
     for key, raw in values.items():
+        if not is_unicode_text(raw):
+            raise ConfigError(f"the value of {key!r} is not valid UTF-8")
         try:
-            if key in _BUDGET_KEYS:
+            if key in BUDGET_KEYS:
                 limit = int(raw)
                 float(limit)  # the default node cap divides the limit as a float
                 updates["budget_unit"] = key.removeprefix("budget-")

@@ -190,6 +190,8 @@ def jsonl_records(path: Path, error: type[Exception]) -> Iterator[tuple[int, obj
 
 
 def _load_topic_dir(topic_dir: Path) -> Topic:
+    if not is_unicode_text(topic_dir.name):
+        raise CorpusError(f"topic directory {str(topic_dir)!r} is not named in UTF-8")
     docs_dir = topic_dir / "docs"
     if not docs_dir.is_dir():
         raise CorpusError(f"topic {topic_dir.name!r} has no docs/ directory")

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,25 +58,20 @@ def _average(scores: Sequence[RougeScore]) -> RougeScore:
     )
 
 
-def tokenize(text: str, stem: bool = False) -> list[str]:
-    """Lowercase alphanumeric tokens, optionally Porter-stemmed."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    return [porter_stem(token) for token in tokens] if stem else tokens
-
-
 class TokenMemo:
-    """Token ids, reference count tables and scores for one evaluation run.
+    """Token ids, reference tables and scores for one evaluation run.
 
     Each distinct token is stemmed once and its stem gets a small integer
-    id, so tokens with one stem share an id. For each (references, metric)
-    scored more than once, the memo keeps a ``_CountTable`` of the
-    references' r1 or r2 n-grams or rsu4 skip-bigrams and unigrams, and for
-    ROUGE-L each reference's sentence ids, so references are tokenized and
-    stemmed once, and counted at most twice, however many candidates are
-    scored against them. ``evaluate_corpus`` keeps each topic's scores here,
-    keyed by (truncated summary, references, metric list), so a summary text
-    that recurs (as across the points of a grid search) is scored once; a
-    different metric list is scored anew. Candidates' counts are not kept.
+    id, so tokens with one stem share an id. Every metric scores a
+    candidate against one table per (references, metric): the references'
+    r1 or r2 n-gram counts, their rsu4 skip-bigram and unigram counts, or
+    for ROUGE-L each reference's sentence ids. A table is kept from the
+    second time it is asked for, so references are tokenized at most twice
+    per metric however many candidates are scored against them.
+    ``evaluate_corpus`` keeps each topic's scores here, keyed by
+    (truncated summary, references, metric list), so a summary text that
+    recurs (as across the points of a grid search) is scored once; a
+    different metric list is scored anew. Candidates' tokens are not kept.
     Scope one to a run (an ``evaluate_corpus`` call, an ablation or a whole
     grid search), not to the process.
     """
@@ -85,8 +80,7 @@ class TokenMemo:
         self.stem = stem
         self._ids: dict[str, int] = {}  # token -> id of its stem
         self._stem_ids: dict[str, int] = {}
-        self._reference_sentences: dict[str, list[list[int]]] = {}
-        self._tables: dict[tuple[tuple[str, ...], str], _CountTable] = {}
+        self._tables: dict[tuple[tuple[str, ...], str], _CountTable | _LcsTable] = {}
         self._asked: set[tuple[tuple[str, ...], str]] = set()
         self._scores: dict[tuple[str, tuple[str, ...], tuple[str, ...]], dict[str, RougeScore]] = {}
 
@@ -108,21 +102,15 @@ class TokenMemo:
         sentences = [self.ids(s.text) for s in segment_sentences(text)]
         return [s for s in sentences if s]
 
-    def reference_sentences(self, text: str) -> list[list[int]]:
-        """``sentence_ids(text)``, computed once per reference text."""
-        if text not in self._reference_sentences:
-            self._reference_sentences[text] = self.sentence_ids(text)
-        return self._reference_sentences[text]
-
-    def table(self, references: tuple[str, ...], metric: str) -> _CountTable:
-        """The count table of ``references`` under ``metric`` (r1, r2 or
-        rsu4). It is kept from the second time it is asked for: a plain
-        ``evaluate`` asks once per topic, and keeping those tables raised the
-        resident set of a run of rounds by about 0.5 MB for no reuse."""
+    def table(self, references: tuple[str, ...], metric: str) -> _CountTable | _LcsTable:
+        """The table of ``references`` under ``metric``. It is kept from the
+        second time it is asked for: a plain ``evaluate`` asks once per
+        topic, and keeping those tables raised the resident set of a run of
+        rounds by about 0.5 MB for no reuse."""
         key = (references, metric)
         table = self._tables.get(key)
         if table is None:
-            table = _CountTable([_KEYS[metric](_Tokens(self, r)) for r in references])
+            table = _TABLES[metric](_Tokens(self, r) for r in references)
             if key in self._asked:
                 self._tables[key] = table
             self._asked.add(key)
@@ -183,11 +171,6 @@ def _pair_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return ((left + 1) << 32) | right
 
 
-def _ngram_keys(ids: np.ndarray, n: int) -> np.ndarray:
-    """One key per n-gram of ``ids`` (n is 1 or 2)."""
-    return ids if n == 1 else _pair_keys(ids[:-1], ids[1:])
-
-
 def _su4_keys(sentences: Sequence[Sequence[int]]) -> np.ndarray:
     """One key per unigram and per skip-bigram with at most 4 intervening
     tokens; skip-bigrams never cross sentence boundaries."""
@@ -200,13 +183,6 @@ def _su4_keys(sentences: Sequence[Sequence[int]]) -> np.ndarray:
         left = np.flatnonzero(after >= gap)
         keys.append(_pair_keys(flat[left], flat[left + gap]))
     return np.concatenate(keys)
-
-
-_KEYS = {
-    "r1": lambda tokens: _ngram_keys(tokens.ids, 1),
-    "r2": lambda tokens: _ngram_keys(tokens.ids, 2),
-    "rsu4": lambda tokens: _su4_keys(tokens.sentences),
-}
 
 
 def _key_counts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,13 +208,16 @@ _SENTINEL = np.array([np.iinfo(np.int64).max])
 class _CountTable:
     """Key counts of several references over the sorted union of their keys.
 
-    ``keys`` ends in a sentinel above every real key, with count 0, so every
+    ``keys_of`` gives a text's keys under the table's metric. ``keys`` ends
+    in a sentinel above every real key, with count 0, so every
     ``searchsorted`` position of a real key is a valid column. ``counts[r]``
     holds reference ``r``'s count of each key and ``totals[r]`` its number
     of keys.
     """
 
-    def __init__(self, per_reference: Sequence[np.ndarray]):
+    def __init__(self, keys_of: Callable[[_Tokens], np.ndarray], references: Iterable[_Tokens]):
+        self.keys_of = keys_of
+        per_reference = [keys_of(reference) for reference in references]
         counted = [_key_counts(keys) for keys in per_reference]
         self.keys = _key_counts(np.concatenate([_SENTINEL, *(k for k, _ in counted)]))[0]
         self.counts = np.zeros((len(counted), self.keys.size), dtype=np.int64)
@@ -246,20 +225,15 @@ class _CountTable:
             row[np.searchsorted(self.keys, keys)] = counts
         self.totals = [len(keys) for keys in per_reference]
 
-    def score(self, keys: np.ndarray) -> RougeScore:
-        """A candidate's clipped overlap with each reference, as recall,
+    def score(self, candidate: _Tokens) -> RougeScore:
+        """The candidate's clipped overlap with each reference, as recall,
         precision and F1 averaged across references."""
+        keys = self.keys_of(candidate)
         distinct, counts = _key_counts(keys)
         columns = np.searchsorted(self.keys, distinct)
         hit = self.keys[columns] == distinct
         overlaps = np.minimum(self.counts[:, columns[hit]], counts[hit]).sum(axis=1)
         return _average([_prf(o, total, keys.size) for o, total in zip(overlaps.tolist(), self.totals)])
-
-
-def _count_score(metric: str, candidate: _Tokens, references: tuple[str, ...]) -> RougeScore:
-    """r1, r2 or rsu4 of ``candidate`` from its keys and the references'
-    count table."""
-    return candidate.memo.table(references, metric).score(_KEYS[metric](candidate))
 
 
 def rouge_n(
@@ -275,8 +249,8 @@ def rouge_n(
     """
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    memo = memo if memo is not None else TokenMemo(stem)
-    return _count_score(f"r{n}", _Tokens(memo, candidate), tuple(references))
+    metric = f"r{n}"
+    return score_all(candidate, references, [metric], memo if memo is not None else TokenMemo(stem))[metric]
 
 
 class _PackedSentences:
@@ -354,16 +328,22 @@ def _lcs_union(ref_tokens: Sequence[int], packed: _PackedSentences) -> int:
     return positions
 
 
-def _rouge_l(candidate: _Tokens, references: tuple[str, ...]) -> RougeScore:
-    packed = _PackedSentences(candidate.sentences)
-    cand_total = sum(len(s) for s in packed.sentences)
-    per_ref = []
-    for reference in references:
-        ref_sents = candidate.memo.reference_sentences(reference)
-        ref_total = sum(len(s) for s in ref_sents)
-        hits = sum(_lcs_union(ref_sent, packed).bit_count() for ref_sent in ref_sents)
-        per_ref.append(_prf(hits, ref_total, cand_total))
-    return _average(per_ref)
+class _LcsTable:
+    """The sentence ids of each of several references, for ROUGE-L."""
+
+    def __init__(self, references: Iterable[_Tokens]):
+        self.sentences = [reference.sentences for reference in references]
+
+    def score(self, candidate: _Tokens) -> RougeScore:
+        """The candidate's ROUGE-L against each reference, averaged."""
+        packed = _PackedSentences(candidate.sentences)
+        cand_total = sum(len(s) for s in packed.sentences)
+        per_ref = []
+        for ref_sents in self.sentences:
+            ref_total = sum(len(s) for s in ref_sents)
+            hits = sum(_lcs_union(ref_sent, packed).bit_count() for ref_sent in ref_sents)
+            per_ref.append(_prf(hits, ref_total, cand_total))
+        return _average(per_ref)
 
 
 def rouge_l(
@@ -382,8 +362,7 @@ def rouge_l(
     sentences at once (see ``_lcs_union``). A given ``memo`` decides stemming
     in place of ``stem``.
     """
-    memo = memo if memo is not None else TokenMemo(stem)
-    return _rouge_l(_Tokens(memo, candidate), tuple(references))
+    return score_all(candidate, references, ["rl"], memo if memo is not None else TokenMemo(stem))["rl"]
 
 
 def rouge_su4(
@@ -398,15 +377,15 @@ def rouge_su4(
     intervening tokens they would degenerate to ordinary bigrams. A given
     ``memo`` decides stemming in place of ``stem``.
     """
-    memo = memo if memo is not None else TokenMemo(stem)
-    return _count_score("rsu4", _Tokens(memo, candidate), tuple(references))
+    return score_all(candidate, references, ["rsu4"], memo if memo is not None else TokenMemo(stem))["rsu4"]
 
 
-_METRIC_FNS = {
-    "r1": partial(_count_score, "r1"),
-    "r2": partial(_count_score, "r2"),
-    "rl": _rouge_l,
-    "rsu4": partial(_count_score, "rsu4"),
+# Each metric's table over the references' tokens.
+_TABLES = {
+    "r1": partial(_CountTable, lambda tokens: tokens.ids),
+    "r2": partial(_CountTable, lambda tokens: _pair_keys(tokens.ids[:-1], tokens.ids[1:])),
+    "rl": _LcsTable,
+    "rsu4": partial(_CountTable, lambda tokens: _su4_keys(tokens.sentences)),
 }
 
 
@@ -425,7 +404,7 @@ def score_all(
     memo = memo if memo is not None else TokenMemo()
     tokens = _Tokens(memo, candidate)
     references = tuple(references)
-    return {m: _METRIC_FNS[m](tokens, references) for m in metrics}
+    return {m: memo.table(references, m).score(tokens) for m in metrics}
 
 
 @dataclass

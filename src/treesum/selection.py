@@ -184,21 +184,6 @@ class ScoreContext:
             members = np.flatnonzero(np.isin(owner, items))
             self.groups.append((node_id, members, *memo.node_terms(members, node_centroids(universe, items))))
         self.order = [node_id for node_id, *_ in self.groups]
-        self._visits: dict[tuple[float, ...], list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = {}
-
-    def visits(self, deltas: tuple[float, ...]) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per group in visiting order, (node_id, members, cs, positions):
-        the members' cs blends as a ``(len(deltas), members)`` matrix, one
-        row per delta, and their position scores as a ``(1, members)`` row.
-        Made once per tuple of deltas."""
-        visits = self._visits.get(deltas)
-        if visits is None:
-            visits = self._visits[deltas] = []
-            for node_id, members, inside, out in self.groups:
-                blends = [blend_cs(inside, out, delta) for delta in deltas]
-                cs = blends[0][None] if len(blends) == 1 else np.array(blends)
-                visits.append((node_id, members, cs, self.position[members][None]))
-        return visits
 
 
 class _Weights(NamedTuple):
@@ -246,7 +231,14 @@ def run_selections(ctx: ScoreContext, hps: Sequence[Hyperparams], budget: Budget
     states = [SelectionState() for _ in hps]
     deltas: dict[float, int] = {}
     blend_rows = [deltas.setdefault(hp.delta, len(deltas)) for hp in hps]
-    visits = ctx.visits(tuple(deltas))
+    # Per group in visiting order, (node_id, members, cs, positions): the
+    # members' cs blends as a (deltas, members) matrix, one row per delta,
+    # and their position scores as a (1, members) row.
+    visits = []
+    for node_id, members, inside, out in ctx.groups:
+        blends = [blend_cs(inside, out, delta) for delta in deltas]
+        cs = blends[0][None] if len(blends) == 1 else np.array(blends)
+        visits.append((node_id, members, cs, ctx.position[members][None]))
     # The live rows: each one's state, blend row (with several deltas),
     # weights, what it has taken and its highest clamped similarity to its
     # picks so far. Similarities are >= 0, so 0 stands for "nothing picked"

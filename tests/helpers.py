@@ -22,8 +22,9 @@ from treesum.corpus import (
     segment_sentences,
 )
 from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key, topic_keys
-from treesum.rouge import RougeScore, _average, _prf
+from treesum.rouge import _TOKEN_RE, RougeScore, _average, _prf
 from treesum.scoring import Hyperparams
+from treesum.stem import porter_stem
 from treesum.tree import ClassTree, ClassTreeNode, _kmeans_pp_init, derive_seed, kmeans, label_groups
 from treesum.variants import CS_ONLY, TopicWork
 
@@ -383,6 +384,12 @@ def kmeans_class_tree(points: np.ndarray, k_first: int, k_rest: int, max_nodes: 
         layer, k = next_layer, k_rest
     order = sorted(nodes.values(), key=lambda n: (n.layer, -n.size, n.members[0]))
     return ClassTree(root=root, node_count=len(nodes), traversal_order=tuple(n.node_id for n in order), nodes=nodes)
+
+
+def tokenize(text: str, stem: bool = False) -> list[str]:
+    """Lowercase alphanumeric tokens, optionally Porter-stemmed."""
+    tokens = _TOKEN_RE.findall(text.lower())
+    return [porter_stem(token) for token in tokens] if stem else tokens
 
 
 # --- ROUGE oracles: per-pair counting and per-pair LCS ------------------------

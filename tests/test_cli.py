@@ -1128,3 +1128,70 @@ def test_topic_named_config_never_overwrites_the_config_echo(tmp_path, capsys):
     rerun = tmp_path / "rerun"
     assert main(["summarize", "--config", str(echo), "--format", "jsonl", "--out", str(rerun)]) == 0
     assert (rerun / "summaries.jsonl").read_bytes() == (tmp_path / "jsonl" / "summaries.jsonl").read_bytes()
+
+
+def _rename_to_bytes(path, name: bytes):
+    """Rename ``path`` to the non-UTF-8 ``name`` in its directory; the new
+    path as Python decodes it. Skips where the filesystem refuses the name."""
+    target = os.path.join(os.fsencode(path.parent), name)
+    try:
+        os.rename(os.fsencode(path), target)
+    except OSError as exc:
+        pytest.skip(f"the filesystem refuses a non-UTF-8 name: {exc}")
+    return os.fsdecode(target)
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate --summaries", "ablate", "tune"])
+def test_non_utf8_topic_directory_exits_2_naming_it(tmp_path, capsys, command):
+    corpus = _write_corpus(tmp_path / "corpus")
+    _rename_to_bytes(corpus / "topic1", b"t\xff")
+    out = tmp_path / "out"
+    argv = [command.split()[0], "--input", str(corpus), "--budget-words", "20", "--out", str(out)]
+    if command == "evaluate --summaries":
+        summaries = tmp_path / "summaries"
+        summaries.mkdir()
+        for name in (b"topic0.txt", b"t\xff.txt"):
+            with open(os.path.join(os.fsencode(summaries), name), "w") as handle:
+                handle.write("City news update.\n")
+        argv += ["--summaries", str(summaries)]
+    if command == "tune":
+        argv += ["--deltas", "0.9", "--ks", "2", "--weights", "0.8,0.1,0.1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "t\\udcff" in err and "UTF-8" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--input"])
+def test_non_utf8_setting_value_exits_2_before_writing(tmp_path, capsys, flag):
+    """A value that cannot be echoed into config.txt is refused up front,
+    not after the run; the corpus named by a non-UTF-8 ``--input`` exists."""
+    corpus = _write_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    if flag == "--out":
+        out = tmp_path / os.fsdecode(b"out\xff")
+    else:
+        corpus = _rename_to_bytes(corpus, b"corpus\xff")
+    assert main(["summarize", "--input", str(corpus), "--budget-words", "20", "--out", str(out)]) == 2
+    assert f"'{flag[2:]}'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [os.path.basename(str(corpus))]
+
+
+@pytest.mark.parametrize("file_keys", [("budget-words", "budget-bytes"), ("budget-bytes", "budget-words")])
+@pytest.mark.parametrize("flag, echoed", [("--budget-words", "budget-words = 50"), ("--budget-bytes", "budget-bytes = 300")])
+def test_budget_flag_replaces_the_config_files_budget(tmp_path, file_keys, flag, echoed):
+    corpus = _write_corpus(tmp_path / "corpus")
+    limits = {"budget-words": 100, "budget-bytes": 665}
+    (tmp_path / "run.cfg").write_text(f"input = {corpus}\n" + "".join(f"{k} = {limits[k]}\n" for k in file_keys))
+    out = tmp_path / "out"
+    assert main(["summarize", "--config", str(tmp_path / "run.cfg"), flag, echoed.split()[-1], "--out", str(out)]) == 0
+    assert [line for line in (out / "config.txt").read_text().splitlines() if line.startswith("budget-")] == [echoed]
+
+
+def test_config_file_naming_both_budget_keys_exits_2(tmp_path, capsys):
+    corpus = _write_corpus(tmp_path / "corpus")
+    (tmp_path / "run.cfg").write_text(f"input = {corpus}\nbudget-words = 100\nbudget-bytes = 665\n")
+    out = tmp_path / "out"
+    assert main(["summarize", "--config", str(tmp_path / "run.cfg"), "--out", str(out)]) == 2
+    assert "budget-words and budget-bytes" in capsys.readouterr().err
+    assert not out.exists()
