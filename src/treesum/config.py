@@ -134,11 +134,12 @@ def config_to_text(config: RunConfig) -> str:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment."""
+    """Parse ``key = value`` lines; a line whose first non-blank character is
+    ``#`` is a comment, and a ``#`` anywhere else belongs to the value."""
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{line_no}: expected 'key = value', got {raw!r}")

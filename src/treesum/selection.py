@@ -126,7 +126,7 @@ class SimilarityMemo:
 
     def rows(self, js: Sequence[int]) -> np.ndarray:
         """``row(j)`` of each of ``js``, stacked; one row, shaped like ``row``,
-        when all of ``js`` are one sentence."""
+        when ``js`` holds one index."""
         if len(js) == 1:
             return self.row(js[0])
         distinct = dict.fromkeys(js)
@@ -195,14 +195,6 @@ class _Weights(NamedTuple):
     gamma: np.ndarray
 
 
-def _columns(hps: Sequence[Hyperparams]) -> _Weights:
-    """The weights of ``hps`` as ``(len(hps), 1)`` columns; plain floats for
-    one set, which give the same bits faster."""
-    if len(hps) == 1:
-        return _Weights(hps[0].alpha, hps[0].beta, hps[0].gamma)
-    return _Weights(*(np.array([[getattr(hp, name)] for hp in hps]) for name in _Weights._fields))
-
-
 def run_selections(ctx: ScoreContext, hps: Sequence[Hyperparams], budget: Budget) -> list[SelectionState]:
     """Round-robin selection over ``ctx``'s groups under each of ``hps``, in
     lockstep; one state per hyperparameter set, in the order of ``hps``.
@@ -226,102 +218,71 @@ def run_selections(ctx: ScoreContext, hps: Sequence[Hyperparams], budget: Budget
     row takes its first maximum. So every row picks what a run under its
     hyperparameters alone picks.
     """
-    if not hps:
-        return []
-    states = [SelectionState() for _ in hps]
     deltas: dict[float, int] = {}
-    blend_rows = [deltas.setdefault(hp.delta, len(deltas)) for hp in hps]
+    blend_row = np.array([deltas.setdefault(hp.delta, len(deltas)) for hp in hps], dtype=np.intp)
     # Per group in visiting order, (node_id, members, cs, positions): the
     # members' cs blends as a (deltas, members) matrix, one row per delta,
     # and their position scores as a (1, members) row.
-    visits = []
-    for node_id, members, inside, out in ctx.groups:
-        blends = [blend_cs(inside, out, delta) for delta in deltas]
-        cs = blends[0][None] if len(blends) == 1 else np.array(blends)
-        visits.append((node_id, members, cs, ctx.position[members][None]))
-    # The live rows: each one's state, blend row (with several deltas),
-    # weights, what it has taken and its highest clamped similarity to its
-    # picks so far. Similarities are >= 0, so 0 stands for "nothing picked"
-    # and gives nr = 1.
-    owners: Sequence[int] = range(len(hps))
-    blend_row = np.array(blend_rows) if len(deltas) > 1 else None
-    columns = _columns(hps)
+    delta = np.array(list(deltas), dtype=float)[:, None]
+    visits = [
+        (node_id, members, blend_cs(inside, out, delta), ctx.position[members][None])
+        for node_id, members, inside, out in ctx.groups
+    ]
+    sizes = np.array([budget.size_of(sent) for _, sent in ctx.sentences], dtype=np.int64)
+    # Per live row: its index into hps, blend row, weights, what it has
+    # taken and its highest clamped similarity to its picks so far.
+    # Similarities are >= 0, so 0 stands for "nothing picked" and gives
+    # nr = 1. Per set of hps: the budget it has consumed and the last pass
+    # in which it picked, which is its final pass once it leaves.
+    live = np.arange(len(hps))
+    columns = _Weights(*(np.array([[getattr(hp, name)] for hp in hps]) for name in _Weights._fields))
     taken = np.zeros((len(hps), len(ctx.sentences)), dtype=bool)
     worst = np.zeros(taken.shape)
-    sizes: dict[int, int] = {}
+    consumed = np.zeros(len(hps), dtype=np.int64)
+    passes = np.zeros(len(hps), dtype=np.intp)
+    log: list[tuple[np.ndarray, np.ndarray, int, int]] = []  # (owners, chosen, node_id, pass) per visit
     iteration = 1
-    while True:
-        idle = [True] * len(owners)
+    while len(live):
         for node_id, members, cs, pos in visits:
             taken_here = taken.take(members, axis=1)
-            # Only a row with every member taken skips the group, and each
-            # such row holds len(members) of the taken entries.
-            rows = None
-            count = np.count_nonzero(taken_here)
-            if count >= len(members):
-                if count == taken_here.size:
-                    continue
-                rows = (~taken_here.all(axis=1)).nonzero()[0]
-            scores = score_final(
-                cs if blend_row is None else cs[blend_row],
-                non_redundancy(worst.take(members, axis=1)),
-                pos,
-                columns,
-            )
-            if count:
-                scores[taken_here] = -np.inf
-            best = scores.argmax(axis=1)
-            picks = members[best if rows is None else best[rows]].tolist()
-            going, going_best, stopped = [], [], []
-            for row, index in zip(range(len(owners)) if rows is None else rows.tolist(), picks):
-                taken[row, index] = True
-                idle[row] = False
-                state = states[owners[row]]
-                state.selected.append((index, node_id, iteration))
-                size = sizes.get(index)
-                if size is None:
-                    size = sizes[index] = budget.size_of(ctx.sentences[index][1])
-                state.consumed += size
-                if state.consumed >= budget.limit:
-                    state.iteration = iteration
-                    stopped.append(row)
-                else:
-                    going.append(row)
-                    going_best.append(index)
-            if len(going) == len(owners):
-                np.maximum(worst, ctx.memo.rows(going_best), out=worst)
-            elif going:
-                worst[going] = np.maximum(worst[going], ctx.memo.rows(going_best))
-            if stopped:
-                if len(stopped) == len(owners):
-                    return states
-                owners, idle, blend_row, taken, worst, *weights = _drop(
-                    stopped, owners, idle, blend_row, taken, worst, *columns
-                )
-                columns = _Weights(*weights)
-        if any(idle):
-            rows = [row for row, flag in enumerate(idle) if flag]
-            for row in rows:
-                states[owners[row]].iteration = iteration
-            if len(rows) == len(owners):
-                return states
-            owners, idle, blend_row, taken, worst, *weights = _drop(
-                rows, owners, idle, blend_row, taken, worst, *columns
-            )
-            columns = _Weights(*weights)
+            rows = (~taken_here.all(axis=1)).nonzero()[0]
+            if not len(rows):
+                continue
+            scores = score_final(cs[blend_row], non_redundancy(worst.take(members, axis=1)), pos, columns)
+            scores[taken_here] = -np.inf
+            chosen = members[scores.argmax(axis=1)[rows]]
+            owners = live[rows]
+            taken[rows, chosen] = True
+            consumed[owners] += sizes[chosen]
+            passes[owners] = iteration
+            log.append((owners, chosen, node_id, iteration))
+            # A row whose budget is met leaves before its worst update.
+            keep = consumed[live] < budget.limit
+            going = keep[rows]
+            if len(rows) == len(live) and going.all():
+                np.maximum(worst, ctx.memo.rows(chosen.tolist()), out=worst)
+            elif going.any():
+                rows = rows[going]
+                worst[rows] = np.maximum(worst[rows], ctx.memo.rows(chosen[going].tolist()))
+            if not keep.all():
+                live, blend_row, taken, worst = live[keep], blend_row[keep], taken[keep], worst[keep]
+                columns = _Weights(*(column[keep] for column in columns))
+                if not len(live):
+                    break
+        # Rows that picked nothing in this pass leave, with it as their last.
+        keep = passes[live] == iteration
+        passes[live] = iteration
+        if not keep.all():
+            live, blend_row, taken, worst = live[keep], blend_row[keep], taken[keep], worst[keep]
+            columns = _Weights(*(column[keep] for column in columns))
         iteration += 1
-
-
-def _drop(rows: list[int], owners: Sequence[int], idle: list[bool], *arrays: np.ndarray | None) -> tuple:
-    """``owners``, ``idle`` and ``arrays`` without the given rows; None stays None."""
-    keep = np.ones(len(owners), dtype=bool)
-    keep[rows] = False
-    kept = keep.tolist()
-    return (
-        [owner for owner, k in zip(owners, kept) if k],
-        [flag for flag, k in zip(idle, kept) if k],
-        *(None if a is None else a[keep] for a in arrays),
-    )
+    # Each state's picks from the log, once: appending pick by pick beat a
+    # stable argsort of the log by owner for one row and for 726 rows alike.
+    selected: list[list[tuple[int, int, int]]] = [[] for _ in hps]
+    for owners, chosen, node_id, iteration in log:
+        for owner, index in zip(owners.tolist(), chosen.tolist()):
+            selected[owner].append((index, node_id, iteration))
+    return [SelectionState(*state) for state in zip(selected, consumed.tolist(), passes.tolist())]
 
 
 def run_selection(ctx: ScoreContext, hp: Hyperparams, budget: Budget) -> SelectionState:

@@ -407,6 +407,33 @@ def test_ablate_table_shape_and_agreement(tmp_path):
         assert f"{float(row[3]):.4f}" in table
 
 
+def test_ablate_reports_ignore_the_corpus_layout(tmp_path):
+    """One corpus written as topic directories and as JSONL gives
+    byte-identical ``ablation.csv`` and ``ablation.txt``."""
+    topic_dirs = _write_varied_corpus(tmp_path / "corpus")
+    records = [
+        {
+            "topic_id": topic.name,
+            "documents": [
+                {"doc_id": path.stem, "text": path.read_text()} for path in sorted((topic / "docs").glob("*.txt"))
+            ],
+            "references": [path.read_text().strip() for path in sorted((topic / "refs").glob("*.txt"))],
+        }
+        for topic in sorted(topic_dirs.iterdir())
+    ]
+    jsonl = tmp_path / "corpus.jsonl"
+    jsonl.write_text("".join(json.dumps(record) + "\n" for record in records))
+    reports = []
+    for source, layout in ((topic_dirs, "topic-dirs"), (jsonl, "jsonl")):
+        out = tmp_path / layout
+        assert main([
+            "ablate", "--input", str(source), "--layout", layout, "--budget-bytes", "140",
+            "--seed", "9", "--out", str(out),
+        ]) == 0
+        reports.append([(out / name).read_bytes() for name in ("ablation.csv", "ablation.txt")])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.skipif(shutil.which("treesum") is None, reason="console script not installed")
 def test_console_script_entry_point(tmp_path):
     corpus = _write_corpus(tmp_path / "corpus")
@@ -1028,23 +1055,24 @@ def _outputs_without_out_line(out):
 
 
 @pytest.mark.parametrize(
-    "command, flags",
+    "command, flags, corpus_dir",
     [
         ("summarize", ["--method", "comp3", "--budget-bytes", "150", "--seed", "4",
-                       "--embedder", "builtin:32", "--k-first", "2"]),
+                       "--embedder", "builtin:32", "--k-first", "2"], "corpus"),
         ("evaluate", ["--method", "comp1", "--budget-words", "25", "--delta", "0.7",
-                      "--metrics", "r1,rl", "--report", "f1", "--seed", "2"]),
+                      "--metrics", "r1,rl", "--report", "f1", "--seed", "2"], "corpus"),
         ("ablate", ["--budget-bytes", "140", "--seed", "9", "--embedder", "builtin:48",
-                    "--alpha", "0.6", "--beta", "0.2", "--gamma", "0.2", "--max-nodes", "4"]),
+                    "--alpha", "0.6", "--beta", "0.2", "--gamma", "0.2", "--max-nodes", "4"], "corpus"),
         ("tune", ["--budget-words", "30", "--seed", "5", "--deltas", "0.7,0.9", "--ks", "2",
-                  "--weights", "0.8,0.1,0.1;0.5,0.3,0.2", "--objective", "r2"]),
+                  "--weights", "0.8,0.1,0.1;0.5,0.3,0.2", "--objective", "r2"], "corpus"),
+        ("summarize", ["--budget-words", "30"], "run#1/corpus"),
     ],
-    ids=["summarize", "evaluate", "ablate", "tune"],
+    ids=["summarize", "evaluate", "ablate", "tune", "summarize-hash-in-input"],
 )
-def test_rerun_from_the_echoed_config_gives_identical_outputs(tmp_path, command, flags):
+def test_rerun_from_the_echoed_config_gives_identical_outputs(tmp_path, command, flags, corpus_dir):
     """``<command> --config <out>/config.txt --out <other>`` writes the same
-    files with the same bytes."""
-    corpus = _write_varied_corpus(tmp_path / "corpus")
+    files with the same bytes, also when the input path holds a ``#``."""
+    corpus = _write_varied_corpus(tmp_path / corpus_dir)
     first, second = tmp_path / "first", tmp_path / "second"
     assert main([command, "--input", str(corpus), *flags, "--out", str(first)]) == 0
     assert main([command, "--config", str(first / "config.txt"), "--out", str(second)]) == 0

@@ -417,7 +417,8 @@ def test_lockstep_selection_matches_scalar_oracle_per_row():
     vectors with exact ties, under budgets that stop rows on different
     passes. Each row's consumed budget and final pass equal a run of that
     row alone, and ``select_summaries`` gives each row ``select_summary``'s
-    summary."""
+    summary. The same holds for calls whose rows all share one delta and
+    for one-row calls."""
     rng = np.random.default_rng(23)
     hps = [
         Hyperparams(),
@@ -428,28 +429,36 @@ def test_lockstep_selection_matches_scalar_oracle_per_row():
         Hyperparams(delta=1.0, alpha=0.0, beta=0.0, gamma=1.0),
         Hyperparams(),
     ]
+    one_delta = [
+        Hyperparams(delta=0.7, alpha=0.8, beta=0.1, gamma=0.1),
+        Hyperparams(delta=0.7, alpha=1.0, beta=0.0, gamma=0.0),
+        Hyperparams(delta=0.7, alpha=0.1, beta=0.8, gamma=0.1),
+        Hyperparams(delta=0.7, alpha=0.0, beta=0.0, gamma=1.0),
+    ]
     budgets = [Budget("words", 6), Budget("bytes", 90), Budget("words", 10_000)]
     stops = set()
     for case in range(12):
         topic, embedded, tree, ctx = _random_case(rng, case)
         for budget in budgets:
             order = rng.permutation(len(hps))
-            rows = [hps[i] for i in order]
-            states = run_selections(ctx, rows, budget)
-            assert len(states) == len(rows)
-            for hp, state in zip(rows, states):
-                got = []
-                for i, node_id, it in state.selected:
-                    doc, sent = ctx.sentences[i]
-                    got.append((skey(topic.topic_id, doc.doc_index, sent.sent_index), node_id, it))
-                assert got == scalar_selection(tree, topic, embedded, hp, budget, "final")
-                alone = run_selection(ctx, hp, budget)
-                assert (state.consumed, state.iteration) == (alone.consumed, alone.iteration)
-                assert state.consumed == sum(budget.size_of(ctx.sentences[i][1]) for i, *_ in state.selected)
-            stops.add(len({state.iteration for state in states}) > 1)
-            summaries = select_summaries(ctx, rows, budget)
-            assert summaries == [select_summary(ctx, hp, budget) for hp in rows]
-            assert all(summary.tree is tree for summary in summaries)
-    # Some calls had rows that stopped on different passes.
-    assert True in stops
+            shuffled = [hps[i] for i in order]
+            for rows in (shuffled, one_delta, shuffled[:1]):
+                states = run_selections(ctx, rows, budget)
+                assert len(states) == len(rows)
+                for hp, state in zip(rows, states):
+                    got = []
+                    for i, node_id, it in state.selected:
+                        doc, sent = ctx.sentences[i]
+                        got.append((skey(topic.topic_id, doc.doc_index, sent.sent_index), node_id, it))
+                    assert got == scalar_selection(tree, topic, embedded, hp, budget, "final")
+                    alone = run_selection(ctx, hp, budget)
+                    assert (state.consumed, state.iteration) == (alone.consumed, alone.iteration)
+                    assert state.consumed == sum(budget.size_of(ctx.sentences[i][1]) for i, *_ in state.selected)
+                stops.add((len(rows), len({state.iteration for state in states}) > 1))
+                summaries = select_summaries(ctx, rows, budget)
+                assert summaries == [select_summary(ctx, hp, budget) for hp in rows]
+                assert all(summary.tree is tree for summary in summaries)
+    # Some calls had rows that stopped on different passes, also among the
+    # calls whose rows share one delta.
+    assert {(len(hps), True), (len(one_delta), True)} <= stops
     assert run_selections(ctx, [], budgets[0]) == []
