@@ -18,7 +18,7 @@ from .pipeline import map_topics, resolve_max_nodes
 from .rouge import RougeReport, RougeScore, TokenMemo, evaluate_corpus, text_table
 from .scoring import Hyperparams
 from .selection import Budget
-from .variants import METHODS, VariantSpec, summarize_topic, summarize_topic_specs
+from .variants import METHODS, VariantSpec, summarize_topic_specs
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,14 @@ def run_ablation(
 ) -> list[AblationRow]:
     """Evaluate every method on the same inputs; one row per method.
 
-    All methods of a topic share one ``TopicWork``: ours-final and ours-cs
-    select from one document tree, comp2 and comp3 from one flat clustering.
-    ROUGE then scores each method, stemming every reference once for the
-    whole run. Results are identical to summarizing and evaluating each
-    method on its own.
+    All methods of a topic share one ``TopicWork``, and the methods that
+    select from one context run as one lockstep selection
+    (``summarize_topic_specs``): ours-final and ours-cs from one document
+    tree, comp2 and comp3 from one flat clustering, so the six methods make
+    four selection calls per topic. ROUGE then scores each method, stemming
+    every reference once for the whole run and tokenizing it once per table
+    build. Results are identical to summarizing and evaluating each method
+    on its own.
     """
     cap = resolve_max_nodes(corpus, budget, max_nodes)
     specs = [VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in methods]
@@ -70,7 +73,7 @@ def run_ablation(
         corpus,
         embedded,
         workers,
-        lambda topic, work: [summarize_topic(topic, embedded, spec, cap, work=work).text for spec in specs],
+        lambda topic, work: [summary.text for summary in summarize_topic_specs(topic, work, specs, cap)],
     )
     reports = _reports(corpus, per_topic, budget, metrics, report_kind)
     return [
@@ -138,7 +141,9 @@ def full_grid(
     """The hyperparameter lattice, optionally restricted per axis.
 
     Defaults: delta in {0.0, 0.1, ..., 1.0}, all 0.1-step weight triples,
-    and cluster counts 2..4: 11 x 66 x 3 = 2178 points.
+    and cluster counts 2..4: 11 x 66 x 3 = 2178 points. An axis that names
+    one value twice (0.7 and 0.70 are one delta) raises ValueError, since
+    it would only repeat grid points.
     """
     if deltas is None:
         deltas = [i / 10 for i in range(11)]
@@ -146,6 +151,10 @@ def full_grid(
         weight_triples = simplex_triples(0.1)
     if ks is None:
         ks = [2, 3, 4]
+    for axis, values in (("delta", deltas), ("weight triple", weight_triples), ("k", ks)):
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise ValueError(f"{axis} {repeated[0]} is named more than once")
     points = []
     for delta in deltas:
         for alpha, beta, gamma in weight_triples:

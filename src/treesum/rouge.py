@@ -65,9 +65,11 @@ class TokenMemo:
     id, so tokens with one stem share an id. Every metric scores a
     candidate against one table per (references, metric): the references'
     r1 or r2 n-gram counts, their rsu4 skip-bigram and unigram counts, or
-    for ROUGE-L each reference's sentence ids. A table is kept from the
-    second time it is asked for, so references are tokenized at most twice
-    per metric however many candidates are scored against them.
+    for ROUGE-L each reference's sentence ids. The tables a score needs are
+    built together from one tokenization of each reference, and a table is
+    kept from the second time it is asked for, so under one metric list
+    references are tokenized at most twice however many candidates are
+    scored against them.
     ``evaluate_corpus`` keeps each topic's scores here, keyed by
     (truncated summary, references, metric list), so a summary text that
     recurs (as across the points of a grid search) is scored once; a
@@ -102,19 +104,26 @@ class TokenMemo:
         sentences = [self.ids(s.text) for s in segment_sentences(text)]
         return [s for s in sentences if s]
 
-    def table(self, references: tuple[str, ...], metric: str) -> _CountTable | _LcsTable:
-        """The table of ``references`` under ``metric``. It is kept from the
-        second time it is asked for: a plain ``evaluate`` asks once per
-        topic, and keeping those tables raised the resident set of a run of
-        rounds by about 0.5 MB for no reuse."""
-        key = (references, metric)
-        table = self._tables.get(key)
-        if table is None:
-            table = _TABLES[metric](_Tokens(self, r) for r in references)
-            if key in self._asked:
-                self._tables[key] = table
-            self._asked.add(key)
-        return table
+    def tables(self, references: tuple[str, ...], metrics: Sequence[str]) -> list[_CountTable | _LcsTable]:
+        """The table of ``references`` under each of ``metrics``, in order.
+
+        The tables not kept yet are built together, from one ``_Tokens`` per
+        reference, so each reference is tokenized and segmented once per
+        build whatever the metrics; the tokens are dropped with the build. A
+        table is kept from the second time it is asked for: a plain
+        ``evaluate`` asks once per topic, and keeping those tables raised
+        the resident set of a run of rounds by about 0.5 MB for no reuse."""
+        tables = [self._tables.get((references, metric)) for metric in metrics]
+        if None in tables:
+            tokens = [_Tokens(self, r) for r in references]
+            for i, metric in enumerate(metrics):
+                if tables[i] is None:
+                    key = (references, metric)
+                    tables[i] = _TABLES[metric](tokens)
+                    if key in self._asked:
+                        self._tables[key] = tables[i]
+                    self._asked.add(key)
+        return tables
 
     def scores(self, candidate: str, references: tuple[str, ...], metrics: tuple[str, ...]) -> dict[str, RougeScore]:
         """``score_all`` of ``candidate`` under this memo, computed once per
@@ -404,7 +413,7 @@ def score_all(
     memo = memo if memo is not None else TokenMemo()
     tokens = _Tokens(memo, candidate)
     references = tuple(references)
-    return {m: memo.table(references, m).score(tokens) for m in metrics}
+    return {m: table.score(tokens) for m, table in zip(metrics, memo.tables(references, metrics))}
 
 
 @dataclass

@@ -161,7 +161,8 @@ class ScoreContext:
     similarity and outside term. ``position`` holds every sentence's position
     score and ``tree`` the class tree the nodes came from (None for the
     groupings without one). Selection under any delta and weights reuses
-    them; contexts of one topic share ``sentences``, ``position`` and ``memo``.
+    them, and the sentence sizes of each budget unit (``sizes``); contexts
+    of one topic share ``sentences``, ``position`` and ``memo``.
     """
 
     def __init__(
@@ -181,9 +182,20 @@ class ScoreContext:
         self.groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         for node_id, items in nodes:
             items = np.array(items, dtype=np.intp)
-            members = np.flatnonzero(np.isin(owner, items))
+            in_node = np.zeros(len(universe), dtype=bool)
+            in_node[items] = True
+            members = np.flatnonzero(in_node[owner])
             self.groups.append((node_id, members, *memo.node_terms(members, node_centroids(universe, items))))
         self.order = [node_id for node_id, *_ in self.groups]
+        self._sizes: dict[str, np.ndarray] = {}
+
+    def sizes(self, budget: Budget) -> np.ndarray:
+        """Every sentence's size in ``budget``'s unit, made once per unit."""
+        sizes = self._sizes.get(budget.unit)
+        if sizes is None:
+            sizes = np.array([budget.size_of(sent) for _, sent in self.sentences], dtype=np.int64)
+            self._sizes[budget.unit] = sizes
+        return sizes
 
 
 class _Weights(NamedTuple):
@@ -228,7 +240,7 @@ def run_selections(ctx: ScoreContext, hps: Sequence[Hyperparams], budget: Budget
         (node_id, members, blend_cs(inside, out, delta), ctx.position[members][None])
         for node_id, members, inside, out in ctx.groups
     ]
-    sizes = np.array([budget.size_of(sent) for _, sent in ctx.sentences], dtype=np.int64)
+    sizes = ctx.sizes(budget)
     # Per live row: its index into hps, blend row, weights, what it has
     # taken and its highest clamped similarity to its picks so far.
     # Similarities are >= 0, so 0 stands for "nothing picked" and gives

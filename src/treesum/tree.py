@@ -67,9 +67,22 @@ class ClassTree:
         return self.nodes[node_id]
 
 
+def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(weights), p=weights / total)`` draws, made
+    as that call makes it but without its checks of ``p``: the cumulative
+    sum normalized by its last entry, searched for one ``rng.random()`` from
+    the right. It returns the same index and leaves ``rng`` in the same
+    state. ``total`` must be the positive sum of the weights.
+    """
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeds: each next center drawn with probability proportional
-    to the squared distance to the nearest center so far."""
+    to the squared distance to the nearest center so far (``_weighted_draw``).
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
@@ -79,7 +92,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=closest / total))
+            idx = _weighted_draw(closest, total, rng)
         centers[j] = points[idx]
         closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
     return centers
@@ -104,7 +117,17 @@ def _cluster_mean(points: np.ndarray, labels: np.ndarray, j: int) -> np.ndarray:
 
 
 def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    return np.stack([_cluster_mean(points, labels, j) for j in range(k)])
+    """``_cluster_mean`` of each of the ``k`` clusters, stacked.
+
+    One stable ``argsort`` of the labels puts each cluster's points in a
+    contiguous slice, in their original order: the same rows in the same
+    order as ``points[labels == j]``, so each mean has the same bits.
+    """
+    grouped = points[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
+    return np.stack(
+        [np.add.reduce(grouped[start:end], axis=0) / (end - start) for start, end in zip([0, *ends], ends)]
+    )
 
 
 # Unit roundoff and the smallest subnormal of float64, and a safety factor.
@@ -378,6 +401,12 @@ def _refine_labels(
     left get difference-form distances and deltas, with the same operations
     in the same order, and the exact rule picks the move. Before returning,
     the changed clusters get their exact means.
+
+    Most sweeps cost numpy's fixed price per call more than arithmetic, so
+    a sweep makes only the calls on (k, n) arrays: the cluster sizes and
+    their gain and loss factors are Python floats, the one-point case is
+    found from a count and an ``argmin`` of the screen's mask, and a move
+    reads its ``pairwise`` row once.
     """
     labels = labels.copy()
     centroids = centroids.copy()
@@ -391,7 +420,7 @@ def _refine_labels(
     # exact mean, whose norm is at most R + e.
     center_reach = reach + exact_error
     exact_gap = _exact_row_error(dim, max_sq_norm, center_reach * center_reach, reach, exact_error)
-    counts = np.bincount(labels, minlength=k).astype(float)
+    counts = np.bincount(labels, minlength=k).astype(float).tolist()
     gram, center_sq = _gram_dists(centroids, points, sq_norms) if dists is None else dists
     bounds = [_exact_row_error(dim, max_sq_norm, sq, reach, exact_error) for sq in center_sq.tolist()]
     # The clusters changed since their last exact mean.
@@ -399,32 +428,35 @@ def _refine_labels(
     own_flat = labels * n + np.arange(n)  # flat index of each point's own entry
     sweeps = 0
     while sweeps < max_sweeps:
-        gain = counts / (counts + 1.0)
+        gains = [c / (c + 1.0) for c in counts]
         # n_s/(n_s - 1); singleton rows get a finite placeholder and are
         # dropped below.
-        loss = (counts / np.maximum(counts - 1.0, 0.5))[labels]
+        loss = np.array([c / max(c - 1.0, 0.5) for c in counts])[labels]
         # min_j fl(a_j - b) = fl(min_j a_j - b): subtraction is monotone.
-        gain_on = gram * gain[:, None]
+        gain_on = gram * np.array(gains)[:, None]
         gain_on.ravel()[own_flat] = np.inf
         row_min = gain_on.min(axis=0) - loss * gram.take(own_flat)
-        if counts.min() <= 1.0:
-            row_min[counts[labels] <= 1.0] = np.inf
+        if min(counts) <= 1.0:
+            row_min[np.array(counts)[labels] <= 1.0] = np.inf
         bound = 3.5 * (max(bounds) + exact_gap)
         cap = min(float(row_min.min()) + 2.0 * bound, bound - 1e-12)
-        near = (~(row_min > cap)).nonzero()[0]
-        if near.size == 0:
+        # A NaN delta compares false, so it stays near.
+        far = row_min > cap
+        near_count = n - int(np.count_nonzero(far))
+        if near_count == 0:
             break
         move = None
-        if near.size == 1 and counts[labels[near[0]]] > 1.0:
-            # The row's deltas as row_min computed them; all finite but
-            # the own cluster's inf.
-            i = int(near[0])
+        if near_count == 1:
+            i = int(far.argmin())  # the one point near
             s = int(labels[i])
-            loss_off = float(loss[i]) * float(gram[s, i])
-            deltas = [g - loss_off for g in gain_on[:, i].tolist()]
-            best = min(deltas)
-            if best + bound < -1e-12 and sorted(deltas)[1] - best > 2.0 * bound:
-                move = i, deltas.index(best)
+            if counts[s] > 1.0:
+                # The row's deltas as row_min computed them; all finite
+                # but the own cluster's inf.
+                loss_off = float(loss[i]) * float(gram[s, i])
+                deltas = [g - loss_off for g in gain_on[:, i].tolist()]
+                best = min(deltas)
+                if best + bound < -1e-12 and sorted(deltas)[1] - best > 2.0 * bound:
+                    move = i, deltas.index(best)
         if move is None and moved:
             stale = sorted(moved)
             for j in stale:
@@ -438,7 +470,7 @@ def _refine_labels(
             # The exact deltas of the rows left, in row-major order: the
             # first strictly smallest below -1e-12 is the move.
             best = -1e-12
-            gains = gain.tolist()
+            near = np.flatnonzero(~far)
             for i, dists in zip(near.tolist(), _sq_dists(points[near], centroids).tolist()):
                 s = int(labels[i])
                 if counts[s] <= 1.0:
@@ -455,9 +487,9 @@ def _refine_labels(
         s = int(labels[i])
         labels[i] = t
         own_flat[i] = t * n + i
+        pairwise_row = pairwise[i]
         for j, added in ((t, True), (s, False)):
-            count = float(counts[j])
-            bounds[j] = _move_row(gram[j], pairwise[i], i, count, bounds[j], pair_error, reach, added)
+            bounds[j] = _move_row(gram[j], pairwise_row, i, counts[j], bounds[j], pair_error, reach, added)
         counts[s] -= 1.0
         counts[t] += 1.0
         moved.update((s, t))

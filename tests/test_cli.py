@@ -745,6 +745,26 @@ def test_tune_bad_grid_value_exits_2_before_embedding(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--ks", "2,2"], "k 2 "),
+        (["--ks", "3,2,3", "--deltas", "0.7"], "k 3 "),
+        (["--deltas", "0.7,0.70", "--ks", "2"], "delta 0.7 "),
+        (["--ks", "2,2", "--deltas", "0.7,0.7"], "delta 0.7 "),
+        (["--weights", "1,0,0;0.8,0.1,0.1;1.0,0.0,0.0", "--ks", "2"], "weight triple (1.0, 0.0, 0.0) "),
+    ],
+)
+def test_tune_grid_value_named_twice_exits_2(tmp_path, capsys, flags, named):
+    corpus = _write_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    code = main(["tune", "--input", str(corpus), "--budget-words", "20", *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{named}is named more than once" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_tune_small_grid_runs(tmp_path):
     corpus = _write_corpus(tmp_path / "corpus")
     out = tmp_path / "out"
@@ -817,6 +837,27 @@ def test_ablate_builds_each_shared_clustering_once_per_topic(tmp_path, monkeypat
     ])
     assert code == 0
     assert built == {"document tree": 1, "sentence tree": 1, "flat clustering": 1}
+
+
+def test_ablate_selects_each_shared_context_in_one_lockstep_call(tmp_path, monkeypatch):
+    """ours-final with ours-cs and comp2 with comp3 each run as one
+    ``run_selections`` call: four calls per topic for the six methods."""
+    import treesum.selection as selection
+
+    calls = []
+
+    def counting_run_selections(ctx, hps, budget):
+        calls.append(len(hps))
+        return run_selections(ctx, hps, budget)
+
+    run_selections = selection.run_selections
+    monkeypatch.setattr(selection, "run_selections", counting_run_selections)
+    corpus = _write_varied_corpus(tmp_path / "corpus", n_topics=3)
+    code = main([
+        "ablate", "--input", str(corpus), "--budget-words", "20", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert sorted(calls) == [1] * 6 + [2] * 6
 
 
 def _invalid_utf8_case(tmp_path, path):

@@ -309,6 +309,45 @@ def test_stemmed_scores_match_the_oracles_on_words_and_numbers():
     assert len(memo._tables) == 20 * 4
 
 
+def test_score_all_tokenizes_each_reference_once_per_table_build(monkeypatch):
+    """All four tables of a reference set come from one ``_Tokens`` per
+    reference, and the scores equal each metric taken on its own."""
+    made = []
+
+    class CountingTokens(rouge._Tokens):
+        def __init__(self, memo, text):
+            made.append(text)
+            super().__init__(memo, text)
+
+    rng = random.Random(11)
+    words = ["running", "runs", "ran", "cats", "cat", "1999", "bridges", "relational", "relate", "y2k"]
+
+    def text():
+        return " ".join(" ".join(rng.choice(words) for _ in range(rng.randint(1, 9))) + "." for _ in range(3))
+
+    references = [text(), text(), text()]
+    candidates = [text(), text(), text()]
+    expected = [
+        {
+            "r1": rouge_n(candidate, references, 1),
+            "r2": rouge_n(candidate, references, 2),
+            "rl": rouge_l(candidate, references),
+            "rsu4": rouge_su4(candidate, references),
+        }
+        for candidate in candidates
+    ]
+    monkeypatch.setattr(rouge, "_Tokens", CountingTokens)
+    assert score_all(candidates[0], references, rouge.METRIC_IDS) == expected[0]
+    assert sorted(made) == sorted([*references, candidates[0]])
+    # On one memo: built on the first ask, built again and kept on the
+    # second, read from the memo after that.
+    memo = rouge.TokenMemo()
+    for round_, (candidate, scores) in enumerate(zip(candidates, expected)):
+        made.clear()
+        assert score_all(candidate, references, rouge.METRIC_IDS, memo=memo) == scores
+        assert sorted(made) == sorted([*references, candidate] if round_ < 2 else [candidate])
+
+
 def test_memo_stems_each_distinct_token_once(monkeypatch):
     """``stem.calls`` in the benchmark counts calls of the module-level
     ``treesum.rouge.porter_stem``: one per distinct token of the run."""

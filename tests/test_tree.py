@@ -44,6 +44,7 @@ from treesum.tree import (
     _refine_labels,
     _sq_dists,
     _sq_norms,
+    _weighted_draw,
     build_class_tree,
     default_max_nodes,
     derive_seed,
@@ -606,6 +607,65 @@ def test_lloyd_distance_columns_equal_broadcast_form_bytewise():
         assert scalar.tobytes() == broadcast.tobytes(), (n, dim, k)
         rows = np.sort(rng.choice(n, min(n, 3), replace=False))
         assert _sq_dists(points[rows], centroids).tobytes() == broadcast[rows].tobytes()
+
+
+def test_weighted_draw_matches_generator_choice():
+    """The k-means++ draw picks what ``rng.choice(n, p=...)`` picks and
+    leaves the generator where that call leaves it."""
+    cases = 0
+    for seed in (0, 1, 7, 2024):
+        source = np.random.default_rng(seed)
+        for case in range(300):
+            n = int(source.integers(2, 301))
+            weights = source.random(n) ** source.uniform(1.0, 6.0)
+            weights[source.random(n) < source.uniform(0.0, 0.9)] = 0.0
+            if case % 3 == 0:
+                weights[source.integers(n)] = source.uniform(1e3, 1e12)
+            if case % 7 == 0:
+                weights[:] = 0.0
+                weights[source.integers(n)] = 1.0
+            if not weights.any():
+                weights[-1] = 0.5
+            weights *= 2.0 ** int(source.integers(-40, 40))
+            total = weights.sum()
+            ours = np.random.default_rng([seed, case])
+            theirs = np.random.default_rng([seed, case])
+            for _ in range(3):
+                assert _weighted_draw(weights, total, ours) == int(theirs.choice(n, p=weights / total))
+                assert ours.bit_generator.state == theirs.bit_generator.state
+            cases += 1
+    assert cases >= 1000
+
+    # Two draws a random stream all but never makes, pinned with a stand-in
+    # generator: a value on a step of the cumulative sum (zero weights make
+    # flat steps), and one above the last cumulative sum before it is
+    # normalized (0.9999999999999999 for ten weights of 0.1).
+    class Fixed:
+        def __init__(self, value):
+            self.value = value
+
+        def random(self):
+            return self.value
+
+    assert _weighted_draw(np.array([1.0, 0.0, 0.0, 1.0]), 2.0, Fixed(0.5)) == 3
+    tenths = np.full(10, 0.1)
+    assert _weighted_draw(tenths, tenths.sum(), Fixed(np.nextafter(1.0, 0.0))) == 9
+
+
+def test_cluster_means_equal_per_cluster_means_bytewise():
+    rng = np.random.default_rng(2005)
+    for case in range(200):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(k, 60))
+        dim = int(rng.choice([1, 2, 3, 7, 128, 384]))
+        points = rng.normal(size=(n, dim)) * rng.uniform(0.01, 100.0)
+        # Every cluster non-empty, the first ``singletons`` of them with one
+        # point, labels shuffled.
+        singletons = int(rng.integers(0, k))
+        labels = np.concatenate([np.arange(k), rng.integers(singletons, k, n - k)])
+        rng.shuffle(labels)
+        expected = np.stack([_cluster_mean(points, labels, j) for j in range(k)])
+        assert _cluster_means(points, labels, k).tobytes() == expected.tobytes(), case
 
 
 def test_distinct_row_check_matches_np_unique():
