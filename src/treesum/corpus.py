@@ -18,7 +18,6 @@ Two on-disk layouts are supported:
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -78,10 +77,6 @@ _ABBREVIATIONS = frozenset(
     }
 )
 
-# A terminator followed by whitespace or the end of input. ``\s`` matches
-# exactly the characters ``str.isspace`` accepts.
-_SENTENCE_END_RE = re.compile(r"[.!?](?!\S)")
-
 
 def _is_abbreviation(token: str) -> bool:
     """True when a period after ``token`` closes an abbreviation.
@@ -89,8 +84,8 @@ def _is_abbreviation(token: str) -> bool:
     ``token`` is the run of non-whitespace characters before the period.
     Covers a stoplist of common titles and dotted initialisms, plus the
     single-capital-letter rule for personal initials. Periods inside decimal
-    numbers never reach this check: a digit follows them, so the
-    terminator-then-whitespace condition already fails.
+    numbers never reach this check: a digit follows them, so they do not
+    end a word.
     """
     # Drop opening punctuation such as quotes or parentheses.
     token = token.lstrip("\"'([{“‘")
@@ -111,37 +106,39 @@ def _sentence(words: list[str], sent_index: int) -> Sentence:
 def segment_sentences(document_text: str) -> list[Sentence]:
     """Split raw document text into sentences.
 
-    A sentence ends at ``.``, ``!`` or ``?`` followed by whitespace or end of
-    input, except when the period closes a known abbreviation. Whitespace
-    inside each sentence is collapsed to single spaces; whitespace-only input
-    yields an empty list. Sentence indices are assigned in order, so positions
-    run 1..n with no gaps.
-
-    The text is split into words once, one piece per terminator. Each piece
-    runs from just after the previous terminator to this one, so it starts
-    at whitespace (or at 0) and ends with the terminator: its last word is
-    the run of non-whitespace characters before the terminator plus the
-    terminator itself, which is what the abbreviation check reads, and the
-    words of a sentence's pieces are the words of its span. So joining them
-    gives the span's whitespace-collapsed text, and their number its word
-    count.
+    The text is split into words at whitespace once. A sentence ends after
+    each word whose last character is ``.``, ``!`` or ``?``, except when the
+    period closes a known abbreviation (``_is_abbreviation`` of the word
+    without it). Such a word's terminator is exactly a terminator followed
+    by whitespace or the end of input. A sentence's text is its words
+    joined by single spaces; whitespace-only input yields an empty list.
+    Sentence indices are assigned in order, so positions run 1..n with no
+    gaps.
     """
+    words = document_text.split()
     sentences: list[Sentence] = []
-    words: list[str] = []
     start = 0
-    for match in _SENTENCE_END_RE.finditer(document_text):
-        i = match.start()
-        piece = document_text[start : i + 1].split()
-        words += piece
-        start = i + 1
-        if document_text[i] == "." and _is_abbreviation(piece[-1][:-1]):
-            continue
-        sentences.append(_sentence(words, len(sentences)))
-        words = []
-    words += document_text[start:].split()
-    if words:
-        sentences.append(_sentence(words, len(sentences)))
+    for end, word in enumerate(words, 1):
+        if word[-1] in ".!?" and not (word[-1] == "." and _is_abbreviation(word[:-1])):
+            sentences.append(_sentence(words[start:end], len(sentences)))
+            start = end
+    if start < len(words):
+        sentences.append(_sentence(words[start:], len(sentences)))
     return sentences
+
+
+_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
+
+
+def tokens(text: str) -> list[bytes]:
+    """The maximal runs of ``[a-z0-9]`` in the lowercased ``text``, as ASCII
+    bytes: the one token rule of the embedder and ROUGE.
+
+    The tokens are ASCII, so encoding with ``?`` for every other character
+    and mapping every byte outside ``[a-z0-9]`` to a space leaves exactly
+    the tokens to ``split``.
+    """
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).split()
 
 
 def _build_document(doc_id: str, doc_index: int, text: str, origin: str) -> Document:

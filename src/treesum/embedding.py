@@ -32,7 +32,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, Topic, jsonl_records
+from .corpus import Corpus, CorpusError, Topic, jsonl_records, tokens
 
 Vector = np.ndarray
 
@@ -201,12 +201,6 @@ def provider_file(path: str | Path, corpus: Corpus) -> FileProvider:
     return FileProvider(path, corpus)
 
 
-# Tokens are the maximal runs of [a-z0-9] in the lowercased text. Those are
-# ASCII, so encoding with "?" for every other character and mapping every
-# byte outside [a-z0-9] to a space leaves exactly the tokens to ``split``;
-# each comes out as its own UTF-8 bytes, the input of its hash.
-_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
-
 # The largest ``builtin:<dim>``, 128 times the largest dim in use. The
 # vectors take 8 * dim bytes per sentence, 512 KiB at this ceiling.
 MAX_BUILTIN_DIM = 65536
@@ -231,58 +225,54 @@ def _distinct_pairs(major: np.ndarray, minor: np.ndarray, n_minor: int):
 class BuiltinTfidfProvider:
     """Deterministic hashed tf-idf sentence embedder.
 
-    Lowercased alphanumeric tokens are hashed into ``dim`` buckets with a
-    seeded hash; bucket weights are term frequency in the sentence times a
-    smoothed inverse document frequency over the topic's documents
-    (``ln((1+n_docs)/(1+df)) + 1``). Vectors are L2-normalized; a sentence
-    with no tokens falls back to the unit basis vector e1. All vectors are
-    precomputed at construction, so results are bitwise reproducible for a
-    given (corpus, dim, seed).
+    Tokens (``corpus.tokens``, lowercased alphanumeric runs) are hashed
+    into ``dim`` buckets with a seeded hash; bucket weights are term
+    frequency in the sentence times a smoothed inverse document frequency
+    over the topic's documents (``ln((1+n_docs)/(1+df)) + 1``). Vectors
+    are L2-normalized; a sentence with no tokens falls back to the unit
+    basis vector e1. All vectors are precomputed at construction, so
+    results are bitwise reproducible for a given (corpus, dim, seed).
 
     Each topic fills its block of one corpus matrix, a row per sentence,
     and ``embed`` returns that block.
-    The topic's tokens get integer ids (a token new to the corpus is hashed
-    then), and the distinct (sentence, token) pairs come out of a stable
-    sort in order of first occurrence, which is each sentence's ``Counter``
-    order, with their counts as tf. df counts the distinct (document, token)
-    pairs. The ``(row, bucket)`` weights ``tf * idf`` are summed in that
-    order by one unbuffered ``np.add.at``, which adds them into the zero
-    block in input order: the same sums as adding each weight into a zero
-    vector one at a time. ``np.vecdot`` takes each row's squared
-    norm with the same BLAS ``ddot`` as ``np.linalg.norm`` of that row on its
-    own, and every row is divided by its norm once, so the vectors are
-    bit-equal to a per-sentence build.
+    Each distinct token of the corpus gets one integer id, in first-seen
+    order, and is hashed when it gets it. A topic's distinct (sentence,
+    token) pairs come out of a stable sort in order of first occurrence,
+    which is each sentence's ``Counter`` order, with their counts as tf.
+    df counts the distinct (document, token) pairs. The ``(row, bucket)``
+    weights ``tf * idf`` are summed in that order by one unbuffered
+    ``np.add.at``, which adds them into the zero block in input order: the
+    same sums as adding each weight into a zero vector one at a time.
+    ``np.vecdot`` takes each row's squared norm with the same BLAS ``ddot``
+    as ``np.linalg.norm`` of that row on its own, and every row is divided
+    by its norm once, so the vectors are bit-equal to a per-sentence build.
     """
 
     def __init__(self, corpus: Corpus, dim: int, seed: int):
         if not 2 <= dim <= MAX_BUILTIN_DIM:
             raise ValueError(f"builtin embedder needs 2 <= dim <= {MAX_BUILTIN_DIM}")
         keyed = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-        buckets: dict[bytes, int] = {}  # each distinct token of the corpus hashed once
+        ids: dict[bytes, int] = {}  # each distinct token of the corpus, numbered in first-seen order
+        buckets: list[int] = []  # the hash bucket of each token id
         self._blocks: dict[str, np.ndarray] = {}
         # One matrix for the whole corpus, allocated before any per-topic
         # temporary, so the heap those free is not pinned under a topic's rows.
         all_rows = np.zeros((sum(len(doc.sentences) for topic in corpus for doc in topic.documents), dim))
         first_row = 0
         for topic in corpus:
-            sent_tokens = [
-                s.text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).split()
-                for doc in topic.documents
-                for s in doc.sentences
-            ]
-            tokens = list(chain.from_iterable(sent_tokens))
-            distinct = dict.fromkeys(tokens)  # the topic's tokens, in order of first occurrence
-            for tok in distinct.keys() - buckets.keys():
-                h = keyed.copy()  # the digest of a fresh keyed blake2b
-                h.update(tok)
-                buckets[tok] = int.from_bytes(h.digest(), "little") % dim
-            bucket_of = np.fromiter(map(buckets.__getitem__, distinct), np.intp, len(distinct))
-            index = dict(zip(distinct, range(len(distinct))))
-            ids = np.fromiter(map(index.__getitem__, tokens), np.intp, len(tokens))
-            n_ids = len(index)
+            sent_tokens = [tokens(s.text) for doc in topic.documents for s in doc.sentences]
+            topic_tokens = list(chain.from_iterable(sent_tokens))
+            for tok in topic_tokens:
+                if tok not in ids:
+                    ids[tok] = len(buckets)
+                    h = keyed.copy()  # the digest of a fresh keyed blake2b
+                    h.update(tok)
+                    buckets.append(int.from_bytes(h.digest(), "little") % dim)
+            token_ids = np.fromiter(map(ids.__getitem__, topic_tokens), np.intp, len(topic_tokens))
+            n_ids = len(buckets)
             rows = len(sent_tokens)
             row_of = np.repeat(np.arange(rows), [len(t) for t in sent_tokens])
-            pair_row, pair_id, tf = _distinct_pairs(row_of, ids, n_ids)
+            pair_row, pair_id, tf = _distinct_pairs(row_of, token_ids, n_ids)
             n_docs = len(topic.documents)
             doc_of_row = np.repeat(np.arange(n_docs), [len(doc.sentences) for doc in topic.documents])
             df = np.bincount(_distinct_pairs(doc_of_row[pair_row], pair_id, n_ids)[1], minlength=n_ids)
@@ -290,6 +280,7 @@ class BuiltinTfidfProvider:
             idf_of_df = np.array([math.log((1 + n_docs) / (1 + count)) + 1.0 for count in range(n_docs + 1)])
             matrix = all_rows[first_row : first_row + rows]
             first_row += rows
+            bucket_of = np.array(buckets, np.intp)
             np.add.at(matrix.reshape(-1), pair_row * dim + bucket_of[pair_id], tf * idf_of_df[df[pair_id]])
             norms = np.sqrt(np.vecdot(matrix, matrix))
             empty = norms == 0.0

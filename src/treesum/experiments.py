@@ -62,10 +62,9 @@ def run_ablation(
     select from one context run as one lockstep selection
     (``summarize_topic_specs``): ours-final and ours-cs from one document
     tree, comp2 and comp3 from one flat clustering, so the six methods make
-    four selection calls per topic. ROUGE then scores each method, stemming
-    every reference once for the whole run and tokenizing it once per table
-    build. Results are identical to summarizing and evaluating each method
-    on its own.
+    four selection calls per topic. ROUGE then scores each method, stemming,
+    tokenizing and tabling every reference once for the whole run. Results
+    are identical to summarizing and evaluating each method on its own.
     """
     cap = resolve_max_nodes(corpus, budget, max_nodes)
     specs = [VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in methods]

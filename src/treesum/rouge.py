@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
@@ -24,13 +23,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, segment_sentences
+from .corpus import Corpus, segment_sentences, tokens
 from .selection import Budget
 from .stem import porter_stem
 
 METRIC_IDS = ("r1", "r2", "rl", "rsu4")
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,9 @@ class TokenMemo:
     candidate against one table per (references, metric): the references'
     r1 or r2 n-gram counts, their rsu4 skip-bigram and unigram counts, or
     for ROUGE-L each reference's sentence ids. The tables a score needs are
-    built together from one tokenization of each reference, and a table is
-    kept from the second time it is asked for, so under one metric list
-    references are tokenized at most twice however many candidates are
-    scored against them.
+    built together from one tokenization of each reference and kept, so
+    under one metric list references are tokenized once however many
+    candidates are scored against them.
     ``evaluate_corpus`` keeps each topic's scores here, keyed by
     (truncated summary, references, metric list), so a summary text that
     recurs (as across the points of a grid search) is scored once; a
@@ -80,24 +76,24 @@ class TokenMemo:
 
     def __init__(self, stem: bool = True):
         self.stem = stem
-        self._ids: dict[str, int] = {}  # token -> id of its stem
-        self._stem_ids: dict[str, int] = {}
+        self._ids: dict[bytes, int] = {}  # token -> id of its stem
+        self._stem_ids: dict[str | bytes, int] = {}
         self._tables: dict[tuple[tuple[str, ...], str], _CountTable | _LcsTable] = {}
-        self._asked: set[tuple[tuple[str, ...], str]] = set()
         self._scores: dict[tuple[str, tuple[str, ...], tuple[str, ...]], dict[str, RougeScore]] = {}
 
     def ids(self, text: str) -> list[int]:
-        """The id of each token of ``text``; Porter-stemmed if ``self.stem``."""
-        tokens = _TOKEN_RE.findall(text.lower())
+        """The id of each token (``corpus.tokens``) of ``text``;
+        Porter-stemmed if ``self.stem``."""
+        text_tokens = tokens(text)
         ids = self._ids
         try:
-            return [ids[token] for token in tokens]
+            return [ids[token] for token in text_tokens]
         except KeyError:
-            for token in tokens:
+            for token in text_tokens:
                 if token not in ids:
-                    stemmed = porter_stem(token) if self.stem else token
+                    stemmed = porter_stem(token.decode()) if self.stem else token
                     ids[token] = self._stem_ids.setdefault(stemmed, len(self._stem_ids))
-            return [ids[token] for token in tokens]
+            return [ids[token] for token in text_tokens]
 
     def sentence_ids(self, text: str) -> list[list[int]]:
         """Token ids of each non-empty sentence of ``text``."""
@@ -109,20 +105,15 @@ class TokenMemo:
 
         The tables not kept yet are built together, from one ``_Tokens`` per
         reference, so each reference is tokenized and segmented once per
-        build whatever the metrics; the tokens are dropped with the build. A
-        table is kept from the second time it is asked for: a plain
-        ``evaluate`` asks once per topic, and keeping those tables raised
-        the resident set of a run of rounds by about 0.5 MB for no reuse."""
+        build whatever the metrics; the tokens are dropped with the build.
+        Every table built is kept, so a reference set is tokenized once per
+        run under one metric list."""
         tables = [self._tables.get((references, metric)) for metric in metrics]
         if None in tables:
-            tokens = [_Tokens(self, r) for r in references]
+            ref_tokens = [_Tokens(self, r) for r in references]
             for i, metric in enumerate(metrics):
                 if tables[i] is None:
-                    key = (references, metric)
-                    tables[i] = _TABLES[metric](tokens)
-                    if key in self._asked:
-                        self._tables[key] = tables[i]
-                    self._asked.add(key)
+                    tables[i] = self._tables[references, metric] = _TABLES[metric](ref_tokens)
         return tables
 
     def scores(self, candidate: str, references: tuple[str, ...], metrics: tuple[str, ...]) -> dict[str, RougeScore]:

@@ -22,7 +22,7 @@ from treesum.corpus import (
     segment_sentences,
 )
 from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key, topic_keys
-from treesum.rouge import _TOKEN_RE, RougeScore, _average, _prf
+from treesum.rouge import RougeScore, _average, _prf
 from treesum.scoring import Hyperparams
 from treesum.stem import porter_stem
 from treesum.tree import ClassTree, ClassTreeNode, _kmeans_pp_init, derive_seed, kmeans, label_groups
@@ -171,7 +171,7 @@ def loop_segment_sentences(document_text: str) -> list[Sentence]:
     ``str.isspace`` whitespace or the end of input, unless the period closes
     an abbreviation, read by walking back from the period. Each span is
     split twice: once for its collapsed text, once for its word count. The
-    regex-and-one-split form must give exactly the same sentences.
+    word-split form must give exactly the same sentences.
     """
     spans: list[str] = []
     start = 0
@@ -386,8 +386,12 @@ def kmeans_class_tree(points: np.ndarray, k_first: int, k_rest: int, max_nodes: 
     return ClassTree(root=root, node_count=len(nodes), traversal_order=tuple(n.node_id for n in order), nodes=nodes)
 
 
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
 def tokenize(text: str, stem: bool = False) -> list[str]:
-    """Lowercase alphanumeric tokens, optionally Porter-stemmed."""
+    """Lowercase alphanumeric tokens, optionally Porter-stemmed: the maximal
+    runs of ``_TOKEN_RE`` in the lowercased text."""
     tokens = _TOKEN_RE.findall(text.lower())
     return [porter_stem(token) for token in tokens] if stem else tokens
 

@@ -814,6 +814,37 @@ def test_ablation_matches_standalone_runs(tmp_path, budget, workers):
         assert row.scores == report.mean, row.method
 
 
+
+def test_ablation_tokenizes_each_reference_once(tmp_path, monkeypatch):
+    """One ``run_ablation`` makes one ``_Tokens`` per reference for all six
+    methods' reports and all four metrics."""
+    from collections import Counter
+
+    import treesum.rouge as rouge
+    from treesum.corpus import load_corpus
+    from treesum.embedding import embed_corpus, provider_builtin_tfidf
+    from treesum.experiments import run_ablation
+    from treesum.scoring import Hyperparams
+    from treesum.selection import Budget
+
+    made = []
+
+    class CountingTokens(rouge._Tokens):
+        def __init__(self, memo, text):
+            made.append(text)
+            super().__init__(memo, text)
+
+    corpus = load_corpus(_write_varied_corpus(tmp_path / "corpus", n_topics=3), "topic-dirs")
+    embedded = embed_corpus(corpus, provider_builtin_tfidf(corpus, dim=64, seed=7))
+    monkeypatch.setattr(rouge, "_Tokens", CountingTokens)
+    run_ablation(
+        corpus, embedded, Hyperparams(), Budget("words", 20), seed=11, metrics=rouge.METRIC_IDS, report_kind="f1"
+    )
+    references = Counter(ref for topic in corpus for ref in topic.references)
+    assert len(references) == 6
+    assert Counter(text for text in made if text in references) == references
+
+
 def test_ablate_builds_each_shared_clustering_once_per_topic(tmp_path, monkeypatch):
     import treesum.variants as variants
 

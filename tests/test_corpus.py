@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import count_words, loop_segment_sentences
-from treesum.corpus import CorpusError, load_corpus, segment_sentences
+from helpers import count_words, loop_segment_sentences, tokenize
+from treesum.corpus import CorpusError, load_corpus, segment_sentences, tokens
 
 
 def test_two_terminated_clauses():
@@ -84,7 +84,7 @@ def _benchmark_corpus_generator(monkeypatch):
 
 
 def test_segmentation_matches_loop_on_benchmark_documents(tmp_path, monkeypatch):
-    """The regex scan splits every generated benchmark document, joined as
+    """The word split segments every generated benchmark document, joined as
     either loader sees it, exactly as the per-character loop does."""
     gen = _benchmark_corpus_generator(monkeypatch)
     vocab = gen.load_vocabulary(Path(__file__).resolve().parent / "data" / "porter_vocabulary.txt")
@@ -109,12 +109,41 @@ _PIECES = (
 
 
 def test_segmentation_matches_loop_on_random_strings():
-    """Seeded random strings over terminators, the whitespace the regex and
-    ``str.isspace`` must agree on, quotes and abbreviations."""
+    """Seeded random strings over terminators, the whitespace ``str.split``
+    and ``str.isspace`` must agree on, quotes and abbreviations."""
     rng = random.Random(20231)
     for _ in range(5000):
         text = "".join(rng.choice(_PIECES) for _ in range(rng.randrange(0, 40)))
         assert segment_sentences(text) == loop_segment_sentences(text), repr(text)
+
+
+
+# Characters whose lowercase form is or holds ASCII (the Kelvin sign is
+# "k", "İ" is "i" plus a combining dot), or that expand ("ß", "ﬁ"); digits
+# outside ASCII; whitespace and separators outside ASCII and C0 controls.
+_TOKEN_PIECES = (
+    "\u212a", "\u0130", "\u00df", "\ufb01", "\uff11", "\uff21", "\u0663", "\u0085", "\x1c",
+    "\u3000", "\u00e9", "\u00c9", "\ud800", "\U0001f600", "A", "z", "Q", "0", "9", "_", "-",
+    "'", ".", " ", "\t", "\n", "Kelvin", "STRASSE", "caf\u00e9", "x2", "\x7f", "\x00",
+)
+
+
+def test_tokens_equal_the_regex_oracle_on_random_unicode():
+    """``corpus.tokens`` gives the maximal runs of ``[a-z0-9]`` in the
+    lowercased text, as bytes, on seeded random text over ASCII, characters
+    whose lowercase form is or holds ASCII, non-ASCII digits and spaces, and
+    random code points."""
+    rng = random.Random(1004)
+    texts = [""]
+    for _ in range(20000):
+        pieces = [
+            rng.choice(_TOKEN_PIECES) if rng.random() < 0.8 else chr(rng.randrange(0x110000))
+            for _ in range(rng.randrange(0, 24))
+        ]
+        texts.append("".join(pieces))
+    for text in texts:
+        assert tokens(text) == [t.encode() for t in tokenize(text)], repr(text)
+    assert tokens("\u212aelvin \u0130STANBUL Stra\u00dfe \ufb01ne") == [b"kelvin", b"i", b"stanbul", b"stra", b"e", b"ne"]
 
 
 def test_count_words():

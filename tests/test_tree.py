@@ -493,6 +493,29 @@ def test_refine_labels_exact_check_decides_near_ties():
     assert gram_differs >= 5
 
 
+
+def test_refine_labels_keeps_a_nan_gram_delta_near():
+    """A NaN in the given Gram rows makes its point's smallest delta NaN,
+    which the screen keeps near: the exact rule then decides the moves, and
+    the labels are the scalar oracle's, not the start labels."""
+    rng = np.random.default_rng(2009)
+    moved = 0
+    for _ in range(200):
+        n, k, dim = int(rng.integers(6, 30)), int(rng.integers(2, 5)), int(rng.integers(1, 9))
+        points = rng.normal(size=(n, dim))
+        labels = rng.integers(0, k, size=n)
+        labels[rng.permutation(n)[:k]] = np.arange(k)
+        start = _cluster_means(points, labels, k)
+        pairwise, sq_norms = _refine_args(points)
+        dists = _gram_dists(start, points, sq_norms)
+        dists[0][rng.integers(k), rng.integers(n)] = np.nan
+        expected = scalar_refine_labels(points, labels, k)
+        got, _ = _refine_labels(points, labels, start, pairwise, sq_norms, dists=dists)
+        assert np.array_equal(got, expected)
+        moved += not np.array_equal(expected, labels)
+    assert moved >= 190
+
+
 def _sparse_points(rng, n):
     """n sparse non-negative 128-dim points, like hashed tf-idf sentences."""
     points = np.zeros((n, 128))
