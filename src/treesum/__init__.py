@@ -19,7 +19,7 @@ from .rouge import RougeReport, RougeScore, evaluate_corpus, rouge_l, rouge_n, r
 from .scoring import Hyperparams, score_final, score_position
 from .selection import Budget, Summary, select_summary
 from .stem import porter_stem
-from .tree import ClassTree, build_class_tree, estimate_sentence_budget, kmeans
+from .tree import ClassTree, build_class_tree, kmeans
 from .variants import METHOD_TABLE, VariantSpec, summarize_topic
 
 __version__ = "0.1.0"

@@ -7,56 +7,43 @@ how many workers run.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from .corpus import Corpus, Topic
 from .embedding import EmbeddedCorpus
 from .selection import Budget, Summary
-from .tree import default_max_nodes
 from .variants import TopicWork, VariantSpec, summarize_topic
 
 T = TypeVar("T")
 
 
-def corpus_length_stats(corpus: Corpus) -> tuple[float, float]:
-    """(avg words per sentence, avg bytes per word) over the whole corpus.
-
-    Sentence texts are whitespace-normalized, so internal separators are
-    single spaces and per-word byte cost excludes them.
-    """
-    total_sentences = 0
-    total_words = 0
-    total_word_bytes = 0
-    for topic in corpus:
-        for doc in topic.documents:
-            for sent in doc.sentences:
-                total_sentences += 1
-                total_words += sent.word_count
-                total_word_bytes += sent.byte_length - (sent.word_count - 1)
-    avg_sentence_words = total_words / total_sentences
-    avg_word_bytes = total_word_bytes / total_words
-    return avg_sentence_words, avg_word_bytes
-
-
 def resolve_max_nodes(corpus: Corpus, budget: Budget, max_nodes: int | None) -> int:
-    """Node-count cap for tree construction.
+    """Node-count cap for tree construction: ``max_nodes`` when given, else
+    the number of sentences the summary needs over the whole corpus,
+    ``max(1, ceil(target_words / (words / sentences)))``.
 
-    Defaults to the estimated number of sentences the summary needs: the
-    budget expressed in words divided by the corpus' average sentence length
-    (byte budgets are converted through the average word byte cost plus one
-    joining space).
+    A byte budget is converted to ``target_words`` through the average bytes
+    per word plus one joining space. Sentence texts are whitespace-normalized,
+    so a sentence's word bytes are its byte length less its separators.
     """
     if max_nodes is not None:
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
         return max_nodes
-    avg_sentence_words, avg_word_bytes = corpus_length_stats(corpus)
+    sentences = words = word_bytes = 0
+    for topic in corpus:
+        for doc in topic.documents:
+            for sent in doc.sentences:
+                sentences += 1
+                words += sent.word_count
+                word_bytes += sent.byte_length - (sent.word_count - 1)
     if budget.unit == "words":
         target_words = float(budget.limit)
     else:
-        target_words = budget.limit / (avg_word_bytes + 1.0)
-    return default_max_nodes(target_words, avg_sentence_words)
+        target_words = budget.limit / (word_bytes / words + 1.0)
+    return max(1, math.ceil(target_words / (words / sentences)))
 
 
 def map_topics(

@@ -61,28 +61,37 @@ class NodeCentroids:
     outside: Vector | None
 
 
+def finite_means(vectors: np.ndarray, groups: list) -> list[np.ndarray]:
+    """The mean of ``vectors[g]`` for each ``g`` in ``groups``.
+
+    Where a mean runs past the float range although every row is finite,
+    every mean is taken again over the rows scaled by the power of two that
+    brings every component within 1 (``power_of_two_scaled``): that scales
+    them all by one exact factor, which their users (cosine similarity and
+    ``kmeans``) ignore. ``groups`` is read a second time then, so it is a
+    list.
+    """
+    with np.errstate(over="ignore"):  # checked below
+        means = [vectors[g].mean(axis=0) for g in groups]
+    if all(np.isfinite(mean).all() for mean in means):
+        return means
+    scaled, _ = power_of_two_scaled(vectors)
+    return [scaled[g].mean(axis=0) for g in groups]
+
+
 def node_centroids(vectors: np.ndarray, members: np.ndarray) -> NodeCentroids:
-    """Centroids of a node's rows of ``vectors`` and of the other rows.
+    """Centroids of a node's rows of ``vectors`` and of the other rows, by
+    ``finite_means``.
 
     ``members`` holds the node's row indices, ascending. ``outside`` is None
-    exactly when the node holds every row (e.g. the root node). Where a mean
-    runs past the float range although every row is finite, both centroids
-    are the means of the rows scaled by a power of two that brings every
-    component within 1: that scales them by an exact factor, which cosine
-    similarity, their one use, ignores.
+    exactly when the node holds every row (e.g. the root node).
     """
     if len(members) == 0:
         raise ValueError("node has no members")
     rest = np.ones(len(vectors), dtype=bool)
     rest[members] = False
-    with np.errstate(over="ignore"):  # checked below
-        inside = vectors[members].mean(axis=0)
-        outside = vectors[rest].mean(axis=0) if rest.any() else None
-    if not (np.isfinite(inside).all() and (outside is None or np.isfinite(outside).all())):
-        scaled, _ = power_of_two_scaled(vectors)
-        inside = scaled[members].mean(axis=0)
-        outside = scaled[rest].mean(axis=0) if outside is not None else None
-    return NodeCentroids(inside=inside, outside=outside)
+    inside, *outside = finite_means(vectors, [members, rest] if rest.any() else [members])
+    return NodeCentroids(inside=inside, outside=outside[0] if outside else None)
 
 
 def clamp01(value):

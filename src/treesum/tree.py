@@ -2,9 +2,11 @@
 
 The root node holds every item (normally the documents of one topic; the
 sentence-clustering variant feeds sentences instead). Each layer splits the
-nodes of the previous layer with k-means until either no node can be divided
-any further or the tree already holds as many nodes as the summary needs
-sentences.
+nodes of the previous layer with ``split_rows`` until either no node can be
+divided any further or the tree holds the node cap its caller passes
+(``pipeline.resolve_max_nodes``: as many nodes as the summary needs
+sentences). ``split_rows`` is also the one flat k-means split, so the flat
+clustering methods divide their rows by the same rule as a tree node.
 
 Everything here is deterministic: k-means uses k-means++ seeding from an
 explicit seed, restarts select the best inertia, and all orderings are total.
@@ -596,6 +598,22 @@ def label_groups(members: Sequence[int], labels: Sequence[int]) -> list[tuple[in
     return sorted((tuple(g) for g in groups.values()), key=lambda g: (-len(g), g[0]))
 
 
+def split_rows(points: np.ndarray, members: Sequence[int], k: int, seed: int) -> list[tuple[int, ...]]:
+    """The rows ``members`` of ``points`` split into ``k`` groups of member
+    indices in ``label_groups`` order, or ``[]`` when they cannot be.
+
+    The rows are split by ``kmeans`` under ``seed``. Exactly ``k`` rows are
+    split without the call: ``kmeans`` gives ``k`` singletons when the rows
+    are distinct, which ``label_groups`` puts in member order whatever their
+    labels, and None otherwise.
+    """
+    rows = points[list(members)]
+    if len(rows) == k:
+        return [(m,) for m in members] if _has_k_distinct_rows(rows, k) else []
+    result = kmeans(rows, k, seed=seed)
+    return [] if result is None else label_groups(members, result.labels)
+
+
 def build_class_tree(
     vectors: np.ndarray,
     k_first: int,
@@ -611,12 +629,9 @@ def build_class_tree(
     holds ``max_nodes`` nodes (checked before each split, so the total never
     exceeds ``max_nodes + max(k_first, k_rest) - 1``).
 
-    A node is split by ``kmeans``, and its clusters become children in
-    ``label_groups`` order. A node of exactly ``k`` rows is split without
-    the call: ``kmeans`` gives ``k`` singletons when the rows are distinct,
-    which ``label_groups`` puts in member order whatever their labels, and
-    None otherwise. A NaN or infinite component raises ValueError, as
-    ``kmeans`` does, whenever the root is to be split.
+    A node is split by ``split_rows`` under a seed derived from its id, and
+    its groups become children in that order. A NaN or infinite component
+    raises ValueError, as ``kmeans`` does, whenever the root is to be split.
 
     Traversal order sorts nodes by layer ascending, then size descending,
     ties by the smallest contained row index.
@@ -648,13 +663,7 @@ def build_class_tree(
                 break
             if node.size < 2:
                 continue
-            rows = points[list(node.members)]
-            if node.size == k:
-                groups = [(m,) for m in node.members] if _has_k_distinct_rows(rows, k) else []
-            else:
-                result = kmeans(rows, k, seed=derive_seed(seed, f"node:{node.node_id}"))
-                groups = [] if result is None else label_groups(node.members, result.labels)
-            for group in groups:
+            for group in split_rows(points, node.members, k, derive_seed(seed, f"node:{node.node_id}")):
                 child = ClassTreeNode(node_id=next_id, layer=layer_no + 1, members=group)
                 node.children.append(child)
                 nodes[next_id] = child
@@ -673,22 +682,6 @@ def build_class_tree(
         traversal_order=tuple(n.node_id for n in order),
         nodes=nodes,
     )
-
-
-def estimate_sentence_budget(avg_target_summary_words: float, avg_source_sentence_words: float) -> float:
-    """How many sentences a summary of the target length roughly needs.
-
-    Average target summary length divided by the average sentence length of
-    the source documents. Used to default the node-count cap and to sanity
-    bound the first-layer cluster count.
-    """
-    if avg_target_summary_words <= 0 or avg_source_sentence_words <= 0:
-        raise ValueError("lengths must be positive")
-    return avg_target_summary_words / avg_source_sentence_words
-
-
-def default_max_nodes(avg_target_summary_words: float, avg_source_sentence_words: float) -> int:
-    return max(1, math.ceil(estimate_sentence_budget(avg_target_summary_words, avg_source_sentence_words)))
 
 
 def tree_to_dict(tree: ClassTree, names: Sequence[str]) -> dict:

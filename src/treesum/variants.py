@@ -28,10 +28,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Topic
-from .embedding import EmbeddedCorpus, ProviderError
-from .scoring import Hyperparams, score_position
+from .embedding import EmbeddedCorpus
+from .scoring import Hyperparams, finite_means, score_position
 from .selection import Budget, ScoreContext, SimilarityMemo, Summary, select_summaries, select_summary
-from .tree import build_class_tree, derive_seed, kmeans, label_groups
+from .tree import build_class_tree, derive_seed, split_rows
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,9 @@ class TopicWork:
     ``sentences`` is the topic's matrix in ``embedded`` itself, rows in
     (doc_index, sent_index) order; ``pairs`` and ``position`` hold each
     row's ``(Document, Sentence)`` pair and position score. Row ``d`` of
-    ``documents`` is the mean of document ``d``'s rows (one past the float
-    range raises ProviderError), ``doc_of_sentence[i]`` the index of
+    ``documents`` is the mean of document ``d``'s rows, all of them taken
+    over power-of-two-scaled rows when one runs past the float range
+    (``finite_means``), ``doc_of_sentence[i]`` the index of
     sentence ``i``'s document and ``memo`` the topic's ``SimilarityMemo``,
     whose prescaled matrix is the one copy of the topic's vectors. One
     ``ScoreContext`` per grouping is built on first use, keyed by everything
@@ -107,12 +108,8 @@ class TopicWork:
         self.pairs = [(doc, sent) for doc in topic.documents for sent in doc.sentences]
         self.position = np.array([score_position(s.position_1based, len(d.sentences)) for d, s in self.pairs])
         counts = [len(doc.sentences) for doc in topic.documents]
-        with np.errstate(over="ignore"):  # a mean past the float range is reported below
-            means = [rows.mean(axis=0) for rows in np.split(self.sentences, np.cumsum(counts)[:-1])]
-        self.documents = np.stack(means)
-        if not np.isfinite(self.documents).all():
-            doc = next(doc for doc, mean in zip(topic.documents, means) if not np.isfinite(mean).all())
-            raise ProviderError(f"topic {topic.topic_id!r}: the mean of document {doc.doc_id!r} is not finite")
+        ends = np.cumsum(counts).tolist()
+        self.documents = np.stack(finite_means(self.sentences, [slice(a, b) for a, b in zip([0, *ends], ends)]))
         self.doc_of_sentence = np.repeat(np.arange(len(counts)), counts)
         self.memo = SimilarityMemo(self.sentences)
         self._contexts: dict[tuple, ScoreContext] = {}
@@ -143,17 +140,15 @@ class TopicWork:
 
 
 def _flat_clusters(vectors: np.ndarray, k: int, seed: int) -> list[tuple[int, Sequence[int]]]:
-    """One round of k-means over the rows of ``vectors``, as (cluster index,
-    row indices) per cluster.
+    """The rows of ``vectors`` split once by ``split_rows``, as a tree node
+    is, as (cluster index, row indices) per cluster in its order.
 
-    Falls back to a single cluster when the rows cannot be divided.
-    Clusters come back largest first, ties by lowest row index.
+    Falls back to a single cluster when there are fewer than two rows or
+    they cannot be divided.
     """
     items = range(len(vectors))
-    result = kmeans(vectors, k, seed=seed) if len(items) >= 2 else None
-    if result is None:
-        return [(0, items)]
-    return list(enumerate(label_groups(items, result.labels)))
+    groups = split_rows(vectors, items, k, seed) if len(items) >= 2 else []
+    return list(enumerate(groups)) if groups else [(0, items)]
 
 
 def _selection_input(

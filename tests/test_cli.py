@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -434,6 +436,17 @@ def test_ablate_reports_ignore_the_corpus_layout(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_console_script_names_the_cli_main():
+    """``[project.scripts]`` in ``pyproject.toml`` points ``treesum`` at
+    ``treesum.cli:main``, and that name resolves to the CLI's entry point."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"treesum": "treesum.cli:main"}
+    module, _, attr = scripts["treesum"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
 @pytest.mark.skipif(shutil.which("treesum") is None, reason="console script not installed")
 def test_console_script_entry_point(tmp_path):
     corpus = _write_corpus(tmp_path / "corpus")
@@ -855,13 +868,13 @@ def test_ablate_builds_each_shared_clustering_once_per_topic(tmp_path, monkeypat
         built["document tree" if len(vectors) == 6 else "sentence tree"] += 1
         return build_class_tree(vectors, *args, **kwargs)
 
-    def counting_kmeans(*args, **kwargs):
+    def counting_split(*args, **kwargs):
         built["flat clustering"] += 1
-        return kmeans(*args, **kwargs)
+        return split_rows(*args, **kwargs)
 
-    build_class_tree, kmeans = variants.build_class_tree, variants.kmeans
+    build_class_tree, split_rows = variants.build_class_tree, variants.split_rows
     monkeypatch.setattr(variants, "build_class_tree", counting_tree)
-    monkeypatch.setattr(variants, "kmeans", counting_kmeans)
+    monkeypatch.setattr(variants, "split_rows", counting_split)
     corpus = _write_varied_corpus(tmp_path / "corpus", n_topics=1)
     code = main([
         "ablate", "--input", str(corpus), "--budget-words", "20", "--out", str(tmp_path / "out"),
@@ -1028,31 +1041,40 @@ def test_vector_component_past_the_float_range_exits_3(tmp_path):
 
 @pytest.mark.parametrize(
     "command",
-    [["summarize", "--method", m] for m in ("ours-final", "ours-cs", "comp1", "comp2", "comp3", "comp4")]
+    [["summarize", "--dump-trees", "--method", m] for m in ("ours-final", "ours-cs", "comp1", "comp2", "comp3", "comp4")]
     + [["ablate"], ["tune"]],
     ids=lambda command: command[-1],
 )
 def test_document_mean_past_the_float_range_exits_3(tmp_path, command):
     """Every vector is finite, but two sentences of 1.5e308 sum past the
-    float range, so documents 0 and 1 have no finite mean."""
+    float range, so documents 0 and 1 have no finite mean in plain
+    arithmetic. The name is kept from when such a corpus exited 3; every
+    command now exits 0, with the outputs of the same vectors times 2**-8,
+    whose plain means are all finite."""
     corpus = tmp_path / "corpus.jsonl"
     texts = [f"Report {d} opens here. Report {d} ends here." for d in range(6)]
-    record = {"topic_id": "t", "documents": [{"doc_id": f"doc{d}", "text": t} for d, t in enumerate(texts)]}
+    record = {
+        "topic_id": "t",
+        "documents": [{"doc_id": f"doc{d}", "text": t} for d, t in enumerate(texts)],
+        "references": ["Report 2 opens here. Report 0 ends here."],
+    }
     corpus.write_text(json.dumps(record) + "\n")
-    vectors = tmp_path / "vectors.jsonl"
-    vectors.write_text("".join(
-        json.dumps({"key": f"t/d{d}/s{s}", "vector": [1.5e308 if d < 2 else float(d), 1.0, float(s)]}) + "\n"
-        for d in range(6) for s in range(2)
-    ))
-    out = tmp_path / "out"
-    code, err = _run_cli([
-        *command, "--input", str(corpus), "--layout", "jsonl", "--embedder", f"file:{vectors}",
-        "--budget-words", "20", "--out", str(out),
-    ])
-    assert code == 3, err
-    assert "Traceback" not in err
-    assert "topic 't': the mean of document 'doc0' is not finite" in err
-    assert not out.exists()
+    outputs = []
+    for scale in (1.0, 2.0**-8):
+        vectors = tmp_path / f"vectors{scale}.jsonl"
+        vectors.write_text("".join(
+            json.dumps({"key": f"t/d{d}/s{s}", "vector": [v * scale for v in (1.5e308 if d < 2 else d, 1.0, s)]}) + "\n"
+            for d in range(6) for s in range(2)
+        ))
+        out = tmp_path / f"out{scale}"
+        code, err = _run_cli([
+            *command, "--input", str(corpus), "--layout", "jsonl", "--embedder", f"file:{vectors}",
+            "--budget-words", "20", "--out", str(out),
+        ])
+        assert code == 0, err
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "config.txt"})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
 
 
 @pytest.mark.parametrize("spec", ["builtin:" + "1" + "0" * 30, "builtin:100000000000"])

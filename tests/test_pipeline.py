@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -70,3 +71,52 @@ def test_default_cap_follows_the_corpus():
     before = _outputs(BASE, "ours_final", base_cap)
     after = _outputs((*BASE, LONG), "ours_final", grown_cap)
     assert any(after[tid] != outputs for tid, outputs in before.items())
+
+
+# Two sentences of 2 and 4 words: 3 words a sentence; 9 + 9 bytes of words
+# over 6 words, so 3 bytes a word and 4 with its joining space.
+HAND = make_corpus(make_topic("hand", ["Aaaa bbbb. Cc dd ee ff."]))
+
+
+@pytest.mark.parametrize(
+    "budget, cap",
+    [
+        (Budget("words", 12), 4),  # an exact multiple of 3 words
+        (Budget("words", 13), 5),  # just above it
+        (Budget("words", 1), 1),
+        (Budget("bytes", 48), 4),  # 12 words at 4 bytes
+        (Budget("bytes", 49), 5),
+        (Budget("bytes", 1), 1),
+    ],
+)
+def test_default_cap_on_a_hand_corpus(budget, cap):
+    assert resolve_max_nodes(HAND, budget, None) == cap
+
+
+def test_default_cap_is_the_sentences_the_budget_needs():
+    """Against the formula over each sentence's words and bytes."""
+    rng = random.Random(2904)
+    for trial in range(60):
+        topics = [
+            make_topic(f"t{t}", [
+                " ".join(
+                    " ".join("x" * rng.randint(1, 9) for _ in range(rng.randint(1, 30))) + "."
+                    for _ in range(rng.randint(1, 6))
+                )
+                for _ in range(rng.randint(1, 4))
+            ])
+            for t in range(rng.randint(1, 3))
+        ]
+        corpus = make_corpus(*topics)
+        texts = [s.text for topic in corpus for doc in topic.documents for s in doc.sentences]
+        words = sum(len(text.split()) for text in texts)
+        word_bytes = sum(len(text.replace(" ", "").encode()) for text in texts)
+        for budget in (Budget("words", rng.randint(1, 400)), Budget("bytes", rng.randint(1, 2000))):
+            target = budget.limit if budget.unit == "words" else budget.limit / (word_bytes / words + 1.0)
+            assert resolve_max_nodes(corpus, budget, None) == max(1, math.ceil(target / (words / len(texts))))
+
+
+def test_given_cap_must_be_positive():
+    assert resolve_max_nodes(HAND, BUDGET, 1) == 1
+    with pytest.raises(ValueError, match="max_nodes"):
+        resolve_max_nodes(HAND, BUDGET, 0)

@@ -10,6 +10,7 @@ import pytest
 from treesum.scoring import (
     Hyperparams,
     NodeCentroids,
+    finite_means,
     node_centroids,
     score_cs,
     score_final,
@@ -75,6 +76,49 @@ def test_node_centroids_equal_means_of_member_and_other_rows_bitwise():
         cents = node_centroids(universe, members)
         assert cents.inside.tobytes() == np.stack([universe[i] for i in members]).mean(axis=0).tobytes()
         assert cents.outside.tobytes() == np.stack([universe[i] for i in others]).mean(axis=0).tobytes()
+
+
+def _random_groups(rng, n):
+    """A slice, an index array and a boolean mask over ``n`` rows."""
+    a, b = sorted(rng.choice(n + 1, size=2, replace=False).tolist())
+    index = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    mask = rng.random(n) < 0.5
+    mask[int(rng.integers(n))] = True
+    return [slice(a, b), index, mask]
+
+
+def test_finite_means_are_plain_means_where_those_are_finite():
+    rng = np.random.default_rng(2905)
+    for _ in range(100):
+        vectors = rng.normal(size=(int(rng.integers(1, 12)), 4)) * 10.0 ** rng.integers(-300, 300)
+        groups = _random_groups(rng, len(vectors))
+        got = finite_means(vectors, groups)
+        assert [m.tobytes() for m in got] == [vectors[g].mean(axis=0).tobytes() for g in groups]
+
+
+def test_finite_means_past_the_float_range_share_one_power_of_two():
+    """Rows on a grid of 2**-10 times 2**1022: every row is finite, but
+    some sums are not. Every mean, the ones finite in plain arithmetic too,
+    is the plain mean of the unscaled grid times one power of two."""
+    rng = np.random.default_rng(2906)
+    overflowed = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 12))
+        grid = np.round(rng.uniform(-3.9, 3.9, size=(n, 4)) * 1024) / 1024
+        grid[:, 0] = 3.5  # so every mean has a nonzero component
+        vectors = np.ldexp(grid, 1022)
+        groups = _random_groups(rng, n)
+        with np.errstate(over="ignore"):
+            overflowed += not all(np.isfinite(vectors[g].mean(axis=0)).all() for g in groups)
+        got = finite_means(vectors, groups)
+        assert all(np.isfinite(m).all() for m in got)
+        factors = {m[0] / grid[g].mean(axis=0)[0] for m, g in zip(got, groups)}
+        assert len(factors) == 1
+        (factor,) = factors
+        assert math.frexp(factor)[0] == 0.5
+        for m, g in zip(got, groups):
+            assert m.tobytes() == (grid[g].mean(axis=0) * factor).tobytes()
+    assert overflowed > 50
 
 
 def test_score_cs_delta_one_parallel():

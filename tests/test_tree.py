@@ -46,10 +46,10 @@ from treesum.tree import (
     _sq_norms,
     _weighted_draw,
     build_class_tree,
-    default_max_nodes,
     derive_seed,
-    estimate_sentence_budget,
     kmeans,
+    label_groups,
+    split_rows,
     tree_to_dict,
 )
 from treesum.variants import TopicWork
@@ -1063,22 +1063,37 @@ def test_class_tree_rejects_non_finite_rows_of_a_k_member_root(bad):
         build_class_tree(points, k_first=2, k_rest=2, max_nodes=10, seed=0)
 
 
-def test_estimate_sentence_budget():
-    # Budget of 118 words over 25.38-word sentences.
-    assert estimate_sentence_budget(118, 25.38) == pytest.approx(4.65, abs=0.01)
-    # Budget of 100 words over 25.43-word sentences.
-    assert estimate_sentence_budget(100, 25.43) == pytest.approx(3.93, abs=0.01)
-    assert estimate_sentence_budget(100, 25) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        estimate_sentence_budget(0, 10)
-    with pytest.raises(ValueError):
-        estimate_sentence_budget(10, -1)
+def _no_kmeans(monkeypatch):
+    import treesum.tree as tree
+
+    def refused(*args, **kwargs):
+        raise AssertionError("kmeans called")
+
+    monkeypatch.setattr(tree, "kmeans", refused)
 
 
-def test_default_max_nodes_ceils():
-    assert default_max_nodes(118, 25.38) == 5
-    assert default_max_nodes(100, 25) == 4
-    assert default_max_nodes(1, 100) == 1
+def test_split_rows_of_k_distinct_rows_are_the_kmeans_split_without_the_call(monkeypatch):
+    """Exactly k distinct rows give singletons in member order, which is
+    ``label_groups`` of the ``kmeans`` labels, and make no ``kmeans`` call."""
+    rng = np.random.default_rng(2901)
+    cases = []
+    for trial in range(60):
+        k = int(rng.integers(2, 6))
+        points = rng.normal(size=(int(rng.integers(k, 3 * k)), int(rng.integers(1, 4))))
+        members = tuple(sorted(rng.choice(len(points), size=k, replace=False).tolist()))
+        result = kmeans(points[list(members)], k, seed=trial)
+        cases.append((points, members, k, trial, label_groups(members, result.labels)))
+    _no_kmeans(monkeypatch)
+    for points, members, k, seed, expected in cases:
+        assert split_rows(points, members, k, seed) == expected == [(m,) for m in members]
+
+
+def test_split_rows_of_k_rows_with_a_duplicate_is_empty_without_the_call(monkeypatch):
+    """``-0.0`` equals ``0.0``, as in ``np.unique``."""
+    _no_kmeans(monkeypatch)
+    points = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [-0.0, 1.0], [5.0, 5.0]])
+    assert split_rows(points, (0, 1, 2), 3, seed=0) == []
+    assert split_rows(points, (2, 3), 2, seed=0) == []
 
 
 def test_derive_seed_is_stable_and_label_sensitive():

@@ -133,6 +133,22 @@ def test_comp2_identical_documents_single_cluster():
     assert len(summary.sentences) == 1
 
 
+def test_comp2_on_exactly_k_first_documents_makes_no_kmeans_call(monkeypatch):
+    """Flat clusters of k_first distinct documents are singletons, split
+    without a ``kmeans`` call, as a tree node of k rows is."""
+    import treesum.tree as tree
+
+    def refused(*args, **kwargs):
+        raise AssertionError("kmeans called")
+
+    topic = make_topic("t", ["Alpha one two three.", "Bravo one two three.", "Charlie one two three."])
+    vectors = {skey("t", d, 0): (1.0, float(d)) for d in range(3)}
+    embedded = embed_with_vectors(make_corpus(topic), vectors)
+    monkeypatch.setattr(tree, "kmeans", refused)
+    summary = _summarize("comp2", topic, embedded, 12, Hyperparams(k_first=3))
+    assert summary_keys("t", summary) == ["t/d0/s0", "t/d1/s0", "t/d2/s0"]
+
+
 def _assert_one_sentence_per_flat_cluster(method):
     topic, embedded = _fixture_embedded()
     summary = _summarize(method, topic, embedded, 8, Hyperparams(k_first=2), seed=3)
