@@ -30,7 +30,9 @@ from .config import (
     config_to_text,
     load_config_file,
 )
-from .corpus import Corpus, CorpusError, is_unicode_text, jsonl_records, load_corpus, read_text, text_files
+from .corpus import (
+    Corpus, CorpusError, is_unicode_text, jsonl_records, load_corpus, path_is, read_text, text_files
+)
 from .embedding import (
     MAX_BUILTIN_DIM,
     EmbeddedCorpus,
@@ -165,8 +167,8 @@ def cmd_summarize(args: argparse.Namespace) -> int:
                 "topic_id": topic_id,
                 "summary": summary.text,
                 "sentences": [
-                    {"text": s.text, "node_id": s.node_id, "doc_id": s.doc_id, "position": s.position_1based}
-                    for s in summary.sentences
+                    {"text": sent.text, "node_id": node_id, "doc_id": doc.doc_id, "position": sent.position_1based}
+                    for doc, sent, node_id, _ in summary.sentences
                 ],
             }
             for topic_id, summary in summaries.items()
@@ -186,14 +188,13 @@ def _read_summaries(path: str) -> dict[str, str]:
     (skipping the ``config.txt`` a run echoes next to them) or from a
     summaries JSONL file."""
     source = Path(path)
-    if source.is_dir():
-        summaries = {
-            p.stem: read_text(p, EvaluationError).strip() for p in text_files(source) if p.name != "config.txt"
-        }
+    if path_is(Path.is_dir, source, EvaluationError):
+        files = text_files(source, EvaluationError)
+        summaries = {p.stem: read_text(p, EvaluationError).strip() for p in files if p.name != "config.txt"}
         if not summaries:
             raise EvaluationError(f"no *.txt summaries found under {source}")
         return summaries
-    if not source.is_file():
+    if not path_is(Path.is_file, source, EvaluationError):
         raise EvaluationError(f"summaries path {source} does not exist")
     summaries = {}
     first_line: dict[str, int] = {}

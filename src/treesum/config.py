@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
-from .corpus import Corpus, is_unicode_text, read_text
+from .corpus import Corpus, is_unicode_text, path_is, read_text
 from .embedding import MAX_BUILTIN_DIM, provider_builtin_tfidf, provider_file, provider_remote
 from .rouge import METRIC_IDS
 from .scoring import Hyperparams
@@ -198,6 +198,6 @@ def config_from_mapping(values: dict[str, str], base: RunConfig | None = None) -
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
-    if not p.is_file():
+    if not path_is(Path.is_file, p, ConfigError):
         raise ConfigError(f"config file {p} does not exist")
     return parse_config_text(read_text(p, ConfigError), source=str(p))

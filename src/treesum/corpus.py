@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class CorpusError(Exception):
@@ -157,9 +157,22 @@ def read_text(path: Path, error: type[Exception]) -> str:
         raise error(f"cannot read {path}: {exc}") from exc
 
 
-def text_files(directory: Path) -> list[Path]:
-    """The ``*.txt`` regular files in ``directory``, sorted by name."""
-    return sorted(p for p in directory.iterdir() if p.suffix == ".txt" and p.is_file())
+def text_files(directory: Path, error: type[Exception]) -> list[Path]:
+    """The ``*.txt`` regular files in ``directory``, sorted by name; a
+    directory that cannot be listed raises ``error`` naming it."""
+    try:
+        return sorted(p for p in directory.iterdir() if p.suffix == ".txt" and p.is_file())
+    except OSError as exc:
+        raise error(f"cannot list {directory}: {exc}") from exc
+
+
+def path_is(kind: Callable[[Path], bool], path: Path, error: type[Exception]) -> bool:
+    """``kind(path)``, ``Path.is_dir`` or ``Path.is_file``; a path that cannot
+    be looked up (under a directory without search permission) raises ``error``."""
+    try:
+        return kind(path)
+    except OSError as exc:
+        raise error(f"cannot access {path}: {exc}") from exc
 
 
 def jsonl_records(path: Path, error: type[Exception]) -> Iterator[tuple[int, object]]:
@@ -190,9 +203,9 @@ def _load_topic_dir(topic_dir: Path) -> Topic:
     if not is_unicode_text(topic_dir.name):
         raise CorpusError(f"topic directory {str(topic_dir)!r} is not named in UTF-8")
     docs_dir = topic_dir / "docs"
-    if not docs_dir.is_dir():
+    if not path_is(Path.is_dir, docs_dir, CorpusError):
         raise CorpusError(f"topic {topic_dir.name!r} has no docs/ directory")
-    doc_files = text_files(docs_dir)
+    doc_files = text_files(docs_dir, CorpusError)
     if not doc_files:
         raise CorpusError(f"topic {topic_dir.name!r} contains zero documents")
     origin = f"topic {topic_dir.name!r}"
@@ -201,7 +214,7 @@ def _load_topic_dir(topic_dir: Path) -> Topic:
         for doc_index, path in enumerate(doc_files)
     ]
     refs_dir = topic_dir / "refs"
-    ref_files = text_files(refs_dir) if refs_dir.is_dir() else []
+    ref_files = text_files(refs_dir, CorpusError) if path_is(Path.is_dir, refs_dir, CorpusError) else []
     references = [read_text(path, CorpusError).strip() for path in ref_files]
     return Topic(topic_id=topic_dir.name, documents=tuple(documents), references=tuple(references))
 
@@ -281,14 +294,17 @@ def load_corpus(root_path: str | Path, layout: str = "topic-dirs") -> Corpus:
     """
     root = Path(root_path)
     if layout == "topic-dirs":
-        if not root.is_dir():
+        if not path_is(Path.is_dir, root, CorpusError):
             raise CorpusError(f"corpus root {root} is not a directory")
-        topic_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+        try:
+            topic_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+        except OSError as exc:
+            raise CorpusError(f"cannot list {root}: {exc}") from exc
         if not topic_dirs:
             raise CorpusError(f"no topics found under {root}")
         topics = tuple(_load_topic_dir(d) for d in topic_dirs)
     elif layout == "jsonl":
-        if not root.is_file():
+        if not path_is(Path.is_file, root, CorpusError):
             raise CorpusError(f"corpus file {root} does not exist")
         topics = tuple(_load_topic_record(record, n) for n, record in jsonl_records(root, CorpusError))
         if not topics:

@@ -32,7 +32,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError, Topic, jsonl_records, tokens
+from .corpus import Corpus, CorpusError, Topic, jsonl_records, path_is, tokens
 
 Vector = np.ndarray
 
@@ -161,7 +161,7 @@ class FileProvider:
 
     def __init__(self, path: str | Path, corpus: Corpus):
         self._path = Path(path)
-        if not self._path.is_file():
+        if not path_is(Path.is_file, self._path, ProviderError):
             raise ProviderError(f"embedding file {self._path} does not exist")
         place = {key: (topic, row) for topic in corpus for row, key in enumerate(topic_keys(topic))}
         self._matrices: dict[str, np.ndarray] = {}

@@ -10,7 +10,7 @@ which makes 2178 configurations for the full sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus
 from .embedding import EmbeddedCorpus
@@ -30,12 +30,25 @@ class AblationRow:
 
 def _reports(
     corpus: Corpus,
-    per_topic: Sequence[Sequence[str]],
+    embedded: EmbeddedCorpus,
     budget: Budget,
+    specs: Iterable[VariantSpec],
+    max_nodes: int | None,
+    workers: int,
     metrics: Sequence[str],
     report_kind: str,
 ) -> Iterator[RougeReport]:
-    """The ROUGE report of each spec's summaries, every reference stemmed once."""
+    """The ROUGE report of each of ``specs``' summaries, every reference
+    stemmed once. ``specs`` is read after the node cap is resolved, so a bad
+    ``max_nodes`` raises first."""
+    cap = resolve_max_nodes(corpus, budget, max_nodes)
+    specs = list(specs)
+    per_topic = map_topics(
+        corpus,
+        embedded,
+        workers,
+        lambda topic, work: [summary.text for summary in summarize_topic_specs(topic, work, specs, cap)],
+    )
     memo = TokenMemo()
     for texts in zip(*per_topic):
         summaries = {topic.topic_id: text for topic, text in zip(corpus, texts)}
@@ -66,15 +79,8 @@ def run_ablation(
     tokenizing and tabling every reference once for the whole run. Results
     are identical to summarizing and evaluating each method on its own.
     """
-    cap = resolve_max_nodes(corpus, budget, max_nodes)
-    specs = [VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in methods]
-    per_topic = map_topics(
-        corpus,
-        embedded,
-        workers,
-        lambda topic, work: [summary.text for summary in summarize_topic_specs(topic, work, specs, cap)],
-    )
-    reports = _reports(corpus, per_topic, budget, metrics, report_kind)
+    specs = (VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in methods)
+    reports = _reports(corpus, embedded, budget, specs, max_nodes, workers, metrics, report_kind)
     return [
         AblationRow(method=method, seed=seed, scores=dict(report.mean))
         for method, report in zip(methods, reports)
@@ -194,16 +200,8 @@ def run_grid_search(
     if not grid:
         raise ValueError("empty hyperparameter grid")
     base = base_hp or Hyperparams()
-    cap = resolve_max_nodes(corpus, budget, max_nodes)
-    specs = [VariantSpec("ours_final", point.hyperparams(base), budget, seed) for point in grid]
-
-    per_topic = map_topics(
-        corpus,
-        embedded,
-        workers,
-        lambda topic, work: [summary.text for summary in summarize_topic_specs(topic, work, specs, cap)],
-    )
-    reports = _reports(corpus, per_topic, budget, [objective_metric], report_kind)
+    specs = (VariantSpec("ours_final", point.hyperparams(base), budget, seed) for point in grid)
+    reports = _reports(corpus, embedded, budget, specs, max_nodes, workers, [objective_metric], report_kind)
     results = [
         GridResult(point=point, objective=report.headline(objective_metric))
         for point, report in zip(grid, reports)

@@ -9,13 +9,13 @@ traversal position, then by the order they were picked.
 
 Selection addresses a sentence by its index into the topic's own
 ``(Document, Sentence)`` pairs in (doc_index, sent_index) order; a pick is
-the triple (sentence index, node_id, pass), and only the final summary
-copies sentence fields into ``SummarySentence`` records. The score terms
-that depend on neither delta nor the weights (similarities to node
-centroids, sentence-to-sentence similarities and position scores) live in a
-``ScoreContext``, which ``variants.TopicWork.context`` builds once per
-grouping, so repeated selections from one tree, as in a hyperparameter
-search, compute them once. ``run_selections`` is the one selection loop and
+the triple (sentence index, node_id, pass), and the final summary holds each
+pick as a ``Pick`` of the topic's own ``Document`` and ``Sentence`` with its
+node and pass. The score terms that depend on neither delta nor the weights
+(similarities to node centroids, sentence-to-sentence similarities and
+position scores) live in a ``ScoreContext``, which
+``variants.TopicWork.context`` builds once per grouping, so repeated
+selections from one tree, as in a hyperparameter search, compute them once. ``run_selections`` is the one selection loop and
 ``score_final`` its one scoring rule: it reads those terms from the context
 and blends them under the delta and weights of each run. It runs any number
 of hyperparameter sets over one context in lockstep, one row of its arrays
@@ -75,29 +75,27 @@ class SelectionState:
     iteration: int = 1
 
 
-@dataclass(frozen=True)
-class SummarySentence:
-    text: str
-    node_id: int
-    doc_id: str
-    doc_index: int
-    sent_index: int
-    iteration: int
+class Pick(NamedTuple):
+    """One summary sentence: the topic's own document and sentence, the node
+    it was taken from and the pass that took it."""
 
-    @property
-    def position_1based(self) -> int:
-        return self.sent_index + 1
+    doc: Document
+    sent: Sentence
+    node_id: int
+    iteration: int
 
 
 @dataclass(frozen=True)
 class Summary:
-    sentences: tuple[SummarySentence, ...]
+    """The picks of one topic's summary, in summary order."""
+
+    sentences: tuple[Pick, ...]
     # The class tree the sentences were selected from, for the tree methods.
     tree: ClassTree | None = field(default=None, compare=False, repr=False)
 
     @property
     def text(self) -> str:
-        return " ".join(s.text for s in self.sentences)
+        return " ".join(pick.sent.text for pick in self.sentences)
 
 
 class SimilarityMemo:
@@ -314,24 +312,13 @@ def order_summary(
     Primary key: the originating node's position in the traversal order.
     Secondary key: the order in which sentences were selected, which keeps a
     node's first-pass sentence ahead of its later ones. Picks index
-    ``sentences``, the pairs selection ran on; the summary carries ``tree``.
+    ``sentences``, the pairs selection ran on, and each becomes a ``Pick`` of
+    its own pair; the summary carries ``tree``.
     """
     position = {node_id: pos for pos, node_id in enumerate(traversal_order)}
     ordered = sorted(enumerate(state.selected), key=lambda item: (position[item[1][1]], item[0]))
-    summary = []
-    for _, (index, node_id, iteration) in ordered:
-        doc, sent = sentences[index]
-        summary.append(
-            SummarySentence(
-                text=sent.text,
-                node_id=node_id,
-                doc_id=doc.doc_id,
-                doc_index=doc.doc_index,
-                sent_index=sent.sent_index,
-                iteration=iteration,
-            )
-        )
-    return Summary(sentences=tuple(summary), tree=tree)
+    picks = tuple(Pick(*sentences[index], node_id, iteration) for _, (index, node_id, iteration) in ordered)
+    return Summary(sentences=picks, tree=tree)
 
 
 def select_summary(context: ScoreContext, hp: Hyperparams, budget: Budget) -> Summary:

@@ -649,29 +649,23 @@ def build_class_tree(
     root = ClassTreeNode(node_id=0, layer=1, members=tuple(range(len(points))))
     nodes: dict[int, ClassTreeNode] = {0: root}
     node_count = 1
-    next_id = 1
     current_layer = [root]
     layer_no = 1
-    stopped = False
 
-    while current_layer and not stopped:
+    while current_layer and node_count < max_nodes:
         k = k_first if layer_no == 1 else k_rest
         next_layer: list[ClassTreeNode] = []
         for node in sorted(current_layer, key=lambda n: (-n.size, n.members[0])):
             if node_count >= max_nodes:
-                stopped = True
                 break
             if node.size < 2:
                 continue
             for group in split_rows(points, node.members, k, derive_seed(seed, f"node:{node.node_id}")):
-                child = ClassTreeNode(node_id=next_id, layer=layer_no + 1, members=group)
+                child = ClassTreeNode(node_id=node_count, layer=layer_no + 1, members=group)
                 node.children.append(child)
-                nodes[next_id] = child
+                nodes[node_count] = child
                 next_layer.append(child)
-                next_id += 1
                 node_count += 1
-        if not next_layer:
-            break
         current_layer = next_layer
         layer_no += 1
 

@@ -97,7 +97,7 @@ def skey(topic_id: str, doc_index: int, sent_index: int) -> str:
 
 def summary_keys(topic_id: str, summary) -> list[str]:
     """The sentence key of each summary sentence, in summary order."""
-    return [skey(topic_id, s.doc_index, s.sent_index) for s in summary.sentences]
+    return [skey(topic_id, s.doc.doc_index, s.sent.sent_index) for s in summary.sentences]
 
 
 def reference_cosine(a, b) -> float:

@@ -238,7 +238,7 @@ def test_selection_protocol_fixture():
     # Budget semantics: the third sentence crosses the 12-word budget when
     # the limit is 10; it is kept and the overshoot is below one sentence.
     crossing = select_summary(ctx, cs_only(Hyperparams()), Budget("words", 10))
-    consumed = sum(s.text.count(" ") + 1 for s in crossing.sentences)
+    consumed = sum(s.sent.text.count(" ") + 1 for s in crossing.sentences)
     ok = ok and len(crossing.sentences) == 3 and consumed >= 10 and consumed - 10 < 4
 
     # Three separated clusters: root pick plus one per cluster node, nodes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import importlib
 import json
 import os
@@ -954,6 +955,75 @@ def test_invalid_utf8_input_exits_with_error_naming_the_file(tmp_path, capsys, p
     assert main(argv) == exit_code
     err = capsys.readouterr().err
     assert file_name in err and "0xe9" in err
+
+
+def _deny(monkeypatch, target: Path, mode: str) -> None:
+    """Make ``target`` fail with EACCES. "list": listing it fails, as for a
+    directory that cannot be read. "stat": looking up, listing or opening it
+    or anything under it fails, as for a path under a directory that cannot
+    be searched."""
+    def check(path):
+        if str(path) == str(target) or str(path).startswith(str(target) + os.sep):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    methods = ["iterdir", "stat", "open"] if mode == "stat" else ["iterdir"]
+    for name in methods:
+        def denied(self, *args, _real=getattr(Path, name), **kwargs):
+            check(self)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, denied)
+
+
+@pytest.mark.parametrize(
+    "path, mode, exit_code",
+    [
+        ("corpus root", "list", 2),
+        ("corpus root", "stat", 2),
+        ("docs", "list", 2),
+        ("docs", "stat", 2),
+        ("refs", "list", 2),
+        ("refs", "stat", 2),
+        ("corpus JSONL", "stat", 2),
+        ("summaries directory", "list", 2),
+        ("summaries directory", "stat", 2),
+        ("summaries JSONL", "stat", 2),
+        ("config file", "stat", 2),
+        ("embedding file", "stat", 3),
+    ],
+)
+def test_inaccessible_input_exits_with_error_naming_it(tmp_path, capsys, monkeypatch, path, mode, exit_code):
+    corpus = _write_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    command, flags = "summarize", ["--input", str(corpus)]
+    target = {"corpus root": corpus, "docs": corpus / "topic0" / "docs", "refs": corpus / "topic1" / "refs"}.get(path)
+    if path == "corpus JSONL":
+        target = tmp_path / "corpus.jsonl"
+        target.write_text('{"topic_id": "t", "documents": [{"doc_id": "d", "text": "One line."}]}\n')
+        flags = ["--input", str(target), "--layout", "jsonl"]
+    elif path == "summaries directory":
+        target = tmp_path / "summaries"
+        assert main(["summarize", *flags, "--budget-words", "20", "--out", str(target)]) == 0
+        command, flags = "evaluate", [*flags, "--summaries", str(target)]
+    elif path == "summaries JSONL":
+        target = tmp_path / "summaries.jsonl"
+        target.write_text('{"topic_id": "topic0", "summary": "City news."}\n')
+        command, flags = "evaluate", [*flags, "--summaries", str(target)]
+    elif path == "config file":
+        target = tmp_path / "run.cfg"
+        target.write_text("seed = 3\n")
+        flags += ["--config", str(target)]
+    elif path == "embedding file":
+        target = tmp_path / "vectors.jsonl"
+        target.write_text("")
+        flags += ["--embedder", f"file:{target}"]
+    capsys.readouterr()
+    _deny(monkeypatch, target, mode)
+    assert main([command, *flags, "--budget-words", "20", "--out", str(out)]) == exit_code
+    err = capsys.readouterr().err
+    assert str(target) in err and "Traceback" not in err
+    monkeypatch.undo()
+    assert not out.exists()
 
 
 def test_evaluate_repeated_topic_id_exits_2(tmp_path, capsys):

@@ -201,7 +201,7 @@ def test_budget_crossing_sentence_is_kept():
     # 10 words: two 4-word sentences leave us below the limit, the third
     # crosses it and is kept.
     summary = select_summary(ctx, Hyperparams(), Budget("words", 10))
-    consumed = sum(s.text.count(" ") + 1 for s in summary.sentences)
+    consumed = sum(s.sent.text.count(" ") + 1 for s in summary.sentences)
     assert len(summary.sentences) == 3
     assert consumed >= 10
     assert consumed - 10 < 4  # overshoot smaller than the crossing sentence
@@ -212,10 +212,10 @@ def test_byte_budget_semantics():
     _, ctx = _fixture_tree(embedded, topic)
     sents = {(d.doc_index, s.sent_index): s for d in topic.documents for s in d.sentences}
     summary = select_summary(ctx, cs_only(Hyperparams()), Budget("bytes", 30))
-    consumed = sum(sents[s.doc_index, s.sent_index].byte_length for s in summary.sentences)
+    consumed = sum(sents[s.doc.doc_index, s.sent.sent_index].byte_length for s in summary.sentences)
     assert consumed >= 30
     last = summary.sentences[-1]
-    assert consumed - 30 < sents[last.doc_index, last.sent_index].byte_length
+    assert consumed - 30 < sents[last.doc.doc_index, last.sent.sent_index].byte_length
 
 
 def test_engine_overshoot_bounded_by_crossing_sentence():
@@ -265,7 +265,7 @@ def test_single_document_topic_matches_brute_force():
     doc_vec = np.mean([vectors[skey("solo", 0, i)] for i in range(3)], axis=0)
     sims = [cosine_similarity(np.array(vectors[skey("solo", 0, i)]), doc_vec) for i in range(3)]
     expected = int(np.argmax(sims))
-    assert summary.sentences[0].sent_index == expected
+    assert summary.sentences[0].sent.sent_index == expected
     assert len(summary.sentences) == 1
 
 

@@ -153,7 +153,7 @@ def _assert_one_sentence_per_flat_cluster(method):
     topic, embedded = _fixture_embedded()
     summary = _summarize(method, topic, embedded, 8, Hyperparams(k_first=2), seed=3)
     assert len(summary.sentences) == 2
-    docs = [s.doc_index for s in summary.sentences]
+    docs = [s.doc.doc_index for s in summary.sentences]
     assert docs[0] in (0, 1, 2) and docs[1] in (3, 4)  # big cluster first
 
 
@@ -248,8 +248,8 @@ def test_all_methods_share_budget_and_duplicate_semantics(method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_summary_records_match_the_corpus_sentences(method):
-    """Every summary sentence carries the text, document id, indices and
-    position of the corpus sentence it names."""
+    """Every summary pick holds the corpus's own document and sentence
+    objects, so its text, document id, indices and position are theirs."""
     rng = np.random.default_rng(41)
     for trial in range(6):
         topic, vectors = random_synthetic_topic(rng, f"t{trial}")
@@ -263,10 +263,8 @@ def test_summary_records_match_the_corpus_sentences(method):
             summary = summarize_topic(topic, embedded, spec, max_nodes=4)
             assert summary.sentences
             for got in summary.sentences:
-                doc, sent = pairs[got.doc_index, got.sent_index]
-                assert (got.text, got.doc_id, got.doc_index, got.sent_index, got.position_1based) == (
-                    sent.text, doc.doc_id, doc.doc_index, sent.sent_index, sent.position_1based,
-                )
+                doc, sent = pairs[got.doc.doc_index, got.sent.sent_index]
+                assert got.doc is doc and got.sent is sent
 
 
 def test_node_centroid_past_the_float_range_keeps_the_picks():
