@@ -21,7 +21,6 @@ read prebuilt matrices, and the remote client keeps no per-call state.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -31,6 +30,11 @@ from pathlib import Path
 from typing import Protocol
 
 import numpy as np
+
+try:  # the module behind ``hashlib.blake2b``, without ``hashlib``'s OpenSSL import
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .corpus import Corpus, CorpusError, Topic, jsonl_records, path_is, tokens
 
@@ -251,7 +255,7 @@ class BuiltinTfidfProvider:
     def __init__(self, corpus: Corpus, dim: int, seed: int):
         if not 2 <= dim <= MAX_BUILTIN_DIM:
             raise ValueError(f"builtin embedder needs 2 <= dim <= {MAX_BUILTIN_DIM}")
-        keyed = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+        keyed = blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
         ids: dict[bytes, int] = {}  # each distinct token of the corpus, numbered in first-seen order
         buckets: list[int] = []  # the hash bucket of each token id
         self._blocks: dict[str, np.ndarray] = {}

@@ -10,18 +10,26 @@ clustering methods divide their rows by the same rule as a tree node.
 
 Everything here is deterministic: k-means uses k-means++ seeding from an
 explicit seed, restarts select the best inertia, and all orderings are total.
+
+``kmeans`` has two paths to the same bits, chosen from the input's size.
+Below ``_TABLE_LIMIT`` rows^2 x dims (a topic's few documents), one table
+of point-to-point distances seeds every restart, and Lloyd and the
+refinement apply the exact rule directly (``_table_restarts``): at that
+size numpy's fixed cost per call outweighs the table's rows^2 x dims
+arithmetic. Above it (sentence splits of a few hundred rows), that table
+would cost more than it saves, and a Gram screen with certified bounds
+decides most steps without exact distances (``_certified_restarts``).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embedding import power_of_two_scaled
+from .embedding import blake2b, power_of_two_scaled
 
 Vector = np.ndarray
 
@@ -35,7 +43,7 @@ def derive_seed(master_seed: int, label: str) -> int:
     adding or removing topics never perturbs the others.
     """
     payload = f"{master_seed & _SEED_MASK}:{label}".encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    digest = blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little") >> 1
 
 
@@ -81,23 +89,28 @@ def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator) 
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeds: each next center drawn with probability proportional
-    to the squared distance to the nearest center so far (``_weighted_draw``).
+def _kmeans_pp_indices(
+    n: int, k: int, rng: np.random.Generator, sq_dists_to: Callable[[int], np.ndarray]
+) -> tuple[int, ...]:
+    """The indices of ``k`` k-means++ seeds among ``n`` points: each next
+    seed drawn with probability proportional to the squared distance to the
+    nearest seed so far (``_weighted_draw``). ``sq_dists_to(i)`` gives the
+    squared distances of every point to point ``i``.
     """
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    closest = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
+    seeds = [int(rng.integers(n))]
+    closest = sq_dists_to(seeds[0])
+    for _ in range(1, k):
         total = closest.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = _weighted_draw(closest, total, rng)
-        centers[j] = points[idx]
-        closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
-    return centers
+        seeds.append(int(rng.integers(n)) if total <= 0.0 else _weighted_draw(closest, total, rng))
+        closest = np.minimum(closest, sq_dists_to(seeds[-1]))
+    return tuple(seeds)
+
+
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds (``_kmeans_pp_indices``) as a ``(k, d)`` matrix, each
+    point's squared distances taken as ``sum((x - c) ** 2)``."""
+    seeds = _kmeans_pp_indices(len(points), k, rng, lambda i: np.sum((points - points[i]) ** 2, axis=1))
+    return points[list(seeds)]
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -108,7 +121,7 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     ``np.sum((x - c) ** 2)``, so it equals that form bit for bit, whatever
     the other rows and centers are.
     """
-    return np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    return np.add.reduce((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
 
 
 def _cluster_mean(points: np.ndarray, labels: np.ndarray, j: int) -> np.ndarray:
@@ -125,11 +138,13 @@ def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray
     contiguous slice, in their original order: the same rows in the same
     order as ``points[labels == j]``, so each mean has the same bits.
     """
-    grouped = points[np.argsort(labels, kind="stable")]
-    ends = np.cumsum(np.bincount(labels, minlength=k)).tolist()
-    return np.stack(
-        [np.add.reduce(grouped[start:end], axis=0) / (end - start) for start, end in zip([0, *ends], ends)]
-    )
+    grouped = points[labels.argsort(kind="stable")]
+    means = np.empty((k, points.shape[1]))
+    start = 0
+    for j, count in enumerate(np.bincount(labels, minlength=k).tolist()):
+        np.divide(np.add.reduce(grouped[start : start + count], axis=0), count, out=means[j])
+        start += count
+    return means
 
 
 # Unit roundoff and the smallest subnormal of float64, and a safety factor.
@@ -173,6 +188,21 @@ def _gram_dists(
     return gram, center_sq
 
 
+def _fill_empty_clusters(labels: np.ndarray, counts: np.ndarray, dists: np.ndarray) -> None:
+    """Give each empty cluster, in order, the point farthest from its
+    centroid (``dists``, difference form, ``(n, k)``) in a cluster that can
+    spare one; ``labels`` and their ``counts`` are updated in place. There
+    always is one: while a cluster is empty, ``n >= k`` points lie in at
+    most ``k - 1`` clusters.
+    """
+    for j in np.flatnonzero(counts == 0):
+        donors = np.flatnonzero(counts[labels] > 1)
+        donor = donors[int(dists[donors, labels[donors]].argmax())]
+        counts[labels[donor]] -= 1
+        labels[donor] = j
+        counts[j] += 1
+
+
 def _lloyd(
     points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int, sq_norms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
@@ -191,9 +221,7 @@ def _lloyd(
     has the same strict minimum, so that choice stands. Every other point (a
     near-tie) gets difference-form distances and their ``argmin``.
     Difference-form distances of all points are built only to repair an
-    empty cluster, which takes the point farthest from its centroid in a
-    cluster that can spare one. One always can: while a cluster is empty, ``n >= k`` points
-    lie in at most ``k - 1`` clusters.
+    empty cluster (``_fill_empty_clusters``).
     """
     n, dim = points.shape
     rows = np.arange(n)
@@ -212,16 +240,8 @@ def _lloyd(
         if unsure.size:
             new_labels[unsure] = _sq_dists(points[unsure], centroids).argmin(axis=1)
         counts = np.bincount(new_labels, minlength=k)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            dists = _sq_dists(points, centroids)
-        for j in empty:
-            donors = np.flatnonzero(counts[new_labels] > 1)
-            point_dists = dists[donors, new_labels[donors]]
-            donor = donors[int(point_dists.argmax())]
-            counts[new_labels[donor]] -= 1
-            new_labels[donor] = j
-            counts[j] += 1
+        if counts.min() == 0:
+            _fill_empty_clusters(new_labels, counts, _sq_dists(points, centroids))
         if np.array_equal(new_labels, labels):
             return labels, centroids, last
         labels = new_labels
@@ -329,13 +349,39 @@ def _move_row(
     return growth * bound + pair_error / new_count + _SAFETY * rounding
 
 
+# The most moves one refinement makes.
+_MAX_SWEEPS = 200
+
+
+def _best_move(dists: np.ndarray, labels: np.ndarray, counts: list[float]) -> tuple[int, int] | None:
+    """The move the exact refinement rule picks, as (row, cluster), or None.
+
+    ``dists`` holds the difference-form squared distances of some points,
+    in the clusters ``labels``, to the exact means of the clusters of
+    ``counts`` points. The move is the first strictly smallest delta
+    ``gain_j d(i, c_j) - loss_s d(i, c_s)`` in (row, cluster) order, with
+    ``gain_j = n_j/(n_j+1)`` and ``loss_s = n_s/(n_s-1)``, when it is below
+    ``-1e-12``. Moves to the point's own cluster and moves out of a
+    singleton are never candidates.
+    """
+    rows = np.arange(len(labels))
+    loss = np.array([c / max(c - 1.0, 0.5) for c in counts])
+    deltas = dists * np.array([c / (c + 1.0) for c in counts])
+    deltas -= (loss[labels] * dists[rows, labels])[:, None]
+    deltas[rows, labels] = np.inf
+    if min(counts) <= 1:
+        deltas[np.array(counts)[labels] <= 1] = np.inf
+    best = int(deltas.argmin())
+    return divmod(best, len(counts)) if deltas.flat[best] < -1e-12 else None
+
+
 def _refine_labels(
     points: np.ndarray,
     labels: np.ndarray,
     centroids: np.ndarray,
     pairwise: _PairwiseRows,
     sq_norms: np.ndarray,
-    max_sweeps: int = 200,
+    max_sweeps: int = _MAX_SWEEPS,
     dists: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-point improvement sweeps after Lloyd converges.
@@ -355,15 +401,15 @@ def _refine_labels(
     deterministic, terminates (the objective decreases each time) and never
     empties a cluster.
 
-    Every move applied is the one the exact rule picks: the minimum of the
-    (n, k) matrix of deltas built from difference-form distances
-    ``sum((x - c) ** 2)`` to the exact means ``c_j`` (``_cluster_mean``), in
-    row-major (point, cluster) order, taking the first on exact ties, and
-    only when it is strictly below ``-1e-12``; otherwise the labels are
-    final. Moves to the point's own cluster and moves out of a singleton
-    cluster are never candidates. This is the same move a scalar loop over
-    points, then clusters, keeping the first strictly smaller delta, would
-    pick.
+    Every move applied is the one the exact rule picks (``_best_move``):
+    the minimum of the (n, k) matrix of deltas built from difference-form
+    distances ``sum((x - c) ** 2)`` to the exact means ``c_j``
+    (``_cluster_mean``), in row-major (point, cluster) order, taking the
+    first on exact ties, and only when it is strictly below ``-1e-12``;
+    otherwise the labels are final. Moves to the point's own cluster and
+    moves out of a singleton cluster are never candidates. This is the
+    same move a scalar loop over points, then clusters, keeping the first
+    strictly smaller delta, would pick.
 
     Most moves are decided without any mean. Row ``G_j`` holds every
     point's squared distance to cluster j's mean. A move of point i changes
@@ -400,8 +446,8 @@ def _refine_labels(
     last exact mean, those means are computed exactly, their rows rebuilt
     from one BLAS product and their bounds reset, and the sweep is redone
     without counting against ``max_sweeps``. With every centroid exact, the points
-    left get difference-form distances and deltas, with the same operations
-    in the same order, and the exact rule picks the move. Before returning,
+    left get difference-form distances and ``_best_move`` picks the move
+    among them. Before returning,
     the changed clusters get their exact means.
 
     Most sweeps cost numpy's fixed price per call more than arithmetic, so
@@ -469,22 +515,11 @@ def _refine_labels(
             moved.clear()
             continue
         if move is None:
-            # The exact deltas of the rows left, in row-major order: the
-            # first strictly smallest below -1e-12 is the move.
-            best = -1e-12
             near = np.flatnonzero(~far)
-            for i, dists in zip(near.tolist(), _sq_dists(points[near], centroids).tolist()):
-                s = int(labels[i])
-                if counts[s] <= 1.0:
-                    continue
-                loss_off = float(loss[i]) * dists[s]
-                for j in range(k):
-                    if j != s:
-                        delta = gains[j] * dists[j] - loss_off
-                        if delta < best:
-                            best, move = delta, (i, j)
+            move = _best_move(_sq_dists(points[near], centroids), labels[near], counts)
             if move is None:
                 break
+            move = int(near[move[0]]), move[1]
         i, t = move
         s = int(labels[i])
         labels[i] = t
@@ -501,6 +536,95 @@ def _refine_labels(
     return labels, centroids
 
 
+def _table_lloyd(
+    points: np.ndarray, k: int, seeds: tuple[int, ...], table: np.ndarray, max_iters: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_lloyd`` from the k-means++ seeds ``seeds``, without the Gram
+    screen: the same labels and centroids, and the difference-form
+    distances ``_sq_dists(points, centroids)`` to the centroids returned.
+
+    ``table`` is ``_sq_dists(points, points)``, so the first distances are
+    its seed columns; each later step takes ``_sq_dists`` to the new means.
+    """
+    labels = np.full(len(points), -1)
+    centroids = points[list(seeds)]
+    dists = table[:, seeds]
+    for _ in range(max_iters):
+        new_labels = dists.argmin(axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        if counts.min() == 0:
+            _fill_empty_clusters(new_labels, counts, dists)
+        if (new_labels == labels).all():
+            break
+        labels = new_labels
+        centroids = _cluster_means(points, labels, k)
+        dists = _sq_dists(points, centroids)
+    return labels, centroids, dists
+
+
+def _exact_refine(
+    points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, dists: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_refine_labels`` without the screen: each sweep, up to
+    ``_MAX_SWEEPS``, applies the move of the exact rule it certifies
+    (``_best_move``).
+
+    ``centroids`` must be ``_cluster_means(points, labels, k)`` and
+    ``dists`` the ``(n, k)`` ``_sq_dists(points, centroids)``; all three are
+    updated in place. The two clusters a move changes get their exact
+    ``_cluster_mean`` and distance columns.
+    """
+    counts = np.bincount(labels, minlength=len(centroids)).tolist()
+    for _ in range(_MAX_SWEEPS):
+        move = _best_move(dists, labels, counts)
+        if move is None:
+            break
+        i, t = move
+        s = int(labels[i])
+        labels[i] = t
+        counts[s] -= 1
+        counts[t] += 1
+        for j in (s, t):
+            centroids[j] = _cluster_mean(points, labels, j)
+        dists[:, [s, t]] = _sq_dists(points, centroids[[s, t]])
+    return labels, centroids
+
+
+def _table_restarts(
+    points: np.ndarray, k: int, rngs: Iterable[np.random.Generator], max_iters: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The labels and centroids of each restart, from ``_table_lloyd`` and
+    ``_exact_refine`` over one ``_sq_dists(points, points)`` table, whose
+    rows k-means++ seeding reads. A restart drawing the seeds of an earlier
+    one is skipped: nothing after seeding is random, so it would repeat that
+    restart's result, and ``kmeans`` keeps the first of equal inertias.
+    """
+    table = _sq_dists(points, points)  # symmetric bit for bit: (x - y)^2 == (y - x)^2
+    seen: set[tuple[int, ...]] = set()
+    for rng in rngs:
+        seeds = _kmeans_pp_indices(len(points), k, rng, table.__getitem__)
+        if seeds not in seen:
+            seen.add(seeds)
+            yield _exact_refine(points, *_table_lloyd(points, k, seeds, table, max_iters))
+
+
+def _certified_restarts(
+    points: np.ndarray, k: int, rngs: Iterable[np.random.Generator], max_iters: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The labels and centroids of each restart, from ``_lloyd`` and
+    ``_refine_labels``, sharing the points' ``|x|^2`` and ``_PairwiseRows``."""
+    sq_norms = _sq_norms(points)
+    pairwise = _PairwiseRows(points, sq_norms)
+    for rng in rngs:
+        labels, centroids, dists = _lloyd(points, k, rng, max_iters, sq_norms)
+        yield _refine_labels(points, labels, centroids, pairwise, sq_norms, dists=dists)
+
+
+# ``kmeans`` inputs of fewer rows^2 x dims take ``_table_restarts``. The two
+# paths cost about the same near 1e5 (n = 24 at d = 128, n = 16 at d = 384).
+_TABLE_LIMIT = 1 << 16
+
+
 def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
     """Whether ``points`` holds at least ``k`` distinct rows.
 
@@ -511,7 +635,7 @@ def _has_k_distinct_rows(points: np.ndarray, k: int) -> bool:
     """
     reps: list[np.ndarray] = []
     for row in points:
-        if all(np.any(row != rep) for rep in reps):
+        if all((row != rep).any() for rep in reps):
             reps.append(row)
             if len(reps) >= k:
                 return True
@@ -531,7 +655,18 @@ def kmeans(
     restart runs Lloyd iterations to convergence and then a
     deterministic single-point refinement pass, which escapes the
     centroid-stable local optima plain Lloyd gets stuck in on small inputs.
-    The refinement reads the squared distances between the points only
+
+    Both paths give the same bits; ``n^2 d`` picks one. Below
+    ``_TABLE_LIMIT`` (2^16, about 0.5 MB for the table and its broadcast
+    temporaries), one ``(n, n)`` table of squared distances gives the
+    k-means++ seeding weights and the first assignment, later steps take
+    difference-form distances to the means directly, and a restart that
+    draws an earlier restart's seeds is skipped (``_table_restarts``).
+    Here numpy's fixed cost per call dominates, and the table and the
+    direct rule make the fewest calls. Above it, the table's ``n^2 d``
+    arithmetic would dominate, so Lloyd screens with Gram distances and
+    the refinement with certified bounds (``_certified_restarts``). That
+    refinement reads the squared distances between the points only
     from the rows of points it moves, each built on first use, four rows
     at a time (``_PairwiseRows``), and shared by every restart: memory is
     ``4 n`` floats for each block of four points that ever moves, at most
@@ -568,14 +703,12 @@ def kmeans(
         return None
     points, shift = power_of_two_scaled(points)
     seed = seed & _SEED_MASK
-    sq_norms = _sq_norms(points)
-    pairwise = _PairwiseRows(points, sq_norms)
+    n, dim = points.shape
+    runs = _table_restarts if n * n * dim < _TABLE_LIMIT else _certified_restarts
+    rngs = (np.random.default_rng([seed, 0, restart]) for restart in range(restarts))
     best: KMeansResult | None = None
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, 0, restart])
-        labels, centroids, dists = _lloyd(points, k, rng, max_iters, sq_norms)
-        labels, centroids = _refine_labels(points, labels, centroids, pairwise, sq_norms, dists=dists)
-        inertia = float(np.sum((points - centroids[labels]) ** 2))
+    for labels, centroids in runs(points, k, rngs, max_iters):
+        inertia = float(np.add.reduce((points - centroids[labels]) ** 2, axis=None))
         if best is None or inertia < best.inertia:
             best = KMeansResult(labels=labels, centroids=centroids, inertia=inertia)
     best.centroids = np.ldexp(best.centroids, -shift)

@@ -1026,6 +1026,39 @@ def test_inaccessible_input_exits_with_error_naming_it(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("no corpus", "no corpus given"),
+        ("summaries directory without *.txt", "no *.txt summaries found under"),
+        ("missing summaries path", "does not exist"),
+        ("summaries JSONL of blank lines", "no summary records found in"),
+        ("weights triple of two values", "--weights triple must have 3 values"),
+    ],
+)
+def test_cli_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case, message):
+    corpus = _write_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    command, flags = "evaluate", ["--input", str(corpus)]
+    if case == "no corpus":
+        (tmp_path / "run.cfg").write_text("seed = 3\n")
+        command, flags = "summarize", ["--config", str(tmp_path / "run.cfg")]
+    elif case == "summaries directory without *.txt":
+        (tmp_path / "summaries").mkdir()
+        flags += ["--summaries", str(tmp_path / "summaries")]
+    elif case == "missing summaries path":
+        flags += ["--summaries", str(tmp_path / "summaries.jsonl")]
+    elif case == "summaries JSONL of blank lines":
+        (tmp_path / "summaries.jsonl").write_text("\n  \n\n")
+        flags += ["--summaries", str(tmp_path / "summaries.jsonl")]
+    else:
+        command, flags = "tune", [*flags, "--weights", "0.5,0.5"]
+    assert main([command, *flags, "--budget-words", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evaluate_repeated_topic_id_exits_2(tmp_path, capsys):
     corpus = _write_corpus(tmp_path / "corpus")
     summaries = tmp_path / "summaries.jsonl"
@@ -1056,6 +1089,15 @@ def _run_cli(argv):
     """Run the command line in a fresh interpreter: (exit code, stderr)."""
     result = _fresh_interpreter(["-m", "treesum.cli", *argv])
     return result.returncode, result.stderr
+
+
+def test_cli_import_leaves_openssl_hashlib_unloaded():
+    """blake2b comes from ``_blake2``, so no process loads OpenSSL's
+    ``_hashlib`` for it."""
+    pytest.importorskip("_blake2")
+    result = _fresh_interpreter(["-c", "import sys, treesum.cli; print('_hashlib' in sys.modules)"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 # One digit past the cap Python puts on int-string conversion: json.loads

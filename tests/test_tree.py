@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import treesum
+import treesum.tree as tree_module
 from helpers import (
     blas_kernels_selectable,
     broadcast_sq_dists,
@@ -778,6 +779,110 @@ def test_kmeans_matches_reference_at_sentence_tree_shape():
             assert got.inertia == inertia, (n, k, seed)
 
 
+def _two_path_cases(rng):
+    """Seeded (points, k, seed, restarts, max_iters) for both k-means paths:
+    n from k to past the default ``_TABLE_LIMIT`` (at most 40 rows), d from
+    1 to 384, rows drawn with repeats from a pool of at least k (duplicated
+    rows), scales of 2**-60, 1 and 2**60, and ``max_iters`` of 1 or 2
+    (Lloyd stops early) or 100. Values are rounded to 0 to 2 decimals, and
+    two cases in three are points of the lattice {0, 1, 2, 3}^d, d <= 3,
+    where refinement deltas tie."""
+    limit = tree_module._TABLE_LIMIT
+    for case in range(720):
+        lattice = case % 3 != 0
+        dim = int(rng.integers(1, 4)) if lattice else int(rng.choice([1, 2, 8, 32, 128, 384]))
+        k = int(rng.integers(2, 6))
+        past_limit = math.isqrt(limit // dim) + 3
+        n = int(rng.integers(k, min(past_limit, 40) + 1))
+        size = (int(rng.integers(k, n + 1)), dim)
+        pool = rng.integers(0, 4, size=size).astype(float) if lattice else rng.normal(size=size)
+        pool = np.round(pool, int(rng.integers(0, 3)))
+        points = np.ldexp(pool[rng.integers(0, len(pool), size=n)], int(rng.choice([-60, 0, 60])))
+        yield points, k, int(rng.integers(1 << 62)), int(rng.choice([1, 3, 6])), int(rng.choice([1, 2, 100]))
+
+
+def test_table_path_equals_certified_path_bytewise(monkeypatch):
+    """``kmeans`` gives the same labels, centroids and inertia, byte for
+    byte, whichever path ``_TABLE_LIMIT`` sends an input to."""
+    runs = {"table": 0, "certified": 0}
+
+    def counted(name, runner):
+        def run(*args):
+            runs[name] += 1
+            return runner(*args)
+
+        return run
+
+    monkeypatch.setattr(tree_module, "_table_restarts", counted("table", tree_module._table_restarts))
+    monkeypatch.setattr(tree_module, "_certified_restarts", counted("certified", tree_module._certified_restarts))
+    rng = np.random.default_rng(4096)
+    divisible = 0
+    for points, k, seed, restarts, max_iters in _two_path_cases(rng):
+        results = []
+        for limit in (1 << 62, 0):
+            monkeypatch.setattr(tree_module, "_TABLE_LIMIT", limit)
+            results.append(kmeans(points, k, seed, restarts=restarts, max_iters=max_iters))
+        table, certified = results
+        if certified is None:
+            assert table is None
+            continue
+        divisible += 1
+        case = (points.shape, k, seed, restarts, max_iters)
+        assert table.labels.tobytes() == certified.labels.tobytes(), case
+        assert table.centroids.tobytes() == certified.centroids.tobytes(), case
+        assert table.inertia == certified.inertia, case
+    assert divisible >= 600
+    assert runs == {"table": divisible, "certified": divisible}
+
+
+def test_table_path_matches_reference_kmeans():
+    """At the sizes of a topic's document nodes, the table path gives the
+    reference Lloyd and refinement's bytes. The points' largest component
+    is in [0.5, 1), so ``kmeans``' power-of-two scaling leaves them as they
+    are; lattice points {0, 1/4, 1/2, 3/4}^d make refinement deltas tie."""
+    rng = np.random.default_rng(1010)
+    for case in range(240):
+        n, k = int(rng.integers(3, 13)), int(rng.integers(2, 4))
+        if case % 2:
+            points = rng.integers(0, 4, size=(n, int(rng.integers(1, 4)))) / 4.0
+        else:
+            points = np.round(rng.normal(size=(n, int(rng.choice([8, 128, 384])))), 2)
+        points = np.ldexp(points, -math.frexp(float(np.abs(points).max()))[1])
+        seed = int(rng.integers(1 << 62))
+        got = kmeans(points, k, seed)
+        expected = reference_kmeans(points, k, seed) if got is not None else None
+        if expected is None:
+            assert got is None and np.unique(points, axis=0).shape[0] < k
+            continue
+        labels, centroids, inertia = expected
+        assert got.labels.tobytes() == labels.tobytes(), (points, k, seed)
+        assert got.centroids.tobytes() == centroids.tobytes(), (points, k, seed)
+        assert got.inertia == inertia, (points, k, seed)
+
+
+class _PathChosen(Exception):
+    pass
+
+
+def test_table_limit_puts_bench_shapes_on_their_paths(monkeypatch):
+    """A topic's document nodes (n <= 10 rows of 128 or 384 dims) take the
+    table path, and comp4's sentence splits (n = 100 to 300 rows of 128
+    dims) the certified one."""
+    for name in ("table", "certified"):
+
+        def chosen(*args, name=name):
+            raise _PathChosen(name)
+
+        monkeypatch.setattr(tree_module, f"_{name}_restarts", chosen)
+    rng = np.random.default_rng(31)
+    shapes = [(n, dim, "table") for dim in (128, 384) for n in range(2, 11)]
+    shapes += [(n, 128, "certified") for n in (100, 118, 150, 223, 300)]
+    for n, dim, path in shapes:
+        with pytest.raises(_PathChosen) as got:
+            kmeans(rng.normal(size=(n, dim)), 2, seed=0)
+        assert got.value.args == (path,), (n, dim)
+
+
 def test_restricted_growth_labelings_enumerate_each_partition_once():
     def stirling(n, k):
         if n == k:
@@ -835,10 +940,12 @@ def test_kmeans_rejects_fewer_than_one_restart_or_iteration(restarts, max_iters)
 # Seeded k-means inputs: a sparse non-negative 300x128 case like one topic's
 # hashed tf-idf sentences, near ties far from the origin, duplicate rows and
 # small 384-dim inputs. Prints one digest of labels, centroid bytes and
-# inertia per case.
+# inertia per case, on each case's own path and then with every case on the
+# certified path, whose Gram screen is where BLAS enters.
 _KMEANS_DIGESTS = """
 import hashlib
 import numpy as np
+import treesum.tree
 from treesum.tree import kmeans
 
 def cases():
@@ -854,13 +961,19 @@ def cases():
     for n in (5, 7, 10):
         yield np.round(rng.normal(size=(n, 384)), 4), 2
 
-for points, k in cases():
-    result = kmeans(list(points), k, seed=5)
-    digest = hashlib.sha256()
-    digest.update(result.labels.astype(np.int64).tobytes())
-    digest.update(result.centroids.tobytes())
-    digest.update(np.float64(result.inertia).tobytes())
-    print(digest.hexdigest())
+default = treesum.tree._TABLE_LIMIT
+try:
+    for limit in (default, 0):
+        treesum.tree._TABLE_LIMIT = limit
+        for points, k in cases():
+            result = kmeans(list(points), k, seed=5)
+            digest = hashlib.sha256()
+            digest.update(result.labels.astype(np.int64).tobytes())
+            digest.update(result.centroids.tobytes())
+            digest.update(np.float64(result.inertia).tobytes())
+            print(digest.hexdigest())
+finally:
+    treesum.tree._TABLE_LIMIT = default
 """
 
 
@@ -882,7 +995,7 @@ def test_kmeans_does_not_depend_on_blas_kernel(coretype):
     here = io.StringIO()
     with contextlib.redirect_stdout(here):
         exec(_KMEANS_DIGESTS, {})
-    assert len(here.getvalue().split()) == 6
+    assert len(here.getvalue().split()) == 12
     assert result.stdout == here.getvalue()
 
 
