@@ -20,15 +20,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 
 class CorpusError(Exception):
     """Raised when input data cannot be loaded into a valid corpus."""
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
+    """One sentence of a document: its text, its 0-based index in the
+    document, and its length in words and in UTF-8 bytes."""
+
     text: str
     sent_index: int
     word_count: int
@@ -98,9 +100,7 @@ def _is_abbreviation(token: str) -> bool:
 
 def _sentence(words: list[str], sent_index: int) -> Sentence:
     text = " ".join(words)
-    return Sentence(
-        text=text, sent_index=sent_index, word_count=len(words), byte_length=len(text.encode("utf-8"))
-    )
+    return Sentence(text, sent_index, len(words), len(text.encode("utf-8")))
 
 
 def segment_sentences(document_text: str) -> list[Sentence]:

@@ -18,7 +18,10 @@ refinement apply the exact rule directly (``_table_restarts``): at that
 size numpy's fixed cost per call outweighs the table's rows^2 x dims
 arithmetic. Above it (sentence splits of a few hundred rows), that table
 would cost more than it saves, and a Gram screen with certified bounds
-decides most steps without exact distances (``_certified_restarts``).
+decides most steps without exact distances (``_certified_restarts``):
+each restart runs its own Lloyd iterations, starting from the distances
+its seeding computed, and then all restarts refine side by side, one
+screen per sweep for all of them (``_refine_restarts``).
 """
 
 from __future__ import annotations
@@ -106,11 +109,19 @@ def _kmeans_pp_indices(
     return tuple(seeds)
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeds (``_kmeans_pp_indices``) as a ``(k, d)`` matrix, each
-    point's squared distances taken as ``sum((x - c) ** 2)``."""
-    seeds = _kmeans_pp_indices(len(points), k, rng, lambda i: np.sum((points - points[i]) ** 2, axis=1))
-    return points[list(seeds)]
+def _kmeans_pp_dists(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``(n, k)`` squared distances of every point to each of ``k``
+    k-means++ seeds (``_kmeans_pp_indices``), in seed order: the rows the
+    seeding weighs, each taken as ``sum((x - c) ** 2)``, so they are the
+    columns of ``_sq_dists(points, seeds)`` bit for bit."""
+    columns: list[np.ndarray] = []
+
+    def sq_dists_to(i: int) -> np.ndarray:
+        columns.append(np.add.reduce((points - points[i]) ** 2, axis=1))
+        return columns[-1]
+
+    _kmeans_pp_indices(len(points), k, rng, sq_dists_to)
+    return np.stack(columns, axis=1)
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -215,8 +226,10 @@ def _lloyd(
     those centroids (None when ``max_iters`` ran out first).
 
     Each point goes to the centroid at the smallest difference-form
-    distance ``sum((x - c) ** 2)``, the first on exact ties. The Gram form
-    only screens: where a point's second-smallest Gram distance exceeds its
+    distance ``sum((x - c) ** 2)``, the first on exact ties. The first
+    assignment reads those distances to the seeds from the seeding itself
+    (``_kmeans_pp_dists``). Later ones take the Gram form, which only
+    screens: where a point's second-smallest Gram distance exceeds its
     smallest by more than twice ``_gram_error_bound``, the difference form
     has the same strict minimum, so that choice stands. Every other point (a
     near-tie) gets difference-form distances and their ``argmin``.
@@ -226,9 +239,13 @@ def _lloyd(
     n, dim = points.shape
     rows = np.arange(n)
     max_sq_norm = float(sq_norms.max())
-    centroids = _kmeans_pp_init(points, k, rng)
-    labels = np.full(n, -1)
-    for _ in range(max_iters):
+    seed_dists = _kmeans_pp_dists(points, k, rng)
+    labels = seed_dists.argmin(axis=1)
+    counts = np.bincount(labels, minlength=k)
+    if counts.min() == 0:
+        _fill_empty_clusters(labels, counts, seed_dists)
+    centroids = _cluster_means(points, labels, k)
+    for _ in range(max_iters - 1):
         last = _gram_dists(centroids, points, sq_norms)
         gram, center_sq = last[0].copy(), last[1]  # ``last`` is returned without the infs below
         new_labels = gram.argmin(axis=0)
@@ -391,7 +408,7 @@ def _refine_labels(
     ``_PairwiseRows``, of which only the rows of moved points are read; the
     final labels are returned with their centroids, computed the same way.
     ``dists``, ``_gram_dists(centroids, points, sq_norms)``, is taken here
-    when not given, and is updated in place.
+    when not given; a given one is read, not changed.
 
     Lloyd stops at assignments that are centroid-stable but may still admit
     an objective-reducing move of one point; the exact change of moving
@@ -445,21 +462,41 @@ def _refine_labels(
     too, and it is applied. Otherwise, if any cluster has changed since its
     last exact mean, those means are computed exactly, their rows rebuilt
     from one BLAS product and their bounds reset, and the sweep is redone
-    without counting against ``max_sweeps``. With every centroid exact, the points
-    left get difference-form distances and ``_best_move`` picks the move
-    among them. Before returning,
-    the changed clusters get their exact means.
+    without counting against ``max_sweeps``. With every centroid exact, the
+    points left get difference-form distances and ``_best_move`` picks the
+    move among them. Before returning, the changed clusters get their exact
+    means.
+
+    This is the one-restart case of ``_refine_restarts``, which runs the
+    sweeps of several restarts side by side.
+    """
+    return _refine_restarts(points, [(labels, centroids, dists)], pairwise, sq_norms, max_sweeps)[0]
+
+
+def _refine_restarts(
+    points: np.ndarray,
+    starts: Sequence[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]],
+    pairwise: _PairwiseRows,
+    sq_norms: np.ndarray,
+    max_sweeps: int = _MAX_SWEEPS,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The labels and centroids ``_refine_labels`` gives each restart's
+    ``(labels, centroids, dists)`` in ``starts``, in order, from sweeps run
+    side by side.
 
     Most sweeps cost numpy's fixed price per call more than arithmetic, so
-    a sweep makes only the calls on (k, n) arrays: the cluster sizes and
-    their gain and loss factors are Python floats, the one-point case is
-    found from a count and an ``argmin`` of the screen's mask, and a move
-    reads its ``pairwise`` row once.
+    each pass screens every restart still refining with one call per step:
+    their Gram rows are one ``(R, k, n)`` array and their gain and loss
+    factors ``(R, k, 1)`` columns, updated at each move. Each restart then
+    decides as it would alone, from Python floats and its own slices: stop,
+    a one-point move, a rebuild of its stale means or the exact rule's move.
+    A move reads its ``pairwise`` row once and updates two rows of its own
+    restart. No step mixes restarts, so each result has the bits of that
+    restart refined alone. A restart that stops leaves the arrays before
+    the next pass.
     """
-    labels = labels.copy()
-    centroids = centroids.copy()
-    k = len(centroids)
     n, dim = points.shape
+    k = len(starts[0][1])
     max_sq_norm = float(sq_norms.max())
     reach = _reach(max_sq_norm, dim)
     exact_error = _mean_error(n, reach, dim)
@@ -468,72 +505,102 @@ def _refine_labels(
     # exact mean, whose norm is at most R + e.
     center_reach = reach + exact_error
     exact_gap = _exact_row_error(dim, max_sq_norm, center_reach * center_reach, reach, exact_error)
-    counts = np.bincount(labels, minlength=k).astype(float).tolist()
-    gram, center_sq = _gram_dists(centroids, points, sq_norms) if dists is None else dists
-    bounds = [_exact_row_error(dim, max_sq_norm, sq, reach, exact_error) for sq in center_sq.tolist()]
-    # The clusters changed since their last exact mean.
-    moved: set[int] = set()
-    own_flat = labels * n + np.arange(n)  # flat index of each point's own entry
-    sweeps = 0
-    while sweeps < max_sweeps:
-        gains = [c / (c + 1.0) for c in counts]
-        # n_s/(n_s - 1); singleton rows get a finite placeholder and are
-        # dropped below.
-        loss = np.array([c / max(c - 1.0, 0.5) for c in counts])[labels]
-        # min_j fl(a_j - b) = fl(min_j a_j - b): subtraction is monotone.
-        gain_on = gram * np.array(gains)[:, None]
+    labels = [start[0].copy() for start in starts]
+    centroids = [start[1].copy() for start in starts]
+    counts = [np.bincount(lab, minlength=k).astype(float).tolist() for lab in labels]
+    grams, bounds = [], []
+    for _, start_centroids, dists in starts:
+        gram, center_sq = _gram_dists(start_centroids, points, sq_norms) if dists is None else dists
+        grams.append(gram)
+        bounds.append([_exact_row_error(dim, max_sq_norm, sq, reach, exact_error) for sq in center_sq.tolist()])
+    gram = np.stack(grams)
+    # n_s/(n_s - 1); singleton clusters get a finite placeholder, and their
+    # points are dropped below.
+    gains = np.array([[c / (c + 1.0) for c in row] for row in counts])[:, :, None]
+    losses = np.array([[c / max(c - 1.0, 0.5) for c in row] for row in counts])[:, :, None]
+    # The clusters of each restart changed since their last exact mean.
+    moved: list[set[int]] = [set() for _ in starts]
+    sweeps = [0] * len(starts)
+    # The restarts still refining; position a of the arrays is active[a].
+    active = list(range(len(starts))) if max_sweeps > 0 else []
+    own_flat = None
+    while active:
+        if own_flat is None:
+            # The flat index of each point's own entry in ``gram``.
+            own_flat = (np.stack([labels[r] for r in active]) + k * np.arange(len(active))[:, None]) * n + np.arange(n)
+        gain_on = gram * gains
         gain_on.ravel()[own_flat] = np.inf
-        row_min = gain_on.min(axis=0) - loss * gram.take(own_flat)
-        if min(counts) <= 1.0:
-            row_min[np.array(counts)[labels] <= 1.0] = np.inf
-        bound = 3.5 * (max(bounds) + exact_gap)
-        cap = min(float(row_min.min()) + 2.0 * bound, bound - 1e-12)
+        loss_own = (gram * losses).take(own_flat)
+        # min_j fl(a_j - b) = fl(min_j a_j - b): subtraction is monotone.
+        row_min = np.minimum.reduce(gain_on, axis=1)
+        row_min -= loss_own
+        if min(min(counts[r]) for r in active) <= 1.0:
+            row_min[np.array([counts[r] for r in active]).take(own_flat // n) <= 1.0] = np.inf
+        screen = [3.5 * (max(bounds[r]) + exact_gap) for r in active]
+        caps = [min(low + 2.0 * bound, bound - 1e-12) for low, bound in zip(row_min.min(axis=1).tolist(), screen)]
         # A NaN delta compares false, so it stays near.
-        far = row_min > cap
-        near_count = n - int(np.count_nonzero(far))
-        if near_count == 0:
-            break
-        move = None
-        if near_count == 1:
-            i = int(far.argmin())  # the one point near
-            s = int(labels[i])
-            if counts[s] > 1.0:
-                # The row's deltas as row_min computed them; all finite
-                # but the own cluster's inf.
-                loss_off = float(loss[i]) * float(gram[s, i])
-                deltas = [g - loss_off for g in gain_on[:, i].tolist()]
-                best = min(deltas)
-                if best + bound < -1e-12 and sorted(deltas)[1] - best > 2.0 * bound:
-                    move = i, deltas.index(best)
-        if move is None and moved:
-            stale = sorted(moved)
-            for j in stale:
-                centroids[j] = _cluster_mean(points, labels, j)
-            gram[stale], center_sq = _gram_dists(centroids[stale], points, sq_norms)
-            for j, sq in zip(stale, center_sq.tolist()):
-                bounds[j] = _exact_row_error(dim, max_sq_norm, sq, reach, exact_error)
-            moved.clear()
-            continue
-        if move is None:
-            near = np.flatnonzero(~far)
-            move = _best_move(_sq_dists(points[near], centroids), labels[near], counts)
+        far = row_min > np.array(caps)[:, None]
+        near_counts = [n - count for count in np.add.reduce(far, axis=1).tolist()]
+        firsts = far.argmin(axis=1).tolist() if 1 in near_counts else None
+        stopped = set()
+        for a, r in enumerate(active):
+            if near_counts[a] == 0:
+                stopped.add(r)
+                continue
+            move = None
+            if near_counts[a] == 1:
+                i = firsts[a]  # the one point near
+                s = int(labels[r][i])
+                if counts[r][s] > 1.0:
+                    # The row's deltas as row_min computed them; all finite
+                    # but the own cluster's inf.
+                    loss_off = float(loss_own[a, i])
+                    deltas = [g - loss_off for g in gain_on[a, :, i].tolist()]
+                    best = min(deltas)
+                    if best + screen[a] < -1e-12 and sorted(deltas)[1] - best > 2.0 * screen[a]:
+                        move = i, deltas.index(best)
+            if move is None and moved[r]:
+                stale = sorted(moved[r])
+                for j in stale:
+                    centroids[r][j] = _cluster_mean(points, labels[r], j)
+                gram[a, stale], center_sq = _gram_dists(centroids[r][stale], points, sq_norms)
+                for j, sq in zip(stale, center_sq.tolist()):
+                    bounds[r][j] = _exact_row_error(dim, max_sq_norm, sq, reach, exact_error)
+                moved[r].clear()
+                continue
             if move is None:
-                break
-            move = int(near[move[0]]), move[1]
-        i, t = move
-        s = int(labels[i])
-        labels[i] = t
-        own_flat[i] = t * n + i
-        pairwise_row = pairwise[i]
-        for j, added in ((t, True), (s, False)):
-            bounds[j] = _move_row(gram[j], pairwise_row, i, counts[j], bounds[j], pair_error, reach, added)
-        counts[s] -= 1.0
-        counts[t] += 1.0
-        moved.update((s, t))
-        sweeps += 1
-    for j in moved:
-        centroids[j] = _cluster_mean(points, labels, j)
-    return labels, centroids
+                near = np.flatnonzero(~far[a])
+                move = _best_move(_sq_dists(points[near], centroids[r]), labels[r][near], counts[r])
+                if move is None:
+                    stopped.add(r)
+                    continue
+                move = int(near[move[0]]), move[1]
+            i, t = move
+            s = int(labels[r][i])
+            labels[r][i] = t
+            own_flat[a, i] = (a * k + t) * n + i
+            pairwise_row = pairwise[i]
+            for j, added in ((t, True), (s, False)):
+                bounds[r][j] = _move_row(gram[a, j], pairwise_row, i, counts[r][j], bounds[r][j], pair_error, reach, added)
+            counts[r][s] -= 1.0
+            counts[r][t] += 1.0
+            for j in (s, t):
+                c = counts[r][j]
+                gains[a, j, 0] = c / (c + 1.0)
+                losses[a, j, 0] = c / max(c - 1.0, 0.5)
+            moved[r].update((s, t))
+            sweeps[r] += 1
+            if sweeps[r] == max_sweeps:
+                stopped.add(r)
+        if stopped:
+            keep = [a for a, r in enumerate(active) if r not in stopped]
+            active = [active[a] for a in keep]
+            gram, gains, losses = gram[keep], gains[keep], losses[keep]
+            own_flat = None
+    for r, changed in enumerate(moved):
+        for j in changed:
+            centroids[r][j] = _cluster_mean(points, labels[r], j)
+    return list(zip(labels, centroids))
 
 
 def _table_lloyd(
@@ -610,14 +677,13 @@ def _table_restarts(
 
 def _certified_restarts(
     points: np.ndarray, k: int, rngs: Iterable[np.random.Generator], max_iters: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The labels and centroids of each restart, from ``_lloyd`` and
-    ``_refine_labels``, sharing the points' ``|x|^2`` and ``_PairwiseRows``."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The labels and centroids of each restart, from its own ``_lloyd``
+    run and one ``_refine_restarts`` of them all, sharing the points'
+    ``|x|^2`` and ``_PairwiseRows``."""
     sq_norms = _sq_norms(points)
-    pairwise = _PairwiseRows(points, sq_norms)
-    for rng in rngs:
-        labels, centroids, dists = _lloyd(points, k, rng, max_iters, sq_norms)
-        yield _refine_labels(points, labels, centroids, pairwise, sq_norms, dists=dists)
+    starts = [_lloyd(points, k, rng, max_iters, sq_norms) for rng in rngs]
+    return _refine_restarts(points, starts, _PairwiseRows(points, sq_norms), sq_norms)
 
 
 # ``kmeans`` inputs of fewer rows^2 x dims take ``_table_restarts``. The two
@@ -665,14 +731,20 @@ def kmeans(
     Here numpy's fixed cost per call dominates, and the table and the
     direct rule make the fewest calls. Above it, the table's ``n^2 d``
     arithmetic would dominate, so Lloyd screens with Gram distances and
-    the refinement with certified bounds (``_certified_restarts``). That
-    refinement reads the squared distances between the points only
-    from the rows of points it moves, each built on first use, four rows
-    at a time (``_PairwiseRows``), and shared by every restart: memory is
-    ``4 n`` floats for each block of four points that ever moves, at most
-    ``O(n^2)`` per call. Lloyd and refinement share the points' ``|x|^2``,
-    and a refinement starts from the last Gram distances of the Lloyd run
-    it follows when they were taken against the centroids it starts from.
+    the refinement with certified bounds (``_certified_restarts``). Lloyd
+    takes its first assignment from the seeds' distance columns that
+    k-means++ seeding computed. Once every restart's Lloyd run is done,
+    the restarts refine side by side: each sweep screens all of them from
+    one ``(restarts, k, n)`` array, and each restart then makes its own
+    decision, so each result is the one it would reach alone
+    (``_refine_restarts``). That refinement reads the squared distances
+    between the points only from the rows of points it moves, each built
+    on first use, four rows at a time (``_PairwiseRows``), and shared by
+    every restart: memory is ``4 n`` floats for each block of four points
+    that ever moves, at most ``O(n^2)`` per call. Lloyd and refinement
+    share the points' ``|x|^2``, and a refinement starts from the last Gram
+    distances of the Lloyd run it follows when they were taken against the
+    centroids it starts from.
 
     All of it runs on the points scaled by the power of two that brings
     their largest component into [0.5, 1) (``power_of_two_scaled``), so no

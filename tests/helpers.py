@@ -25,7 +25,7 @@ from treesum.embedding import EmbeddedCorpus, embed_corpus, sentence_key, topic_
 from treesum.rouge import RougeScore, _average, _prf
 from treesum.scoring import Hyperparams
 from treesum.stem import porter_stem
-from treesum.tree import ClassTree, ClassTreeNode, _kmeans_pp_init, derive_seed, kmeans, label_groups
+from treesum.tree import ClassTree, ClassTreeNode, _kmeans_pp_indices, derive_seed, kmeans, label_groups
 from treesum.variants import CS_ONLY, TopicWork
 
 
@@ -258,7 +258,8 @@ def difference_form_lloyd(
     screened version must return exactly the same labels.
     """
     n = points.shape[0]
-    centroids = _kmeans_pp_init(points, k, rng)
+    seeds = _kmeans_pp_indices(n, k, rng, lambda i: np.sum((points - points[i]) ** 2, axis=1))
+    centroids = points[list(seeds)]
     labels = np.full(n, -1)
     dists = np.empty((n, k))
     for _ in range(max_iters):

@@ -1026,6 +1026,24 @@ def test_inaccessible_input_exits_with_error_naming_it(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+# ``summarize`` rows that each reach one check of ``config.py``: the text of
+# the config file they pass (None for none) and their flags after --input.
+_BUDGET = ["--budget-words", "20"]
+_CONFIG_ERROR_ROWS = {
+    "budget limit below 1": (None, ["--budget-words", "0"]),
+    "embedder spec without a colon": (None, [*_BUDGET, "--embedder", "builtin"]),
+    "unknown embedder kind": (None, [*_BUDGET, "--embedder", "word2vec:300"]),
+    "builtin dim not an integer": (None, [*_BUDGET, "--embedder", "builtin:wide"]),
+    "workers below 1": (None, [*_BUDGET, "--workers", "0"]),
+    "config line without '='": ("seed 3\n", _BUDGET),
+    "config value that does not parse": ("seed = three\n", _BUDGET),
+    "config budget that does not parse": ("budget-words = ten\n", []),
+    "unknown method in the config file": ("method = comp9\n", _BUDGET),
+    "unknown report kind in the config file": ("report = precision\n", _BUDGET),
+    "unknown objective in the config file": ("objective = r3\n", _BUDGET),
+}
+
+
 @pytest.mark.parametrize(
     "case, message",
     [
@@ -1034,15 +1052,35 @@ def test_inaccessible_input_exits_with_error_naming_it(tmp_path, capsys, monkeyp
         ("missing summaries path", "does not exist"),
         ("summaries JSONL of blank lines", "no summary records found in"),
         ("weights triple of two values", "--weights triple must have 3 values"),
+        ("budget limit below 1", "budget limit must be >= 1"),
+        ("embedder spec without a colon", "malformed embedder spec 'builtin'"),
+        ("unknown embedder kind", "unknown embedder kind 'word2vec'"),
+        ("builtin dim not an integer", "builtin embedder dim must be an integer: 'wide'"),
+        ("workers below 1", "workers must be >= 1"),
+        ("config line without '='", "run.cfg:1: expected 'key = value'"),
+        ("config value that does not parse", "bad value for 'seed': 'three'"),
+        ("config budget that does not parse", "bad value for 'budget-words': 'ten'"),
+        ("unknown method in the config file", "unknown method 'comp9'"),
+        ("unknown report kind in the config file", "report must be 'recall' or 'f1', got 'precision'"),
+        ("unknown objective in the config file", "objective must be one of r1, r2, rl, rsu4, got 'r3'"),
+        ("missing config file", "missing.cfg does not exist"),
     ],
 )
 def test_cli_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case, message):
     corpus = _write_corpus(tmp_path / "corpus")
     out = tmp_path / "out"
-    command, flags = "evaluate", ["--input", str(corpus)]
-    if case == "no corpus":
+    command, flags = "evaluate", ["--input", str(corpus), *_BUDGET]
+    if case in _CONFIG_ERROR_ROWS:
+        text, row_flags = _CONFIG_ERROR_ROWS[case]
+        command, flags = "summarize", ["--input", str(corpus), *row_flags]
+        if text is not None:
+            (tmp_path / "run.cfg").write_text(text)
+            flags += ["--config", str(tmp_path / "run.cfg")]
+    elif case == "missing config file":
+        command, flags = "summarize", [*flags, "--config", str(tmp_path / "missing.cfg")]
+    elif case == "no corpus":
         (tmp_path / "run.cfg").write_text("seed = 3\n")
-        command, flags = "summarize", ["--config", str(tmp_path / "run.cfg")]
+        command, flags = "summarize", ["--config", str(tmp_path / "run.cfg"), *_BUDGET]
     elif case == "summaries directory without *.txt":
         (tmp_path / "summaries").mkdir()
         flags += ["--summaries", str(tmp_path / "summaries")]
@@ -1053,7 +1091,7 @@ def test_cli_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case, mess
         flags += ["--summaries", str(tmp_path / "summaries.jsonl")]
     else:
         command, flags = "tune", [*flags, "--weights", "0.5,0.5"]
-    assert main([command, *flags, "--budget-words", "20", "--out", str(out)]) == 2
+    assert main([command, *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()

@@ -12,13 +12,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import count_words, loop_segment_sentences, tokenize
-from treesum.corpus import CorpusError, load_corpus, segment_sentences, tokens
+from treesum.corpus import CorpusError, Sentence, load_corpus, segment_sentences, tokens
 
 
 def test_two_terminated_clauses():
     sentences = segment_sentences("A cat sat. It slept.")
     assert [s.text for s in sentences] == ["A cat sat.", "It slept."]
     assert [s.position_1based for s in sentences] == [1, 2]
+
+
+def test_sentence_record_fields_equality_hashing_and_immutability():
+    first, second = segment_sentences("Caf\u00e9 news today. The bridge opened.")
+    assert Sentence._fields == ("text", "sent_index", "word_count", "byte_length")
+    assert first == Sentence("Caf\u00e9 news today.", 0, 3, 17)
+    assert second == Sentence(text="The bridge opened.", sent_index=1, word_count=3, byte_length=18)
+    assert first != second and hash(first) == hash(Sentence("Caf\u00e9 news today.", 0, 3, 17))
+    assert len({first, second, Sentence(*first)}) == 2
+    assert (first.position_1based, second.position_1based) == (1, 2)
+    with pytest.raises(AttributeError):
+        first.text = "changed"
+    with pytest.raises(AttributeError):
+        first.extra = 1
 
 
 def test_abbreviation_does_not_split():

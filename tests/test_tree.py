@@ -43,6 +43,7 @@ from treesum.tree import (
     _PairwiseRows,
     _reach,
     _refine_labels,
+    _refine_restarts,
     _sq_dists,
     _sq_norms,
     _weighted_draw,
@@ -517,6 +518,84 @@ def test_refine_labels_keeps_a_nan_gram_delta_near():
     assert moved >= 190
 
 
+def _restart_starts(rng, points, k, count):
+    """``count`` starts ``(labels, centroids, dists)`` for
+    ``_refine_restarts`` over ``points``, with their Gram rows: Lloyd's
+    labels with up to 30 points scrambled, so that restarts stop after
+    different numbers of moves, and the last with a singleton cluster."""
+    n = len(points)
+    sq_norms = _sq_norms(points)
+    lloyd = difference_form_lloyd(points, k, np.random.default_rng([n, k]), 100)
+    starts = []
+    for r in range(count):
+        labels = lloyd.copy()
+        if r < count - 1:
+            scrambled = rng.choice(n, int(rng.integers(0, 31)), replace=False)
+            labels[scrambled] = rng.integers(0, k, size=scrambled.size)
+            labels[rng.permutation(n)[:k]] = np.arange(k)
+        else:
+            labels[labels == 0] = 1
+            labels[int(rng.choice(np.flatnonzero(labels == 1)))] = 0
+        centroids = _cluster_means(points, labels, k)
+        starts.append((labels, centroids, _gram_dists(centroids, points, sq_norms)))
+    return starts
+
+
+def test_refining_restarts_together_equals_each_restart_alone(monkeypatch):
+    """``_refine_restarts`` over several starts gives, bit for bit, the
+    labels and centroids of one ``_refine_labels`` run per start: restarts
+    that stop after different numbers of moves, a sweep cap that cuts some
+    of them short while others stop first, a singleton cluster beside
+    restarts without one, and, with ``_SAFETY`` raised so that the screen
+    leaves more points near, stale-mean rebuilds and the exact rule's
+    moves."""
+    rng = np.random.default_rng(2033)
+    calls = {"_move_row": 0, "_gram_dists": 0, "_best_move": 0}
+
+    def counting(name):
+        real = getattr(tree_module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(tree_module, name, counting(name))
+    mixed_stops = capped_and_stopped = 0
+    totals = {}
+    for safety in (8.0, 2.0**30):
+        monkeypatch.setattr(tree_module, "_SAFETY", safety)
+        before = dict(calls)
+        for case in range(12):
+            n, k = (60, 120, 200)[case % 3], 2 + case % 4
+            points = _sparse_points(rng, n)
+            sq_norms = _sq_norms(points)
+            pairwise = _PairwiseRows(points, sq_norms)
+            starts = _restart_starts(rng, points, k, 4)
+            moves = []
+            for labels, centroids, dists in starts:
+                count = calls["_move_row"]
+                _refine_labels(points, labels, centroids, pairwise, sq_norms, dists=dists)
+                moves.append((calls["_move_row"] - count) // 2)
+            cap = sorted(moves)[1] + 1
+            mixed_stops += len(set(moves)) > 1
+            capped_and_stopped += min(moves) < cap < max(moves)
+            for max_sweeps in (200, cap):
+                together = _refine_restarts(points, starts, pairwise, sq_norms, max_sweeps)
+                assert len(together) == len(starts)
+                for (labels, centroids, dists), got in zip(starts, together):
+                    alone = _refine_labels(points, labels, centroids, pairwise, sq_norms, max_sweeps, dists)
+                    assert got[0].tobytes() == alone[0].tobytes(), (safety, case, max_sweeps)
+                    assert got[1].tobytes() == alone[1].tobytes(), (safety, case, max_sweeps)
+        totals[safety] = {name: calls[name] - before[name] for name in calls}
+    assert mixed_stops >= 20 and capped_and_stopped >= 10
+    # Only the raised safety factor leaves the screen undecided often
+    # enough that every decision runs.
+    assert totals[2.0**30]["_gram_dists"] >= 500 and totals[2.0**30]["_best_move"] >= 500, totals
+
+
 def _sparse_points(rng, n):
     """n sparse non-negative 128-dim points, like hashed tf-idf sentences."""
     points = np.zeros((n, 128))
@@ -600,23 +679,36 @@ def test_lloyd_always_returns_k_non_empty_clusters(monkeypatch):
     """Once ``n >= k``, an empty cluster always finds a donor, so ``_lloyd``
     returns k non-empty clusters. k-means++ cannot seed NaN rows (their
     weights are NaN), so those and half of the others start from seeds drawn
-    among the rows with repeats, which leaves clusters empty at once."""
+    among the rows with repeats, which leaves clusters empty at once: the
+    seeding's distance columns are those to the drawn rows."""
     rng = np.random.default_rng(1985)
     seeded = 0
+    injected = []
     for points, k in _few_distinct_rows_cases(rng):
         stream = np.random.default_rng(int(rng.integers(1 << 30)))
         drawn = points[rng.integers(0, len(points), size=k)]
         own_seeds = not np.isnan(points).any() and rng.random() < 0.5
         seeded += own_seeds
+
+        def drawn_seed_dists(points, k, rng, drawn=drawn):
+            repeated = any((drawn[j] == drawn[:j]).all(axis=1).any() for j in range(1, k))
+            injected.append((bool(np.isnan(points).any()), repeated))
+            return _sq_dists(points, drawn)
+
         with monkeypatch.context() as patch:
             if not own_seeds:
-                patch.setattr("treesum.tree._kmeans_pp_init", lambda *_: drawn.copy())
+                patch.setattr(tree_module, "_kmeans_pp_dists", drawn_seed_dists)
             labels, centroids, dists = _lloyd(points, k, stream, int(rng.integers(1, 20)), _sq_norms(points))
         _assert_last_dists_match(points, centroids, dists)
         assert labels.shape == (len(points),) and centroids.shape == (k, points.shape[1])
         assert np.bincount(labels, minlength=k).min() >= 1, (points, k)
         assert len(np.bincount(labels)) == k
     assert seeded >= 20
+    # Every case not seeded by k-means++ ran from its drawn rows: the NaN
+    # cases, and others whose drawn rows repeat.
+    assert len(injected) == 160 - seeded
+    assert sum(nan for nan, _ in injected) == 80
+    assert sum(repeated for nan, repeated in injected if not nan) >= 20
 
 
 def test_lloyd_distance_columns_equal_broadcast_form_bytewise():
