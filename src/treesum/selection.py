@@ -37,7 +37,6 @@ from .corpus import Document, Sentence
 from .embedding import Vector, cosine_rows, prescale_rows
 from .scoring import (
     Hyperparams,
-    NodeCentroids,
     blend_cs,
     clamp01,
     node_centroids,
@@ -105,7 +104,9 @@ class SimilarityMemo:
     the memo holds them as one ``prescale_rows`` matrix. Rows of clamped
     sentence-to-sentence similarities are computed the first time a sentence
     is selected and kept for the memo's lifetime, so selections that share a
-    memo (grid points, cluster counts) compute each pair once.
+    memo (grid points, cluster counts) compute each pair once. Similarities
+    to other vectors, such as a grouping's node centroids, come from
+    ``similarities_to``, for any number of vectors in one call.
     """
 
     def __init__(self, vectors: np.ndarray):
@@ -132,18 +133,20 @@ class SimilarityMemo:
             distinct[j] = i
         return np.stack([self.row(j) for j in distinct])[[distinct[j] for j in js]]
 
-    def node_terms(self, members: np.ndarray, centroids: NodeCentroids) -> tuple[np.ndarray, np.ndarray]:
-        """Clamped inside similarity and outside term of each sentence in
-        ``members``, in the order of ``members``."""
-        inside = self._clamped(*_prescaled(centroids.inside))[members]
-        if centroids.outside is None:
-            return inside, np.full(len(members), outside_term(None))
-        return inside, outside_term(self._clamped(*_prescaled(centroids.outside))[members])
+    def similarities_to(self, vectors: np.ndarray) -> np.ndarray:
+        """Clamped similarity of every sentence to each row of ``vectors``, as
+        a ``(rows, sentences)`` matrix: row ``c`` holds, bit for bit, what
+        ``_clamped`` gives for row ``c`` of ``vectors`` prescaled alone.
 
-
-def _prescaled(vec: Vector) -> tuple[Vector, float]:
-    scaled, norms = prescale_rows(vec[None])
-    return scaled[0], norms[0]
+        ``prescale_rows`` scales and measures each row on its own, and the
+        broadcast ``np.vecdot`` makes the same BLAS ``ddot`` per (row,
+        sentence) pair as ``cosine_rows`` does per sentence, so one call of
+        each serves every row.
+        """
+        scaled, norms = prescale_rows(vectors)
+        denom = norms[:, None] * self.norms
+        dots = np.vecdot(self.scaled, scaled[:, None, :])
+        return clamp01(np.divide(dots, denom, out=np.zeros(denom.shape), where=denom != 0.0))
 
 
 class ScoreContext:
@@ -156,11 +159,15 @@ class ScoreContext:
     pairs in (doc_index, sent_index) order; ``groups`` holds, per node in
     visiting order, (node_id, members, inside, outside): the sorted indices
     of its member sentences and, for each member, its clamped inside
-    similarity and outside term. ``position`` holds every sentence's position
-    score and ``tree`` the class tree the nodes came from (None for the
-    groupings without one). Selection under any delta and weights reuses
-    them, and the sentence sizes of each budget unit (``sizes``); contexts
-    of one topic share ``sentences``, ``position`` and ``memo``.
+    similarity and outside term. Each node's inside and outside centroids
+    come from ``scoring.node_centroids``; every centroid's similarities to
+    every sentence come from one ``SimilarityMemo.similarities_to`` call
+    over all of them, stacked, and each node takes its members' entries.
+    ``position`` holds every sentence's position score and ``tree`` the
+    class tree the nodes came from (None for the groupings without one).
+    Selection under any delta and weights reuses them, and the sentence
+    sizes of each budget unit (``sizes``); contexts of one topic share
+    ``sentences``, ``position`` and ``memo``.
     """
 
     def __init__(
@@ -177,13 +184,33 @@ class ScoreContext:
         self.position = position
         self.memo = memo
         self.tree = tree
-        self.groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # Per node: its members and the rows of its inside and outside
+        # centroids in ``stacked`` (None for no outside).
+        stacked: list[np.ndarray] = []
+        node_rows = []
         for node_id, items in nodes:
             items = np.array(items, dtype=np.intp)
             in_node = np.zeros(len(universe), dtype=bool)
             in_node[items] = True
-            members = np.flatnonzero(in_node[owner])
-            self.groups.append((node_id, members, *memo.node_terms(members, node_centroids(universe, items))))
+            centroids = node_centroids(universe, items)
+            inside, outside = len(stacked), None
+            stacked.append(centroids.inside)
+            if centroids.outside is not None:
+                outside = len(stacked)
+                stacked.append(centroids.outside)
+            node_rows.append((node_id, np.flatnonzero(in_node[owner]), inside, outside))
+        sims = memo.similarities_to(np.stack(stacked))
+        self.groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = [
+            (
+                node_id,
+                members,
+                sims[inside].take(members),
+                np.full(len(members), outside_term(None))
+                if outside is None
+                else outside_term(sims[outside].take(members)),
+            )
+            for node_id, members, inside, outside in node_rows
+        ]
         self.order = [node_id for node_id, *_ in self.groups]
         self._sizes: dict[str, np.ndarray] = {}
 

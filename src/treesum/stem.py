@@ -44,43 +44,6 @@ def _pattern(word: str) -> str:
     return "".join(out)
 
 
-def _ends_cvc(word: str, pattern: str) -> bool:
-    return pattern.endswith("cvc") and word[-1] not in "wxy"
-
-
-def _post_ed_ing(word: str, pattern: str) -> tuple[str, str]:
-    if word.endswith(("at", "bl", "iz")):
-        return word + "e", pattern + "v"
-    # A double consonant other than l, s or z loses one letter.
-    if len(word) >= 2 and word[-1] == word[-2] and pattern[-1] == "c" and word[-1] not in "lsz":
-        return word[:-1], pattern[:-1]
-    if pattern.count("vc") == 1 and _ends_cvc(word, pattern):
-        return word + "e", pattern + "v"
-    return word, pattern
-
-
-def _step1ab(word: str, pattern: str) -> tuple[str, str]:
-    if word.endswith(("sses", "ies")):
-        word, pattern = word[:-2], pattern[:-2]
-    elif word.endswith("s") and word[-2] != "s":
-        word, pattern = word[:-1], pattern[:-1]
-
-    if word.endswith("eed"):
-        if pattern[:-3].count("vc") > 0:
-            word, pattern = word[:-1], pattern[:-1]
-    elif word.endswith("ed") and "v" in pattern[:-2]:
-        word, pattern = _post_ed_ing(word[:-2], pattern[:-2])
-    elif word.endswith("ing") and "v" in pattern[:-3]:
-        word, pattern = _post_ed_ing(word[:-3], pattern[:-3])
-    return word, pattern
-
-
-def _step1c(word: str, pattern: str) -> tuple[str, str]:
-    if word.endswith("y") and "v" in pattern[:-1]:
-        return word[:-1] + "i", pattern[:-1] + "v"
-    return word, pattern
-
-
 # (suffix, replacement) pairs; within each step the longest matching suffix
 # decides, applied only when the remaining stem's measure clears the bar.
 # Where one suffix ends another, the longer comes first, so this is also
@@ -138,49 +101,73 @@ def _longest_suffix(word: str, table) -> tuple[int, tuple[str, str]] | None:
     return None
 
 
-def _apply_rules(word: str, pattern: str, table) -> tuple[str, str]:
-    found = _longest_suffix(word, table)
-    if found is not None:
-        n, (replacement, replacement_pattern) = found
-        if pattern[:-n].count("vc") > 0:
-            return word[:-n] + replacement, pattern[:-n] + replacement_pattern
-    return word, pattern
-
-
-def _step4(word: str, pattern: str) -> tuple[str, str]:
-    found = _longest_suffix(word, _STEP4)
-    if found is not None:
-        n = found[0]
-        if n == 3 and word.endswith("ion") and word[-4:-3] not in ("s", "t"):
-            return word, pattern
-        if pattern[:-n].count("vc") > 1:
-            return word[:-n], pattern[:-n]
-    return word, pattern
-
-
-def _step5(word: str, pattern: str) -> str:
-    if word.endswith("e"):
-        m = pattern[:-1].count("vc")
-        if m > 1 or (m == 1 and not _ends_cvc(word[:-1], pattern[:-1])):
-            word, pattern = word[:-1], pattern[:-1]
-    if word.endswith("ll") and pattern.count("vc") > 1:
-        return word[:-1]
-    return word
-
-
 def porter_stem(token: str) -> str:
     """Stem a single lowercase token; uppercase input is lowercased first.
 
-    Each step finds its suffix by ``word[-n:]`` lookups, longest first, and
-    reads every measure from the word's consonant/vowel pattern (see the
-    module docstring) instead of classifying characters one call at a time.
+    The steps run inline, each finding its suffix by ``word[-n:]`` lookups
+    keyed on the word's last letter, longest first (``_longest_suffix``),
+    and reading every measure from the word's consonant/vowel pattern (see
+    the module docstring) instead of classifying characters one call at a
+    time. ``word`` and ``pattern`` change together, so each condition reads
+    the pattern of the word as it stands.
     """
     word = token.lower()
     if len(word) <= 2:
         return word
-    word, pattern = _step1ab(word, _pattern(word))
-    word, pattern = _step1c(word, pattern)
-    word, pattern = _apply_rules(word, pattern, _STEP2)
-    word, pattern = _apply_rules(word, pattern, _STEP3)
-    word, pattern = _step4(word, pattern)
-    return _step5(word, pattern)
+    pattern = _pattern(word)
+
+    # Step 1a: plurals.
+    if word[-1] == "s":
+        if word.endswith(("sses", "ies")):
+            word, pattern = word[:-2], pattern[:-2]
+        elif word[-2] != "s":
+            word, pattern = word[:-1], pattern[:-1]
+
+    # Step 1b: -eed, -ed, -ing; a stem left by -ed or -ing is then tidied.
+    last = word[-1]
+    trimmed = False
+    if last == "d":
+        if word.endswith("eed"):
+            if "vc" in pattern[:-3]:
+                word, pattern = word[:-1], pattern[:-1]
+        elif word.endswith("ed") and "v" in pattern[:-2]:
+            word, pattern, trimmed = word[:-2], pattern[:-2], True
+    elif last == "g" and word.endswith("ing") and "v" in pattern[:-3]:
+        word, pattern, trimmed = word[:-3], pattern[:-3], True
+    if trimmed:
+        if word.endswith(("at", "bl", "iz")):
+            word, pattern = word + "e", pattern + "v"
+        # A double consonant other than l, s or z loses one letter.
+        elif len(word) >= 2 and word[-1] == word[-2] and pattern[-1] == "c" and word[-1] not in "lsz":
+            word, pattern = word[:-1], pattern[:-1]
+        elif pattern.count("vc") == 1 and pattern.endswith("cvc") and word[-1] not in "wxy":
+            word, pattern = word + "e", pattern + "v"
+
+    # Step 1c: a final y after a vowel-holding stem becomes i.
+    if word[-1] == "y" and "v" in pattern[:-1]:
+        word, pattern = word[:-1] + "i", pattern[:-1] + "v"
+
+    # Steps 2 and 3: suffix replacements for a stem of measure > 0.
+    for table in (_STEP2, _STEP3):
+        found = _longest_suffix(word, table)
+        if found is not None:
+            n, (replacement, replacement_pattern) = found
+            if "vc" in pattern[:-n]:
+                word, pattern = word[:-n] + replacement, pattern[:-n] + replacement_pattern
+
+    # Step 4: suffix removal for a stem of measure > 1; -ion only after s or t.
+    found = _longest_suffix(word, _STEP4)
+    if found is not None:
+        n = found[0]
+        if not (n == 3 and word.endswith("ion") and word[-4:-3] not in ("s", "t")):
+            if pattern[:-n].count("vc") > 1:
+                word, pattern = word[:-n], pattern[:-n]
+
+    # Step 5: a final e, then a final double l.
+    if word[-1] == "e":
+        m = pattern[:-1].count("vc")
+        if m > 1 or (m == 1 and not (pattern[:-1].endswith("cvc") and word[-2] not in "wxy")):
+            word, pattern = word[:-1], pattern[:-1]
+    if word.endswith("ll") and pattern.count("vc") > 1:
+        return word[:-1]
+    return word

@@ -366,8 +366,18 @@ def _move_row(
     return growth * bound + pair_error / new_count + _SAFETY * rounding
 
 
-# The most moves one refinement makes.
-_MAX_SWEEPS = 200
+def _move_guard(n: int, k: int) -> int:
+    """The most moves one refinement of ``n`` points into ``k`` clusters
+    makes: ``n * k``.
+
+    Every move lowers the objective, so in exact arithmetic a refinement
+    ends at a local optimum whatever the guard; the ``-1e-12`` threshold
+    does not rule out a cycle that rounding might make, and the guard stops
+    one. It grows with the input, since real refinements of a few hundred
+    points take a few hundred moves (225 for a sentence split of n = 300,
+    k = 3, on a generated bench corpus).
+    """
+    return n * k
 
 
 def _best_move(dists: np.ndarray, labels: np.ndarray, counts: list[float]) -> tuple[int, int] | None:
@@ -379,17 +389,30 @@ def _best_move(dists: np.ndarray, labels: np.ndarray, counts: list[float]) -> tu
     ``gain_j d(i, c_j) - loss_s d(i, c_s)`` in (row, cluster) order, with
     ``gain_j = n_j/(n_j+1)`` and ``loss_s = n_s/(n_s-1)``, when it is below
     ``-1e-12``. Moves to the point's own cluster and moves out of a
-    singleton are never candidates.
+    singleton are never candidates. A NaN candidate delta gives None, as
+    an ``argmin`` over the deltas would pick that NaN.
+
+    The deltas are Python floats from ``dists.tolist()``, each
+    ``d * gain - loss * d_own`` with the two roundings of the array form,
+    so the move is the array form's bit for bit; the matrices here are a
+    few rows by ``k``, where numpy's fixed cost per call outweighs the
+    arithmetic.
     """
-    rows = np.arange(len(labels))
-    loss = np.array([c / max(c - 1.0, 0.5) for c in counts])
-    deltas = dists * np.array([c / (c + 1.0) for c in counts])
-    deltas -= (loss[labels] * dists[rows, labels])[:, None]
-    deltas[rows, labels] = np.inf
-    if min(counts) <= 1:
-        deltas[np.array(counts)[labels] <= 1] = np.inf
-    best = int(deltas.argmin())
-    return divmod(best, len(counts)) if deltas.flat[best] < -1e-12 else None
+    gains = [c / (c + 1.0) for c in counts]
+    losses = [c / max(c - 1.0, 0.5) for c in counts]
+    best, move = -1e-12, None
+    for i, (row, s) in enumerate(zip(dists.tolist(), labels.tolist())):
+        if counts[s] <= 1:
+            continue
+        loss_own = losses[s] * row[s]
+        for j, (d, gain) in enumerate(zip(row, gains)):
+            if j != s:
+                delta = d * gain - loss_own
+                if delta < best:
+                    best, move = delta, (i, j)
+                elif delta != delta:
+                    return None
+    return move
 
 
 def _refine_labels(
@@ -398,7 +421,7 @@ def _refine_labels(
     centroids: np.ndarray,
     pairwise: _PairwiseRows,
     sq_norms: np.ndarray,
-    max_sweeps: int = _MAX_SWEEPS,
+    max_sweeps: int | None = None,
     dists: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-point improvement sweeps after Lloyd converges.
@@ -416,7 +439,8 @@ def _refine_labels(
     ``n_j/(n_j+1) * d(i, c_j)^2 - n_s/(n_s-1) * d(i, c_s)^2`` (Hartigan &
     Wong 1979). Applying the best strictly-improving move per sweep is
     deterministic, terminates (the objective decreases each time) and never
-    empties a cluster.
+    empties a cluster. At most ``max_sweeps`` moves are made, by default
+    ``_move_guard(n, k)``, which only a rounding cycle could reach.
 
     Every move applied is the one the exact rule picks (``_best_move``):
     the minimum of the (n, k) matrix of deltas built from difference-form
@@ -478,7 +502,7 @@ def _refine_restarts(
     starts: Sequence[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]],
     pairwise: _PairwiseRows,
     sq_norms: np.ndarray,
-    max_sweeps: int = _MAX_SWEEPS,
+    max_sweeps: int | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The labels and centroids ``_refine_labels`` gives each restart's
     ``(labels, centroids, dists)`` in ``starts``, in order, from sweeps run
@@ -497,6 +521,8 @@ def _refine_restarts(
     """
     n, dim = points.shape
     k = len(starts[0][1])
+    if max_sweeps is None:
+        max_sweeps = _move_guard(n, k)
     max_sq_norm = float(sq_norms.max())
     reach = _reach(max_sq_norm, dim)
     exact_error = _mean_error(n, reach, dim)
@@ -633,7 +659,7 @@ def _exact_refine(
     points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, dists: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_refine_labels`` without the screen: each sweep, up to
-    ``_MAX_SWEEPS``, applies the move of the exact rule it certifies
+    ``_move_guard(n, k)`` of them, applies the move of the exact rule
     (``_best_move``).
 
     ``centroids`` must be ``_cluster_means(points, labels, k)`` and
@@ -642,7 +668,7 @@ def _exact_refine(
     ``_cluster_mean`` and distance columns.
     """
     counts = np.bincount(labels, minlength=len(centroids)).tolist()
-    for _ in range(_MAX_SWEEPS):
+    for _ in range(_move_guard(len(points), len(centroids))):
         move = _best_move(dists, labels, counts)
         if move is None:
             break
@@ -721,6 +747,9 @@ def kmeans(
     restart runs Lloyd iterations to convergence and then a
     deterministic single-point refinement pass, which escapes the
     centroid-stable local optima plain Lloyd gets stuck in on small inputs.
+    The refinement moves one point at a time until no move lowers the
+    objective, guarded at ``n * k`` moves (``_move_guard``); each move the
+    exact rule picks comes from ``_best_move``, on Python floats.
 
     Both paths give the same bits; ``n^2 d`` picks one. Below
     ``_TABLE_LIMIT`` (2^16, about 0.5 MB for the table and its broadcast

@@ -293,7 +293,9 @@ def broadcast_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
 
 
-def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: int = 200) -> np.ndarray:
+def scalar_refine_labels(
+    points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: int | None = None
+) -> np.ndarray:
     """Reference single-point refinement: one scalar delta per (point, cluster).
 
     The original loop form of ``treesum.tree._refine_labels``. Each sweep
@@ -302,10 +304,12 @@ def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_swe
     applies that one move. The vectorized version must return exactly the
     same labels. Each sweep takes its distances from one
     ``broadcast_sq_dists`` call, whose entries are the scalar
-    ``np.sum((points[i] - centroids[j]) ** 2)``.
+    ``np.sum((points[i] - centroids[j]) ** 2)``. At most ``max_sweeps``
+    moves are made, by default ``n * k``, the guard ``_refine_labels``
+    keeps.
     """
     labels = labels.copy()
-    for _ in range(max_sweeps):
+    for _ in range(len(points) * k if max_sweeps is None else max_sweeps):
         counts = np.bincount(labels, minlength=k).astype(float)
         centroids = np.stack([points[labels == j].mean(axis=0) for j in range(k)])
         dists = broadcast_sq_dists(points, centroids).tolist()
@@ -328,6 +332,21 @@ def scalar_refine_labels(points: np.ndarray, labels: np.ndarray, k: int, max_swe
             return labels
         labels[best_move[0]] = best_move[1]
     return labels
+
+
+def array_best_move(dists: np.ndarray, labels: np.ndarray, counts: list[float]) -> tuple[int, int] | None:
+    """Reference ``treesum.tree._best_move``: its earlier numpy form, one
+    ``(n, k)`` delta matrix, masked with ``inf``, and its ``argmin``, which
+    takes the first of exact ties and a NaN wherever there is one."""
+    rows = np.arange(len(labels))
+    loss = np.array([c / max(c - 1.0, 0.5) for c in counts])
+    deltas = dists * np.array([c / (c + 1.0) for c in counts])
+    deltas -= (loss[labels] * dists[rows, labels])[:, None]
+    deltas[rows, labels] = np.inf
+    if min(counts) <= 1:
+        deltas[np.array(counts)[labels] <= 1] = np.inf
+    best = int(deltas.argmin())
+    return divmod(best, len(counts)) if deltas.flat[best] < -1e-12 else None
 
 
 def reference_kmeans(

@@ -1044,6 +1044,28 @@ _CONFIG_ERROR_ROWS = {
 }
 
 
+# ``summarize`` rows that each reach one check of ``corpus.py`` on a JSONL
+# corpus: the one topic record of the corpus file.
+_DOC = {"doc_id": "d", "text": "One line."}
+_JSONL_ERROR_ROWS = {
+    "JSONL topic of zero documents": {"topic_id": "t", "documents": []},
+    "JSONL topic_id not a string": {"topic_id": 7, "documents": [_DOC]},
+    "JSONL topic record without documents": {"topic_id": "t"},
+    "JSONL documents not a list": {"topic_id": "t", "documents": "One line."},
+    "JSONL document record without text": {"topic_id": "t", "documents": [{"doc_id": "d"}]},
+    "JSONL doc_id not a string": {"topic_id": "t", "documents": [{"doc_id": 1, "text": "One line."}]},
+    "JSONL references not a list of strings": {"topic_id": "t", "documents": [_DOC], "references": "A ref."},
+}
+
+# ``evaluate --summaries`` rows over a two-topic corpus: the summary records
+# they pass, and whether the corpus has references.
+_EVALUATE_ERROR_ROWS = {
+    "topic without references": (["topic0", "topic1"], False),
+    "topic without a summary": (["topic0"], True),
+    "summary naming an unknown topic": (["topic0", "topic1", "topic9"], True),
+}
+
+
 @pytest.mark.parametrize(
     "case, message",
     [
@@ -1064,6 +1086,20 @@ _CONFIG_ERROR_ROWS = {
         ("unknown report kind in the config file", "report must be 'recall' or 'f1', got 'precision'"),
         ("unknown objective in the config file", "objective must be one of r1, r2, rl, rsu4, got 'r3'"),
         ("missing config file", "missing.cfg does not exist"),
+        ("document of no sentence", "document 'a' in topic 'topic0' produced zero sentences"),
+        ("topic without docs/", "topic 'topic0' has no docs/ directory"),
+        ("topic-dirs topic of zero documents", "topic 'topic0' contains zero documents"),
+        ("corpus root that is a file", "is not a directory"),
+        ("JSONL topic of zero documents", "topic 't' contains zero documents"),
+        ("JSONL topic_id not a string", "topic record on line 1 needs a non-empty string topic_id"),
+        ("JSONL topic record without documents", "malformed topic record on line 1: 'documents'"),
+        ("JSONL documents not a list", "documents of topic 't' must be a list"),
+        ("JSONL document record without text", "malformed document record in topic 't': 'text'"),
+        ("JSONL doc_id not a string", "document 0 in topic 't' needs string doc_id and text"),
+        ("JSONL references not a list of strings", "references of topic 't' must be a list of strings"),
+        ("topic without references", "topic 'topic0' has no reference summaries"),
+        ("topic without a summary", "no summary provided for topic 'topic1'"),
+        ("summary naming an unknown topic", "summaries name topics not in the corpus: ['topic9']"),
     ],
 )
 def test_cli_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case, message):
@@ -1078,6 +1114,30 @@ def test_cli_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case, mess
             flags += ["--config", str(tmp_path / "run.cfg")]
     elif case == "missing config file":
         command, flags = "summarize", [*flags, "--config", str(tmp_path / "missing.cfg")]
+    elif case in _JSONL_ERROR_ROWS:
+        (tmp_path / "corpus.jsonl").write_text(json.dumps(_JSONL_ERROR_ROWS[case]) + "\n")
+        command, flags = "summarize", ["--input", str(tmp_path / "corpus.jsonl"), "--layout", "jsonl", *_BUDGET]
+    elif case in _EVALUATE_ERROR_ROWS:
+        topic_ids, refs = _EVALUATE_ERROR_ROWS[case]
+        corpus = _write_corpus(tmp_path / "bare", refs=refs)
+        records = "".join(json.dumps({"topic_id": tid, "summary": "City news."}) + "\n" for tid in topic_ids)
+        (tmp_path / "summaries.jsonl").write_text(records)
+        flags = ["--input", str(corpus), *_BUDGET, "--summaries", str(tmp_path / "summaries.jsonl")]
+    elif case == "document of no sentence":
+        (corpus / "topic0" / "docs" / "a.txt").write_text(" \n\t\n")
+        command = "summarize"
+    elif case == "topic without docs/":
+        for doc in (corpus / "topic0" / "docs").iterdir():
+            doc.unlink()
+        (corpus / "topic0" / "docs").rmdir()
+        command = "summarize"
+    elif case == "topic-dirs topic of zero documents":
+        for doc in (corpus / "topic0" / "docs").iterdir():
+            doc.unlink()
+        command = "summarize"
+    elif case == "corpus root that is a file":
+        (tmp_path / "corpus.txt").write_text("One line.\n")
+        command, flags = "summarize", ["--input", str(tmp_path / "corpus.txt"), *_BUDGET]
     elif case == "no corpus":
         (tmp_path / "run.cfg").write_text("seed = 3\n")
         command, flags = "summarize", ["--config", str(tmp_path / "run.cfg"), *_BUDGET]

@@ -73,8 +73,14 @@ def _suffixed_tokens(rng: random.Random, count: int) -> list[str]:
 
 def test_table_driven_stemmer_matches_the_character_loop_oracle():
     """Differential check against the character-at-a-time stemmer: the frozen
-    vocabulary holds no digits, and a digit must count as a consonant."""
-    tokens = _suffixed_tokens(random.Random(3), 40_000) + ["c5a01e", "y1y2ying", "0ies", "9ational"]
+    vocabulary holds no digits, and a digit must count as a consonant. Both
+    lowercase first, so mixed-case copies of the tokens, short ones among
+    them, must stem alike too."""
+    rng = random.Random(3)
+    tokens = _suffixed_tokens(rng, 40_000) + ["c5a01e", "y1y2ying", "0ies", "9ational"]
+    mixed = ["".join(ch.upper() if rng.random() < 0.4 else ch for ch in token) for token in tokens[:10_000]]
+    tokens += mixed + ["Y", "By", "YY", "SSES", "IES", "HopInG", "RatIONAL", "YellING"]
+    assert sum(token != token.lower() for token in mixed) > 9_000
     mismatches = [(t, loop_porter_stem(t), porter_stem(t)) for t in tokens if porter_stem(t) != loop_porter_stem(t)]
     assert mismatches == []
 

@@ -16,6 +16,7 @@ import pytest
 import treesum
 import treesum.tree as tree_module
 from helpers import (
+    array_best_move,
     blas_kernels_selectable,
     broadcast_sq_dists,
     brute_force_min_inertia,
@@ -33,6 +34,8 @@ from treesum.tree import (
     ClassTree,
     _cluster_mean,
     _cluster_means,
+    _best_move,
+    _exact_refine,
     _exact_row_error,
     _gram_dists,
     _gram_error_bound,
@@ -227,6 +230,75 @@ def test_refine_labels_matches_scalar_oracle():
     # Every sweep cap cuts the last path short in both.
     for cap in range(1, len(path)):
         assert np.array_equal(_refine(points, labels, k, max_sweeps=cap), path[cap]), cap
+
+
+def test_refinement_runs_past_200_moves_to_a_local_optimum():
+    """A refinement whose path is longer than 200 moves, the fixed cap the
+    refinement once had, runs to the oracle's local optimum on both paths:
+    the certified ``_refine_labels`` and the table path's ``_exact_refine``.
+    Two well-separated blobs start from random labels, so about half the
+    points must move, one per sweep."""
+    rng = np.random.default_rng(2034)
+    n, k = 600, 2
+    points = np.concatenate([rng.normal(size=(n // 2, 16)), 8.0 + rng.normal(size=(n // 2, 16))])
+    labels = rng.integers(0, k, size=n)
+    expected = scalar_refine_labels(points, labels, k)
+    assert not np.array_equal(scalar_refine_labels(points, labels, k, max_sweeps=200), expected)
+    assert np.array_equal(expected, np.repeat([expected[0], 1 - expected[0]], n // 2))
+    assert np.array_equal(_refine(points, labels, k), expected)
+    centroids = _cluster_means(points, labels, k)
+    got, got_centroids = _exact_refine(points, labels.copy(), centroids, _sq_dists(points, centroids))
+    assert np.array_equal(got, expected)
+    assert got_centroids.tobytes() == _cluster_means(points, expected, k).tobytes()
+
+
+def _best_move_cases(rng):
+    """Seeded ``(dists, labels, counts)`` inputs for ``_best_move``: n from 1
+    to 300 and k from 2 to 5, with NaN distances, singleton clusters, rows
+    that are all masked, exact ties and deltas at and next to -1e-12."""
+    for case in range(1500):
+        k = 2 + case % 4
+        n = int(rng.integers(1, 301)) if case % 10 == 0 else int(rng.integers(1, 23))
+        kind = case % 5
+        if kind == 0:
+            dists = rng.random((n, k)) * rng.uniform(1e-3, 1e3)
+        elif kind == 1:  # exact ties: small integers, equal counts
+            dists = rng.integers(0, 4, size=(n, k)).astype(float)
+        else:
+            dists = rng.normal(size=(n, k)) ** 2
+        labels = rng.integers(0, k, size=n)
+        counts = rng.integers(1, 6, size=k)
+        if kind == 1:
+            counts[:] = counts[0]
+        if kind == 3:  # every row masked: each point's cluster a singleton
+            counts[labels] = 1
+        counts = counts.tolist() if case % 2 else counts.astype(float).tolist()
+        if kind == 4 or case % 7 == 0:
+            dists[rng.random((n, k)) < 0.02 * (1 + case % 3)] = np.nan
+        yield dists, labels, counts
+    # A minimum of exactly -1e-12 is no move; one a step below it is.
+    # gain 2/3, loss 2: delta = 0 * 2/3 - 2 * 5e-13 = -1e-12 exactly.
+    for own in (5e-13, np.nextafter(5e-13, 1.0)):
+        for first in range(3):
+            order = [first, (first + 1) % 3, (first + 2) % 3]
+            yield np.array([[own, 0.0], [1.0, 0.0], [0.0, 1.0]])[order], np.array([0, 1, 0])[order], [2.0, 2.0]
+
+
+def test_best_move_matches_the_array_form():
+    """``_best_move`` on Python floats picks the move of the array form it
+    replaced (``array_best_move``): the first strict minimum, None on a
+    NaN candidate delta or a minimum not below -1e-12."""
+    rng = np.random.default_rng(34)
+    outcomes = {"move": 0, "none": 0, "nan": 0, "at_threshold": 0, "below": 0}
+    for dists, labels, counts in _best_move_cases(rng):
+        expected = array_best_move(dists, labels, counts)
+        assert _best_move(dists, labels, counts) == expected, (dists, labels, counts)
+        outcomes["move" if expected is not None else "none"] += 1
+        outcomes["nan"] += expected is None and bool(np.isnan(dists).any())
+        outcomes["at_threshold"] += expected is None and bool((dists == 5e-13).any())
+        outcomes["below"] += expected is not None and bool((dists == np.nextafter(5e-13, 1.0)).any())
+    assert outcomes["move"] >= 500 and outcomes["none"] >= 300 and outcomes["nan"] >= 100, outcomes
+    assert outcomes["at_threshold"] == outcomes["below"] == 3, outcomes
 
 
 def test_oracle_sweep_distances_equal_the_scalar_form_bytewise():
