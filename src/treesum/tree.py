@@ -306,34 +306,6 @@ def _exact_row_error(
     return _gram_error_bound(dim, max_sq_norm, center_sq) + mean_error * (4.0 * reach + 3.0 * mean_error)
 
 
-class _PairwiseRows:
-    """The rows of the (n, n) Gram-form squared distances between the
-    points, whose ``|x|^2`` are ``sq_norms``: the entries ``_gram_dists``
-    gives with the points as centers, each within ``_gram_error_bound(d, M,
-    M)`` of the real squared distance, for ``M`` the largest ``|x|^2``.
-
-    ``rows[i]`` builds the block of four rows holding row ``i`` the first
-    time one of them is read, from one BLAS product, and keeps it. Each
-    block is the same product of the same operands whenever it is built,
-    so a row has the same bits however many rows are read before it.
-    """
-
-    def __init__(self, points: np.ndarray, sq_norms: np.ndarray):
-        self._points = points
-        self._sq_norms = sq_norms
-        self._blocks: dict[int, np.ndarray] = {}
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        start = i - i % 4
-        block = self._blocks.get(start)
-        if block is None:
-            block = (-2.0 * self._points[start : start + 4]) @ self._points.T
-            block += self._sq_norms
-            block += self._sq_norms[start : start + 4, None]
-            self._blocks[start] = block
-        return block[i - start]
-
-
 def _move_row(
     row: np.ndarray, pairwise_row: np.ndarray, i: int, count: float, bound: float, pair_error: float,
     reach: float, added: bool,
@@ -346,7 +318,7 @@ def _move_row(
     ``i``, each within ``pair_error`` of the real ones; ``bound`` bounds the
     row's gap to the real squared distances to the real mean, and the
     returned bound does so after the update. ``reach`` is at least every
-    ``|x|``. See ``_refine_labels`` for the identities and the bound.
+    ``|x|``. See ``_refine_restarts`` for the identities and the bound.
     """
     new_count = count + 1.0 if added else count - 1.0
     own = float(row[i]) * (count / (new_count * new_count))
@@ -415,23 +387,20 @@ def _best_move(dists: np.ndarray, labels: np.ndarray, counts: list[float]) -> tu
     return move
 
 
-def _refine_labels(
+def _refine_restarts(
     points: np.ndarray,
-    labels: np.ndarray,
-    centroids: np.ndarray,
-    pairwise: _PairwiseRows,
+    starts: Sequence[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]],
     sq_norms: np.ndarray,
     max_sweeps: int | None = None,
-    dists: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point improvement sweeps after Lloyd converges.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Single-point improvement sweeps after Lloyd converges, for each
+    restart's ``(labels, centroids, dists)`` in ``starts``; returns each
+    restart's final labels and their centroids, in order.
 
-    ``centroids`` must be ``_cluster_means(points, labels, k)``,
-    ``sq_norms`` the points' ``|x|^2`` and ``pairwise`` their
-    ``_PairwiseRows``, of which only the rows of moved points are read; the
-    final labels are returned with their centroids, computed the same way.
-    ``dists``, ``_gram_dists(centroids, points, sq_norms)``, is taken here
-    when not given; a given one is read, not changed.
+    ``centroids`` must be ``_cluster_means(points, labels, k)`` and
+    ``sq_norms`` the points' ``|x|^2``; the final centroids are computed
+    the same way. ``dists``, ``_gram_dists(centroids, points, sq_norms)``,
+    is taken here when None; a given one is read, not changed.
 
     Lloyd stops at assignments that are centroid-stable but may still admit
     an objective-reducing move of one point; the exact change of moving
@@ -439,8 +408,8 @@ def _refine_labels(
     ``n_j/(n_j+1) * d(i, c_j)^2 - n_s/(n_s-1) * d(i, c_s)^2`` (Hartigan &
     Wong 1979). Applying the best strictly-improving move per sweep is
     deterministic, terminates (the objective decreases each time) and never
-    empties a cluster. At most ``max_sweeps`` moves are made, by default
-    ``_move_guard(n, k)``, which only a rounding cycle could reach.
+    empties a cluster. At most ``max_sweeps`` moves are made per restart, by
+    default ``_move_guard(n, k)``, which only a rounding cycle could reach.
 
     Every move applied is the one the exact rule picks (``_best_move``):
     the minimum of the (n, k) matrix of deltas built from difference-form
@@ -455,12 +424,16 @@ def _refine_labels(
     Most moves are decided without any mean. Row ``G_j`` holds every
     point's squared distance to cluster j's mean. A move of point i changes
     two rows, and each follows in real arithmetic from the row itself and
-    ``P_i``, the squared distances to point i (``pairwise``): with ``m``
-    points before the move, adding i gives
-    ``G <- (m G + P_i)/(m+1) - G[i] m/(m+1)^2`` and taking it out gives
-    ``G <- (m G - P_i)/(m-1) + G[i] m/(m-1)^2`` (``_move_row``). Both come
-    from ``mu' - x_p = (m (mu - x_p) +- (x_i - x_p))/m'`` with
-    ``2 (mu - x_p).(x_i - x_p) = G[p] + P_i[p] - G[i]``.
+    ``P_i``, the squared distances to point i: with ``m`` points before the
+    move, adding i gives ``G <- (m G + P_i)/(m+1) - G[i] m/(m+1)^2`` and
+    taking it out gives ``G <- (m G - P_i)/(m-1) + G[i] m/(m-1)^2``
+    (``_move_row``). Both come from
+    ``mu' - x_p = (m (mu - x_p) +- (x_i - x_p))/m'`` with
+    ``2 (mu - x_p).(x_i - x_p) = G[p] + P_i[p] - G[i]``. ``P_i`` is the
+    Gram form ``_gram_dists(points[i : i + 1], points, sq_norms)``, each
+    entry within ``_gram_error_bound(d, M, M)`` of the real one, for ``M``
+    the largest ``|x|^2``; it is built the first time point i moves and kept
+    for the later moves of i in any restart.
 
     Each row carries a bound ``eps_j`` on its gap to the real squared
     distances to the real mean ``mu_j``, with ``R`` at least every ``|x|``
@@ -468,8 +441,8 @@ def _refine_labels(
     ``_exact_row_error``. An update scales the row's error by
     ``m/m' + m/m'^2`` (the ``G[i]`` term carries the same row's error),
     which is below 1 for an addition and at most 4 for a removal; adds
-    ``pairwise``'s entry bound over ``m'``; and adds ``_SAFETY`` times its
-    own rounding: no operand exceeds ``4 R^2 + eps`` and no intermediate
+    ``P_i``'s entry bound over ``m'``; and adds ``_SAFETY`` times its own
+    rounding: no operand exceeds ``4 R^2 + eps`` and no intermediate
     ``(m + 1)`` times that, plus four subnormals. With ``d`` the
     ``_exact_row_error`` of a center of norm ``R + e``, each ``G_j`` is
     within ``eps_j + d`` of the difference form to ``c_j``, and each delta
@@ -491,33 +464,16 @@ def _refine_labels(
     move among them. Before returning, the changed clusters get their exact
     means.
 
-    This is the one-restart case of ``_refine_restarts``, which runs the
-    sweeps of several restarts side by side.
-    """
-    return _refine_restarts(points, [(labels, centroids, dists)], pairwise, sq_norms, max_sweeps)[0]
-
-
-def _refine_restarts(
-    points: np.ndarray,
-    starts: Sequence[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]],
-    pairwise: _PairwiseRows,
-    sq_norms: np.ndarray,
-    max_sweeps: int | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The labels and centroids ``_refine_labels`` gives each restart's
-    ``(labels, centroids, dists)`` in ``starts``, in order, from sweeps run
-    side by side.
-
-    Most sweeps cost numpy's fixed price per call more than arithmetic, so
-    each pass screens every restart still refining with one call per step:
-    their Gram rows are one ``(R, k, n)`` array and their gain and loss
-    factors ``(R, k, 1)`` columns, updated at each move. Each restart then
-    decides as it would alone, from Python floats and its own slices: stop,
-    a one-point move, a rebuild of its stale means or the exact rule's move.
-    A move reads its ``pairwise`` row once and updates two rows of its own
-    restart. No step mixes restarts, so each result has the bits of that
-    restart refined alone. A restart that stops leaves the arrays before
-    the next pass.
+    The restarts' sweeps run side by side. Most sweeps cost numpy's fixed
+    price per call more than arithmetic, so each pass screens every restart
+    still refining with one call per step: their Gram rows are one
+    ``(R, k, n)`` array and their gain and loss factors ``(R, k, 1)``
+    columns, updated at each move. Each restart then decides as it would
+    alone, from Python floats and its own slices: stop, a one-point move, a
+    rebuild of its stale means or the exact rule's move. No step mixes
+    restarts, so each result has the bits of that restart refined alone,
+    whatever the bits of a shared ``P_i``. A restart that stops leaves the
+    arrays before the next pass.
     """
     n, dim = points.shape
     k = len(starts[0][1])
@@ -544,6 +500,8 @@ def _refine_restarts(
     # points are dropped below.
     gains = np.array([[c / (c + 1.0) for c in row] for row in counts])[:, :, None]
     losses = np.array([[c / max(c - 1.0, 0.5) for c in row] for row in counts])[:, :, None]
+    # ``P_i`` of each point moved so far, shared by the restarts.
+    pair_rows: dict[int, np.ndarray] = {}
     # The clusters of each restart changed since their last exact mean.
     moved: list[set[int]] = [set() for _ in starts]
     sweeps = [0] * len(starts)
@@ -605,9 +563,10 @@ def _refine_restarts(
             s = int(labels[r][i])
             labels[r][i] = t
             own_flat[a, i] = (a * k + t) * n + i
-            pairwise_row = pairwise[i]
+            if i not in pair_rows:
+                pair_rows[i] = _gram_dists(points[i : i + 1], points, sq_norms)[0][0]
             for j, added in ((t, True), (s, False)):
-                bounds[r][j] = _move_row(gram[a, j], pairwise_row, i, counts[r][j], bounds[r][j], pair_error, reach, added)
+                bounds[r][j] = _move_row(gram[a, j], pair_rows[i], i, counts[r][j], bounds[r][j], pair_error, reach, added)
             counts[r][s] -= 1.0
             counts[r][t] += 1.0
             for j in (s, t):
@@ -658,8 +617,8 @@ def _table_lloyd(
 def _exact_refine(
     points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, dists: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_refine_labels`` without the screen: each sweep, up to
-    ``_move_guard(n, k)`` of them, applies the move of the exact rule
+    """``_refine_restarts`` of one restart without the screen: each sweep,
+    up to ``_move_guard(n, k)`` of them, applies the move of the exact rule
     (``_best_move``).
 
     ``centroids`` must be ``_cluster_means(points, labels, k)`` and
@@ -706,10 +665,10 @@ def _certified_restarts(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """The labels and centroids of each restart, from its own ``_lloyd``
     run and one ``_refine_restarts`` of them all, sharing the points'
-    ``|x|^2`` and ``_PairwiseRows``."""
+    ``|x|^2``."""
     sq_norms = _sq_norms(points)
     starts = [_lloyd(points, k, rng, max_iters, sq_norms) for rng in rngs]
-    return _refine_restarts(points, starts, _PairwiseRows(points, sq_norms), sq_norms)
+    return _refine_restarts(points, starts, sq_norms)
 
 
 # ``kmeans`` inputs of fewer rows^2 x dims take ``_table_restarts``. The two
@@ -768,9 +727,9 @@ def kmeans(
     decision, so each result is the one it would reach alone
     (``_refine_restarts``). That refinement reads the squared distances
     between the points only from the rows of points it moves, each built
-    on first use, four rows at a time (``_PairwiseRows``), and shared by
-    every restart: memory is ``4 n`` floats for each block of four points
-    that ever moves, at most ``O(n^2)`` per call. Lloyd and refinement
+    from one BLAS product the first time its point moves and shared by
+    every restart: memory is ``n`` floats per distinct moved point, at most
+    ``n^2`` per call. Lloyd and refinement
     share the points' ``|x|^2``, and a refinement starts from the last Gram
     distances of the Lloyd run it follows when they were taken against the
     centroids it starts from.

@@ -298,14 +298,14 @@ def scalar_refine_labels(
 ) -> np.ndarray:
     """Reference single-point refinement: one scalar delta per (point, cluster).
 
-    The original loop form of ``treesum.tree._refine_labels``. Each sweep
+    The original loop form of ``treesum.tree._refine_restarts``. Each sweep
     walks points, then clusters, in order and keeps the first move whose
     delta is strictly below the best seen so far (starting at -1e-12), then
     applies that one move. The vectorized version must return exactly the
     same labels. Each sweep takes its distances from one
     ``broadcast_sq_dists`` call, whose entries are the scalar
     ``np.sum((points[i] - centroids[j]) ** 2)``. At most ``max_sweeps``
-    moves are made, by default ``n * k``, the guard ``_refine_labels``
+    moves are made, by default ``n * k``, the guard ``_refine_restarts``
     keeps.
     """
     labels = labels.copy()

@@ -1034,6 +1034,7 @@ _CONFIG_ERROR_ROWS = {
     "embedder spec without a colon": (None, [*_BUDGET, "--embedder", "builtin"]),
     "unknown embedder kind": (None, [*_BUDGET, "--embedder", "word2vec:300"]),
     "builtin dim not an integer": (None, [*_BUDGET, "--embedder", "builtin:wide"]),
+    "builtin dim below 2": (None, [*_BUDGET, "--embedder", "builtin:1"]),
     "workers below 1": (None, [*_BUDGET, "--workers", "0"]),
     "config line without '='": ("seed 3\n", _BUDGET),
     "config value that does not parse": ("seed = three\n", _BUDGET),
@@ -1078,6 +1079,7 @@ _EVALUATE_ERROR_ROWS = {
         ("embedder spec without a colon", "malformed embedder spec 'builtin'"),
         ("unknown embedder kind", "unknown embedder kind 'word2vec'"),
         ("builtin dim not an integer", "builtin embedder dim must be an integer: 'wide'"),
+        ("builtin dim below 2", "embedder 'builtin:1': builtin dim must be from 2 to"),
         ("workers below 1", "workers must be >= 1"),
         ("config line without '='", "run.cfg:1: expected 'key = value'"),
         ("config value that does not parse", "bad value for 'seed': 'three'"),
@@ -1090,6 +1092,7 @@ _EVALUATE_ERROR_ROWS = {
         ("topic without docs/", "topic 'topic0' has no docs/ directory"),
         ("topic-dirs topic of zero documents", "topic 'topic0' contains zero documents"),
         ("corpus root that is a file", "is not a directory"),
+        ("missing JSONL corpus", "missing.jsonl does not exist"),
         ("JSONL topic of zero documents", "topic 't' contains zero documents"),
         ("JSONL topic_id not a string", "topic record on line 1 needs a non-empty string topic_id"),
         ("JSONL topic record without documents", "malformed topic record on line 1: 'documents'"),
@@ -1138,6 +1141,8 @@ def test_cli_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case, mess
     elif case == "corpus root that is a file":
         (tmp_path / "corpus.txt").write_text("One line.\n")
         command, flags = "summarize", ["--input", str(tmp_path / "corpus.txt"), *_BUDGET]
+    elif case == "missing JSONL corpus":
+        command, flags = "summarize", ["--input", str(tmp_path / "missing.jsonl"), "--layout", "jsonl", *_BUDGET]
     elif case == "no corpus":
         (tmp_path / "run.cfg").write_text("seed = 3\n")
         command, flags = "summarize", ["--config", str(tmp_path / "run.cfg"), *_BUDGET]
@@ -1152,6 +1157,35 @@ def test_cli_input_error_exits_2_and_writes_nothing(tmp_path, capsys, case, mess
     else:
         command, flags = "tune", [*flags, "--weights", "0.5,0.5"]
     assert main([command, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# ``summarize --embedder file:`` rows: the one record of the embedding file.
+_EMBEDDING_ERROR_ROWS = {
+    "embedding record without key": {"vector": [1.0, 0.0]},
+    "embedding record without vector": {"key": "topic0/d0/s0"},
+}
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing embedding file", "missing.jsonl does not exist"),
+        ("embedding record without key", "malformed record on line 1 of"),
+        ("embedding record without vector", "malformed record on line 1 of"),
+    ],
+)
+def test_cli_provider_error_exits_3_and_writes_nothing(tmp_path, capsys, case, message):
+    corpus = _write_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    vectors = tmp_path / "missing.jsonl"
+    if case in _EMBEDDING_ERROR_ROWS:
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text(json.dumps(_EMBEDDING_ERROR_ROWS[case]) + "\n")
+    argv = ["summarize", "--input", str(corpus), "--embedder", f"file:{vectors}", *_BUDGET, "--out", str(out)]
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()

@@ -43,9 +43,7 @@ from treesum.tree import (
     _lloyd,
     _mean_error,
     _move_row,
-    _PairwiseRows,
     _reach,
-    _refine_labels,
     _refine_restarts,
     _sq_dists,
     _sq_norms,
@@ -159,17 +157,12 @@ def _start_labels(rng, points, k):
     yield singleton
 
 
-def _refine_args(points):
-    """The points' ``_PairwiseRows`` and ``|x|^2``, as ``kmeans`` passes them."""
-    sq_norms = _sq_norms(points)
-    return _PairwiseRows(points, sq_norms), sq_norms
-
-
-def _refine(points, labels, k, **kwargs):
-    """``_refine_labels`` from the labels' own centroids; checks that the
-    centroids it returns are those of its labels, byte for byte."""
+def _refine(points, labels, k, max_sweeps=None):
+    """``_refine_restarts`` of one restart from the labels' own centroids;
+    checks that the centroids it returns are those of its labels, byte for
+    byte."""
     start = _cluster_means(points, labels, k)
-    got, centroids = _refine_labels(points, labels, start, *_refine_args(points), **kwargs)
+    got, centroids = _refine_restarts(points, [(labels, start, None)], _sq_norms(points), max_sweeps)[0]
     assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
     return got
 
@@ -235,7 +228,7 @@ def test_refine_labels_matches_scalar_oracle():
 def test_refinement_runs_past_200_moves_to_a_local_optimum():
     """A refinement whose path is longer than 200 moves, the fixed cap the
     refinement once had, runs to the oracle's local optimum on both paths:
-    the certified ``_refine_labels`` and the table path's ``_exact_refine``.
+    the certified ``_refine_restarts`` and the table path's ``_exact_refine``.
     Two well-separated blobs start from random labels, so about half the
     points must move, one per sweep."""
     rng = np.random.default_rng(2034)
@@ -326,33 +319,39 @@ def _scalar_path(points, labels, k):
         path.append(step)
 
 
-def _counted_refine(monkeypatch, points, labels, k, **kwargs):
-    """``_refine_labels`` from the labels' own centroids: its labels, for
-    each exact mean it takes the labels that mean is taken under, and the
-    number of BLAS products (``_gram_dists`` calls) it makes.
+def _counted_refine(monkeypatch, points, labels, k, max_sweeps=None):
+    """``_refine_restarts`` of one restart from the labels' own centroids:
+    its labels, for each exact mean it takes the labels that mean is taken
+    under, and the number of BLAS products (``_gram_dists`` calls) it makes
+    of mean rows and of pairwise rows, told apart by whether the centers are
+    a view of ``points``.
 
     The final means are taken under the final labels, so every entry under
     other labels belongs to a fallback sweep, which takes at most ``k``.
     """
     start = _cluster_means(points, labels, k)
-    args = _refine_args(points)
     seen = []
-    products = []
+    products = {"mean": 0, "pair": 0}
 
     def counted(points, labels, j):
         seen.append(labels.tobytes())
         return _cluster_mean(points, labels, j)
 
-    def counted_product(*args):
-        products.append(1)
-        return _gram_dists(*args)
+    def counted_product(centers, rows, sq_norms):
+        products["pair" if np.shares_memory(centers, rows) else "mean"] += 1
+        return _gram_dists(centers, rows, sq_norms)
 
     with monkeypatch.context() as patch:
         patch.setattr(treesum.tree, "_cluster_mean", counted)
         patch.setattr(treesum.tree, "_gram_dists", counted_product)
-        got, centroids = _refine_labels(points, labels, start, *args, **kwargs)
+        got, centroids = _refine_restarts(points, [(labels, start, None)], _sq_norms(points), max_sweeps)[0]
     assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
-    return got, seen, len(products)
+    return got, seen, products["mean"], products["pair"]
+
+
+def _moved_points(path):
+    """The distinct points whose labels change along ``path``."""
+    return {int(i) for before, after in zip(path, path[1:]) for i in np.flatnonzero(before != after)}
 
 
 def test_refine_labels_takes_exact_means_only_on_fallbacks_and_at_the_end(monkeypatch):
@@ -362,7 +361,7 @@ def test_refine_labels_takes_exact_means_only_on_fallbacks_and_at_the_end(monkey
         path = _scalar_path(points, labels, k)
         moves = len(path) - 1
         assert moves >= 20
-        got, seen, _ = _counted_refine(monkeypatch, points, labels, k)
+        got, seen, *_ = _counted_refine(monkeypatch, points, labels, k)
         assert np.array_equal(got, path[-1]), (n, k)
         fallbacks = {state for state in seen if state != got.tobytes()}
         assert len(seen) <= k * (1 + len(fallbacks)), (n, k)
@@ -375,34 +374,39 @@ def test_refine_labels_takes_exact_means_only_on_fallbacks_and_at_the_end(monkey
     for _ in range(10):
         points, labels, k = _near_tie_case(rng)
         path = _scalar_path(points, labels, k)
-        got, seen, _ = _counted_refine(monkeypatch, points, labels, k)
+        got, seen, *_ = _counted_refine(monkeypatch, points, labels, k)
         assert np.array_equal(got, path[-1])
         fell_back += any(state != got.tobytes() for state in seen)
         for cap in range(1, len(path)):
-            got, seen, _ = _counted_refine(monkeypatch, points, labels, k, max_sweeps=cap)
+            got, seen, *_ = _counted_refine(monkeypatch, points, labels, k, max_sweeps=cap)
             assert np.array_equal(got, path[cap]), cap
             capped_after_fallback += path[cap - 1].tobytes() in seen
     assert fell_back >= 1 and capped_after_fallback >= 1
 
 
 def test_refine_labels_makes_blas_products_only_to_start_and_on_fallbacks(monkeypatch):
-    """A move updates its two rows from ``pairwise`` alone: one BLAS
-    product builds the rows at the start and one more each fallback."""
+    """A move updates its two rows from the moved point's pairwise row
+    alone: one BLAS product builds the mean rows at the start and one more
+    each fallback, and each distinct moved point's pairwise row is one
+    product, made on its first move and read again on its later ones."""
     rng = np.random.default_rng(1979)
     for n, k in ((150, 2), (300, 5)):
         points, labels = _sparse_long_path_case(rng, n, k)
         path = _scalar_path(points, labels, k)
-        got, seen, products = _counted_refine(monkeypatch, points, labels, k)
+        got, seen, products, pair_products = _counted_refine(monkeypatch, points, labels, k)
         assert np.array_equal(got, path[-1]), (n, k)
         fallbacks = {state for state in seen if state != got.tobytes()}
         assert len(path) - 1 >= 20
         assert products <= 1 + len(fallbacks), (n, k, products, len(path) - 1)
-    # Every sweep cap along the longer path (74 moves).
-    assert len(path) - 1 >= 70
+        assert pair_products == len(_moved_points(path)), (n, k, pair_products)
+    # The longer path makes 74 moves of 69 distinct points; every
+    # sweep cap along it.
+    assert len(path) - 1 >= 70 and len(_moved_points(path)) < len(path) - 1
     for cap in range(1, len(path)):
-        got, seen, products = _counted_refine(monkeypatch, points, labels, k, max_sweeps=cap)
+        got, seen, products, pair_products = _counted_refine(monkeypatch, points, labels, k, max_sweeps=cap)
         assert np.array_equal(got, path[cap]), cap
         assert products <= 1 + len({state for state in seen if state != got.tobytes()}), cap
+        assert pair_products == len(_moved_points(path[: cap + 1])), cap
 
 
 def _fraction_sq_dists(points, center):
@@ -426,8 +430,9 @@ def _move_row_updates():
     ``_move_row`` update of cluster 0's row: ``(case, scale, tight, points,
     labels, row, bound, screen_gap)``.
 
-    Half the sequences run as the refinement does: ``_PairwiseRows`` with
-    ``_gram_error_bound``, and a row built from an exact mean with
+    Half the sequences run as the refinement does: each moved point's
+    pairwise row from ``_gram_dists(points[i : i + 1], points, sq_norms)``
+    with ``_gram_error_bound``, and a row built from an exact mean with
     ``_exact_row_error``. The other half start from correctly rounded
     distances, a row with an offset of up to 1e-6 of its values, and each
     bound the exact gap, so the update's own terms carry the bound. At
@@ -460,7 +465,6 @@ def _move_row_updates():
             row = np.array([float(v) + offset for v in real])
             bound = _float_above(_max_gap(row, real))
         else:
-            pairwise = _PairwiseRows(points, sq_norms)
             pair_error = _gram_error_bound(dim, max_sq_norm, max_sq_norm)
             gram, center_sq = _gram_dists(_cluster_mean(points, labels, 0)[None], points, sq_norms)
             row = gram[0]
@@ -469,7 +473,8 @@ def _move_row_updates():
             inside, outside = np.flatnonzero(labels == 0), np.flatnonzero(labels != 0)
             added = outside.size > 0 and (inside.size < 2 or rng.random() < 0.5)
             i = int(rng.choice(outside if added else inside))
-            bound = _move_row(row, pairwise[i], i, float(inside.size), bound, pair_error, reach, added)
+            pair_row = pairwise[i] if tight else _gram_dists(points[i : i + 1], points, sq_norms)[0][0]
+            bound = _move_row(row, pair_row, i, float(inside.size), bound, pair_error, reach, added)
             labels[i] = 0 if added else 1
             yield case, scale, tight, points, labels.copy(), row.copy(), bound, screen_gap
 
@@ -497,26 +502,6 @@ def test_move_row_bound_with_the_screen_gap_covers_distances_to_the_exact_means(
     for case, scale, tight, points, labels, row, bound, screen_gap in _move_row_updates():
         exact = _sq_dists(points, _cluster_mean(points, labels, 0)[None])[:, 0].tolist()
         assert _max_gap(row, map(Fraction, exact)) <= Fraction(bound) + Fraction(screen_gap), (case, scale, tight)
-
-
-def test_pairwise_rows_are_built_on_first_read_with_the_whole_matrix_bits():
-    """Rows read in any order equal the whole matrix built four rows per
-    BLAS product, and only the blocks of rows read are built."""
-    rng = np.random.default_rng(2206)
-    for n, dim in ((1, 3), (6, 2), (13, 384), (300, 128)):
-        points = rng.normal(size=(n, dim)) if dim != 128 else _sparse_points(rng, n)
-        sq_norms = _sq_norms(points)
-        whole = np.empty((n, n))
-        for start in range(0, n, 4):
-            np.matmul(-2.0 * points[start : start + 4], points.T, out=whole[start : start + 4])
-        whole += sq_norms
-        whole += sq_norms[:, None]
-        rows = _PairwiseRows(points, sq_norms)
-        read = rng.choice(n, size=max(1, n // 5), replace=False)
-        for i in read:
-            assert rows[int(i)].tobytes() == whole[i].tobytes(), (n, i)
-        assert len(rows._blocks) == len({int(i) // 4 for i in read})
-        assert np.stack([rows[i] for i in range(n)]).tobytes() == whole.tobytes()
 
 
 def _tied_targets_case(rng):
@@ -580,11 +565,11 @@ def test_refine_labels_keeps_a_nan_gram_delta_near():
         labels = rng.integers(0, k, size=n)
         labels[rng.permutation(n)[:k]] = np.arange(k)
         start = _cluster_means(points, labels, k)
-        pairwise, sq_norms = _refine_args(points)
+        sq_norms = _sq_norms(points)
         dists = _gram_dists(start, points, sq_norms)
         dists[0][rng.integers(k), rng.integers(n)] = np.nan
         expected = scalar_refine_labels(points, labels, k)
-        got, _ = _refine_labels(points, labels, start, pairwise, sq_norms, dists=dists)
+        got, _ = _refine_restarts(points, [(labels, start, dists)], sq_norms)[0]
         assert np.array_equal(got, expected)
         moved += not np.array_equal(expected, labels)
     assert moved >= 190
@@ -615,27 +600,32 @@ def _restart_starts(rng, points, k, count):
 
 def test_refining_restarts_together_equals_each_restart_alone(monkeypatch):
     """``_refine_restarts`` over several starts gives, bit for bit, the
-    labels and centroids of one ``_refine_labels`` run per start: restarts
-    that stop after different numbers of moves, a sweep cap that cuts some
-    of them short while others stop first, a singleton cluster beside
-    restarts without one, and, with ``_SAFETY`` raised so that the screen
-    leaves more points near, stale-mean rebuilds and the exact rule's
-    moves."""
+    labels and centroids of one run per start: restarts that stop after
+    different numbers of moves, a sweep cap that cuts some of them short
+    while others stop first, a singleton cluster beside restarts without
+    one, and, with ``_SAFETY`` raised so that the screen leaves more points
+    near, stale-mean rebuilds and the exact rule's moves. The restarts share
+    the pairwise rows of the points they move, so together they build no
+    more of them than the runs alone, and fewer where two restarts move the
+    same point."""
     rng = np.random.default_rng(2033)
-    calls = {"_move_row": 0, "_gram_dists": 0, "_best_move": 0}
+    calls = {"_move_row": 0, "_gram_dists": 0, "_best_move": 0, "pairwise": 0}
 
     def counting(name):
         real = getattr(tree_module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            # A product over a view of the points builds a pairwise row,
+            # not the rows of means.
+            pairwise = name == "_gram_dists" and np.shares_memory(args[0], args[1])
+            calls["pairwise" if pairwise else name] += 1
             return real(*args, **kwargs)
 
         return counted
 
-    for name in calls:
+    for name in ("_move_row", "_gram_dists", "_best_move"):
         monkeypatch.setattr(tree_module, name, counting(name))
-    mixed_stops = capped_and_stopped = 0
+    mixed_stops = capped_and_stopped = shared = 0
     totals = {}
     for safety in (8.0, 2.0**30):
         monkeypatch.setattr(tree_module, "_SAFETY", safety)
@@ -644,25 +634,29 @@ def test_refining_restarts_together_equals_each_restart_alone(monkeypatch):
             n, k = (60, 120, 200)[case % 3], 2 + case % 4
             points = _sparse_points(rng, n)
             sq_norms = _sq_norms(points)
-            pairwise = _PairwiseRows(points, sq_norms)
             starts = _restart_starts(rng, points, k, 4)
             moves = []
-            for labels, centroids, dists in starts:
+            for start in starts:
                 count = calls["_move_row"]
-                _refine_labels(points, labels, centroids, pairwise, sq_norms, dists=dists)
+                _refine_restarts(points, [start], sq_norms)
                 moves.append((calls["_move_row"] - count) // 2)
             cap = sorted(moves)[1] + 1
             mixed_stops += len(set(moves)) > 1
             capped_and_stopped += min(moves) < cap < max(moves)
             for max_sweeps in (200, cap):
-                together = _refine_restarts(points, starts, pairwise, sq_norms, max_sweeps)
+                built = calls["pairwise"]
+                together = _refine_restarts(points, starts, sq_norms, max_sweeps)
+                pairs_together = calls["pairwise"] - built
                 assert len(together) == len(starts)
-                for (labels, centroids, dists), got in zip(starts, together):
-                    alone = _refine_labels(points, labels, centroids, pairwise, sq_norms, max_sweeps, dists)
+                for start, got in zip(starts, together):
+                    alone = _refine_restarts(points, [start], sq_norms, max_sweeps)[0]
                     assert got[0].tobytes() == alone[0].tobytes(), (safety, case, max_sweeps)
                     assert got[1].tobytes() == alone[1].tobytes(), (safety, case, max_sweeps)
+                pairs_alone = calls["pairwise"] - built - pairs_together
+                assert pairs_together <= pairs_alone, (safety, case, max_sweeps)
+                shared += pairs_together < pairs_alone
         totals[safety] = {name: calls[name] - before[name] for name in calls}
-    assert mixed_stops >= 20 and capped_and_stopped >= 10
+    assert mixed_stops >= 20 and capped_and_stopped >= 10 and shared >= 40, (mixed_stops, capped_and_stopped, shared)
     # Only the raised safety factor leaves the screen undecided often
     # enough that every decision runs.
     assert totals[2.0**30]["_gram_dists"] >= 500 and totals[2.0**30]["_best_move"] >= 500, totals
@@ -1338,6 +1332,19 @@ def test_class_tree_rejects_non_finite_rows_of_a_k_member_root(bad):
     points = np.array([[0.5, 1.0], [2.0, bad]])
     with pytest.raises(ValueError, match="finite"):
         build_class_tree(points, k_first=2, k_rest=2, max_nodes=10, seed=0)
+
+
+def test_class_tree_rejects_bad_arguments():
+    """Each argument check of ``build_class_tree``, called directly."""
+    points = np.ones((4, 2))
+    for shape in ((0, 2), (4,)):
+        with pytest.raises(ValueError, match=rf"cannot build a tree over an array of shape \({shape[0]},"):
+            build_class_tree(np.ones(shape), k_first=2, k_rest=2, max_nodes=10, seed=0)
+    for k_first, k_rest in ((1, 2), (2, 1)):
+        with pytest.raises(ValueError, match="cluster counts must be >= 2"):
+            build_class_tree(points, k_first=k_first, k_rest=k_rest, max_nodes=10, seed=0)
+    with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+        build_class_tree(points, k_first=2, k_rest=2, max_nodes=0, seed=0)
 
 
 def _no_kmeans(monkeypatch):
