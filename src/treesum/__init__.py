@@ -15,7 +15,7 @@ from .embedding import (
     provider_file,
     provider_remote,
 )
-from .rouge import RougeReport, RougeScore, evaluate_corpus, rouge_l, rouge_n, rouge_su4, truncate
+from .rouge import RougeReport, RougeScore, evaluate_corpus, score_all, truncate
 from .scoring import Hyperparams, score_final, score_position
 from .selection import Budget, Summary, select_summary
 from .stem import porter_stem

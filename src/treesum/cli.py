@@ -41,15 +41,7 @@ from .embedding import (
     embed_corpus,
     topic_keys,
 )
-from .experiments import (
-    GridPoint,
-    ablation_csv,
-    ablation_table,
-    full_grid,
-    grid_csv,
-    run_ablation,
-    run_grid_search,
-)
+from .experiments import ablation_csv, ablation_table, full_grid, grid_csv, run_ablation, run_grid_search
 from .pipeline import resolve_max_nodes, summarize_corpus
 from .rouge import EvaluationError, evaluate_corpus
 from .scoring import Hyperparams
@@ -253,31 +245,29 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(config: RunConfig, base: Hyperparams) -> list[GridPoint]:
-    """The ``tune`` grid the config restricts, every point checked as hyperparameters."""
+def _parse_grid(config: RunConfig, base: Hyperparams) -> list[Hyperparams]:
+    """The ``tune`` grid the config restricts, each point ``base`` with its
+    delta, weights and first-layer cluster count. A restriction that is set
+    but names no value leaves its axis empty, which is an error."""
     try:
-        deltas = [float(v) for v in config.deltas.split(",") if v.strip()] if config.deltas else None
-        ks = [int(v) for v in config.ks.split(",") if v.strip()] if config.ks else None
+        deltas = None if config.deltas is None else [float(v) for v in config.deltas.split(",") if v.strip()]
+        ks = None if config.ks is None else [int(v) for v in config.ks.split(",") if v.strip()]
         triples = None
-        if config.weights:
+        if config.weights is not None:
             triples = []
             for chunk in config.weights.split(";"):
                 triple = tuple(float(v) for v in chunk.split(","))
                 if len(triple) != 3:
                     raise ConfigError(f"--weights triple must have 3 values, got {chunk!r}")
                 triples.append(triple)
-        grid = full_grid(deltas=deltas, weight_triples=triples, ks=ks)
-        for point in grid:
-            point.hyperparams(base)
+        return full_grid(deltas=deltas, weight_triples=triples, ks=ks, base=base)
     except ValueError as exc:
         raise ConfigError(f"bad tune grid: {exc}") from exc
-    return grid
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    base_hp = config.hyperparams()
-    grid = _parse_grid(config, base_hp)
+    grid = _parse_grid(config, config.hyperparams())
     objective = config.objective or "r1"
     corpus, embedded = _load_and_embed(config)
     best, results = run_grid_search(
@@ -288,21 +278,20 @@ def cmd_tune(args: argparse.Namespace) -> int:
         seed=config.seed,
         objective_metric=objective,
         report_kind=config.report,
-        base_hp=base_hp,
         max_nodes=config.max_nodes,
         workers=config.workers,
     )
     p = best.point
     best_text = (
         f"delta = {p.delta}\nalpha = {p.alpha}\nbeta = {p.beta}\ngamma = {p.gamma}\n"
-        f"k-first = {p.k}\nobjective = {best.objective:.6f}\n"
+        f"k-first = {p.k_first}\nobjective = {best.objective:.6f}\n"
     )
     _write_outputs(
         config, {"grid.csv": grid_csv(results, objective, config.report), "best.txt": best_text}
     )
     print(
         f"best: delta={p.delta} alpha={p.alpha} beta={p.beta} gamma={p.gamma} "
-        f"k={p.k} ({objective} {config.report} {best.objective:.4f}; "
+        f"k={p.k_first} ({objective} {config.report} {best.objective:.4f}; "
         f"{len(results)} configurations)"
     )
     return 0

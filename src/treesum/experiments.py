@@ -1,10 +1,12 @@
 """Ablation and hyperparameter-tuning harnesses.
 
 ``run_ablation`` scores every method on the same corpus and embeddings, so
-the comparison isolates the method. ``run_grid_search`` sweeps the scoring
-hyperparameters over a lattice of all weight triples on the 0.1-step simplex
-(66 of them), the 11 values of delta, and the candidate cluster counts,
-which makes 2178 configurations for the full sweep.
+the comparison isolates the method. ``run_grid_search`` scores the full
+pipeline at each point of a grid. ``full_grid`` builds that grid as one
+``Hyperparams`` per point, a run's own settings with the point's delta,
+weights and first-layer cluster count: by default all weight triples on the
+0.1-step simplex (66 of them), the 11 values of delta and the cluster counts
+2 to 4, which makes 2178 points for the full sweep.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ def run_ablation(
     report_kind: str,
     max_nodes: int | None = None,
     workers: int = 1,
-    methods: Sequence[str] = METHODS,
 ) -> list[AblationRow]:
     """Evaluate every method on the same inputs; one row per method.
 
@@ -79,11 +80,11 @@ def run_ablation(
     tokenizing and tabling every reference once for the whole run. Results
     are identical to summarizing and evaluating each method on its own.
     """
-    specs = (VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in methods)
+    specs = (VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in METHODS)
     reports = _reports(corpus, embedded, budget, specs, max_nodes, workers, metrics, report_kind)
     return [
         AblationRow(method=method, seed=seed, scores=dict(report.mean))
-        for method, report in zip(methods, reports)
+        for method, report in zip(METHODS, reports)
     ]
 
 
@@ -104,23 +105,8 @@ def ablation_table(rows: Sequence[AblationRow], metrics: Sequence[str], report_k
 
 
 @dataclass(frozen=True)
-class GridPoint:
-    delta: float
-    alpha: float
-    beta: float
-    gamma: float
-    k: int
-
-    def hyperparams(self, base: Hyperparams) -> Hyperparams:
-        """``base`` with this point's delta, weights and first-layer cluster count."""
-        return replace(
-            base, delta=self.delta, alpha=self.alpha, beta=self.beta, gamma=self.gamma, k_first=self.k
-        )
-
-
-@dataclass(frozen=True)
 class GridResult:
-    point: GridPoint
+    point: Hyperparams
     objective: float
 
 
@@ -142,13 +128,16 @@ def full_grid(
     deltas: Sequence[float] | None = None,
     weight_triples: Sequence[tuple[float, float, float]] | None = None,
     ks: Sequence[int] | None = None,
-) -> list[GridPoint]:
-    """The hyperparameter lattice, optionally restricted per axis.
+    base: Hyperparams = Hyperparams(),
+) -> list[Hyperparams]:
+    """The hyperparameter lattice, optionally restricted per axis: ``base``
+    with each point's delta, weights and first-layer cluster count.
 
     Defaults: delta in {0.0, 0.1, ..., 1.0}, all 0.1-step weight triples,
     and cluster counts 2..4: 11 x 66 x 3 = 2178 points. An axis that names
     one value twice (0.7 and 0.70 are one delta) raises ValueError, since
-    it would only repeat grid points.
+    it would only repeat grid points; so do an empty axis and a point that
+    is not valid ``Hyperparams``.
     """
     if deltas is None:
         deltas = [i / 10 for i in range(11)]
@@ -164,7 +153,7 @@ def full_grid(
     for delta in deltas:
         for alpha, beta, gamma in weight_triples:
             for k in ks:
-                points.append(GridPoint(delta=delta, alpha=alpha, beta=beta, gamma=gamma, k=k))
+                points.append(replace(base, delta=delta, alpha=alpha, beta=beta, gamma=gamma, k_first=k))
     if not points:
         raise ValueError("empty hyperparameter grid")
     return points
@@ -174,11 +163,10 @@ def run_grid_search(
     corpus: Corpus,
     embedded: EmbeddedCorpus,
     budget: Budget,
-    grid: Sequence[GridPoint],
+    grid: Sequence[Hyperparams],
     seed: int,
     objective_metric: str = "r1",
     report_kind: str = "recall",
-    base_hp: Hyperparams | None = None,
     max_nodes: int | None = None,
     workers: int = 1,
 ) -> tuple[GridResult, list[GridResult]]:
@@ -186,7 +174,7 @@ def run_grid_search(
 
     The objective is the corpus-mean value of one metric (recall or f1 per
     ``report_kind``) for the full pipeline. Ties go to the lexicographically
-    smallest (delta, alpha, beta, gamma, k). Topics are independent, so the
+    smallest (delta, alpha, beta, gamma, k_first). Topics are independent, so the
     search runs topic by topic (``workers`` topics at a time): a topic's
     class tree is built once per cluster count, its delta- and weight-free
     score terms once per tree, its sentence-pair similarities once for all
@@ -199,8 +187,7 @@ def run_grid_search(
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    base = base_hp or Hyperparams()
-    specs = (VariantSpec("ours_final", point.hyperparams(base), budget, seed) for point in grid)
+    specs = (VariantSpec("ours_final", hp, budget, seed) for hp in grid)
     reports = _reports(corpus, embedded, budget, specs, max_nodes, workers, [objective_metric], report_kind)
     results = [
         GridResult(point=point, objective=report.headline(objective_metric))
@@ -214,7 +201,7 @@ def run_grid_search(
             r.point.alpha,
             r.point.beta,
             r.point.gamma,
-            r.point.k,
+            r.point.k_first,
         ),
     )
     return best, results
@@ -224,5 +211,5 @@ def grid_csv(results: Sequence[GridResult], objective_metric: str, report_kind: 
     lines = [f"delta,alpha,beta,gamma,k,{objective_metric}_{report_kind}"]
     for r in results:
         p = r.point
-        lines.append(f"{p.delta},{p.alpha},{p.beta},{p.gamma},{p.k},{r.objective:.6f}")
+        lines.append(f"{p.delta},{p.alpha},{p.beta},{p.gamma},{p.k_first},{r.objective:.6f}")
     return "\n".join(lines) + "\n"

@@ -236,23 +236,6 @@ class _CountTable:
         return _average([_prf(o, total, keys.size) for o, total in zip(overlaps.tolist(), self.totals)])
 
 
-def rouge_n(
-    candidate: str,
-    references: Sequence[str],
-    n: int,
-    stem: bool = True,
-    memo: TokenMemo | None = None,
-) -> RougeScore:
-    """Clipped n-gram overlap, averaged across references.
-
-    A given ``memo`` decides stemming in place of ``stem``.
-    """
-    if n not in (1, 2):
-        raise ValueError("n must be 1 or 2")
-    metric = f"r{n}"
-    return score_all(candidate, references, [metric], memo if memo is not None else TokenMemo(stem))[metric]
-
-
 class _PackedSentences:
     """Candidate sentences side by side in one integer, for bit-parallel LCS.
 
@@ -329,7 +312,16 @@ def _lcs_union(ref_tokens: Sequence[int], packed: _PackedSentences) -> int:
 
 
 class _LcsTable:
-    """The sentence ids of each of several references, for ROUGE-L."""
+    """The sentence ids of each of several references, for summary-level
+    ROUGE-L.
+
+    For each reference sentence, the match positions of its LCS with every
+    candidate sentence are unioned, and the union sizes are summed over
+    reference sentences. Recall divides by the reference token count,
+    precision by the candidate token count. One bit-parallel recurrence per
+    reference sentence covers all candidate sentences at once
+    (``_lcs_union``).
+    """
 
     def __init__(self, references: Iterable[_Tokens]):
         self.sentences = [reference.sentences for reference in references]
@@ -344,40 +336,6 @@ class _LcsTable:
             hits = sum(_lcs_union(ref_sent, packed).bit_count() for ref_sent in ref_sents)
             per_ref.append(_prf(hits, ref_total, cand_total))
         return _average(per_ref)
-
-
-def rouge_l(
-    candidate: str,
-    references: Sequence[str],
-    stem: bool = True,
-    memo: TokenMemo | None = None,
-) -> RougeScore:
-    """Summary-level longest-common-subsequence score.
-
-    For each reference sentence, the match positions of its LCS with every
-    candidate sentence are unioned; the union sizes are summed over reference
-    sentences. Recall divides by the reference token count, precision by the
-    candidate token count; per-reference scores are averaged. One
-    bit-parallel recurrence per reference sentence covers all candidate
-    sentences at once (see ``_lcs_union``). A given ``memo`` decides stemming
-    in place of ``stem``.
-    """
-    return score_all(candidate, references, ["rl"], memo if memo is not None else TokenMemo(stem))["rl"]
-
-
-def rouge_su4(
-    candidate: str,
-    references: Sequence[str],
-    stem: bool = True,
-    memo: TokenMemo | None = None,
-) -> RougeScore:
-    """Skip-bigram(4) + unigram overlap, averaged across references.
-
-    Skip-bigrams never cross sentence boundaries; with zero allowed
-    intervening tokens they would degenerate to ordinary bigrams. A given
-    ``memo`` decides stemming in place of ``stem``.
-    """
-    return score_all(candidate, references, ["rsu4"], memo if memo is not None else TokenMemo(stem))["rsu4"]
 
 
 # Each metric's table over the references' tokens.
@@ -395,9 +353,10 @@ def score_all(
     metrics: Sequence[str],
     memo: TokenMemo | None = None,
 ) -> dict[str, RougeScore]:
-    """Every requested metric, Porter-stemmed unless a given ``memo`` says
-    otherwise. The candidate is tokenized and segmented at most once for all
-    of them."""
+    """The scores of one candidate against its references under each of
+    ``metrics``, averaged across references. Tokens are Porter-stemmed
+    unless a given ``memo`` says otherwise (``TokenMemo(stem=False)``). The
+    candidate is tokenized and segmented at most once for all metrics."""
     unknown = set(metrics) - set(METRIC_IDS)
     if unknown:
         raise ValueError(f"unknown metrics: {sorted(unknown)}")

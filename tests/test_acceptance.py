@@ -28,9 +28,9 @@ from helpers import (
 )
 from test_selection import _fixture_embedded, _fixture_tree, _three_cluster_embedded
 from treesum.embedding import embed_corpus, provider_builtin_tfidf
-from treesum.experiments import GridPoint, full_grid, simplex_triples
+from treesum.experiments import full_grid, simplex_triples
 from treesum.pipeline import resolve_max_nodes, summarize_corpus
-from treesum.rouge import evaluate_corpus, rouge_l, rouge_n, rouge_su4
+from treesum.rouge import TokenMemo, evaluate_corpus, score_all
 from treesum.scoring import Hyperparams, NodeCentroids, score_cs, score_final, score_nr, score_position
 from treesum.selection import Budget, select_summary
 from treesum.stem import porter_stem
@@ -255,22 +255,22 @@ def test_selection_protocol_fixture():
 # --- criterion 6: ROUGE correctness ------------------------------------------
 
 ROUGE_FIXTURES = [
-    # (metric fn, candidate, references, expected (recall, precision, f1))
-    (lambda c, r: rouge_n(c, r, 1, stem=False), "the cat sat", ["the cat sat"], (1.0, 1.0, 1.0)),
-    (lambda c, r: rouge_n(c, r, 1, stem=False), "the cat sat", ["the cat slept"], (2 / 3, 2 / 3, 2 / 3)),
-    (lambda c, r: rouge_n(c, r, 2, stem=False), "the cat sat", ["the cat slept"], (0.5, 0.5, 0.5)),
-    (lambda c, r: rouge_n(c, r, 1, stem=False), "a a a b", ["a b b"], (2 / 3, 0.5, 4 / 7)),
-    (lambda c, r: rouge_n(c, r, 1, stem=True), "the cats are running", ["the cat runs"], (1.0, 0.75, 6 / 7)),
-    (lambda c, r: rouge_n(c, r, 1, stem=False), "a b", ["a b", "c d"], (0.5, 0.5, 0.5)),
-    (lambda c, r: rouge_n(c, r, 1, stem=False), "", ["a b"], (0.0, 0.0, 0.0)),
-    (rouge_l, "a b c d", ["a c b d"], (0.75, 0.75, 0.75)),
-    (rouge_l, "w1 w2. w3 w4.", ["w1 w3. w2 w4."], (1.0, 1.0, 1.0)),
-    (rouge_l, "aa bb cc", ["dd ee ff"], (0.0, 0.0, 0.0)),
-    (rouge_su4, "a b c", ["a c"], (1.0, 0.5, 2 / 3)),
-    (rouge_su4, "alpha beta", ["alpha beta"], (1.0, 1.0, 1.0)),
+    # (metric, stemmed, candidate, references, expected (recall, precision, f1))
+    ("r1", False, "the cat sat", ["the cat sat"], (1.0, 1.0, 1.0)),
+    ("r1", False, "the cat sat", ["the cat slept"], (2 / 3, 2 / 3, 2 / 3)),
+    ("r2", False, "the cat sat", ["the cat slept"], (0.5, 0.5, 0.5)),
+    ("r1", False, "a a a b", ["a b b"], (2 / 3, 0.5, 4 / 7)),
+    ("r1", True, "the cats are running", ["the cat runs"], (1.0, 0.75, 6 / 7)),
+    ("r1", False, "a b", ["a b", "c d"], (0.5, 0.5, 0.5)),
+    ("r1", False, "", ["a b"], (0.0, 0.0, 0.0)),
+    ("rl", True, "a b c d", ["a c b d"], (0.75, 0.75, 0.75)),
+    ("rl", True, "w1 w2. w3 w4.", ["w1 w3. w2 w4."], (1.0, 1.0, 1.0)),
+    ("rl", True, "aa bb cc", ["dd ee ff"], (0.0, 0.0, 0.0)),
+    ("rsu4", True, "a b c", ["a c"], (1.0, 0.5, 2 / 3)),
+    ("rsu4", True, "alpha beta", ["alpha beta"], (1.0, 1.0, 1.0)),
     # candidate counts: 6 unigrams + 15 in-window skip-bigrams = 21;
     # reference counts: u(a), u(f), sb(a,f) = 3; overlap 3.
-    (rouge_su4, "a b c d e f", ["a f"], (1.0, 1 / 7, 0.25)),
+    ("rsu4", True, "a b c d e f", ["a f"], (1.0, 1 / 7, 0.25)),
 ]
 
 
@@ -285,8 +285,8 @@ def _lcs_brute(a: tuple, b: tuple) -> int:
 
 def test_rouge_correctness():
     problems = []
-    for i, (fn, cand, refs, expected) in enumerate(ROUGE_FIXTURES):
-        got = fn(cand, list(refs))
+    for i, (metric, stemmed, cand, refs, expected) in enumerate(ROUGE_FIXTURES):
+        got = score_all(cand, list(refs), [metric], TokenMemo(stem=stemmed))[metric]
         for name, got_v, exp_v in zip(("recall", "precision", "f1"), (got.recall, got.precision, got.f1), expected):
             if abs(got_v - exp_v) > 1e-6:
                 problems.append(f"fixture {i} {name}: got {got_v:.8f}, expected {exp_v:.8f}")
@@ -298,7 +298,7 @@ def test_rouge_correctness():
         cand_tokens = [vocab[int(rng.integers(4))] for _ in range(int(rng.integers(1, 13)))]
         ref_tokens = [vocab[int(rng.integers(4))] for _ in range(int(rng.integers(1, 13)))]
         lcs = _lcs_brute(tuple(cand_tokens), tuple(ref_tokens))
-        got = rouge_l(" ".join(cand_tokens), [" ".join(ref_tokens)], stem=False)
+        got = score_all(" ".join(cand_tokens), [" ".join(ref_tokens)], ["rl"], TokenMemo(stem=False))["rl"]
         if abs(got.recall - lcs / len(ref_tokens)) > 1e-9:
             problems.append(f"lcs oracle recall mismatch on {cand_tokens} vs {ref_tokens}")
             break
@@ -372,7 +372,7 @@ def test_ablation_direction_synthetic():
 def test_hyperparameter_grid():
     triples = simplex_triples(0.1)
     grid = full_grid()
-    tuned_optimum = GridPoint(delta=0.9, alpha=0.8, beta=0.1, gamma=0.1, k=3)
+    tuned_optimum = Hyperparams(delta=0.9, alpha=0.8, beta=0.1, gamma=0.1, k_first=3)
     ok = len(triples) == 66 and len(grid) == 11 * 66 * 3 == 2178 and tuned_optimum in grid
     _verdict(
         "hyperparameter-grid",

@@ -23,6 +23,7 @@ from treesum.config import (
     parse_config_text,
 )
 from treesum.experiments import full_grid, simplex_triples
+from treesum.scoring import Hyperparams
 from treesum.tree import tree_to_dict
 
 
@@ -473,6 +474,36 @@ def test_full_grid_default_size():
     assert len(full_grid()) == 11 * 66 * 3
 
 
+@pytest.mark.parametrize("axis", ["deltas", "weight_triples", "ks"])
+def test_full_grid_rejects_an_empty_axis(axis):
+    with pytest.raises(ValueError, match="empty hyperparameter grid"):
+        full_grid(**{axis: []})
+
+
+def test_full_grid_points_are_the_base_with_the_point_values():
+    base = Hyperparams(delta=0.2, alpha=0.5, beta=0.3, gamma=0.2, k_first=5, k_rest=4)
+    grid = full_grid(deltas=[0.0, 1.0], weight_triples=[(1.0, 0.0, 0.0)], ks=[2, 3], base=base)
+    assert grid == [
+        Hyperparams(delta=d, alpha=1.0, beta=0.0, gamma=0.0, k_first=k, k_rest=4)
+        for d in (0.0, 1.0)
+        for k in (2, 3)
+    ]
+    with pytest.raises(ValueError, match="cluster counts must be >= 2"):
+        full_grid(ks=[1], base=base)
+
+
+def test_grid_search_rejects_an_empty_grid(tmp_path):
+    from treesum.corpus import load_corpus
+    from treesum.embedding import embed_corpus, provider_builtin_tfidf
+    from treesum.experiments import run_grid_search
+    from treesum.selection import Budget
+
+    corpus = load_corpus(_write_corpus(tmp_path / "corpus"), "topic-dirs")
+    embedded = embed_corpus(corpus, provider_builtin_tfidf(corpus, dim=16, seed=0))
+    with pytest.raises(ValueError, match="empty hyperparameter grid"):
+        run_grid_search(corpus, embedded, Budget("words", 20), [], seed=0)
+
+
 def test_tune_restricted_to_single_point(tmp_path):
     corpus = _write_corpus(tmp_path / "corpus")
     out = tmp_path / "out"
@@ -635,7 +666,6 @@ def test_grid_search_matches_standalone_run(tmp_path):
     from treesum.experiments import run_grid_search
     from treesum.pipeline import resolve_max_nodes, summarize_corpus
     from treesum.rouge import evaluate_corpus
-    from treesum.scoring import Hyperparams
     from treesum.selection import Budget
     from treesum.variants import VariantSpec
 
@@ -660,9 +690,7 @@ def test_grid_search_matches_standalone_run(tmp_path):
         assert [r.point for r in results] == grid
         cap = resolve_max_nodes(corpus, budget, None)
         for result in results:
-            p = result.point
-            hp = Hyperparams(delta=p.delta, alpha=p.alpha, beta=p.beta, gamma=p.gamma, k_first=p.k)
-            spec = VariantSpec("ours_final", hp, budget, seed=7)
+            spec = VariantSpec("ours_final", result.point, budget, seed=7)
             summaries = summarize_corpus(corpus, embedded, spec, cap)
             report = evaluate_corpus(
                 {tid: s.text for tid, s in summaries.items()},
@@ -671,7 +699,7 @@ def test_grid_search_matches_standalone_run(tmp_path):
                 metrics=[metric],
                 report_kind=kind,
             )
-            assert result.objective == report.headline(metric), (budget, workers, p)
+            assert result.objective == report.headline(metric), (budget, workers, result.point)
         assert best.objective == max(r.objective for r in results)
 
 
@@ -685,7 +713,6 @@ def test_grid_search_selects_once_per_tree_and_scores_each_text_once(tmp_path, m
     from treesum.embedding import embed_corpus, provider_builtin_tfidf
     from treesum.experiments import run_grid_search
     from treesum.pipeline import resolve_max_nodes, summarize_corpus
-    from treesum.scoring import Hyperparams
     from treesum.selection import Budget
     from treesum.variants import VariantSpec
 
@@ -721,8 +748,7 @@ def test_grid_search_selects_once_per_tree_and_scores_each_text_once(tmp_path, m
     assert batches == [len(grid) // len(ks)] * (len(corpus.topics) * len(ks))
     cap = resolve_max_nodes(corpus, budget, None)
     distinct = set()
-    for p in grid:
-        hp = Hyperparams(delta=p.delta, alpha=p.alpha, beta=p.beta, gamma=p.gamma, k_first=p.k)
+    for hp in grid:
         summaries = summarize_corpus(corpus, embedded, VariantSpec("ours_final", hp, budget, seed=7), cap)
         for topic in corpus:
             distinct.add((topic.references, treesum.rouge.truncate(summaries[topic.topic_id].text, budget)))
@@ -741,6 +767,10 @@ def test_grid_search_selects_once_per_tree_and_scores_each_text_once(tmp_path, m
         ("--weights", "a,b,c"),
         ("--weights", "0.5,0.5,0.5"),
         ("--weights", "1,0,0;"),
+        # A restriction that names no value leaves its axis empty.
+        ("--deltas", ""),
+        ("--ks", ""),
+        ("--weights", ""),
     ],
 )
 def test_tune_bad_grid_value_exits_2_before_embedding(tmp_path, capsys, monkeypatch, flag, value):
@@ -756,6 +786,25 @@ def test_tune_bad_grid_value_exits_2_before_embedding(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert code == 2
     assert "error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["deltas", "ks", "weights"])
+def test_tune_empty_grid_restriction_in_config_exits_2(tmp_path, capsys, monkeypatch, key):
+    import treesum.cli
+
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("the corpus was embedded before the grid was checked")
+
+    monkeypatch.setattr(treesum.cli, "embed_corpus", no_embedding)
+    corpus = _write_corpus(tmp_path / "corpus")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"input = {corpus}\n{key} =\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["tune", "--config", str(config), "--budget-words", "20", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad tune grid" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -802,7 +851,6 @@ def test_ablation_matches_standalone_runs(tmp_path, budget, workers):
     from treesum.experiments import run_ablation
     from treesum.pipeline import resolve_max_nodes, summarize_corpus
     from treesum.rouge import evaluate_corpus
-    from treesum.scoring import Hyperparams
     from treesum.selection import Budget
     from treesum.variants import METHODS, VariantSpec
 
@@ -838,7 +886,6 @@ def test_ablation_tokenizes_each_reference_once(tmp_path, monkeypatch):
     from treesum.corpus import load_corpus
     from treesum.embedding import embed_corpus, provider_builtin_tfidf
     from treesum.experiments import run_ablation
-    from treesum.scoring import Hyperparams
     from treesum.selection import Budget
 
     made = []

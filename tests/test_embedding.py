@@ -27,6 +27,7 @@ from helpers import (
 )
 from treesum.corpus import Corpus, CorpusError, Document, Sentence, Topic
 from treesum.embedding import (
+    MAX_BUILTIN_DIM,
     ProviderError,
     cosine_rows,
     cosine_similarity,
@@ -184,6 +185,25 @@ def test_vecdot_equals_dot_under_other_blas_kernels(coretype):
 def test_embed_corpus_without_sentences_raises_corpus_error():
     with pytest.raises(CorpusError, match="no sentences"):
         embed_corpus(Corpus(), DictProvider({}))
+
+
+def test_embed_corpus_rejects_a_vector_count_other_than_the_sentence_count():
+    topic = make_topic("t", ["One sentence here. Another one here."])
+
+    class OneShort:
+        def embed(self, topic):
+            return [[1.0, 0.0]]
+
+    with pytest.raises(ProviderError, match="provider returned 1 vectors for 2 sentences"):
+        embed_corpus(make_corpus(topic), OneShort())
+
+
+def test_embed_corpus_rejects_a_topic_without_sentences():
+    """The loaders refuse a topic without documents, but a library caller can
+    build one: its empty vector list is not an (n, d) matrix."""
+    corpus = Corpus(topics=(Topic(topic_id="empty", documents=()),))
+    with pytest.raises(ProviderError, match="the vectors of topic 'empty' do not form one matrix"):
+        embed_corpus(corpus, DictProvider({}))
 
 
 def test_document_vector_is_mean_of_sentences():
@@ -448,6 +468,13 @@ def test_topic_work_runs_on_the_embedded_matrix_itself(tmp_path, embedder):
         assert np.shares_memory(TopicWork(topic, embedded).sentences, embedded.vectors[topic.topic_id])
 
 
+@pytest.mark.parametrize("dim", [1, 0, -3, MAX_BUILTIN_DIM + 1])
+def test_builtin_rejects_a_dim_out_of_range(dim):
+    corpus = make_corpus(make_topic("t", ["One sentence here."]))
+    with pytest.raises(ValueError, match="builtin embedder needs 2 <= dim"):
+        provider_builtin_tfidf(corpus, dim=dim, seed=1)
+
+
 def test_builtin_identical_sentences_identical_vectors():
     topic = make_topic("t", ["The same sentence here. The same sentence here."])
     provider = provider_builtin_tfidf(make_corpus(topic), dim=32, seed=1)
@@ -698,6 +725,13 @@ def test_remote_malformed_response_is_a_provider_error(tmp_path, body):
         assert code == 3
     finally:
         _stop(server)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_remote_provider_rejects_a_batch_size_below_1(batch_size):
+    # Checked on construction, before any request is made.
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        provider_remote("http://127.0.0.1:9", batch_size=batch_size)
 
 
 @pytest.mark.parametrize("url", ["localhost:8000", "file:///tmp", "ftp://127.0.0.1:1"])

@@ -20,15 +20,8 @@ from helpers import (
     tokenize,
 )
 from treesum import rouge
-from treesum.rouge import (
-    EvaluationError,
-    evaluate_corpus,
-    rouge_l,
-    rouge_n,
-    rouge_su4,
-    score_all,
-    truncate,
-)
+from treesum.corpus import Corpus
+from treesum.rouge import EvaluationError, TokenMemo, evaluate_corpus, score_all, truncate
 from treesum.selection import Budget
 from treesum.stem import porter_stem
 
@@ -60,45 +53,45 @@ def test_truncate_is_idempotent(text, limit, unit):
 # --- ROUGE-N ---------------------------------------------------------------
 
 def test_rouge_n_identity():
-    score = rouge_n("The cat sat on the mat.", ["The cat sat on the mat."], 1)
+    score = score_all("The cat sat on the mat.", ["The cat sat on the mat."], ["r1"])["r1"]
     assert (score.recall, score.precision, score.f1) == (1.0, 1.0, 1.0)
 
 
 def test_rouge_n_unigram_hand_count():
-    score = rouge_n("the cat sat", ["the cat slept"], 1, stem=False)
+    score = score_all("the cat sat", ["the cat slept"], ["r1"], TokenMemo(stem=False))["r1"]
     assert score.recall == pytest.approx(2 / 3)
     assert score.precision == pytest.approx(2 / 3)
     assert score.f1 == pytest.approx(2 / 3)
 
 
 def test_rouge_n_bigram_hand_count():
-    score = rouge_n("the cat sat", ["the cat slept"], 2, stem=False)
+    score = score_all("the cat sat", ["the cat slept"], ["r2"], TokenMemo(stem=False))["r2"]
     assert score.recall == pytest.approx(0.5)
     assert score.precision == pytest.approx(0.5)
 
 
 def test_rouge_n_empty_candidate():
-    score = rouge_n("", ["some reference"], 1)
+    score = score_all("", ["some reference"], ["r1"])["r1"]
     assert (score.recall, score.precision, score.f1) == (0.0, 0.0, 0.0)
 
 
 def test_rouge_n_clipped_counts():
     # candidate counts a:3 b:1; reference a:1 b:2 -> clipped overlap 2.
-    score = rouge_n("a a a b", ["a b b"], 1, stem=False)
+    score = score_all("a a a b", ["a b b"], ["r1"], TokenMemo(stem=False))["r1"]
     assert score.recall == pytest.approx(2 / 3)
     assert score.precision == pytest.approx(0.5)
     assert score.f1 == pytest.approx(4 / 7)
 
 
 def test_rouge_n_stemming_merges_inflections():
-    score = rouge_n("the cats are running", ["the cat runs"], 1, stem=True)
+    score = score_all("the cats are running", ["the cat runs"], ["r1"])["r1"]
     assert score.recall == pytest.approx(1.0)
     assert score.precision == pytest.approx(3 / 4)
     assert score.f1 == pytest.approx(6 / 7)
 
 
 def test_rouge_n_multi_reference_average():
-    score = rouge_n("a b", ["a b", "c d"], 1, stem=False)
+    score = score_all("a b", ["a b", "c d"], ["r1"], TokenMemo(stem=False))["r1"]
     assert score.recall == pytest.approx(0.5)
     assert score.precision == pytest.approx(0.5)
     assert score.f1 == pytest.approx(0.5)
@@ -111,7 +104,7 @@ def test_rouge_n_multi_reference_average():
 def test_rouge1_on_unique_tokens_is_set_overlap(cand_tokens, ref_tokens):
     candidate = " ".join(cand_tokens)
     reference = " ".join(ref_tokens)
-    score = rouge_n(candidate, [reference], 1, stem=False)
+    score = score_all(candidate, [reference], ["r1"], TokenMemo(stem=False))["r1"]
     expected = len(set(cand_tokens) & set(ref_tokens)) / len(ref_tokens)
     assert score.recall == pytest.approx(expected)
 
@@ -123,8 +116,8 @@ def test_rouge1_on_unique_tokens_is_set_overlap(cand_tokens, ref_tokens):
 def test_rouge_n_role_swap_symmetry(a_tokens, b_tokens):
     a = " ".join(a_tokens)
     b = " ".join(b_tokens)
-    forward = rouge_n(a, [b], 1, stem=False)
-    backward = rouge_n(b, [a], 1, stem=False)
+    forward = score_all(a, [b], ["r1"], TokenMemo(stem=False))["r1"]
+    backward = score_all(b, [a], ["r1"], TokenMemo(stem=False))["r1"]
     assert forward.recall == pytest.approx(backward.precision)
     assert forward.precision == pytest.approx(backward.recall)
 
@@ -142,31 +135,31 @@ def _lcs_brute(a: tuple, b: tuple) -> int:
 
 
 def test_rouge_l_identity():
-    score = rouge_l("A cat sat here.", ["A cat sat here."])
+    score = score_all("A cat sat here.", ["A cat sat here."], ["rl"])["rl"]
     assert (score.recall, score.precision, score.f1) == (1.0, 1.0, 1.0)
 
 
 def test_rouge_l_hand_computed_order_swap():
-    score = rouge_l("a b c d", ["a c b d"], stem=False)
+    score = score_all("a b c d", ["a c b d"], ["rl"], TokenMemo(stem=False))["rl"]
     assert score.recall == pytest.approx(3 / 4)
     assert score.precision == pytest.approx(3 / 4)
 
 
 def test_rouge_l_disjoint_vocabulary():
-    score = rouge_l("aa bb cc", ["dd ee ff"], stem=False)
+    score = score_all("aa bb cc", ["dd ee ff"], ["rl"], TokenMemo(stem=False))["rl"]
     assert (score.recall, score.precision, score.f1) == (0.0, 0.0, 0.0)
 
 
 def test_rouge_l_union_over_candidate_sentences():
     # Each reference sentence finds half its tokens in each candidate
     # sentence; the union credits all four tokens.
-    score = rouge_l("w1 w2. w3 w4.", ["w1 w3. w2 w4."], stem=False)
+    score = score_all("w1 w2. w3 w4.", ["w1 w3. w2 w4."], ["rl"], TokenMemo(stem=False))["rl"]
     assert score.recall == pytest.approx(1.0)
     assert score.precision == pytest.approx(1.0)
 
 
 def test_rouge_l_empty_candidate():
-    score = rouge_l("", ["anything here"], stem=False)
+    score = score_all("", ["anything here"], ["rl"], TokenMemo(stem=False))["rl"]
     assert (score.recall, score.precision, score.f1) == (0.0, 0.0, 0.0)
 
 
@@ -178,7 +171,7 @@ def test_rouge_l_matches_brute_force_on_single_sentences(cand_tokens, ref_tokens
     candidate = " ".join(cand_tokens)
     reference = " ".join(ref_tokens)
     lcs = _lcs_brute(tuple(cand_tokens), tuple(ref_tokens))
-    score = rouge_l(candidate, [reference], stem=False)
+    score = score_all(candidate, [reference], ["rl"], TokenMemo(stem=False))["rl"]
     assert score.recall == pytest.approx(lcs / len(ref_tokens))
     assert score.precision == pytest.approx(lcs / len(cand_tokens))
 
@@ -241,7 +234,7 @@ def test_rouge_l_matches_table_oracle_on_multi_sentence_summaries():
         alphabet = "abcd"[: rng.randint(1, 4)]
         references = [_random_summary(rng, alphabet) for _ in range(rng.randint(1, 3))]
         cases.append((_random_summary(rng, alphabet), references))
-    got = [rouge_l(candidate, references, stem=False) for candidate, references in cases]
+    got = [score_all(cand, refs, ["rl"], TokenMemo(stem=False))["rl"] for cand, refs in cases]
     expected = [table_rouge_l(candidate, references, stem=False) for candidate, references in cases]
     # RougeScore equality compares recall, precision and F1 exactly.
     assert got == expected
@@ -271,9 +264,8 @@ def test_rouge_n_and_su4_match_loop_counting():
     clipped sum."""
     cases = _counting_cases()
     got = {
-        "r1": [rouge_n(cand, refs, 1, stem=False) for cand, refs in cases],
-        "r2": [rouge_n(cand, refs, 2, stem=False) for cand, refs in cases],
-        "rsu4": [rouge_su4(cand, refs, stem=False) for cand, refs in cases],
+        metric: [score_all(cand, refs, [metric], TokenMemo(stem=False))[metric] for cand, refs in cases]
+        for metric in ("r1", "r2", "rsu4")
     }
     expected = {
         "r1": [counter_rouge_n(cand, refs, 1, stem=False) for cand, refs in cases],
@@ -328,12 +320,7 @@ def test_score_all_tokenizes_each_reference_once_per_table_build(monkeypatch):
     references = [text(), text(), text()]
     candidates = [text(), text(), text()]
     expected = [
-        {
-            "r1": rouge_n(candidate, references, 1),
-            "r2": rouge_n(candidate, references, 2),
-            "rl": rouge_l(candidate, references),
-            "rsu4": rouge_su4(candidate, references),
-        }
+        {metric: score_all(candidate, references, [metric])[metric] for metric in rouge.METRIC_IDS}
         for candidate in candidates
     ]
     monkeypatch.setattr(rouge, "_Tokens", CountingTokens)
@@ -375,29 +362,29 @@ def test_memo_stems_each_distinct_token_once(monkeypatch):
 # --- ROUGE-SU4 ---------------------------------------------------------------
 
 def test_rouge_su4_identical_two_tokens():
-    score = rouge_su4("alpha beta", ["alpha beta"], stem=False)
+    score = score_all("alpha beta", ["alpha beta"], ["rsu4"], TokenMemo(stem=False))["rsu4"]
     assert (score.recall, score.precision, score.f1) == (1.0, 1.0, 1.0)
 
 
 def test_rouge_su4_hand_enumerated():
     # candidate set {ab, ac, bc, a, b, c}; reference set {ac, a, c}.
-    score = rouge_su4("a b c", ["a c"], stem=False)
+    score = score_all("a b c", ["a c"], ["rsu4"], TokenMemo(stem=False))["rsu4"]
     assert score.recall == pytest.approx(1.0)
     assert score.precision == pytest.approx(0.5)
     assert score.f1 == pytest.approx(2 / 3)
 
 
 def test_rouge_su4_empty_candidate():
-    score = rouge_su4("", ["a b"], stem=False)
+    score = score_all("", ["a b"], ["rsu4"], TokenMemo(stem=False))["rsu4"]
     assert (score.recall, score.precision, score.f1) == (0.0, 0.0, 0.0)
 
 
 def test_rouge_su4_gap_boundary():
     # Four intervening tokens is within the window...
-    score = rouge_su4("a b c d e f", ["a f"], stem=False)
+    score = score_all("a b c d e f", ["a f"], ["rsu4"], TokenMemo(stem=False))["rsu4"]
     assert score.recall == pytest.approx(1.0)
     # ...five is not: only the two unigrams overlap.
-    score = rouge_su4("a b c d e f g", ["a g"], stem=False)
+    score = score_all("a b c d e f g", ["a g"], ["rsu4"], TokenMemo(stem=False))["rsu4"]
     assert score.recall == pytest.approx(2 / 3)
 
 
@@ -461,6 +448,17 @@ def test_evaluate_corpus_rejects_summary_for_unknown_topic():
         evaluate_corpus({"t": "some text", "zzz": "typo"}, corpus, Budget("words", 10))
 
 
+def test_evaluate_corpus_rejects_an_unknown_report_kind():
+    corpus = make_corpus(make_topic("t", ["some text."], ["ref"]))
+    with pytest.raises(ValueError, match="unknown report kind 'median'"):
+        evaluate_corpus({"t": "some text"}, corpus, Budget("words", 10), report_kind="median")
+
+
+def test_evaluate_corpus_rejects_a_corpus_without_topics():
+    with pytest.raises(EvaluationError, match="corpus has no topics"):
+        evaluate_corpus({}, Corpus(), Budget("words", 10))
+
+
 def test_report_renderings_agree():
     corpus = make_corpus(make_topic("t", ["alpha beta gamma."], ["alpha beta delta."]))
     report = evaluate_corpus({"t": "alpha beta gamma"}, corpus, Budget("words", 10))
@@ -490,9 +488,9 @@ def test_score_all_rejects_unknown_metric():
 
 
 def test_metrics_reject_empty_reference_list():
-    for fn in (lambda: rouge_n("a", [], 1), lambda: rouge_l("a", []), lambda: rouge_su4("a", [])):
+    for metric in rouge.METRIC_IDS:
         with pytest.raises(ValueError, match="at least one reference"):
-            fn()
+            score_all("a", [], [metric])
 
 
 def test_score_memo_keeps_each_topics_references_apart():
