@@ -11,6 +11,7 @@ from .embedding import (
     EmbeddedCorpus,
     ProviderError,
     embed_corpus,
+    embed_topics,
     provider_builtin_tfidf,
     provider_file,
     provider_remote,

@@ -19,7 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing, contextmanager
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from .config import (
     BUDGET_KEYS,
@@ -33,14 +37,7 @@ from .config import (
 from .corpus import (
     Corpus, CorpusError, is_unicode_text, jsonl_records, load_corpus, path_is, read_text, text_files
 )
-from .embedding import (
-    MAX_BUILTIN_DIM,
-    EmbeddedCorpus,
-    ProviderError,
-    document_key,
-    embed_corpus,
-    topic_keys,
-)
+from .embedding import MAX_BUILTIN_DIM, ProviderError, document_key, embed_topics, topic_keys
 from .experiments import ablation_csv, ablation_table, full_grid, grid_csv, run_ablation, run_grid_search
 from .pipeline import resolve_max_nodes, summarize_corpus
 from .rouge import EvaluationError, evaluate_corpus
@@ -89,13 +86,16 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _load_and_embed(config: RunConfig) -> tuple[Corpus, EmbeddedCorpus]:
+@contextmanager
+def _load_and_embed(config: RunConfig) -> Iterator[tuple[Corpus, Iterator[np.ndarray]]]:
+    """The corpus and ``embed_topics`` over it, so that each topic is
+    embedded when it runs; leaving the block closes the provider's scan."""
     corpus = load_corpus(config.input, config.layout)
-    provider = config.make_provider(corpus)
-    return corpus, embed_corpus(corpus, provider)
+    with closing(embed_topics(corpus, config.make_provider(corpus))) as matrices:
+        yield corpus, matrices
 
 
-def _generate_summaries(config: RunConfig, corpus: Corpus, embedded: EmbeddedCorpus):
+def _generate_summaries(config: RunConfig, corpus: Corpus, matrices: Iterator[np.ndarray]):
     spec = VariantSpec(
         kind=config.method, hp=config.hyperparams(), budget=config.budget(), seed=config.seed
     )
@@ -106,7 +106,7 @@ def _generate_summaries(config: RunConfig, corpus: Corpus, embedded: EmbeddedCor
             f"({cap} nodes); second-layer nodes beyond the budget never contribute sentences",
             file=sys.stderr,
         )
-    return summarize_corpus(corpus, embedded, spec, cap, workers=config.workers)
+    return summarize_corpus(corpus, matrices, spec, cap, workers=config.workers)
 
 
 def _write_outputs(config: RunConfig, files: dict[str, str]) -> Path:
@@ -150,8 +150,8 @@ def _trees_json(config: RunConfig, corpus: Corpus, summaries: dict[str, Summary]
 
 def cmd_summarize(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    corpus, embedded = _load_and_embed(config)
-    summaries = _generate_summaries(config, corpus, embedded)
+    with _load_and_embed(config) as (corpus, matrices):
+        summaries = _generate_summaries(config, corpus, matrices)
 
     if args.format == "jsonl":
         records = (
@@ -213,8 +213,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.summaries:
         corpus, summaries = load_corpus(config.input, config.layout), _read_summaries(args.summaries)
     else:
-        corpus, embedded = _load_and_embed(config)
-        summaries = {tid: s.text for tid, s in _generate_summaries(config, corpus, embedded).items()}
+        with _load_and_embed(config) as (corpus, matrices):
+            summaries = {tid: s.text for tid, s in _generate_summaries(config, corpus, matrices).items()}
 
     report = evaluate_corpus(
         summaries, corpus, config.budget(), metrics=config.metrics, report_kind=config.report
@@ -227,18 +227,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    corpus, embedded = _load_and_embed(config)
-    rows = run_ablation(
-        corpus,
-        embedded,
-        config.hyperparams(),
-        config.budget(),
-        config.seed,
-        metrics=config.metrics,
-        report_kind=config.report,
-        max_nodes=config.max_nodes,
-        workers=config.workers,
-    )
+    with _load_and_embed(config) as (corpus, matrices):
+        rows = run_ablation(
+            corpus,
+            matrices,
+            config.hyperparams(),
+            config.budget(),
+            config.seed,
+            metrics=config.metrics,
+            report_kind=config.report,
+            max_nodes=config.max_nodes,
+            workers=config.workers,
+        )
     table = ablation_table(rows, config.metrics, config.report)
     _write_outputs(config, {"ablation.csv": ablation_csv(rows, config.metrics), "ablation.txt": table})
     print(table, end="")
@@ -255,7 +255,8 @@ def _parse_grid(config: RunConfig, base: Hyperparams) -> list[Hyperparams]:
         triples = None
         if config.weights is not None:
             triples = []
-            for chunk in config.weights.split(";"):
+            chunks = config.weights.split(";") if config.weights.strip() else []
+            for chunk in chunks:
                 triple = tuple(float(v) for v in chunk.split(","))
                 if len(triple) != 3:
                     raise ConfigError(f"--weights triple must have 3 values, got {chunk!r}")
@@ -269,18 +270,18 @@ def cmd_tune(args: argparse.Namespace) -> int:
     config = _build_config(args)
     grid = _parse_grid(config, config.hyperparams())
     objective = config.objective or "r1"
-    corpus, embedded = _load_and_embed(config)
-    best, results = run_grid_search(
-        corpus,
-        embedded,
-        config.budget(),
-        grid,
-        seed=config.seed,
-        objective_metric=objective,
-        report_kind=config.report,
-        max_nodes=config.max_nodes,
-        workers=config.workers,
-    )
+    with _load_and_embed(config) as (corpus, matrices):
+        best, results = run_grid_search(
+            corpus,
+            matrices,
+            config.budget(),
+            grid,
+            seed=config.seed,
+            objective_metric=objective,
+            report_kind=config.report,
+            max_nodes=config.max_nodes,
+            workers=config.workers,
+        )
     p = best.point
     best_text = (
         f"delta = {p.delta}\nalpha = {p.alpha}\nbeta = {p.beta}\ngamma = {p.gamma}\n"

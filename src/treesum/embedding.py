@@ -15,8 +15,12 @@ gives the topic's vectors as one ``(n, d)`` matrix, a row per sentence in
   ``POST <endpoint>/embed`` with body ``{"texts": [str]}`` and response
   ``{"vectors": [[float]]}``.
 
-All providers are safe for concurrent ``embed`` calls: the first two only
-read prebuilt matrices, and the remote client keeps no per-call state.
+``embed_topics`` draws each topic's matrix from a provider when the caller
+asks for it, in corpus order, and ``embed_corpus`` collects them all. The
+builtin and remote providers are safe for concurrent ``embed`` calls: the
+first only reads prebuilt matrices, and the remote client keeps no per-call
+state. The file provider reads its file as topics are drawn, so its draws
+come from one thread at a time.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -80,6 +85,12 @@ class EmbeddedCorpus:
     def sentence_vectors_for(self, topic: Topic) -> dict[str, Vector]:
         """Ordered sentence-key -> vector map for one topic."""
         return dict(zip(topic_keys(topic), self.vectors[topic.topic_id]))
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """Each topic's matrix in corpus order, as ``embed_topics`` yields
+        them, so an ``EmbeddedCorpus`` can stand wherever a run takes the
+        topics' matrices."""
+        return (self.vectors[topic.topic_id] for topic in self.corpus)
 
 
 def power_of_two_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -155,50 +166,89 @@ def _as_vector(values, context: str) -> Vector:
 
 
 class FileProvider:
-    """Precomputed sentence vectors, one matrix per topic of ``corpus``.
+    """Precomputed sentence vectors, one matrix per topic of ``corpus``, read
+    from the file as the topics are drawn.
 
-    Every record is checked as it is read. One whose key names a sentence of
-    the corpus is written into that sentence's row of its topic's matrix;
-    the others are dropped. A topic's first record fixes its dimension. A
-    row that no record reached holds NaN, which no checked record does.
+    Construction only checks that the file exists and places the corpus's
+    keys. The records are read in one forward scan, each checked as it is
+    read. One whose key names a sentence of the corpus is written into that
+    sentence's row of its topic's matrix; the others are dropped. A topic's
+    first record fixes its dimension. A row that no record reached holds
+    NaN, which no checked record does.
+
+    ``embed`` scans until the drawn topic's rows are all filled. A topic
+    completed ahead of its turn is kept until it is drawn; a topic is
+    forgotten once it is handed out, so a second draw of it raises
+    ProviderError. The draw of the corpus's last topic reads on to the end
+    of the file, so every record is checked, in file order. A fault in the
+    file is raised by the draw whose scan reaches it, which may come after
+    earlier topics have run; a missing key, by the draw of its topic once
+    the scan has reached the end. The file is closed at its end, on a fault
+    and by ``close``.
     """
 
     def __init__(self, path: str | Path, corpus: Corpus):
         self._path = Path(path)
         if not path_is(Path.is_file, self._path, ProviderError):
             raise ProviderError(f"embedding file {self._path} does not exist")
-        place = {key: (topic, row) for topic in corpus for row, key in enumerate(topic_keys(topic))}
-        self._matrices: dict[str, np.ndarray] = {}
+        self._place = {
+            key: (topic.topic_id, row) for topic in corpus for row, key in enumerate(topic_keys(topic))
+        }
+        # The rows of each corpus topic that no record has filled yet.
+        self._unfilled = {topic.topic_id: sum(len(doc.sentences) for doc in topic.documents) for topic in corpus}
+        self._matrices: dict[str, np.ndarray] = {}  # topics scanned into and not yet drawn
+        self._drawn: set[str] = set()
+        self._scan = self._records()
+
+    def _records(self) -> Iterator[str]:
+        """Read, check and place the file's records in order, yielding the
+        id of each topic as its last row is filled."""
         seen: set[str] = set()
-        for line_no, record in jsonl_records(self._path, ProviderError):
-            try:
-                key = record["key"]
-                values = record["vector"]
-            except (KeyError, TypeError) as exc:
-                raise ProviderError(f"malformed record on line {line_no} of {self._path}: {exc}") from exc
-            if not isinstance(key, str):
-                raise ProviderError(f"key on line {line_no} of {self._path} is not a string")
-            if key in seen:
-                raise ProviderError(f"duplicate key {key!r} in {self._path}")
-            seen.add(key)
-            vec = _as_vector(values, f"key {key!r}")
-            if key not in place:
-                continue
-            topic, row = place[key]
-            matrix = self._matrices.get(topic.topic_id)
-            if matrix is None:
-                rows = sum(len(doc.sentences) for doc in topic.documents)
-                matrix = self._matrices[topic.topic_id] = np.full((rows, len(vec)), np.nan)
-            elif len(vec) != matrix.shape[1]:
-                raise ProviderError(f"dimension mismatch: key {key!r} has dim {len(vec)}, expected {matrix.shape[1]}")
-            matrix[row] = vec
+        with closing(jsonl_records(self._path, ProviderError)) as records:
+            for line_no, record in records:
+                try:
+                    key = record["key"]
+                    values = record["vector"]
+                except (KeyError, TypeError) as exc:
+                    raise ProviderError(f"malformed record on line {line_no} of {self._path}: {exc}") from exc
+                if not isinstance(key, str):
+                    raise ProviderError(f"key on line {line_no} of {self._path} is not a string")
+                if key in seen:
+                    raise ProviderError(f"duplicate key {key!r} in {self._path}")
+                seen.add(key)
+                vec = _as_vector(values, f"key {key!r}")
+                if key not in self._place:
+                    continue
+                tid, row = self._place[key]
+                if tid not in self._matrices:
+                    self._matrices[tid] = np.full((self._unfilled[tid], len(vec)), np.nan)
+                elif len(vec) != self._matrices[tid].shape[1]:
+                    expected = self._matrices[tid].shape[1]
+                    raise ProviderError(f"dimension mismatch: key {key!r} has dim {len(vec)}, expected {expected}")
+                self._matrices[tid][row] = vec
+                self._unfilled[tid] -= 1
+                if not self._unfilled[tid]:
+                    yield tid
 
     def embed(self, topic: Topic) -> np.ndarray:
-        matrix = self._matrices.get(topic.topic_id)
-        missing = [0] if matrix is None else np.flatnonzero(np.isnan(matrix[:, 0]))
-        if len(missing):
-            raise ProviderError(f"missing embedding for key {topic_keys(topic)[missing[0]]!r}")
-        return matrix
+        tid = topic.topic_id
+        if tid in self._drawn:
+            raise ProviderError(f"the vectors of topic {tid!r} were already drawn from {self._path}")
+        while self._unfilled.get(tid) and next(self._scan, None) is not None:
+            pass
+        if self._unfilled.get(tid, 1):
+            matrix = self._matrices.get(tid)
+            row = 0 if matrix is None else np.flatnonzero(np.isnan(matrix[:, 0]))[0]
+            raise ProviderError(f"missing embedding for key {topic_keys(topic)[row]!r}")
+        self._drawn.add(tid)
+        if len(self._drawn) == len(self._unfilled):
+            for _ in self._scan:  # any further corpus record repeats a key and raises
+                pass
+        return self._matrices.pop(tid)
+
+    def close(self) -> None:
+        """End the scan, closing the file if it is open."""
+        self._scan.close()
 
 
 def provider_file(path: str | Path, corpus: Corpus) -> FileProvider:
@@ -400,12 +450,16 @@ def _topic_matrix(topic: Topic, returned, dim: int | None) -> tuple[np.ndarray, 
     """One topic's returned vectors as a checked float ``(n, d)`` matrix, and
     the corpus dimension (``dim``, or the topic's when ``dim`` is None).
 
-    The matrix checks the whole topic at once: its shape, its one dimension
-    and ``np.isfinite``. A float matrix in C order is kept as it is, not
-    copied. A topic passes exactly when every vector passes ``_as_vector``
-    with that dimension, so only a topic that fails goes one vector at a
-    time, to name the key of the first bad vector.
+    There must be one vector per sentence. The matrix checks the whole topic
+    at once: its shape, its one dimension and ``np.isfinite``. A float
+    matrix in C order is kept as it is, not copied. A topic passes exactly
+    when every vector passes ``_as_vector`` with that dimension, so only a
+    topic that fails goes one vector at a time, to name the key of the first
+    bad vector.
     """
+    count = sum(len(doc.sentences) for doc in topic.documents)
+    if len(returned) != count:
+        raise ProviderError(f"provider returned {len(returned)} vectors for {count} sentences")
     try:
         matrix = np.ascontiguousarray(returned, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -421,23 +475,48 @@ def _topic_matrix(topic: Topic, returned, dim: int | None) -> tuple[np.ndarray, 
     raise ProviderError(f"the vectors of topic {topic.topic_id!r} do not form one matrix")
 
 
-def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
-    """Embed every sentence of every topic.
+def embed_topics(corpus: Corpus, provider: EmbeddingProvider) -> Iterator[np.ndarray]:
+    """Each topic's checked ``(n, d)`` matrix, drawn from ``provider`` when
+    the caller asks for it, in corpus order.
 
     All vectors in a run must share one dimension; a provider returning mixed
     dimensions, or a vector that is empty, not flat, not numeric or not
-    finite, raises ProviderError naming its key. A corpus without sentences
-    raises CorpusError. Each topic is checked as one matrix (see
-    ``_topic_matrix``).
+    finite, raises ProviderError naming its key. Each topic is checked as one
+    matrix (see ``_topic_matrix``). A topic without sentences raises
+    CorpusError naming it before the provider is asked, and a corpus without
+    topics raises CorpusError once the generator is exhausted. A provider's
+    fault is raised by the draw that meets it, so with a ``FileProvider`` a
+    fault in the file may come after earlier topics were yielded. The
+    generator keeps no reference to a matrix it has yielded once the caller
+    asks for the next one. Closing the generator, or a fault, calls the
+    provider's ``close`` if it has one (``FileProvider`` ends its scan).
     """
-    vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for topic in corpus:
-        returned = provider.embed(topic)
-        count = sum(len(doc.sentences) for doc in topic.documents)
-        if len(returned) != count:
-            raise ProviderError(f"provider returned {len(returned)} vectors for {count} sentences")
-        vectors[topic.topic_id], dim = _topic_matrix(topic, returned, dim)
+    try:
+        for topic in corpus:
+            if not any(doc.sentences for doc in topic.documents):
+                raise CorpusError(f"topic {topic.topic_id!r} has no sentences")
+            matrix, dim = _topic_matrix(topic, provider.embed(topic), dim)
+            yield matrix
+            del matrix  # so that it can be freed before the next topic is drawn
+    finally:
+        close = getattr(provider, "close", None)
+        if close is not None:
+            close()
     if dim is None:
         raise CorpusError("corpus has no sentences")
-    return EmbeddedCorpus(corpus=corpus, vectors=vectors, dim=dim)
+
+
+def embed_corpus(corpus: Corpus, provider: EmbeddingProvider) -> EmbeddedCorpus:
+    """Embed every sentence of every topic: every matrix ``embed_topics``
+    yields, with its checks and its faults, held for the whole corpus.
+
+    Every fault is raised before this returns. With a ``FileProvider``, the
+    whole file is read and checked, and a fault in it is raised when the
+    scan reaches it, after the topics before it were drawn. Each topic is
+    drawn once, so a ``FileProvider`` serves one call: a second raises
+    ProviderError, as a second draw of any of its topics does.
+    """
+    matrices = list(embed_topics(corpus, provider))
+    vectors = {topic.topic_id: matrix for topic, matrix in zip(corpus, matrices)}
+    return EmbeddedCorpus(corpus=corpus, vectors=vectors, dim=matrices[0].shape[1])

@@ -2,11 +2,12 @@
 
 ``run_ablation`` scores every method on the same corpus and embeddings, so
 the comparison isolates the method. ``run_grid_search`` scores the full
-pipeline at each point of a grid. ``full_grid`` builds that grid as one
-``Hyperparams`` per point, a run's own settings with the point's delta,
-weights and first-layer cluster count: by default all weight triples on the
-0.1-step simplex (66 of them), the 11 values of delta and the cluster counts
-2 to 4, which makes 2178 points for the full sweep.
+pipeline at each point of a grid. Both take each topic's sentence matrix in
+corpus order, as ``pipeline.map_topics`` does. ``full_grid`` builds that
+grid as one ``Hyperparams`` per point, a run's own settings with the point's
+delta, weights and first-layer cluster count: by default all weight triples
+on the 0.1-step simplex (66 of them), the 11 values of delta and the cluster
+counts 2 to 4, which makes 2178 points for the full sweep.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .corpus import Corpus
-from .embedding import EmbeddedCorpus
 from .pipeline import map_topics, resolve_max_nodes
 from .rouge import RougeReport, RougeScore, TokenMemo, evaluate_corpus, text_table
 from .scoring import Hyperparams
@@ -32,7 +34,7 @@ class AblationRow:
 
 def _reports(
     corpus: Corpus,
-    embedded: EmbeddedCorpus,
+    matrices: Iterable[np.ndarray],
     budget: Budget,
     specs: Iterable[VariantSpec],
     max_nodes: int | None,
@@ -47,7 +49,7 @@ def _reports(
     specs = list(specs)
     per_topic = map_topics(
         corpus,
-        embedded,
+        matrices,
         workers,
         lambda topic, work: [summary.text for summary in summarize_topic_specs(topic, work, specs, cap)],
     )
@@ -61,7 +63,7 @@ def _reports(
 
 def run_ablation(
     corpus: Corpus,
-    embedded: EmbeddedCorpus,
+    matrices: Iterable[np.ndarray],
     hp: Hyperparams,
     budget: Budget,
     seed: int,
@@ -81,7 +83,7 @@ def run_ablation(
     are identical to summarizing and evaluating each method on its own.
     """
     specs = (VariantSpec(kind=method, hp=hp, budget=budget, seed=seed) for method in METHODS)
-    reports = _reports(corpus, embedded, budget, specs, max_nodes, workers, metrics, report_kind)
+    reports = _reports(corpus, matrices, budget, specs, max_nodes, workers, metrics, report_kind)
     return [
         AblationRow(method=method, seed=seed, scores=dict(report.mean))
         for method, report in zip(METHODS, reports)
@@ -161,7 +163,7 @@ def full_grid(
 
 def run_grid_search(
     corpus: Corpus,
-    embedded: EmbeddedCorpus,
+    matrices: Iterable[np.ndarray],
     budget: Budget,
     grid: Sequence[Hyperparams],
     seed: int,
@@ -188,7 +190,7 @@ def run_grid_search(
     if not grid:
         raise ValueError("empty hyperparameter grid")
     specs = (VariantSpec("ours_final", hp, budget, seed) for hp in grid)
-    reports = _reports(corpus, embedded, budget, specs, max_nodes, workers, [objective_metric], report_kind)
+    reports = _reports(corpus, matrices, budget, specs, max_nodes, workers, [objective_metric], report_kind)
     results = [
         GridResult(point=point, objective=report.headline(objective_metric))
         for point, report in zip(grid, reports)

@@ -1,4 +1,4 @@
-"""Corpus-level orchestration: embed once, summarize every topic.
+"""Corpus-level orchestration: summarize every topic on its own matrix.
 
 Topics are independent, so they can be fanned out to a worker pool; results
 are collected back in corpus order, which keeps output identical no matter
@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
+
+import numpy as np
 
 from .corpus import Corpus, Topic
-from .embedding import EmbeddedCorpus
 from .selection import Budget, Summary
 from .variants import TopicWork, VariantSpec, summarize_topic
 
@@ -48,32 +49,41 @@ def resolve_max_nodes(corpus: Corpus, budget: Budget, max_nodes: int | None) -> 
 
 def map_topics(
     corpus: Corpus,
-    embedded: EmbeddedCorpus,
+    matrices: Iterable[np.ndarray],
     workers: int,
     run: Callable[[Topic, TopicWork], T],
 ) -> list[T]:
-    """``run(topic, work)`` of each topic, in corpus order.
+    """``run(topic, work)`` of each topic, in corpus order, where
+    ``matrices`` gives each topic's sentence matrix in corpus order (an
+    ``EmbeddedCorpus``, or ``embed_topics`` to embed each topic when it runs).
 
     Topics run one at a time (``workers`` at a time), each on a fresh
     ``TopicWork``, so what the runs on a topic share is computed once and
-    dropped with the topic; only what ``run`` returns outlives it.
+    dropped with the topic; only what ``run`` returns outlives it. With one
+    worker, a topic's matrix is drawn when the topic starts and nothing here
+    holds it once the topic ends; with more, every matrix is drawn before
+    the pool starts.
     """
-    topics = list(corpus)
     if workers <= 1:
-        return [run(topic, TopicWork(topic, embedded)) for topic in topics]
+        matrices = iter(matrices)
+        return [run(topic, TopicWork(topic, next(matrices))) for topic in corpus]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda topic: run(topic, TopicWork(topic, embedded)), topics))
+        return list(pool.map(lambda topic, matrix: run(topic, TopicWork(topic, matrix)), corpus, matrices))
 
 
 def summarize_corpus(
     corpus: Corpus,
-    embedded: EmbeddedCorpus,
+    matrices: Iterable[np.ndarray],
     spec: VariantSpec,
     max_nodes: int,
     workers: int = 1,
 ) -> dict[str, Summary]:
-    """One summary per topic, keyed by topic_id, in corpus order."""
+    """One summary per topic, keyed by topic_id, in corpus order; ``matrices``
+    as for ``map_topics``."""
     per_topic = map_topics(
-        corpus, embedded, workers, lambda topic, work: summarize_topic(topic, embedded, spec, max_nodes, work=work)
+        corpus,
+        matrices,
+        workers,
+        lambda topic, work: summarize_topic(topic, work.sentences, spec, max_nodes, work=work),
     )
     return {topic.topic_id: summary for topic, summary in zip(corpus, per_topic)}

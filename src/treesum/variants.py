@@ -28,7 +28,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Topic
-from .embedding import EmbeddedCorpus
 from .scoring import Hyperparams, finite_means, score_position
 from .selection import Budget, ScoreContext, SimilarityMemo, Summary, select_summaries, select_summary
 from .tree import build_class_tree, derive_seed, split_rows
@@ -86,8 +85,8 @@ class VariantSpec:
 class TopicWork:
     """What the methods run on one topic share.
 
-    ``sentences`` is the topic's matrix in ``embedded`` itself, rows in
-    (doc_index, sent_index) order; ``pairs`` and ``position`` hold each
+    ``sentences`` is the topic's matrix as the provider handed it out, rows
+    in (doc_index, sent_index) order; ``pairs`` and ``position`` hold each
     row's ``(Document, Sentence)`` pair and position score. Row ``d`` of
     ``documents`` is the mean of document ``d``'s rows, all of them taken
     over power-of-two-scaled rows when one runs past the float range
@@ -101,10 +100,12 @@ class TopicWork:
     the document tree's context, comp2 and comp3 the flat clusters', and
     every context shares the memo. A caller builds one when it starts on a
     topic and drops it with the topic; one thread at a time may use it.
+    Nothing it holds refers back to it, so dropping it frees its arrays at
+    once, without waiting for the garbage collector.
     """
 
-    def __init__(self, topic: Topic, embedded: EmbeddedCorpus):
-        self.sentences = embedded.vectors[topic.topic_id]
+    def __init__(self, topic: Topic, matrix: np.ndarray):
+        self.sentences = matrix
         self.pairs = [(doc, sent) for doc in topic.documents for sent in doc.sentences]
         self.position = np.array([score_position(s.position_1based, len(d.sentences)) for d, s in self.pairs])
         counts = [len(doc.sentences) for doc in topic.documents]
@@ -165,19 +166,20 @@ def _selection_input(
 
 def summarize_topic(
     topic: Topic,
-    embedded: EmbeddedCorpus,
+    matrix: np.ndarray,
     spec: VariantSpec,
     max_nodes: int,
     work: TopicWork | None = None,
 ) -> Summary:
-    """Run one method on one topic. Seeds are derived per topic from the
+    """Run one method on one topic, whose sentence matrix is ``matrix``
+    (unused when ``work`` is given). Seeds are derived per topic from the
     spec's master seed, so results for a topic never depend on which other
     topics are in the corpus. Callers running several methods or settings on
     one topic pass one ``work`` to all of them, which computes what they
     share once; each call makes a fresh one otherwise. The summary carries
     the class tree it was selected from, None for the methods without one."""
     if work is None:
-        work = TopicWork(topic, embedded)
+        work = TopicWork(topic, matrix)
     context, hp = _selection_input(topic, work, spec, max_nodes)
     return select_summary(context, hp, spec.budget)
 

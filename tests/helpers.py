@@ -81,7 +81,8 @@ def tree_and_context(topic: Topic, embedded: EmbeddedCorpus, k_first: int, k_res
     """The class tree over a topic's documents and its selection context,
     both from ``TopicWork`` as the CLI builds them; the arguments are
     ``build_class_tree``'s."""
-    ctx = TopicWork(topic, embedded).context("tree", "documents", k_first, k_rest, max_nodes, seed)
+    work = TopicWork(topic, embedded.vectors[topic.topic_id])
+    ctx = work.context("tree", "documents", k_first, k_rest, max_nodes, seed)
     return ctx.tree, ctx
 
 

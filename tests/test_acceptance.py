@@ -206,7 +206,7 @@ def test_tree_invariants_random_topics():
     for trial in range(200):
         topic, vectors = random_synthetic_topic(rng, f"t{trial}")
         embedded = embed_with_vectors(make_corpus(topic), vectors)
-        documents = TopicWork(topic, embedded).documents
+        documents = TopicWork(topic, embedded.vectors[topic.topic_id]).documents
         k_first = int(rng.integers(2, 5))
         k_rest = int(rng.integers(2, 4))
         max_nodes = int(rng.integers(1, 14))

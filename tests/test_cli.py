@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,120 @@ def test_file_provider_error_exits_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "missing embedding" in capsys.readouterr().err
+
+
+def _file_records(corpus_dir, n_topics):
+    """``{topic_id: [(key, vector), ...]}`` with one 8-dim vector for every
+    sentence of the ``_write_corpus`` corpus at ``corpus_dir``, in corpus
+    order."""
+    import numpy as np
+
+    from treesum.embedding import topic_keys
+
+    rng = np.random.default_rng(n_topics)
+    return {
+        topic.topic_id: [(key, rng.normal(size=8).tolist()) for key in topic_keys(topic)]
+        for topic in treesum.load_corpus(str(corpus_dir), "topic-dirs")
+    }
+
+
+def _record_lines(records):
+    return "".join(json.dumps({"key": key, "vector": vec}) + "\n" for key, vec in records)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("malformed record after the last corpus record", "invalid JSON on line 37 of"),
+        ("fault after topic 0's records", "malformed record on line 10 of"),
+        ("keys missing from topics 1 and 2", "missing embedding for key 'topic1/d2/s2'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["summarize", "ablate"])
+def test_a_fault_the_scan_reaches_late_exits_3_and_writes_nothing(tmp_path, capsys, command, case, message):
+    """The embedding file is read as topics are drawn, so these faults are
+    found after earlier topics have run; outputs are written last, so
+    nothing is under ``--out``. A missing key is named in the first
+    incomplete topic in corpus order, here where the file holds topic 2's
+    records ahead of topic 1's."""
+    corpus = _write_corpus(tmp_path / "corpus", n_topics=4)
+    records = _file_records(corpus, 4)
+    lines = [_record_lines(records[f"topic{t}"]) for t in range(4)]
+    if case == "malformed record after the last corpus record":
+        lines.append('{"key": "extra", "vector": [1.0,\n')
+    elif case == "fault after topic 0's records":
+        lines.insert(1, '{"vector": [1.0, 2.0]}\n')
+    else:
+        lines[1] = _record_lines(records["topic1"][:-1])
+        lines[2] = _record_lines(records["topic2"][1:])
+        lines[1], lines[2] = lines[2], lines[1]
+    (tmp_path / "vectors.jsonl").write_text("".join(lines))
+    out = tmp_path / "out"
+    argv = [command, "--input", str(corpus), "--embedder", f"file:{tmp_path / 'vectors.jsonl'}", *_BUDGET]
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_bad_budget_is_found_before_the_topics_are_drawn(tmp_path, capsys):
+    """The budget is checked before any topic is embedded, so a fault in
+    the embedding records is never reached; a missing embedding file is
+    found when the provider is made, first."""
+    corpus = _write_corpus(tmp_path / "corpus")
+    (tmp_path / "vectors.jsonl").write_text('{"vector": [1.0]}\n')
+    for vectors, code, message in [
+        ("vectors.jsonl", 2, "budget limit must be >= 1"),
+        ("missing.jsonl", 3, "missing.jsonl does not exist"),
+    ]:
+        argv = ["summarize", "--input", str(corpus), "--embedder", f"file:{tmp_path / vectors}"]
+        assert main([*argv, "--budget-words", "0", "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class _Watched:
+    """A provider that keeps a weak reference to every matrix ``inner``
+    hands out, and fails a draw while an earlier topic's matrix is alive."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.drawn = []
+
+    def embed(self, topic):
+        alive = [i for i, ref in enumerate(self.drawn) if ref() is not None]
+        assert not alive, f"the matrices of topics {alive} are alive when topic {len(self.drawn)} is drawn"
+        matrix = self.inner.embed(topic)
+        self.drawn.append(weakref.ref(matrix))
+        return matrix
+
+    def close(self):
+        self.inner.close()
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate", "ablate", "tune"])
+def test_a_command_holds_one_topics_vectors_at_a_time(tmp_path, monkeypatch, command):
+    """With one worker, topic i's matrix is gone when topic i + 1 is drawn,
+    and every topic is drawn once."""
+    import treesum.config
+
+    corpus = _write_corpus(tmp_path / "corpus", n_topics=4)
+    records = _file_records(corpus, 4)
+    (tmp_path / "vectors.jsonl").write_text("".join(_record_lines(r) for r in records.values()))
+    watched = []
+    real_provider_file = treesum.config.provider_file
+
+    def watched_provider_file(path, corpus):
+        watched.append(_Watched(real_provider_file(path, corpus)))
+        return watched[-1]
+
+    monkeypatch.setattr(treesum.config, "provider_file", watched_provider_file)
+    argv = [command, "--input", str(corpus), "--embedder", f"file:{tmp_path / 'vectors.jsonl'}", *_BUDGET]
+    if command == "tune":
+        argv += ["--deltas", "0.5,0.9", "--ks", "2,3", "--weights", "1,0,0;0.8,0.1,0.1"]
+    assert main([*argv, "--workers", "1", "--out", str(tmp_path / "out")]) == 0
+    assert len(watched) == 1 and len(watched[0].drawn) == 4
 
 
 def test_file_vectors_whose_squared_distances_overflow_summarize(tmp_path):
@@ -756,47 +871,53 @@ def test_grid_search_selects_once_per_tree_and_scores_each_text_once(tmp_path, m
     assert sorted(scored) == sorted(distinct)
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--deltas", "abc"),
-        ("--deltas", "2"),
-        ("--deltas", "nan"),
-        ("--ks", "1"),
-        ("--ks", "x"),
-        ("--weights", "a,b,c"),
-        ("--weights", "0.5,0.5,0.5"),
-        ("--weights", "1,0,0;"),
-        # A restriction that names no value leaves its axis empty.
-        ("--deltas", ""),
-        ("--ks", ""),
-        ("--weights", ""),
-    ],
-)
-def test_tune_bad_grid_value_exits_2_before_embedding(tmp_path, capsys, monkeypatch, flag, value):
+def _no_embedding(monkeypatch):
+    """Make a command fail the test if it starts embedding: ``embed_topics``
+    is what the commands call to draw the topics' matrices."""
     import treesum.cli
 
     def no_embedding(*args, **kwargs):
         raise AssertionError("the corpus was embedded before the grid was checked")
 
-    monkeypatch.setattr(treesum.cli, "embed_corpus", no_embedding)
+    monkeypatch.setattr(treesum.cli, "embed_topics", no_embedding)
+
+
+EMPTY_GRID = "bad tune grid: empty hyperparameter grid"
+
+
+_BAD_GRID_ROWS = [
+    ("--deltas", "abc", "could not convert string to float: 'abc'"),
+    ("--deltas", "2", "delta must be in [0, 1]"),
+    ("--deltas", "nan", "delta must be in [0, 1]"),
+    ("--ks", "1", "cluster counts must be >= 2"),
+    ("--ks", "x", "invalid literal for int() with base 10: 'x'"),
+    ("--weights", "a,b,c", "could not convert string to float: 'a'"),
+    ("--weights", "0.5,0.5,0.5", "alpha + beta + gamma must equal 1"),
+    ("--weights", "1,0,0;", "could not convert string to float: ''"),
+    # A restriction that names no value leaves its axis empty.
+    ("--deltas", "", EMPTY_GRID),
+    ("--ks", "", EMPTY_GRID),
+    ("--weights", "", EMPTY_GRID),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message", _BAD_GRID_ROWS, ids=[f"{flag}-{value}" for flag, value, _ in _BAD_GRID_ROWS]
+)
+def test_tune_bad_grid_value_exits_2_before_embedding(tmp_path, capsys, monkeypatch, flag, value, message):
+    _no_embedding(monkeypatch)
     corpus = _write_corpus(tmp_path / "corpus")
     out = tmp_path / "out"
     code = main(["tune", "--input", str(corpus), "--budget-words", "20", flag, value, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "error" in err and "Traceback" not in err
+    assert "error: bad tune grid: " in err and message in err and "Traceback" not in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["deltas", "ks", "weights"])
 def test_tune_empty_grid_restriction_in_config_exits_2(tmp_path, capsys, monkeypatch, key):
-    import treesum.cli
-
-    def no_embedding(*args, **kwargs):
-        raise AssertionError("the corpus was embedded before the grid was checked")
-
-    monkeypatch.setattr(treesum.cli, "embed_corpus", no_embedding)
+    _no_embedding(monkeypatch)
     corpus = _write_corpus(tmp_path / "corpus")
     config = tmp_path / "run.cfg"
     config.write_text(f"input = {corpus}\n{key} =\n", encoding="utf-8")
@@ -804,7 +925,7 @@ def test_tune_empty_grid_restriction_in_config_exits_2(tmp_path, capsys, monkeyp
     code = main(["tune", "--config", str(config), "--budget-words", "20", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "bad tune grid" in err and "Traceback" not in err
+    assert EMPTY_GRID in err and "Traceback" not in err
     assert not out.exists()
 
 

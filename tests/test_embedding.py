@@ -10,7 +10,9 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from treesum.embedding import (
     cosine_rows,
     cosine_similarity,
     embed_corpus,
+    embed_topics,
     prescale_rows,
     provider_builtin_tfidf,
     provider_file,
@@ -198,12 +201,26 @@ def test_embed_corpus_rejects_a_vector_count_other_than_the_sentence_count():
         embed_corpus(make_corpus(topic), OneShort())
 
 
+class NeverAsked:
+    def embed(self, topic):
+        raise AssertionError(f"the provider was asked for topic {topic.topic_id!r}")
+
+
 def test_embed_corpus_rejects_a_topic_without_sentences():
     """The loaders refuse a topic without documents, but a library caller can
-    build one: its empty vector list is not an (n, d) matrix."""
+    build one. It is named before the provider is asked for it, by
+    ``embed_corpus`` and by the per-topic draw alike, after the topics
+    before it were drawn."""
     corpus = Corpus(topics=(Topic(topic_id="empty", documents=()),))
-    with pytest.raises(ProviderError, match="the vectors of topic 'empty' do not form one matrix"):
-        embed_corpus(corpus, DictProvider({}))
+    with pytest.raises(CorpusError, match="topic 'empty' has no sentences"):
+        embed_corpus(corpus, NeverAsked())
+    with pytest.raises(CorpusError, match="topic 'empty' has no sentences"):
+        next(embed_topics(corpus, NeverAsked()))
+    first = make_topic("a", ["One sentence here."])
+    topics = embed_topics(make_corpus(first, corpus.topics[0]), DictProvider({skey("a", 0, 0): [1.0, 2.0]}))
+    assert next(topics).tolist() == [[1.0, 2.0]]
+    with pytest.raises(CorpusError, match="topic 'empty' has no sentences"):
+        next(topics)
 
 
 def test_document_vector_is_mean_of_sentences():
@@ -216,7 +233,7 @@ def test_document_vector_is_mean_of_sentences():
             skey("t", 1, 0): [3.0, 4.0],
         },
     )
-    documents = TopicWork(topic, embedded).documents
+    documents = TopicWork(topic, embedded.vectors[topic.topic_id]).documents
     np.testing.assert_allclose(documents[0], [0.5, 0.5])
     # A single-sentence document's vector equals its sentence vector.
     np.testing.assert_allclose(documents[1], [3.0, 4.0])
@@ -228,7 +245,7 @@ def test_document_mean_invariant_tight():
     vectors = {skey("t", 0, i): rng.normal(size=8) for i in range(3)}
     embedded = embed_with_vectors(make_corpus(topic), vectors)
     mean = np.stack([vectors[skey("t", 0, i)] for i in range(3)]).mean(axis=0)
-    assert np.max(np.abs(TopicWork(topic, embedded).documents[0] - mean)) <= 1e-9
+    assert np.max(np.abs(TopicWork(topic, embedded.vectors[topic.topic_id]).documents[0] - mean)) <= 1e-9
 
 
 def _random_topic_vectors(seed):
@@ -250,7 +267,7 @@ def _random_topic_vectors(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_topic_vectors_rows_follow_doc_and_sentence_order(seed):
     topic, vectors = _random_topic_vectors(seed)
-    record = TopicWork(topic, embed_with_vectors(make_corpus(topic), vectors))
+    record = TopicWork(topic, embed_with_vectors(make_corpus(topic), vectors).vectors["t"])
     order = [(doc.doc_index, sent.sent_index) for doc in topic.documents for sent in doc.sentences]
     assert order == sorted(order)
     assert record.sentences.tobytes() == np.stack([vectors[skey("t", *ds)] for ds in order]).tobytes()
@@ -262,7 +279,7 @@ def test_topic_document_matrix_equals_per_document_means_bitwise(seed):
     """Each document row is ``np.stack`` of the document's sentence vectors
     averaged over axis 0, the arithmetic of the per-document means."""
     topic, vectors = _random_topic_vectors(seed)
-    record = TopicWork(topic, embed_with_vectors(make_corpus(topic), vectors))
+    record = TopicWork(topic, embed_with_vectors(make_corpus(topic), vectors).vectors["t"])
     means = [
         np.stack([vectors[skey("t", doc.doc_index, s.sent_index)] for s in doc.sentences]).mean(axis=0)
         for doc in topic.documents
@@ -346,12 +363,17 @@ def test_file_provider_roundtrip(tmp_path):
     np.testing.assert_allclose(provider.embed(topic)[0], [0.1, 0.2])
 
 
+def _draw_all(path, corpus):
+    """Every topic of ``corpus`` drawn from a file provider, in corpus order."""
+    return embed_corpus(corpus, provider_file(path, corpus))
+
+
 def test_file_provider_duplicate_key(tmp_path):
     path = tmp_path / "vectors.jsonl"
     record = json.dumps({"key": "t1/d0/s0", "vector": [0.1]})
     path.write_text(record + "\n" + record + "\n")
     with pytest.raises(ProviderError, match="duplicate key"):
-        provider_file(path, make_corpus(make_topic("t1", ["Whatever."])))
+        _draw_all(path, make_corpus(make_topic("t1", ["Whatever."])))
 
 
 @pytest.mark.parametrize(
@@ -365,7 +387,7 @@ def test_file_provider_rejects_unusable_records(tmp_path, line, message):
     path = tmp_path / "vectors.jsonl"
     path.write_text(line + "\n")
     with pytest.raises(ProviderError, match=message):
-        provider_file(path, make_corpus(make_topic("t1", ["Whatever."])))
+        _draw_all(path, make_corpus(make_topic("t1", ["Whatever."])))
 
 
 def test_file_provider_missing_key(tmp_path):
@@ -420,7 +442,7 @@ def test_file_provider_checks_every_record(tmp_path, extra, message):
     corpus = _two_topic_corpus()
     _write_records(tmp_path / "vectors.jsonl", _file_records(corpus, 5) + extra)
     with pytest.raises(ProviderError, match=re.escape(message)):
-        provider_file(tmp_path / "vectors.jsonl", corpus)
+        _draw_all(tmp_path / "vectors.jsonl", corpus)
 
 
 def test_file_provider_names_the_first_missing_key_in_corpus_order(tmp_path):
@@ -446,7 +468,7 @@ def test_file_provider_dimension_is_fixed_by_a_topics_first_record(tmp_path):
     records = [r for i, r in enumerate(records) if r[0] != "b/d1/s0" or i == 2]
     _write_records(tmp_path / "vectors.jsonl", records)
     with pytest.raises(ProviderError, match=re.escape("dimension mismatch: key 'b/d0/s0' has dim 5, expected 2")):
-        provider_file(tmp_path / "vectors.jsonl", corpus)
+        _draw_all(tmp_path / "vectors.jsonl", corpus)
     records = [(key, vec[:3] if key.startswith("b/") else vec) for key, vec in _file_records(corpus, 7)]
     _write_records(tmp_path / "vectors.jsonl", records)
     provider = provider_file(tmp_path / "vectors.jsonl", corpus)
@@ -454,18 +476,130 @@ def test_file_provider_dimension_is_fixed_by_a_topics_first_record(tmp_path):
         embed_corpus(corpus, provider)
 
 
+class Recording:
+    """A provider that keeps every matrix ``inner`` hands out, in draw order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.drawn = []
+
+    def embed(self, topic):
+        self.drawn.append(self.inner.embed(topic))
+        return self.drawn[-1]
+
+
 @pytest.mark.parametrize("embedder", ["builtin", "file"])
 def test_topic_work_runs_on_the_embedded_matrix_itself(tmp_path, embedder):
     corpus = _two_topic_corpus()
     if embedder == "builtin":
-        provider = provider_builtin_tfidf(corpus, dim=8, seed=1)
+        provider = Recording(provider_builtin_tfidf(corpus, dim=8, seed=1))
     else:
         _write_records(tmp_path / "vectors.jsonl", _file_records(corpus, 8))
-        provider = provider_file(tmp_path / "vectors.jsonl", corpus)
+        provider = Recording(provider_file(tmp_path / "vectors.jsonl", corpus))
     embedded = embed_corpus(corpus, provider)
-    for topic in corpus:
-        assert embedded.vectors[topic.topic_id] is provider.embed(topic)
-        assert np.shares_memory(TopicWork(topic, embedded).sentences, embedded.vectors[topic.topic_id])
+    assert len(provider.drawn) == len(corpus.topics)
+    for topic, matrix in zip(corpus, provider.drawn):
+        assert embedded.vectors[topic.topic_id] is matrix
+        assert TopicWork(topic, matrix).sentences is matrix
+    assert list(embedded) == provider.drawn
+
+
+def test_a_second_draw_of_a_topic_from_a_file_provider_raises(tmp_path):
+    """The file provider forgets a topic once it has handed it out, so a
+    second draw raises; the builtin provider keeps every topic's block and
+    hands out the same array again."""
+    corpus = _two_topic_corpus()
+    _write_records(tmp_path / "vectors.jsonl", _file_records(corpus, 9))
+    provider = provider_file(tmp_path / "vectors.jsonl", corpus)
+    first = provider.embed(corpus.topics[0])
+    with pytest.raises(ProviderError, match=re.escape("the vectors of topic 'a' were already drawn from")):
+        provider.embed(corpus.topics[0])
+    assert provider.embed(corpus.topics[1]).shape == (3, 5)
+    assert first.shape == (2, 5)
+    with pytest.raises(ProviderError, match="already drawn"):
+        embed_corpus(corpus, provider)
+    builtin = provider_builtin_tfidf(corpus, dim=8, seed=1)
+    assert builtin.embed(corpus.topics[1]) is builtin.embed(corpus.topics[1])
+
+
+def _three_topic_corpus():
+    return make_corpus(*_two_topic_corpus().topics, make_topic("c", ["Sixth point here.", "Seventh point here."]))
+
+
+def test_file_provider_reads_the_file_as_topics_are_drawn(tmp_path):
+    """A draw scans only until its topic is complete, so a fault after a
+    topic's records is raised by a later draw; a topic completed ahead of
+    its turn is kept until it is drawn, and forgotten once handed out."""
+    corpus = _three_topic_corpus()
+    records = _file_records(corpus, 10)
+    a, b, c = ([r for r in records if r[0].startswith(f"{tid}/")] for tid in "abc")
+    path = tmp_path / "vectors.jsonl"
+    path.write_text(
+        "".join(json.dumps({"key": key, "vector": list(vec)}) + "\n" for key, vec in c + a)
+        + "not json\n"
+        + "".join(json.dumps({"key": key, "vector": list(vec)}) + "\n" for key, vec in b)
+    )
+    provider = provider_file(path, corpus)
+    topics = embed_topics(corpus, provider)
+    matrix = next(topics)
+    assert matrix.tobytes() == np.array([vec for _, vec in a]).tobytes()
+    gone = weakref.ref(matrix)
+    del matrix
+    with pytest.raises(ProviderError, match="invalid JSON on line 5 of"):
+        next(topics)
+    assert gone() is None  # nothing held topic a once topic b was drawn
+    # Topic c completed ahead of its turn and is still there to draw.
+    assert provider.embed(corpus.topics[2]).tobytes() == np.array([vec for _, vec in c]).tobytes()
+
+
+def test_file_provider_reads_to_the_end_when_the_last_topic_is_drawn(tmp_path):
+    corpus = _two_topic_corpus()
+    path = tmp_path / "vectors.jsonl"
+    _write_records(path, _file_records(corpus, 11) + [("zz/d0/s0", [1.0, float("inf")])])
+    provider = provider_file(path, corpus)
+    assert provider.embed(corpus.topics[0]).shape == (2, 5)
+    with pytest.raises(ProviderError, match=re.escape("key 'zz/d0/s0': vector has non-finite")):
+        provider.embed(corpus.topics[1])
+
+
+def _open_handles(monkeypatch):
+    """Every file handle ``Path.open`` returns from now on."""
+    handles = []
+    real_open = Path.open
+
+    def recording_open(self, *args, **kwargs):
+        handles.append(real_open(self, *args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    return handles
+
+
+@pytest.mark.parametrize("stop", ["closed", "file fault", "dimension of an earlier topic", "at the end"])
+def test_the_file_scan_is_closed_whenever_the_draws_stop(tmp_path, monkeypatch, stop):
+    """The provider stays alive, so only an explicit close can have closed
+    its file: at the end of the file, on a fault in the file, on a fault
+    ``embed_topics`` finds, and when the caller closes the draws early."""
+    corpus = _three_topic_corpus()
+    records = _file_records(corpus, 12)
+    if stop == "file fault":
+        records[3] = ("b/d0/s1", [1.0])
+    elif stop == "dimension of an earlier topic":
+        records = [(key, vec[:3] if key.startswith("b/") else vec) for key, vec in records]
+    _write_records(tmp_path / "vectors.jsonl", records)
+    handles = _open_handles(monkeypatch)
+    provider = provider_file(tmp_path / "vectors.jsonl", corpus)
+    topics = embed_topics(corpus, provider)
+    assert next(topics).shape == (2, 5)
+    assert len(handles) == 1 and not handles[0].closed  # the scan stopped after topic a
+    if stop == "closed":
+        topics.close()
+    elif stop == "at the end":
+        assert [m.shape for m in topics] == [(3, 5), (2, 5)]
+    else:
+        with pytest.raises(ProviderError, match="dimension mismatch"):
+            next(topics)
+    assert handles[0].closed
 
 
 @pytest.mark.parametrize("dim", [1, 0, -3, MAX_BUILTIN_DIM + 1])

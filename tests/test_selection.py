@@ -304,7 +304,7 @@ def test_score_context_terms_match_scalar_scores():
     for case in range(30):
         topic, embedded, tree, ctx = _random_case(rng, case)
         sent_vectors = list(embedded.sentence_vectors_for(topic).values())
-        documents = TopicWork(topic, embedded).documents
+        documents = TopicWork(topic, embedded.vectors[topic.topic_id]).documents
         for node_id, members, inside, outside in ctx.groups:
             centroids = node_centroids(documents, np.array(tree.node(node_id).members))
             for delta in (0.0, 0.3, 0.9, 1.0):

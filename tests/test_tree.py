@@ -1230,7 +1230,7 @@ def test_tree_to_dict_renders_the_members_of_document_and_sentence_trees():
     node ids, layers, member keys and children of an earlier release that
     built its trees over key -> vector maps."""
     topic, vectors = random_synthetic_topic(np.random.default_rng(9), "t9")
-    record = TopicWork(topic, embed_with_vectors(make_corpus(topic), vectors))
+    record = TopicWork(topic, embed_with_vectors(make_corpus(topic), vectors).vectors["t9"])
     doc_names = [document_key("t9", d.doc_index) for d in topic.documents]
     sent_names = [
         sentence_key("t9", d.doc_index, s.sent_index) for d in topic.documents for s in d.sentences

@@ -25,7 +25,7 @@ from treesum.variants import METHOD_TABLE, METHODS, VariantSpec, summarize_topic
 
 def _summarize(method, topic, embedded, words, hp=Hyperparams(), seed=0, max_nodes=4):
     spec = VariantSpec(method, hp, Budget("words", words), seed)
-    return summarize_topic(topic, embedded, spec, max_nodes=max_nodes)
+    return summarize_topic(topic, embedded.vectors[topic.topic_id], spec, max_nodes=max_nodes)
 
 
 def test_variant_spec_normalizes_and_validates():
@@ -232,7 +232,7 @@ def test_all_methods_share_budget_and_duplicate_semantics(method):
         }
         limit = max(1, int(rng.integers(1, sum(sizes.values()) + 8)))
         spec = VariantSpec(method, Hyperparams(k_first=2), Budget("words", limit), seed=trial)
-        summary = summarize_topic(topic, embedded, spec, max_nodes=4)
+        summary = summarize_topic(topic, embedded.vectors[topic.topic_id], spec, max_nodes=4)
         keys = summary_keys(topic.topic_id, summary)
         assert len(set(keys)) == len(keys)  # no duplicates
         consumed = sum(sizes[k] for k in keys)
@@ -260,7 +260,7 @@ def test_summary_records_match_the_corpus_sentences(method):
         pairs = {(d.doc_index, s.sent_index): (d, s) for d in topic.documents for s in d.sentences}
         for budget in (Budget("words", int(rng.integers(1, 40))), Budget("bytes", int(rng.integers(1, 300)))):
             spec = VariantSpec(method, Hyperparams(k_first=2), budget, seed=trial)
-            summary = summarize_topic(topic, embedded, spec, max_nodes=4)
+            summary = summarize_topic(topic, embedded.vectors[topic.topic_id], spec, max_nodes=4)
             assert summary.sentences
             for got in summary.sentences:
                 doc, sent = pairs[got.doc.doc_index, got.sent.sent_index]
